@@ -4,12 +4,13 @@
 Four pinned scenarios measure what the macro-batch engine is for:
 
 * ``synthetic_2m_per_event`` / ``synthetic_2m_macro`` -- a live ~2.3M
-  access silo/memtis run, per-event loop vs coalescer.  Generation is
-  on the hot path here, so the speedup is bounded by the generator.
+  access silo/memtis run, one event per batch (``macro_batch=0``) vs
+  256k-access fused batches.  Generation is on the hot path here, so
+  the speedup is bounded by the generator.
 * ``trace_10m_per_event`` / ``trace_10m_macro`` -- a recorded ~10M
   access silo trace replayed at 1k-access granularity (the cadence a
   PEBS-style collector produces).  This is the headline: the coalescer
-  must hold >= 3x over the per-event loop (the PR 7 acceptance gate;
+  must hold >= 3x over one event per batch (the acceptance gate;
   observed ~5x).
 
 Each scenario runs in its own subprocess so ``VmHWM`` isolates its peak

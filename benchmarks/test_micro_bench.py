@@ -151,7 +151,7 @@ class TestKernelComparison:
     def test_demand_map_4k_pages(self, benchmark, batched):
         """Batch demand-map API vs the per-page loop it replaced."""
         from repro.mem.pages import SUBPAGES_PER_HUGE
-        from repro.mem.tiers import TierKind
+        from repro.mem.tiers import FASTEST_TIER
 
         ctx, ks, region = _make_ksampled_fixture()
         space = ctx.space
@@ -167,10 +167,10 @@ class TestKernelComparison:
 
         def sequential():
             for vpn in vpns:
-                space.demand_map(int(vpn), TierKind.FAST)
+                space.demand_map(int(vpn), FASTEST_TIER)
 
         def batch():
-            space.demand_map_many(vpns, TierKind.FAST)
+            space.demand_map_many(vpns, FASTEST_TIER)
 
         run_once(benchmark, batch if batched else sequential)
         assert bool(np.all(space.page_tier[vpns] >= 0))
@@ -191,7 +191,8 @@ class TestEndToEndThroughput:
         assert result.metrics.total_accesses >= 1_000_000
         # The engine attributes wall time to phases; the breakdown must
         # be populated so regressions can be localised per kernel.
-        assert set(result.phase_ns) == {"sample_ns", "tlb_ns", "policy_ns"}
+        assert set(result.phase_ns) == {"gen_ns", "sample_ns", "tlb_ns",
+                                         "policy_ns"}
         assert sum(result.phase_ns.values()) > 0
 
     @pytest.mark.parametrize("mode", KERNEL_MODES)

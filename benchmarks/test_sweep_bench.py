@@ -5,6 +5,8 @@ fan-out the executor converts into wall-clock) and the cached pass,
 which should be orders of magnitude below both.
 """
 
+import os
+
 import pytest
 
 from repro.experiments.common import run_grid
@@ -19,6 +21,11 @@ GRID = dict(workloads=["silo", "btree"], policies=["tpp", "memtis"],
             ratios=["1:8"], scale=BENCH_SCALE)
 
 
+def _jobs(n):
+    """``n`` workers, capped at the machine's cores."""
+    return min(n, os.cpu_count() or 1)
+
+
 @pytest.mark.benchmark(group="sweep-grid")
 def test_grid_serial(benchmark):
     out = run_once(benchmark, run_grid, jobs=1, cache=None, **GRID)
@@ -27,13 +34,13 @@ def test_grid_serial(benchmark):
 
 @pytest.mark.benchmark(group="sweep-grid")
 def test_grid_parallel_2(benchmark):
-    out = run_once(benchmark, run_grid, jobs=2, cache=None, **GRID)
+    out = run_once(benchmark, run_grid, jobs=_jobs(2), cache=None, **GRID)
     assert len(out) == 4
 
 
 @pytest.mark.benchmark(group="sweep-grid")
 def test_grid_parallel_4(benchmark):
-    out = run_once(benchmark, run_grid, jobs=4, cache=None, **GRID)
+    out = run_once(benchmark, run_grid, jobs=_jobs(4), cache=None, **GRID)
     assert len(out) == 4
 
 

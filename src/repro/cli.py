@@ -503,8 +503,9 @@ def main(argv=None) -> int:
     p_run.add_argument("--macro-batch", type=int, default=0, metavar="N",
                        help="coalesce consecutive access events into "
                             "macro-batches of ~N accesses before the engine "
-                            "hot path (0 = per-event; changes sampling "
-                            "cadence, so it is part of the result identity)")
+                            "hot path (0 = one event per batch; changes "
+                            "sampling cadence, so it is part of the result "
+                            "identity)")
     p_run.add_argument("--no-baseline", action="store_true",
                        help="skip the all-capacity normalisation run")
     p_run.add_argument("--trace", nargs="?", const="", metavar="DIR",
@@ -589,7 +590,8 @@ def main(argv=None) -> int:
     p_trace.add_argument("--replay", metavar="PATH")
     p_trace.add_argument("--macro-batch", type=int, default=0, metavar="N",
                          help="replay with the macro-batch coalescer "
-                              "(~N accesses per engine batch, 0 = per-event)")
+                              "(~N accesses per engine batch, 0 = one event "
+                              "per batch)")
     p_trace.add_argument("--event-accesses", type=int, default=None,
                          metavar="N",
                          help="re-chunk trace replay into events of at most "

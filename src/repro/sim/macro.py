@@ -1,54 +1,40 @@
-"""Macro-batch event coalescing: the streamed engine hot path.
+"""Event coalescing: the engine's one batching loop.
 
-The engine historically consumed one ~32k-access :class:`AccessEvent`
-at a time, paying a fixed per-event Python round trip (rebase ->
-``_process_batch`` -> policy observation -> daemon ticks) that caps
-throughput long before the array work does.  The
-:class:`EventCoalescer` restructures the stream: consecutive access
-events are fused into one large contiguous macro-batch (target size
-configurable via ``RunSpec.macro_batch``), so every whole-array stage
--- rebase, demand mapping, cost accounting, TLB substream, sampling,
-policy observation -- runs once per macro-batch instead of once per
-32k accesses.
+The engine consumes the workload event stream through an
+:class:`EventCoalescer`, which fuses consecutive access events into
+one contiguous batch of at least ``target`` accesses (configured via
+``RunSpec.macro_batch``), so every whole-array stage -- rebase, demand
+mapping, cost accounting, TLB substream, sampling, policy observation
+-- runs once per batch instead of once per workload event.
 
 Semantics
 ---------
-``macro_batch = 0`` (the default everywhere) is the legacy per-event
-loop, bit-for-bit.  ``macro_batch = N > 0`` is a *different cadence*:
-the policy observes fewer, larger batches, daemons tick once per
-macro-batch of virtual time, and interleaved events shuffle at fused
-granularity.  Results therefore legitimately differ from the per-event
-cadence, and ``macro_batch`` is part of the ``RunSpec`` cache identity.
+``macro_batch = 0`` (the default everywhere) runs the coalescer at
+target 1: every workload event is its own engine batch, passed through
+unchanged.  ``macro_batch = N > 0`` is a *different cadence*: the
+policy observes fewer, larger batches, daemons tick once per batch of
+virtual time, and interleaved events shuffle at fused granularity.
+Results therefore legitimately differ between cadences, and
+``macro_batch`` is part of the ``RunSpec`` cache identity.
 
-What *is* guaranteed bit-identical -- enforced by
-``tests/test_macro_batch.py`` in both kernel modes under strict checks
--- is the staged fused path against the per-event reference fusion at
-the same macro cadence:
+Fusion follows the kernel mode (:func:`repro.kernels.active_mode`,
+``REPRO_SCALAR_KERNELS``): ``vectorized`` fuses a batch with one
+grouped rebase (single concatenate + ``np.repeat`` base vector);
+``scalar`` runs the per-segment reference loop (``rebased()`` per part
++ ``AccessBatch.concat``), kept as the executable specification;
+``validate`` runs both on every batch and asserts identical arrays.
+``tests/test_macro_batch.py`` enforces bit-identity between the modes
+at both cadences under strict checks.
 
-* **staged** (default): the engine fuses a macro-batch with one
-  grouped rebase (single concatenate + ``np.repeat`` base vector);
-* **reference**: the original per-segment loop (`rebased()` per part +
-  ``AccessBatch.concat``), kept as the executable specification;
-* **validate**: run both on every macro-batch and assert identical
-  arrays (debugging aid, mirrors ``REPRO_SCALAR_KERNELS=validate``).
-
-Epoch/snapshot/sanitizer boundaries are macro-batch aligned: a fused
-batch is processed by the very same ``_process_batch``, so
-``_close_epoch``, checkpointing and fault-injection timing fire at
-batch boundaries exactly as they do per-event -- and identically
-between the staged and reference paths, across kernel modes, and
-through kill/resume.
-
-Mode selection (``REPRO_MACRO_KERNELS``): unset / ``staged`` --
-staged fusion (default); ``reference`` -- per-event reference fusion;
-``validate`` -- both + assert.  Only consulted when ``macro_batch > 0``.
+Epoch/snapshot/sanitizer boundaries are batch aligned: a fused batch
+is processed by the very same ``_process_batch``, so ``_close_epoch``,
+checkpointing and fault-injection timing fire at batch boundaries --
+identically across kernel modes and through kill/resume.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -59,48 +45,13 @@ from repro.workloads.base import (
     WorkloadEvent,
 )
 
-#: Mode names (the ``REPRO_MACRO_KERNELS`` values they correspond to).
-STAGED = "staged"
-REFERENCE = "reference"
-VALIDATE = "validate"
-
-_MODES = (STAGED, REFERENCE, VALIDATE)
-
 #: Default macro-batch size when a caller enables coalescing without a
-#: size (CLI ``--macro-batch 0`` stays off; benchmarks and tests use
-#: this).  256k accesses measured fastest on the trace-replay hot path
-#: -- large enough to amortise per-batch Python, small enough that the
-#: per-access temporaries stay cache-friendly (1M-access batches were
-#: ~35% slower end to end).
+#: size (CLI ``--macro-batch 0`` keeps one event per batch; benchmarks
+#: and tests use this).  256k accesses measured fastest on the
+#: trace-replay hot path -- large enough to amortise per-batch Python,
+#: small enough that the per-access temporaries stay cache-friendly
+#: (1M-access batches were ~35% slower end to end).
 DEFAULT_MACRO_BATCH = 262_144
-
-_forced: Optional[str] = None
-
-
-def active_mode() -> str:
-    """Resolve the macro fusion mode for this call (forced > env)."""
-    if _forced is not None:
-        return _forced
-    env = os.environ.get("REPRO_MACRO_KERNELS", "").strip().lower()
-    if env in ("", "0", "staged"):
-        return STAGED
-    if env == "validate":
-        return VALIDATE
-    return REFERENCE
-
-
-@contextmanager
-def forced(mode: str) -> Iterator[None]:
-    """Pin the macro fusion mode within a ``with`` block (tests)."""
-    if mode not in _MODES:
-        raise ValueError(f"unknown macro mode {mode!r}; expected {_MODES}")
-    global _forced
-    prev = _forced
-    _forced = mode
-    try:
-        yield
-    finally:
-        _forced = prev
 
 
 @dataclass
@@ -118,14 +69,15 @@ class CoalescedEvent:
 
 
 class EventCoalescer:
-    """Fuse consecutive access events into macro-batches.
+    """Fuse consecutive access events into engine batches.
 
     Wraps a workload event iterator.  Access events accumulate until
-    the pending group reaches ``target`` accesses; alloc/free events
+    the pending group reaches ``target`` accesses -- at target 1 every
+    access event, even an empty one, is its own item; alloc/free events
     are barriers (region bases may change across them), flushing the
     pending group before passing through.  A fused event concatenates
     the constituent segment lists in order -- per-access order within
-    the macro-batch is exactly the per-event order -- and is
+    the batch is exactly the workload's order -- and is
     interleaved if any constituent was.
 
     Fusion boundaries are a pure function of the event stream from the
@@ -165,6 +117,10 @@ class EventCoalescer:
         )
 
     def __iter__(self) -> Iterator[CoalescedEvent]:
+        # Target 1 never holds an event back: an empty access event would
+        # otherwise be fused into the next one and lend it its
+        # interleave flag.
+        alone = self.target == 1
         pending = []
         pending_accesses = 0
         while True:
@@ -174,7 +130,7 @@ class EventCoalescer:
             if isinstance(event, AccessEvent):
                 pending.append(event)
                 pending_accesses += event.num_accesses
-                if pending_accesses >= self.target:
+                if alone or pending_accesses >= self.target:
                     yield self._fuse(pending)
                     pending = []
                     pending_accesses = 0

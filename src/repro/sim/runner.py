@@ -136,7 +136,7 @@ class RunSpec:
     #: ``to_dict()`` layout and ``cache_key()`` unchanged.
     machine_preset: Optional[str] = None
     #: Macro-batch coalescing target in accesses (``repro.sim.macro``):
-    #: 0 (default) keeps the legacy per-event engine loop; N > 0 fuses
+    #: 0 (default) runs one workload event per engine batch; N > 0 fuses
     #: consecutive access events into ~N-access macro-batches.  This
     #: changes the observation cadence -- policies see fewer, larger
     #: batches -- so unlike ``check``/``snapshot_every`` it IS part of

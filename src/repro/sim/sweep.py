@@ -271,11 +271,6 @@ def execute_cell(
         return False, None, error
 
 
-#: Back-compat alias -- tests and out-of-tree callers monkeypatch
-#: ``sweep._run_cell``; ``_execute_batch`` resolves it at call time.
-_run_cell = execute_cell
-
-
 def _execute_batch(
     specs: Sequence[RunSpec], jobs: int,
     trace: Optional[TraceConfig] = None,
@@ -283,13 +278,13 @@ def _execute_batch(
 ) -> List[Tuple[RunSpec, Tuple[bool, Optional[SimResult], Optional[str]]]]:
     """Run ``specs`` once each; one (spec, (ok, result, error)) per spec."""
     if jobs <= 1 or len(specs) <= 1:
-        return [(spec, _run_cell(spec, trace, heartbeat)) for spec in specs]
+        return [(spec, execute_cell(spec, trace, heartbeat)) for spec in specs]
     out = []
     returned = set()
     try:
         with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
             futures = {
-                pool.submit(_run_cell, spec, trace, heartbeat): spec
+                pool.submit(execute_cell, spec, trace, heartbeat): spec
                 for spec in specs
             }
             for future in as_completed(futures):

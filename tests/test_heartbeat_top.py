@@ -452,14 +452,14 @@ def eight_cell_sweep(tmp_path, monkeypatch):
 
     # First attempt of the flaky cell "crashes"; the checkpoint-aware
     # retry re-runs it with resume=True, which lands as a resumed cell.
-    real_run_cell = sweep._run_cell
+    real_execute_cell = sweep.execute_cell
 
     def flaky(spec, trace=None, heartbeat=None):
         if spec.seed == 17 and not spec.resume:
             return (False, None, "RuntimeError: injected crash")
-        return real_run_cell(spec, trace, heartbeat)
+        return real_execute_cell(spec, trace, heartbeat)
 
-    monkeypatch.setattr(sweep, "_run_cell", flaky)
+    monkeypatch.setattr(sweep, "execute_cell", flaky)
     specs = done_specs + [cached_spec, failed_spec, flaky_spec]
     outcomes = run_sweep(specs, jobs=1, heartbeat=config, retries=1)
 

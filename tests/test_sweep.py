@@ -180,7 +180,7 @@ class TestSweep:
         assert out[good].ok and not out[bad].ok
 
     def test_keyboard_interrupt_cancels_instead_of_retrying(self, monkeypatch):
-        """_run_cell converts only Exception into a failed cell:
+        """execute_cell converts only Exception into a failed cell:
         KeyboardInterrupt/SystemExit must propagate so Ctrl-C cancels
         the sweep instead of burning retries on every in-flight cell."""
         def interrupted(self, **kwargs):
@@ -243,7 +243,7 @@ class TestGrid:
         def boom(spec):
             raise AssertionError(f"unexpected simulation for {spec.label()}")
 
-        monkeypatch.setattr(sweep_mod, "_run_cell", boom)
+        monkeypatch.setattr(sweep_mod, "execute_cell", boom)
         second = run_grid(scale=SMOKE_SCALE, jobs=1, cache=cache, **GRID)
         for key in first:
             assert first[key]["normalized"] == second[key]["normalized"]
