@@ -55,9 +55,8 @@ def _checkpointed_victim_job(directory):
     """Key of a victim-owned running job with a checkpoint, else None."""
     with JobQueue(queue_path(directory)) as queue:
         running = queue.jobs(RUNNING)
-    _, cells = read_heartbeats(heartbeat_dir(directory))
     checkpointed = {
-        cell.get("key") for cell in cells
+        cell.get("key") for cell in read_heartbeats(heartbeat_dir(directory))
         if cell.get("last_checkpoint_epoch") is not None
     }
     for job in running:

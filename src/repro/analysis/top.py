@@ -1,8 +1,9 @@
-"""``repro top``: ASCII dashboard over a live sweep's heartbeat directory.
+"""``repro top``: ASCII dashboard over a live sweep directory.
 
-Pure rendering -- reads nothing itself; callers pass the ``(manifest,
-cells)`` pair from :func:`repro.obs.heartbeat.read_heartbeats` and get a
-screenful of text back.  One render looks like::
+Pure rendering -- reads nothing itself; callers pass the status dict
+from :func:`repro.service.server.build_status` (queue state merged with
+worker progress records) and get a screenful of text back.  The cell
+table looks like::
 
     sweep: 8 cells | 3 running 2 done 1 cached 1 resumed 1 failed
     throughput: 3.4M acc/s | accesses: 41.2M | violations: 0
@@ -22,8 +23,8 @@ from typing import Any, Dict, List, Optional
 from repro.obs.heartbeat import aggregate, display_state
 
 #: Render order for the header tallies (terminal states last).
-_STATE_ORDER = ("running", "retrying", "stalled", "done", "cached", "resumed",
-                "failed", "unknown")
+_STATE_ORDER = ("running", "retrying", "stalled", "queued", "done", "cached",
+                "resumed", "failed", "unknown")
 
 
 def _humanize(value: Optional[float]) -> str:
@@ -58,24 +59,22 @@ def progress_bar(fraction: float, width: int = 14) -> str:
     return "[" + "#" * filled + head + "." * (width - filled - len(head)) + "]"
 
 
-def render_dashboard(manifest: Dict[str, Any], cells: List[Dict[str, Any]],
-                     width: int = 80) -> str:
-    """One full dashboard frame as a string (no trailing newline)."""
+def render_dashboard(cells: List[Dict[str, Any]], width: int = 80) -> str:
+    """The cell table with its header, as a string (no trailing newline)."""
     agg = aggregate(cells)
-    total = len(manifest.get("cells", [])) or agg["cells"]
     tallies = " ".join(
         f"{agg['states'][state]} {state}"
         for state in _STATE_ORDER if agg["states"].get(state)
-    ) or "no heartbeats yet"
+    ) or "no cells yet"
     lines = [
-        f"sweep: {total} cells | {tallies}",
+        f"sweep: {agg['cells']} cells | {tallies}",
         f"throughput: {_humanize(agg['running_accesses_per_sec'])} acc/s"
         f" | accesses: {_humanize(agg['total_accesses'])}"
         f" | violations: {agg['violations']}",
         "",
     ]
     if not cells:
-        lines.append("(waiting for the first heartbeat...)")
+        lines.append("(waiting for the first cell...)")
         return "\n".join(lines)
 
     label_w = min(max((len(str(c.get("label", ""))) for c in cells),
@@ -115,12 +114,12 @@ _JOB_STATE_ORDER = ("queued", "running", "done", "cached", "failed")
 
 
 def render_service_dashboard(status: Dict[str, Any], width: int = 80) -> str:
-    """Dashboard for a ``repro.service`` directory (queue + workers + cells).
+    """Dashboard for a sweep directory (queue + workers + cells).
 
     ``status`` is the dict from :func:`repro.service.server.build_status`:
-    two extra header lines (queue tallies with lease/attempt counters,
-    one entry per registered worker), then the ordinary heartbeat
-    dashboard over the service's cell heartbeats.
+    two header lines (queue tallies with lease/attempt counters, one
+    entry per registered worker), then :func:`render_dashboard` over its
+    cells.
     """
     jobs = status.get("jobs", {})
     totals = status.get("totals", {})
@@ -130,7 +129,7 @@ def render_service_dashboard(status: Dict[str, Any], width: int = 80) -> str:
         for state in _JOB_STATE_ORDER if jobs.get(state)
     ) or "empty queue"
     lines = [
-        f"service: {total_jobs} jobs | {tallies}"
+        f"queue: {total_jobs} jobs | {tallies}"
         f" | claims {totals.get('claims', 0)}"
         f" attempts {totals.get('attempts', 0)}"
         f" expirations {totals.get('expirations', 0)}"
@@ -149,7 +148,5 @@ def render_service_dashboard(status: Dict[str, Any], width: int = 80) -> str:
     else:
         lines.append("workers: none registered")
     lines.append("")
-    lines.append(render_dashboard(status.get("manifest", {}) or {},
-                                  status.get("heartbeats", []) or [],
-                                  width=width))
+    lines.append(render_dashboard(status.get("cells", []), width=width))
     return "\n".join(lines)

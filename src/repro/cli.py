@@ -14,11 +14,12 @@ Commands:
                   ``trace_event`` / JSONL / ASCII); legacy
                   ``--record``/``--replay`` of workload ``.npz`` streams
                   still work;
-* ``top``      -- live ASCII dashboard over a sweep's heartbeat
-                  directory (``run --heartbeat DIR``); ``--snapshot``
+* ``top``      -- live ASCII dashboard over a sweep directory
+                  (``run --heartbeat DIR``, or a service directory):
+                  queue state plus worker progress; ``--snapshot``
                   prints one frame for CI logs, ``--openmetrics`` emits
                   the exposition-format text instead; ``--stale-after``
-                  detects crashed sweeps (exit code 3);
+                  detects sweeps whose workers died (exit code 3);
 * ``service``  -- persistent sweep service: ``submit`` enqueues RunSpec
                   batches into a SQLite job queue, ``start`` runs
                   pull-based worker processes (plus an optional HTTP
@@ -297,38 +298,41 @@ def cmd_trace(args) -> int:
 
 
 def cmd_top(args) -> int:
-    """Dashboard (or OpenMetrics text) over a heartbeat directory."""
+    """Dashboard (or OpenMetrics text) over a sweep directory."""
     import time as _time
 
-    from repro.analysis.top import render_dashboard
-    from repro.obs.heartbeat import mark_stalled, read_heartbeats, sweep_stalled
-    from repro.obs.openmetrics import sweep_exposition
+    from repro.analysis.top import render_service_dashboard
+    from repro.obs.openmetrics import service_exposition
+    from repro.service import build_status, queue_path
 
-    def read_marked():
-        manifest, cells = read_heartbeats(args.dir)
-        mark_stalled(cells, args.stale_after)
-        return manifest, cells
-
-    def frame(manifest, cells) -> str:
+    def frame(status) -> str:
         if args.openmetrics:
-            return sweep_exposition(cells, manifest=manifest)
-        return render_dashboard(manifest, cells, width=args.width)
+            return service_exposition(status)
+        return render_service_dashboard(status, width=args.width)
 
     try:
         if args.snapshot or args.openmetrics:
-            print(frame(*read_marked()))
+            if not os.path.exists(queue_path(args.dir)):
+                print(f"top: no sweep queue at {queue_path(args.dir)}",
+                      file=sys.stderr)
+                return 2
+            print(frame(build_status(args.dir, args.stale_after)))
             return 0
         while True:
-            manifest, cells = read_marked()
+            if os.path.exists(queue_path(args.dir)):
+                status = build_status(args.dir, args.stale_after)
+                text = frame(status)
+            else:
+                status, text = None, f"(waiting for a sweep in {args.dir})"
             # ANSI clear + home: a cheap full-screen refresh.
-            sys.stdout.write("\x1b[2J\x1b[H" + frame(manifest, cells) + "\n")
+            sys.stdout.write("\x1b[2J\x1b[H" + text + "\n")
             sys.stdout.flush()
-            if manifest.get("finished_at"):
+            if status is not None and status["drained"]:
                 return 0
-            if sweep_stalled(manifest, cells, args.stale_after):
+            if status is not None and status["stalled"]:
                 print(
-                    f"sweep stalled: no heartbeat in {args.stale_after:.0f}s "
-                    "and no finished_at stamp (crashed parent?)",
+                    f"sweep stalled: no progress in {args.stale_after:.0f}s "
+                    "with work left (dead workers?)",
                     file=sys.stderr,
                 )
                 return 3
@@ -374,12 +378,7 @@ def cmd_service(args) -> int:
     import json as _json
     import time as _time
 
-    from repro.service import (
-        JobQueue,
-        build_status,
-        queue_path,
-        write_service_manifest,
-    )
+    from repro.service import JobQueue, build_status, queue_path
 
     if args.action == "submit":
         specs = _service_specs(args)
@@ -389,10 +388,6 @@ def cmd_service(args) -> int:
             return 2
         with JobQueue(queue_path(args.dir)) as queue:
             report = queue.enqueue(specs, max_attempts=args.max_attempts)
-            # A submit that only deduped/cache-hit leaves the queue
-            # drained -- keep the manifest stamped finished so `repro
-            # top` still exits on it.
-            write_service_manifest(queue, args.dir, finished=queue.drained())
             counts = queue.counts()
         print(f"submitted {report.total} specs to {args.dir}: "
               f"{report.queued} queued, {report.cached} cached, "
@@ -411,13 +406,6 @@ def cmd_service(args) -> int:
 
         from repro.service import start_server, worker_main
 
-        server = None
-        if args.port is not None:
-            server, _thread = start_server(args.dir, host=args.host,
-                                           port=args.port)
-            host, port = server.server_address[:2]
-            print(f"status API: http://{host}:{port}/ "
-                  f"(/status /metrics /ascii)")
         ctx = multiprocessing.get_context()
         procs = [
             ctx.Process(
@@ -428,26 +416,36 @@ def cmd_service(args) -> int:
             )
             for _ in range(max(1, args.workers))
         ]
+        # Fork the workers before the status thread exists: a fork while
+        # that thread is inside SQLite would hand a worker a held lock.
         for proc in procs:
             proc.start()
         print(f"started {len(procs)} worker(s) on {args.dir} "
               f"(lease {args.lease:.0f}s"
               + (", drain-and-exit)" if args.drain else ")"))
+        server = None
         try:
+            if args.port is not None:
+                server, _thread = start_server(args.dir, host=args.host,
+                                               port=args.port)
+                host, port = server.server_address[:2]
+                print(f"status API: http://{host}:{port}/ "
+                      f"(/status /metrics /ascii)")
             for proc in procs:
                 proc.join()
-        except KeyboardInterrupt:
+        except BaseException as exc:
+            # Ctrl-C, or a port that cannot be bound: stop the workers.
             for proc in procs:
                 proc.terminate()
             for proc in procs:
                 proc.join()
+            if not isinstance(exc, KeyboardInterrupt):
+                raise
         finally:
             if server is not None:
                 server.shutdown()
         with JobQueue(queue_path(args.dir)) as queue:
-            drained = queue.drained()
             counts = queue.counts()
-            write_service_manifest(queue, args.dir, finished=drained)
         print("queue: " + ", ".join(
             f"{n} {state}" for state, n in counts.items() if n))
         return 1 if counts.get("failed") else 0
@@ -469,7 +467,6 @@ def cmd_service(args) -> int:
             with JobQueue(queue_path(args.dir)) as queue:
                 if queue.drained():
                     counts = queue.counts()
-                    write_service_manifest(queue, args.dir, finished=True)
                     print("drained: " + ", ".join(
                         f"{n} {state}" for state, n in counts.items() if n))
                     return 1 if counts.get("failed") else 0
@@ -529,8 +526,9 @@ def main(argv=None) -> int:
                        help="checkpoint store location (default: "
                             "$REPRO_SNAPSHOT_DIR or <cache_dir>/snapshots)")
     p_run.add_argument("--heartbeat", metavar="DIR", default=None,
-                       help="stream per-cell status files into DIR "
-                            "(watch live with `python -m repro top DIR`)")
+                       help="keep the sweep's queue and per-cell progress "
+                            "records in DIR (watch live with "
+                            "`python -m repro top DIR`)")
     p_run.add_argument("--timeseries", type=int, default=0, metavar="N",
                        help="record a per-epoch metrics time series every "
                             "N epochs into the result's observability "
@@ -601,9 +599,10 @@ def main(argv=None) -> int:
     p_trace.set_defaults(fn=cmd_trace)
 
     p_top = sub.add_parser(
-        "top", help="live dashboard over a sweep heartbeat directory"
+        "top", help="live dashboard over a sweep directory"
     )
-    p_top.add_argument("dir", help="heartbeat directory (run --heartbeat DIR)")
+    p_top.add_argument("dir", help="sweep directory (run --heartbeat DIR, "
+                                   "or a service directory)")
     p_top.add_argument("--snapshot", action="store_true",
                        help="print one frame and exit (CI logs)")
     p_top.add_argument("--openmetrics", action="store_true",
@@ -615,9 +614,9 @@ def main(argv=None) -> int:
                        help="dashboard width in columns (default: 80)")
     p_top.add_argument("--stale-after", type=float, default=300.0,
                        metavar="S",
-                       help="mark cells with no heartbeat for S seconds as "
-                            "stalled; the live loop exits 3 once the whole "
-                            "sweep has gone quiet without finishing "
+                       help="mark running cells with no progress for S "
+                            "seconds as stalled; the live loop exits 3 once "
+                            "the whole sweep has gone quiet with work left "
                             "(default: 300; 0 disables)")
     p_top.set_defaults(fn=cmd_top)
 
@@ -628,7 +627,8 @@ def main(argv=None) -> int:
     svc = p_service.add_subparsers(dest="action", required=True)
 
     p_submit = svc.add_parser("submit", help="enqueue a RunSpec batch")
-    p_submit.add_argument("dir", help="service directory (queue + heartbeats)")
+    p_submit.add_argument("dir", help="service directory (queue + "
+                                      "progress records)")
     p_submit.add_argument("--workloads", nargs="+", default=[],
                           choices=workload_names(), metavar="W")
     p_submit.add_argument("--policies", nargs="+", default=[],

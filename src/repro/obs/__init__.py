@@ -17,8 +17,9 @@ Three cooperating pieces travel with every simulation:
 :class:`Observability` bundles them; the engine creates one per run and
 hands it to every component through :class:`~repro.policies.base.PolicyContext`.
 Exporters (JSONL, Chrome ``trace_event`` for Perfetto, ASCII) live in
-:mod:`repro.obs.export`; live sweep status (heartbeat files, OpenMetrics
-text) in :mod:`repro.obs.heartbeat` and :mod:`repro.obs.openmetrics`.
+:mod:`repro.obs.export`; live sweep progress (worker progress records,
+OpenMetrics text) in :mod:`repro.obs.heartbeat` and
+:mod:`repro.obs.openmetrics`.
 """
 
 from __future__ import annotations

@@ -1,30 +1,26 @@
-"""Sweep heartbeats: atomic per-cell JSON status files.
+"""Sweep progress records: atomic per-cell JSON files, one writer each.
 
-A sweep of hundreds of cells is a black box while the pool drains.
-This module gives every worker a tiny write-only status channel and the
-parent (or any external observer -- ``repro top``, a CI tail, an
-OpenMetrics scraper) a read-only aggregate view, with no coordination
-beyond a shared directory:
+A sweep's cell *states* live in its job queue (:mod:`repro.service.queue`);
+this module adds what a queue row cannot hold cheaply -- live progress
+from inside a running simulation -- with no coordination beyond a
+shared directory:
 
-* each executing cell owns one file, ``<cache_key[:16]>.hb.json``,
+* the worker executing a cell owns one file, ``<cache_key[:16]>.hb.json``,
   rewritten atomically (``mkstemp`` + ``os.replace``) so readers never
-  observe a torn JSON document;
-* the parent writes a ``sweep.json`` manifest listing every cell up
-  front, so the dashboard knows the denominator before workers have
-  said anything, and stamps terminal states (``cached``, retry
-  bookkeeping) the workers cannot know about;
+  observe a torn JSON document.  Nothing else writes it: the queue, not
+  a second writer, records retries, cache hits and final states;
 * :class:`HeartbeatWriter` hooks the engine's ``epoch_hook`` -- it is a
   pure observer (reads counters, writes files) and never mutates
-  simulation state, so heartbeat-enabled runs stay bit-identical.
+  simulation state, so heartbeat-enabled runs stay bit-identical;
+* readers (``repro top``, the status API) merge each record into its
+  queue row (:func:`repro.service.server.build_status`); the helpers at
+  the bottom of this module work on those merged cells.
 
-Cell status schema (all fields JSON scalars)::
+Progress record schema (all fields JSON scalars)::
 
     {"schema": 1, "key": "0f3a...", "label": "silo memtis 1:8",
      "workload": "silo", "policy": "memtis", "seed": 42, "pid": 1234,
-     "state": "running",          # running|done|failed|cached|retrying
-     "seq": 18,                   # monotonic write counter for this cell
-                                  # (continues across attempts; guards the
-                                  # parent's read-merge-write stamps)
+     "state": "running",          # this attempt: running|done|failed
      "resumed": false,            # true when this attempt restored a
                                   # checkpoint (rates are post-resume)
      "epoch": 17, "accesses": 8500000, "target_accesses": 20000000,
@@ -36,7 +32,7 @@ Cell status schema (all fields JSON scalars)::
      "violations": 0,             # sanitizer findings so far
      "faults": {"dropped_samples": 0, ...},  # injector stats, if any
      "started_at": 1754650000.0, "updated_at": 1754650007.1,
-     "error": "..."}              # failed cells: last traceback line
+     "error": "..."}              # failed attempts: last traceback line
 
 Rates and ETA are computed over *this attempt's* work only: a resumed
 cell divides post-resume accesses by post-resume wall, so a cell that
@@ -51,13 +47,12 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 #: Bump when the status file layout changes.
 SCHEMA = 1
 
 HEARTBEAT_SUFFIX = ".hb.json"
-MANIFEST_NAME = "sweep.json"
 
 #: Cell states that will never change again on their own.
 TERMINAL_STATES = ("done", "failed", "cached")
@@ -122,68 +117,15 @@ def _write_atomic(path: str, payload: Dict[str, Any]) -> None:
         raise
 
 
-def _stat_token(path: str) -> Optional[Tuple[int, int]]:
-    """Identity token for the file currently at ``path`` (None if absent)."""
-    try:
-        st = os.stat(path)
-    except OSError:
-        return None
-    return (st.st_ino, st.st_mtime_ns)
-
-
-def _read_status(path: str) -> Tuple[Dict[str, Any], Optional[Tuple[int, int]]]:
-    """Read ``(payload, token)``; ``({}, None)`` on a missing/torn file.
-
-    The token identifies the exact file version the payload came from
-    (inode + mtime), so a later compare-and-replace can detect that a
-    concurrent writer's ``os.replace`` landed in between.
-    """
-    try:
-        with open(path) as fh:
-            st = os.fstat(fh.fileno())
-            payload = json.load(fh)
-    except (OSError, ValueError):
-        return {}, None
-    if not isinstance(payload, dict):
-        return {}, None
-    return payload, (st.st_ino, st.st_mtime_ns)
-
-
-def _replace_if_unchanged(
-    path: str, payload: Dict[str, Any], token: Optional[Tuple[int, int]]
-) -> bool:
-    """Atomically commit ``payload`` only if ``path`` still matches ``token``.
-
-    Returns False (leaving the file untouched, temp cleaned up) when the
-    file changed since it was read -- the caller re-reads and re-merges.
-    The check-then-replace window is a few microseconds, versus the full
-    read-merge-write span it replaces.
-    """
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    tmp = _dump_to_temp(directory, payload)
-    try:
-        if _stat_token(path) != token:
-            return False
-        os.replace(tmp, path)
-        tmp = None
-        return True
-    finally:
-        if tmp is not None:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-
 @dataclass(frozen=True)
 class HeartbeatConfig:
-    """Picklable heartbeat request for :func:`repro.sim.sweep.run_sweep`.
+    """Where progress records go, and how often they are rewritten.
 
-    ``directory`` receives one status file per cell plus the sweep
-    manifest; ``min_interval_s`` throttles how often a running worker
-    rewrites its file (epoch closes arrive far faster than any human or
-    scraper reads).
+    ``directory`` receives one record per cell; ``min_interval_s``
+    throttles how often a running worker rewrites its file (epoch closes
+    arrive far faster than any human or scraper reads).  Passed to
+    :func:`repro.sim.sweep.run_sweep`, ``directory`` names the sweep
+    directory instead: its queue plus an ``hb/`` directory of records.
     """
 
     directory: str
@@ -193,9 +135,6 @@ class HeartbeatConfig:
         return os.path.join(
             self.directory, f"{spec.cache_key()[:16]}{HEARTBEAT_SUFFIX}"
         )
-
-    def manifest_path(self) -> str:
-        return os.path.join(self.directory, MANIFEST_NAME)
 
 
 class HeartbeatWriter:
@@ -210,20 +149,16 @@ class HeartbeatWriter:
         self.config = config
         self.spec = spec
         self.resumed = bool(resumed)
+        self.key = spec.cache_key()[:16]  # hashed once, not per epoch
         self.path = config.cell_path(spec)
         self.started_at = time.time()
         self._last_write = 0.0
         self._last_status: Dict[str, Any] = {}
-        # Continue the cell's monotonic write counter across attempts: a
-        # resumed retry must not restart at 0 or the parent's seq guard
-        # would judge its fresh payloads older than the dead attempt's.
-        payload, _ = _read_status(self.path)
-        self._seq = int(payload.get("seq") or 0)
 
     def _base(self) -> Dict[str, Any]:
         return {
             "schema": SCHEMA,
-            "key": self.spec.cache_key()[:16],
+            "key": self.key,
             "label": self.spec.label(),
             "workload": self.spec.workload,
             "policy": self.spec.policy,
@@ -280,8 +215,6 @@ class HeartbeatWriter:
         return payload
 
     def write(self, payload: Dict[str, Any]) -> None:
-        self._seq += 1
-        payload["seq"] = self._seq
         _write_atomic(self.path, payload)
         self._last_write = time.time()
 
@@ -311,101 +244,32 @@ class HeartbeatWriter:
         self.write(payload)
 
 
-# -- parent / reader side ------------------------------------------------------
+# -- reader side ---------------------------------------------------------------
 
 
-#: How many times a parent stamp re-merges against a racing worker
-#: before falling back to last-writer-wins on the freshest payload seen.
-_MERGE_RETRIES = 5
-
-
-def write_cell_status(config: HeartbeatConfig, spec, state: str,
-                      **fields) -> None:
-    """Parent-side status stamp: merge ``state`` + ``fields`` into the file.
-
-    Used for states only the sweep driver knows about (``cached``,
-    ``retrying``, final attempt counts).  Existing worker-written fields
-    are preserved.
-
-    The merge is guarded against the worker's atomic ``os.replace``:
-    every payload carries a monotonic ``seq``, the file version read is
-    fingerprinted (inode + mtime), and the commit goes through
-    :func:`_replace_if_unchanged` -- if a fresher worker write landed
-    between read and commit, the stale merge is discarded and rebuilt
-    from the new payload, so a parent stamp can never resurrect an old
-    epoch/progress/rate snapshot over a newer one.
-    """
-    path = config.cell_path(spec)
-    merged: Dict[str, Any] = {}
-    for _ in range(_MERGE_RETRIES):
-        payload, token = _read_status(path)
-        if not payload:
-            payload = {
-                "schema": SCHEMA,
-                "key": spec.cache_key()[:16],
-                "label": spec.label(),
-                "workload": spec.workload,
-                "policy": spec.policy,
-                "seed": spec.seed,
-                "started_at": time.time(),
-            }
-        merged = dict(payload)
-        merged["state"] = state
-        merged["updated_at"] = time.time()
-        merged.update(fields)
-        merged["seq"] = int(payload.get("seq") or 0) + 1
-        if _replace_if_unchanged(path, merged, token):
-            return
-    # A live worker out-wrote every retry; each loop re-read its fresher
-    # payload, so this final merge carries the newest state observed.
-    _write_atomic(path, merged)
-
-
-def write_manifest(config: HeartbeatConfig, specs,
-                   started_at: Optional[float] = None,
-                   finished_at: Optional[float] = None) -> None:
-    """Write the sweep manifest: the dashboard's denominator."""
-    _write_atomic(config.manifest_path(), {
-        "schema": SCHEMA,
-        "cells": [
-            {"key": spec.cache_key()[:16], "label": spec.label()}
-            for spec in specs
-        ],
-        "started_at": started_at,
-        "finished_at": finished_at,
-    })
-
-
-def read_heartbeats(directory: str
-                    ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-    """Read ``(manifest, cells)`` from a heartbeat directory.
+def read_heartbeats(directory: str) -> List[Dict[str, Any]]:
+    """Read every progress record in ``directory``.
 
     Unreadable or torn files are skipped (a writer may be mid-replace on
-    a filesystem without atomic rename semantics); cells come back
-    sorted by label for stable rendering.
+    a filesystem without atomic rename semantics); a missing directory
+    reads as no records.
     """
-    manifest: Dict[str, Any] = {}
-    cells: List[Dict[str, Any]] = []
+    records: List[Dict[str, Any]] = []
     try:
         names = sorted(os.listdir(directory))
     except OSError:
-        return manifest, cells
+        return records
     for name in names:
-        path = os.path.join(directory, name)
-        if name == MANIFEST_NAME:
-            try:
-                with open(path) as fh:
-                    manifest = json.load(fh)
-            except (OSError, ValueError):
-                pass
-        elif name.endswith(HEARTBEAT_SUFFIX):
-            try:
-                with open(path) as fh:
-                    cells.append(json.load(fh))
-            except (OSError, ValueError):
-                continue
-    cells.sort(key=lambda c: (str(c.get("label", "")), str(c.get("key", ""))))
-    return manifest, cells
+        if not name.endswith(HEARTBEAT_SUFFIX):
+            continue
+        try:
+            with open(os.path.join(directory, name)) as fh:
+                record = json.load(fh)
+        except (OSError, ValueError):
+            continue
+        if isinstance(record, dict):
+            records.append(record)
+    return records
 
 
 def display_state(cell: Dict[str, Any]) -> str:
@@ -423,13 +287,14 @@ def display_state(cell: Dict[str, Any]) -> str:
 
 def mark_stalled(cells: List[Dict[str, Any]], stale_after: float,
                  now: Optional[float] = None) -> int:
-    """Flag non-terminal cells whose heartbeat went quiet; returns count.
+    """Flag non-terminal cells whose progress went quiet; returns count.
 
-    A cell claiming ``running``/``retrying`` whose file has not been
+    A cell claiming ``running``/``retrying`` whose record has not been
     rewritten in ``stale_after`` seconds almost certainly belongs to a
     dead worker (live ones rewrite at least every throttle interval) --
     ``display_state`` renders it ``stalled`` instead of trusting the
-    stale claim.  ``stale_after <= 0`` disables the detector.  Mutates
+    stale claim.  A queued cell that never ran has no timestamp and is
+    never flagged.  ``stale_after <= 0`` disables the detector.  Mutates
     the cell dicts in place.
     """
     if stale_after <= 0:
@@ -446,30 +311,28 @@ def mark_stalled(cells: List[Dict[str, Any]], stale_after: float,
     return stalled
 
 
-def sweep_stalled(manifest: Dict[str, Any], cells: List[Dict[str, Any]],
-                  stale_after: float, now: Optional[float] = None) -> bool:
-    """True when the sweep can no longer make progress (crashed parent).
+def sweep_stalled(cells: List[Dict[str, Any]], stale_after: float,
+                  drained: bool = False, now: Optional[float] = None) -> bool:
+    """True when the sweep can no longer make progress (dead workers).
 
     Call :func:`mark_stalled` on ``cells`` first.  The sweep counts as
-    stalled when the manifest never gained ``finished_at``, no
-    non-terminal cell is still live, and the newest write anywhere in
-    the directory is older than ``stale_after`` -- i.e. everything has
-    gone quiet without the parent's final stamp.  ``repro top`` uses
-    this to exit non-zero instead of polling a dead sweep forever.
+    stalled when its queue is not ``drained``, no running cell is still
+    live, and the newest activity of any cell (enqueue, progress record,
+    finish) is older than ``stale_after`` -- i.e. everything has gone
+    quiet with work left.  ``repro top`` uses this to exit non-zero
+    instead of polling a dead sweep forever.
     """
-    if stale_after <= 0:
+    if stale_after <= 0 or drained:
         return False
     now = time.time() if now is None else now
-    if manifest.get("finished_at"):
-        return False
     for cell in cells:
-        state = str(cell.get("state", "unknown"))
-        if state not in TERMINAL_STATES and not cell.get("stalled"):
+        if cell.get("state") == "running" and not cell.get("stalled"):
             return False  # something is (plausibly) still working
     newest = max(
-        (float(c.get("updated_at") or c.get("started_at") or 0.0)
-         for c in cells),
-        default=float(manifest.get("started_at") or 0.0),
+        (float(cell.get(field) or 0.0) for cell in cells
+         for field in ("updated_at", "started_at", "finished_at",
+                       "enqueued_at")),
+        default=0.0,
     )
     if newest <= 0.0:
         return False  # nothing to judge staleness from yet

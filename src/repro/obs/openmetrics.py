@@ -1,7 +1,7 @@
-"""OpenMetrics text exposition over heartbeats and counter registries.
+"""OpenMetrics text exposition over sweep cells and counter registries.
 
 External scrapers (Prometheus, a CI log grepper) should not need to
-parse our heartbeat JSON.  This module renders the same status in the
+parse our status JSON.  This module renders the same status in the
 OpenMetrics text exposition format
 (https://prometheus.io/docs/specs/om/open_metrics_spec/):
 
@@ -10,11 +10,11 @@ OpenMetrics text exposition format
 * label values escape ``\\``, ``"`` and newlines;
 * the exposition ends with the mandatory ``# EOF`` line.
 
-Two entry points: :func:`sweep_exposition` renders a live sweep's
-heartbeat cells (what ``repro top --openmetrics`` serves), and
-:func:`counters_exposition` renders one run's
-:class:`~repro.obs.counters.CounterRegistry` (distributions expand to
-``_count``/``_sum``/``_min``/``_max``/``_mean`` gauges).
+Two entry points: :func:`service_exposition` renders a sweep
+directory's ``build_status`` snapshot (what ``repro top --openmetrics``
+and the status API serve), and :func:`counters_exposition` renders one
+run's :class:`~repro.obs.counters.CounterRegistry` (distributions
+expand to ``_count``/``_sum``/``_min``/``_max``/``_mean`` gauges).
 """
 
 from __future__ import annotations
@@ -80,14 +80,12 @@ class _Family:
         )
 
 
-def _sweep_families(out: List[str], cells: List[Dict[str, Any]],
-                    manifest: Optional[Dict[str, Any]] = None) -> None:
+def _sweep_families(out: List[str], cells: List[Dict[str, Any]]) -> None:
     """Append the per-sweep/per-cell families (no ``# EOF``)."""
     agg = aggregate(cells)
-    total = len((manifest or {}).get("cells", [])) or agg["cells"]
 
     fam = _Family("repro_sweep_cells", "gauge", out)
-    fam.sample(total, {"state": "all"})
+    fam.sample(agg["cells"], {"state": "all"})
     for state in sorted(agg["states"]):
         fam.sample(agg["states"][state], {"state": state})
     _Family("repro_sweep_accesses_per_second", "gauge", out).sample(
@@ -121,21 +119,12 @@ def _sweep_families(out: List[str], cells: List[Dict[str, Any]],
         resumed.sample(1 if cell.get("resumed") else 0, cell_labels(cell))
 
 
-def sweep_exposition(cells: List[Dict[str, Any]],
-                     manifest: Optional[Dict[str, Any]] = None) -> str:
-    """Render heartbeat cells as an OpenMetrics exposition document."""
-    out: List[str] = []
-    _sweep_families(out, cells, manifest)
-    out.append("# EOF")
-    return "\n".join(out) + "\n"
-
-
 def service_exposition(status: Dict[str, Any]) -> str:
     """Render a service ``build_status`` snapshot as OpenMetrics text.
 
     Queue and worker families first (job states, lease/attempt/expiry
-    counters), then the same per-cell heartbeat families a plain sweep
-    exposes -- one scrape covers both layers.
+    counters), then the per-sweep and per-cell families -- one scrape
+    covers both layers.
     """
     out: List[str] = []
     jobs = _Family("repro_service_jobs", "gauge", out)
@@ -161,8 +150,7 @@ def service_exposition(status: Dict[str, Any]) -> str:
         totals.get("resumed", 0))
     _Family("repro_service_drained", "gauge", out).sample(
         1 if status.get("drained") else 0)
-    _sweep_families(out, status.get("heartbeats", []),
-                    manifest=status.get("manifest"))
+    _sweep_families(out, status.get("cells", []))
     out.append("# EOF")
     return "\n".join(out) + "\n"
 

@@ -1,9 +1,10 @@
-"""``repro.service``: a persistent sweep service over the RunSpec substrate.
+"""``repro.service``: the job queue and workers every sweep runs on.
 
-One ``run_grid``/:func:`~repro.sim.sweep.run_sweep` invocation on one
-machine cannot hold the evaluation matrices the ROADMAP calls for
-(policy x machine x workload grids in the thousands of cells).  This
-package turns sweeps into a *service*:
+:func:`~repro.sim.sweep.run_sweep` drains a queue with local worker
+processes and returns; this package also keeps that queue alive as a
+*service* -- a directory any number of workers, on any number of
+invocations, pull from -- for evaluation matrices (policy x machine x
+workload grids in the thousands of cells) that outlive one process:
 
 * :mod:`repro.service.queue` -- a SQLite-backed job queue.  ``enqueue``
   accepts RunSpec batches, dedups by ``cache_key()`` and skips cells the
@@ -34,9 +35,9 @@ from repro.service.queue import (
     EnqueueReport,
     Job,
     JobQueue,
+    QueueBusy,
     heartbeat_dir,
     queue_path,
-    write_service_manifest,
 )
 from repro.service.server import build_status, start_server
 from repro.service.worker import (
@@ -49,6 +50,7 @@ from repro.service.worker import (
 
 __all__ = [
     "JobQueue",
+    "QueueBusy",
     "Job",
     "EnqueueReport",
     "QUEUED",
@@ -58,7 +60,6 @@ __all__ = [
     "CACHED",
     "queue_path",
     "heartbeat_dir",
-    "write_service_manifest",
     "Worker",
     "WorkerStats",
     "worker_main",

@@ -2,10 +2,13 @@
 
 One database file (``<dir>/queue.db``) holds the whole service state:
 the ``jobs`` table (one row per distinct ``RunSpec.cache_key()``) and a
-``workers`` registry.  SQLite gives us the two properties a multi-worker
-queue actually needs for free: durable state across ``kill -9`` (WAL
-journal) and atomic claim transitions (``BEGIN IMMEDIATE`` serialises
-writers), with no daemon to operate.
+``workers`` registry.  It is the only store of cell state -- the
+``hb/`` files beside it are worker progress records, never states --
+and it backs every sweep: a service directory, and the directory each
+:func:`~repro.sim.sweep.run_sweep` drains.  SQLite gives us the two
+properties a multi-worker queue actually needs for free: durable state
+across ``kill -9`` (WAL journal) and atomic claim transitions (``BEGIN
+IMMEDIATE`` serialises writers), with no daemon to operate.
 
 Lease protocol
 ==============
@@ -17,6 +20,8 @@ hook; a renewal that discovers the lease was usurped tells the worker to
 abandon the cell.  Every claim first sweeps expired leases back to
 ``queued`` (incrementing ``expirations``), so a SIGKILL-ed worker's job
 is picked up by any surviving worker after at most one lease period.
+A supervisor that watches its workers (``run_sweep``) need not wait:
+:meth:`JobQueue.release` expires a dead worker's lease at once.
 
 ``expirations`` (lease losses -- crashes, preemption) is deliberately a
 *separate* counter from ``attempts`` (executions that raised): kills are
@@ -56,10 +61,9 @@ import os
 import sqlite3
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.obs.heartbeat import HeartbeatConfig, write_cell_status, write_manifest
 from repro.sim import cache as result_cache
 from repro.sim.runner import RunSpec
 
@@ -74,7 +78,15 @@ FAILED = "failed"
 CACHED = "cached"
 
 JOB_STATES = (QUEUED, RUNNING, DONE, FAILED, CACHED)
-TERMINAL_JOB_STATES = (DONE, FAILED, CACHED)
+
+#: A worker row not ``stopped`` counts as live for this long after its
+#: last beat (idle workers beat every poll period; running ones hold a
+#: lease, which is checked on its own).
+LIVE_WORKER_S = 30.0
+
+
+class QueueBusy(RuntimeError):
+    """A fresh sweep was refused a queue file that is still in use."""
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -114,7 +126,7 @@ def queue_path(directory: str) -> str:
 
 
 def heartbeat_dir(directory: str) -> str:
-    """Where service workers stream per-cell heartbeats (``repro top``)."""
+    """Where workers stream per-cell progress records (``repro top``)."""
     return os.path.join(os.fspath(directory), HEARTBEAT_SUBDIR)
 
 
@@ -142,25 +154,6 @@ class Job:
     def spec(self) -> RunSpec:
         return RunSpec.from_dict(json.loads(self.spec_json))
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "key": self.key,
-            "label": self.label,
-            "state": self.state,
-            "lease_owner": self.lease_owner,
-            "lease_expires_at": self.lease_expires_at,
-            "claims": self.claims,
-            "attempts": self.attempts,
-            "expirations": self.expirations,
-            "max_attempts": self.max_attempts,
-            "resumed": bool(self.resumed),
-            "error": self.error,
-            "enqueued_at": self.enqueued_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "wall_s": self.wall_s,
-        }
-
 
 def _job_from_row(row: sqlite3.Row) -> Job:
     return Job(
@@ -183,7 +176,6 @@ class EnqueueReport:
     deduped: int = 0      #: specs already present (any live/terminal state)
     cached: int = 0       #: specs whose result the cache already holds
     requeued: int = 0     #: previously-failed jobs given a fresh budget
-    keys: List[str] = field(default_factory=list)  #: every key in the batch
 
     @property
     def total(self) -> int:
@@ -229,6 +221,7 @@ class JobQueue:
         cache=result_cache.DEFAULT,
         max_attempts: int = 3,
         now: Optional[float] = None,
+        fresh: bool = False,
     ) -> EnqueueReport:
         """Add a batch of specs; dedups by ``cache_key()``.
 
@@ -239,15 +232,22 @@ class JobQueue:
         cache already holds is recorded terminal ``cached`` without ever
         reaching a worker (checked specs always execute -- a cache hit
         would run no sanitizer).
+
+        ``fresh=True`` starts a new sweep in this file: every old job and
+        worker row is dropped first, in the same transaction.  It raises
+        :class:`QueueBusy` instead when the queue is in use -- a job is
+        queued or under an unexpired lease, or a worker not ``stopped``
+        was seen in the last :data:`LIVE_WORKER_S` seconds.
         """
         now = time.time() if now is None else now
         cache = result_cache.resolve_cache(cache)
         report = EnqueueReport()
         with self._db:
             self._db.execute("BEGIN IMMEDIATE")
+            if fresh:
+                self._drop_idle_rows(now)
             for spec in dict.fromkeys(specs):
                 key = spec.cache_key()
-                report.keys.append(key)
                 row = self._db.execute(
                     "SELECT state FROM jobs WHERE key = ?", (key,)
                 ).fetchone()
@@ -284,6 +284,25 @@ class JobQueue:
                     report.queued += 1
         return report
 
+    def _drop_idle_rows(self, now: float) -> None:
+        """Delete every row, or raise :class:`QueueBusy` if any is live."""
+        live = self._db.execute(
+            "SELECT COUNT(*) AS n FROM jobs WHERE state = ?"
+            " OR (state = ? AND lease_expires_at >= ?)",
+            (QUEUED, RUNNING, now),
+        ).fetchone()["n"]
+        workers = self._db.execute(
+            "SELECT COUNT(*) AS n FROM workers WHERE state != 'stopped'"
+            " AND last_seen >= ?", (now - LIVE_WORKER_S,),
+        ).fetchone()["n"]
+        if live or workers:
+            raise QueueBusy(
+                f"{self.path} is in use ({live} live job(s), {workers} "
+                f"live worker(s)); use another directory, or delete the "
+                f"file if its sweep is dead")
+        self._db.execute("DELETE FROM jobs")
+        self._db.execute("DELETE FROM workers")
+
     # -- claims / leases ---------------------------------------------------
 
     def claim(self, worker_id: str, lease_s: float,
@@ -309,7 +328,7 @@ class JobQueue:
             )
             row = self._db.execute(
                 "SELECT * FROM jobs WHERE state = ?"
-                " ORDER BY enqueued_at, key LIMIT 1",
+                " ORDER BY enqueued_at, rowid LIMIT 1",
                 (QUEUED,),
             ).fetchone()
             if row is None:
@@ -324,6 +343,38 @@ class JobQueue:
                 "SELECT * FROM jobs WHERE key = ?", (row["key"],)
             ).fetchone()
             return _job_from_row(fresh)
+
+    def release(self, worker_id: str, max_expirations: Optional[int] = None,
+                now: Optional[float] = None) -> int:
+        """Expire now every lease ``worker_id`` holds; returns the count.
+
+        For a supervisor that saw the worker die: its jobs re-queue at
+        once, each recording one expiration, instead of after a lease
+        period.  A job whose expirations would exceed ``max_expirations``
+        is marked ``failed`` instead, so a cell that kills every worker
+        that runs it cannot loop forever.
+        """
+        now = time.time() if now is None else now
+        with self._db:
+            self._db.execute("BEGIN IMMEDIATE")
+            rows = self._db.execute(
+                "SELECT key, expirations FROM jobs"
+                " WHERE state = ? AND lease_owner = ?",
+                (RUNNING, worker_id),
+            ).fetchall()
+            for row in rows:
+                exhausted = (max_expirations is not None
+                             and row["expirations"] >= max_expirations)
+                self._db.execute(
+                    "UPDATE jobs SET state = ?, expirations = expirations + 1,"
+                    " lease_owner = NULL, lease_expires_at = NULL,"
+                    " error = COALESCE(?, error), finished_at = ?"
+                    " WHERE key = ?",
+                    (FAILED if exhausted else QUEUED,
+                     "worker process died" if exhausted else None,
+                     now if exhausted else None, row["key"]),
+                )
+            return len(rows)
 
     def renew(self, key: str, worker_id: str, lease_s: float,
               now: Optional[float] = None) -> bool:
@@ -432,12 +483,12 @@ class JobQueue:
     def jobs(self, state: Optional[str] = None) -> List[Job]:
         if state is None:
             rows = self._db.execute(
-                "SELECT * FROM jobs ORDER BY enqueued_at, key"
+                "SELECT * FROM jobs ORDER BY enqueued_at, rowid"
             ).fetchall()
         else:
             rows = self._db.execute(
                 "SELECT * FROM jobs WHERE state = ?"
-                " ORDER BY enqueued_at, key", (state,)
+                " ORDER BY enqueued_at, rowid", (state,)
             ).fetchall()
         return [_job_from_row(row) for row in rows]
 
@@ -468,7 +519,8 @@ class JobQueue:
         return row["n"] == 0
 
     def snapshot(self, now: Optional[float] = None) -> Dict[str, Any]:
-        """Full queue/worker state for the status API (JSON-safe)."""
+        """Queue and worker state for the status API (JSON-safe; the
+        per-cell view is :func:`repro.service.server.build_status`)."""
         now = time.time() if now is None else now
         return {
             "schema": 1,
@@ -478,31 +530,7 @@ class JobQueue:
             "totals": self.totals(),
             "drained": self.drained(),
             "workers": self.workers(),
-            "cells": [job.to_dict() for job in self.jobs()],
         }
-
-
-def write_service_manifest(queue: JobQueue, directory: str,
-                           finished: bool = False,
-                           started_at: Optional[float] = None) -> None:
-    """Mirror the queue into the heartbeat manifest ``repro top`` reads.
-
-    The service has no sweep "parent", so the queue itself provides the
-    dashboard's denominator.  ``finished`` stamps ``finished_at`` once
-    the queue drains, which also lets a live ``repro top`` exit cleanly.
-    Enqueue-time cache hits get their terminal ``cached`` stamp here
-    (no worker will ever heartbeat for them).
-    """
-    config = HeartbeatConfig(directory=heartbeat_dir(directory))
-    jobs = queue.jobs()
-    specs = [job.spec() for job in jobs]
-    write_manifest(config, specs, started_at=started_at,
-                   finished_at=time.time() if finished else None)
-    for job, spec in zip(jobs, specs):
-        if job.state == CACHED:
-            path = config.cell_path(spec)
-            if not os.path.exists(path):
-                write_cell_status(config, spec, CACHED, progress=1.0)
 
 
 def new_worker_id() -> str:

@@ -8,7 +8,7 @@ never share a connection).
 Routes::
 
     /healthz   -> "ok" (liveness probe)
-    /status    -> queue + worker + heartbeat-cell state as JSON
+    /status    -> queue + worker + cell state as JSON
     /metrics   -> OpenMetrics exposition (repro.obs.openmetrics)
     /ascii     -> the repro.analysis.top dashboard as text/plain
     /          -> the same dashboard wrapped in auto-refreshing HTML
@@ -22,21 +22,63 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
-from repro.obs.heartbeat import mark_stalled, read_heartbeats
-from repro.service.queue import JobQueue, heartbeat_dir, queue_path
+from repro.obs.heartbeat import mark_stalled, read_heartbeats, sweep_stalled
+from repro.service.queue import (
+    FAILED,
+    QUEUED,
+    Job,
+    JobQueue,
+    heartbeat_dir,
+    queue_path,
+)
+
+
+def _cell(job: Job, record: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    """One dashboard cell: the job row's state over its progress record.
+
+    The record counts only if this sweep's worker wrote it (it started
+    no earlier than the job's first claim); a leftover from an earlier
+    sweep in the same directory is ignored.
+    """
+    fresh = (record is not None and job.started_at is not None
+             and float(record.get("started_at") or 0.0) >= job.started_at)
+    cell = dict(record) if fresh else {"started_at": job.started_at}
+    state = job.state
+    if state == QUEUED and job.attempts + job.expirations > 0:
+        state = "retrying"
+    error = (job.error or "").strip().splitlines()
+    spec = json.loads(job.spec_json)
+    cell.update(
+        key=job.key[:16], label=job.label, workload=spec.get("workload"),
+        policy=spec.get("policy"), seed=spec.get("seed"), state=state,
+        resumed=bool(job.resumed or cell.get("resumed")),
+        claims=job.claims, attempts=job.attempts,
+        expirations=job.expirations,
+        error=error[-1] if state == FAILED and error else None,
+        enqueued_at=job.enqueued_at, finished_at=job.finished_at,
+    )
+    return cell
 
 
 def build_status(directory: str,
                  stale_after: float = 0.0) -> Dict[str, Any]:
-    """One coherent JSON-safe snapshot of queue, workers and heartbeats."""
+    """One coherent JSON-safe snapshot of queue, workers and cells.
+
+    Cell states come from the queue; each claimed cell also carries its
+    worker's latest progress record (epoch, rate, ETA, ...).
+    ``stalled`` is true when the sweep has gone quiet with work left.
+    """
     with JobQueue(queue_path(directory)) as queue:
         status = queue.snapshot()
-    manifest, hb_cells = read_heartbeats(heartbeat_dir(directory))
-    if stale_after > 0:
-        mark_stalled(hb_cells, stale_after)
+        jobs = queue.jobs()
+    records = {record.get("key"): record
+               for record in read_heartbeats(heartbeat_dir(directory))}
+    cells = [_cell(job, records.get(job.key[:16])) for job in jobs]
+    mark_stalled(cells, stale_after)
     status["directory"] = directory
-    status["manifest"] = manifest
-    status["heartbeats"] = hb_cells
+    status["cells"] = cells
+    status["stalled"] = sweep_stalled(cells, stale_after,
+                                      drained=status["drained"])
     return status
 
 

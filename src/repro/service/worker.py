@@ -1,42 +1,42 @@
-"""Pull-based service worker: claim, execute, stream, complete.
+"""Pull-based worker: claim, execute, stream, complete.
 
 A worker is a plain loop over :meth:`JobQueue.claim`; any number of them
-can share one service directory with no coordination beyond the queue
-database.  Per job:
+can share one directory with no coordination beyond the queue database.
+The same loop drains a service directory (``repro service start``) and
+the queue behind every :func:`~repro.sim.sweep.run_sweep`.  Per job:
 
-1. **Recover first.**  If the persistent result cache already holds the
-   job's result, a previous owner died between its cache commit and the
+1. **Recover first.**  If the result cache already holds the job's
+   result, a previous owner died between its cache commit and the
    queue transition -- complete the job from the cache without running
    anything (this is the exactly-once recovery path).
 2. **Resume where possible.**  A job being *continued* (``claims > 1``
    after a lease expiry, or ``attempts > 0`` after a raise) runs the
    :func:`~repro.sim.sweep.resume_variant`, restoring the last epoch
    checkpoint instead of recomputing finished epochs.
-3. **Execute through the shared cell path.**  The same
-   :func:`~repro.sim.sweep.execute_cell` that backs ``run_sweep``
-   workers runs the spec, streaming per-epoch heartbeats into the
-   service's heartbeat directory; an extra epoch hook renews the queue
-   lease (throttled to a third of the lease period) and raises
-   :class:`LeaseLost` if the lease was usurped -- the worker abandons
-   the cell and the new owner's run stands alone.
+3. **Execute through the one cell path.**
+   :func:`~repro.sim.sweep.execute_cell` runs the spec, streaming
+   per-epoch progress records into the directory's ``hb/``; an extra
+   epoch hook renews the queue lease (throttled to a third of the lease
+   period) and raises :class:`LeaseLost` if the lease was usurped -- the
+   worker abandons the cell and the new owner's run stands alone.
 4. **Commit.**  ``cache.put`` *then* ``queue.complete`` -- the cache
    write is the commit point (see the crash matrix in
-   :mod:`repro.service.queue`).
+   :mod:`repro.service.queue`).  Failures go to ``queue.fail``; the
+   queue row is the cell's only state.
 
 ``drain=True`` makes the loop exit once the queue holds no live jobs --
-the mode the CLI, the smoke script and CI use; without it the worker
-idles waiting for more submissions.
+the mode ``run_sweep``, the CLI, the smoke script and CI use; without it
+the worker idles waiting for more submissions.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
-from repro.obs.heartbeat import HeartbeatConfig, write_cell_status
+from repro.obs.heartbeat import HeartbeatConfig
 from repro.service.queue import (
-    FAILED,
     JobQueue,
     Job,
     heartbeat_dir,
@@ -44,7 +44,7 @@ from repro.service.queue import (
     queue_path,
 )
 from repro.sim import cache as result_cache
-from repro.sim.sweep import execute_cell, resume_variant
+from repro.sim import sweep
 
 #: Default claim lease.  Far above any epoch duration at test scales, so
 #: live workers renew long before expiry; small enough that a killed
@@ -64,16 +64,15 @@ class WorkerStats:
     failures: int = 0       #: executions that raised (fail() recorded)
     lost_leases: int = 0    #: cells abandoned after a usurped lease
 
-    def as_dict(self):
-        return dict(self.__dict__)
-
 
 class Worker:
     """One pull-based worker bound to a service directory."""
 
     def __init__(self, directory: str, worker_id: Optional[str] = None,
                  lease_s: float = DEFAULT_LEASE_S, poll_s: float = 1.0,
-                 drain: bool = False, cache=result_cache.DEFAULT):
+                 drain: bool = False, cache=result_cache.DEFAULT,
+                 heartbeat=result_cache.DEFAULT,
+                 trace: Optional["sweep.TraceConfig"] = None):
         self.directory = directory
         self.worker_id = worker_id or new_worker_id()
         self.lease_s = float(lease_s)
@@ -81,20 +80,27 @@ class Worker:
         self.drain = bool(drain)
         self.cache = result_cache.resolve_cache(cache)
         self.stats = WorkerStats()
-        self.heartbeat = HeartbeatConfig(directory=heartbeat_dir(directory))
+        #: Progress records go to ``<directory>/hb`` by default, where a
+        #: config (e.g. with another write interval) says, or nowhere
+        #: (``None``, a sweep nobody watches).
+        self.heartbeat: Optional[HeartbeatConfig] = (
+            HeartbeatConfig(heartbeat_dir(directory))
+            if heartbeat == result_cache.DEFAULT else heartbeat)
+        self.trace = trace
         self.queue = JobQueue(queue_path(directory))
-        self._stop = False
-
-    def stop(self) -> None:
-        """Ask the loop to exit after the current job (signal-safe flag)."""
-        self._stop = True
 
     # -- the loop ----------------------------------------------------------
 
-    def run(self) -> WorkerStats:
+    def run(self, after_job: Optional[Callable[[Job], None]] = None
+            ) -> WorkerStats:
+        """Claim and process jobs, forever or (``drain``) until none is left.
+
+        ``after_job`` is called with each claimed job once it has been
+        processed (``run_sweep`` reports progress from it).
+        """
         self.queue.register_worker(self.worker_id)
         try:
-            while not self._stop:
+            while True:
                 job = self.queue.claim(self.worker_id, self.lease_s)
                 if job is None:
                     if self.drain and self.queue.drained():
@@ -105,6 +111,8 @@ class Worker:
                 self.queue.worker_beat(self.worker_id, "running",
                                        current_key=job.key)
                 self._process(job)
+                if after_job is not None:
+                    after_job(job)
         finally:
             self.queue.worker_beat(
                 self.worker_id, "stopped",
@@ -121,29 +129,26 @@ class Worker:
         # Step 1: exactly-once recovery.  A previous owner may have died
         # after cache.put but before queue.complete -- its result is
         # authoritative, never recompute it.  (Checked specs bypass the
-        # cache on enqueue and here, mirroring run_sweep.)
+        # cache on enqueue and here: a hit would run no sanitizer.)
         if self.cache is not None and not spec.check_requested:
-            hit = self.cache.get(spec)
-            if hit is not None:
+            if self.cache.load(spec) is not None:
                 if self.queue.complete(job.key, self.worker_id, wall_s=0.0,
                                        resumed=continuation):
                     self.stats.recovered += 1
-                    write_cell_status(self.heartbeat, spec, "done",
-                                      resumed=continuation, progress=1.0)
                 return
 
-        run_spec = resume_variant(spec) if continuation else spec
+        run_spec = sweep.resume_variant(spec) if continuation else spec
         renewer = _LeaseRenewer(self.queue, job.key, self.worker_id,
                                 self.lease_s)
-        ok, result, error = execute_cell(
-            run_spec, heartbeat=self.heartbeat, epoch_hook=renewer,
+        ok, result, error = sweep.execute_cell(
+            run_spec, self.trace, self.heartbeat, epoch_hook=renewer,
         )
         if ok:
             if self.cache is not None:
                 self.cache.put(spec, result)  # commit point
             if self.queue.complete(job.key, self.worker_id,
                                    wall_s=result.wall_seconds,
-                                   resumed=run_spec.resume or continuation):
+                                   resumed=run_spec.resume):
                 self.stats.executed += 1
                 if run_spec.resume:
                     self.stats.resumed += 1
@@ -153,16 +158,7 @@ class Worker:
             self.stats.lost_leases += 1
         else:
             self.stats.failures += 1
-            if self.queue.fail(job.key, self.worker_id, error or "unknown"):
-                fresh = self.queue.job(job.key)
-                if fresh is not None and fresh.state == FAILED:
-                    # Budget exhausted: the cell's own finish("failed")
-                    # heartbeat stands; just record the attempt count.
-                    write_cell_status(self.heartbeat, spec, "failed",
-                                      attempts=fresh.attempts)
-                else:
-                    write_cell_status(self.heartbeat, spec, "retrying",
-                                      attempts=job.attempts + 1)
+            self.queue.fail(job.key, self.worker_id, error or "unknown")
 
 
 class _LeaseRenewer:
@@ -198,13 +194,15 @@ class _LeaseRenewer:
 
 def worker_main(directory: str, worker_id: Optional[str] = None,
                 lease_s: float = DEFAULT_LEASE_S, poll_s: float = 1.0,
-                drain: bool = True) -> int:
+                drain: bool = True, **options) -> int:
     """Process entry point (``multiprocessing.Process(target=...)``).
 
     Builds every connection post-fork (SQLite handles must not cross a
     fork) and returns the number of cells this worker completed.
+    ``options`` (``cache``, ``heartbeat``, ``trace``) go to
+    :class:`Worker`.
     """
     worker = Worker(directory, worker_id=worker_id, lease_s=lease_s,
-                    poll_s=poll_s, drain=drain)
+                    poll_s=poll_s, drain=drain, **options)
     stats = worker.run()
     return stats.executed + stats.recovered

@@ -78,23 +78,33 @@ class ResultCache:
         read and the unlink; deleting blindly would discard that good
         entry.
         """
+        result = self.load(spec)
+        if result is None:
+            self.stats.misses += 1
+        else:
+            self.stats.hits += 1
+        return result
+
+    def load(self, spec: "RunSpec") -> Optional["SimResult"]:
+        """:meth:`get` without counting a hit or miss.
+
+        For reading back entries the caller's own workers just committed
+        (a sweep collecting its results), which are not memo lookups.
+        Corrupt entries are still counted in ``stats.errors`` and removed.
+        """
         path = self._path(spec.cache_key())
         st = None
         try:
             with open(path, "rb") as fh:
                 st = os.fstat(fh.fileno())
                 entry = pickle.load(fh)
-            result = entry["result"]
+            return entry["result"]
         except FileNotFoundError:
-            self.stats.misses += 1
             return None
         except Exception:
             self.stats.errors += 1
-            self.stats.misses += 1
             self._remove_corrupt(path, st)
             return None
-        self.stats.hits += 1
-        return result
 
     def _remove_corrupt(self, path: str, st: Optional[os.stat_result]) -> bool:
         """Unlink ``path`` unless it no longer matches the stat we read.

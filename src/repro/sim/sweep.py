@@ -1,4 +1,4 @@
-"""Parallel sweep executor: fan :class:`RunSpec` cells out over workers.
+"""Sweep executor: fan :class:`RunSpec` cells out over queue workers.
 
 Reproducing a paper figure means sweeping a grid of configurations --
 Fig. 5 alone is 8 workloads x 7 policies x 3 ratios plus 24 shared
@@ -9,18 +9,24 @@ baselines.  :func:`run_sweep` executes any collection of specs:
   executed exactly once, regardless of how many times they appear;
 * **cached** -- specs whose results are already in the persistent
   :mod:`repro.sim.cache` are not executed at all;
-* **parallel** -- remaining cells fan out over a
-  ``concurrent.futures.ProcessPoolExecutor`` with ``jobs`` workers;
-  ``jobs=1`` degrades to in-process serial execution with bit-identical
-  results (every simulation derives its randomness from the spec seed);
-* **fault-isolated** -- a cell that raises, or a worker process that
-  dies outright, is retried ``retries`` times and then reported as a
-  failed :class:`CellOutcome` while the rest of the sweep completes;
+* **queued** -- the remaining cells go into a
+  :class:`~repro.service.queue.JobQueue` and ``jobs`` local
+  :func:`~repro.service.worker.worker_main` processes drain it, exactly
+  as service workers do; ``jobs=1`` drains it in-process with
+  bit-identical results (every simulation derives its randomness from
+  the spec seed);
+* **fault-isolated** -- a cell that raises is retried ``retries`` times
+  and then reported as a failed :class:`CellOutcome` while the rest of
+  the sweep completes; a worker process that dies outright costs only
+  the cell it held one lease expiry (the parent releases the lease and
+  starts a replacement worker), and that cell fails once it has killed
+  ``retries + 1`` workers;
 * **observable** -- a ``progress`` callback receives a
-  :class:`SweepEvent` per completed cell (accepting callbacks that take
-  the event or just a message string); pass a :class:`TraceConfig` to
-  additionally capture a structured trace per executed cell (cached
-  cells get a stub file annotated ``from_cache``).
+  :class:`SweepEvent` per completed (or retried) cell; pass a
+  :class:`TraceConfig` to also capture a structured trace per executed
+  cell (cached cells get a stub file annotated ``from_cache``), or a
+  :class:`~repro.obs.heartbeat.HeartbeatConfig` to keep the queue and
+  the workers' progress records in a directory ``repro top`` watches.
 
 :func:`timing_summary` aggregates wall-clock statistics over a finished
 sweep, *excluding* cached cells (their ``wall_seconds`` is zeroed and
@@ -34,19 +40,14 @@ from __future__ import annotations
 
 import json
 import os
-import time
+import shutil
+import tempfile
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.heartbeat import (
-    HeartbeatConfig,
-    HeartbeatWriter,
-    write_cell_status,
-    write_manifest,
-)
+from repro.obs.heartbeat import HeartbeatConfig, HeartbeatWriter
 from repro.sim import cache as result_cache
 from repro.sim.engine import SimResult
 from repro.sim.runner import RunSpec
@@ -187,9 +188,40 @@ class SweepEvent:
 ProgressFn = Callable[[SweepEvent], None]
 
 
-def _emit(progress: Optional[ProgressFn], event: SweepEvent) -> None:
-    if progress is not None:
-        progress(event)
+class _Progress:
+    """Sends each cell's events once, from cache hits and queue rows."""
+
+    def __init__(self, callback: Optional[ProgressFn], total: int):
+        self.callback = callback
+        self.total = total
+        self.completed = 0
+        self._retries: Dict[str, int] = defaultdict(int)
+        self._finished = set()
+
+    def emit(self, status: str, spec: RunSpec,
+             error: Optional[str] = None) -> None:
+        if status != "retry":
+            self.completed += 1
+        if self.callback is not None:
+            self.callback(SweepEvent(status, spec, self.completed,
+                                     self.total, error=error))
+
+    def observe(self, job, specs: Sequence[RunSpec]) -> None:
+        """Report what happened to ``job`` since it was last observed."""
+        if job.key in self._finished:
+            return
+        failed = job.state == "failed"
+        # Every raise or lost worker is a retry, except the one that
+        # finally failed the cell.
+        lost = job.attempts + job.expirations - (1 if failed else 0)
+        while self._retries[job.key] < lost:
+            self._retries[job.key] += 1
+            for spec in specs:
+                self.emit("retry", spec, job.error)
+        if failed or job.state == "done":
+            self._finished.add(job.key)
+            for spec in specs:
+                self.emit(job.state, spec, job.error if failed else None)
 
 
 # -- execution ----------------------------------------------------------------
@@ -214,21 +246,20 @@ def execute_cell(
 ) -> Tuple[bool, Optional[SimResult], Optional[str]]:
     """Execute one spec; never raises for ordinary cell errors.
 
-    Runs without touching the cache: the driver pre-filters hits and
-    persists successes, so workers stay pure compute.  With ``trace``,
-    the run is traced and the events exported to the trace directory
-    before returning (tracing never changes simulation results).  With
-    ``heartbeat``, the cell streams its status into the heartbeat
-    directory per epoch and stamps a terminal ``done``/``failed`` state.
-    An extra ``epoch_hook`` (e.g. the service worker's lease renewal)
-    is chained after the heartbeat's own hook.
+    Runs without touching the cache: the worker that calls it commits
+    the result.  With ``trace``, the run is traced and the events
+    exported to the trace directory before returning (tracing never
+    changes simulation results).  With ``heartbeat``, the cell streams
+    its progress record into the heartbeat directory per epoch.  An
+    extra ``epoch_hook`` (e.g. the worker's lease renewal) is chained
+    after the heartbeat's own hook.
 
     Only :class:`Exception` is converted into a failed-cell tuple;
     ``KeyboardInterrupt``/``SystemExit`` propagate so Ctrl-C cancels a
     sweep instead of burning retries on every in-flight cell.
 
-    This is the single execution path shared by :func:`run_sweep`
-    workers and the ``repro.service`` queue workers.
+    This is the single execution path of the queue workers that back
+    :func:`run_sweep` and the ``repro.service`` directories.
     """
     hb = None
     if heartbeat is not None:
@@ -253,12 +284,7 @@ def execute_cell(
                 def hook(snapshot, _hb_hook=hb.on_epoch, _extra=extra):
                     _hb_hook(snapshot)
                     _extra(snapshot)
-        # Pass epoch_hook only when needed: out-of-tree execute()
-        # wrappers predating the kwarg keep working on plain sweeps.
-        result = (
-            spec.execute(obs=obs, epoch_hook=hook)
-            if hook is not None else spec.execute(obs=obs)
-        )
+        result = spec.execute(obs=obs, epoch_hook=hook)
         if trace is not None:
             _export_cell_trace(trace, spec, obs, result)
         if hb is not None:
@@ -271,42 +297,9 @@ def execute_cell(
         return False, None, error
 
 
-def _execute_batch(
-    specs: Sequence[RunSpec], jobs: int,
-    trace: Optional[TraceConfig] = None,
-    heartbeat: Optional[HeartbeatConfig] = None,
-) -> List[Tuple[RunSpec, Tuple[bool, Optional[SimResult], Optional[str]]]]:
-    """Run ``specs`` once each; one (spec, (ok, result, error)) per spec."""
-    if jobs <= 1 or len(specs) <= 1:
-        return [(spec, execute_cell(spec, trace, heartbeat)) for spec in specs]
-    out = []
-    returned = set()
-    try:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
-            futures = {
-                pool.submit(execute_cell, spec, trace, heartbeat): spec
-                for spec in specs
-            }
-            for future in as_completed(futures):
-                spec = futures[future]
-                try:
-                    out.append((spec, future.result()))
-                except BrokenProcessPool:
-                    raise
-                except Exception as exc:  # e.g. result unpickling failure
-                    out.append((spec, (False, None, repr(exc))))
-                returned.add(spec)
-    except BrokenProcessPool:
-        # A worker died hard (segfault/OOM-kill): every cell still in
-        # flight counts this as a failed attempt; the caller may retry.
-        for spec in specs:
-            if spec not in returned:
-                out.append((spec, (
-                    False, None,
-                    "worker process died (BrokenProcessPool); "
-                    "cell will be retried if attempts remain",
-                )))
-    return out
+#: Idle-poll period of a sweep's worker processes, and how often the
+#: parent looks at the queue for progress while they run.
+_POLL_S = 0.05
 
 
 def run_sweep(
@@ -324,11 +317,19 @@ def run_sweep(
     the returned mapping.  Failed cells never abort the sweep -- check
     ``outcome.ok`` (or use :func:`raise_failures`).  With ``trace``,
     each executed cell writes a trace file into ``trace.directory``;
-    cache hits get a stub annotated ``from_cache`` instead.  With
-    ``heartbeat``, the sweep becomes observable from outside: the
-    parent writes a manifest plus ``cached``/``retrying`` stamps, and
-    every executing cell streams per-epoch status files (``repro top``
-    renders them live).
+    cache hits get a stub annotated ``from_cache`` instead.
+
+    Cells the cache cannot serve are enqueued in a job queue and drained
+    by the same worker loop as ``repro service`` (see the module
+    docstring).  Without ``heartbeat`` the queue lives in a temporary
+    directory and no progress records are written; with it,
+    ``heartbeat.directory`` holds the queue and ``hb/`` progress
+    records, and ``repro top`` renders it live.  The sweep drops the
+    rows of an earlier, finished sweep there, but raises
+    :class:`~repro.service.queue.QueueBusy` rather than touch a queue
+    still in use (a live service, another running sweep).  Workers
+    commit results to a store private to the sweep; this process reads
+    each one back as its job finishes and puts it into ``cache``.
 
     Retries are checkpoint-aware: a failed (or killed) cell whose spec
     has ``snapshot_every > 0`` is re-run with ``resume=True``, so the
@@ -338,14 +339,8 @@ def run_sweep(
     ordered = list(dict.fromkeys(specs))
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
     cache = result_cache.resolve_cache(cache)
-    total = len(ordered)
-    completed = 0
+    report = _Progress(progress, len(ordered))
     outcomes: Dict[RunSpec, CellOutcome] = {}
-    sweep_started = time.time()
-    if heartbeat is not None:
-        write_manifest(heartbeat, ordered, started_at=sweep_started)
-
-    pending: List[RunSpec] = []
     for spec in ordered:
         # Checked specs must execute: a cache hit would skip the
         # sanitizer entirely (checks never change results, so executed
@@ -356,7 +351,6 @@ def run_sweep(
             else None
         )
         if hit is not None:
-            completed += 1
             # Mirror RunSpec.run(): a cached cell did no simulation
             # work, so it must not replay the original wall time.
             hit.wall_seconds = 0.0
@@ -364,69 +358,150 @@ def run_sweep(
             outcomes[spec] = CellOutcome(spec, result=hit, from_cache=True)
             if trace is not None:
                 _write_cached_stub(trace, spec)
-            if heartbeat is not None:
-                write_cell_status(heartbeat, spec, "cached", progress=1.0)
-            _emit(progress, SweepEvent("cached", spec, completed, total))
-        else:
-            pending.append(spec)
-
-    attempts: Dict[RunSpec, int] = {spec: 0 for spec in pending}
-    # Each work item is (original spec, spec actually executed): a retry
-    # of a checkpointing cell runs the ``resume=True`` variant, which
-    # restores the failed attempt's last checkpoint instead of
-    # recomputing finished epochs.  Outcomes/attempts/cache stay keyed
-    # by the original spec (the resume variant shares its cache key).
-    work: List[Tuple[RunSpec, RunSpec]] = [(spec, spec) for spec in pending]
-    while work:
-        batch, work = work, []
-        run_map = {run_spec: spec for spec, run_spec in batch}
-        for run_spec, (ok, result, error) in _execute_batch(
-            [run_spec for _, run_spec in batch], jobs, trace, heartbeat
-        ):
-            spec = run_map[run_spec]
-            attempts[spec] += 1
-            if ok:
-                completed += 1
-                outcomes[spec] = CellOutcome(
-                    spec, result=result, attempts=attempts[spec],
-                    resumed=run_spec.resume,
-                )
-                if cache is not None:
-                    cache.put(spec, result)
-                if heartbeat is not None:
-                    write_cell_status(
-                        heartbeat, spec, "done",
-                        attempts=attempts[spec], resumed=run_spec.resume,
-                    )
-                _emit(progress, SweepEvent("done", spec, completed, total))
-            elif attempts[spec] <= retries:
-                work.append((spec, resume_variant(run_spec)))
-                if heartbeat is not None:
-                    write_cell_status(
-                        heartbeat, spec, "retrying", attempts=attempts[spec],
-                    )
-                _emit(progress, SweepEvent(
-                    "retry", spec, completed, total, error=error
-                ))
-            else:
-                completed += 1
-                outcomes[spec] = CellOutcome(
-                    spec, error=error, attempts=attempts[spec],
-                    resumed=run_spec.resume,
-                )
-                if heartbeat is not None:
-                    write_cell_status(
-                        heartbeat, spec, "failed",
-                        attempts=attempts[spec], resumed=run_spec.resume,
-                    )
-                _emit(progress, SweepEvent(
-                    "failed", spec, completed, total, error=error
-                ))
-
-    if heartbeat is not None:
-        write_manifest(heartbeat, ordered, started_at=sweep_started,
-                       finished_at=time.time())
+            report.emit("cached", spec)
+    pending = [spec for spec in ordered if spec not in outcomes]
+    if pending or heartbeat is not None:
+        outcomes.update(_drain(pending, list(outcomes), jobs, cache, retries,
+                               trace, heartbeat, report))
     return {spec: outcomes[spec] for spec in ordered}
+
+
+def _drain(pending: List[RunSpec], hits: List[RunSpec], jobs: int, cache,
+           retries: int, trace: Optional[TraceConfig],
+           heartbeat: Optional[HeartbeatConfig], report: _Progress
+           ) -> Dict[RunSpec, CellOutcome]:
+    """Enqueue ``pending``, drain the queue with workers, read outcomes."""
+    from repro.service.queue import JobQueue, heartbeat_dir, queue_path
+    from repro.service.worker import Worker
+
+    scratch = tempfile.mkdtemp(prefix="repro-sweep-")
+    try:
+        directory = heartbeat.directory if heartbeat is not None else scratch
+        # Workers commit to the sweep's own store; the caller's cache is
+        # written here, in this process, as results are collected.
+        store = result_cache.ResultCache(os.path.join(scratch, "results"))
+        records = None if heartbeat is None else HeartbeatConfig(
+            heartbeat_dir(directory), heartbeat.min_interval_s)
+        options = dict(cache=store, heartbeat=records, trace=trace)
+        by_key: Dict[str, List[RunSpec]] = defaultdict(list)
+        for spec in pending:
+            by_key[spec.cache_key()].append(spec)
+        outcomes: Dict[RunSpec, CellOutcome] = {}
+
+        def observe(job) -> None:
+            """Collect a finished job's result into the caller's cache
+            (so an interrupted sweep keeps it), then report progress."""
+            specs = by_key.get(job.key)
+            if not specs:
+                return
+            if job.state in ("done", "failed") and specs[0] not in outcomes:
+                result = store.load(specs[0]) if job.state == "done" else None
+                if result is not None and cache is not None:
+                    cache.put(specs[0], result)
+                for spec in specs:
+                    outcomes[spec] = _outcome(spec, job, result)
+            report.observe(job, specs)
+
+        with JobQueue(queue_path(directory)) as queue:
+            queue.enqueue(pending, cache=None, max_attempts=retries + 1,
+                          fresh=True)
+            # Hits only show up on the dashboard; none is claimable.
+            queue.enqueue(hits, cache=cache)
+            workers = min(jobs, len(pending))
+            if workers == 1:
+                worker = Worker(directory, drain=True, **options)
+                try:
+                    worker.run(after_job=lambda job: observe(
+                        worker.queue.job(job.key)))
+                finally:
+                    worker.queue.close()
+            elif workers > 1:
+                _supervise(queue, directory, workers, retries, len(pending),
+                           options, observe)
+            for job in queue.jobs():
+                observe(job)
+        return outcomes
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
+def _supervise(queue, directory: str, workers: int, retries: int,
+               cells: int, options: Dict, observe: Callable) -> None:
+    """Run ``workers`` worker processes until ``queue`` drains.
+
+    Workers start the platform's default way -- forked on Linux, so they
+    inherit the caller's in-process state (forced kernel modes, patched
+    functions) as a serial sweep would; they are sent only picklable
+    configuration, so any start method works.  A worker that dies (any
+    non-zero exit, e.g. SIGKILL) has its lease released at once and,
+    while work remains, is replaced.  More deaths than the cells could
+    cost (``cells * (retries + 1)``) means workers die for some other
+    reason: the sweep stops with an error.  Once the queue drains, the
+    workers still polling it are stopped and marked ``stopped``.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    from repro.service.queue import new_worker_id
+    from repro.service.worker import worker_main
+
+    ctx = multiprocessing.get_context()
+    procs: Dict[str, multiprocessing.Process] = {}
+
+    def start() -> None:
+        worker_id = new_worker_id()
+        procs[worker_id] = ctx.Process(
+            target=worker_main, args=(directory,), daemon=True,
+            kwargs=dict(worker_id=worker_id, poll_s=_POLL_S, **options),
+        )
+        procs[worker_id].start()
+
+    for _ in range(workers):
+        start()
+    deaths = 0
+    try:
+        while procs:
+            wait([proc.sentinel for proc in procs.values()],
+                 timeout=4 * _POLL_S)
+            for job in queue.jobs():
+                observe(job)
+            if queue.drained():
+                break  # the rest are idle: stop them, don't wait a poll
+            for worker_id, proc in list(procs.items()):
+                if proc.exitcode is None:
+                    continue
+                del procs[worker_id]
+                if proc.exitcode == 0:
+                    continue
+                deaths += 1
+                queue.release(worker_id, max_expirations=retries)
+                queue.worker_beat(worker_id, "stopped")
+                if queue.drained():
+                    continue
+                if deaths > cells * (retries + 1):
+                    raise RuntimeError(
+                        f"sweep workers keep dying (last exit code "
+                        f"{proc.exitcode}; see their stderr)")
+                start()
+    finally:
+        for proc in procs.values():
+            proc.terminate()
+        for worker_id, proc in procs.items():
+            proc.join()
+            queue.worker_beat(worker_id, "stopped")
+
+
+def _outcome(spec: RunSpec, job, result: Optional[SimResult]
+             ) -> CellOutcome:
+    """The :class:`CellOutcome` a finished queue row stands for."""
+    if job.state != "done":
+        return CellOutcome(spec, error=job.error or f"cell {job.state}",
+                           attempts=job.claims, resumed=job.resumed)
+    if result is None:
+        return CellOutcome(spec, error="result missing from the sweep store",
+                           attempts=job.claims, resumed=job.resumed)
+    return CellOutcome(spec, result=result, attempts=job.claims,
+                       resumed=job.resumed)
 
 
 class SweepError(RuntimeError):

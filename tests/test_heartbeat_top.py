@@ -1,10 +1,11 @@
-"""Sweep heartbeats, the ``repro top`` dashboard, and OpenMetrics output.
+"""Progress records, the ``repro top`` dashboard, and OpenMetrics output.
 
-The acceptance scenario: an 8-cell sweep whose heartbeat directory ends
-up containing every dashboard state at once -- done, cached, failed,
-resumed (checkpoint-aware retry) and a still-running cell -- rendered
-correctly by ``repro top --snapshot``, with the OpenMetrics exposition
-validating line-by-line against the format grammar.
+The acceptance scenario: an 8-cell sweep whose directory ends up holding
+every dashboard state at once -- done, cached, failed, resumed
+(checkpoint-aware retry) and a still-running cell -- with the states
+taken from the sweep's queue and the progress from worker records,
+rendered correctly by ``repro top --snapshot``, and the OpenMetrics
+exposition validating line-by-line against the format grammar.
 """
 
 import json
@@ -24,16 +25,15 @@ from repro.obs.heartbeat import (
     mark_stalled,
     read_heartbeats,
     sweep_stalled,
-    write_cell_status,
-    write_manifest,
 )
 from repro.obs.openmetrics import (
     counters_exposition,
     escape_label,
     metric_name,
-    sweep_exposition,
+    service_exposition,
 )
 from repro.analysis.top import progress_bar, render_dashboard
+from repro.service import JobQueue, build_status, heartbeat_dir, queue_path
 from repro.sim import sweep
 from repro.sim.runner import RunSpec
 from repro.sim.sweep import run_sweep, timing_summary
@@ -83,19 +83,16 @@ class TestHeartbeatFiles:
 
     def test_reader_skips_torn_files(self, tmp_path):
         config = HeartbeatConfig(str(tmp_path))
-        spec = _spec()
-        write_cell_status(config, spec, "done", progress=1.0)
+        writer = HeartbeatWriter(config, _spec())
+        writer.write(dict(writer._base(), state="done", progress=1.0))
         with open(os.path.join(str(tmp_path), f"torn{HEARTBEAT_SUFFIX}"),
                   "w") as fh:
             fh.write('{"state": "runni')  # mid-write on a weird fs
-        write_manifest(config, [spec], started_at=1.0)
-        manifest, cells = read_heartbeats(str(tmp_path))
+        cells = read_heartbeats(str(tmp_path))
         assert len(cells) == 1 and cells[0]["state"] == "done"
-        assert len(manifest["cells"]) == 1
 
     def test_read_missing_directory(self, tmp_path):
-        manifest, cells = read_heartbeats(str(tmp_path / "nope"))
-        assert manifest == {} and cells == []
+        assert read_heartbeats(str(tmp_path / "nope")) == []
 
     def test_display_state_precedence(self):
         assert display_state({"state": "failed", "resumed": True}) == "failed"
@@ -137,7 +134,7 @@ class TestZeroProgressGuards:
         assert 0.0 < status["progress"] <= 1.0
         assert status["resumed"] is True
         writer.write(status)  # null rate must survive the JSON round-trip
-        _, cells = read_heartbeats(str(tmp_path))
+        cells = read_heartbeats(str(tmp_path))
         assert cells[0]["accesses_per_sec"] is None
 
     def test_fresh_start_zero_elapsed_reports_unknown_rate(self, tmp_path):
@@ -157,9 +154,7 @@ class TestZeroProgressGuards:
             "epoch": 9, "accesses": 40_000, "accesses_per_sec": None,
             "eta_s": None, "violations": 0,
         }]
-        manifest = {"cells": [{"key": "deadbeef",
-                               "label": "silo memtis 1:8"}]}
-        art = render_dashboard(manifest, cells)
+        art = render_dashboard(cells)
         row = [line for line in art.splitlines()
                if "silo memtis 1:8" in line][0]
         assert row.rstrip().endswith("-")  # eta column unknown
@@ -176,81 +171,7 @@ class TestZeroProgressGuards:
 
 
 class TestWriteRaces:
-    """Satellite regressions: the parent's read-merge-write stamp vs the
-    worker's atomic ``os.replace``, and temp-file hygiene when the write
-    path itself fails."""
-
-    def test_parent_stamp_never_resurrects_stale_payload(
-        self, tmp_path, monkeypatch
-    ):
-        """Two-writer race: the parent reads the heartbeat, then a fresher
-        worker write lands *before* the parent commits its merge.  The
-        guarded merge must re-read and preserve the worker's newer epoch
-        instead of resurrecting the stale snapshot it first saw."""
-        config = HeartbeatConfig(str(tmp_path), min_interval_s=0.0)
-        spec = _spec()
-        writer = HeartbeatWriter(config, spec)
-        writer.write(dict(writer._base(), state="running", epoch=3,
-                          progress=0.1, updated_at=1.0))
-        stale_payload, stale_token = heartbeat._read_status(
-            config.cell_path(spec))
-
-        real_read = heartbeat._read_status
-        raced = {"n": 0}
-
-        def delayed_read(path):
-            payload, token = real_read(path)
-            if raced["n"] == 0:
-                raced["n"] += 1
-                # The worker's os.replace lands between the parent's
-                # read and its commit: epoch advanced 3 -> 9.
-                writer.write(dict(writer._base(), state="running", epoch=9,
-                                  progress=0.8, updated_at=2.0))
-                return payload, token
-            return real_read(path)
-
-        monkeypatch.setattr(heartbeat, "_read_status", delayed_read)
-        write_cell_status(config, spec, "retrying", attempts=1)
-
-        final, _ = real_read(config.cell_path(spec))
-        # The parent's stamp landed ...
-        assert final["state"] == "retrying" and final["attempts"] == 1
-        # ... on top of the *fresh* worker payload, not the stale one.
-        assert final["epoch"] == 9 and final["progress"] == 0.8
-        assert final["seq"] > stale_payload["seq"] + 1
-
-    def test_unguarded_merge_would_have_lost_the_race(self, tmp_path):
-        """Documents the bug shape: committing a merge built from a stale
-        read over a newer file is exactly what ``_replace_if_unchanged``
-        refuses to do."""
-        config = HeartbeatConfig(str(tmp_path), min_interval_s=0.0)
-        spec = _spec()
-        path = config.cell_path(spec)
-        writer = HeartbeatWriter(config, spec)
-        writer.write(dict(writer._base(), state="running", epoch=3))
-        stale_payload, stale_token = heartbeat._read_status(path)
-        writer.write(dict(writer._base(), state="running", epoch=9))
-        merged = dict(stale_payload, state="retrying")
-        assert not heartbeat._replace_if_unchanged(path, merged, stale_token)
-        fresh, _ = heartbeat._read_status(path)
-        assert fresh["epoch"] == 9  # untouched
-        assert not [
-            name for name in os.listdir(str(tmp_path))
-            if name.endswith(".tmp")
-        ]
-
-    def test_seq_continues_across_attempts(self, tmp_path):
-        config = HeartbeatConfig(str(tmp_path), min_interval_s=0.0)
-        spec = _spec()
-        first = HeartbeatWriter(config, spec)
-        first.write(dict(first._base(), state="running", epoch=5))
-        seq_before = json.load(open(config.cell_path(spec)))["seq"]
-        # A resumed retry constructs a brand-new writer; its writes must
-        # not restart the counter at 1 or the parent guard would judge
-        # them older than the dead attempt's.
-        second = HeartbeatWriter(config, spec, resumed=True)
-        second.write(dict(second._base(), state="running", epoch=6))
-        assert json.load(open(config.cell_path(spec)))["seq"] > seq_before
+    """Temp-file hygiene when the record write path itself fails."""
 
     def test_write_atomic_cleans_temp_and_counts_error(self, tmp_path):
         hb_dir = str(tmp_path / "hb")
@@ -326,23 +247,26 @@ class TestCacheCorruptEntryGuard:
 # -- stall detection -----------------------------------------------------------
 
 
-def _stalled_dir(tmp_path, *, finished=False, states=("running", "running")):
-    """A heartbeat directory whose cells all went quiet long ago."""
-    hb_dir = str(tmp_path / "hb")
-    config = HeartbeatConfig(hb_dir, min_interval_s=0.0)
-    specs = [_spec(seed=100 + i) for i in range(len(states))]
-    for spec, state in zip(specs, states):
-        write_cell_status(config, spec, state,
-                          progress=0.4, epoch=7, accesses_per_sec=1e5)
-        # Backdate the write: json surgery, not time travel.
-        path = config.cell_path(spec)
-        payload = json.load(open(path))
-        payload["updated_at"] = payload["started_at"] = 1.0
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-    write_manifest(config, specs, started_at=1.0,
-                   finished_at=2.0 if finished else None)
-    return hb_dir, config, specs
+def _stalled_dir(tmp_path, *, finished=False):
+    """A sweep directory whose two cells all went quiet long ago.
+
+    Both jobs were claimed at t=1 by a worker that then died (its
+    progress records stop at t=1); ``finished`` completes them instead.
+    """
+    directory = str(tmp_path / "sweep")
+    config = HeartbeatConfig(heartbeat_dir(directory), min_interval_s=0.0)
+    specs = [_spec(seed=100 + i) for i in range(2)]
+    with JobQueue(queue_path(directory)) as queue:
+        queue.enqueue(specs, cache=None, now=1.0)
+        for spec in specs:
+            job = queue.claim("w-dead", lease_s=600.0, now=1.0)
+            writer = HeartbeatWriter(config, spec)
+            writer.started_at = 1.0  # backdated: json, not time travel
+            writer.write(dict(writer._base(), state="running", progress=0.4,
+                              epoch=7, accesses_per_sec=1e5, updated_at=1.0))
+            if finished:
+                queue.complete(job.key, "w-dead", now=2.0)
+    return directory, specs
 
 
 class TestStallDetection:
@@ -374,25 +298,28 @@ class TestStallDetection:
         assert agg["states"] == {"running": 1, "stalled": 1}
 
     def test_sweep_stalled_requires_everything_quiet(self):
-        manifest = {"started_at": 1.0}
         # One live cell -> not stalled, however old the others are.
         cells = [{"state": "running", "updated_at": 1.0, "stalled": True},
                  {"state": "running", "updated_at": 99.0}]
-        assert not sweep_stalled(manifest, cells, 30.0, now=100.0)
-        # All quiet + unfinished manifest -> stalled.
+        assert not sweep_stalled(cells, 30.0, now=100.0)
+        # All quiet with work left -> stalled.
         cells = [{"state": "running", "updated_at": 1.0, "stalled": True},
                  {"state": "done", "updated_at": 2.0}]
-        assert sweep_stalled(manifest, cells, 30.0, now=100.0)
-        # Finished manifest -> never stalled.
-        assert not sweep_stalled({"finished_at": 3.0}, cells, 30.0, now=100.0)
+        assert sweep_stalled(cells, 30.0, now=100.0)
+        # A freshly enqueued cell is recent activity.
+        assert not sweep_stalled(
+            cells + [{"state": "queued", "enqueued_at": 95.0}], 30.0,
+            now=100.0)
+        # Drained queue -> never stalled.
+        assert not sweep_stalled(cells, 30.0, drained=True, now=100.0)
         # Detector disabled -> never stalled.
-        assert not sweep_stalled(manifest, cells, 0.0, now=100.0)
+        assert not sweep_stalled(cells, 0.0, now=100.0)
 
     def test_dashboard_renders_stalled(self, tmp_path):
-        hb_dir, _, _ = _stalled_dir(tmp_path)
-        manifest, cells = read_heartbeats(hb_dir)
-        mark_stalled(cells, stale_after=1.0)
-        art = render_dashboard(manifest, cells)
+        directory, _ = _stalled_dir(tmp_path)
+        status = build_status(directory, stale_after=1.0)
+        assert status["stalled"]
+        art = render_dashboard(status["cells"])
         assert "stalled" in art
         # A stalled cell's last-known rate would be a lie: rendered "-".
         row = [line for line in art.splitlines() if "stalled" in line][0]
@@ -401,8 +328,8 @@ class TestStallDetection:
     def test_cli_top_live_loop_exits_3_on_stalled_sweep(
         self, tmp_path, capsys
     ):
-        hb_dir, _, _ = _stalled_dir(tmp_path)
-        rc = cli_main(["top", hb_dir, "--stale-after", "1",
+        directory, _ = _stalled_dir(tmp_path)
+        rc = cli_main(["top", directory, "--stale-after", "1",
                        "--interval", "0.1"])
         assert rc == 3
         err = capsys.readouterr().err
@@ -411,14 +338,13 @@ class TestStallDetection:
     def test_cli_top_live_loop_exits_0_on_finished_sweep(
         self, tmp_path, capsys
     ):
-        hb_dir, _, _ = _stalled_dir(tmp_path, finished=True,
-                                    states=("done", "done"))
-        assert cli_main(["top", hb_dir, "--stale-after", "1",
+        directory, _ = _stalled_dir(tmp_path, finished=True)
+        assert cli_main(["top", directory, "--stale-after", "1",
                          "--interval", "0.1"]) == 0
 
     def test_cli_top_snapshot_shows_stalled(self, tmp_path, capsys):
-        hb_dir, _, _ = _stalled_dir(tmp_path)
-        assert cli_main(["top", hb_dir, "--snapshot",
+        directory, _ = _stalled_dir(tmp_path)
+        assert cli_main(["top", directory, "--snapshot",
                          "--stale-after", "1"]) == 0
         assert "stalled" in capsys.readouterr().out
 
@@ -437,12 +363,12 @@ def test_progress_bar_shapes():
 def eight_cell_sweep(tmp_path, monkeypatch):
     """Run an 8-cell heartbeat sweep covering every dashboard state.
 
-    Returns ``(heartbeat_dir, outcomes, specs)`` where the sweep's 7
-    cells end as 4 done + 1 cached + 1 failed + 1 resumed, and an 8th
-    cell is left mid-flight in ``running`` state.
+    Returns ``(sweep_dir, outcomes, specs)`` where the sweep's 7 cells
+    end as 4 done + 1 cached + 1 failed + 1 resumed, and an 8th cell,
+    claimed by a live worker, is left mid-flight in ``running`` state.
     """
-    hb_dir = str(tmp_path / "hb")
-    config = HeartbeatConfig(hb_dir, min_interval_s=0.0)
+    directory = str(tmp_path / "sweep")
+    config = HeartbeatConfig(directory, min_interval_s=0.0)
 
     done_specs = [_spec(seed=s) for s in (11, 12, 13, 14)]
     cached_spec = _spec(seed=15)
@@ -454,43 +380,61 @@ def eight_cell_sweep(tmp_path, monkeypatch):
     # retry re-runs it with resume=True, which lands as a resumed cell.
     real_execute_cell = sweep.execute_cell
 
-    def flaky(spec, trace=None, heartbeat=None):
+    def flaky(spec, *args, **kwargs):
         if spec.seed == 17 and not spec.resume:
             return (False, None, "RuntimeError: injected crash")
-        return real_execute_cell(spec, trace, heartbeat)
+        return real_execute_cell(spec, *args, **kwargs)
 
     monkeypatch.setattr(sweep, "execute_cell", flaky)
     specs = done_specs + [cached_spec, failed_spec, flaky_spec]
     outcomes = run_sweep(specs, jobs=1, heartbeat=config, retries=1)
 
-    # Cell 8: a run caught mid-flight -- real writer, never finished.
+    # Cell 8: a run caught mid-flight -- claimed, real writer, never
+    # finished.
     running_spec = _spec(seed=18)
-    writer = HeartbeatWriter(config, running_spec)
+    with JobQueue(queue_path(directory)) as queue:
+        queue.enqueue([running_spec], cache=None)
+        queue.claim("w-live", lease_s=600.0)
+    writer = HeartbeatWriter(
+        HeartbeatConfig(heartbeat_dir(directory), min_interval_s=0.0),
+        running_spec)
     sim = running_spec.build()
     sim.metrics.timeline_interval_ns = 1e6
     sim.epoch_hook = writer.on_epoch
     writer.start(sim)
     sim.run(max_accesses=20_000)  # partial budget: stays "running"
-    write_manifest(config, specs + [running_spec], started_at=0.0)
-    return hb_dir, outcomes, specs
+    return directory, outcomes, specs
 
 
 @pytest.mark.slow
 class TestEightCellSweep:
     def test_states_and_dashboard(self, eight_cell_sweep):
-        hb_dir, outcomes, specs = eight_cell_sweep
-        manifest, cells = read_heartbeats(hb_dir)
-        assert len(cells) == 8 and len(manifest["cells"]) == 8
+        directory, outcomes, specs = eight_cell_sweep
+        cells = build_status(directory)["cells"]
+        assert len(cells) == 8
         states = sorted(display_state(c) for c in cells)
         assert states == sorted(
             ["done"] * 4 + ["cached", "failed", "resumed", "running"]
         )
-        art = render_dashboard(manifest, cells)
+        art = render_dashboard(cells)
         assert "sweep: 8 cells" in art
         for state in ("running", "cached", "resumed", "failed"):
             assert state in art
         assert "injected crash" not in art  # failed cell shows *its* error
         assert "no_such_option" in art or "!!" in art
+
+    def test_parent_writes_no_cell_files(self, eight_cell_sweep):
+        """Only executing workers write progress records: the cached
+        cell has none, yet the queue shows it cached."""
+        directory, _, specs = eight_cell_sweep
+        cached_key = specs[4].cache_key()[:16]
+        records = read_heartbeats(heartbeat_dir(directory))
+        assert len(records) == 7  # 6 executed cells + the running one
+        assert cached_key not in {r["key"] for r in records}
+        assert not [name for name in os.listdir(directory)
+                    if name.endswith(HEARTBEAT_SUFFIX)]
+        by_key = {c["key"]: c for c in build_status(directory)["cells"]}
+        assert by_key[cached_key]["state"] == "cached"
 
     def test_outcomes_and_timing(self, eight_cell_sweep):
         _, outcomes, specs = eight_cell_sweep
@@ -510,16 +454,16 @@ class TestEightCellSweep:
         assert 0 < resumed_wall <= timing["wall_total_s"]
 
     def test_cli_top_snapshot(self, eight_cell_sweep, capsys):
-        hb_dir, _, _ = eight_cell_sweep
-        assert cli_main(["top", hb_dir, "--snapshot"]) == 0
+        directory, _, _ = eight_cell_sweep
+        assert cli_main(["top", directory, "--snapshot"]) == 0
         out = capsys.readouterr().out
         assert "sweep: 8 cells" in out
         for state in ("running", "cached", "resumed", "failed"):
             assert state in out
 
     def test_cli_top_openmetrics(self, eight_cell_sweep, capsys):
-        hb_dir, _, _ = eight_cell_sweep
-        assert cli_main(["top", hb_dir, "--openmetrics"]) == 0
+        directory, _, _ = eight_cell_sweep
+        assert cli_main(["top", directory, "--openmetrics"]) == 0
         out = capsys.readouterr().out
         _validate_openmetrics(out)
         assert 'state="resumed"' in out and 'state="running"' in out
@@ -586,7 +530,7 @@ class TestOpenMetrics:
             "state": "running", "progress": 0.5, "epoch": 3,
             "accesses": 10, "accesses_per_sec": 2.5, "resumed": True,
         }]
-        _validate_openmetrics(sweep_exposition(cells))
+        _validate_openmetrics(service_exposition({"cells": cells}))
 
     def test_counters_exposition_from_real_run(self):
         spec = _spec()

@@ -32,7 +32,6 @@ from repro.service import (
     queue_path,
     start_server,
     worker_main,
-    write_service_manifest,
 )
 from repro.service.worker import _LeaseRenewer, LeaseLost
 from repro.sim import cache as result_cache
@@ -157,6 +156,35 @@ class TestJobQueue:
         assert jobs[0].lease_owner == "w1"
         assert jobs[0].spec() == _spec(seed=39)
 
+    def test_claims_follow_enqueue_order(self, tmp_path):
+        queue = JobQueue(queue_path(str(tmp_path / "svc")))
+        specs = [_spec(seed=s) for s in (9, 3, 7, 1)]
+        queue.enqueue(specs, cache=None, now=100.0)
+        claimed = [queue.claim("w1", lease_s=5.0, now=101.0).spec()
+                   for _ in specs]
+        assert claimed == specs
+        assert [job.spec() for job in queue.jobs()] == specs
+
+    def test_release_requeues_a_dead_workers_jobs(self, tmp_path):
+        queue = JobQueue(queue_path(str(tmp_path / "svc")))
+        queue.enqueue([_spec(seed=s) for s in (45, 46)], cache=None)
+        dead = queue.claim("w1", lease_s=600.0, now=100.0)
+        live = queue.claim("w2", lease_s=600.0, now=100.0)
+        # No waiting for the lease: the job re-queues at once, as one
+        # expiration and no burned attempt.
+        assert queue.release("w1", now=101.0) == 1
+        job = queue.job(dead.key)
+        assert job.state == QUEUED and job.lease_owner is None
+        assert job.expirations == 1 and job.attempts == 0
+        assert queue.job(live.key).state == RUNNING  # others untouched
+        assert queue.release("w1") == 0
+        # Past its expiration budget a job fails instead of re-queueing.
+        queue.claim("w3", lease_s=600.0, now=102.0)
+        assert queue.release("w3", max_expirations=1, now=103.0) == 1
+        job = queue.job(dead.key)
+        assert job.state == FAILED and job.expirations == 2
+        assert job.error == "worker process died"
+
     def test_queue_sustains_thousands_of_cells(self, tmp_path):
         """Enqueue scale check: thousands of rows, fast claims."""
         queue = JobQueue(queue_path(str(tmp_path / "svc")))
@@ -205,7 +233,7 @@ class TestWorker:
         for spec in specs:
             assert _canon(cache.get(spec)) == _canon(spec.execute())
         # Heartbeats streamed into the service's hb dir.
-        _, cells = read_heartbeats(heartbeat_dir(d))
+        cells = read_heartbeats(heartbeat_dir(d))
         assert sorted(c["state"] for c in cells) == ["done", "done"]
 
     def test_commit_point_recovery_completes_from_cache(self, tmp_path):
@@ -246,7 +274,7 @@ class TestWorker:
         job = queue.jobs()[0]
         assert job.state == FAILED and job.attempts == 2
         assert "no_such_option" in (job.error or "")
-        _, cells = read_heartbeats(heartbeat_dir(d))
+        cells = read_heartbeats(heartbeat_dir(d))
         assert cells and cells[0]["state"] == "failed"
 
 
@@ -259,7 +287,6 @@ class TestServer:
         d = str(tmp_path / "svc")
         queue = JobQueue(queue_path(d))
         queue.enqueue([_spec(seed=51), _spec(seed=52)])
-        write_service_manifest(queue, d)
         Worker(d, lease_s=30.0, poll_s=0.05, drain=True).run()
         return d
 
@@ -285,7 +312,9 @@ class TestServer:
         payload = json.loads(body)
         assert payload["jobs"]["done"] == 2 and payload["drained"]
         assert len(payload["cells"]) == 2
-        assert len(payload["heartbeats"]) == 2
+        # Each cell is its queue row over its worker's progress record.
+        assert all(c["state"] == "done" and c["accesses"] > 0
+                   for c in payload["cells"])
 
     def test_metrics_grammar(self, served):
         status, ctype, body = self._get(served + "/metrics")
@@ -296,10 +325,10 @@ class TestServer:
 
     def test_dashboards(self, served):
         status, _, body = self._get(served + "/ascii")
-        assert status == 200 and "service: 2 jobs" in body
+        assert status == 200 and "queue: 2 jobs" in body
         status, ctype, body = self._get(served + "/")
         assert status == 200 and ctype.startswith("text/html")
-        assert "service: 2 jobs" in body
+        assert "queue: 2 jobs" in body
 
     def test_unknown_path_404(self, served):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -333,7 +362,7 @@ class TestServiceCli:
         assert "2 done" in capsys.readouterr().out
         assert cli_main(["service", "status", d]) == 0
         out = capsys.readouterr().out
-        assert "service: 2 jobs" in out and "2 done" in out
+        assert "queue: 2 jobs" in out and "2 done" in out
         assert cli_main(["service", "drain", d, "--timeout", "5"]) == 0
         assert "drained" in capsys.readouterr().out
         assert cli_main(["service", "status", d, "--json"]) == 0
@@ -412,8 +441,7 @@ class TestServiceChaos:
                 for job in q.jobs(RUNNING):
                     if job.lease_owner != "victim":
                         continue
-                    _, cells = read_heartbeats(heartbeat_dir(d))
-                    for cell in cells:
+                    for cell in read_heartbeats(heartbeat_dir(d)):
                         if cell.get("key") == job.key[:16] and \
                                 cell.get("last_checkpoint_epoch") is not None:
                             return job.key
@@ -452,3 +480,79 @@ class TestServiceChaos:
 
         # The status CLI agrees and exits clean.
         assert cli_main(["service", "status", d]) == 0
+
+    def test_sigkill_in_run_sweep_costs_one_expiry(self, tmp_path):
+        """run_sweep on 2 workers, SIGKILL one mid-job: only the killed
+        cell is affected -- its lease is released at once, a replacement
+        worker resumes it from its checkpoint -- and every outcome is
+        bit-identical to serial execution."""
+        from repro.obs.heartbeat import HeartbeatConfig
+        from repro.sim.sweep import run_sweep
+
+        d = str(tmp_path / "sweep")
+        report = str(tmp_path / "killed")
+        specs = [
+            _spec(workload=w, policy=p, seed=s, max_accesses=None,
+                  scale=MEDIUM_SCALE)
+            for (w, p), s in zip(
+                [("silo", "memtis"), ("graph500", "memtis"),
+                 ("silo", "tiering-0.8"), ("graph500", "tiering-0.8")],
+                (81, 82, 83, 84),
+            )
+        ]
+        # The killer polls the queue from its own process: the sweep
+        # forks its workers, and a thread of this process inside SQLite
+        # at fork time would hand a worker a held lock.
+        killer = multiprocessing.Process(
+            target=_kill_a_checkpointed_sweep_worker, args=(d, report))
+        killer.start()
+        outcomes = run_sweep(specs, jobs=2,
+                             heartbeat=HeartbeatConfig(d, min_interval_s=0.0))
+        killer.join(timeout=60)
+        assert killer.exitcode == 0
+        assert os.path.exists(report), "no worker ever held a checkpointed job"
+        with open(report) as fh:
+            killed = fh.read()
+
+        assert all(o.ok for o in outcomes.values()), \
+            [(o.spec.label(), o.error) for o in outcomes.values()]
+        with JobQueue(queue_path(d)) as queue:
+            job = queue.job(killed)
+            # The dead worker too: the directory is free for the next sweep.
+            assert {w["state"] for w in queue.workers()} == {"stopped"}
+        assert job.state == DONE
+        assert job.expirations == 1, "a kill is one lease expiry"
+        assert job.attempts == 0, "a kill is not a burned attempt"
+        assert job.claims == 2 and job.resumed
+        victim_spec = next(s for s in specs if s.cache_key() == killed)
+        assert outcomes[victim_spec].resumed
+        assert outcomes[victim_spec].attempts == 2
+        for spec in specs:
+            assert _canon(outcomes[spec].result) == _canon(spec.execute()), \
+                spec.label()
+
+
+def _kill_a_checkpointed_sweep_worker(directory: str, report: str) -> None:
+    """SIGKILL the worker of the first running job that has taken a
+    checkpoint; write that job's key to ``report``."""
+
+    def victim():
+        if not os.path.exists(queue_path(directory)):
+            return None
+        with JobQueue(queue_path(directory)) as q:
+            pids = {w["worker_id"]: w["pid"] for w in q.workers()}
+            running = q.jobs(RUNNING)
+        checkpointed = {
+            record["key"]
+            for record in read_heartbeats(heartbeat_dir(directory))
+            if record.get("last_checkpoint_epoch") is not None}
+        for job in running:
+            if job.key[:16] in checkpointed and job.lease_owner in pids:
+                return job.key, pids[job.lease_owner]
+        return None
+
+    found = _await(victim, timeout_s=60.0)
+    if found is not None:
+        os.kill(found[1], signal.SIGKILL)
+        with open(report, "w") as fh:
+            fh.write(found[0])

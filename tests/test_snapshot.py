@@ -240,12 +240,12 @@ class TestSweepResume:
         original_execute = RunSpec.execute
 
         def chaotic_execute(self, obs=None, faults=None,
-                            snapshots=snapshot.DEFAULT):
+                            snapshots=snapshot.DEFAULT, **kwargs):
             executed.append(self)
             if not self.resume:
                 faults = FaultInjector(FaultConfig(kill_at_epoch=1, seed=3))
             return original_execute(
-                self, obs=obs, faults=faults, snapshots=snapshots
+                self, obs=obs, faults=faults, snapshots=snapshots, **kwargs
             )
 
         monkeypatch.setattr(RunSpec, "execute", chaotic_execute)
@@ -270,12 +270,12 @@ class TestSweepResume:
         original_execute = RunSpec.execute
 
         def flaky_execute(self, obs=None, faults=None,
-                          snapshots=snapshot.DEFAULT):
+                          snapshots=snapshot.DEFAULT, **kwargs):
             calls.append(self)
             if len(calls) == 1:
                 raise ValueError("transient")
             return original_execute(
-                self, obs=obs, faults=faults, snapshots=snapshots
+                self, obs=obs, faults=faults, snapshots=snapshots, **kwargs
             )
 
         monkeypatch.setattr(RunSpec, "execute", flaky_execute)

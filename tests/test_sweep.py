@@ -1,12 +1,16 @@
 """The sweep executor, result cache, and the RunSpec API."""
 
 import json
+import os
 import pickle
 
 import pytest
 
 from repro.experiments.common import SMOKE_SCALE, run_grid
+from repro.obs.heartbeat import HeartbeatConfig
+from repro.service import JobQueue, QueueBusy, queue_path
 from repro.sim import cache as result_cache
+from repro.sim import sweep
 from repro.sim.cache import ResultCache
 from repro.sim.engine import json_safe
 from repro.sim.machine import ScaleSpec
@@ -218,6 +222,62 @@ class TestSweep:
         events.clear()
         run_sweep(specs[:1], jobs=1, cache=cache, progress=events.append)
         assert [e.status for e in events] == ["cached"]
+
+    def test_parallel_sweep_writes_the_callers_cache_itself(self, tmp_path):
+        """Workers never see the caller's cache object: a cache whose
+        ``put`` is an instance-level closure (unpicklable, and counting
+        calls in this process only) still receives every result."""
+        cache = ResultCache(tmp_path / "c")
+        puts = []
+        put = cache.put
+
+        def counted_put(spec, result):
+            puts.append((os.getpid(), spec))
+            put(spec, result)
+
+        cache.put = counted_put
+        specs = [_spec(seed=s) for s in (1, 2, 3)]
+        out = run_sweep(specs, jobs=2, cache=cache)
+        assert all(o.ok and not o.from_cache for o in out.values())
+        assert sorted(spec.seed for _, spec in puts) == [1, 2, 3]
+        assert {pid for pid, _ in puts} == {os.getpid()}
+        again = run_sweep(specs, jobs=2, cache=cache)
+        assert all(o.from_cache for o in again.values())
+
+    def test_no_heartbeat_writes_no_progress_records(self, monkeypatch):
+        def unwanted(*args, **kwargs):
+            raise AssertionError("progress record written")
+
+        monkeypatch.setattr(sweep, "HeartbeatWriter", unwanted)
+        out = run_sweep([_spec()], jobs=1, cache=None)
+        assert out[_spec()].ok
+
+    def test_heartbeat_dir_in_use_is_refused(self, tmp_path):
+        """A sweep never drops live rows from a queue it shares: not a
+        service's submitted jobs, nor an idle live worker's."""
+        d = str(tmp_path / "svc")
+        with JobQueue(queue_path(d)) as queue:
+            queue.enqueue([_spec(seed=7)], cache=None)
+        with pytest.raises(QueueBusy, match="1 live job"):
+            run_sweep([_spec()], jobs=1, cache=None,
+                      heartbeat=HeartbeatConfig(d))
+        with JobQueue(queue_path(d)) as queue:
+            assert [job.spec() for job in queue.jobs()] == [_spec(seed=7)]
+            queue.claim("w1", lease_s=600.0)
+            queue.complete(queue.jobs()[0].key, "w1")
+            queue.register_worker("w1")
+        with pytest.raises(QueueBusy, match="1 live worker"):
+            run_sweep([_spec()], jobs=1, cache=None,
+                      heartbeat=HeartbeatConfig(d))
+        with JobQueue(queue_path(d)) as queue:
+            queue.worker_beat("w1", "stopped")
+        # Nothing live is left: the sweep takes the file over.
+        out = run_sweep([_spec()], jobs=1, cache=None,
+                        heartbeat=HeartbeatConfig(d))
+        assert out[_spec()].ok
+        with JobQueue(queue_path(d)) as queue:
+            assert [job.spec() for job in queue.jobs()] == [_spec()]
+            assert [w["worker_id"] for w in queue.workers()] != ["w1"]
 
 
 @pytest.mark.slow
