@@ -15,16 +15,15 @@ import argparse
 
 import numpy as np
 
+from repro import RunSpec, normalized_performance
 from repro.analysis.tables import format_table
 from repro.mem.pages import BASE_PAGE_SIZE, HUGE_PAGE_SIZE
-from repro.mem.tiers import TierKind
+from repro.mem.tiers import FASTEST_TIER
 from repro.pebs.sampler import SamplerConfig
 from repro.policies.base import BatchObservation, TieringPolicy, Traits
 from repro.sim.engine import Simulation
 from repro.sim.machine import DEFAULT_SCALE, MachineSpec, ScaleSpec
-from repro.sim.runner import run_baseline, normalized_performance
 from repro.workloads.registry import make_workload
-from repro.policies.registry import make_policy
 
 QUICK_SCALE = ScaleSpec(
     bytes_per_paper_gb=1024 * 1024,
@@ -37,8 +36,10 @@ QUICK_SCALE = ScaleSpec(
 class FrequencyThresholdPolicy(TieringPolicy):
     """Promote any page sampled ``hot_after`` times; demote the coldest.
 
-    Deliberately simple: a static threshold, exactly the design the
-    paper argues against -- compare its hit ratio with MEMTIS's.
+    Tiers are plain indices: pages move between ``FASTEST_TIER`` and the
+    tier below it (``tiers.demote_target``).  Deliberately simple: a
+    static threshold, exactly the design the paper argues against --
+    compare its hit ratio with MEMTIS's.
     """
 
     name = "freq-threshold"
@@ -77,7 +78,7 @@ class FrequencyThresholdPolicy(TieringPolicy):
         np.add.at(self._count, heads, 1)
         hot = heads[self._count[heads] >= self.hot_after]
         for vpn in np.unique(hot).tolist():
-            if space.page_tier[vpn] == int(TierKind.CAPACITY):
+            if space.page_tier[vpn] > FASTEST_TIER:
                 self._pending.add(int(vpn))
         return 0.0  # background-only, like MEMTIS
 
@@ -87,19 +88,20 @@ class FrequencyThresholdPolicy(TieringPolicy):
         self._next_tick = now_ns + self.period_ns
         space, tiers = self.ctx.space, self.ctx.tiers
         for vpn in sorted(self._pending):
-            if space.page_tier[vpn] != int(TierKind.CAPACITY):
+            if space.page_tier[vpn] <= FASTEST_TIER:
                 continue
             nbytes = HUGE_PAGE_SIZE if space.page_huge[vpn] else BASE_PAGE_SIZE
             if not tiers.fast.can_alloc(nbytes):
                 self._demote_coldest(nbytes)
             if not tiers.fast.can_alloc(nbytes):
                 break
-            self.ctx.migrator.migrate_page(vpn, TierKind.FAST, critical=False)
+            self.ctx.migrator.migrate_page(vpn, FASTEST_TIER, critical=False)
         self._pending.clear()
 
     def _demote_coldest(self, nbytes_needed: int) -> None:
-        space = self.ctx.space
-        fast = np.flatnonzero(space.page_tier == int(TierKind.FAST))
+        space, tiers = self.ctx.space, self.ctx.tiers
+        target = tiers.demote_target(FASTEST_TIER)
+        fast = np.flatnonzero(space.page_tier == FASTEST_TIER)
         if not len(fast):
             return
         heads = np.unique(np.where(space.page_huge[fast], (fast >> 9) << 9, fast))
@@ -109,7 +111,7 @@ class FrequencyThresholdPolicy(TieringPolicy):
             if freed >= nbytes_needed:
                 break
             nbytes = HUGE_PAGE_SIZE if space.page_huge[vpn] else BASE_PAGE_SIZE
-            self.ctx.migrator.migrate_page(vpn, TierKind.CAPACITY, critical=False)
+            self.ctx.migrator.migrate_page(vpn, target, critical=False)
             freed += nbytes
 
     def on_unmap(self, base_vpn, num_vpns):
@@ -124,16 +126,21 @@ def main() -> None:
     args = parser.parse_args()
     scale = QUICK_SCALE if args.quick else DEFAULT_SCALE
 
-    baseline = run_baseline(args.workload, ratio="1:8", scale=scale)
+    # Registered policies run as RunSpecs (cached); a policy object outside
+    # the registry drives a Simulation on the same machine directly.
+    memtis = RunSpec(args.workload, "memtis", ratio="1:8", scale=scale)
+    baseline = memtis.baseline_spec().run()
+    workload = make_workload(args.workload, scale)
+    machine = MachineSpec.from_ratio(workload.total_bytes, ratio="1:8")
     rows = []
-    for label, policy in [
-        ("freq-threshold (custom)", FrequencyThresholdPolicy()),
-        ("memtis", make_policy("memtis")),
+    for label, run in [
+        ("freq-threshold (custom)",
+         lambda: Simulation(workload, FrequencyThresholdPolicy(),
+                            machine).run()),
+        ("memtis", memtis.run),
     ]:
         print(f"running {label} ...")
-        workload = make_workload(args.workload, scale)
-        machine = MachineSpec.from_ratio(workload.total_bytes, ratio="1:8")
-        result = Simulation(workload, policy, machine).run()
+        result = run()
         rows.append([label, normalized_performance(result, baseline),
                      f"{result.fast_hit_ratio * 100:.1f}%",
                      result.migration.traffic_bytes / 1e6])

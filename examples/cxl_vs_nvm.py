@@ -16,9 +16,10 @@ Usage::
 
 import argparse
 
+from repro import RunSpec, normalized_performance, run_sweep
 from repro.analysis.tables import format_table
 from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
-from repro.sim.runner import run_baseline, run_experiment, normalized_performance
+from repro.sim.sweep import raise_failures
 
 QUICK_SCALE = ScaleSpec(
     bytes_per_paper_gb=1024 * 1024,
@@ -28,6 +29,8 @@ QUICK_SCALE = ScaleSpec(
 )
 
 WORKLOADS = ["xsbench", "silo", "btree"]
+KINDS = ["nvm", "cxl"]
+POLICIES = ["tpp", "memtis"]
 
 
 def main() -> None:
@@ -37,18 +40,31 @@ def main() -> None:
     args = parser.parse_args()
     scale = QUICK_SCALE if args.quick else DEFAULT_SCALE
 
+    specs = {
+        (workload, kind, policy): RunSpec(workload, policy, ratio=args.ratio,
+                                          capacity_kind=kind, scale=scale)
+        for workload in WORKLOADS for kind in KINDS for policy in POLICIES
+    }
+    # Each spec's all-capacity baseline of its own kind; run_sweep runs
+    # each distinct baseline once.
+    outcomes = run_sweep(
+        [spec.baseline_spec() for spec in specs.values()]
+        + list(specs.values()),
+        progress=lambda event: print(f"  {event.message}"),
+    )
+    raise_failures(outcomes)
+
     rows = []
     for workload in WORKLOADS:
         row = [workload]
-        for kind in ("nvm", "cxl"):
-            print(f"running {workload} on {kind} ...")
-            baseline = run_baseline(workload, ratio=args.ratio,
-                                    capacity_kind=kind, scale=scale)
+        for kind in KINDS:
             cell = {}
-            for policy in ("tpp", "memtis"):
-                result = run_experiment(workload, policy, ratio=args.ratio,
-                                        capacity_kind=kind, scale=scale)
-                cell[policy] = normalized_performance(result, baseline)
+            for policy in POLICIES:
+                spec = specs[(workload, kind, policy)]
+                cell[policy] = normalized_performance(
+                    outcomes[spec].result,
+                    outcomes[spec.baseline_spec()].result,
+                )
             row.extend([cell["tpp"], cell["memtis"],
                         f"{(cell['memtis'] / cell['tpp'] - 1) * 100:+.1f}%"])
         rows.append(row)

@@ -13,9 +13,9 @@ Usage::
 
 import argparse
 
+from repro import RunSpec
 from repro.analysis.ascii import timeline_chart
 from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
-from repro.sim.runner import run_experiment
 
 QUICK_SCALE = ScaleSpec(
     bytes_per_paper_gb=1024 * 1024,
@@ -34,8 +34,8 @@ def main() -> None:
     scale = QUICK_SCALE if args.quick else DEFAULT_SCALE
 
     print(f"running memtis on {args.workload} @ {args.ratio} ...\n")
-    result = run_experiment(args.workload, "memtis", ratio=args.ratio,
-                            scale=scale)
+    result = RunSpec(args.workload, "memtis", ratio=args.ratio,
+                     scale=scale).run()
     timeline = result.metrics.timeline
     times = [p.now_ns / 1e9 for p in timeline]
     fast_mb = result.machine.fast_bytes / 1e6

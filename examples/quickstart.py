@@ -13,10 +13,11 @@ Usage::
 
 import argparse
 
+from repro import RunSpec, normalized_performance, run_sweep
 from repro.analysis.ascii import bar_chart
 from repro.analysis.tables import format_table
 from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
-from repro.sim.runner import run_baseline, run_experiment, normalized_performance
+from repro.sim.sweep import raise_failures
 
 QUICK_SCALE = ScaleSpec(
     bytes_per_paper_gb=1024 * 1024,
@@ -40,15 +41,21 @@ def main() -> None:
     scale = QUICK_SCALE if args.quick else DEFAULT_SCALE
     print(f"workload={args.workload}  ratio={args.ratio} (DRAM:NVM)\n")
 
-    print("running all-NVM baseline ...")
-    baseline = run_baseline(args.workload, ratio=args.ratio, scale=scale)
+    specs = {policy: RunSpec(args.workload, policy, ratio=args.ratio,
+                             scale=scale)
+             for policy in POLICIES}
+    # One sweep: the shared all-NVM baseline plus every policy, cached and
+    # fanned out over $REPRO_JOBS workers.
+    baseline_spec = specs["memtis"].baseline_spec()
+    outcomes = run_sweep([baseline_spec, *specs.values()],
+                         progress=lambda event: print(f"  {event.message}"))
+    raise_failures(outcomes)
+    baseline = outcomes[baseline_spec].result
 
     rows = []
     normalized = {}
-    for policy in POLICIES:
-        print(f"running {policy} ...")
-        result = run_experiment(args.workload, policy, ratio=args.ratio,
-                                scale=scale)
+    for policy, spec in specs.items():
+        result = outcomes[spec].result
         normalized[policy] = normalized_performance(result, baseline)
         rows.append([
             policy,

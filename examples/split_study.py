@@ -19,11 +19,11 @@ import argparse
 
 import numpy as np
 
+from repro import RunSpec
 from repro.analysis.tables import format_table
 from repro.core.split import skewness_factors, utilization_factors
 from repro.mem.pages import SUBPAGES_PER_HUGE, hpn_to_vpn
 from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
-from repro.sim.runner import build_simulation
 
 QUICK_SCALE = ScaleSpec(
     bytes_per_paper_gb=1024 * 1024,
@@ -34,7 +34,9 @@ QUICK_SCALE = ScaleSpec(
 
 
 def study(workload_name: str, scale) -> list:
-    sim = build_simulation(workload_name, "memtis", ratio="1:8", scale=scale)
+    # build() rather than run(): the study inspects the live simulation's
+    # policy state afterwards, which a cached result does not carry.
+    sim = RunSpec(workload_name, "memtis", ratio="1:8", scale=scale).build()
     result = sim.run()
     ks = sim.policy.ksampled
 

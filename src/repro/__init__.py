@@ -8,20 +8,21 @@ highly skewed so only the hot subpages occupy fast memory.
 
 Quick start::
 
-    from repro import run_normalized
+    from repro import RunSpec, normalized_performance
 
-    out = run_normalized("silo", "memtis", ratio="1:8")
-    print(out["normalized"])           # speedup vs the all-NVM baseline
-    print(out["result"].fast_hit_ratio)
+    spec = RunSpec("silo", "memtis", ratio="1:8")
+    result = spec.run()
+    baseline = spec.baseline_spec().run()
+    print(normalized_performance(result, baseline))  # vs all-NVM
+    print(result.fast_hit_ratio)
 
 Public surface:
 
 * :class:`repro.sim.runner.RunSpec` -- frozen, hashable description of
   one run: ``spec.run()`` executes it with persistent result caching,
   :func:`repro.sim.sweep.run_sweep` fans many specs out over worker
-  processes;
-* :func:`repro.sim.runner.run_experiment` / :func:`run_normalized` --
-  one-call experiments by workload/policy name (thin RunSpec wrappers);
+  processes, and :func:`normalized_performance` scores a result against
+  ``spec.baseline_spec()``;
 * :class:`repro.sim.engine.Simulation` -- the engine, for custom setups;
 * :class:`repro.core.MemtisPolicy` and :mod:`repro.policies` -- MEMTIS
   and the six baselines;
@@ -38,8 +39,7 @@ from repro.sim import (
     ScaleSpec,
     SimResult,
     Simulation,
-    run_experiment,
-    run_normalized,
+    normalized_performance,
     run_sweep,
 )
 from repro.workloads import make_workload, workload_names
@@ -57,8 +57,7 @@ __all__ = [
     "ScaleSpec",
     "SimResult",
     "Simulation",
-    "run_experiment",
-    "run_normalized",
+    "normalized_performance",
     "run_sweep",
     "make_workload",
     "workload_names",

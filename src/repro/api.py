@@ -2,18 +2,18 @@
 
 Everything a driver script, notebook or downstream experiment should
 need is re-exported here; anything *not* in ``__all__`` is internal and
-may change without notice.  The N-tier machine model (PR 6) is the
-canonical surface:
+may change without notice.
 
 * machines are built from an ordered list of :class:`TierSpec`s
   (``MachineSpec.from_tiers``, ``MachineSpec.from_preset``) or from the
-  paper's two-tier ratio shorthand (``MachineSpec.from_ratio``);
-* tiers are addressed by integer index (0 = fastest) with
+  paper's two-tier ratio shorthand (``MachineSpec.from_ratio``), and
+  collapse to one tier with ``collapse_to_slowest()`` /
+  ``collapse_to_fastest()``;
+* tiers are plain integer indices (``FASTEST_TIER`` = 0) with
   ``promote_target(i)`` / ``demote_target(i)`` neighbour addressing;
-* the old binary surface (``TierKind.other``,
-  ``MachineSpec.all_fast/all_capacity``) survives as thin
-  ``DeprecationWarning`` shims over the N-tier forms -- see
-  :mod:`repro.mem.tiers` and :mod:`repro.sim.machine`.
+* a run is a :class:`RunSpec`: ``spec.run()`` for one, ``run_sweep``
+  for many (cached, parallel), and ``normalized_performance`` against
+  ``spec.baseline_spec()`` for the paper's normalisation.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from repro.mem.tiers import (
     TIER_UNMAPPED,
     UNMAPPED_LABEL,
     TieredMemory,
-    TierIndex,
-    TierKind,
     TierSpec,
     cxl_spec,
     dram_spec,
@@ -35,13 +33,7 @@ from repro.mem.tiers import (
 from repro.policies.registry import make_policy, policy_names
 from repro.sim.engine import SimResult, Simulation
 from repro.sim.machine import MACHINE_PRESETS, MachineSpec, ScaleSpec
-from repro.sim.runner import (
-    RunSpec,
-    normalized_performance,
-    run_baseline,
-    run_experiment,
-    run_normalized,
-)
+from repro.sim.runner import RunSpec, normalized_performance
 from repro.service import (
     EnqueueReport,
     Job,
@@ -59,8 +51,6 @@ __all__ = [
     "FASTEST_TIER",
     "TIER_UNMAPPED",
     "UNMAPPED_LABEL",
-    "TierIndex",
-    "TierKind",
     "TierSpec",
     "TieredMemory",
     "tier_label",
@@ -87,9 +77,6 @@ __all__ = [
     "worker_main",
     "build_status",
     "start_server",
-    "run_experiment",
-    "run_baseline",
-    "run_normalized",
     "normalized_performance",
     # registries
     "make_policy",

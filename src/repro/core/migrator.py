@@ -312,7 +312,7 @@ class KMigrated:
         n = num_splits(
             benefit=benefit,
             latency_fast_ns=tiers.fast.spec.load_latency_ns,
-            latency_cap_ns=tiers.capacity.spec.load_latency_ns,
+            latency_cap_ns=tiers.slowest.spec.load_latency_ns,
             nr_samples=nr_samples,
             avg_samples_hp=avg_samples_hp,
             beta=self.config.split_beta,

@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.config import MemtisConfig
 from repro.core.migrator import KMigrated
 from repro.core.sampler import KSampled
-from repro.mem.tiers import FASTEST_TIER, TierIndex
+from repro.mem.tiers import FASTEST_TIER
 from repro.pebs.sampler import SamplerConfig
 from repro.policies.base import BatchObservation, PolicyContext, TieringPolicy, Traits
 
@@ -71,7 +71,7 @@ class MemtisPolicy(TieringPolicy):
 
     # -- placement: fast tier whenever available (§4.2.1) ---------------------------
 
-    def choose_alloc_tier(self, nbytes: int) -> TierIndex:
+    def choose_alloc_tier(self, nbytes: int) -> int:
         return FASTEST_TIER  # per-chunk fallback spills down-tier
 
     def on_region_alloc(self, region) -> None:

@@ -27,7 +27,7 @@ def apply_execution_args(args) -> None:
     """Install ``--jobs``/``--cache-dir``/``--no-cache`` as process defaults.
 
     Every experiment module then picks them up through
-    ``run_grid``/``run_experiment`` without per-module plumbing.
+    ``run_sweep`` without per-module plumbing.
     """
     if getattr(args, "jobs", None):
         sweep.set_default_jobs(args.jobs)

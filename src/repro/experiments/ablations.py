@@ -21,9 +21,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.tables import format_table
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, run_specs
 from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
-from repro.sim.runner import run_experiment
+from repro.sim.runner import RunSpec
 
 VARIANTS = {
     "full": {},
@@ -46,16 +46,17 @@ def run(scale: Optional[ScaleSpec] = None, workloads=None, variants=None,
     scale = scale or DEFAULT_SCALE
     workloads = workloads or WORKLOADS
     variants = variants or list(VARIANTS)
+    specs = {
+        (name, variant): RunSpec(name, "memtis", ratio=RATIO, scale=scale,
+                                 policy_kwargs=VARIANTS[variant])
+        for name in workloads for variant in variants
+    }
+    results = run_specs(specs.values())
     rows = []
     data = {}
     for name in workloads:
-        runtimes = {}
-        for variant in variants:
-            result = run_experiment(
-                name, "memtis", ratio=RATIO, scale=scale,
-                policy_kwargs=VARIANTS[variant],
-            )
-            runtimes[variant] = result.runtime_ns
+        runtimes = {variant: results[specs[(name, variant)]].runtime_ns
+                    for variant in variants}
         full = runtimes.get("full") or list(runtimes.values())[0]
         normalized = {v: full / rt for v, rt in runtimes.items()}
         rows.append([name] + [normalized[v] for v in variants])

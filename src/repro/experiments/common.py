@@ -1,15 +1,15 @@
-"""Shared experiment scaffolding: results, grids, baseline caching."""
+"""Shared experiment scaffolding: results, sweeps, grids."""
 
 from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.sim import cache as result_cache
-from repro.sim.engine import json_safe
+from repro.sim.engine import SimResult, json_safe
 from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
-from repro.sim.runner import RunSpec, normalized_performance, run_baseline
+from repro.sim.runner import RunSpec, normalized_performance
 from repro.sim.sweep import run_sweep, raise_failures
 from repro.workloads.registry import PAPER_ORDER
 
@@ -56,23 +56,16 @@ class ExperimentResult:
             )
 
 
-class BaselineCache:
-    """Caches the all-capacity baselines shared across policies."""
+def run_specs(specs: Iterable[RunSpec]) -> Dict[RunSpec, SimResult]:
+    """Run every spec in one :func:`run_sweep`; return ``{spec: result}``.
 
-    def __init__(self, scale: ScaleSpec, capacity_kind: str = "nvm", seed: int = 42):
-        self.scale = scale
-        self.capacity_kind = capacity_kind
-        self.seed = seed
-        self._cache: Dict[Tuple[str, str], object] = {}
-
-    def get(self, workload: str, ratio: str):
-        key = (workload, ratio)
-        if key not in self._cache:
-            self._cache[key] = run_baseline(
-                workload, ratio=ratio, capacity_kind=self.capacity_kind,
-                scale=self.scale, seed=self.seed,
-            )
-        return self._cache[key]
+    The sweep deduplicates, serves cache hits and fans the rest out over
+    the ``--jobs``/``REPRO_JOBS`` workers; any failed cell raises
+    :class:`~repro.sim.sweep.SweepError`.
+    """
+    outcomes = run_sweep(specs)
+    raise_failures(outcomes)
+    return {spec: outcome.result for spec, outcome in outcomes.items()}
 
 
 def run_grid(

@@ -18,9 +18,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.tables import format_table
-from repro.experiments.common import ALL_WORKLOADS, BaselineCache, ExperimentResult
+from repro.experiments.common import ALL_WORKLOADS, ExperimentResult, run_specs
 from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
-from repro.sim.runner import run_experiment
+from repro.sim.runner import RunSpec, normalized_performance
 
 VARIANTS = {
     "vanilla": {"enable_split": False, "enable_warm_set": False},
@@ -33,18 +33,23 @@ RATIO = "1:8"
 def run(scale: Optional[ScaleSpec] = None, workloads=None, **_kwargs) -> ExperimentResult:
     scale = scale or DEFAULT_SCALE
     workloads = workloads or ALL_WORKLOADS
-    baselines = BaselineCache(scale)
+    specs = {
+        (name, variant): RunSpec(name, "memtis", ratio=RATIO, scale=scale,
+                                 policy_kwargs=overrides)
+        for name in workloads for variant, overrides in VARIANTS.items()
+    }
+    results = run_specs([spec.baseline_spec() for spec in specs.values()]
+                        + list(specs.values()))
     rows = []
     data = {}
     for name in workloads:
-        baseline = baselines.get(name, RATIO)
         cell = {}
-        for variant, overrides in VARIANTS.items():
-            result = run_experiment(
-                name, "memtis", ratio=RATIO, scale=scale, policy_kwargs=overrides
-            )
+        for variant in VARIANTS:
+            spec = specs[(name, variant)]
+            result = results[spec]
             cell[variant] = {
-                "normalized": baseline.runtime_ns / result.runtime_ns,
+                "normalized": normalized_performance(
+                    result, results[spec.baseline_spec()]),
                 "traffic": result.migration.traffic_bytes,
             }
         vanilla_traffic = max(1, cell["vanilla"]["traffic"])

@@ -14,9 +14,9 @@ from typing import Optional
 
 from repro.analysis.ascii import timeline_chart
 from repro.analysis.tables import format_table
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, run_specs
 from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
-from repro.sim.runner import run_experiment
+from repro.sim.runner import RunSpec
 
 WORKLOADS = ["silo", "btree"]
 POLICIES = ["memtis", "memtis-ns", "tiering-0.8"]
@@ -26,6 +26,9 @@ RATIO = "1:8"
 def run(scale: Optional[ScaleSpec] = None, workloads=None, **_kwargs) -> ExperimentResult:
     scale = scale or DEFAULT_SCALE
     workloads = workloads or WORKLOADS
+    specs = {(name, policy): RunSpec(name, policy, ratio=RATIO, scale=scale)
+             for name in workloads for policy in POLICIES}
+    results = run_specs(specs.values())
     charts = []
     rows = []
     data = {}
@@ -33,7 +36,7 @@ def run(scale: Optional[ScaleSpec] = None, workloads=None, **_kwargs) -> Experim
         series = {}
         rss = {}
         for policy in POLICIES:
-            result = run_experiment(name, policy, ratio=RATIO, scale=scale)
+            result = results[specs[(name, policy)]]
             timeline = result.metrics.timeline
             series[policy] = (
                 [p.now_ns / 1e9 for p in timeline],

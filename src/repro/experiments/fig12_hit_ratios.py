@@ -16,9 +16,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.tables import format_table
-from repro.experiments.common import ALL_WORKLOADS, ExperimentResult
+from repro.experiments.common import ALL_WORKLOADS, ExperimentResult, run_specs
 from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
-from repro.sim.runner import run_experiment
+from repro.sim.runner import RunSpec
 
 RATIO = "1:8"
 
@@ -26,11 +26,14 @@ RATIO = "1:8"
 def run(scale: Optional[ScaleSpec] = None, workloads=None, **_kwargs) -> ExperimentResult:
     scale = scale or DEFAULT_SCALE
     workloads = workloads or ALL_WORKLOADS
+    specs = {(name, policy): RunSpec(name, policy, ratio=RATIO, scale=scale)
+             for name in workloads for policy in ("memtis", "memtis-ns")}
+    results = run_specs(specs.values())
     rows = []
     data = {}
     for name in workloads:
-        with_split = run_experiment(name, "memtis", ratio=RATIO, scale=scale)
-        no_split = run_experiment(name, "memtis-ns", ratio=RATIO, scale=scale)
+        with_split = results[specs[(name, "memtis")]]
+        no_split = results[specs[(name, "memtis-ns")]]
         ehr = with_split.policy_stats.get("ehr", 0.0)
         rhr = with_split.fast_hit_ratio
         rhr_ns = no_split.fast_hit_ratio

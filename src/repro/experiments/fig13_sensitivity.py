@@ -13,9 +13,9 @@ from typing import Optional
 
 from repro.analysis.tables import format_table
 from repro.core.config import MemtisConfig
-from repro.experiments.common import ALL_WORKLOADS, ExperimentResult
+from repro.experiments.common import ALL_WORKLOADS, ExperimentResult, run_specs
 from repro.sim.machine import DEFAULT_SCALE, MachineSpec, ScaleSpec
-from repro.sim.runner import run_experiment
+from repro.sim.runner import RunSpec
 from repro.workloads.registry import make_workload
 
 MULTIPLIERS = [0.1, 0.5, 1.0, 2.0, 10.0]
@@ -37,28 +37,31 @@ def run(scale: Optional[ScaleSpec] = None, workloads=None, multipliers=None,
     workloads = workloads or ALL_WORKLOADS
     multipliers = multipliers or MULTIPLIERS
 
+    specs = {}
+    for name in workloads:
+        adapt_default, cool_default = _default_intervals(name, scale)
+        for mult in multipliers:
+            for sweep, overrides in (
+                ("adaptation", {"adaptation_interval_samples": max(
+                    64, int(adapt_default * mult))}),
+                ("cooling", {"cooling_interval_samples": max(
+                    128, int(cool_default * mult))}),
+            ):
+                specs[(sweep, name, mult)] = RunSpec(
+                    name, "memtis", ratio=RATIO, scale=scale,
+                    policy_kwargs=overrides,
+                )
+    results = run_specs(specs.values())
+
     sections = []
     data = {}
     for sweep in ("adaptation", "cooling"):
         rows = []
         for name in workloads:
-            adapt_default, cool_default = _default_intervals(name, scale)
-            runtimes = {}
-            for mult in multipliers:
-                overrides = {}
-                if sweep == "adaptation":
-                    overrides["adaptation_interval_samples"] = max(
-                        64, int(adapt_default * mult)
-                    )
-                else:
-                    overrides["cooling_interval_samples"] = max(
-                        128, int(cool_default * mult)
-                    )
-                result = run_experiment(
-                    name, "memtis", ratio=RATIO, scale=scale,
-                    policy_kwargs=overrides,
-                )
-                runtimes[mult] = result.runtime_ns
+            runtimes = {
+                mult: results[specs[(sweep, name, mult)]].runtime_ns
+                for mult in multipliers
+            }
             default_runtime = runtimes.get(1.0) or list(runtimes.values())[0]
             normalized = {m: default_runtime / rt for m, rt in runtimes.items()}
             rows.append([name] + [normalized[m] for m in multipliers])

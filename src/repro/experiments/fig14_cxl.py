@@ -20,9 +20,14 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.tables import format_table
-from repro.experiments.common import ALL_WORKLOADS, BaselineCache, ExperimentResult
+from repro.experiments.common import (
+    ALL_WORKLOADS,
+    ExperimentResult,
+    run_grid,
+    run_specs,
+)
 from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
-from repro.sim.runner import RunSpec, run_experiment
+from repro.sim.runner import RunSpec, normalized_performance
 
 POLICIES = ["tpp", "memtis"]
 RATIOS = ["1:2", "1:8", "1:16"]
@@ -37,19 +42,15 @@ def run(scale: Optional[ScaleSpec] = None, workloads=None, ratios=None,
     scale = scale or DEFAULT_SCALE
     workloads = workloads or ALL_WORKLOADS
     ratios = ratios or RATIOS
-    baselines = BaselineCache(scale, capacity_kind="cxl")
+    grid = run_grid(workloads, POLICIES, ratios, scale=scale,
+                    capacity_kind="cxl")
     rows = []
     data = {}
     for name in workloads:
         row = [name]
         for ratio in ratios:
-            baseline = baselines.get(name, ratio)
-            cell = {}
-            for policy in POLICIES:
-                result = run_experiment(
-                    name, policy, ratio=ratio, capacity_kind="cxl", scale=scale
-                )
-                cell[policy] = baseline.runtime_ns / result.runtime_ns
+            cell = {policy: grid[(name, policy, ratio)]["normalized"]
+                    for policy in POLICIES}
             gain = (cell["memtis"] / cell["tpp"] - 1) * 100
             row.extend([cell["tpp"], cell["memtis"], f"{gain:+.1f}%"])
             data[f"{name}|{ratio}"] = dict(cell, gain_pct=gain)
@@ -73,22 +74,23 @@ def run_three_tier(scale: Optional[ScaleSpec] = None, workloads=None,
     """
     scale = scale or DEFAULT_SCALE
     workloads = workloads or THREE_TIER_WORKLOADS
+    specs = {
+        (name, policy): RunSpec(name, policy, ratio=ratio, scale=scale,
+                                machine_preset=THREE_TIER_PRESET)
+        for name in workloads for policy in POLICIES
+    }
+    results = run_specs([spec.baseline_spec() for spec in specs.values()]
+                        + list(specs.values()))
     rows = []
     data = {}
     for name in workloads:
-        baseline = RunSpec(
-            name, "all-capacity", ratio=ratio, scale=scale,
-            machine_preset=THREE_TIER_PRESET,
-            machine_variant="all-capacity",
-        ).run()
         row = [name]
         cell = {}
         for policy in POLICIES:
-            result = RunSpec(
-                name, policy, ratio=ratio, scale=scale,
-                machine_preset=THREE_TIER_PRESET,
-            ).run()
-            cell[policy] = baseline.runtime_ns / result.runtime_ns
+            spec = specs[(name, policy)]
+            result = results[spec]
+            cell[policy] = normalized_performance(
+                result, results[spec.baseline_spec()])
             if policy == "memtis":
                 cell["cascade_pages"] = result.migration.cascade_pages
                 cell["cascade_bytes"] = result.migration.cascade_bytes

@@ -14,9 +14,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.ascii import timeline_chart
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, run_specs
 from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
-from repro.sim.runner import run_experiment
+from repro.sim.runner import RunSpec
 
 WORKLOADS = ["pagerank", "xsbench"]
 
@@ -25,10 +25,13 @@ def run(scale: Optional[ScaleSpec] = None, workloads=None, ratio: str = "1:2",
         **_kwargs) -> ExperimentResult:
     scale = scale or DEFAULT_SCALE
     workloads = workloads or WORKLOADS
+    specs = {name: RunSpec(name, "hemem", ratio=ratio, scale=scale)
+             for name in workloads}
+    results = run_specs(specs.values())
     charts = []
     data = {}
     for name in workloads:
-        result = run_experiment(name, "hemem", ratio=ratio, scale=scale)
+        result = results[specs[name]]
         times = [p.now_ns / 1e9 for p in result.metrics.timeline]
         hot_mb = [p.policy_stats.get("hot_bytes", 0.0) / 1e6
                   for p in result.metrics.timeline]

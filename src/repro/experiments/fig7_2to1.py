@@ -12,38 +12,41 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.tables import format_table
-from repro.experiments.common import ALL_WORKLOADS, BaselineCache, ExperimentResult
-from repro.policies.static import AllFastPolicy
-from repro.sim.engine import Simulation
-from repro.sim.machine import DEFAULT_SCALE, MachineSpec, ScaleSpec
-from repro.sim.runner import run_experiment
-from repro.workloads.registry import make_workload
+from repro.experiments.common import ALL_WORKLOADS, ExperimentResult, run_specs
+from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
+from repro.sim.runner import RunSpec, normalized_performance
 
 POLICIES = ["tpp", "memtis"]
+RATIO = "2:1"
+#: All-DRAM references: label -> force_base_pages (THP off).
+ALL_DRAM = {"all-dram+thp": False, "all-dram-thp": True}
 
 
 def run(scale: Optional[ScaleSpec] = None, workloads=None, **_kwargs) -> ExperimentResult:
     scale = scale or DEFAULT_SCALE
     workloads = workloads or ALL_WORKLOADS
-    baselines = BaselineCache(scale)
+    specs = {}
+    for name in workloads:
+        for policy in POLICIES:
+            specs[(name, policy)] = RunSpec(name, policy, ratio=RATIO,
+                                            scale=scale)
+        for label, force_base in ALL_DRAM.items():
+            specs[(name, label)] = RunSpec(
+                name, "all-fast", ratio=RATIO, scale=scale,
+                machine_variant="all-fast", force_base_pages=force_base,
+            )
+    baselines = {name: specs[(name, POLICIES[0])].baseline_spec()
+                 for name in workloads}
+    results = run_specs(list(baselines.values()) + list(specs.values()))
     rows = []
     data = {}
     for name in workloads:
-        baseline = baselines.get(name, "2:1")
-        cell = {}
-        for policy in POLICIES:
-            result = run_experiment(name, policy, ratio="2:1", scale=scale)
-            cell[policy] = baseline.runtime_ns / result.runtime_ns
-        # All-DRAM references.
-        for label, force_base in (("all-dram+thp", False), ("all-dram-thp", True)):
-            workload = make_workload(name, scale)
-            machine = MachineSpec.from_ratio(
-                workload.total_bytes, ratio="2:1"
-            ).collapse_to_fastest()
-            sim = Simulation(workload, AllFastPolicy(), machine,
-                             force_base_pages=force_base)
-            result = sim.run()
-            cell[label] = baseline.runtime_ns / result.runtime_ns
+        baseline = results[baselines[name]]
+        cell = {
+            label: normalized_performance(results[specs[(name, label)]],
+                                          baseline)
+            for label in POLICIES + list(ALL_DRAM)
+        }
         gap = (cell["memtis"] / cell["tpp"] - 1) * 100
         dram_ratio = cell["memtis"] / cell["all-dram+thp"]
         rows.append(

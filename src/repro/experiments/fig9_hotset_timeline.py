@@ -12,9 +12,9 @@ from typing import Optional
 
 from repro.analysis.ascii import timeline_chart
 from repro.analysis.tables import format_table
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, run_specs
 from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
-from repro.sim.runner import run_experiment
+from repro.sim.runner import RunSpec
 
 WORKLOADS = ["pagerank", "xsbench", "liblinear", "603.bwaves"]
 RATIOS = ["1:2", "1:8"]
@@ -25,12 +25,15 @@ def run(scale: Optional[ScaleSpec] = None, workloads=None, ratios=None,
     scale = scale or DEFAULT_SCALE
     workloads = workloads or WORKLOADS
     ratios = ratios or RATIOS
+    specs = {(name, ratio): RunSpec(name, "memtis", ratio=ratio, scale=scale)
+             for ratio in ratios for name in workloads}
+    results = run_specs(specs.values())
     charts = []
     rows = []
     data = {}
     for ratio in ratios:
         for name in workloads:
-            result = run_experiment(name, "memtis", ratio=ratio, scale=scale)
+            result = results[specs[(name, ratio)]]
             timeline = result.metrics.timeline
             times = [p.now_ns / 1e9 for p in timeline]
             hot = [p.policy_stats.get("hot_bytes", 0) / 1e6 for p in timeline]

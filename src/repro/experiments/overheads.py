@@ -16,9 +16,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.tables import format_table
-from repro.experiments.common import ALL_WORKLOADS, ExperimentResult
+from repro.experiments.common import ALL_WORKLOADS, ExperimentResult, run_specs
 from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
-from repro.sim.runner import run_experiment
+from repro.sim.runner import RunSpec
 
 RATIO = "1:8"
 
@@ -26,11 +26,14 @@ RATIO = "1:8"
 def run(scale: Optional[ScaleSpec] = None, workloads=None, **_kwargs) -> ExperimentResult:
     scale = scale or DEFAULT_SCALE
     workloads = workloads or ALL_WORKLOADS
+    specs = {name: RunSpec(name, "memtis", ratio=RATIO, scale=scale)
+             for name in workloads}
+    results = run_specs(specs.values())
     rows = []
     data = {}
     usages = []
     for name in workloads:
-        result = run_experiment(name, "memtis", ratio=RATIO, scale=scale)
+        result = results[specs[name]]
         mean_usage = result.policy_stats.get("ksampled_cpu_mean", 0.0)
         max_usage = result.policy_stats.get("ksampled_cpu_max", 0.0)
         load_period = result.sampler_stats.get("load_period", 0.0)

@@ -1,8 +1,9 @@
 """Table 2: benchmark characteristics (RSS, huge page ratio).
 
 Reports the paper's values alongside the *measured* scaled values: each
-workload is run briefly under the static all-capacity policy and its
-simulated RSS and THP ratio are read back from the address space.
+workload's all-capacity baseline run (static all-capacity policy, 1:2
+machine collapsed to its slowest tier) reports its simulated RSS and
+THP ratio.
 """
 
 from __future__ import annotations
@@ -10,11 +11,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.tables import format_table
-from repro.experiments.common import ALL_WORKLOADS, ExperimentResult
-from repro.policies.static import AllCapacityPolicy
-from repro.sim.engine import Simulation
-from repro.sim.machine import DEFAULT_SCALE, MachineSpec, ScaleSpec
-from repro.workloads.registry import WORKLOAD_REGISTRY, make_workload
+from repro.experiments.common import ALL_WORKLOADS, ExperimentResult, run_specs
+from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
+from repro.sim.runner import RunSpec
+from repro.workloads.registry import WORKLOAD_REGISTRY
 
 
 def run(scale: Optional[ScaleSpec] = None, workloads=None, **_kwargs) -> ExperimentResult:
@@ -28,14 +28,17 @@ def run(scale: Optional[ScaleSpec] = None, workloads=None, **_kwargs) -> Experim
         "Sim RHP",
         "Description",
     ]
+    specs = {
+        name: RunSpec(name, "all-capacity", ratio="1:2", scale=scale,
+                      machine_variant="all-capacity")
+        for name in workloads
+    }
+    results = run_specs(specs.values())
     rows = []
     data = {}
     for name in workloads:
         cls = WORKLOAD_REGISTRY[name]
-        workload = make_workload(name, scale)
-        machine = MachineSpec.from_ratio(workload.total_bytes, ratio="1:2")
-        sim = Simulation(workload, AllCapacityPolicy(), machine.collapse_to_slowest())
-        result = sim.run()
+        result = results[specs[name]]
         rows.append(
             [
                 name,

@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.tables import format_table
-from repro.experiments.common import ALL_WORKLOADS, ExperimentResult
+from repro.experiments.common import ALL_WORKLOADS, ExperimentResult, run_specs
 from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
-from repro.sim.runner import run_experiment
+from repro.sim.runner import RunSpec
 
 #: Paper Table 3 (MB).
 PAPER_OVERALLOC_MB = {
@@ -34,10 +34,13 @@ def run(scale: Optional[ScaleSpec] = None, workloads=None, **_kwargs) -> Experim
     workloads = workloads or ALL_WORKLOADS
     headers = ["Benchmark", "Paper over-alloc (MB)", "Sim over-alloc (MB)",
                "Sim share of RSS"]
+    specs = {name: RunSpec(name, "hemem", ratio="1:2", scale=scale)
+             for name in workloads}
+    results = run_specs(specs.values())
     rows = []
     data = {}
     for name in workloads:
-        result = run_experiment(name, "hemem", ratio="1:2", scale=scale)
+        result = results[specs[name]]
         over = result.policy_stats.get("overallocated_bytes", 0.0)
         share = over / result.final_rss_bytes if result.final_rss_bytes else 0.0
         rows.append(

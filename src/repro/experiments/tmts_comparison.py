@@ -16,12 +16,12 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.tables import format_table
-from repro.experiments.common import BaselineCache, ExperimentResult
+from repro.experiments.common import ExperimentResult, run_grid
 from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
-from repro.sim.runner import run_experiment
 
 WORKLOADS = ["xsbench", "silo", "btree", "654.roms"]
 RATIOS = ["2:1", "1:2", "1:8"]
+POLICIES = ["tmts", "memtis"]
 
 
 def run(scale: Optional[ScaleSpec] = None, workloads=None, ratios=None,
@@ -29,17 +29,14 @@ def run(scale: Optional[ScaleSpec] = None, workloads=None, ratios=None,
     scale = scale or DEFAULT_SCALE
     workloads = workloads or WORKLOADS
     ratios = ratios or RATIOS
-    baselines = BaselineCache(scale)
+    grid = run_grid(workloads, POLICIES, ratios, scale=scale)
     rows = []
     data = {}
     for name in workloads:
         row = [name]
         for ratio in ratios:
-            baseline = baselines.get(name, ratio)
-            cell = {}
-            for policy in ("tmts", "memtis"):
-                result = run_experiment(name, policy, ratio=ratio, scale=scale)
-                cell[policy] = baseline.runtime_ns / result.runtime_ns
+            cell = {policy: grid[(name, policy, ratio)]["normalized"]
+                    for policy in POLICIES}
             gap = (cell["memtis"] / cell["tmts"] - 1) * 100
             row.extend([cell["tmts"], cell["memtis"], f"{gap:+.1f}%"])
             data[f"{name}|{ratio}"] = dict(cell, gap_pct=gap)

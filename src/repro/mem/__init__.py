@@ -25,8 +25,6 @@ from repro.mem.tiers import (
     UNMAPPED_LABEL,
     MemoryTier,
     TieredMemory,
-    TierIndex,
-    TierKind,
     TierSpec,
     tier_label,
 )
@@ -46,9 +44,7 @@ __all__ = [
     "FASTEST_TIER",
     "TIER_UNMAPPED",
     "UNMAPPED_LABEL",
-    "TierIndex",
     "tier_label",
-    "TierKind",
     "TierSpec",
     "MemoryTier",
     "TieredMemory",

@@ -38,7 +38,6 @@ from repro.mem.tiers import (
     OutOfMemoryError,
     TIER_UNMAPPED,
     TieredMemory,
-    TierIndex,
     tier_label,
 )
 
@@ -64,7 +63,7 @@ class Region:
 
 
 #: Picks the preferred tier index for an allocation of the given size.
-TierChooser = Callable[[int], TierIndex]
+TierChooser = Callable[[int], int]
 
 
 class AddressSpace:
@@ -170,7 +169,7 @@ class AddressSpace:
         self._regions[region.region_id] = region
         return region
 
-    def _pick_tier(self, chooser: TierChooser, nbytes: int) -> TierIndex:
+    def _pick_tier(self, chooser: TierChooser, nbytes: int) -> int:
         preferred = chooser(nbytes)
         if self.tiers.tier(preferred).can_alloc(nbytes):
             return preferred
@@ -214,14 +213,14 @@ class AddressSpace:
 
     # -- low-level map/unmap -------------------------------------------------
 
-    def _map_huge(self, hpn: int, tier: TierIndex) -> None:
+    def _map_huge(self, hpn: int, tier: int) -> None:
         base = hpn_to_vpn(hpn)
         self.tiers.tier(tier).alloc(HUGE_PAGE_SIZE)
         self.page_table.map_huge(base, tier)
         self.page_tier[base : base + SUBPAGES_PER_HUGE] = int(tier)
         self.page_huge[base : base + SUBPAGES_PER_HUGE] = True
 
-    def _map_base(self, vpn: int, tier: TierIndex) -> None:
+    def _map_base(self, vpn: int, tier: int) -> None:
         self.tiers.tier(tier).alloc(BASE_PAGE_SIZE)
         self.page_table.map_base(vpn, tier)
         self.page_tier[vpn] = int(tier)
@@ -280,7 +279,7 @@ class AddressSpace:
         self.touched[vpns] = True
         self.ref_bit[vpns] = True
 
-    def demand_map(self, vpn: int, preferred: TierIndex) -> TierIndex:
+    def demand_map(self, vpn: int, preferred: int) -> int:
         """Map one base page on first touch (e.g. a subpage freed by a
         huge-page split being written again).  Returns the tier used.
         """
@@ -290,7 +289,7 @@ class AddressSpace:
         self._map_base(vpn, tier)
         return tier
 
-    def demand_map_many(self, vpns: np.ndarray, preferred: TierIndex) -> None:
+    def demand_map_many(self, vpns: np.ndarray, preferred: int) -> None:
         """Demand-map a batch of unmapped base pages (vectorized).
 
         Equivalent to calling :meth:`demand_map` per vpn in order: pages
@@ -335,7 +334,7 @@ class AddressSpace:
 
     # -- mapping mutations used by the migration engine ------------------------
 
-    def retarget(self, base_vpn: int, is_huge: bool, dst: TierIndex) -> int:
+    def retarget(self, base_vpn: int, is_huge: bool, dst: int) -> int:
         """Move one mapping to ``dst``; returns bytes moved.
 
         Caller is responsible for cost accounting (copy + shootdown).
@@ -355,7 +354,7 @@ class AddressSpace:
         return nbytes
 
     def retarget_many(
-        self, base_vpns: np.ndarray, is_huge: bool, dst: TierIndex
+        self, base_vpns: np.ndarray, is_huge: bool, dst: int
     ) -> int:
         """Move many same-shape mappings to ``dst``; returns pages moved.
 
@@ -423,7 +422,7 @@ class AddressSpace:
                 moved += BASE_PAGE_SIZE
         return {"bytes_freed": freed, "bytes_migrated": moved, "src_tier": src}
 
-    def collapse_huge(self, hpn: int, tier: TierIndex) -> int:
+    def collapse_huge(self, hpn: int, tier: int) -> int:
         """Coalesce 512 base subpages back into one huge page on ``tier``.
 
         Returns bytes migrated (subpages that changed tier).

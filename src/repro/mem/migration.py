@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.mem.address_space import AddressSpace
 from repro.mem.pages import BASE_PAGE_SIZE, HUGE_PAGE_SIZE, SUBPAGES_PER_HUGE, hpn_to_vpn
-from repro.mem.tiers import TierIndex
 from repro.mem.tlb import TLB
 
 
@@ -221,7 +220,7 @@ class MigrationEngine:
 
     # -- single-page moves ---------------------------------------------------
 
-    def migrate_base(self, vpn: int, dst: TierIndex, critical: bool = False,
+    def migrate_base(self, vpn: int, dst: int, critical: bool = False,
                      copy_free: bool = False) -> float:
         """Move one 4 KiB page to ``dst``; returns ns spent.
 
@@ -246,7 +245,7 @@ class MigrationEngine:
         self._account_move(0 if copy_free else BASE_PAGE_SIZE, src, int(dst))
         return ns_cascade + self._charge(ns, critical)
 
-    def migrate_huge(self, hpn: int, dst: TierIndex, critical: bool = False,
+    def migrate_huge(self, hpn: int, dst: int, critical: bool = False,
                      copy_free: bool = False) -> float:
         """Move one 2 MiB page to ``dst``; returns ns spent."""
         base = hpn_to_vpn(hpn)
@@ -267,7 +266,7 @@ class MigrationEngine:
         self._account_move(0 if copy_free else HUGE_PAGE_SIZE, src, int(dst))
         return ns_cascade + self._charge(ns, critical)
 
-    def migrate_page(self, vpn: int, dst: TierIndex, critical: bool = False,
+    def migrate_page(self, vpn: int, dst: int, critical: bool = False,
                      copy_free: bool = False) -> float:
         """Move whichever mapping covers ``vpn`` (dispatch on shape)."""
         if self.space.page_huge[vpn]:
@@ -279,7 +278,7 @@ class MigrationEngine:
     def split_huge(
         self,
         hpn: int,
-        subpage_tiers: Sequence[Optional[TierIndex]],
+        subpage_tiers: Sequence[Optional[int]],
         critical: bool = False,
     ) -> float:
         """Split ``hpn``; place/free each subpage per ``subpage_tiers``.
@@ -316,7 +315,7 @@ class MigrationEngine:
         self.stats.split_migrated_bytes += result["bytes_migrated"]
         return ns_cascade + self._charge(ns, critical)
 
-    def collapse_huge(self, hpn: int, dst: TierIndex, critical: bool = False) -> float:
+    def collapse_huge(self, hpn: int, dst: int, critical: bool = False) -> float:
         """Coalesce 512 base pages into a huge page on ``dst``.
 
         Only the subpages not already resident on ``dst`` need new
@@ -346,7 +345,7 @@ class MigrationEngine:
     # -- bulk helper used by background daemons --------------------------------
 
     def migrate_many(
-        self, vpns: np.ndarray, dst: TierIndex, critical: bool = False
+        self, vpns: np.ndarray, dst: int, critical: bool = False
     ) -> float:
         """Migrate a batch of page vpns to ``dst``; returns total ns.
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
 from repro.mem.pages import SUBPAGES_PER_HUGE
-from repro.mem.tiers import TierIndex
 
 RADIX_BITS = 9
 RADIX_MASK = (1 << RADIX_BITS) - 1
@@ -37,7 +36,7 @@ class Mapping:
     """
 
     vpn: int
-    tier: TierIndex
+    tier: int
     is_huge: bool
 
     @property
@@ -146,7 +145,7 @@ class PageTable:
 
     # -- updates -----------------------------------------------------------
 
-    def map_base(self, vpn: int, tier: TierIndex) -> Mapping:
+    def map_base(self, vpn: int, tier: int) -> Mapping:
         """Install a 4 KiB mapping.  The slot must be free."""
         pud_node = self._pmd_parent(vpn, create=True)
         _pgd, _pud, pmd, pte = self._indices(vpn)
@@ -163,7 +162,7 @@ class PageTable:
         self._mapped_vpns += 1
         return mapping
 
-    def map_huge(self, vpn: int, tier: TierIndex) -> Mapping:
+    def map_huge(self, vpn: int, tier: int) -> Mapping:
         """Install a 2 MiB mapping at a 2 MiB-aligned, fully free slot."""
         if vpn & (SUBPAGES_PER_HUGE - 1):
             raise ValueError(f"huge mapping vpn {vpn} not 2MiB aligned")
@@ -197,7 +196,7 @@ class PageTable:
         self._mapped_vpns -= 1
         return mapping
 
-    def set_tier(self, vpn: int, tier: TierIndex) -> Mapping:
+    def set_tier(self, vpn: int, tier: int) -> Mapping:
         """Retarget the mapping covering ``vpn`` to another tier."""
         mapping = self.lookup(vpn)
         if mapping is None:
@@ -221,7 +220,7 @@ class PageTable:
             if tier is not None:
                 self.map_base(mapping.vpn + sub, tier)
 
-    def collapse_huge(self, hpn_base_vpn: int, tier: TierIndex) -> None:
+    def collapse_huge(self, hpn_base_vpn: int, tier: int) -> None:
         """Replace 512 base leaves with one huge leaf on ``tier``.
 
         All 512 subpages must currently be mapped as base pages.

@@ -8,10 +8,9 @@ manages DRAM + CXL + NVM + remote simultaneously; Nomad migrates along a
 tier chain).  The paper's two-tier configurations are the special case
 ``N == 2``.
 
-Tier identity is a plain integer index into the machine's tier list.
-The historical :class:`TierKind` enum (``FAST = 0`` / ``CAPACITY = 1``)
-remains as a deprecated alias layer: it is an ``IntEnum``, so every API
-that now takes a tier index still accepts it.
+Tier identity is a plain integer index into the machine's tier list
+(:data:`FASTEST_TIER` is 0); neighbours are addressed with
+:meth:`TieredMemory.promote_target` / :meth:`TieredMemory.demote_target`.
 
 We model a tier as a latency/bandwidth specification plus a
 capacity-bounded byte allocator.  Individual frame numbers are not
@@ -22,38 +21,8 @@ over capacity, and double-frees are detected.
 
 from __future__ import annotations
 
-import enum
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Union
-
-
-class TierKind(enum.IntEnum):
-    """Deprecated two-tier identity; values are tier *indices*.
-
-    Kept so historical call sites (``TierKind.FAST``) keep working: as an
-    ``IntEnum`` it is interchangeable with the tier indices the N-tier
-    API uses.  New code should use plain indices (0 = fastest).
-    """
-
-    FAST = 0
-    CAPACITY = 1
-
-    @property
-    def other(self) -> "TierKind":
-        """Deprecated: binary tier flip.
-
-        Only meaningful on a two-tier machine; use
-        :meth:`TieredMemory.promote_target` /
-        :meth:`TieredMemory.demote_target` neighbor addressing instead.
-        """
-        warnings.warn(
-            "TierKind.other is deprecated: it assumes a two-tier machine; "
-            "use TieredMemory.promote_target()/demote_target() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return TierKind.CAPACITY if self is TierKind.FAST else TierKind.FAST
+from typing import Callable, Iterator, List, Optional, Sequence
 
 
 #: Index of the fastest tier in every machine.
@@ -64,9 +33,6 @@ TIER_UNMAPPED = -1
 
 #: Canonical label for the unmapped sentinel in exports/error messages.
 UNMAPPED_LABEL = "unmapped"
-
-#: Any value naming a tier: a plain index or the legacy TierKind.
-TierIndex = Union[int, TierKind]
 
 
 def tier_label(index: int, tiers: Optional["TieredMemory"] = None) -> str:
@@ -164,11 +130,6 @@ class MemoryTier:
         self.index = int(self.index)
 
     @property
-    def kind(self) -> int:
-        """Deprecated alias for :attr:`index` (old two-tier name)."""
-        return self.index
-
-    @property
     def capacity_bytes(self) -> int:
         return self.spec.capacity_bytes
 
@@ -232,33 +193,11 @@ class TieredMemory:
 
     Provides latency lookup tables indexed by tier index for vectorised
     cost accounting, neighbor addressing for promotion/demotion targets,
-    and small helpers policies use to reason about headroom.
-
-    The legacy two-tier constructor form
-    ``TieredMemory(fast=<tier0>, capacity=<tier1>)`` still works; the
-    N-tier form takes the tier list: ``TieredMemory([t0, t1, t2])``.
+    and small helpers policies use to reason about headroom.  Build it
+    from the tier list: ``TieredMemory([t0, t1, t2])``.
     """
 
-    def __init__(
-        self,
-        tiers: Optional[Sequence[MemoryTier]] = None,
-        *,
-        fast: Optional[MemoryTier] = None,
-        capacity: Optional[MemoryTier] = None,
-    ):
-        if tiers is None:
-            if fast is None or capacity is None:
-                raise ValueError(
-                    "TieredMemory needs a tier list or fast=/capacity="
-                )
-            # Legacy two-tier form: positions are asserted, as before.
-            if int(fast.index) != FASTEST_TIER:
-                raise ValueError("fast tier must have kind FAST")
-            if int(capacity.index) != 1:
-                raise ValueError("capacity tier must have kind CAPACITY")
-            tiers = (fast, capacity)
-        elif fast is not None or capacity is not None:
-            raise ValueError("pass either a tier list or fast=/capacity=, not both")
+    def __init__(self, tiers: Sequence[MemoryTier]):
         self.tiers: List[MemoryTier] = list(tiers)
         if not self.tiers:
             raise ValueError("a machine needs at least one tier")
@@ -276,10 +215,10 @@ class TieredMemory:
 
     # -- indexing -----------------------------------------------------------
 
-    def tier(self, index: TierIndex) -> MemoryTier:
+    def tier(self, index: int) -> MemoryTier:
         return self.tiers[int(index)]
 
-    def __getitem__(self, index: TierIndex) -> MemoryTier:
+    def __getitem__(self, index: int) -> MemoryTier:
         return self.tiers[int(index)]
 
     def __len__(self) -> int:
@@ -298,15 +237,6 @@ class TieredMemory:
         return self.tiers[FASTEST_TIER]
 
     @property
-    def capacity(self) -> MemoryTier:
-        """Legacy name for the terminal (slowest) tier.
-
-        On a two-tier machine this is the paper's capacity tier; on an
-        N-tier machine prefer explicit indices or :attr:`slowest`.
-        """
-        return self.tiers[-1]
-
-    @property
     def slowest(self) -> MemoryTier:
         return self.tiers[-1]
 
@@ -314,23 +244,23 @@ class TieredMemory:
     def slowest_index(self) -> int:
         return len(self.tiers) - 1
 
-    # -- neighbor addressing (replaces TierKind.other) ----------------------
+    # -- neighbor addressing ------------------------------------------------
 
-    def promote_target(self, index: TierIndex) -> Optional[int]:
+    def promote_target(self, index: int) -> Optional[int]:
         """Tier one step faster than ``index`` (None at the top)."""
         index = int(index)
         if not 0 <= index < len(self.tiers):
             raise IndexError(f"tier index {index} out of range")
         return index - 1 if index > FASTEST_TIER else None
 
-    def demote_target(self, index: TierIndex) -> Optional[int]:
+    def demote_target(self, index: int) -> Optional[int]:
         """Tier one step slower than ``index`` (None at the bottom)."""
         index = int(index)
         if not 0 <= index < len(self.tiers):
             raise IndexError(f"tier index {index} out of range")
         return index + 1 if index < len(self.tiers) - 1 else None
 
-    def fallback_order(self, preferred: TierIndex) -> List[int]:
+    def fallback_order(self, preferred: int) -> List[int]:
         """Allocation fallback: preferred, then slower tiers, then faster.
 
         Generalises the old binary node fallback: a fast-first request
@@ -385,16 +315,11 @@ class TieredMemory:
         return {"tiers": [t.state_dict() for t in self.tiers]}
 
     def load_state(self, state: dict) -> None:
-        if "tiers" in state:
-            entries = state["tiers"]
-            if len(entries) != len(self.tiers):
-                raise ValueError(
-                    f"checkpoint has {len(entries)} tiers, machine has "
-                    f"{len(self.tiers)}"
-                )
-            for tier, entry in zip(self.tiers, entries):
-                tier.load_state(entry)
-        else:
-            # Legacy two-tier checkpoint format ({"fast": ..., "capacity": ...}).
-            self.tiers[0].load_state(state["fast"])
-            self.tiers[-1].load_state(state["capacity"])
+        entries = state["tiers"]
+        if len(entries) != len(self.tiers):
+            raise ValueError(
+                f"checkpoint has {len(entries)} tiers, machine has "
+                f"{len(self.tiers)}"
+            )
+        for tier, entry in zip(self.tiers, entries):
+            tier.load_state(entry)

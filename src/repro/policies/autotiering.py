@@ -21,7 +21,7 @@ from typing import Dict
 import numpy as np
 
 from repro.mem.pages import BASE_PAGE_SIZE, HUGE_PAGE_SIZE, SUBPAGES_PER_HUGE
-from repro.mem.tiers import FASTEST_TIER, TierIndex
+from repro.mem.tiers import FASTEST_TIER
 from repro.policies.base import PolicyContext, TieringPolicy, Traits
 
 
@@ -67,7 +67,7 @@ class AutoTieringPolicy(TieringPolicy):
         self._ensure_protection_mask()
         self._history = np.zeros(ctx.space.num_vpns, dtype=np.uint8)
 
-    def choose_alloc_tier(self, nbytes: int) -> TierIndex:
+    def choose_alloc_tier(self, nbytes: int) -> int:
         # Reserved fast-tier pages serve promotions only: new data goes to
         # the next-slower tier once DRAM is below the allocation watermark.
         if self.fast_free_fraction() > self.alloc_watermark:

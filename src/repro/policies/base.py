@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.mem.address_space import AddressSpace
 from repro.mem.migration import MigrationEngine
-from repro.mem.tiers import FASTEST_TIER, TieredMemory, TierIndex
+from repro.mem.tiers import FASTEST_TIER, TieredMemory
 from repro.mem.tlb import TLB
 from repro.obs import NULL_TRACER, Observability
 from repro.pebs.events import AccessBatch
@@ -148,7 +148,7 @@ class TieringPolicy(abc.ABC):
 
     # -- allocation placement --------------------------------------------------
 
-    def choose_alloc_tier(self, nbytes: int) -> TierIndex:
+    def choose_alloc_tier(self, nbytes: int) -> int:
         """Preferred tier index for a fresh allocation (fastest-first by
         default).
 

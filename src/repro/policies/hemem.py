@@ -30,7 +30,7 @@ from typing import Dict, Set
 import numpy as np
 
 from repro.mem.pages import BASE_PAGE_SIZE, HUGE_PAGE_SIZE
-from repro.mem.tiers import FASTEST_TIER, TierIndex
+from repro.mem.tiers import FASTEST_TIER
 from repro.policies.base import BatchObservation, PolicyContext, TieringPolicy, Traits
 from repro.pebs.sampler import SamplerConfig
 
@@ -88,7 +88,7 @@ class HeMemPolicy(TieringPolicy):
         total = ctx.tiers.total_capacity_bytes()
         self._small_alloc_max = int(total * self.small_alloc_fraction)
 
-    def choose_alloc_tier(self, nbytes: int) -> TierIndex:
+    def choose_alloc_tier(self, nbytes: int) -> int:
         # Small allocations always go to DRAM (over-allocation); big
         # ones also prefer DRAM and spill per chunk like everyone else.
         return FASTEST_TIER

@@ -8,7 +8,7 @@ DRAM; run on an all-fast machine it is Fig. 7's "All-DRAM" reference.
 
 from __future__ import annotations
 
-from repro.mem.tiers import FASTEST_TIER, TierIndex
+from repro.mem.tiers import FASTEST_TIER
 from repro.policies.base import TieringPolicy, Traits
 
 
@@ -26,7 +26,7 @@ class AllCapacityPolicy(TieringPolicy):
         page_size_handling="THP default",
     )
 
-    def choose_alloc_tier(self, nbytes: int) -> TierIndex:
+    def choose_alloc_tier(self, nbytes: int) -> int:
         return self.ctx.tiers.slowest_index
 
 
@@ -44,5 +44,5 @@ class AllFastPolicy(TieringPolicy):
         page_size_handling="THP default",
     )
 
-    def choose_alloc_tier(self, nbytes: int) -> TierIndex:
+    def choose_alloc_tier(self, nbytes: int) -> int:
         return FASTEST_TIER

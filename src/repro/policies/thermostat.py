@@ -68,8 +68,8 @@ class ThermostatPolicy(TieringPolicy):
             # Default: the capacity tier's share of total memory -- the
             # fraction of pages that *must* live there.
             total = (ctx.tiers.fast.capacity_bytes
-                     + ctx.tiers.capacity.capacity_bytes)
-            self.cold_fraction_target = ctx.tiers.capacity.capacity_bytes / total
+                     + ctx.tiers.slowest.capacity_bytes)
+            self.cold_fraction_target = ctx.tiers.slowest.capacity_bytes / total
         num_hpns = ctx.space.num_hpns
         self._rate = np.zeros(num_hpns, dtype=np.float64)
         self._measured = np.zeros(num_hpns, dtype=bool)

@@ -21,7 +21,7 @@ from typing import Dict
 import numpy as np
 
 from repro.mem.pages import BASE_PAGE_SIZE, HUGE_PAGE_SIZE, SUBPAGES_PER_HUGE
-from repro.mem.tiers import FASTEST_TIER, TierIndex
+from repro.mem.tiers import FASTEST_TIER
 from repro.policies.base import PolicyContext, TieringPolicy, Traits
 
 
@@ -65,7 +65,7 @@ class TPPPolicy(TieringPolicy):
         self._ensure_protection_mask()
         self._fault_count = np.zeros(ctx.space.num_vpns, dtype=np.int16)
 
-    def choose_alloc_tier(self, nbytes: int) -> TierIndex:
+    def choose_alloc_tier(self, nbytes: int) -> int:
         # New pages go to DRAM; the demotion daemon maintains headroom.
         return FASTEST_TIER
 

@@ -16,12 +16,7 @@ from repro.sim.machine import MachineSpec, ScaleSpec, TIERING_RATIOS
 from repro.sim.cost import CostModel
 from repro.sim.metrics import MetricsCollector, TimelinePoint
 from repro.sim.engine import Simulation, SimResult, json_safe
-from repro.sim.runner import (
-    RunSpec,
-    run_experiment,
-    run_normalized,
-    normalized_performance,
-)
+from repro.sim.runner import RunSpec, normalized_performance
 from repro.sim.cache import ResultCache
 from repro.sim.sweep import CellOutcome, SweepError, SweepEvent, run_sweep
 
@@ -41,7 +36,5 @@ __all__ = [
     "SweepError",
     "SweepEvent",
     "run_sweep",
-    "run_experiment",
-    "run_normalized",
     "normalized_performance",
 ]

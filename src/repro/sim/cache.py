@@ -20,7 +20,7 @@ Cache invalidation: the key includes ``SPEC_SCHEMA_VERSION`` from
 results -- and stale directories can simply be deleted
 (``rm -rf ~/.cache/repro-memtis``) or bypassed with ``--no-cache``.
 
-The *default* cache used by ``run_experiment``/``run_grid``/the CLIs is
+The *default* cache used by ``RunSpec.run``/``run_sweep``/the CLIs is
 process-wide and controlled by :func:`configure` (the CLI flags
 ``--cache-dir`` / ``--no-cache`` call it) or the environment:
 ``REPRO_CACHE_DIR`` relocates it, ``REPRO_NO_CACHE=1`` disables it.

@@ -21,7 +21,6 @@ derives simulated sizes through one :class:`ScaleSpec`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -326,26 +325,6 @@ class MachineSpec:
             )
         return MachineSpec(tier_specs=specs, cores=self.cores,
                            app_threads=self.app_threads)
-
-    def all_capacity(self) -> "MachineSpec":
-        """Deprecated two-tier name for :meth:`collapse_to_slowest`."""
-        warnings.warn(
-            "MachineSpec.all_capacity() is deprecated; use "
-            "collapse_to_slowest()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.collapse_to_slowest()
-
-    def all_fast(self) -> "MachineSpec":
-        """Deprecated two-tier name for :meth:`collapse_to_fastest`."""
-        warnings.warn(
-            "MachineSpec.all_fast() is deprecated; use "
-            "collapse_to_fastest()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.collapse_to_fastest()
 
 
 # -- multi-tier presets ---------------------------------------------------

@@ -1,5 +1,4 @@
-"""Run specifications and helpers: the ``RunSpec`` API plus paper-style
-normalisation.
+"""Run specifications: the ``RunSpec`` API plus paper-style normalisation.
 
 :class:`RunSpec` is the unit of execution for everything above the raw
 engine: a frozen, hashable description of one simulation (workload,
@@ -13,15 +12,11 @@ content-addressed keys.  ``RunSpec.build()`` constructs the
 matching all-capacity reference run.
 
 The paper reports "relative performance normalized to the performance of
-the all-NVM case with THP enabled" (§6.1).  :func:`run_normalized`
-reproduces that: it runs the workload once on an all-capacity machine
-under the static no-tiering policy and once under the policy of
-interest, and returns ``baseline_runtime / runtime`` (higher is better,
-1.0 = all-capacity performance).
-
-The historical kwarg entry points (:func:`build_simulation`,
-:func:`run_experiment`, :func:`run_baseline`, :func:`run_normalized`)
-remain as thin wrappers over ``RunSpec`` so no caller breaks.
+the all-NVM case with THP enabled" (§6.1): run ``spec`` and
+``spec.baseline_spec()`` (together, through
+:func:`repro.sim.sweep.run_sweep`, for many specs) and
+:func:`normalized_performance` returns ``baseline_runtime / runtime``
+(higher is better, 1.0 = all-capacity performance).
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.policies.registry import make_policy
 from repro import snapshot as snapshot_store
@@ -56,7 +51,9 @@ from repro.workloads.registry import make_workload
 #: split-candidate tie-breaking, capacity-window bandwidth-model rho.
 SPEC_SCHEMA_VERSION = 5
 
-#: Machine variants a spec can request (see :meth:`MachineSpec.all_capacity`).
+#: Machine variants a spec can request: the machine as built, or collapsed
+#: to its slowest (:meth:`MachineSpec.collapse_to_slowest`) or fastest
+#: (:meth:`MachineSpec.collapse_to_fastest`) tier.
 MACHINE_VARIANTS = ("tiered", "all-capacity", "all-fast")
 
 
@@ -395,171 +392,8 @@ class RunSpec:
         return " ".join(parts)
 
 
-# -- kwarg wrappers (historical API, kept for compatibility) ----------------
-
-
-def build_simulation(
-    workload_name: str,
-    policy_name: str,
-    ratio: str = "1:8",
-    capacity_kind: str = "nvm",
-    scale: Optional[ScaleSpec] = None,
-    seed: int = 42,
-    machine: Optional[MachineSpec] = None,
-    policy_kwargs: Optional[dict] = None,
-    **sim_kwargs,
-) -> Simulation:
-    """Construct a simulation from registry names.
-
-    The common path (no explicit ``machine``, no engine kwargs) goes
-    through :meth:`RunSpec.build`; an explicit machine or engine kwargs
-    (``cost_model``, ``tlb_config``, ...) fall back to direct
-    construction since they are not part of a spec.
-    """
-    force_base_pages = bool(sim_kwargs.pop("force_base_pages", False))
-    if machine is None and not sim_kwargs:
-        return RunSpec(
-            workload_name, policy_name, ratio=ratio,
-            capacity_kind=capacity_kind, scale=scale, seed=seed,
-            policy_kwargs=policy_kwargs or {},
-            force_base_pages=force_base_pages,
-        ).build()
-    scale = scale or DEFAULT_SCALE
-    workload = make_workload(workload_name, scale)
-    if machine is None:
-        machine = MachineSpec.from_ratio(
-            workload.total_bytes, ratio=ratio, capacity_kind=capacity_kind
-        )
-    policy = make_policy(policy_name, **(policy_kwargs or {}))
-    return Simulation(workload, policy, machine, seed=seed,
-                      force_base_pages=force_base_pages, **sim_kwargs)
-
-
-def run_experiment(
-    workload_name: str,
-    policy_name: str,
-    ratio: str = "1:8",
-    capacity_kind: str = "nvm",
-    scale: Optional[ScaleSpec] = None,
-    seed: int = 42,
-    max_accesses: Optional[int] = None,
-    policy_kwargs: Optional[dict] = None,
-    force_base_pages: bool = False,
-    cache=result_cache.DEFAULT,
-    **sim_kwargs,
-) -> SimResult:
-    """Build and run one configuration (thin wrapper over ``RunSpec.run``).
-
-    Engine kwargs outside the spec (``cost_model``, ``tlb_config``, ...)
-    still work but bypass the result cache, since the cache key cannot
-    capture them.
-    """
-    if sim_kwargs:
-        sim = build_simulation(
-            workload_name, policy_name, ratio=ratio,
-            capacity_kind=capacity_kind, scale=scale, seed=seed,
-            policy_kwargs=policy_kwargs, force_base_pages=force_base_pages,
-            **sim_kwargs,
-        )
-        return sim.run(max_accesses=max_accesses)
-    return RunSpec(
-        workload_name, policy_name, ratio=ratio, capacity_kind=capacity_kind,
-        scale=scale, seed=seed, policy_kwargs=policy_kwargs or {},
-        max_accesses=max_accesses, force_base_pages=force_base_pages,
-    ).run(cache=cache)
-
-
-def run_baseline(
-    workload_name: str,
-    ratio: str = "1:8",
-    capacity_kind: str = "nvm",
-    scale: Optional[ScaleSpec] = None,
-    seed: int = 42,
-    max_accesses: Optional[int] = None,
-    cache=result_cache.DEFAULT,
-) -> SimResult:
-    """All-capacity-tier (with THP) run: the paper's 1.0 reference."""
-    return RunSpec(
-        workload_name, "all-capacity", ratio=ratio,
-        capacity_kind=capacity_kind, scale=scale, seed=seed,
-        max_accesses=max_accesses, machine_variant="all-capacity",
-    ).run(cache=cache)
-
-
-def run_repeated(
-    workload_name: str,
-    policy_name: str,
-    seeds=(42, 43, 44),
-    ratio: str = "1:8",
-    capacity_kind: str = "nvm",
-    scale: Optional[ScaleSpec] = None,
-    **kwargs,
-) -> Dict[str, object]:
-    """Run one configuration across several seeds, normalised per seed.
-
-    Returns mean/min/max of the normalised performance plus the per-seed
-    results -- the seed-repetition methodology the paper's error bars
-    come from.  Workload traces, sampling phases, and engine shuffles all
-    derive from the seed, so seeds are fully independent replicas.
-    """
-    normalized = []
-    results = []
-    for seed in seeds:
-        baseline = run_baseline(
-            workload_name, ratio=ratio, capacity_kind=capacity_kind,
-            scale=scale, seed=seed,
-        )
-        result = run_experiment(
-            workload_name, policy_name, ratio=ratio,
-            capacity_kind=capacity_kind, scale=scale, seed=seed, **kwargs,
-        )
-        normalized.append(baseline.runtime_ns / result.runtime_ns)
-        results.append(result)
-    return {
-        "mean": sum(normalized) / len(normalized),
-        "min": min(normalized),
-        "max": max(normalized),
-        "per_seed": dict(zip(seeds, normalized)),
-        "results": results,
-    }
-
-
 def normalized_performance(result: SimResult, baseline: SimResult) -> float:
     """Paper-style normalised performance: baseline runtime / runtime."""
     if result.runtime_ns <= 0:
         raise ValueError("result has zero runtime")
     return baseline.runtime_ns / result.runtime_ns
-
-
-def run_normalized(
-    workload_name: str,
-    policy_name: str,
-    ratio: str = "1:8",
-    capacity_kind: str = "nvm",
-    scale: Optional[ScaleSpec] = None,
-    seed: int = 42,
-    max_accesses: Optional[int] = None,
-    baseline: Optional[SimResult] = None,
-    cache=result_cache.DEFAULT,
-    **kwargs,
-) -> Dict[str, object]:
-    """Run a configuration and normalise against the all-capacity baseline.
-
-    Returns ``{"normalized": float, "result": SimResult, "baseline": SimResult}``.
-    Pass a precomputed ``baseline`` to amortise it across policies.
-    """
-    if baseline is None:
-        baseline = run_baseline(
-            workload_name, ratio=ratio, capacity_kind=capacity_kind,
-            scale=scale, seed=seed, max_accesses=max_accesses, cache=cache,
-        )
-    result = run_experiment(
-        workload_name, policy_name, ratio=ratio, capacity_kind=capacity_kind,
-        scale=scale, seed=seed, max_accesses=max_accesses, cache=cache,
-        **kwargs,
-    )
-    return {
-        "normalized": normalized_performance(result, baseline),
-        "result": result,
-        "baseline": baseline,
-    }

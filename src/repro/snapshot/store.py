@@ -50,7 +50,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.runner import RunSpec
 
 #: Bump when the on-disk entry/manifest layout changes.
-SNAPSHOT_FORMAT_VERSION = 1
+#: v2: tier accounting is saved only as the ``{"tiers": [...]}`` list;
+#: v1 entries may hold the two-tier ``{"fast", "capacity"}`` form.
+SNAPSHOT_FORMAT_VERSION = 2
 
 _EPOCH_RE = re.compile(r"^epoch-(\d{8})\.pkl$")
 

@@ -34,9 +34,9 @@ record and replay in bounded memory.  The replay cursor releases fully
 consumed pages back to the OS (``madvise(MADV_DONTNEED)``) so peak RSS
 stays bounded by the release window, not the trace size.
 
-Format v1 (single ``.npz`` holding ``vpn``/``is_store`` inline) is
-still read transparently; pass ``format_version=1`` to
-:func:`record_trace` to write it.
+Format v1 (single ``.npz`` holding ``vpn``/``is_store`` inline, no
+``format_version`` field) is still read transparently; it is no longer
+written.  Any other version is rejected.
 """
 
 from __future__ import annotations
@@ -111,20 +111,13 @@ class NpyStreamWriter:
 
 
 def record_trace(workload: Workload, path: str, seed: int = 42,
-                 max_accesses: Optional[int] = None,
-                 format_version: int = TRACE_FORMAT_VERSION) -> dict:
-    """Run ``workload``'s generator and save its event stream.
+                 max_accesses: Optional[int] = None) -> dict:
+    """Run ``workload``'s generator and save its event stream (v2).
 
-    Returns a small stats dict (events, accesses).  The default v2
-    format streams the access arrays to the ``.npy`` sidecars as they
-    are generated: recording memory is bounded by the event metadata,
-    not the access count.
+    Returns a small stats dict (events, accesses).  The access arrays
+    stream to the ``.npy`` sidecars as they are generated: recording
+    memory is bounded by the event metadata, not the access count.
     """
-    if format_version not in (1, TRACE_FORMAT_VERSION):
-        raise ValueError(f"unknown trace format version {format_version}")
-    if format_version == 1:
-        return _record_trace_v1(workload, path, seed, max_accesses)
-
     meta_path, vpn_path, st_path = _sidecar_paths(path)
     kinds, args, keys, thps = [], [], [], []
     seg_keys, seg_lens, seg_inter = [], [], []
@@ -190,58 +183,6 @@ def record_trace(workload: Workload, path: str, seed: int = 42,
     return {"events": len(kinds), "accesses": accesses}
 
 
-def _record_trace_v1(workload, path, seed, max_accesses) -> dict:
-    """The historical in-memory single-``.npz`` recorder."""
-    kinds, args, keys, thps = [], [], [], []
-    seg_keys, seg_lens, seg_inter = [], [], []
-    vpn_parts, store_parts = [], []
-    accesses = 0
-
-    for event in workload.events(np.random.default_rng(seed)):
-        if isinstance(event, AllocEvent):
-            kinds.append(KIND_ALLOC)
-            args.append(event.nbytes)
-            keys.append(event.key)
-            thps.append(event.thp)
-        elif isinstance(event, FreeEvent):
-            kinds.append(KIND_FREE)
-            args.append(0)
-            keys.append(event.key)
-            thps.append(False)
-        elif isinstance(event, AccessEvent):
-            kinds.append(KIND_ACCESS)
-            args.append(len(event.segments))
-            keys.append("")
-            thps.append(False)
-            for key, batch in event.segments:
-                seg_keys.append(key)
-                seg_lens.append(len(batch))
-                seg_inter.append(event.interleave)
-                vpn_parts.append(batch.vpn)
-                store_parts.append(batch.is_store)
-                accesses += len(batch)
-        if max_accesses is not None and accesses >= max_accesses:
-            break
-
-    np.savez_compressed(
-        path,
-        event_kind=np.array(kinds, dtype=np.int8),
-        event_arg=np.array(args, dtype=np.int64),
-        event_key=np.array(keys, dtype=object),
-        event_thp=np.array(thps, dtype=bool),
-        seg_key=np.array(seg_keys, dtype=object),
-        seg_len=np.array(seg_lens, dtype=np.int64),
-        seg_interleave=np.array(seg_inter, dtype=bool),
-        vpn=(np.concatenate(vpn_parts) if vpn_parts
-             else np.empty(0, dtype=np.int64)),
-        is_store=(np.concatenate(store_parts) if store_parts
-                  else np.empty(0, dtype=bool)),
-        total_bytes=np.int64(workload.total_bytes),
-        total_accesses=np.int64(accesses),
-    )
-    return {"events": len(kinds), "accesses": accesses}
-
-
 class TraceWorkload(Workload):
     """Replays a trace recorded with :func:`record_trace`.
 
@@ -275,6 +216,12 @@ class TraceWorkload(Workload):
         meta = np.load(meta_path, allow_pickle=True)
         version = (int(meta["format_version"])
                    if "format_version" in meta.files else 1)
+        if version not in (1, TRACE_FORMAT_VERSION):
+            meta.close()
+            raise ValueError(
+                f"{meta_path}: unknown trace format version {version} "
+                f"(this build reads 1 and {TRACE_FORMAT_VERSION})"
+            )
         super().__init__(
             total_bytes=int(meta["total_bytes"]),
             total_accesses=max(1, int(meta["total_accesses"])),

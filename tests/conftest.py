@@ -5,7 +5,7 @@ import pytest
 
 from repro.mem.address_space import AddressSpace
 from repro.mem.migration import MigrationEngine
-from repro.mem.tiers import TieredMemory, TierKind, dram_spec, nvm_spec
+from repro.mem.tiers import TieredMemory, dram_spec, nvm_spec
 from repro.mem.tlb import TLB, TLBConfig
 from repro.pebs.sampler import PEBSSampler, SamplerConfig
 from repro.policies.base import PolicyContext

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.common import SMOKE_SCALE, load_experiment
+from repro.sim import sweep
 
 
 class TestAblationsExperiment:
@@ -23,6 +24,35 @@ class TestAblationsExperiment:
         # Splitting earns its keep on silo (or at worst is neutral at
         # smoke scale).
         assert result.data["silo"]["no-split"] <= 1.1
+
+
+    @pytest.mark.no_result_cache
+    def test_jobs_match_serial(self, monkeypatch):
+        """The experiment's one sweep honours the default worker count,
+        and two workers render exactly what serial execution does."""
+        def run():
+            return load_experiment("ablations").run(
+                scale=SMOKE_SCALE, workloads=["silo"],
+                variants=["full", "no-split", "no-warm"],
+            )
+
+        serial = run()
+        pools = []
+        supervise = sweep._supervise
+
+        def counting_supervise(queue, directory, workers, *args):
+            pools.append(workers)
+            return supervise(queue, directory, workers, *args)
+
+        monkeypatch.setattr(sweep, "_supervise", counting_supervise)
+        sweep.set_default_jobs(2)
+        try:
+            parallel = run()
+        finally:
+            sweep.set_default_jobs(None)
+        assert pools == [2]  # one sweep, two worker processes
+        assert parallel.text == serial.text
+        assert parallel.data == serial.data
 
 
 class TestTmtsExperiment:

@@ -6,9 +6,9 @@ import pytest
 from repro.mem.address_space import AddressSpace
 from repro.mem.pages import BASE_PAGE_SIZE, HUGE_PAGE_SIZE, SUBPAGES_PER_HUGE
 from repro.mem.tiers import (
+    FASTEST_TIER,
     OutOfMemoryError,
     TieredMemory,
-    TierKind,
     dram_spec,
     nvm_spec,
 )
@@ -49,9 +49,9 @@ class TestAllocation:
 
     def test_fast_first_with_fallback(self):
         space = make_space(fast_mb=4, cap_mb=64)
-        region = space.alloc_region(8 * MB, tier_chooser=lambda n: TierKind.FAST)
+        region = space.alloc_region(8 * MB, tier_chooser=lambda n: FASTEST_TIER)
         tiers_used = set(space.page_tier[region.base_vpn : region.end_vpn].tolist())
-        assert tiers_used == {int(TierKind.FAST), int(TierKind.CAPACITY)}
+        assert tiers_used == {FASTEST_TIER, 1}
         assert space.tiers.fast.free_bytes == 0
         space.check_consistency()
 
@@ -115,7 +115,7 @@ class TestFreeAndRecycle:
         space = make_space()
         region = space.alloc_region(2 * MB)
         hpn = region.base_vpn >> 9
-        tiers = [None if i % 2 else TierKind.CAPACITY
+        tiers = [None if i % 2 else 1
                  for i in range(SUBPAGES_PER_HUGE)]
         space.split_huge(hpn, tiers)
         space.free_region(region)
@@ -126,24 +126,24 @@ class TestFreeAndRecycle:
 class TestMutations:
     def test_retarget_moves_bytes(self):
         space = make_space()
-        region = space.alloc_region(2 * MB, tier_chooser=lambda n: TierKind.FAST)
-        moved = space.retarget(region.base_vpn, is_huge=True, dst=TierKind.CAPACITY)
+        region = space.alloc_region(2 * MB, tier_chooser=lambda n: FASTEST_TIER)
+        moved = space.retarget(region.base_vpn, is_huge=True, dst=1)
         assert moved == HUGE_PAGE_SIZE
         assert space.tiers.fast.used_bytes == 0
-        assert space.page_tier[region.base_vpn] == int(TierKind.CAPACITY)
+        assert space.page_tier[region.base_vpn] == 1
         space.check_consistency()
 
     def test_retarget_same_tier_is_noop(self):
         space = make_space()
-        region = space.alloc_region(2 * MB, tier_chooser=lambda n: TierKind.FAST)
-        assert space.retarget(region.base_vpn, True, TierKind.FAST) == 0
+        region = space.alloc_region(2 * MB, tier_chooser=lambda n: FASTEST_TIER)
+        assert space.retarget(region.base_vpn, True, FASTEST_TIER) == 0
 
     def test_split_frees_and_migrates(self):
         space = make_space()
-        region = space.alloc_region(2 * MB, tier_chooser=lambda n: TierKind.FAST)
+        region = space.alloc_region(2 * MB, tier_chooser=lambda n: FASTEST_TIER)
         hpn = region.base_vpn >> 9
-        tiers = [TierKind.FAST] * 10 + [None] * 10 + \
-                [TierKind.CAPACITY] * (SUBPAGES_PER_HUGE - 20)
+        tiers = [FASTEST_TIER] * 10 + [None] * 10 + \
+                [1] * (SUBPAGES_PER_HUGE - 20)
         result = space.split_huge(hpn, tiers)
         assert result["bytes_freed"] == 10 * BASE_PAGE_SIZE
         assert result["bytes_migrated"] == (SUBPAGES_PER_HUGE - 20) * BASE_PAGE_SIZE
@@ -152,10 +152,10 @@ class TestMutations:
 
     def test_collapse_roundtrip(self):
         space = make_space()
-        region = space.alloc_region(2 * MB, tier_chooser=lambda n: TierKind.FAST)
+        region = space.alloc_region(2 * MB, tier_chooser=lambda n: FASTEST_TIER)
         hpn = region.base_vpn >> 9
-        space.split_huge(hpn, [TierKind.CAPACITY] * SUBPAGES_PER_HUGE)
-        moved = space.collapse_huge(hpn, TierKind.FAST)
+        space.split_huge(hpn, [1] * SUBPAGES_PER_HUGE)
+        moved = space.collapse_huge(hpn, FASTEST_TIER)
         assert moved == HUGE_PAGE_SIZE
         assert space.page_huge[region.base_vpn]
         space.check_consistency()
@@ -164,21 +164,21 @@ class TestMutations:
         space = make_space()
         region = space.alloc_region(2 * MB)
         hpn = region.base_vpn >> 9
-        tiers = [None] + [TierKind.CAPACITY] * (SUBPAGES_PER_HUGE - 1)
+        tiers = [None] + [1] * (SUBPAGES_PER_HUGE - 1)
         space.split_huge(hpn, tiers)
         with pytest.raises(ValueError):
-            space.collapse_huge(hpn, TierKind.FAST)
+            space.collapse_huge(hpn, FASTEST_TIER)
 
     def test_demand_map(self):
         space = make_space()
         region = space.alloc_region(2 * MB)
         hpn = region.base_vpn >> 9
-        tiers = [None] * 5 + [TierKind.CAPACITY] * (SUBPAGES_PER_HUGE - 5)
+        tiers = [None] * 5 + [1] * (SUBPAGES_PER_HUGE - 5)
         space.split_huge(hpn, tiers)
-        tier = space.demand_map(region.base_vpn, TierKind.FAST)
-        assert tier is TierKind.FAST
+        tier = space.demand_map(region.base_vpn, FASTEST_TIER)
+        assert tier is FASTEST_TIER
         with pytest.raises(ValueError):
-            space.demand_map(region.base_vpn, TierKind.FAST)
+            space.demand_map(region.base_vpn, FASTEST_TIER)
         space.check_consistency()
 
     def test_record_touch_sets_ref_bits(self):

@@ -17,7 +17,7 @@ from repro.check import (
 from repro.core.config import MemtisConfig
 from repro.core.migrator import KMigrated
 from repro.core.sampler import KSampled
-from repro.mem.tiers import TierKind
+from repro.mem.tiers import FASTEST_TIER
 from repro.sim.runner import RunSpec
 
 from conftest import TEST_SCALE, make_context
@@ -28,7 +28,7 @@ MB = 1024 * 1024
 def build_memtis(ctx):
     config = MemtisConfig().resolved(
         ctx.tiers.fast.capacity_bytes,
-        ctx.tiers.fast.capacity_bytes + ctx.tiers.capacity.capacity_bytes,
+        ctx.tiers.fast.capacity_bytes + ctx.tiers.slowest.capacity_bytes,
     )
     ks = KSampled(config, ctx)
     km = KMigrated(config, ctx, ks)
@@ -117,48 +117,48 @@ class TestInvariantTriggers:
     def test_clean_state_passes(self):
         ctx = make_context()
         ks, km = build_memtis(ctx)
-        alloc(ctx, ks, 4, TierKind.FAST)
-        alloc(ctx, ks, 2, TierKind.CAPACITY, thp=False)
+        alloc(ctx, ks, 4, FASTEST_TIER)
+        alloc(ctx, ks, 2, 1, thp=False)
         make_sanitizer(ctx, ks, km).run_checks()
 
     def test_tier_accounting(self):
         ctx = make_context()
-        alloc(ctx, None, 2, TierKind.FAST)
+        alloc(ctx, None, 2, FASTEST_TIER)
         ctx.tiers.fast.used_bytes += 4096  # phantom bytes
         assert "tier-accounting" in findings_of(make_sanitizer(ctx))
 
     def test_mapping_shape_partial_huge(self):
         ctx = make_context()
-        region = alloc(ctx, None, 2, TierKind.FAST)
+        region = alloc(ctx, None, 2, FASTEST_TIER)
         ctx.space.page_huge[region.base_vpn + 3] = False  # torn flag run
         assert "mapping-shape" in findings_of(make_sanitizer(ctx))
 
     def test_page_table_mirror(self):
         ctx = make_context()
-        region = alloc(ctx, None, 2, TierKind.FAST, thp=False)
+        region = alloc(ctx, None, 2, FASTEST_TIER, thp=False)
         # Mirror says capacity, page table says fast: only the full
         # radix walk sees it (tier byte totals still disagree per tier).
-        ctx.space.page_tier[region.base_vpn] = int(TierKind.CAPACITY)
+        ctx.space.page_tier[region.base_vpn] = 1
         assert "page-table-mirror" in findings_of(make_sanitizer(ctx))
 
     def test_histogram_mass_weight_tamper(self):
         ctx = make_context()
         ks, km = build_memtis(ctx)
-        region = alloc(ctx, ks, 2, TierKind.FAST)
+        region = alloc(ctx, ks, 2, FASTEST_TIER)
         ks.main_weight[region.base_vpn] = 7  # not a legal weight shape
         assert "histogram-mass" in findings_of(make_sanitizer(ctx, ks, km))
 
     def test_histogram_mass_bin_drift(self):
         ctx = make_context()
         ks, km = build_memtis(ctx)
-        alloc(ctx, ks, 2, TierKind.FAST)
+        alloc(ctx, ks, 2, FASTEST_TIER)
         ks.hist.bins[0] += 5  # mass not backed by any page
         assert "histogram-mass" in findings_of(make_sanitizer(ctx, ks, km))
 
     def test_promotion_queue_non_representative(self):
         ctx = make_context()
         ks, km = build_memtis(ctx)
-        region = alloc(ctx, ks, 2, TierKind.CAPACITY)
+        region = alloc(ctx, ks, 2, 1)
         interior = region.base_vpn + 17  # not the huge head
         ks.main_bin[interior] = 5
         ks.promotion_queue.add(interior)
@@ -175,7 +175,7 @@ class TestInvariantTriggers:
         # entries are legal.
         ctx = make_context()
         ks, km = build_memtis(ctx)
-        region = alloc(ctx, ks, 2, TierKind.FAST)
+        region = alloc(ctx, ks, 2, FASTEST_TIER)
         ks.promotion_queue.add(region.base_vpn)        # already on fast
         ks.promotion_queue.add(ctx.space.num_vpns - 1)  # never mapped
         make_sanitizer(ctx, ks, km).run_checks()
@@ -183,7 +183,7 @@ class TestInvariantTriggers:
     def test_split_bookkeeping_queue_not_tracked(self):
         ctx = make_context()
         ks, km = build_memtis(ctx)
-        region = alloc(ctx, ks, 2, TierKind.FAST)
+        region = alloc(ctx, ks, 2, FASTEST_TIER)
         km.split_queue.append(region.base_vpn >> 9)  # not in split_hpns
         assert "split-bookkeeping" in findings_of(
             make_sanitizer(ctx, ks, km))
@@ -191,7 +191,7 @@ class TestInvariantTriggers:
     def test_split_bookkeeping_survived_free(self):
         ctx = make_context()
         ks, km = build_memtis(ctx)
-        region = alloc(ctx, ks, 2, TierKind.FAST)
+        region = alloc(ctx, ks, 2, FASTEST_TIER)
         km.split_hpns.add(region.base_vpn >> 9)
         ctx.space.free_region(region)  # km.on_unmap not wired here
         assert "split-bookkeeping" in findings_of(
@@ -199,7 +199,7 @@ class TestInvariantTriggers:
 
     def test_tlb_coherence_stale_entry(self):
         ctx = make_context()
-        region = alloc(ctx, None, 2, TierKind.FAST, thp=False)
+        region = alloc(ctx, None, 2, FASTEST_TIER, thp=False)
         vpns = np.array([region.base_vpn], dtype=np.int64)
         ctx.tlb.access_substream(vpns, np.zeros(1, dtype=bool))
         # Unmap without a shootdown: the entry is now stale.
@@ -210,7 +210,7 @@ class TestInvariantTriggers:
         # The engine's free path invalidates the freed range, so the
         # same sequence through Simulation-level helpers stays clean.
         ctx = make_context()
-        region = alloc(ctx, None, 2, TierKind.FAST, thp=False)
+        region = alloc(ctx, None, 2, FASTEST_TIER, thp=False)
         vpns = np.array([region.base_vpn], dtype=np.int64)
         ctx.tlb.access_substream(vpns, np.zeros(1, dtype=bool))
         ctx.space.free_region(region)
@@ -219,7 +219,7 @@ class TestInvariantTriggers:
 
     def test_violation_carries_context(self):
         ctx = make_context()
-        alloc(ctx, None, 2, TierKind.FAST)
+        alloc(ctx, None, 2, FASTEST_TIER)
         ctx.tiers.fast.used_bytes += 4096
         san = make_sanitizer(ctx)
         with pytest.raises(InvariantViolation) as exc:
@@ -231,11 +231,11 @@ class TestInvariantTriggers:
 
     def test_costly_checks_skipped_per_batch(self):
         ctx = make_context()
-        region = alloc(ctx, None, 2, TierKind.FAST, thp=False)
+        region = alloc(ctx, None, 2, FASTEST_TIER, thp=False)
         # Mirror-only corruption (per-tier byte totals stay balanced by
         # pairing two opposite flips): invisible to the cheap checks.
-        ctx.space.page_tier[region.base_vpn] = int(TierKind.CAPACITY)
-        ctx.tiers.capacity.used_bytes += 4096
+        ctx.space.page_tier[region.base_vpn] = 1
+        ctx.tiers.slowest.used_bytes += 4096
         ctx.tiers.fast.used_bytes -= 4096
         san = make_sanitizer(ctx)
         san.run_checks(site="batch")  # costly mirror walk not run

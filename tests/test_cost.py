@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mem.tiers import TieredMemory, TierKind, cxl_spec, dram_spec, nvm_spec
+from repro.mem.tiers import TieredMemory, cxl_spec, dram_spec, nvm_spec
 from repro.sim.cost import CostModel
 
 MB = 1024 * 1024
@@ -92,7 +92,7 @@ class TestBandwidthModel:
         cap_component = n * float(cost.load_table[1])
         demand_gbps = n * cost.model.access_bytes / cap_component
         rho = min(cost.model.max_utilization,
-                  demand_gbps / cost.tiers.capacity.spec.bandwidth_gbps)
+                  demand_gbps / cost.tiers.slowest.spec.bandwidth_gbps)
         expected = cap_component + cap_component * (1.0 / (1.0 - rho) - 1.0)
         assert cost.memory_ns(tiers, stores) == pytest.approx(expected)
 
@@ -105,7 +105,7 @@ class TestBandwidthModel:
         stores = np.ones(n, dtype=bool)
         cap_component = n * float(cost.store_table[1])
         demand = n * cost.model.access_bytes / cap_component
-        assert demand / cost.tiers.capacity.spec.bandwidth_gbps > \
+        assert demand / cost.tiers.slowest.spec.bandwidth_gbps > \
             cost.model.max_utilization  # scenario actually saturates
         expected = cap_component / (1.0 - cost.model.max_utilization)
         assert cost.memory_ns(tiers, stores) == pytest.approx(expected)

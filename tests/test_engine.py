@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mem.tiers import TierKind
+from repro.mem.tiers import FASTEST_TIER
 from repro.pebs.events import AccessBatch
 from repro.policies.static import AllCapacityPolicy, AllFastPolicy
 from repro.sim.cost import CostModel
@@ -153,7 +153,7 @@ class TestCostAccounting:
         sim.run()
         region = sim._regions["a"]
         hpn = region.base_vpn >> 9
-        tiers = [None] * 4 + [TierKind.CAPACITY] * 508
+        tiers = [None] * 4 + [1] * 508
         sim.space.split_huge(hpn, tiers)
         sim.policy.ksampled.on_split(
             hpn, np.array([False] * 4 + [True] * 508)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mem.tiers import TierKind
+from repro.mem.tiers import FASTEST_TIER
 from repro.pebs.events import AccessBatch
 from repro.policies.base import TieringPolicy
 from repro.policies.registry import FIG5_POLICIES, make_policy
@@ -98,7 +98,7 @@ class TestEveryPolicyEndToEnd:
         sim.space.check_consistency()
         # Tier accounting never exceeds capacity.
         assert sim.tiers.fast.used_bytes <= sim.tiers.fast.capacity_bytes
-        assert sim.tiers.capacity.used_bytes <= sim.tiers.capacity.capacity_bytes
+        assert sim.tiers.slowest.used_bytes <= sim.tiers.slowest.capacity_bytes
 
     def test_handles_region_churn(self, policy_name):
         """bwaves-style alloc/free churn must not corrupt policy state."""
@@ -120,11 +120,11 @@ class TestAllocPlacement:
         # allocations are directed to the capacity tier -- the §6.2.6
         # short-lived-data behaviour.
         assert sim.tiers.fast.free_bytes == 0
-        assert policy.choose_alloc_tier(2 * MB) == TierKind.CAPACITY
+        assert policy.choose_alloc_tier(2 * MB) == 1
 
     def test_default_policy_prefers_fast(self):
         policy = AllFastPolicy()
         machine = MachineSpec(fast_bytes=8 * MB, capacity_bytes=64 * MB)
         sim = Simulation(OneRegionWorkload(), policy, machine)
         sim.run()
-        assert policy.choose_alloc_tier(2 * MB) == TierKind.FAST
+        assert policy.choose_alloc_tier(2 * MB) == FASTEST_TIER

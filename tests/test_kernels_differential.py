@@ -16,7 +16,7 @@ from repro import kernels
 from repro.core.config import MemtisConfig
 from repro.core.sampler import KSampled
 from repro.mem.pages import SUBPAGES_PER_HUGE
-from repro.mem.tiers import TierKind
+from repro.mem.tiers import FASTEST_TIER
 from repro.mem.tlb import TLB, TLBConfig
 from repro.pebs.sampler import SampleBatch
 from repro.workloads.distributions import ZipfSampler
@@ -63,7 +63,7 @@ def _drive_sampler(mode: str, seed: int, rounds: int) -> dict:
         ctx = make_context(fast_mb=8, cap_mb=64)
         config = MemtisConfig().resolved(
             ctx.tiers.fast.capacity_bytes,
-            ctx.tiers.fast.capacity_bytes + ctx.tiers.capacity.capacity_bytes,
+            ctx.tiers.fast.capacity_bytes + ctx.tiers.slowest.capacity_bytes,
         )
         ks = KSampled(config, ctx)
         rng = np.random.default_rng(seed)
@@ -97,12 +97,12 @@ def _drive_sampler(mode: str, seed: int, rounds: int) -> dict:
             if rnd % 8 == 5:
                 # Demote a random batch so capacity-tier sampling and the
                 # promotion queue see real traffic.
-                fast = np.flatnonzero(ctx.space.page_tier == int(TierKind.FAST))
+                fast = np.flatnonzero(ctx.space.page_tier == FASTEST_TIER)
                 if len(fast):
                     pick = rng.choice(
                         fast, size=min(64, len(fast)), replace=False
                     )
-                    ctx.migrator.migrate_many(np.sort(pick), TierKind.CAPACITY)
+                    ctx.migrator.migrate_many(np.sort(pick), 1)
 
             if rnd % 6 == 3:
                 hpns = ctx.space.mapped_huge_hpns()
@@ -118,10 +118,10 @@ def _drive_sampler(mode: str, seed: int, rounds: int) -> dict:
                     ks.on_split(hpn, kept)
                     freed = head + np.flatnonzero(~kept)
                     if len(freed):
-                        ctx.space.demand_map_many(freed, TierKind.FAST)
+                        ctx.space.demand_map_many(freed, FASTEST_TIER)
                         ks.on_demand_map(freed)
                     if rng.integers(2):
-                        ctx.migrator.collapse_huge(hpn, TierKind.CAPACITY)
+                        ctx.migrator.collapse_huge(hpn, 1)
                         ks.on_collapse(hpn)
 
             if rnd % 7 == 6:
@@ -253,8 +253,8 @@ class TestBatchMappingDifferential:
         assert 0 < fast_free < len(freed_a)
 
         for vpn in freed_a:
-            ctx_a.space.demand_map(int(vpn), TierKind.FAST)
-        ctx_b.space.demand_map_many(freed_b, TierKind.FAST)
+            ctx_a.space.demand_map(int(vpn), FASTEST_TIER)
+        ctx_b.space.demand_map_many(freed_b, FASTEST_TIER)
 
         np.testing.assert_array_equal(
             ctx_a.space.page_tier, ctx_b.space.page_tier
@@ -263,8 +263,8 @@ class TestBatchMappingDifferential:
             ctx_a.space.page_huge, ctx_b.space.page_huge
         )
         assert ctx_a.tiers.fast.free_bytes == ctx_b.tiers.fast.free_bytes
-        assert (ctx_a.tiers.capacity.free_bytes
-                == ctx_b.tiers.capacity.free_bytes)
+        assert (ctx_a.tiers.slowest.free_bytes
+                == ctx_b.tiers.slowest.free_bytes)
         ctx_b.space.check_consistency()
 
     def test_demand_map_many_rejects_mapped_vpn(self):
@@ -272,7 +272,7 @@ class TestBatchMappingDifferential:
         mapped_vpn = int(np.flatnonzero(ctx.space.page_tier >= 0)[0])
         with pytest.raises(ValueError, match="already mapped"):
             ctx.space.demand_map_many(
-                np.array([mapped_vpn]), TierKind.FAST
+                np.array([mapped_vpn]), FASTEST_TIER
             )
 
     def test_migrate_many_matches_sequential(self):
@@ -288,10 +288,10 @@ class TestBatchMappingDifferential:
         ctx_a, picks_a = build()
         ctx_b, picks_b = build()
         total_a = sum(
-            ctx_a.migrator.migrate_page(int(v), TierKind.CAPACITY)
+            ctx_a.migrator.migrate_page(int(v), 1)
             for v in picks_a
         )
-        total_b = ctx_b.migrator.migrate_many(picks_b, TierKind.CAPACITY)
+        total_b = ctx_b.migrator.migrate_many(picks_b, 1)
 
         np.testing.assert_array_equal(
             ctx_a.space.page_tier, ctx_b.space.page_tier

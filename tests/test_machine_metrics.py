@@ -65,18 +65,18 @@ class TestMachineSpec:
     def test_variants(self):
         m = MachineSpec.from_ratio(300 * MB, ratio="1:8")
         total = m.fast_bytes + m.capacity_bytes
-        all_cap = m.all_capacity()
+        all_cap = m.collapse_to_slowest()
         assert all_cap.capacity_bytes == total
         assert all_cap.fast_bytes == HUGE_PAGE_SIZE
-        all_fast = m.all_fast()
+        all_fast = m.collapse_to_fastest()
         assert all_fast.fast_bytes == total
 
     def test_build_tiers_kinds(self):
         m = MachineSpec(fast_bytes=8 * MB, capacity_bytes=64 * MB,
                         capacity_kind="cxl")
         tiers = m.build_tiers()
-        assert tiers.capacity.spec.name == "CXL"
-        assert tiers.capacity.spec.load_latency_ns == 177.0
+        assert tiers.slowest.spec.name == "CXL"
+        assert tiers.slowest.spec.load_latency_ns == 177.0
 
 
 class TestMetricsCollector:

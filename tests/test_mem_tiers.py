@@ -5,10 +5,10 @@ import pytest
 
 from repro.mem.tiers import (
     CAPACITY_SPECS,
+    FASTEST_TIER,
     MemoryTier,
     OutOfMemoryError,
     TieredMemory,
-    TierKind,
     TierSpec,
     cxl_spec,
     dram_spec,
@@ -47,7 +47,7 @@ class TestTierSpec:
 
 class TestMemoryTier:
     def test_alloc_free_roundtrip(self):
-        tier = MemoryTier(TierKind.FAST, dram_spec(10 * MB))
+        tier = MemoryTier(FASTEST_TIER, dram_spec(10 * MB))
         tier.alloc(4 * MB)
         assert tier.used_bytes == 4 * MB
         assert tier.free_bytes == 6 * MB
@@ -55,49 +55,50 @@ class TestMemoryTier:
         assert tier.used_bytes == 0
 
     def test_alloc_beyond_capacity_raises(self):
-        tier = MemoryTier(TierKind.FAST, dram_spec(MB))
+        tier = MemoryTier(FASTEST_TIER, dram_spec(MB))
         with pytest.raises(OutOfMemoryError):
             tier.alloc(2 * MB)
 
     def test_exact_fill_allowed(self):
-        tier = MemoryTier(TierKind.FAST, dram_spec(MB))
+        tier = MemoryTier(FASTEST_TIER, dram_spec(MB))
         tier.alloc(MB)
         assert tier.free_bytes == 0
         assert not tier.can_alloc(1)
 
     def test_double_free_detected(self):
-        tier = MemoryTier(TierKind.FAST, dram_spec(MB))
+        tier = MemoryTier(FASTEST_TIER, dram_spec(MB))
         tier.alloc(MB // 2)
         with pytest.raises(ValueError):
             tier.free(MB)
 
     def test_negative_sizes_rejected(self):
-        tier = MemoryTier(TierKind.FAST, dram_spec(MB))
+        tier = MemoryTier(FASTEST_TIER, dram_spec(MB))
         with pytest.raises(ValueError):
             tier.alloc(-1)
         with pytest.raises(ValueError):
             tier.free(-1)
 
     def test_utilization(self):
-        tier = MemoryTier(TierKind.FAST, dram_spec(10 * MB))
+        tier = MemoryTier(FASTEST_TIER, dram_spec(10 * MB))
         tier.alloc(5 * MB)
         assert tier.utilization == pytest.approx(0.5)
 
 
 class TestTieredMemory:
     def test_kind_mismatch_rejected(self):
-        fast = MemoryTier(TierKind.CAPACITY, dram_spec(MB))
-        cap = MemoryTier(TierKind.CAPACITY, nvm_spec(MB))
+        # A tier's index must equal its position in the stack.
+        fast = MemoryTier(1, dram_spec(MB))
+        cap = MemoryTier(1, nvm_spec(MB))
         with pytest.raises(ValueError):
-            TieredMemory(fast=fast, capacity=cap)
+            TieredMemory([fast, cap])
 
     def test_latency_tables_indexable_by_kind(self):
         tiers = make_pair()
         loads = tiers.load_latency_table()
-        assert loads[int(TierKind.FAST)] == 80.0
-        assert loads[int(TierKind.CAPACITY)] == 300.0
+        assert loads[FASTEST_TIER] == 80.0
+        assert loads[1] == 300.0
         stores = tiers.store_latency_table()
-        assert stores[int(TierKind.CAPACITY)] > stores[int(TierKind.FAST)]
+        assert stores[1] > stores[FASTEST_TIER]
 
     def test_latency_gap(self):
         tiers = make_pair(kind="nvm")
@@ -106,16 +107,20 @@ class TestTieredMemory:
 
     def test_tier_lookup_and_iter(self):
         tiers = make_pair()
-        assert tiers.tier(TierKind.FAST) is tiers.fast
-        assert tiers.tier(TierKind.CAPACITY) is tiers.capacity
-        assert list(tiers) == [tiers.fast, tiers.capacity]
+        assert tiers.tier(FASTEST_TIER) is tiers.fast
+        assert tiers.tier(1) is tiers.slowest
+        assert list(tiers) == [tiers.fast, tiers.slowest]
 
     def test_total_used(self):
         tiers = make_pair()
         tiers.fast.alloc(MB)
-        tiers.capacity.alloc(2 * MB)
+        tiers.slowest.alloc(2 * MB)
         assert tiers.total_used() == 3 * MB
 
     def test_other_kind(self):
-        assert TierKind.FAST.other is TierKind.CAPACITY
-        assert TierKind.CAPACITY.other is TierKind.FAST
+        # On two tiers, neighbour addressing flips between them.
+        tiers = make_pair()
+        assert tiers.demote_target(FASTEST_TIER) == 1
+        assert tiers.promote_target(1) == FASTEST_TIER
+        assert tiers.promote_target(FASTEST_TIER) is None
+        assert tiers.demote_target(1) is None

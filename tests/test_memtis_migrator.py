@@ -7,7 +7,7 @@ from repro.core.config import MemtisConfig
 from repro.core.migrator import KMigrated
 from repro.core.sampler import KSampled
 from repro.mem.pages import SUBPAGES_PER_HUGE
-from repro.mem.tiers import TierKind
+from repro.mem.tiers import FASTEST_TIER
 from repro.pebs.sampler import SampleBatch
 
 from conftest import make_context
@@ -18,7 +18,7 @@ MB = 1024 * 1024
 def build(ctx, **overrides):
     config = MemtisConfig(**overrides).resolved(
         ctx.tiers.fast.capacity_bytes,
-        ctx.tiers.fast.capacity_bytes + ctx.tiers.capacity.capacity_bytes,
+        ctx.tiers.fast.capacity_bytes + ctx.tiers.slowest.capacity_bytes,
     )
     ks = KSampled(config, ctx)
     km = KMigrated(config, ctx, ks)
@@ -40,41 +40,41 @@ def alloc(ctx, ks, mb, tier, thp=True):
 class TestPromotion:
     def test_promotes_queued_hot_pages(self, ctx):
         ks, km = build(ctx)
-        region = alloc(ctx, ks, 2, TierKind.CAPACITY)
+        region = alloc(ctx, ks, 2, 1)
         head = region.base_vpn
         ks.process_samples(samples_of([head] * 50))
         assert head in ks.promotion_queue
         km.tick(now_ns=1e9)
-        assert ctx.space.page_tier[head] == int(TierKind.FAST)
+        assert ctx.space.page_tier[head] == FASTEST_TIER
         assert head not in ks.promotion_queue
 
     def test_promotion_makes_room_by_demoting_colder(self, ctx):
         ks, km = build(ctx)
         # Fill the fast tier with cold pages, put a hot page on capacity.
-        cold = alloc(ctx, ks, 16, TierKind.FAST)
-        hot = alloc(ctx, ks, 2, TierKind.CAPACITY)
+        cold = alloc(ctx, ks, 16, FASTEST_TIER)
+        hot = alloc(ctx, ks, 2, 1)
         ks.process_samples(samples_of([hot.base_vpn] * 200))
         ks.adapt()
         ks.process_samples(samples_of([hot.base_vpn] * 10))
         km.tick(now_ns=1e9)
-        assert ctx.space.page_tier[hot.base_vpn] == int(TierKind.FAST)
+        assert ctx.space.page_tier[hot.base_vpn] == FASTEST_TIER
 
     def test_stale_queue_entries_discarded(self, ctx):
         ks, km = build(ctx)
-        region = alloc(ctx, ks, 2, TierKind.CAPACITY)
+        region = alloc(ctx, ks, 2, 1)
         head = region.base_vpn
         ks.promotion_queue.add(head)
         ks.main_bin[head] = 0  # definitely below any hot threshold
         ks.thresholds = type(ks.thresholds)(hot=5, warm=4, cold=3)
         km.tick(now_ns=1e9)
-        assert ctx.space.page_tier[head] == int(TierKind.CAPACITY)
+        assert ctx.space.page_tier[head] == 1
         assert head not in ks.promotion_queue
 
 
 class TestDemotion:
     def _fill_fast_with_bins(self, ctx, ks):
         """Three huge pages on fast with cold/warm/hot bins."""
-        ctx_region = alloc(ctx, ks, 6, TierKind.FAST)
+        ctx_region = alloc(ctx, ks, 6, FASTEST_TIER)
         heads = [ctx_region.base_vpn + i * SUBPAGES_PER_HUGE for i in range(3)]
         ks.meta.huge_count[[h >> 9 for h in heads]] = [1, 40, 4000]
         ks.cool = ks.cool  # no-op marker
@@ -89,23 +89,23 @@ class TestDemotion:
         km._demote(need=2 * MB, allow_warm=True)
         tiers = [int(ctx.space.page_tier[h]) for h in heads]
         # Coldest (count 1 -> bin 0) went first; hot stays.
-        assert tiers[0] == int(TierKind.CAPACITY)
-        assert tiers[1] == int(TierKind.FAST)
-        assert tiers[2] == int(TierKind.FAST)
+        assert tiers[0] == 1
+        assert tiers[1] == FASTEST_TIER
+        assert tiers[2] == FASTEST_TIER
 
     def test_warm_demoted_under_pressure(self, ctx):
         ks, km = build(ctx)
         heads = self._fill_fast_with_bins(ctx, ks)
         km._demote(need=4 * MB, allow_warm=True)
         tiers = [int(ctx.space.page_tier[h]) for h in heads]
-        assert tiers[:2] == [int(TierKind.CAPACITY)] * 2
-        assert tiers[2] == int(TierKind.FAST)  # hot never demoted
+        assert tiers[:2] == [1] * 2
+        assert tiers[2] == FASTEST_TIER  # hot never demoted
 
     def test_hot_never_demoted_even_desperate(self, ctx):
         ks, km = build(ctx)
         heads = self._fill_fast_with_bins(ctx, ks)
         km._demote(need=60 * MB, allow_warm=True)
-        assert ctx.space.page_tier[heads[2]] == int(TierKind.FAST)
+        assert ctx.space.page_tier[heads[2]] == FASTEST_TIER
 
     def test_max_bin_restricts_victims(self, ctx):
         ks, km = build(ctx)
@@ -113,8 +113,8 @@ class TestDemotion:
         km._demote(need=60 * MB, allow_warm=True, max_bin=5)
         # Only the bin-0 page is strictly colder than bin 5.
         tiers = [int(ctx.space.page_tier[h]) for h in heads]
-        assert tiers == [int(TierKind.CAPACITY), int(TierKind.FAST),
-                         int(TierKind.FAST)]
+        assert tiers == [1, FASTEST_TIER,
+                         FASTEST_TIER]
 
 
 def ksampled_cool(ks):
@@ -125,7 +125,7 @@ def ksampled_cool(ks):
 
 
 class TestSplitExecution:
-    def _skewed_region(self, ctx, ks, tier=TierKind.FAST):
+    def _skewed_region(self, ctx, ks, tier=FASTEST_TIER):
         """Four huge pages, each with 8 hot subpages out of 512."""
         region = alloc(ctx, ks, 8, tier)
         head = region.base_vpn
@@ -152,7 +152,7 @@ class TestSplitExecution:
         km.tick(now_ns=1e9)
         assert km.splits_done == 1
         # Hot subpages stayed fast; untouched subpages were freed.
-        assert ctx.space.page_tier[head] == int(TierKind.FAST)
+        assert ctx.space.page_tier[head] == FASTEST_TIER
         assert ctx.space.page_tier[head + 200] == -1  # never touched
         assert not ctx.space.page_huge[head]
         ctx.space.check_consistency()
@@ -186,11 +186,11 @@ class TestSplitExecution:
 class TestCollapse:
     def test_collapse_when_all_subpages_hot(self, ctx):
         ks, km = build(ctx, enable_collapse=True)
-        region = alloc(ctx, ks, 2, TierKind.FAST)
+        region = alloc(ctx, ks, 2, FASTEST_TIER)
         head = region.base_vpn
         hpn = head >> 9
         ctx.space.record_touch(np.arange(head, head + SUBPAGES_PER_HUGE))
-        ctx.space.split_huge(hpn, [TierKind.FAST] * SUBPAGES_PER_HUGE)
+        ctx.space.split_huge(hpn, [FASTEST_TIER] * SUBPAGES_PER_HUGE)
         kept = np.ones(SUBPAGES_PER_HUGE, dtype=bool)
         ks.on_split(hpn, kept)
         km.split_hpns.add(hpn)
@@ -203,10 +203,10 @@ class TestCollapse:
 
     def test_no_collapse_with_cold_subpage(self, ctx):
         ks, km = build(ctx, enable_collapse=True)
-        region = alloc(ctx, ks, 2, TierKind.FAST)
+        region = alloc(ctx, ks, 2, FASTEST_TIER)
         head = region.base_vpn
         hpn = head >> 9
-        ctx.space.split_huge(hpn, [TierKind.FAST] * SUBPAGES_PER_HUGE)
+        ctx.space.split_huge(hpn, [FASTEST_TIER] * SUBPAGES_PER_HUGE)
         ks.on_split(hpn, np.ones(SUBPAGES_PER_HUGE, dtype=bool))
         km.split_hpns.add(hpn)
         ks.meta.sub_count[head : head + SUBPAGES_PER_HUGE] = 64
@@ -223,7 +223,7 @@ class TestBookkeepingRegressions:
         # must leave split_hpns too -- a leaked entry permanently blocks
         # consider_split from ever re-queueing that slot.
         ks, km = build(ctx)
-        region = alloc(ctx, ks, 2, TierKind.FAST)
+        region = alloc(ctx, ks, 2, FASTEST_TIER)
         hpn = region.base_vpn >> 9
         km.split_queue.append(hpn)
         km.split_hpns.add(hpn)
@@ -238,7 +238,7 @@ class TestBookkeepingRegressions:
         from repro.check import InvariantViolation, Sanitizer
 
         ks, km = build(ctx)
-        region = alloc(ctx, ks, 2, TierKind.FAST)
+        region = alloc(ctx, ks, 2, FASTEST_TIER)
         hpn = region.base_vpn >> 9
         # The pre-fix end state: huge-mapped slot tracked as split but
         # not queued -- exactly what the leak left behind.
@@ -254,7 +254,7 @@ class TestBookkeepingRegressions:
 
     def test_on_unmap_drops_split_bookkeeping(self, ctx):
         ks, km = build(ctx)
-        region = alloc(ctx, ks, 4, TierKind.FAST)
+        region = alloc(ctx, ks, 4, FASTEST_TIER)
         hpns = [(region.base_vpn >> 9), (region.base_vpn >> 9) + 1]
         km.split_queue.extend(hpns)
         km.split_hpns.update(hpns)
@@ -268,12 +268,12 @@ class TestBookkeepingRegressions:
         ks, km = build(ctx, enable_collapse=True)
         # Fill the 16 MiB fast tier completely: 14 MiB of other data
         # plus the 2 MiB split range itself.
-        alloc(ctx, ks, 14, TierKind.FAST)
-        region = alloc(ctx, ks, 2, TierKind.FAST)
+        alloc(ctx, ks, 14, FASTEST_TIER)
+        region = alloc(ctx, ks, 2, FASTEST_TIER)
         head = region.base_vpn
         hpn = head >> 9
         ctx.space.record_touch(np.arange(head, head + SUBPAGES_PER_HUGE))
-        ctx.space.split_huge(hpn, [TierKind.FAST] * SUBPAGES_PER_HUGE)
+        ctx.space.split_huge(hpn, [FASTEST_TIER] * SUBPAGES_PER_HUGE)
         ks.on_split(hpn, np.ones(SUBPAGES_PER_HUGE, dtype=bool))
         km.split_hpns.add(hpn)
         ks.meta.sub_count[head : head + SUBPAGES_PER_HUGE] = 64
@@ -289,12 +289,12 @@ class TestBookkeepingRegressions:
         # With every subpage on the capacity tier the collapse really
         # does need a full free 2 MiB on fast; near-full must refuse.
         ks, km = build(ctx, enable_collapse=True)
-        alloc(ctx, ks, 15, TierKind.FAST)
-        region = alloc(ctx, ks, 2, TierKind.CAPACITY)
+        alloc(ctx, ks, 15, FASTEST_TIER)
+        region = alloc(ctx, ks, 2, 1)
         head = region.base_vpn
         hpn = head >> 9
         ctx.space.record_touch(np.arange(head, head + SUBPAGES_PER_HUGE))
-        ctx.space.split_huge(hpn, [TierKind.CAPACITY] * SUBPAGES_PER_HUGE)
+        ctx.space.split_huge(hpn, [1] * SUBPAGES_PER_HUGE)
         ks.on_split(hpn, np.ones(SUBPAGES_PER_HUGE, dtype=bool))
         km.split_hpns.add(hpn)
         ks.meta.sub_count[head : head + SUBPAGES_PER_HUGE] = 64
@@ -311,14 +311,14 @@ class TestBookkeepingRegressions:
         # on the tier (regions are 2 MiB-granular; this stands in for
         # sub-region fragmentation) -- room for base pages but not for
         # a 2 MiB huge page.
-        fill = alloc(ctx, ks, 14, TierKind.FAST)
+        fill = alloc(ctx, ks, 14, FASTEST_TIER)
         ctx.tiers.fast.alloc(1 * MB)
         fill_heads = np.arange(
             fill.base_vpn, fill.end_vpn, SUBPAGES_PER_HUGE
         )
         ks.main_bin[fill_heads] = 15
-        huge = alloc(ctx, ks, 2, TierKind.CAPACITY)
-        basereg = alloc(ctx, ks, 2, TierKind.CAPACITY, thp=False)
+        huge = alloc(ctx, ks, 2, 1)
+        basereg = alloc(ctx, ks, 2, 1, thp=False)
         base_vpns = [basereg.base_vpn, basereg.base_vpn + 1]
         ks.thresholds = type(ks.thresholds)(hot=10, warm=5, cold=3)
         ks.main_bin[huge.base_vpn] = 15   # hottest: tried first
@@ -329,22 +329,22 @@ class TestBookkeepingRegressions:
         # The huge page stayed queued on capacity; the base pages behind
         # it were promoted anyway (pre-fix the loop broke at the huge
         # page and never reached them).
-        assert ctx.space.page_tier[huge.base_vpn] == int(TierKind.CAPACITY)
+        assert ctx.space.page_tier[huge.base_vpn] == 1
         assert huge.base_vpn in ks.promotion_queue
         for v in base_vpns:
-            assert ctx.space.page_tier[v] == int(TierKind.FAST)
+            assert ctx.space.page_tier[v] == FASTEST_TIER
             assert v not in ks.promotion_queue
 
     def test_promotion_skip_budget_bounds_work(self, ctx):
         # More oversized candidates than MAX_PROMOTE_SKIPS: the loop
         # gives up after the budget instead of scanning the whole queue.
         ks, km = build(ctx)
-        fill = alloc(ctx, ks, 16, TierKind.FAST)  # fast tier full
+        fill = alloc(ctx, ks, 16, FASTEST_TIER)  # fast tier full
         fill_heads = np.arange(
             fill.base_vpn, fill.end_vpn, SUBPAGES_PER_HUGE
         )
         ks.main_bin[fill_heads] = 15
-        huge = alloc(ctx, ks, 20, TierKind.CAPACITY)
+        huge = alloc(ctx, ks, 20, 1)
         huge_heads = np.arange(
             huge.base_vpn, huge.end_vpn, SUBPAGES_PER_HUGE
         )
@@ -355,6 +355,6 @@ class TestBookkeepingRegressions:
         # Nothing fit, nothing was dropped from the queue.
         assert len(ks.promotion_queue) == len(huge_heads)
         assert all(
-            ctx.space.page_tier[h] == int(TierKind.CAPACITY)
+            ctx.space.page_tier[h] == 1
             for h in huge_heads
         )

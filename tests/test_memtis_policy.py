@@ -61,7 +61,7 @@ class TestEndToEnd:
         workload = make_workload("silo", TEST_SCALE)
         machine = MachineSpec.from_ratio(workload.total_bytes, ratio="1:8")
         baseline = Simulation(
-            workload, AllCapacityPolicy(), machine.all_capacity(), seed=3
+            workload, AllCapacityPolicy(), machine.collapse_to_slowest(), seed=3
         ).run()
         assert result.runtime_ns < baseline.runtime_ns
 

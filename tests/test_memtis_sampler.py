@@ -6,7 +6,7 @@ import pytest
 from repro.core.config import MemtisConfig
 from repro.core.sampler import KSampled
 from repro.mem.pages import SUBPAGES_PER_HUGE
-from repro.mem.tiers import TierKind
+from repro.mem.tiers import FASTEST_TIER
 from repro.pebs.sampler import SampleBatch
 
 from conftest import make_context
@@ -17,7 +17,7 @@ MB = 1024 * 1024
 def make_ksampled(ctx, **overrides):
     config = MemtisConfig(**overrides).resolved(
         ctx.tiers.fast.capacity_bytes,
-        ctx.tiers.fast.capacity_bytes + ctx.tiers.capacity.capacity_bytes,
+        ctx.tiers.fast.capacity_bytes + ctx.tiers.slowest.capacity_bytes,
     )
     return KSampled(config, ctx)
 
@@ -95,9 +95,9 @@ class TestSampleProcessing:
     def test_promotion_queue_only_capacity_pages(self, ctx):
         ks = make_ksampled(ctx)
         fast_region = ctx.space.alloc_region(
-            2 * MB, thp=True, tier_chooser=lambda n: TierKind.FAST)
+            2 * MB, thp=True, tier_chooser=lambda n: FASTEST_TIER)
         cap_region = ctx.space.alloc_region(
-            2 * MB, thp=True, tier_chooser=lambda n: TierKind.CAPACITY)
+            2 * MB, thp=True, tier_chooser=lambda n: 1)
         for region in (fast_region, cap_region):
             ks.on_region_alloc(region)
         ks.process_samples(samples_of(
@@ -108,9 +108,9 @@ class TestSampleProcessing:
     def test_rhr_counts_fast_tier_samples(self, ctx):
         ks = make_ksampled(ctx)
         fast_region = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: TierKind.FAST)
+            2 * MB, tier_chooser=lambda n: FASTEST_TIER)
         cap_region = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: TierKind.CAPACITY)
+            2 * MB, tier_chooser=lambda n: 1)
         ks.on_region_alloc(fast_region)
         ks.on_region_alloc(cap_region)
         ks.process_samples(samples_of(
@@ -159,7 +159,7 @@ class TestSplitAccounting:
     def test_on_split_reweights_histogram(self, ctx):
         ks = make_ksampled(ctx)
         region = ctx.space.alloc_region(
-            2 * MB, thp=True, tier_chooser=lambda n: TierKind.FAST)
+            2 * MB, thp=True, tier_chooser=lambda n: FASTEST_TIER)
         ks.on_region_alloc(region)
         head = region.base_vpn
         ks.process_samples(samples_of([head + j for j in range(8)] * 3))
@@ -167,7 +167,7 @@ class TestSplitAccounting:
 
         kept = np.zeros(SUBPAGES_PER_HUGE, dtype=bool)
         kept[:100] = True
-        tiers = [TierKind.FAST if j < 100 else None
+        tiers = [FASTEST_TIER if j < 100 else None
                  for j in range(SUBPAGES_PER_HUGE)]
         ctx.space.split_huge(head >> 9, tiers)
         ks.on_split(head >> 9, kept)
@@ -180,14 +180,14 @@ class TestSplitAccounting:
     def test_on_collapse_restores_huge_entry(self, ctx):
         ks = make_ksampled(ctx)
         region = ctx.space.alloc_region(
-            2 * MB, thp=True, tier_chooser=lambda n: TierKind.FAST)
+            2 * MB, thp=True, tier_chooser=lambda n: FASTEST_TIER)
         ks.on_region_alloc(region)
         head = region.base_vpn
         kept = np.ones(SUBPAGES_PER_HUGE, dtype=bool)
-        ctx.space.split_huge(head >> 9, [TierKind.FAST] * SUBPAGES_PER_HUGE)
+        ctx.space.split_huge(head >> 9, [FASTEST_TIER] * SUBPAGES_PER_HUGE)
         ks.on_split(head >> 9, kept)
         ks.meta.sub_count[head : head + SUBPAGES_PER_HUGE] = 3
-        ctx.space.collapse_huge(head >> 9, TierKind.FAST)
+        ctx.space.collapse_huge(head >> 9, FASTEST_TIER)
         ks.on_collapse(head >> 9)
         assert ks.main_weight[head] == SUBPAGES_PER_HUGE
         assert ks.meta.huge_count[head >> 9] == 3 * SUBPAGES_PER_HUGE

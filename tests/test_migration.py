@@ -11,9 +11,9 @@ from repro.mem.migration import (
 )
 from repro.mem.pages import BASE_PAGE_SIZE, HUGE_PAGE_SIZE, SUBPAGES_PER_HUGE
 from repro.mem.tiers import (
+    FASTEST_TIER,
     OutOfMemoryError,
     TieredMemory,
-    TierKind,
     cxl_spec,
     dram_spec,
     nvm_spec,
@@ -46,8 +46,8 @@ class TestSinglePageMoves:
     def test_base_migration_accounts_traffic_and_cost(self):
         space, _tlb, engine = setup()
         region = space.alloc_region(2 * MB, thp=False,
-                                    tier_chooser=lambda n: TierKind.CAPACITY)
-        ns = engine.migrate_base(region.base_vpn, TierKind.FAST)
+                                    tier_chooser=lambda n: 1)
+        ns = engine.migrate_base(region.base_vpn, FASTEST_TIER)
         assert ns > 0
         assert engine.stats.promoted_bytes == BASE_PAGE_SIZE
         assert engine.stats.promoted_pages == 1
@@ -57,11 +57,11 @@ class TestSinglePageMoves:
     def test_huge_costs_more_than_base(self):
         space, _tlb, engine = setup()
         huge_region = space.alloc_region(
-            2 * MB, thp=True, tier_chooser=lambda n: TierKind.CAPACITY)
+            2 * MB, thp=True, tier_chooser=lambda n: 1)
         base_region = space.alloc_region(
-            2 * MB, thp=False, tier_chooser=lambda n: TierKind.CAPACITY)
-        ns_huge = engine.migrate_huge(huge_region.base_vpn >> 9, TierKind.FAST)
-        ns_base = engine.migrate_base(base_region.base_vpn, TierKind.FAST)
+            2 * MB, thp=False, tier_chooser=lambda n: 1)
+        ns_huge = engine.migrate_huge(huge_region.base_vpn >> 9, FASTEST_TIER)
+        ns_base = engine.migrate_base(base_region.base_vpn, FASTEST_TIER)
         # The 2 MiB copy dominates: much costlier than one 4 KiB move,
         # though fixed per-page/shootdown overheads soften the 512x.
         assert ns_huge > 20 * ns_base
@@ -69,38 +69,38 @@ class TestSinglePageMoves:
     def test_critical_flag_routes_cost(self):
         space, _tlb, engine = setup()
         region = space.alloc_region(2 * MB, thp=False,
-                                    tier_chooser=lambda n: TierKind.CAPACITY)
-        ns = engine.migrate_base(region.base_vpn, TierKind.FAST, critical=True)
+                                    tier_chooser=lambda n: 1)
+        ns = engine.migrate_base(region.base_vpn, FASTEST_TIER, critical=True)
         assert engine.stats.critical_path_ns == ns
         assert engine.stats.background_ns == 0
 
     def test_noop_when_already_there(self):
         space, _tlb, engine = setup()
-        region = space.alloc_region(2 * MB, tier_chooser=lambda n: TierKind.FAST)
-        assert engine.migrate_huge(region.base_vpn >> 9, TierKind.FAST) == 0.0
+        region = space.alloc_region(2 * MB, tier_chooser=lambda n: FASTEST_TIER)
+        assert engine.migrate_huge(region.base_vpn >> 9, FASTEST_TIER) == 0.0
         assert engine.stats.traffic_bytes == 0
 
     def test_migrate_page_dispatches_on_shape(self):
         space, _tlb, engine = setup()
         region = space.alloc_region(2 * MB, thp=True,
-                                    tier_chooser=lambda n: TierKind.CAPACITY)
-        engine.migrate_page(region.base_vpn + 17, TierKind.FAST)
+                                    tier_chooser=lambda n: 1)
+        engine.migrate_page(region.base_vpn + 17, FASTEST_TIER)
         assert engine.stats.promoted_bytes == HUGE_PAGE_SIZE
 
     def test_shootdown_on_migration(self):
         space, tlb, engine = setup()
-        region = space.alloc_region(2 * MB, tier_chooser=lambda n: TierKind.FAST)
-        engine.migrate_huge(region.base_vpn >> 9, TierKind.CAPACITY)
+        region = space.alloc_region(2 * MB, tier_chooser=lambda n: FASTEST_TIER)
+        engine.migrate_huge(region.base_vpn >> 9, 1)
         assert tlb.stats.shootdowns == 1
 
 
 class TestSplitCollapse:
     def test_split_accounting(self):
         space, tlb, engine = setup()
-        region = space.alloc_region(2 * MB, tier_chooser=lambda n: TierKind.FAST)
+        region = space.alloc_region(2 * MB, tier_chooser=lambda n: FASTEST_TIER)
         hpn = region.base_vpn >> 9
-        tiers = ([TierKind.FAST] * 100 + [None] * 12
-                 + [TierKind.CAPACITY] * (SUBPAGES_PER_HUGE - 112))
+        tiers = ([FASTEST_TIER] * 100 + [None] * 12
+                 + [1] * (SUBPAGES_PER_HUGE - 112))
         ns = engine.split_huge(hpn, tiers)
         assert ns > 0
         assert engine.stats.splits == 1
@@ -112,19 +112,19 @@ class TestSplitCollapse:
 
     def test_collapse_accounting(self):
         space, _tlb, engine = setup()
-        region = space.alloc_region(2 * MB, tier_chooser=lambda n: TierKind.FAST)
+        region = space.alloc_region(2 * MB, tier_chooser=lambda n: FASTEST_TIER)
         hpn = region.base_vpn >> 9
-        engine.split_huge(hpn, [TierKind.CAPACITY] * SUBPAGES_PER_HUGE)
-        ns = engine.collapse_huge(hpn, TierKind.FAST)
+        engine.split_huge(hpn, [1] * SUBPAGES_PER_HUGE)
+        ns = engine.collapse_huge(hpn, FASTEST_TIER)
         assert ns > 0
         assert engine.stats.collapses == 1
 
     def test_migrate_many(self):
         space, _tlb, engine = setup()
         region = space.alloc_region(2 * MB, thp=False,
-                                    tier_chooser=lambda n: TierKind.CAPACITY)
+                                    tier_chooser=lambda n: 1)
         vpns = np.arange(region.base_vpn, region.base_vpn + 10)
-        total = engine.migrate_many(vpns, TierKind.FAST)
+        total = engine.migrate_many(vpns, FASTEST_TIER)
         assert total > 0
         assert engine.stats.promoted_pages == 10
 
@@ -140,16 +140,16 @@ class TestCopyFreeAndSideCopy:
     def test_copy_free_remap_charges_no_copy_or_traffic(self):
         space, _tlb, engine = setup()
         region = space.alloc_region(2 * MB, thp=False,
-                                    tier_chooser=lambda n: TierKind.FAST)
+                                    tier_chooser=lambda n: FASTEST_TIER)
         full_ns = (engine.params.per_page_fixed_ns
                    + engine.params.copy_ns(BASE_PAGE_SIZE)
                    + engine.params.shootdown_ns)
-        ns = engine.migrate_base(region.base_vpn, TierKind.CAPACITY,
+        ns = engine.migrate_base(region.base_vpn, 1,
                                  copy_free=True)
         assert ns < full_ns
         assert engine.stats.demoted_pages == 1
         assert engine.stats.demoted_bytes == 0  # nothing crossed the bus
-        assert int(space.page_tier[region.base_vpn]) == int(TierKind.CAPACITY)
+        assert int(space.page_tier[region.base_vpn]) == 1
 
     def test_side_copy_charges_time_but_moves_nothing(self):
         space, _tlb, engine = setup()
@@ -236,10 +236,10 @@ class TestDemotionCascade:
     def test_two_tier_machines_keep_strict_oom(self):
         space, _tlb, engine = setup(fast_mb=4, cap_mb=4)
         space.alloc_region(4 * MB, thp=True,
-                           tier_chooser=lambda n: TierKind.CAPACITY)
+                           tier_chooser=lambda n: 1)
         mover = space.alloc_region(2 * MB, thp=True,
-                                   tier_chooser=lambda n: TierKind.FAST)
+                                   tier_chooser=lambda n: FASTEST_TIER)
         with pytest.raises(OutOfMemoryError):
-            engine.migrate_huge(mover.base_vpn >> 9, TierKind.CAPACITY)
+            engine.migrate_huge(mover.base_vpn >> 9, 1)
         assert engine.stats.cascade_pages == 0
         space.check_consistency()

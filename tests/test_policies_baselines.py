@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mem.pages import SUBPAGES_PER_HUGE
-from repro.mem.tiers import TierKind
+from repro.mem.tiers import FASTEST_TIER
 from repro.pebs.events import AccessBatch
 from repro.pebs.sampler import SampleBatch
 from repro.policies.autonuma import AutoNUMAPolicy
@@ -59,30 +59,30 @@ class TestAutoNUMA:
         policy = AutoNUMAPolicy(scan_period_ns=1e6, scan_fraction=1.0)
         ctx = bind(policy)
         region = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: TierKind.CAPACITY)
+            2 * MB, tier_chooser=lambda n: 1)
         policy.on_tick(now_ns=2e6)
         assert policy.protection_mask[region.base_vpn]
         ns = policy.on_hint_faults(np.array([region.base_vpn]))
         assert ns > 0  # critical-path promotion
-        assert ctx.space.page_tier[region.base_vpn] == int(TierKind.FAST)
+        assert ctx.space.page_tier[region.base_vpn] == FASTEST_TIER
         assert not policy.protection_mask[region.base_vpn]
         assert ctx.migrator.stats.critical_path_ns > 0
 
     def test_no_promotion_when_fast_full(self):
         policy = AutoNUMAPolicy(scan_period_ns=1e6, scan_fraction=1.0)
         ctx = bind(policy, fast_mb=2)
-        ctx.space.alloc_region(2 * MB, tier_chooser=lambda n: TierKind.FAST)
+        ctx.space.alloc_region(2 * MB, tier_chooser=lambda n: FASTEST_TIER)
         region = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: TierKind.CAPACITY)
+            2 * MB, tier_chooser=lambda n: 1)
         policy.on_tick(2e6)
         ns = policy.on_hint_faults(np.array([region.base_vpn]))
         # AutoNUMA has no demotion: the page stays put.
-        assert ctx.space.page_tier[region.base_vpn] == int(TierKind.CAPACITY)
+        assert ctx.space.page_tier[region.base_vpn] == 1
 
     def test_never_demotes(self):
         policy = AutoNUMAPolicy()
         ctx = bind(policy)
-        ctx.space.alloc_region(8 * MB, tier_chooser=lambda n: TierKind.FAST)
+        ctx.space.alloc_region(8 * MB, tier_chooser=lambda n: FASTEST_TIER)
         for t in range(10):
             policy.on_tick(t * 1e8)
         assert ctx.migrator.stats.demoted_bytes == 0
@@ -93,21 +93,21 @@ class TestTPP:
         policy = TPPPolicy(scan_period_ns=1e6, scan_fraction=1.0)
         ctx = bind(policy)
         region = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: TierKind.CAPACITY)
+            2 * MB, tier_chooser=lambda n: 1)
         head = region.base_vpn
         policy.on_tick(2e6)
         policy.on_hint_faults(np.array([head]))
-        assert ctx.space.page_tier[head] == int(TierKind.CAPACITY)  # 1st fault
+        assert ctx.space.page_tier[head] == 1  # 1st fault
         policy.on_tick(4e6)
         policy.on_hint_faults(np.array([head]))
-        assert ctx.space.page_tier[head] == int(TierKind.FAST)  # 2nd fault
+        assert ctx.space.page_tier[head] == FASTEST_TIER  # 2nd fault
 
     def test_demotes_only_inactive(self):
         policy = TPPPolicy(scan_period_ns=1e6, scan_fraction=1.0,
                            free_headroom=0.5)
         ctx = bind(policy, fast_mb=4)
         region = ctx.space.alloc_region(
-            4 * MB, tier_chooser=lambda n: TierKind.FAST)
+            4 * MB, tier_chooser=lambda n: FASTEST_TIER)
         # Everything referenced: the demotion daemon must stall.
         ctx.space.ref_bit[region.base_vpn : region.end_vpn] = True
         policy.on_tick(2e6)
@@ -123,18 +123,18 @@ class TestTiering08:
                                  refault_window_ns=5e6)
         ctx = bind(policy)
         region = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: TierKind.CAPACITY)
+            2 * MB, tier_chooser=lambda n: 1)
         head = region.base_vpn
         policy.on_tick(1e6)
         policy.on_hint_faults(np.array([head]))
         # Re-fault far outside the window: no promotion.
         policy.on_tick(100e6)
         policy.on_hint_faults(np.array([head]))
-        assert ctx.space.page_tier[head] == int(TierKind.CAPACITY)
+        assert ctx.space.page_tier[head] == 1
         # Two faults close together: promotion.
         policy.on_tick(102e6)
         policy.on_hint_faults(np.array([head]))
-        assert ctx.space.page_tier[head] == int(TierKind.FAST)
+        assert ctx.space.page_tier[head] == FASTEST_TIER
 
     def test_promotion_rate_throttled(self):
         policy = Tiering08Policy(scan_period_ns=1e6, scan_fraction=1.0,
@@ -142,7 +142,7 @@ class TestTiering08:
                                  promotion_rate_bytes_per_s=1.0)
         ctx = bind(policy)
         region = ctx.space.alloc_region(
-            4 * MB, tier_chooser=lambda n: TierKind.CAPACITY)
+            4 * MB, tier_chooser=lambda n: 1)
         heads = [region.base_vpn, region.base_vpn + SUBPAGES_PER_HUGE]
         for t in (1e6, 2e6):
             policy.on_tick(t)
@@ -156,7 +156,7 @@ class TestNimble:
         policy = NimblePolicy(scan_period_ns=1e6)
         ctx = bind(policy)
         region = ctx.space.alloc_region(
-            4 * MB, tier_chooser=lambda n: TierKind.CAPACITY)
+            4 * MB, tier_chooser=lambda n: 1)
         ctx.space.record_touch(
             np.arange(region.base_vpn, region.base_vpn + 2 * SUBPAGES_PER_HUGE)
         )
@@ -173,13 +173,13 @@ class TestNimble:
     def test_exchanges_with_unreferenced_fast_pages(self):
         policy = NimblePolicy(scan_period_ns=1e6)
         ctx = bind(policy, fast_mb=4)
-        cold = ctx.space.alloc_region(4 * MB, tier_chooser=lambda n: TierKind.FAST)
+        cold = ctx.space.alloc_region(4 * MB, tier_chooser=lambda n: FASTEST_TIER)
         hot = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: TierKind.CAPACITY)
+            2 * MB, tier_chooser=lambda n: 1)
         ctx.space.record_touch(np.array([hot.base_vpn]))
         policy.on_tick(2e6)
-        assert ctx.space.page_tier[hot.base_vpn] == int(TierKind.FAST)
-        assert ctx.space.page_tier[cold.base_vpn] == int(TierKind.CAPACITY)
+        assert ctx.space.page_tier[hot.base_vpn] == FASTEST_TIER
+        assert ctx.space.page_tier[cold.base_vpn] == 1
 
 
 class TestMultiClock:
@@ -187,27 +187,27 @@ class TestMultiClock:
         policy = MultiClockPolicy(scan_period_ns=1e6)
         ctx = bind(policy)
         region = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: TierKind.CAPACITY)
+            2 * MB, tier_chooser=lambda n: 1)
         head = region.base_vpn
         ctx.space.record_touch(np.array([head]))
         policy.on_tick(1e6)
-        assert ctx.space.page_tier[head] == int(TierKind.CAPACITY)
+        assert ctx.space.page_tier[head] == 1
         ctx.space.record_touch(np.array([head]))
         policy.on_tick(2.5e6)
-        assert ctx.space.page_tier[head] == int(TierKind.FAST)
+        assert ctx.space.page_tier[head] == FASTEST_TIER
 
     def test_streak_resets_when_idle(self):
         policy = MultiClockPolicy(scan_period_ns=1e6)
         ctx = bind(policy)
         region = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: TierKind.CAPACITY)
+            2 * MB, tier_chooser=lambda n: 1)
         head = region.base_vpn
         ctx.space.record_touch(np.array([head]))
         policy.on_tick(1e6)
         policy.on_tick(2.5e6)  # not referenced this interval
         ctx.space.record_touch(np.array([head]))
         policy.on_tick(4e6)
-        assert ctx.space.page_tier[head] == int(TierKind.CAPACITY)
+        assert ctx.space.page_tier[head] == 1
 
 
 class TestHeMem:
@@ -219,11 +219,11 @@ class TestHeMem:
         policy = HeMemPolicy(hot_threshold=4, migrate_period_ns=1e6)
         ctx = bind(policy)
         region = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: TierKind.CAPACITY)
+            2 * MB, tier_chooser=lambda n: 1)
         head = region.base_vpn
         policy.on_batch(obs_for([head], samples=self._sampled([head] * 4)))
         policy.on_tick(2e6)
-        assert ctx.space.page_tier[head] == int(TierKind.FAST)
+        assert ctx.space.page_tier[head] == FASTEST_TIER
 
     def test_cooling_threshold_halves_all_counts(self):
         policy = HeMemPolicy(hot_threshold=50, cooling_threshold=6)
@@ -253,13 +253,13 @@ class TestHeMem:
         # Pinned pages are never demotion victims.
         policy._count[small.base_vpn] = 0
         policy._demote_cold(2 * MB)
-        assert ctx.space.page_tier[small.base_vpn] == int(TierKind.FAST)
+        assert ctx.space.page_tier[small.base_vpn] == FASTEST_TIER
 
     def test_anti_thrashing_halts_migration(self):
         policy = HeMemPolicy(hot_threshold=1, migrate_period_ns=1e6)
         ctx = bind(policy, fast_mb=2, cap_mb=96)
         region = ctx.space.alloc_region(
-            8 * MB, tier_chooser=lambda n: TierKind.CAPACITY)
+            8 * MB, tier_chooser=lambda n: 1)
         heads = [region.base_vpn + i * SUBPAGES_PER_HUGE for i in range(4)]
         policy.on_batch(obs_for(heads, samples=self._sampled(heads * 2)))
         policy.on_tick(2e6)

@@ -9,7 +9,7 @@ from repro.core.split import skewness_factors, utilization_factors
 from repro.core.thresholds import adapt_thresholds
 from repro.mem.page_table import PageTable
 from repro.mem.pages import SUBPAGES_PER_HUGE
-from repro.mem.tiers import TierKind
+from repro.mem.tiers import FASTEST_TIER
 from repro.pebs.events import AccessBatch
 from repro.pebs.sampler import PEBSSampler, SamplerConfig
 from repro.workloads.distributions import ZipfSampler
@@ -156,7 +156,7 @@ class TestPageTableProperties:
     def test_map_unmap_roundtrip(self, vpns):
         pt = PageTable()
         for vpn in vpns:
-            pt.map_base(vpn, TierKind.FAST)
+            pt.map_base(vpn, FASTEST_TIER)
         assert pt.mapped_vpns == len(vpns)
         for vpn in vpns:
             assert pt.lookup(vpn) is not None

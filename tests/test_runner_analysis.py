@@ -1,51 +1,52 @@
-"""Runner helpers and the analysis formatting utilities."""
+"""RunSpec execution and normalisation, and the analysis formatting utilities."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.ascii import bar_chart, grouped_bar_chart, heatmap, timeline_chart
 from repro.analysis.tables import format_table
-from repro.sim.runner import (
-    build_simulation,
-    normalized_performance,
-    run_baseline,
-    run_experiment,
-    run_normalized,
-)
+from repro.sim.runner import RunSpec, normalized_performance
+from repro.sim.sweep import raise_failures, run_sweep
 
 from conftest import TEST_SCALE
 
 
+def _spec(policy, **kwargs):
+    kwargs.setdefault("max_accesses", 50_000)
+    return RunSpec("silo", policy, ratio="1:8", scale=TEST_SCALE, **kwargs)
+
+
 class TestRunner:
-    def test_run_experiment(self):
-        result = run_experiment("silo", "all-capacity", ratio="1:8",
-                                scale=TEST_SCALE, max_accesses=50_000)
+    def test_spec_run(self):
+        result = _spec("all-capacity").run()
         assert result.policy_name == "all-capacity"
         assert result.metrics.total_accesses >= 50_000
         assert result.fast_hit_ratio <= 0.05
 
     def test_baseline_normalises_to_one(self):
-        baseline = run_baseline("silo", ratio="1:8", scale=TEST_SCALE,
-                                max_accesses=50_000)
+        baseline = _spec("memtis").baseline_spec().run()
         assert normalized_performance(baseline, baseline) == 1.0
 
-    def test_run_normalized_reuses_baseline(self):
-        baseline = run_baseline("silo", ratio="1:8", scale=TEST_SCALE,
-                                max_accesses=50_000)
-        out = run_normalized("silo", "all-fast", ratio="1:8", scale=TEST_SCALE,
-                             max_accesses=50_000, baseline=baseline)
-        assert out["baseline"] is baseline
-        assert out["normalized"] > 1.0  # DRAM placement beats all-NVM
+    def test_sweep_reuses_shared_baseline(self):
+        specs = [_spec("all-fast"), _spec("memtis")]
+        baseline_spec = specs[0].baseline_spec()
+        assert specs[1].baseline_spec() == baseline_spec
+        outcomes = run_sweep([s.baseline_spec() for s in specs] + specs)
+        raise_failures(outcomes)
+        # One shared baseline cell, executed once.
+        assert len(outcomes) == 3
+        baseline = outcomes[baseline_spec].result
+        # DRAM placement beats all-NVM.
+        assert normalized_performance(outcomes[specs[0]].result,
+                                      baseline) > 1.0
 
     def test_policy_kwargs_forwarded(self):
-        sim = build_simulation("silo", "memtis", scale=TEST_SCALE,
-                               policy_kwargs={"enable_split": False})
+        sim = _spec("memtis", policy_kwargs={"enable_split": False}).build()
         assert sim.policy.config.enable_split is False
 
     def test_cxl_capacity_kind(self):
-        sim = build_simulation("silo", "all-capacity", scale=TEST_SCALE,
-                               capacity_kind="cxl")
-        assert sim.tiers.capacity.spec.name == "CXL"
+        sim = _spec("all-capacity", capacity_kind="cxl").build()
+        assert sim.tiers.slowest.spec.name == "CXL"
 
 
 class TestTables:
@@ -98,14 +99,16 @@ class TestAsciiCharts:
 
 class TestRunRepeated:
     def test_multi_seed_statistics(self):
-        from repro.sim.runner import run_repeated
-
-        out = run_repeated("silo", "all-fast", seeds=(1, 2), ratio="1:8",
-                           scale=TEST_SCALE, max_accesses=60_000)
-        assert out["min"] <= out["mean"] <= out["max"]
-        assert set(out["per_seed"]) == {1, 2}
-        assert len(out["results"]) == 2
+        specs = [_spec("all-fast", seed=seed, max_accesses=60_000)
+                 for seed in (1, 2)]
+        outcomes = run_sweep([s.baseline_spec() for s in specs] + specs)
+        raise_failures(outcomes)
+        values = [
+            normalized_performance(outcomes[s].result,
+                                   outcomes[s.baseline_spec()].result)
+            for s in specs
+        ]
+        mean = sum(values) / len(values)
         # Different seeds produce different (but close) traces.
-        values = list(out["per_seed"].values())
         assert values[0] != values[1]
-        assert abs(values[0] - values[1]) < 0.5 * out["mean"]
+        assert abs(values[0] - values[1]) < 0.5 * mean

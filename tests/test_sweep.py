@@ -14,7 +14,7 @@ from repro.sim import sweep
 from repro.sim.cache import ResultCache
 from repro.sim.engine import json_safe
 from repro.sim.machine import ScaleSpec
-from repro.sim.runner import RunSpec, run_baseline, run_experiment
+from repro.sim.runner import RunSpec
 from repro.sim.sweep import SweepError, run_sweep, raise_failures
 
 from conftest import TEST_SCALE
@@ -67,20 +67,6 @@ class TestRunSpec:
                     machine_variant="all-capacity").build()
         # All-capacity machine: fast tier collapsed to one huge page.
         assert sim.machine.fast_bytes == 2 * 1024 * 1024
-
-    def test_wrappers_match_spec_run(self):
-        via_wrapper = run_experiment("silo", "tpp", ratio="1:8",
-                                     scale=TEST_SCALE, max_accesses=50_000,
-                                     cache=None)
-        via_spec = _spec().run(cache=None)
-        assert via_wrapper.runtime_ns == via_spec.runtime_ns
-        assert via_wrapper.fast_hit_ratio == via_spec.fast_hit_ratio
-
-    def test_baseline_wrapper_matches_baseline_spec(self):
-        a = run_baseline("silo", ratio="1:8", scale=TEST_SCALE,
-                         max_accesses=50_000, cache=None)
-        b = _spec().baseline_spec().replace(max_accesses=50_000).run(cache=None)
-        assert a.runtime_ns == b.runtime_ns
 
     def test_to_dict_from_dict_roundtrip(self):
         spec = _spec(policy_kwargs={"enable_split": False}, seed=7)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.mem.pages import SUBPAGES_PER_HUGE
-from repro.mem.tiers import TierKind
+from repro.mem.tiers import FASTEST_TIER
 from repro.policies.registry import make_policy
 from repro.policies.thermostat import ThermostatPolicy
 from repro.sim.cost import CostModel
 from repro.sim.machine import MachineSpec
-from repro.sim.runner import build_simulation
+from repro.sim.runner import RunSpec
 
 from conftest import TEST_SCALE, make_context
 
@@ -53,7 +53,7 @@ class TestThermostat:
         ctx = make_context(fast_mb=4)
         policy.bind(ctx)
         region = ctx.space.alloc_region(
-            4 * MB, tier_chooser=lambda n: TierKind.FAST)
+            4 * MB, tier_chooser=lambda n: FASTEST_TIER)
         hot_head = region.base_vpn
         policy.on_tick(1e6)
         policy.on_hint_faults(np.array([hot_head] * 10))
@@ -61,12 +61,12 @@ class TestThermostat:
         policy.on_tick(4.2e6)
         # The never-faulting huge page left DRAM; the hot one stayed.
         idle_head = region.base_vpn + SUBPAGES_PER_HUGE
-        assert ctx.space.page_tier[hot_head] == int(TierKind.FAST)
-        assert ctx.space.page_tier[idle_head] == int(TierKind.CAPACITY)
+        assert ctx.space.page_tier[hot_head] == FASTEST_TIER
+        assert ctx.space.page_tier[idle_head] == 1
 
     def test_end_to_end(self):
-        sim = build_simulation("silo", "thermostat", ratio="1:8",
-                               scale=TEST_SCALE)
+        sim = RunSpec("silo", "thermostat", ratio="1:8",
+                      scale=TEST_SCALE).build()
         result = sim.run(max_accesses=200_000)
         assert result.metrics.fault_ns > 0  # poisoning is never free
         sim.space.check_consistency()
@@ -114,9 +114,9 @@ class TestBandwidthModel:
         def run(policy, enabled):
             workload = make_workload("silo", TEST_SCALE)
             machine = MachineSpec.from_ratio(workload.total_bytes, ratio="1:2")
-            sim = Simulation(workload, policy, machine.all_fast()
+            sim = Simulation(workload, policy, machine.collapse_to_fastest()
                              if isinstance(policy, AllFastPolicy)
-                             else machine.all_capacity(),
+                             else machine.collapse_to_slowest(),
                              cost_model=CostModel(bandwidth_model=enabled))
             return sim.run(max_accesses=150_000).runtime_ns
 

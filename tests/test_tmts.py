@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mem.pages import SUBPAGES_PER_HUGE
-from repro.mem.tiers import TierKind
+from repro.mem.tiers import FASTEST_TIER
 from repro.pebs.events import AccessBatch
 from repro.pebs.sampler import SampleBatch
 from repro.policies.base import BatchObservation
@@ -37,17 +37,17 @@ class TestPromotion:
         policy = TMTSPolicy(migrate_period_ns=1e6, scan_period_ns=1e6)
         ctx = bind(policy)
         region = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: TierKind.CAPACITY)
+            2 * MB, tier_chooser=lambda n: 1)
         policy.on_batch(obs_with_samples([region.base_vpn + 5]))
         policy.on_tick(2e6)
-        assert ctx.space.page_tier[region.base_vpn] == int(TierKind.FAST)
+        assert ctx.space.page_tier[region.base_vpn] == FASTEST_TIER
         assert policy.promotions == 1
 
     def test_no_critical_path_cost(self):
         policy = TMTSPolicy(migrate_period_ns=1e6)
         ctx = bind(policy)
         region = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: TierKind.CAPACITY)
+            2 * MB, tier_chooser=lambda n: 1)
         assert policy.on_batch(obs_with_samples([region.base_vpn])) == 0.0
         policy.on_tick(2e6)
         assert ctx.migrator.stats.critical_path_ns == 0.0
@@ -58,7 +58,7 @@ class TestDemotion:
         policy = TMTSPolicy(scan_period_ns=1e6, migrate_period_ns=1e6)
         ctx = bind(policy, fast_mb=4)
         region = ctx.space.alloc_region(
-            4 * MB, tier_chooser=lambda n: TierKind.FAST)
+            4 * MB, tier_chooser=lambda n: FASTEST_TIER)
         ctx.space.record_touch(
             np.arange(region.base_vpn, region.base_vpn + 20)
         )
@@ -72,9 +72,9 @@ class TestDemotion:
         # touched huge page kept its DRAM residence.
         assert policy.splits_on_demotion > 0
         idle_head = region.base_vpn + SUBPAGES_PER_HUGE
-        assert ctx.space.page_tier[idle_head] != int(TierKind.FAST)
+        assert ctx.space.page_tier[idle_head] != FASTEST_TIER
         assert not ctx.space.page_huge[idle_head]
-        assert ctx.space.page_tier[region.base_vpn] == int(TierKind.FAST)
+        assert ctx.space.page_tier[region.base_vpn] == FASTEST_TIER
         ctx.space.check_consistency()
 
     def test_adaptive_age_threshold_moves(self):
@@ -101,15 +101,14 @@ class TestDemotion:
 class TestEndToEnd:
     def test_competitive_at_2to1_weaker_at_1to8(self):
         """The §8 regime claim, in miniature."""
-        from repro.sim.runner import run_baseline, run_experiment
+        from repro.sim.runner import RunSpec
 
         gaps = {}
         for ratio in ("2:1", "1:8"):
-            base = run_baseline("xsbench", ratio=ratio, scale=TEST_SCALE)
-            tmts = run_experiment("xsbench", "tmts", ratio=ratio,
-                                  scale=TEST_SCALE)
-            memtis = run_experiment("xsbench", "memtis", ratio=ratio,
-                                    scale=TEST_SCALE)
+            spec = RunSpec("xsbench", "memtis", ratio=ratio, scale=TEST_SCALE)
+            base = spec.baseline_spec().run()
+            tmts = spec.replace(policy="tmts").run()
+            memtis = spec.run()
             gaps[ratio] = (base.runtime_ns / memtis.runtime_ns) / (
                 base.runtime_ns / tmts.runtime_ns
             )

@@ -5,7 +5,9 @@ Format v2 stores the access arrays in memory-mappable ``.npy`` sidecars
 
 * mmap-chunked replay drives the engine to the same ``to_dict()`` as
   fully-in-memory replay (mmap is an I/O strategy, not a semantic);
-* v1 and v2 recordings of the same workload replay identically;
+* a v1 recording (a committed fixture: v1 is read, no longer written)
+  replays identically to a v2 recording of the same stream, and any
+  other format version is rejected;
 * re-chunking (``event_accesses``) preserves the flattened access
   stream and alloc/free ordering exactly, at any chunk size;
 * the chunk cursor checkpoints: ``seek_events(n)`` reproduces the tail
@@ -41,6 +43,11 @@ from repro.workloads.trace import (
 )
 
 from conftest import TEST_SCALE
+
+#: A v1 trace (single ``.npz``, arrays inline): ``603.bwaves`` at
+#: ``TEST_SCALE``, seed 9, ``max_accesses=30_000``.
+V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data",
+                          "trace_v1_603bwaves.npz")
 
 
 def _canon(result):
@@ -142,15 +149,24 @@ class TestReplayEquality:
         assert a["final_rss_bytes"] == b["final_rss_bytes"]
 
     def test_v1_and_v2_replay_identically(self, tmp_path):
-        p1 = str(tmp_path / "v1.npz")
         p2 = str(tmp_path / "v2.npz")
-        s1 = _record("603.bwaves", p1, format_version=1)
-        s2 = _record("603.bwaves", p2)
-        assert s1 == s2
-        sim1, wl1 = _replay(p1)
+        s2 = _record("603.bwaves", p2, max_accesses=30_000)
+        sim1, wl1 = _replay(V1_FIXTURE)
         sim2, wl2 = _replay(p2)
         assert wl1.format_version == 1 and wl2.format_version == 2
+        assert s2 == {"events": len(wl1._kinds),
+                      "accesses": wl1.total_accesses}
         assert _canon(sim1.run()) == _canon(sim2.run())
+
+    def test_unknown_format_version_rejected(self, tmp_path):
+        path = str(tmp_path / "t.npz")
+        _record("silo", path, max_accesses=10_000)
+        with np.load(path, allow_pickle=True) as npz:
+            meta = dict(npz)
+        meta["format_version"] = np.int64(7)
+        np.savez_compressed(path, **meta)
+        with pytest.raises(ValueError, match="format version 7"):
+            TraceWorkload(path)
 
     def test_v2_sidecars_exist_and_meta_is_small(self, tmp_path):
         path = str(tmp_path / "t.npz")
@@ -167,9 +183,7 @@ class TestReplayEquality:
         _record("silo", path)
         assert TraceWorkload(path).needs_bounds_check is False
         # v1 traces never carry the certificate.
-        p1 = str(tmp_path / "v1.npz")
-        _record("silo", p1, format_version=1)
-        assert TraceWorkload(p1).needs_bounds_check is True
+        assert TraceWorkload(V1_FIXTURE).needs_bounds_check is True
 
     def test_out_of_bounds_trace_keeps_check(self, tmp_path):
         class Rogue(Workload):

@@ -160,7 +160,7 @@ class TestEveryWorkload:
     def test_runs_end_to_end_with_expected_rss_and_rhp(self, name):
         workload = make_workload(name, TEST_SCALE)
         machine = MachineSpec.from_ratio(workload.total_bytes, ratio="1:2")
-        sim = Simulation(workload, AllCapacityPolicy(), machine.all_capacity())
+        sim = Simulation(workload, AllCapacityPolicy(), machine.collapse_to_slowest())
         result = sim.run(max_accesses=120_000)
         cls = WORKLOAD_REGISTRY[name]
         # RSS within 25% of the scaled target.
@@ -176,7 +176,7 @@ class TestShapeProperties:
         """Btree touches far less than it maps (§6.2.5)."""
         workload = make_workload("btree", TEST_SCALE)
         machine = MachineSpec.from_ratio(workload.total_bytes, ratio="1:2")
-        sim = Simulation(workload, AllCapacityPolicy(), machine.all_capacity())
+        sim = Simulation(workload, AllCapacityPolicy(), machine.collapse_to_slowest())
         result = sim.run()
         assert result.final_touched_bytes < 0.6 * result.final_rss_bytes
 
