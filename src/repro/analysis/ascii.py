@@ -38,27 +38,6 @@ def bar_chart(
     return "\n".join(lines)
 
 
-def grouped_bar_chart(
-    groups: Sequence[str],
-    series: Dict[str, Sequence[float]],
-    title: Optional[str] = None,
-    width: int = 40,
-    reference: Optional[float] = None,
-) -> str:
-    """Bar chart with one block of bars per group (e.g. per benchmark)."""
-    lines = []
-    if title:
-        lines.append(title)
-        lines.append("=" * len(title))
-    for gi, group in enumerate(groups):
-        lines.append(f"[{group}]")
-        labels = list(series.keys())
-        values = [series[name][gi] for name in labels]
-        lines.append(bar_chart(labels, values, width=width, reference=reference))
-        lines.append("")
-    return "\n".join(lines)
-
-
 def heatmap(grid: np.ndarray, title: Optional[str] = None, width: int = 72,
             height: int = 20) -> str:
     """Render a (time x address) matrix with intensity shading."""

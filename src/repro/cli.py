@@ -22,8 +22,9 @@ Commands:
                   detects sweeps whose workers died (exit code 3);
 * ``service``  -- persistent sweep service: ``submit`` enqueues RunSpec
                   batches into a SQLite job queue, ``start`` runs
-                  pull-based worker processes (plus an optional HTTP
-                  status API), ``status``/``drain`` inspect and wait.
+                  pull-based worker processes under the supervisor that
+                  replaces dead ones (plus an optional HTTP status
+                  API), ``status``/``drain`` inspect and wait.
 
 The per-figure regenerators live under ``python -m repro.experiments``.
 """
@@ -402,48 +403,31 @@ def cmd_service(args) -> int:
         return 2
 
     if args.action == "start":
-        import multiprocessing
+        from repro.service import supervise
+        from repro.service.server import serve_in_child
 
-        from repro.service import start_server, worker_main
-
-        ctx = multiprocessing.get_context()
-        procs = [
-            ctx.Process(
-                target=worker_main, args=(args.dir,),
-                kwargs=dict(lease_s=args.lease, poll_s=args.poll,
-                            drain=args.drain),
-                daemon=False,
-            )
-            for _ in range(max(1, args.workers))
-        ]
-        # Fork the workers before the status thread exists: a fork while
-        # that thread is inside SQLite would hand a worker a held lock.
-        for proc in procs:
-            proc.start()
-        print(f"started {len(procs)} worker(s) on {args.dir} "
-              f"(lease {args.lease:.0f}s"
-              + (", drain-and-exit)" if args.drain else ")"))
-        server = None
-        try:
-            if args.port is not None:
-                server, _thread = start_server(args.dir, host=args.host,
+        api = None
+        if args.port is not None:
+            # Serve the status API from a child forked before any worker:
+            # the supervisor forks replacements later, and a fork while a
+            # status thread is inside SQLite hands a worker a held lock.
+            api, (host, port) = serve_in_child(args.dir, host=args.host,
                                                port=args.port)
-                host, port = server.server_address[:2]
-                print(f"status API: http://{host}:{port}/ "
-                      f"(/status /metrics /ascii)")
-            for proc in procs:
-                proc.join()
-        except BaseException as exc:
-            # Ctrl-C, or a port that cannot be bound: stop the workers.
-            for proc in procs:
-                proc.terminate()
-            for proc in procs:
-                proc.join()
-            if not isinstance(exc, KeyboardInterrupt):
-                raise
+            print(f"status API: http://{host}:{port}/ "
+                  f"(/status /metrics /ascii)", flush=True)
+        workers = max(1, args.workers)
+        print(f"starting {workers} worker(s) on {args.dir} "
+              f"(lease {args.lease:.0f}s"
+              + (", drain-and-exit)" if args.drain else ")"), flush=True)
+        try:
+            supervise(args.dir, workers, drain=args.drain,
+                      lease_s=args.lease, poll_s=args.poll)
+        except KeyboardInterrupt:
+            pass  # the supervisor has stopped the workers
         finally:
-            if server is not None:
-                server.shutdown()
+            if api is not None:
+                api.terminate()
+                api.join()
         with JobQueue(queue_path(args.dir)) as queue:
             counts = queue.counts()
         print("queue: " + ", ".join(
@@ -648,8 +632,8 @@ def main(argv=None) -> int:
                                "resume instead of recomputing (default: 1; "
                                "0 disables)")
     p_submit.add_argument("--max-attempts", type=int, default=3, metavar="N",
-                          help="genuine failures before a job is marked "
-                               "failed (lease expirations never count)")
+                          help="failures, or worker deaths under `service "
+                               "start`, before a job is marked failed")
     p_submit.add_argument("--specs", metavar="FILE",
                           help="also enqueue a JSON list of RunSpec dicts")
     p_submit.add_argument("--with-baselines", action="store_true",
@@ -658,7 +642,8 @@ def main(argv=None) -> int:
     p_submit.set_defaults(fn=cmd_service)
 
     p_start = svc.add_parser(
-        "start", help="run worker processes (and optionally the status API)"
+        "start", help="run supervised worker processes (and optionally "
+                      "the status API)"
     )
     p_start.add_argument("dir")
     p_start.add_argument("--workers", type=int, default=2, metavar="N")

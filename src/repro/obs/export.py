@@ -92,7 +92,11 @@ def chrome_trace(
     meta: Optional[Dict[str, Any]] = None,
     title: str = "repro-memtis",
 ) -> Dict[str, Any]:
-    """Build a Chrome ``trace_event`` document (JSON-ready dict)."""
+    """Build a Chrome ``trace_event`` document (JSON-ready dict).
+
+    With no events and no phases (e.g. a cache hit's stub) the document
+    holds no records at all, not even track names.
+    """
     trace_events: List[Dict[str, Any]] = [
         {"name": "process_name", "ph": "M", "pid": _PID,
          "args": {"name": title}},
@@ -100,7 +104,7 @@ def chrome_trace(
          "args": {"name": "events (virtual time)"}},
         {"name": "thread_name", "ph": "M", "pid": _PID, "tid": _TID_EPOCHS,
          "args": {"name": "epochs (virtual time)"}},
-    ]
+    ] if events or phase_ns else []
     for event in events:
         payload = event.to_json_dict()
         args = payload["args"]

@@ -6,7 +6,7 @@ from inside a running simulation -- with no coordination beyond a
 shared directory:
 
 * the worker executing a cell owns one file, ``<cache_key[:16]>.hb.json``,
-  rewritten atomically (``mkstemp`` + ``os.replace``) so readers never
+  rewritten atomically (:func:`repro.fsutil.write_atomic`) so readers never
   observe a torn JSON document.  Nothing else writes it: the queue, not
   a second writer, records retries, cache hits and final states;
 * :class:`HeartbeatWriter` hooks the engine's ``epoch_hook`` -- it is a
@@ -44,10 +44,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
+
+from repro.fsutil import write_atomic
 
 #: Bump when the status file layout changes.
 SCHEMA = 1
@@ -71,49 +72,16 @@ class HeartbeatStats:
 STATS = HeartbeatStats()
 
 
-def _dump_to_temp(directory: str, payload: Dict[str, Any]) -> str:
-    """Serialise ``payload`` into a temp file in ``directory``.
-
-    Returns the temp path on success.  On any failure the fd is closed
-    and the temp file unlinked in a ``finally`` (a raising ``json.dump``
-    must not leak ``.tmp`` litter into a long-lived heartbeat
-    directory), and the error is counted in :data:`STATS`.
-    """
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    fh = None
-    ok = False
-    try:
-        fh = os.fdopen(fd, "w")
-        json.dump(payload, fh)
-        fh.close()
-        ok = True
-        return tmp
-    finally:
-        if fh is None:
-            os.close(fd)  # os.fdopen itself failed: the fd is still ours
-        elif not fh.closed:
-            fh.close()
-        if not ok:
-            STATS.errors += 1
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-
 def _write_atomic(path: str, payload: Dict[str, Any]) -> None:
-    """Write ``payload`` as JSON such that readers never see a torn file."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    tmp = _dump_to_temp(directory, payload)
+    """Write ``payload`` as JSON such that readers never see a torn file.
+
+    A failure (an unserialisable payload, a failed commit) leaves no
+    temp file behind, is counted in :data:`STATS` and re-raised.
+    """
     try:
-        os.replace(tmp, path)
+        write_atomic(path, lambda fh: json.dump(payload, fh))
     except BaseException:
         STATS.errors += 1
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 

@@ -1,4 +1,4 @@
-"""OpenMetrics text exposition over sweep cells and counter registries.
+"""OpenMetrics text exposition over sweep cells.
 
 External scrapers (Prometheus, a CI log grepper) should not need to
 parse our status JSON.  This module renders the same status in the
@@ -10,11 +10,9 @@ OpenMetrics text exposition format
 * label values escape ``\\``, ``"`` and newlines;
 * the exposition ends with the mandatory ``# EOF`` line.
 
-Two entry points: :func:`service_exposition` renders a sweep
+The entry point, :func:`service_exposition`, renders a sweep
 directory's ``build_status`` snapshot (what ``repro top --openmetrics``
-and the status API serve), and :func:`counters_exposition` renders one
-run's :class:`~repro.obs.counters.CounterRegistry` (distributions
-expand to ``_count``/``_sum``/``_min``/``_max``/``_mean`` gauges).
+and the status API serve).
 """
 
 from __future__ import annotations
@@ -151,33 +149,5 @@ def service_exposition(status: Dict[str, Any]) -> str:
     _Family("repro_service_drained", "gauge", out).sample(
         1 if status.get("drained") else 0)
     _sweep_families(out, status.get("cells", []))
-    out.append("# EOF")
-    return "\n".join(out) + "\n"
-
-
-def counters_exposition(counters: Dict[str, Any], prefix: str = "repro"
-                        ) -> str:
-    """Render a flat ``CounterRegistry.as_dict()`` as OpenMetrics text.
-
-    Counters (int values) become counter families; floats become
-    gauges; distribution stat dicts expand into one gauge per moment.
-    ``None`` values (empty distributions' moments) are skipped.
-    """
-    out: List[str] = []
-    for name in sorted(counters):
-        value = counters[name]
-        base = metric_name(f"{prefix}_{name}")
-        if isinstance(value, dict):
-            for stat in ("count", "sum", "min", "max", "mean"):
-                stat_value = value.get(stat)
-                if stat_value is None:
-                    continue
-                _Family(f"{base}_{stat}", "gauge", out).sample(stat_value)
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        elif isinstance(value, int):
-            _Family(base, "counter", out).sample(value)
-        else:
-            _Family(base, "gauge", out).sample(value)
     out.append("# EOF")
     return "\n".join(out) + "\n"

@@ -9,9 +9,10 @@ workload grids in the thousands of cells) that outlive one process:
 * :mod:`repro.service.queue` -- a SQLite-backed job queue.  ``enqueue``
   accepts RunSpec batches, dedups by ``cache_key()`` and skips cells the
   persistent :mod:`repro.sim.cache` already holds; workers *pull* jobs
-  under lease-based claims, so a worker that is ``kill -9``-ed simply
-  lets its lease expire and the job re-queues.
-* :mod:`repro.service.worker` -- the pull-based worker loop.  Cells with
+  under lease-based claims, so a ``kill -9``-ed worker's job re-queues
+  (at once under the supervisor, else when its lease expires).
+* :mod:`repro.service.worker` -- the pull-based worker loop and its
+  one supervisor, which replaces a dead worker at once.  Cells with
   ``snapshot_every > 0`` resume from their last epoch checkpoint on
   reclaim, so preemption costs only the uncheckpointed tail; results
   stream into the shared :class:`~repro.sim.cache.ResultCache` *before*
@@ -45,6 +46,7 @@ from repro.service.worker import (
     LeaseLost,
     Worker,
     WorkerStats,
+    supervise,
     worker_main,
 )
 
@@ -63,6 +65,7 @@ __all__ = [
     "Worker",
     "WorkerStats",
     "worker_main",
+    "supervise",
     "LeaseLost",
     "DEFAULT_LEASE_S",
     "build_status",

@@ -20,13 +20,17 @@ hook; a renewal that discovers the lease was usurped tells the worker to
 abandon the cell.  Every claim first sweeps expired leases back to
 ``queued`` (incrementing ``expirations``), so a SIGKILL-ed worker's job
 is picked up by any surviving worker after at most one lease period.
-A supervisor that watches its workers (``run_sweep``) need not wait:
+The supervisor that runs every worker process
+(:func:`~repro.service.worker.supervise`) need not wait:
 :meth:`JobQueue.release` expires a dead worker's lease at once.
 
 ``expirations`` (lease losses -- crashes, preemption) is deliberately a
-*separate* counter from ``attempts`` (executions that raised): kills are
-free and never exhaust a job's retry budget, while genuine failures
-burn ``attempts`` until ``max_attempts`` marks the job ``failed``.
+*separate* counter from ``attempts`` (executions that raised).  Each
+budget ends at the job's ``max_attempts``: genuine failures burn
+``attempts`` until ``max_attempts`` marks the job ``failed``, and a job
+whose worker died under a supervisor fails once its ``expirations``
+reach ``max_attempts``.  A lease that merely lapses (a worker with no
+supervisor) never exhausts anything.
 
 Exactly-once results
 ====================
@@ -344,27 +348,25 @@ class JobQueue:
             ).fetchone()
             return _job_from_row(fresh)
 
-    def release(self, worker_id: str, max_expirations: Optional[int] = None,
-                now: Optional[float] = None) -> int:
+    def release(self, worker_id: str, now: Optional[float] = None) -> int:
         """Expire now every lease ``worker_id`` holds; returns the count.
 
         For a supervisor that saw the worker die: its jobs re-queue at
         once, each recording one expiration, instead of after a lease
-        period.  A job whose expirations would exceed ``max_expirations``
-        is marked ``failed`` instead, so a cell that kills every worker
-        that runs it cannot loop forever.
+        period.  A job whose expirations would reach its own
+        ``max_attempts`` is marked ``failed`` instead, so a cell that
+        kills every worker that runs it cannot loop forever.
         """
         now = time.time() if now is None else now
         with self._db:
             self._db.execute("BEGIN IMMEDIATE")
             rows = self._db.execute(
-                "SELECT key, expirations FROM jobs"
+                "SELECT key, expirations, max_attempts FROM jobs"
                 " WHERE state = ? AND lease_owner = ?",
                 (RUNNING, worker_id),
             ).fetchall()
             for row in rows:
-                exhausted = (max_expirations is not None
-                             and row["expirations"] >= max_expirations)
+                exhausted = row["expirations"] + 1 >= row["max_attempts"]
                 self._db.execute(
                     "UPDATE jobs SET state = ?, expirations = expirations + 1,"
                     " lease_owner = NULL, lease_expires_at = NULL,"
@@ -375,6 +377,18 @@ class JobQueue:
                      now if exhausted else None, row["key"]),
                 )
             return len(rows)
+
+    def death_budget(self) -> int:
+        """How many worker deaths the jobs could cost before all fail.
+
+        :meth:`release` fails a job after ``max_attempts`` deaths, and a
+        ``cached`` row never reaches a worker; a supervisor that sees
+        more deaths than this has workers dying for another reason.
+        """
+        return self._db.execute(
+            "SELECT COALESCE(SUM(max_attempts), 0) AS n FROM jobs"
+            " WHERE state != ?", (CACHED,),
+        ).fetchone()["n"]
 
     def renew(self, key: str, worker_id: str, lease_s: float,
               now: Optional[float] = None) -> bool:

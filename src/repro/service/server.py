@@ -181,3 +181,24 @@ def start_server(directory: str, host: str = "127.0.0.1", port: int = 0,
                               name="repro-service-http")
     thread.start()
     return server, thread
+
+
+def serve_in_child(directory: str, host: str = "127.0.0.1", port: int = 0,
+                   stale_after: float = 0.0):
+    """Bind here, serve ``directory`` from a forked child process.
+
+    For a caller that forks later (``repro service start`` under the
+    worker supervisor): a status *thread* of that process could be
+    inside SQLite at a fork and hand the new worker a held lock.  The
+    socket is bound in the caller, so ``port=0`` still reports the real
+    port; the caller's copy is closed once the child holds it.  Returns
+    ``(process, (host, port))``; ``process.terminate()`` stops serving.
+    """
+    import multiprocessing
+
+    server = ServiceServer(directory, (host, port), stale_after=stale_after)
+    proc = multiprocessing.get_context("fork").Process(
+        target=server.serve_forever, daemon=True, name="repro-service-http")
+    proc.start()
+    server.server_close()
+    return proc, server.server_address[:2]

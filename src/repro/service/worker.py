@@ -27,13 +27,18 @@ the queue behind every :func:`~repro.sim.sweep.run_sweep`.  Per job:
 ``drain=True`` makes the loop exit once the queue holds no live jobs --
 the mode ``run_sweep``, the CLI, the smoke script and CI use; without it
 the worker idles waiting for more submissions.
+
+Worker *processes* are started only by :func:`supervise`, which runs
+``repro service start`` and every ``run_sweep`` on more than one
+worker: it releases a dead worker's lease at once and starts a
+replacement.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.obs.heartbeat import HeartbeatConfig
 from repro.service.queue import (
@@ -195,7 +200,7 @@ class _LeaseRenewer:
 def worker_main(directory: str, worker_id: Optional[str] = None,
                 lease_s: float = DEFAULT_LEASE_S, poll_s: float = 1.0,
                 drain: bool = True, **options) -> int:
-    """Process entry point (``multiprocessing.Process(target=...)``).
+    """Process entry point of the workers :func:`supervise` starts.
 
     Builds every connection post-fork (SQLite handles must not cross a
     fork) and returns the number of cells this worker completed.
@@ -206,3 +211,79 @@ def worker_main(directory: str, worker_id: Optional[str] = None,
                     poll_s=poll_s, drain=drain, **options)
     stats = worker.run()
     return stats.executed + stats.recovered
+
+
+def supervise(directory: str, workers: int, drain: bool = True,
+              lease_s: float = DEFAULT_LEASE_S, poll_s: float = 1.0,
+              observe: Optional[Callable[[Job], None]] = None,
+              **options) -> None:
+    """Run ``workers`` :func:`worker_main` processes on ``directory``.
+
+    Workers start the platform's default way -- forked on Linux, so they
+    inherit the caller's in-process state (forced kernel modes, patched
+    functions) as an in-process drain would; they are sent only
+    picklable configuration (``options`` go to :class:`Worker`), so any
+    start method works.  Nothing else may run in a thread of the caller
+    while it supervises: a fork while that thread is inside SQLite hands
+    the new worker a held lock.
+
+    A worker that dies (any non-zero exit, e.g. SIGKILL) has its lease
+    released at once (:meth:`JobQueue.release`) and, while work may
+    remain, is replaced.  More deaths than the queue's jobs could cost
+    (:meth:`JobQueue.death_budget`) means workers die for some other
+    reason: the supervisor stops with an error.  ``observe`` sees every
+    job row once per poll.  With ``drain`` it returns once the queue
+    drains; without, it runs until interrupted.  Either way the workers
+    still running are stopped and marked ``stopped`` on the way out.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context()
+    procs: Dict[str, multiprocessing.process.BaseProcess] = {}
+
+    def start() -> None:
+        worker_id = new_worker_id()
+        procs[worker_id] = ctx.Process(
+            target=worker_main, args=(directory,), daemon=True,
+            kwargs=dict(worker_id=worker_id, lease_s=lease_s, poll_s=poll_s,
+                        drain=drain, **options),
+        )
+        procs[worker_id].start()
+
+    queue = JobQueue(queue_path(directory))
+    deaths = 0
+    try:
+        for _ in range(workers):
+            start()
+        while procs:
+            wait([proc.sentinel for proc in procs.values()],
+                 timeout=4 * poll_s)
+            if observe is not None:
+                for job in queue.jobs():
+                    observe(job)
+            if drain and queue.drained():
+                break  # the rest are idle: stop them, don't wait a poll
+            for worker_id, proc in list(procs.items()):
+                if proc.exitcode is None:
+                    continue
+                del procs[worker_id]
+                if proc.exitcode == 0:
+                    continue
+                deaths += 1
+                queue.release(worker_id)
+                queue.worker_beat(worker_id, "stopped")
+                if drain and queue.drained():
+                    continue
+                if deaths > queue.death_budget():
+                    raise RuntimeError(
+                        f"workers keep dying (last exit code "
+                        f"{proc.exitcode}; see their stderr)")
+                start()
+    finally:
+        for proc in procs.values():
+            proc.terminate()
+        for worker_id, proc in procs.items():
+            proc.join()
+            queue.worker_beat(worker_id, "stopped")
+        queue.close()

@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
+
+from repro.fsutil import write_atomic
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sim.engine import SimResult
@@ -133,21 +134,9 @@ class ResultCache:
     def put(self, spec: "RunSpec", result: "SimResult") -> str:
         """Store ``result`` under ``spec``'s key; returns the entry path."""
         path = self._path(spec.cache_key())
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), prefix=".tmp-", suffix=".pkl"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump({"spec": spec.to_dict(), "result": result}, fh,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        entry = {"spec": spec.to_dict(), "result": result}
+        write_atomic(path, lambda fh: pickle.dump(
+            entry, fh, protocol=pickle.HIGHEST_PROTOCOL), binary=True)
         self.stats.stores += 1
         return path
 

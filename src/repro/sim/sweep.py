@@ -18,8 +18,9 @@ baselines.  :func:`run_sweep` executes any collection of specs:
 * **fault-isolated** -- a cell that raises is retried ``retries`` times
   and then reported as a failed :class:`CellOutcome` while the rest of
   the sweep completes; a worker process that dies outright costs only
-  the cell it held one lease expiry (the parent releases the lease and
-  starts a replacement worker), and that cell fails once it has killed
+  the cell it held one lease expiry (the worker supervisor,
+  :func:`~repro.service.worker.supervise`, releases the lease at once
+  and starts a replacement), and that cell fails once it has killed
   ``retries + 1`` workers;
 * **observable** -- a ``progress`` callback receives a
   :class:`SweepEvent` per completed (or retried) cell; pass a
@@ -38,7 +39,6 @@ CLI ``--jobs`` flag) or the ``REPRO_JOBS`` environment variable.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import tempfile
@@ -116,7 +116,6 @@ class TraceConfig:
 def _export_cell_trace(trace: TraceConfig, spec: RunSpec, obs, result) -> None:
     from repro.obs.export import export_tracer
 
-    os.makedirs(trace.directory, exist_ok=True)
     export_tracer(
         obs.tracer, trace.cell_path(spec), fmt=trace.fmt,
         phase_ns=result.phase_ns,
@@ -130,21 +129,13 @@ def _write_cached_stub(trace: TraceConfig, spec: RunSpec) -> None:
     A real trace from an earlier (uncached) run of the same cell is
     left untouched -- the stub only fills the gap.
     """
-    os.makedirs(trace.directory, exist_ok=True)
+    from repro.obs.export import export_tracer
+    from repro.obs.tracer import Tracer
+
     path = trace.cell_path(spec)
-    if os.path.exists(path):
-        return
-    meta = {"spec": spec.to_dict(), "from_cache": True}
-    if trace.fmt == "chrome":
-        with open(path, "w") as fh:
-            json.dump({"traceEvents": [], "displayTimeUnit": "ms",
-                       "otherData": meta}, fh)
-    elif trace.fmt == "jsonl":
-        with open(path, "w") as fh:
-            fh.write(json.dumps({"type": "meta", **meta}) + "\n")
-    else:
-        with open(path, "w") as fh:
-            fh.write("(from cache: no events captured)\n")
+    if not os.path.exists(path):
+        export_tracer(Tracer(), path, fmt=trace.fmt,
+                      meta={"spec": spec.to_dict(), "from_cache": True})
 
 
 # -- outcomes and progress ----------------------------------------------------
@@ -372,7 +363,7 @@ def _drain(pending: List[RunSpec], hits: List[RunSpec], jobs: int, cache,
            ) -> Dict[RunSpec, CellOutcome]:
     """Enqueue ``pending``, drain the queue with workers, read outcomes."""
     from repro.service.queue import JobQueue, heartbeat_dir, queue_path
-    from repro.service.worker import Worker
+    from repro.service.worker import Worker, supervise
 
     scratch = tempfile.mkdtemp(prefix="repro-sweep-")
     try:
@@ -416,79 +407,13 @@ def _drain(pending: List[RunSpec], hits: List[RunSpec], jobs: int, cache,
                 finally:
                     worker.queue.close()
             elif workers > 1:
-                _supervise(queue, directory, workers, retries, len(pending),
-                           options, observe)
+                supervise(directory, workers, poll_s=_POLL_S,
+                          observe=observe, **options)
             for job in queue.jobs():
                 observe(job)
         return outcomes
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-
-
-def _supervise(queue, directory: str, workers: int, retries: int,
-               cells: int, options: Dict, observe: Callable) -> None:
-    """Run ``workers`` worker processes until ``queue`` drains.
-
-    Workers start the platform's default way -- forked on Linux, so they
-    inherit the caller's in-process state (forced kernel modes, patched
-    functions) as a serial sweep would; they are sent only picklable
-    configuration, so any start method works.  A worker that dies (any
-    non-zero exit, e.g. SIGKILL) has its lease released at once and,
-    while work remains, is replaced.  More deaths than the cells could
-    cost (``cells * (retries + 1)``) means workers die for some other
-    reason: the sweep stops with an error.  Once the queue drains, the
-    workers still polling it are stopped and marked ``stopped``.
-    """
-    import multiprocessing
-    from multiprocessing.connection import wait
-
-    from repro.service.queue import new_worker_id
-    from repro.service.worker import worker_main
-
-    ctx = multiprocessing.get_context()
-    procs: Dict[str, multiprocessing.Process] = {}
-
-    def start() -> None:
-        worker_id = new_worker_id()
-        procs[worker_id] = ctx.Process(
-            target=worker_main, args=(directory,), daemon=True,
-            kwargs=dict(worker_id=worker_id, poll_s=_POLL_S, **options),
-        )
-        procs[worker_id].start()
-
-    for _ in range(workers):
-        start()
-    deaths = 0
-    try:
-        while procs:
-            wait([proc.sentinel for proc in procs.values()],
-                 timeout=4 * _POLL_S)
-            for job in queue.jobs():
-                observe(job)
-            if queue.drained():
-                break  # the rest are idle: stop them, don't wait a poll
-            for worker_id, proc in list(procs.items()):
-                if proc.exitcode is None:
-                    continue
-                del procs[worker_id]
-                if proc.exitcode == 0:
-                    continue
-                deaths += 1
-                queue.release(worker_id, max_expirations=retries)
-                queue.worker_beat(worker_id, "stopped")
-                if queue.drained():
-                    continue
-                if deaths > cells * (retries + 1):
-                    raise RuntimeError(
-                        f"sweep workers keep dying (last exit code "
-                        f"{proc.exitcode}; see their stderr)")
-                start()
-    finally:
-        for proc in procs.values():
-            proc.terminate()
-        for worker_id, proc in procs.items():
-            proc.join()
-            queue.worker_beat(worker_id, "stopped")
 
 
 def _outcome(spec: RunSpec, job, result: Optional[SimResult]

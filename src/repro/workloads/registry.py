@@ -1,4 +1,4 @@
-"""Workload registry and Table 2 characteristics."""
+"""Workload registry: every workload by name, in paper order."""
 
 from __future__ import annotations
 
@@ -60,16 +60,3 @@ def make_workload(name: str, scale: ScaleSpec, **kwargs) -> Workload:
             f"unknown workload {name!r}; available: {sorted(WORKLOAD_REGISTRY)}"
         ) from None
     return cls.from_scale(scale, **kwargs)
-
-
-def table2_characteristics() -> List[Dict[str, object]]:
-    """Paper Table 2 rows (paper-reported values)."""
-    return [
-        {
-            "benchmark": cls.name,
-            "rss_gb": cls.paper_rss_gb,
-            "rhp": cls.paper_rhp,
-            "description": cls.description,
-        }
-        for name, cls in ((n, WORKLOAD_REGISTRY[n]) for n in PAPER_ORDER)
-    ]

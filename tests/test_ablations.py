@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.common import SMOKE_SCALE, load_experiment
+from repro.service import worker as service_worker
 from repro.sim import sweep
 
 
@@ -38,13 +39,13 @@ class TestAblationsExperiment:
 
         serial = run()
         pools = []
-        supervise = sweep._supervise
+        supervise = service_worker.supervise
 
-        def counting_supervise(queue, directory, workers, *args):
+        def counting_supervise(directory, workers, *args, **kwargs):
             pools.append(workers)
-            return supervise(queue, directory, workers, *args)
+            return supervise(directory, workers, *args, **kwargs)
 
-        monkeypatch.setattr(sweep, "_supervise", counting_supervise)
+        monkeypatch.setattr(service_worker, "supervise", counting_supervise)
         sweep.set_default_jobs(2)
         try:
             parallel = run()

@@ -27,7 +27,6 @@ from repro.obs.heartbeat import (
     sweep_stalled,
 )
 from repro.obs.openmetrics import (
-    counters_exposition,
     escape_label,
     metric_name,
     service_exposition,
@@ -531,11 +530,3 @@ class TestOpenMetrics:
             "accesses": 10, "accesses_per_sec": 2.5, "resumed": True,
         }]
         _validate_openmetrics(service_exposition({"cells": cells}))
-
-    def test_counters_exposition_from_real_run(self):
-        spec = _spec()
-        result = spec.execute()
-        counters = result.to_dict()["observability"]["counters"]
-        text = counters_exposition(counters)
-        _validate_openmetrics(text)
-        assert "# TYPE repro_engine_total_accesses" in text

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.ascii import bar_chart, grouped_bar_chart, heatmap, timeline_chart
+from repro.analysis.ascii import bar_chart, heatmap, timeline_chart
 from repro.analysis.tables import format_table
 from repro.sim.runner import RunSpec, normalized_performance
 from repro.sim.sweep import raise_failures, run_sweep
@@ -73,12 +73,6 @@ class TestAsciiCharts:
     def test_bar_chart_mismatched_lengths(self):
         with pytest.raises(ValueError):
             bar_chart(["a"], [1.0, 2.0])
-
-    def test_grouped_bar_chart(self):
-        text = grouped_bar_chart(
-            ["g1", "g2"], {"s1": [1.0, 2.0], "s2": [0.5, 1.5]}
-        )
-        assert "[g1]" in text and "[g2]" in text
 
     def test_heatmap(self):
         grid = np.arange(100, dtype=float).reshape(10, 10)

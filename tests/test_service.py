@@ -1,17 +1,20 @@
 """The sweep service: job queue, lease protocol, workers, HTTP API, chaos.
 
-Acceptance scenario (``TestServiceChaos``): two worker processes drain a
-queue while one of them is SIGKILL-ed mid-job.  No cell may be lost or
-duplicated -- every enqueued RunSpec must end ``done`` exactly once, the
-killed job must record a lease expiration (not a burned attempt) and a
-resumed continuation, and every cached result must be bit-identical to a
-serial execution of the same spec.
+Acceptance scenario (``TestServiceChaos``): ``repro service start`` drains
+a queue with two supervised workers while one of them is SIGKILL-ed
+mid-job.  No cell may be lost or duplicated -- every enqueued RunSpec must
+end ``done`` exactly once, the killed job must record a lease expiration
+(not a burned attempt) and a resumed continuation, and every cached result
+must be bit-identical to a serial execution of the same spec.
 """
 
 import json
 import multiprocessing
 import os
+import select
 import signal
+import subprocess
+import sys
 import time
 import urllib.request
 
@@ -31,7 +34,7 @@ from repro.service import (
     heartbeat_dir,
     queue_path,
     start_server,
-    worker_main,
+    supervise,
 )
 from repro.service.worker import _LeaseRenewer, LeaseLost
 from repro.sim import cache as result_cache
@@ -167,7 +170,9 @@ class TestJobQueue:
 
     def test_release_requeues_a_dead_workers_jobs(self, tmp_path):
         queue = JobQueue(queue_path(str(tmp_path / "svc")))
-        queue.enqueue([_spec(seed=s) for s in (45, 46)], cache=None)
+        queue.enqueue([_spec(seed=s) for s in (45, 46)], cache=None,
+                      max_attempts=2)
+        assert queue.death_budget() == 4
         dead = queue.claim("w1", lease_s=600.0, now=100.0)
         live = queue.claim("w2", lease_s=600.0, now=100.0)
         # No waiting for the lease: the job re-queues at once, as one
@@ -178,9 +183,9 @@ class TestJobQueue:
         assert job.expirations == 1 and job.attempts == 0
         assert queue.job(live.key).state == RUNNING  # others untouched
         assert queue.release("w1") == 0
-        # Past its expiration budget a job fails instead of re-queueing.
+        # The death that reaches its max_attempts fails the job instead.
         queue.claim("w3", lease_s=600.0, now=102.0)
-        assert queue.release("w3", max_expirations=1, now=103.0) == 1
+        assert queue.release("w3", now=103.0) == 1
         job = queue.job(dead.key)
         assert job.state == FAILED and job.expirations == 2
         assert job.error == "worker process died"
@@ -342,6 +347,53 @@ class TestServer:
         assert {c["state"] for c in status["cells"]} == {"done"}
 
 
+# -- the worker supervisor -----------------------------------------------------
+
+
+class TestSupervisor:
+    def test_a_cell_that_kills_every_worker_fails_alone(self, monkeypatch):
+        """A death counts against the job's own max_attempts (a sweep's
+        retries + 1): the killer cell fails, the other cell is done."""
+        from repro.sim.sweep import run_sweep
+
+        killer, fine = _spec(seed=91), _spec(seed=92)
+        process = Worker._process
+
+        def die_on_killer(self, job):
+            if job.key == killer.cache_key():
+                os._exit(9)
+            return process(self, job)
+
+        monkeypatch.setattr(Worker, "_process", die_on_killer)
+        outcomes = run_sweep([killer, fine], jobs=2, retries=1)
+        assert outcomes[fine].ok
+        assert not outcomes[killer].ok
+        assert outcomes[killer].error == "worker process died"
+        assert outcomes[killer].attempts == 2  # two claims, two deaths
+
+    def test_deaths_beyond_the_budget_stop_the_supervisor(self, tmp_path,
+                                                          monkeypatch):
+        """Workers that die with no job to blame: one job of
+        max_attempts=2 explains two deaths, the third stops the loop."""
+        d = str(tmp_path / "svc")
+        with JobQueue(queue_path(d)) as queue:
+            queue.enqueue([_spec(seed=93)], max_attempts=2)
+        deaths = str(tmp_path / "deaths")
+
+        def die(self):
+            with open(deaths, "a") as fh:
+                fh.write("x")
+            os._exit(3)
+
+        monkeypatch.setattr(Worker, "run", die)
+        with pytest.raises(RuntimeError, match="keep dying"):
+            supervise(d, 1, drain=False, poll_s=0.05)
+        with open(deaths) as fh:
+            assert fh.read() == "xxx"  # replaced twice, then stopped
+        with JobQueue(queue_path(d)) as queue:
+            assert queue.job(_spec(seed=93).cache_key()).state == QUEUED
+
+
 # -- CLI -----------------------------------------------------------------------
 
 
@@ -368,6 +420,38 @@ class TestServiceCli:
         assert cli_main(["service", "status", d, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["jobs"]["done"] == 2
+
+    def test_start_replaces_a_worker_that_dies(self, tmp_path, capsys,
+                                               monkeypatch):
+        """The only worker claims a job and dies: its lease is released at
+        once and a replacement drains the queue."""
+        d = str(tmp_path / "svc")
+        with JobQueue(queue_path(d)) as queue:
+            queue.enqueue([_spec(seed=s) for s in (63, 64)])
+        died = str(tmp_path / "died")
+        process = Worker._process
+
+        def die_on_first_claim(self, job):
+            try:
+                os.close(os.open(died, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return process(self, job)
+            os._exit(9)
+
+        monkeypatch.setattr(Worker, "_process", die_on_first_claim)
+        assert cli_main(["service", "start", d, "--workers", "1",
+                         "--drain", "--poll", "0.05"]) == 0
+        assert "2 done" in capsys.readouterr().out
+        with JobQueue(queue_path(d)) as queue:
+            assert queue.drained()
+            jobs = queue.jobs()
+            workers = queue.workers()
+        assert [job.state for job in jobs] == [DONE, DONE]
+        killed = jobs[0]  # claims follow enqueue order
+        assert killed.expirations == 1, "released at once, not after a lease"
+        assert killed.attempts == 0 and killed.claims == 2
+        assert len(workers) == 2
+        assert {w["state"] for w in workers} == {"stopped"}
 
     def test_status_without_queue_exits_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nothing")
@@ -396,9 +480,10 @@ def _await(predicate, timeout_s=60.0, poll_s=0.02):
 @pytest.mark.slow
 class TestServiceChaos:
     def test_sigkill_loses_nothing(self, tmp_path):
-        """2 workers, 6 cells, SIGKILL one worker mid-job: every cell ends
-        done exactly once, the killed job resumes from its checkpoint,
-        and all results are bit-identical to serial execution."""
+        """`service start` on 2 workers, 6 cells, SIGKILL one worker
+        mid-job: every cell ends done exactly once, the killed job resumes
+        from its checkpoint on a replacement worker, and all results are
+        bit-identical to serial execution."""
         d = str(tmp_path / "svc")
         # MEDIUM_SCALE cells run ~1s each: long enough to SIGKILL one
         # mid-epoch after it has demonstrably checkpointed.
@@ -413,63 +498,32 @@ class TestServiceChaos:
             )
         ]
         serial = {spec.cache_key(): _canon(spec.execute()) for spec in specs}
+        with JobQueue(queue_path(d)) as queue:
+            assert queue.enqueue(specs).queued == len(specs)
 
-        queue = JobQueue(queue_path(d))
-        report = queue.enqueue(specs)
-        assert report.queued == len(specs)
+        service = _service_start(d, "--workers", "2", "--drain",
+                                 "--poll", "0.05")
+        report = str(tmp_path / "killed")
+        _kill_a_checkpointed_worker(d, report)
+        out, _ = service.communicate(timeout=300)
+        assert service.returncode == 0, out
+        assert os.path.exists(report), "no worker ever held a checkpointed job"
+        with open(report) as fh:
+            killed_key = fh.read()
 
-        ctx = multiprocessing.get_context("fork")
-        lease_s = 1.5
-
-        def spawn(worker_id):
-            proc = ctx.Process(
-                target=worker_main, args=(d,),
-                kwargs=dict(worker_id=worker_id, lease_s=lease_s,
-                            poll_s=0.05, drain=True),
-            )
-            proc.start()
-            return proc
-
-        victim = spawn("victim")
-        survivor = spawn("survivor")
-
-        # Kill the victim once it owns a job that has checkpointed (so
-        # the continuation demonstrably resumes instead of recomputing).
-        def victim_job_checkpointed():
-            q = JobQueue(queue_path(d))
-            try:
-                for job in q.jobs(RUNNING):
-                    if job.lease_owner != "victim":
-                        continue
-                    for cell in read_heartbeats(heartbeat_dir(d)):
-                        if cell.get("key") == job.key[:16] and \
-                                cell.get("last_checkpoint_epoch") is not None:
-                            return job.key
-                return None
-            finally:
-                q.close()
-
-        killed_key = _await(victim_job_checkpointed, timeout_s=60.0)
-        assert killed_key is not None, "victim never checkpointed a job"
-        os.kill(victim.pid, signal.SIGKILL)
-        victim.join(timeout=30)
-
-        # The survivor alone must drain the rest (reclaiming the killed
-        # job after its lease expires).
-        survivor.join(timeout=120)
-        assert survivor.exitcode == 0
-        victim.join(timeout=5)
-
-        queue = JobQueue(queue_path(d))
-        jobs = queue.jobs()
+        with JobQueue(queue_path(d)) as queue:
+            jobs = queue.jobs()
+            killed = queue.job(killed_key)
+            workers = queue.workers()
         assert len(jobs) == len(specs), "no job lost or duplicated"
         assert all(job.state == DONE for job in jobs), \
             [(j.label, j.state, j.error) for j in jobs]
-
-        killed = queue.job(killed_key)
-        assert killed.expirations >= 1, "kill must surface as a lease loss"
+        assert killed.expirations == 1, "a kill is one lease expiry"
         assert killed.attempts == 0, "a kill is not a burned attempt"
-        assert killed.claims >= 2 and killed.resumed
+        assert killed.claims == 2 and killed.resumed
+        # The supervisor replaced the dead worker and stopped them all.
+        assert len(workers) == 3
+        assert {w["state"] for w in workers} == {"stopped"}
 
         # Exactly-once, bit-identical results.
         cache = result_cache.resolve_cache(result_cache.DEFAULT)
@@ -480,6 +534,51 @@ class TestServiceChaos:
 
         # The status CLI agrees and exits clean.
         assert cli_main(["service", "status", d]) == 0
+
+    def test_service_replaces_a_killed_worker_and_keeps_serving(
+            self, tmp_path):
+        """A long-lived `service start --port 0`: SIGKILL its worker and a
+        replacement registers while the status API keeps answering (it
+        runs outside the process that forks the replacement)."""
+        d = str(tmp_path / "svc")
+        with JobQueue(queue_path(d)) as queue:
+            queue.enqueue([_spec(seed=77)])
+        service = _service_start(d, "--workers", "1", "--port", "0",
+                                 "--poll", "0.05")
+        try:
+            line = _read_line(service, "status API: ")
+            assert line is not None, "the status API never came up"
+            url = line.split()[2]
+
+            def workers(state=None):
+                with JobQueue(queue_path(d)) as q:
+                    return [w for w in q.workers()
+                            if state is None or w["state"] == state]
+
+            def idle_after_one_job():
+                with JobQueue(queue_path(d)) as q:
+                    drained = q.drained()
+                idle = workers("idle")
+                return idle[0] if drained and idle else None
+
+            first = _await(idle_after_one_job)
+            assert first is not None, "the worker never drained the queue"
+            os.kill(first["pid"], signal.SIGKILL)
+            replacement = _await(lambda: [
+                w for w in workers() if w["worker_id"] != first["worker_id"]])
+            assert replacement, "no replacement worker registered"
+            with urllib.request.urlopen(url + "healthz", timeout=10) as resp:
+                assert resp.read() == b"ok\n"
+            # Ctrl-C: the supervisor stops its workers and marks them.
+            service.send_signal(signal.SIGINT)
+            service.communicate(timeout=60)
+            assert service.returncode == 0
+            assert {w["state"] for w in workers()} == {"stopped"}
+            assert len(workers()) == 2
+        finally:
+            if service.poll() is None:
+                service.kill()
+                service.communicate()
 
     def test_sigkill_in_run_sweep_costs_one_expiry(self, tmp_path):
         """run_sweep on 2 workers, SIGKILL one mid-job: only the killed
@@ -504,7 +603,7 @@ class TestServiceChaos:
         # forks its workers, and a thread of this process inside SQLite
         # at fork time would hand a worker a held lock.
         killer = multiprocessing.Process(
-            target=_kill_a_checkpointed_sweep_worker, args=(d, report))
+            target=_kill_a_checkpointed_worker, args=(d, report))
         killer.start()
         outcomes = run_sweep(specs, jobs=2,
                              heartbeat=HeartbeatConfig(d, min_interval_s=0.0))
@@ -532,7 +631,34 @@ class TestServiceChaos:
                 spec.label()
 
 
-def _kill_a_checkpointed_sweep_worker(directory: str, report: str) -> None:
+def _service_start(directory: str, *flags: str) -> subprocess.Popen:
+    """``repro service start DIRECTORY FLAGS`` in a child process whose
+    stdout is piped back."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "service", "start", directory,
+         *flags],
+        stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+def _read_line(proc: subprocess.Popen, prefix: str,
+               timeout_s: float = 60.0):
+    """The first line ``proc`` prints that starts with ``prefix``; None
+    once it has printed nothing new for ``timeout_s``."""
+    while select.select([proc.stdout], [], [], timeout_s)[0]:
+        line = proc.stdout.readline()
+        if not line or line.startswith(prefix):
+            return line or None
+    return None
+
+
+def _kill_a_checkpointed_worker(directory: str, report: str) -> None:
     """SIGKILL the worker of the first running job that has taken a
     checkpoint; write that job's key to ``report``."""
 

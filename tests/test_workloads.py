@@ -19,7 +19,6 @@ from repro.workloads.registry import (
     PAPER_ORDER,
     WORKLOAD_REGISTRY,
     make_workload,
-    table2_characteristics,
     workload_names,
 )
 
@@ -113,13 +112,6 @@ class TestRegistry:
     def test_unknown_workload(self):
         with pytest.raises(KeyError):
             make_workload("nope", TEST_SCALE)
-
-    def test_table2_rows(self):
-        rows = table2_characteristics()
-        assert len(rows) == 8
-        silo = next(r for r in rows if r["benchmark"] == "silo")
-        assert silo["rss_gb"] == 58.1
-        assert silo["rhp"] == pytest.approx(0.974)
 
 
 @pytest.mark.parametrize("name", PAPER_ORDER)
