@@ -1,60 +1,128 @@
 """Perf-regression radar over the committed ``BENCH_*.json`` trajectory.
 
-``benchmarks/record_bench.py`` records one engine-throughput snapshot
-per PR (``BENCH_<pr>.json``); this module is the analysis layer over
-that growing history:
+``perfbench/bench.py --out FILE`` writes one run of the repository
+benchmark.  :func:`reduce_runs` reduces one or more such runs to a
+*point*: the median of every metric ``BENCHMARK.json`` declares, per
+workload.  The committed ``benchmarks/BENCH_<pr>.json`` files are such
+points, and :func:`radar` (the CI entry) gates a fresh run against the
+newest of them.
 
-* :func:`load_history` loads every committed ``BENCH_*.json`` in PR
-  order;
-* :func:`trend_table` renders the normalised per-scenario trajectory
-  across history (how each scenario moved, PR by PR);
-* :func:`compare_docs` diffs a current recording against a committed
-  one -- normalised by each file's in-file baseline scenario so a
-  uniformly faster/slower machine cancels out -- and reports per-row
-  deltas plus the headline macro/per-event ratio gate;
-* :func:`radar` is the CI entry: compare the newest recording against
-  the newest committed point, print the readable delta table (and the
-  trend), exit non-zero on regression beyond tolerance.
+The gates:
 
-The thresholds are shared with ``record_bench.py --compare`` (which now
-delegates here), so the one-off CLI and the CI radar can never drift.
+* throughput: each workload's ``accesses_per_sec`` is divided by the
+  geometric mean over the workloads of the same point, so the speed of
+  the machine cancels and no single workload is an anchor; it may drop
+  by at most ``TOLERANCE``;
+* coalescer: ``replay_macro`` over ``replay_small_batches`` must stay
+  at or above 3x;
+* per-layer counts: every count-unit metric (``*.calls``,
+  ``mem.migration.cascade_pages``) may grow by at most ``TOLERANCE``
+  and may fall freely.  Counts are exact for a seed, so any growth
+  means the code does more calls, not that the machine was noisy.
+
+Usage::
+
+    python3 perfbench/bench.py --out run.json
+    python -m repro.analysis.trajectory --current run.json [run2.json ...] \\
+        [--out delta.txt] [--save-point benchmarks/BENCH_<pr>.json]
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
+import statistics
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.tables import format_table
 
-#: Recording layout version understood by this radar.
-FORMAT = 1
-#: Normalisation anchor: every scenario's throughput is divided by this
-#: scenario's, within the same file, before any cross-file comparison.
-BASELINE_SCENARIO = "synthetic_2m_per_event"
-#: Allowed normalised-throughput regression (fraction).
+#: Point layout version understood by this radar.
+FORMAT = 2
+#: Allowed normalised-throughput drop and count growth (fraction).
 TOLERANCE = 0.20
-#: Acceptance gate carried since PR 7: (fast scenario, slow scenario,
-#: minimum ratio) -- the coalescer must hold this speedup on trace replay.
-HEADLINE = ("trace_10m_macro", "trace_10m_per_event", 3.0)
+#: Coalescer gate: (fast workload, slow workload, minimum ratio) of
+#: ``accesses_per_sec`` -- the same trace with and without fusion.
+HEADLINE = ("replay_macro", "replay_small_batches", 3.0)
+THROUGHPUT = "accesses_per_sec"
+#: Run settings two points must share to be comparable.
+CONFIG_KEYS = ("seed", "smoke")
 
 _BENCH_RE = re.compile(r"^BENCH_(\d+)\.json$")
+_REPO = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__)))))
 
 
 def default_bench_dir() -> str:
     """The repo's committed ``benchmarks/`` directory."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    return os.path.join(os.path.dirname(os.path.dirname(
-        os.path.dirname(here))), "benchmarks")
+    return os.path.join(_REPO, "benchmarks")
+
+
+def declared_units() -> Dict[str, str]:
+    """``{metric: unit}`` for every metric ``BENCHMARK.json`` declares."""
+    with open(os.path.join(_REPO, "BENCHMARK.json")) as fh:
+        declared = json.load(fh)
+    return {spec["name"]: spec["unit"]
+            for spec in declared["end_to_end"] + declared["per_layer"]}
+
+
+def reduce_runs(runs: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """``perfbench/bench.py --out`` documents of one seed reduced to a
+    point.
+
+    Keeps each declared metric's median per workload, and its median
+    over the runs when there are several: a committed point taken from
+    several runs carries less of one run's noise.  A metric the runs did
+    not report (``--trace 0`` reports no per-layer metrics) is left out,
+    and the radar reports it missing.  Raises ``ValueError`` when a
+    metric's unit differs from its declaration or the runs' settings
+    differ.
+    """
+    configs = {tuple(run["args"][key] for key in CONFIG_KEYS)
+               for run in runs}
+    if len(configs) != 1:
+        raise ValueError(f"runs differ in {CONFIG_KEYS}: {sorted(configs)}")
+    units = declared_units()
+    samples: Dict[str, Dict[str, List[float]]] = {}
+    for run in runs:
+        for doc in run["workloads"]:
+            values = samples.setdefault(doc["workload"], {})
+            for name, unit in units.items():
+                row = doc["metrics"].get(name)
+                if row is None:
+                    continue
+                if row["unit"] != unit:
+                    raise ValueError(f"{doc['workload']}.{name}: unit "
+                                     f"{row['unit']!r} != declared {unit!r}")
+                values.setdefault(name, []).append(row["value"])
+    point: Dict[str, Any] = dict(zip(CONFIG_KEYS, configs.pop()))
+    point.update(format=FORMAT, runs=len(runs))
+    point["workloads"] = {
+        workload: {name: statistics.median(v) for name, v in values.items()}
+        for workload, values in samples.items()
+    }
+    return point
+
+
+def load_point(paths: List[str]) -> Dict[str, Any]:
+    """A point from ``paths``: one committed point as is, or perfbench
+    runs reduced by :func:`reduce_runs`."""
+    docs = []
+    for path in paths:
+        with open(path) as fh:
+            docs.append(json.load(fh))
+    if len(docs) == 1 and docs[0].get("format") == FORMAT:
+        return docs[0]
+    return reduce_runs(docs)
 
 
 def load_history(bench_dir: Optional[str] = None
                  ) -> List[Tuple[int, Dict[str, Any]]]:
-    """All committed ``BENCH_<n>.json`` docs as ``[(n, doc), ...]``, sorted."""
+    """All committed ``BENCH_<n>.json`` points as ``[(n, doc), ...]``,
+    sorted."""
     bench_dir = bench_dir or default_bench_dir()
     points = []
     for name in os.listdir(bench_dir):
@@ -68,86 +136,107 @@ def load_history(bench_dir: Optional[str] = None
 
 
 def normalized(doc: Dict[str, Any]) -> Dict[str, float]:
-    """Per-scenario throughput divided by the in-file baseline's."""
-    scenarios = doc["scenarios"]
-    base = float(scenarios[BASELINE_SCENARIO]["accesses_per_sec"])
-    return {
-        name: float(entry["accesses_per_sec"]) / base
-        for name, entry in scenarios.items()
-    }
+    """Per-workload throughput divided by the geometric mean over the
+    point's workloads.
+
+    A drop in one workload of four moves the mean too, so it reads as
+    its 3/4 power: 25% down reads as 19%, and the 20% gate catches a
+    single drop beyond 26%.  Dividing by the other workloads only would
+    read the drop in full but pass more of their run-to-run swings into
+    it: on a shared 2-vCPU machine, 10 of 56 pairs of runs of the same
+    code tripped the gate that way, against 2 of 56 this way.
+    """
+    logs = {name: math.log(metrics[THROUGHPUT])
+            for name, metrics in doc["workloads"].items()
+            if THROUGHPUT in metrics}
+    mean = sum(logs.values()) / len(logs) if logs else 0.0
+    return {name: math.exp(log - mean) for name, log in logs.items()}
 
 
 def headline_ratio(doc: Dict[str, Any]) -> float:
     fast, slow, _ = HEADLINE
-    scenarios = doc["scenarios"]
-    return (float(scenarios[fast]["accesses_per_sec"])
-            / float(scenarios[slow]["accesses_per_sec"]))
+    workloads = doc["workloads"]
+    return (float(workloads[fast][THROUGHPUT])
+            / float(workloads[slow][THROUGHPUT]))
 
 
 def compare_docs(old: Dict[str, Any], new: Dict[str, Any],
-                 tolerance: float = TOLERANCE,
-                 headline: Tuple[str, str, float] = HEADLINE
-                 ) -> Dict[str, Any]:
-    """Diff two recordings; returns ``{rows, failures, ok, headline_ratio}``.
+                 tolerance: float = TOLERANCE) -> Dict[str, Any]:
+    """Gate point ``new`` against the committed point ``old``.
 
-    ``rows`` is one entry per scenario (old/new normalised throughput,
-    floor, status) ready for :func:`format_report`; ``failures`` lists
-    human-readable regression reasons (config mismatch counts as one).
+    Returns ``{rows, failures, ok, headline_ratio}``: ``rows`` holds one
+    throughput row per workload, ready for :func:`format_report`;
+    ``failures`` lists human-readable reasons.
     """
-    failures: List[str] = []
-    rows: List[Dict[str, Any]] = []
-    if old.get("config") != new.get("config"):
+    report: Dict[str, Any] = {"rows": [], "failures": [],
+                              "headline_ratio": None}
+    failures = report["failures"]
+    mismatched = [key for key in CONFIG_KEYS if old.get(key) != new.get(key)]
+    if mismatched:
         failures.append(
-            "config mismatch: the pinned scales changed; re-record the "
-            "committed trajectory"
-        )
-        return {"rows": rows, "failures": failures, "ok": False,
-                "headline_ratio": None}
-    old_norm, new_norm = normalized(old), normalized(new)
-    for name in sorted(old_norm):
-        if name not in new_norm:
-            failures.append(f"{name}: missing from the current recording")
+            "config mismatch: " + ", ".join(
+                f"{key} {old.get(key)!r} committed, {new.get(key)!r} now"
+                for key in mismatched))
+        report["ok"] = False
+        return report
+
+    units = declared_units()
+    for workload, metrics in sorted(old["workloads"].items()):
+        current = new["workloads"].get(workload)
+        if current is None:
+            failures.append(f"{workload}: missing from the current point")
             continue
-        floor = old_norm[name] * (1 - tolerance)
-        regressed = new_norm[name] < floor
-        rows.append({
-            "scenario": name,
-            "old": old_norm[name],
-            "new": new_norm[name],
-            "delta_pct": (new_norm[name] / old_norm[name] - 1.0) * 100.0,
+        for name in sorted(metrics):
+            if name not in current:
+                failures.append(f"{workload}.{name}: missing from the "
+                                "current point")
+            elif (units.get(name) == "count"
+                  and current[name] > metrics[name] * (1 + tolerance)):
+                failures.append(
+                    f"{workload}.{name}: count {current[name]:g} above "
+                    f"ceiling {metrics[name] * (1 + tolerance):g}")
+
+    old_norm, new_norm = normalized(old), normalized(new)
+    for workload in sorted(old_norm):
+        if workload not in new_norm:
+            continue
+        floor = old_norm[workload] * (1 - tolerance)
+        regressed = new_norm[workload] < floor
+        report["rows"].append({
+            "workload": workload,
+            "old": old_norm[workload],
+            "new": new_norm[workload],
+            "delta_pct": (new_norm[workload] / old_norm[workload] - 1) * 100,
             "floor": floor,
             "status": "REGRESSED" if regressed else "ok",
         })
         if regressed:
             failures.append(
-                f"{name}: normalised throughput {new_norm[name]:.2f} "
-                f"below floor {floor:.2f}"
-            )
-    fast, slow, target = headline
-    if fast in new.get("scenarios", {}) and slow in new.get("scenarios", {}):
-        ratio = headline_ratio(new)
+                f"{workload}: normalised throughput "
+                f"{new_norm[workload]:.2f} below floor {floor:.2f}")
+
+    fast, slow, target = HEADLINE
+    if fast in new_norm and slow in new_norm:
+        ratio = report["headline_ratio"] = headline_ratio(new)
         if ratio < target:
-            failures.append(f"headline {fast}/{slow} ratio {ratio:.2f}x "
+            failures.append(f"coalescer {fast}/{slow} ratio {ratio:.2f}x "
                             f"below {target}x")
     else:
-        ratio = None
-        failures.append(
-            f"headline {fast}/{slow}: scenario missing from the current "
-            "recording"
-        )
-    return {"rows": rows, "failures": failures, "ok": not failures,
-            "headline_ratio": ratio}
+        failures.append(f"coalescer {fast}/{slow}: workload missing from "
+                        "the current point")
+    report["ok"] = not failures
+    return report
 
 
 def format_report(report: Dict[str, Any]) -> str:
-    """Human-readable delta table + headline + failure lines."""
+    """Human-readable delta table + coalescer ratio + failure lines."""
     lines = []
     if report["rows"]:
         lines.append(format_table(
-            ["scenario", "committed", "current", "delta %", "floor",
+            ["workload", "committed", "current", "delta %", "floor",
              "status"],
             [
-                [row["scenario"], f"{row['old']:.2f}", f"{row['new']:.2f}",
+                [row["workload"], f"{row['old']:.2f}", f"{row['new']:.2f}",
                  f"{row['delta_pct']:+.1f}", f"{row['floor']:.2f}",
                  row["status"]]
                 for row in report["rows"]
@@ -156,7 +245,7 @@ def format_report(report: Dict[str, Any]) -> str:
         ))
     if report["headline_ratio"] is not None:
         fast, slow, target = HEADLINE
-        lines.append(f"headline {fast}/{slow}: "
+        lines.append(f"coalescer {fast}/{slow}: "
                      f"{report['headline_ratio']:.2f}x (target >= {target}x)")
     for failure in report["failures"]:
         lines.append(f"FAIL: {failure}")
@@ -166,43 +255,42 @@ def format_report(report: Dict[str, Any]) -> str:
 
 
 def trend_table(history: List[Tuple[int, Dict[str, Any]]]) -> str:
-    """Normalised per-scenario trajectory across the committed history."""
+    """Normalised per-workload throughput across the committed history."""
     if not history:
         return "(no committed BENCH_*.json history)"
-    scenarios = sorted({
-        name for _, doc in history for name in doc.get("scenarios", {})
-    })
-    rows = []
-    for name in scenarios:
-        row: List[Any] = [name]
-        for _, doc in history:
-            norm = normalized(doc) if name in doc.get("scenarios", {}) else {}
-            row.append(f"{norm[name]:.2f}" if name in norm else "-")
-        rows.append(row)
+    norms = [normalized(doc) for _, doc in history]
+    workloads = sorted({name for norm in norms for name in norm})
+    rows = [[name] + [f"{norm[name]:.2f}" if name in norm else "-"
+                      for norm in norms]
+            for name in workloads]
     return format_table(
-        ["scenario"] + [f"PR {n}" for n, _ in history], rows,
+        ["workload"] + [f"PR {n}" for n, _ in history], rows,
         title="normalised throughput trajectory (per committed point)",
     )
 
 
-def radar(current_path: str, bench_dir: Optional[str] = None,
-          tolerance: float = TOLERANCE, out_path: Optional[str] = None
-          ) -> int:
-    """CI entry: current recording vs the newest committed point.
+def radar(current_paths: List[str], bench_dir: Optional[str] = None,
+          tolerance: float = TOLERANCE, out_path: Optional[str] = None,
+          point_path: Optional[str] = None) -> int:
+    """CI entry: the current run vs the newest committed point.
 
-    Prints the trend across all committed points plus the delta table;
-    writes the same text to ``out_path`` when given (the CI artifact).
-    Returns a process exit code (0 ok, 1 regression / no history).
+    Prints the trend across all committed points plus the delta report;
+    writes the same text to ``out_path`` and the reduced current point
+    to ``point_path`` when given.  Returns a process exit code (0 ok,
+    1 regression / no history).
     """
+    current = load_point(current_paths)
     history = load_history(bench_dir)
+    if point_path:  # after loading, so a new point meets its predecessor
+        with open(point_path, "w") as fh:
+            json.dump(current, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     text_parts = [trend_table(history)]
     if not history:
         text_parts.append("FAIL: no committed BENCH_*.json to compare "
                           "against")
         code = 1
     else:
-        with open(current_path) as fh:
-            current = json.load(fh)
         report = compare_docs(history[-1][1], current, tolerance=tolerance)
         text_parts.append(format_report(report))
         code = 0 if report["ok"] else 1
@@ -216,21 +304,20 @@ def radar(current_path: str, bench_dir: Optional[str] = None,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Perf-regression radar over committed BENCH_*.json",
+        description="Perf-regression radar: a perfbench run vs the "
+                    "committed BENCH_*.json points",
     )
-    parser.add_argument("--bench-dir", default=None,
-                        help="directory holding BENCH_*.json "
-                             "(default: the repo's benchmarks/)")
-    parser.add_argument("--current", required=True,
-                        help="freshly recorded benchmark JSON to vet")
-    parser.add_argument("--tolerance", type=float, default=TOLERANCE,
-                        help="allowed normalised regression fraction "
-                             f"(default {TOLERANCE})")
+    parser.add_argument("--current", required=True, nargs="+",
+                        metavar="RUN",
+                        help="perfbench/bench.py --out document(s) of one "
+                             "seed (or one reduced point) to vet")
     parser.add_argument("--out", default=None,
                         help="also write the report text to this path")
+    parser.add_argument("--save-point", default=None, metavar="PATH",
+                        help="write the reduced current point here "
+                             "(e.g. benchmarks/BENCH_<pr>.json)")
     args = parser.parse_args(argv)
-    return radar(args.current, bench_dir=args.bench_dir,
-                 tolerance=args.tolerance, out_path=args.out)
+    return radar(args.current, out_path=args.out, point_path=args.save_point)
 
 
 if __name__ == "__main__":

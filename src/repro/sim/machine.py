@@ -88,14 +88,6 @@ class ScaleSpec:
 #: Default scale used by tests and examples; experiments may pass larger.
 DEFAULT_SCALE = ScaleSpec()
 
-#: Reduced scale for pytest-benchmark wrappers.
-BENCH_SCALE = ScaleSpec(
-    bytes_per_paper_gb=1 * MIB,
-    accesses_per_paper_gb=50_000,
-    min_bytes=48 * MIB,
-    min_accesses_per_page=100,
-)
-
 
 def _huge_floor(nbytes: int) -> int:
     return max(HUGE_PAGE_SIZE, (nbytes // HUGE_PAGE_SIZE) * HUGE_PAGE_SIZE)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.mem.pages import HUGE_PAGE_SIZE
 from repro.sim.machine import (
-    BENCH_SCALE,
     DEFAULT_SCALE,
     MachineSpec,
     ScaleSpec,
@@ -29,10 +28,6 @@ class TestScaleSpec:
         scale = DEFAULT_SCALE
         pages = scale.bytes_for(10.3) // 4096
         assert scale.accesses_for(10.3) >= pages * scale.min_accesses_per_page
-
-    def test_bench_scale_smaller(self):
-        assert BENCH_SCALE.bytes_for(66.3) < DEFAULT_SCALE.bytes_for(66.3)
-        assert BENCH_SCALE.accesses_for(66.3) < DEFAULT_SCALE.accesses_for(66.3)
 
 
 class TestMachineSpec:
