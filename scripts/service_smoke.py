@@ -29,13 +29,12 @@ import tempfile
 import time
 
 from repro.cli import main as cli_main
-from repro.obs.heartbeat import read_heartbeats
 from repro.service import (
     CACHED,
     DONE,
     RUNNING,
     JobQueue,
-    heartbeat_dir,
+    build_status,
     queue_path,
 )
 
@@ -48,7 +47,7 @@ def _victim(directory, any_worker):
         running = queue.jobs(RUNNING)
     pids = {w["worker_id"]: w["pid"] for w in workers}
     checkpointed = {
-        cell.get("key") for cell in read_heartbeats(heartbeat_dir(directory))
+        cell["key"] for cell in build_status(directory)["cells"]
         if cell.get("last_checkpoint_epoch") is not None
     }
     for job in running:

@@ -1,9 +1,9 @@
 """``repro top``: ASCII dashboard over a live sweep directory.
 
 Pure rendering -- reads nothing itself; callers pass the status dict
-from :func:`repro.service.server.build_status` (queue state merged with
-worker progress records) and get a screenful of text back.  The cell
-table looks like::
+from :func:`repro.service.server.build_status` (queue rows: cell states
+and the progress workers write there) and get a screenful of text back.
+The cell table looks like::
 
     sweep: 8 cells | 3 running 2 done 1 cached 1 resumed 1 failed
     throughput: 3.4M acc/s | accesses: 41.2M | violations: 0
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.obs.heartbeat import aggregate, display_state
+from repro.service.server import aggregate, display_state
 
 #: Render order for the header tallies (terminal states last).
 _STATE_ORDER = ("running", "retrying", "stalled", "queued", "done", "cached",

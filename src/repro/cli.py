@@ -16,10 +16,11 @@ Commands:
                   still work;
 * ``top``      -- live ASCII dashboard over a sweep directory
                   (``run --heartbeat DIR``, or a service directory):
-                  queue state plus worker progress; ``--snapshot``
-                  prints one frame for CI logs, ``--openmetrics`` emits
-                  the exposition-format text instead; ``--stale-after``
-                  detects sweeps whose workers died (exit code 3);
+                  cell states and worker progress from its queue;
+                  ``--snapshot`` prints one frame for CI logs,
+                  ``--openmetrics`` emits the exposition-format text
+                  instead; the live mode exits 3 once work is left that
+                  no live lease or worker is doing;
 * ``service``  -- persistent sweep service: ``submit`` enqueues RunSpec
                   batches into a SQLite job queue, ``start`` runs
                   pull-based worker processes under the supervisor that
@@ -41,10 +42,12 @@ from repro.experiments.common import EXPERIMENT_REGISTRY
 from repro import snapshot
 from repro.obs.tracer import CATEGORIES
 from repro.policies.registry import policy_names
+from repro.service.queue import QueueFormatError
 from repro.sim import cache as result_cache
 from repro.sim.machine import (
     DEFAULT_SCALE,
     MACHINE_PRESETS,
+    TIERING_RATIOS,
     MachineSpec,
     ScaleSpec,
 )
@@ -120,17 +123,12 @@ def cmd_run(args) -> int:
                    resume=args.resume,
                    timeseries_every=args.timeseries)
     trace = _trace_config(args) if args.trace is not None else None
-    heartbeat = None
-    if args.heartbeat:
-        from repro.obs.heartbeat import HeartbeatConfig
-
-        heartbeat = HeartbeatConfig(directory=args.heartbeat)
     # The sweep executor runs the policy and its baseline in parallel
     # with --jobs 2, and serves both from the persistent cache on
     # repeated invocations.
     specs = [spec] if args.no_baseline else [spec, spec.baseline_spec()]
     outcomes = run_sweep(specs, jobs=args.jobs, trace=trace,
-                         heartbeat=heartbeat)
+                         directory=args.heartbeat or None)
     raise_failures(outcomes)
     result = outcomes[spec].result
     rows = [
@@ -317,11 +315,11 @@ def cmd_top(args) -> int:
                 print(f"top: no sweep queue at {queue_path(args.dir)}",
                       file=sys.stderr)
                 return 2
-            print(frame(build_status(args.dir, args.stale_after)))
+            print(frame(build_status(args.dir)))
             return 0
         while True:
             if os.path.exists(queue_path(args.dir)):
-                status = build_status(args.dir, args.stale_after)
+                status = build_status(args.dir)
                 text = frame(status)
             else:
                 status, text = None, f"(waiting for a sweep in {args.dir})"
@@ -331,11 +329,8 @@ def cmd_top(args) -> int:
             if status is not None and status["drained"]:
                 return 0
             if status is not None and status["stalled"]:
-                print(
-                    f"sweep stalled: no progress in {args.stale_after:.0f}s "
-                    "with work left (dead workers?)",
-                    file=sys.stderr,
-                )
+                print("sweep stalled: work left, but no live lease or "
+                      "worker (dead workers?)", file=sys.stderr)
                 return 3
             _time.sleep(max(args.interval, 0.1))
     except KeyboardInterrupt:
@@ -435,7 +430,7 @@ def cmd_service(args) -> int:
         return 1 if counts.get("failed") else 0
 
     if args.action == "status":
-        status = build_status(args.dir, stale_after=args.stale_after)
+        status = build_status(args.dir)
         if args.json:
             print(_json.dumps(status, indent=2, sort_keys=True))
         else:
@@ -472,7 +467,7 @@ def main(argv=None) -> int:
     p_run.add_argument("workload", choices=workload_names())
     p_run.add_argument("policy", choices=policy_names())
     p_run.add_argument("--ratio", default="1:8",
-                       choices=["1:2", "1:8", "1:16", "2:1"])
+                       choices=sorted(TIERING_RATIOS))
     p_run.add_argument("--cxl", action="store_true",
                        help="CXL capacity tier instead of NVM")
     p_run.add_argument("--machine-preset", default=None,
@@ -510,8 +505,8 @@ def main(argv=None) -> int:
                        help="checkpoint store location (default: "
                             "$REPRO_SNAPSHOT_DIR or <cache_dir>/snapshots)")
     p_run.add_argument("--heartbeat", metavar="DIR", default=None,
-                       help="keep the sweep's queue and per-cell progress "
-                            "records in DIR (watch live with "
+                       help="keep the sweep's queue (cell states and live "
+                            "progress) in DIR (watch live with "
                             "`python -m repro top DIR`)")
     p_run.add_argument("--timeseries", type=int, default=0, metavar="N",
                        help="record a per-epoch metrics time series every "
@@ -596,12 +591,6 @@ def main(argv=None) -> int:
                        help="refresh period in live mode (default: 2s)")
     p_top.add_argument("--width", type=int, default=80,
                        help="dashboard width in columns (default: 80)")
-    p_top.add_argument("--stale-after", type=float, default=300.0,
-                       metavar="S",
-                       help="mark running cells with no progress for S "
-                            "seconds as stalled; the live loop exits 3 once "
-                            "the whole sweep has gone quiet with work left "
-                            "(default: 300; 0 disables)")
     p_top.set_defaults(fn=cmd_top)
 
     p_service = sub.add_parser(
@@ -611,14 +600,14 @@ def main(argv=None) -> int:
     svc = p_service.add_subparsers(dest="action", required=True)
 
     p_submit = svc.add_parser("submit", help="enqueue a RunSpec batch")
-    p_submit.add_argument("dir", help="service directory (queue + "
-                                      "progress records)")
+    p_submit.add_argument("dir", help="service directory (holds its "
+                                      "queue)")
     p_submit.add_argument("--workloads", nargs="+", default=[],
                           choices=workload_names(), metavar="W")
     p_submit.add_argument("--policies", nargs="+", default=[],
                           choices=policy_names(), metavar="P")
     p_submit.add_argument("--ratios", nargs="+", default=["1:8"],
-                          choices=["1:2", "1:8", "1:16", "2:1"], metavar="R")
+                          choices=sorted(TIERING_RATIOS), metavar="R")
     p_submit.add_argument("--seeds", nargs="+", type=int, default=[42],
                           metavar="N")
     p_submit.add_argument("--cxl", action="store_true",
@@ -667,10 +656,6 @@ def main(argv=None) -> int:
                           help="machine-readable dump instead of the "
                                "dashboard")
     p_status.add_argument("--width", type=int, default=80)
-    p_status.add_argument("--stale-after", type=float, default=300.0,
-                          metavar="S",
-                          help="mark quiet cells stalled (default: 300; "
-                               "0 disables)")
     p_status.set_defaults(fn=cmd_service)
 
     p_drain = svc.add_parser(
@@ -685,7 +670,11 @@ def main(argv=None) -> int:
     if not getattr(args, "fn", None):
         parser.print_help()
         return 0
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except QueueFormatError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Atomic file replacement: a reader sees the old file or the new one,
-never a torn one.  The one writer behind the result cache, the
-checkpoint store and the heartbeat records."""
+never a torn one.  The one writer behind the result cache and the
+checkpoint store."""
 
 from __future__ import annotations
 

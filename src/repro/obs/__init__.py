@@ -17,9 +17,10 @@ Three cooperating pieces travel with every simulation:
 :class:`Observability` bundles them; the engine creates one per run and
 hands it to every component through :class:`~repro.policies.base.PolicyContext`.
 Exporters (JSONL, Chrome ``trace_event`` for Perfetto, ASCII) live in
-:mod:`repro.obs.export`; live sweep progress (worker progress records,
-OpenMetrics text) in :mod:`repro.obs.heartbeat` and
-:mod:`repro.obs.openmetrics`.
+:mod:`repro.obs.export`; OpenMetrics text over a sweep's queue in
+:mod:`repro.obs.openmetrics`.  Live sweep progress has no store here:
+workers write it into their job's queue row
+(:mod:`repro.service.queue`).
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from typing import Any, Dict, List, Optional
 
-from repro.obs.heartbeat import aggregate, display_state
+from repro.service.server import aggregate, display_state
 
 _NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _NAME_BAD_CHARS = re.compile(r"[^a-zA-Z0-9_:]")

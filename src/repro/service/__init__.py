@@ -10,7 +10,9 @@ workload grids in the thousands of cells) that outlive one process:
   accepts RunSpec batches, dedups by ``cache_key()`` and skips cells the
   persistent :mod:`repro.sim.cache` already holds; workers *pull* jobs
   under lease-based claims, so a ``kill -9``-ed worker's job re-queues
-  (at once under the supervisor, else when its lease expires).
+  (at once under the supervisor, else when its lease expires).  Each
+  row also carries its cell's live progress, written with every lease
+  renewal: the queue is the one store of sweep state.
 * :mod:`repro.service.worker` -- the pull-based worker loop and its
   one supervisor, which replaces a dead worker at once.  Cells with
   ``snapshot_every > 0`` resume from their last epoch checkpoint on
@@ -37,7 +39,7 @@ from repro.service.queue import (
     Job,
     JobQueue,
     QueueBusy,
-    heartbeat_dir,
+    QueueFormatError,
     queue_path,
 )
 from repro.service.server import build_status, start_server
@@ -53,6 +55,7 @@ from repro.service.worker import (
 __all__ = [
     "JobQueue",
     "QueueBusy",
+    "QueueFormatError",
     "Job",
     "EnqueueReport",
     "QUEUED",
@@ -61,7 +64,6 @@ __all__ = [
     "FAILED",
     "CACHED",
     "queue_path",
-    "heartbeat_dir",
     "Worker",
     "WorkerStats",
     "worker_main",

@@ -2,10 +2,13 @@
 
 One database file (``<dir>/queue.db``) holds the whole service state:
 the ``jobs`` table (one row per distinct ``RunSpec.cache_key()``) and a
-``workers`` registry.  It is the only store of cell state -- the
-``hb/`` files beside it are worker progress records, never states --
-and it backs every sweep: a service directory, and the directory each
-:func:`~repro.sim.sweep.run_sweep` drains.  SQLite gives us the two
+``workers`` registry.  It is the only store of sweep state -- each
+row holds its cell's state *and* the live progress of the attempt
+running it -- and it backs every sweep: a service directory, and the
+directory each :func:`~repro.sim.sweep.run_sweep` drains.  The file
+carries its layout version in ``PRAGMA user_version``
+(:data:`SCHEMA_VERSION`); a file of another version is refused with
+:class:`QueueFormatError`, never migrated.  SQLite gives us the two
 properties a multi-worker queue actually needs for free: durable state
 across ``kill -9`` (WAL journal) and atomic claim transitions (``BEGIN
 IMMEDIATE`` serialises writers), with no daemon to operate.
@@ -16,11 +19,14 @@ Lease protocol
 A worker *claims* a queued job: the row moves ``queued -> running`` with
 ``lease_owner`` / ``lease_expires_at`` set and ``claims`` incremented.
 While executing, the worker *renews* the lease from the engine's epoch
-hook; a renewal that discovers the lease was usurped tells the worker to
-abandon the cell.  Every claim first sweeps expired leases back to
-``queued`` (incrementing ``expirations``), so a SIGKILL-ed worker's job
-is picked up by any surviving worker after at most one lease period.
-The supervisor that runs every worker process
+hook, writing the cell's progress (epoch, accesses, rate, ETA, ...) in
+the same owner-guarded UPDATE; a renewal that discovers the lease was
+usurped is refused -- the row keeps the new owner's progress -- and
+tells the worker to abandon the cell.  ``complete`` and ``fail`` write
+the attempt's final progress.  Every claim first sweeps expired leases
+back to ``queued`` (incrementing ``expirations``), so a SIGKILL-ed
+worker's job is picked up by any surviving worker after at most one
+lease period.  The supervisor that runs every worker process
 (:func:`~repro.service.worker.supervise`) need not wait:
 :meth:`JobQueue.release` expires a dead worker's lease at once.
 
@@ -31,6 +37,12 @@ budget ends at the job's ``max_attempts``: genuine failures burn
 whose worker died under a supervisor fails once its ``expirations``
 reach ``max_attempts``.  A lease that merely lapses (a worker with no
 supervisor) never exhausts anything.
+
+Stall detection reads the same rows: a ``running`` job whose lease has
+lapsed has no live owner, and a queue is *stalled*
+(:meth:`JobQueue.stalled`) when work is left but no lease is live and
+no worker was seen, nor any job enqueued, within
+:data:`LIVE_WORKER_S`.
 
 Exactly-once results
 ====================
@@ -72,7 +84,10 @@ from repro.sim import cache as result_cache
 from repro.sim.runner import RunSpec
 
 QUEUE_DB = "queue.db"
-HEARTBEAT_SUBDIR = "hb"
+
+#: Layout of ``queue.db`` (``PRAGMA user_version``).  Files written
+#: before the ``progress`` column existed read 0 and are refused.
+SCHEMA_VERSION = 1
 
 #: Job states. ``queued`` and ``running`` are live; the rest terminal.
 QUEUED = "queued"
@@ -92,8 +107,13 @@ LIVE_WORKER_S = 30.0
 class QueueBusy(RuntimeError):
     """A fresh sweep was refused a queue file that is still in use."""
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS jobs (
+
+class QueueFormatError(RuntimeError):
+    """A queue file was written with another :data:`SCHEMA_VERSION`."""
+
+
+_SCHEMA = ("""
+CREATE TABLE jobs (
     key              TEXT PRIMARY KEY,   -- RunSpec.cache_key()
     spec             TEXT NOT NULL,      -- RunSpec.to_dict() as JSON
     label            TEXT NOT NULL,
@@ -109,10 +129,11 @@ CREATE TABLE IF NOT EXISTS jobs (
     enqueued_at      REAL NOT NULL,
     started_at       REAL,
     finished_at      REAL,
-    wall_s           REAL
-);
-CREATE INDEX IF NOT EXISTS jobs_state ON jobs (state, enqueued_at);
-CREATE TABLE IF NOT EXISTS workers (
+    wall_s           REAL,
+    progress         TEXT                -- the running attempt's, as JSON
+)""", """
+CREATE INDEX jobs_state ON jobs (state, enqueued_at)""", """
+CREATE TABLE workers (
     worker_id   TEXT PRIMARY KEY,
     pid         INTEGER,
     started_at  REAL,
@@ -120,18 +141,12 @@ CREATE TABLE IF NOT EXISTS workers (
     state       TEXT NOT NULL,          -- idle | running | stopped
     current_key TEXT,
     completed   INTEGER NOT NULL DEFAULT 0
-);
-"""
+)""")
 
 
 def queue_path(directory: str) -> str:
     """The service database path inside a service directory."""
     return os.path.join(os.fspath(directory), QUEUE_DB)
-
-
-def heartbeat_dir(directory: str) -> str:
-    """Where workers stream per-cell progress records (``repro top``)."""
-    return os.path.join(os.fspath(directory), HEARTBEAT_SUBDIR)
 
 
 @dataclass
@@ -154,6 +169,8 @@ class Job:
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     wall_s: Optional[float] = None
+    #: The latest progress of the attempt running (or last run) this job.
+    progress: Optional[Dict[str, Any]] = None
 
     def spec(self) -> RunSpec:
         return RunSpec.from_dict(json.loads(self.spec_json))
@@ -169,7 +186,12 @@ def _job_from_row(row: sqlite3.Row) -> Job:
         error=row["error"], enqueued_at=row["enqueued_at"],
         started_at=row["started_at"], finished_at=row["finished_at"],
         wall_s=row["wall_s"],
+        progress=json.loads(row["progress"]) if row["progress"] else None,
     )
+
+
+def _progress_json(progress: Optional[Dict[str, Any]]) -> Optional[str]:
+    return None if progress is None else json.dumps(progress)
 
 
 @dataclass
@@ -201,12 +223,37 @@ class JobQueue:
             os.makedirs(directory, exist_ok=True)
         self._db = sqlite3.connect(self.path, timeout=timeout_s)
         self._db.row_factory = sqlite3.Row
-        # WAL survives kill -9 of any client and lets readers (the
-        # status server) proceed during writer transactions.
-        self._db.execute("PRAGMA journal_mode=WAL")
-        self._db.execute("PRAGMA synchronous=NORMAL")
-        self._db.executescript(_SCHEMA)
-        self._db.commit()
+        try:
+            # Checked before WAL is set, so a refused file stays as it was.
+            empty = self._check_version()
+            # WAL survives kill -9 of any client and lets readers (the
+            # status server) proceed during writer transactions.
+            self._db.execute("PRAGMA journal_mode=WAL")
+            self._db.execute("PRAGMA synchronous=NORMAL")
+            if empty:
+                with self._db:
+                    self._db.execute("BEGIN IMMEDIATE")
+                    if self._check_version():  # nobody created it since
+                        for statement in _SCHEMA:
+                            self._db.execute(statement)
+                        self._db.execute(
+                            f"PRAGMA user_version = {SCHEMA_VERSION}")
+        except BaseException:
+            self._db.close()
+            raise
+
+    def _check_version(self) -> bool:
+        """True for a file with no tables yet; raises for another layout."""
+        version = self._db.execute("PRAGMA user_version").fetchone()[0]
+        if version == SCHEMA_VERSION:
+            return False
+        if version == 0 and self._db.execute(
+                "SELECT COUNT(*) FROM sqlite_master").fetchone()[0] == 0:
+            return True
+        raise QueueFormatError(
+            f"{self.path} is a queue file of format {version}, not "
+            f"{SCHEMA_VERSION}; finish its sweep with the release that "
+            f"wrote it, or delete the file and submit again")
 
     def close(self) -> None:
         self._db.close()
@@ -288,17 +335,29 @@ class JobQueue:
                     report.queued += 1
         return report
 
+    def _liveness(self, now: float) -> sqlite3.Row:
+        """Counts that say whether anyone is using this queue: jobs
+        ``queued``, ``running``, under a live lease (``leased``) and
+        enqueued within :data:`LIVE_WORKER_S` (``recent``), and
+        ``workers`` not ``stopped`` seen within it."""
+        since = now - LIVE_WORKER_S
+        return self._db.execute(
+            "SELECT"
+            " (SELECT COUNT(*) FROM jobs WHERE state = ?) AS queued,"
+            " (SELECT COUNT(*) FROM jobs WHERE state = ?) AS running,"
+            " (SELECT COUNT(*) FROM jobs WHERE state = ?"
+            "  AND lease_expires_at >= ?) AS leased,"
+            " (SELECT COUNT(*) FROM jobs WHERE enqueued_at >= ?) AS recent,"
+            " (SELECT COUNT(*) FROM workers WHERE state != 'stopped'"
+            "  AND last_seen >= ?) AS workers",
+            (QUEUED, RUNNING, RUNNING, now, since, since),
+        ).fetchone()
+
     def _drop_idle_rows(self, now: float) -> None:
         """Delete every row, or raise :class:`QueueBusy` if any is live."""
-        live = self._db.execute(
-            "SELECT COUNT(*) AS n FROM jobs WHERE state = ?"
-            " OR (state = ? AND lease_expires_at >= ?)",
-            (QUEUED, RUNNING, now),
-        ).fetchone()["n"]
-        workers = self._db.execute(
-            "SELECT COUNT(*) AS n FROM workers WHERE state != 'stopped'"
-            " AND last_seen >= ?", (now - LIVE_WORKER_S,),
-        ).fetchone()["n"]
+        counts = self._liveness(now)
+        live = counts["queued"] + counts["leased"]
+        workers = counts["workers"]
         if live or workers:
             raise QueueBusy(
                 f"{self.path} is in use ({live} live job(s), {workers} "
@@ -339,7 +398,7 @@ class JobQueue:
                 return None
             self._db.execute(
                 "UPDATE jobs SET state = ?, lease_owner = ?,"
-                " lease_expires_at = ?, claims = claims + 1,"
+                " lease_expires_at = ?, claims = claims + 1, progress = NULL,"
                 " started_at = COALESCE(started_at, ?) WHERE key = ?",
                 (RUNNING, worker_id, now + float(lease_s), now, row["key"]),
             )
@@ -391,22 +450,32 @@ class JobQueue:
         ).fetchone()["n"]
 
     def renew(self, key: str, worker_id: str, lease_s: float,
+              progress: Optional[Dict[str, Any]] = None,
               now: Optional[float] = None) -> bool:
-        """Extend a held lease; False means the lease was lost (abandon)."""
+        """Extend a held lease and record the attempt's ``progress``.
+
+        Owner-guarded: False means the lease was lost (abandon the
+        cell), and neither the lease nor the progress was written.
+        """
         now = time.time() if now is None else now
         with self._db:
             cur = self._db.execute(
-                "UPDATE jobs SET lease_expires_at = ? WHERE key = ?"
+                "UPDATE jobs SET lease_expires_at = ?,"
+                " progress = COALESCE(?, progress) WHERE key = ?"
                 " AND state = ? AND lease_owner = ?",
-                (now + float(lease_s), key, RUNNING, worker_id),
+                (now + float(lease_s), _progress_json(progress), key,
+                 RUNNING, worker_id),
             )
             return cur.rowcount > 0
 
     # -- terminal transitions ----------------------------------------------
 
     def complete(self, key: str, worker_id: str, wall_s: float = 0.0,
-                 resumed: bool = False, now: Optional[float] = None) -> bool:
-        """``running -> done``.  First completer wins; duplicates no-op.
+                 resumed: bool = False,
+                 progress: Optional[Dict[str, Any]] = None,
+                 now: Optional[float] = None) -> bool:
+        """``running -> done``, with the final ``progress``.  First
+        completer wins; duplicates no-op.
 
         Deliberately NOT owner-guarded: a worker that lost its lease
         after the cache commit point still holds the (deterministic,
@@ -417,15 +486,18 @@ class JobQueue:
             cur = self._db.execute(
                 "UPDATE jobs SET state = ?, finished_at = ?, wall_s = ?,"
                 " resumed = ?, error = NULL, lease_owner = ?,"
-                " lease_expires_at = NULL WHERE key = ? AND state = ?",
+                " lease_expires_at = NULL, progress = COALESCE(?, progress)"
+                " WHERE key = ? AND state = ?",
                 (DONE, now, float(wall_s), 1 if resumed else 0,
-                 worker_id, key, RUNNING),
+                 worker_id, _progress_json(progress), key, RUNNING),
             )
             return cur.rowcount > 0
 
     def fail(self, key: str, worker_id: str, error: str,
+             progress: Optional[Dict[str, Any]] = None,
              now: Optional[float] = None) -> bool:
-        """Record a raising execution; owner-guarded.
+        """Record a raising execution and its last ``progress``;
+        owner-guarded.
 
         Burns one ``attempts``; the job re-queues until ``max_attempts``
         genuine failures mark it ``failed``.  A usurped worker (lease
@@ -447,9 +519,11 @@ class JobQueue:
             self._db.execute(
                 "UPDATE jobs SET state = ?, attempts = ?, error = ?,"
                 " lease_owner = NULL, lease_expires_at = NULL,"
-                " finished_at = ? WHERE key = ?",
+                " finished_at = ?, progress = COALESCE(?, progress)"
+                " WHERE key = ?",
                 (state, attempts, str(error),
-                 now if state == FAILED else None, key),
+                 now if state == FAILED else None,
+                 _progress_json(progress), key),
             )
             return True
 
@@ -532,17 +606,30 @@ class JobQueue:
         ).fetchone()
         return row["n"] == 0
 
+    def stalled(self, now: Optional[float] = None) -> bool:
+        """True when work is left that nobody is doing.
+
+        A job is ``queued`` or ``running``, yet no lease is live and no
+        worker was seen, nor any job enqueued, within
+        :data:`LIVE_WORKER_S`: every worker that served this queue is
+        gone.  ``repro top`` exits on it instead of polling forever.
+        """
+        counts = self._liveness(time.time() if now is None else now)
+        return bool(counts["queued"] + counts["running"]) and not (
+            counts["leased"] or counts["recent"] or counts["workers"])
+
     def snapshot(self, now: Optional[float] = None) -> Dict[str, Any]:
         """Queue and worker state for the status API (JSON-safe; the
         per-cell view is :func:`repro.service.server.build_status`)."""
         now = time.time() if now is None else now
         return {
-            "schema": 1,
+            "schema": SCHEMA_VERSION,
             "path": self.path,
             "now": now,
             "jobs": self.counts(),
             "totals": self.totals(),
             "drained": self.drained(),
+            "stalled": self.stalled(now),
             "workers": self.workers(),
         }
 

@@ -20,29 +20,29 @@ import html
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.obs.heartbeat import mark_stalled, read_heartbeats, sweep_stalled
 from repro.service.queue import (
     FAILED,
     QUEUED,
+    RUNNING,
     Job,
     JobQueue,
-    heartbeat_dir,
     queue_path,
 )
 
+#: Cell states that will never change again on their own.
+TERMINAL_STATES = ("done", "failed", "cached")
 
-def _cell(job: Job, record: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-    """One dashboard cell: the job row's state over its progress record.
 
-    The record counts only if this sweep's worker wrote it (it started
-    no earlier than the job's first claim); a leftover from an earlier
-    sweep in the same directory is ignored.
+def _cell(job: Job, now: float) -> Dict[str, Any]:
+    """One dashboard cell: the job row's state over its progress.
+
+    A ``running`` row whose lease has lapsed has no live owner (its
+    worker died or hangs): it is marked ``stalled``.
     """
-    fresh = (record is not None and job.started_at is not None
-             and float(record.get("started_at") or 0.0) >= job.started_at)
-    cell = dict(record) if fresh else {"started_at": job.started_at}
+    cell = dict(job.progress) if job.progress else {
+        "started_at": job.started_at}
     state = job.state
     if state == QUEUED and job.attempts + job.expirations > 0:
         state = "retrying"
@@ -57,29 +57,59 @@ def _cell(job: Job, record: Optional[Dict[str, Any]]) -> Dict[str, Any]:
         error=error[-1] if state == FAILED and error else None,
         enqueued_at=job.enqueued_at, finished_at=job.finished_at,
     )
+    if state == RUNNING and (job.lease_expires_at or 0.0) < now:
+        cell["stalled"] = True
     return cell
 
 
-def build_status(directory: str,
-                 stale_after: float = 0.0) -> Dict[str, Any]:
+def build_status(directory: str) -> Dict[str, Any]:
     """One coherent JSON-safe snapshot of queue, workers and cells.
 
-    Cell states come from the queue; each claimed cell also carries its
-    worker's latest progress record (epoch, rate, ETA, ...).
-    ``stalled`` is true when the sweep has gone quiet with work left.
+    Everything comes from the queue: each cell is its job row, carrying
+    the progress (epoch, rate, ETA, ...) its worker last wrote there.
+    ``stalled`` is true when work is left that no live lease or worker
+    is doing (:meth:`JobQueue.stalled`).
     """
     with JobQueue(queue_path(directory)) as queue:
         status = queue.snapshot()
         jobs = queue.jobs()
-    records = {record.get("key"): record
-               for record in read_heartbeats(heartbeat_dir(directory))}
-    cells = [_cell(job, records.get(job.key[:16])) for job in jobs]
-    mark_stalled(cells, stale_after)
     status["directory"] = directory
-    status["cells"] = cells
-    status["stalled"] = sweep_stalled(cells, stale_after,
-                                      drained=status["drained"])
+    status["cells"] = [_cell(job, status["now"]) for job in jobs]
     return status
+
+
+def display_state(cell: Dict[str, Any]) -> str:
+    """Dashboard state for one cell: terminal states win, then stall,
+    then resume."""
+    state = str(cell.get("state", "unknown"))
+    if state in ("failed", "cached"):
+        return state
+    if cell.get("stalled") and state not in TERMINAL_STATES:
+        return "stalled"
+    if cell.get("resumed"):
+        return "resumed"
+    return state
+
+
+def aggregate(cells: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """Sweep-level tallies for the dashboard header / exporter."""
+    states: Dict[str, int] = {}
+    throughput = 0.0
+    accesses = 0
+    violations = 0
+    for cell in cells:
+        states[display_state(cell)] = states.get(display_state(cell), 0) + 1
+        if cell.get("state") == "running" and not cell.get("stalled"):
+            throughput += float(cell.get("accesses_per_sec") or 0.0)
+        accesses += int(cell.get("accesses") or 0)
+        violations += int(cell.get("violations") or 0)
+    return {
+        "cells": len(cells),
+        "states": states,
+        "running_accesses_per_sec": throughput,
+        "total_accesses": accesses,
+        "violations": violations,
+    }
 
 
 _HTML_PAGE = """<!DOCTYPE html>
@@ -110,19 +140,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self):  # noqa: N802 - BaseHTTPRequestHandler API
         directory = self.server.service_directory  # type: ignore[attr-defined]
-        stale_after = self.server.stale_after  # type: ignore[attr-defined]
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         try:
             if path == "/healthz":
                 self._send(200, "text/plain; charset=utf-8", "ok\n")
             elif path == "/status":
-                status = build_status(directory, stale_after)
+                status = build_status(directory)
                 self._send(200, "application/json",
                            json.dumps(status) + "\n")
             elif path == "/metrics":
                 from repro.obs.openmetrics import service_exposition
 
-                status = build_status(directory, stale_after)
+                status = build_status(directory)
                 self._send(
                     200,
                     "application/openmetrics-text; version=1.0.0;"
@@ -152,8 +181,7 @@ class _Handler(BaseHTTPRequestHandler):
         from repro.analysis.top import render_service_dashboard
 
         directory = self.server.service_directory  # type: ignore[attr-defined]
-        stale_after = self.server.stale_after  # type: ignore[attr-defined]
-        return render_service_dashboard(build_status(directory, stale_after))
+        return render_service_dashboard(build_status(directory))
 
 
 class ServiceServer(ThreadingHTTPServer):
@@ -161,30 +189,26 @@ class ServiceServer(ThreadingHTTPServer):
 
     daemon_threads = True
 
-    def __init__(self, directory: str, address: Tuple[str, int],
-                 stale_after: float = 0.0):
+    def __init__(self, directory: str, address: Tuple[str, int]):
         super().__init__(address, _Handler)
         self.service_directory = directory
-        self.stale_after = float(stale_after)
 
 
-def start_server(directory: str, host: str = "127.0.0.1", port: int = 0,
-                 stale_after: float = 0.0
+def start_server(directory: str, host: str = "127.0.0.1", port: int = 0
                  ) -> Tuple[ServiceServer, threading.Thread]:
     """Serve ``directory`` in a daemon thread; returns (server, thread).
 
     ``port=0`` binds an ephemeral port -- read the real one back from
     ``server.server_address[1]``.  Call ``server.shutdown()`` to stop.
     """
-    server = ServiceServer(directory, (host, port), stale_after=stale_after)
+    server = ServiceServer(directory, (host, port))
     thread = threading.Thread(target=server.serve_forever, daemon=True,
                               name="repro-service-http")
     thread.start()
     return server, thread
 
 
-def serve_in_child(directory: str, host: str = "127.0.0.1", port: int = 0,
-                   stale_after: float = 0.0):
+def serve_in_child(directory: str, host: str = "127.0.0.1", port: int = 0):
     """Bind here, serve ``directory`` from a forked child process.
 
     For a caller that forks later (``repro service start`` under the
@@ -196,7 +220,7 @@ def serve_in_child(directory: str, host: str = "127.0.0.1", port: int = 0,
     """
     import multiprocessing
 
-    server = ServiceServer(directory, (host, port), stale_after=stale_after)
+    server = ServiceServer(directory, (host, port))
     proc = multiprocessing.get_context("fork").Process(
         target=server.serve_forever, daemon=True, name="repro-service-http")
     proc.start()

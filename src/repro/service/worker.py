@@ -14,15 +14,15 @@ the queue behind every :func:`~repro.sim.sweep.run_sweep`.  Per job:
    :func:`~repro.sim.sweep.resume_variant`, restoring the last epoch
    checkpoint instead of recomputing finished epochs.
 3. **Execute through the one cell path.**
-   :func:`~repro.sim.sweep.execute_cell` runs the spec, streaming
-   per-epoch progress records into the directory's ``hb/``; an extra
-   epoch hook renews the queue lease (throttled to a third of the lease
-   period) and raises :class:`LeaseLost` if the lease was usurped -- the
-   worker abandons the cell and the new owner's run stands alone.
+   :func:`~repro.sim.sweep.execute_cell` runs the spec with an epoch
+   hook that, every :data:`PROGRESS_INTERVAL_S`, writes the cell's
+   progress into its queue row in the UPDATE that renews the lease, and
+   raises :class:`LeaseLost` if the lease was usurped -- the worker
+   abandons the cell and the new owner's run stands alone.
 4. **Commit.**  ``cache.put`` *then* ``queue.complete`` -- the cache
    write is the commit point (see the crash matrix in
-   :mod:`repro.service.queue`).  Failures go to ``queue.fail``; the
-   queue row is the cell's only state.
+   :mod:`repro.service.queue`).  Failures go to ``queue.fail``.  Both
+   record the final progress; the queue row is the cell's only state.
 
 ``drain=True`` makes the loop exit once the queue holds no live jobs --
 the mode ``run_sweep``, the CLI, the smoke script and CI use; without it
@@ -36,15 +36,15 @@ replacement.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
-from repro.obs.heartbeat import HeartbeatConfig
 from repro.service.queue import (
+    SCHEMA_VERSION,
     JobQueue,
     Job,
-    heartbeat_dir,
     new_worker_id,
     queue_path,
 )
@@ -55,6 +55,12 @@ from repro.sim import sweep
 #: live workers renew long before expiry; small enough that a killed
 #: worker's job re-queues promptly.
 DEFAULT_LEASE_S = 30.0
+
+#: How often a running cell writes its progress into its queue row,
+#: renewing its lease in the same UPDATE.  Epoch closes arrive far
+#: faster than any human or scraper reads, and each write is a queue
+#: transaction; a lease must be longer than this to survive.
+PROGRESS_INTERVAL_S = 0.25
 
 
 class LeaseLost(Exception):
@@ -76,7 +82,6 @@ class Worker:
     def __init__(self, directory: str, worker_id: Optional[str] = None,
                  lease_s: float = DEFAULT_LEASE_S, poll_s: float = 1.0,
                  drain: bool = False, cache=result_cache.DEFAULT,
-                 heartbeat=result_cache.DEFAULT,
                  trace: Optional["sweep.TraceConfig"] = None):
         self.directory = directory
         self.worker_id = worker_id or new_worker_id()
@@ -85,12 +90,6 @@ class Worker:
         self.drain = bool(drain)
         self.cache = result_cache.resolve_cache(cache)
         self.stats = WorkerStats()
-        #: Progress records go to ``<directory>/hb`` by default, where a
-        #: config (e.g. with another write interval) says, or nowhere
-        #: (``None``, a sweep nobody watches).
-        self.heartbeat: Optional[HeartbeatConfig] = (
-            HeartbeatConfig(heartbeat_dir(directory))
-            if heartbeat == result_cache.DEFAULT else heartbeat)
         self.trace = trace
         self.queue = JobQueue(queue_path(directory))
 
@@ -144,16 +143,16 @@ class Worker:
 
         run_spec = sweep.resume_variant(spec) if continuation else spec
         renewer = _LeaseRenewer(self.queue, job.key, self.worker_id,
-                                self.lease_s)
-        ok, result, error = sweep.execute_cell(
-            run_spec, self.trace, self.heartbeat, epoch_hook=renewer,
-        )
+                                self.lease_s, resumed=run_spec.resume)
+        ok, result, error = sweep.execute_cell(run_spec, self.trace,
+                                               epoch_hook=renewer)
         if ok:
             if self.cache is not None:
                 self.cache.put(spec, result)  # commit point
             if self.queue.complete(job.key, self.worker_id,
                                    wall_s=result.wall_seconds,
-                                   resumed=run_spec.resume):
+                                   resumed=run_spec.resume,
+                                   progress=renewer.final()):
                 self.stats.executed += 1
                 if run_spec.resume:
                     self.stats.resumed += 1
@@ -163,38 +162,98 @@ class Worker:
             self.stats.lost_leases += 1
         else:
             self.stats.failures += 1
-            self.queue.fail(job.key, self.worker_id, error or "unknown")
+            self.queue.fail(job.key, self.worker_id, error or "unknown",
+                            progress=renewer.final())
 
 
 class _LeaseRenewer:
-    """Epoch hook that keeps the claim alive (or aborts the run).
+    """Epoch hook that reports the cell's progress and keeps its claim.
 
-    Renewal is throttled to a third of the lease period -- epoch closes
-    at test scales arrive every few milliseconds and each renewal is a
-    queue write.  A failed renewal means another worker reclaimed the
-    job after our lease lapsed (e.g. the machine was suspended):
-    continuing would waste compute and double-write heartbeats, so the
-    run is aborted with :class:`LeaseLost`.
+    Every epoch it computes the attempt's progress (:meth:`status`);
+    every :data:`PROGRESS_INTERVAL_S` it writes that into the job's row
+    in the owner-guarded UPDATE that renews the lease.  A refused write
+    means another worker reclaimed the job after our lease lapsed (e.g.
+    the machine was suspended): the row keeps the new owner's progress,
+    and the run is aborted with :class:`LeaseLost`.  Otherwise purely
+    observational -- it reads engine, sanitizer and fault state and
+    never mutates the simulation, so results stay bit-identical.
+
+    Rates and ETA cover *this attempt's* work only: a resumed cell
+    divides post-resume accesses by post-resume wall, so a cell that
+    ran an hour before being killed does not report a bogus throughput
+    after its five-second resumed tail.
     """
 
     def __init__(self, queue: JobQueue, key: str, worker_id: str,
-                 lease_s: float):
+                 lease_s: float, resumed: bool = False):
         self.queue = queue
         self.key = key
         self.worker_id = worker_id
         self.lease_s = float(lease_s)
-        self._last_renew = time.time()
+        self.resumed = bool(resumed)
+        self.started_at = time.time()
+        self._last_renew = self.started_at
+        self._last_status: Optional[Dict[str, Any]] = None
+
+    def _base(self) -> Dict[str, Any]:
+        return {"schema": SCHEMA_VERSION, "pid": os.getpid(),
+                "resumed": self.resumed, "started_at": self.started_at}
+
+    def status(self, sim, now: Optional[float] = None) -> Dict[str, Any]:
+        """The attempt's progress, read from a live simulation."""
+        now = time.time() if now is None else now
+        elapsed = now - self.started_at
+        wall = max(elapsed, 1e-9)
+        accesses = int(sim.metrics.total_accesses)
+        budget = sim._access_budget
+        target = float(sim.workload.total_accesses)
+        if budget is not None and budget != float("inf"):
+            target = min(target, float(budget))
+        progressed = accesses - int(sim._resume_accesses)
+        # A just-(re)started cell has done no post-resume work yet: with
+        # ~0 elapsed or 0 progressed accesses any rate is either a
+        # division hazard or wildly extrapolated nonsense (a resumed
+        # cell's pre-kill accesses all land in the first instant).
+        # Report unknown (null) instead; the dashboard renders "-".
+        rate = eta_s = None
+        if progressed > 0 and elapsed >= 1e-6:
+            rate = progressed / wall
+            eta_s = max(target - accesses, 0.0) / rate
+        findings = sim.obs.counters.get("check/findings")
+        self._last_status = dict(
+            self._base(),
+            resumed=self.resumed or bool(sim._resumed),
+            epoch=int(sim._epoch_index),
+            accesses=accesses,
+            target_accesses=int(target),
+            progress=min(accesses / target, 1.0) if target > 0 else 0.0,
+            accesses_per_sec=rate,
+            eta_s=eta_s,
+            wall_s=wall,
+            last_checkpoint_epoch=sim._last_checkpoint_epoch,
+            violations=int(findings.value) if findings is not None else 0,
+            faults=dict(sim.faults.stats) if sim.faults is not None else None,
+            updated_at=now,
+        )
+        return self._last_status
 
     def __call__(self, sim) -> None:
         now = time.time()
-        if now - self._last_renew < self.lease_s / 3.0:
+        progress = self.status(sim, now)
+        if now - self._last_renew < PROGRESS_INTERVAL_S:
             return
         if not self.queue.renew(self.key, self.worker_id, self.lease_s,
-                                now=now):
+                                progress=progress, now=now):
             raise LeaseLost(
                 f"lease on {self.key[:16]} usurped from {self.worker_id}"
             )
         self._last_renew = now
+
+    def final(self) -> Dict[str, Any]:
+        """The last epoch's progress (just who ran it, if no epoch
+        closed), stamped now, for ``complete``/``fail``."""
+        return dict(self._last_status or self._base(),
+                    updated_at=time.time())
 
 
 def worker_main(directory: str, worker_id: Optional[str] = None,
@@ -204,8 +263,7 @@ def worker_main(directory: str, worker_id: Optional[str] = None,
 
     Builds every connection post-fork (SQLite handles must not cross a
     fork) and returns the number of cells this worker completed.
-    ``options`` (``cache``, ``heartbeat``, ``trace``) go to
-    :class:`Worker`.
+    ``options`` (``cache``, ``trace``) go to :class:`Worker`.
     """
     worker = Worker(directory, worker_id=worker_id, lease_s=lease_s,
                     poll_s=poll_s, drain=drain, **options)

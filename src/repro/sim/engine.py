@@ -31,7 +31,7 @@ from repro.check.invariants import Sanitizer, resolve_check_level
 from repro.mem.address_space import AddressSpace, Region
 from repro.mem.migration import MigrationEngine, MigrationStats
 from repro.mem.tiers import FASTEST_TIER, TieredMemory
-from repro.mem.tlb import TLB, TLBConfig, TLBStats
+from repro.mem.tlb import TLB, TLBStats
 from repro.obs import DEBUG, Observability
 from repro.pebs.events import AccessBatch
 from repro.pebs.sampler import PEBSSampler, SamplerConfig
@@ -194,7 +194,6 @@ class Simulation:
         policy: TieringPolicy,
         machine: MachineSpec,
         cost_model: Optional[CostModel] = None,
-        tlb_config: Optional[TLBConfig] = None,
         seed: int = 42,
         timeline_interval_ns: float = 20e6,
         force_base_pages: bool = False,
@@ -240,12 +239,12 @@ class Simulation:
         self.snapshot_sink = None
         #: Epoch index of the most recent checkpoint written via
         #: ``snapshot_sink`` (``None`` until one is taken); surfaced in
-        #: sweep heartbeats.
+        #: sweep progress.
         self._last_checkpoint_epoch: Optional[int] = None
         #: Optional per-epoch observer ``hook(sim)`` fired after each
         #: epoch closes (checkpoint already taken).  Purely
-        #: observational -- used by the sweep heartbeat writer; must not
-        #: mutate simulation state.
+        #: observational -- used by the sweep worker's progress report;
+        #: must not mutate simulation state.
         self.epoch_hook = None
         #: Progress bookkeeping for live status: the access budget of
         #: the current ``run()`` call, and how many accesses the
@@ -257,7 +256,7 @@ class Simulation:
 
         self.tiers: TieredMemory = machine.build_tiers()
         self.space = AddressSpace(self.tiers)
-        self.tlb = TLB(tlb_config or TLBConfig())
+        self.tlb = TLB()
         self.migrator = MigrationEngine(
             self.space, tlb=self.tlb, params=self.cost_model.migration,
             tracer=self.obs.tracer,

@@ -282,7 +282,7 @@ class RunSpec:
         :meth:`cache_key`.  ``snapshots`` follows
         :func:`repro.snapshot.resolve_store`.  ``epoch_hook`` is an
         optional observer ``hook(sim)`` fired after every epoch close
-        (the sweep heartbeat writer).
+        (the sweep worker's progress report).
         """
         store = None
         if self.snapshot_every > 0 or self.resume:

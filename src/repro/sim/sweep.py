@@ -26,8 +26,8 @@ baselines.  :func:`run_sweep` executes any collection of specs:
   :class:`SweepEvent` per completed (or retried) cell; pass a
   :class:`TraceConfig` to also capture a structured trace per executed
   cell (cached cells get a stub file annotated ``from_cache``), or a
-  :class:`~repro.obs.heartbeat.HeartbeatConfig` to keep the queue and
-  the workers' progress records in a directory ``repro top`` watches.
+  ``directory`` to keep the queue -- cell states and the workers' live
+  progress -- where ``repro top`` watches it.
 
 :func:`timing_summary` aggregates wall-clock statistics over a finished
 sweep, *excluding* cached cells (their ``wall_seconds`` is zeroed and
@@ -47,7 +47,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.heartbeat import HeartbeatConfig, HeartbeatWriter
 from repro.sim import cache as result_cache
 from repro.sim.engine import SimResult
 from repro.sim.runner import RunSpec
@@ -232,7 +231,6 @@ def resume_variant(spec: RunSpec) -> RunSpec:
 
 def execute_cell(
     spec: RunSpec, trace: Optional[TraceConfig] = None,
-    heartbeat: Optional[HeartbeatConfig] = None,
     epoch_hook: Optional[Callable] = None,
 ) -> Tuple[bool, Optional[SimResult], Optional[str]]:
     """Execute one spec; never raises for ordinary cell errors.
@@ -240,10 +238,8 @@ def execute_cell(
     Runs without touching the cache: the worker that calls it commits
     the result.  With ``trace``, the run is traced and the events
     exported to the trace directory before returning (tracing never
-    changes simulation results).  With ``heartbeat``, the cell streams
-    its progress record into the heartbeat directory per epoch.  An
-    extra ``epoch_hook`` (e.g. the worker's lease renewal) is chained
-    after the heartbeat's own hook.
+    changes simulation results).  ``epoch_hook`` (the worker's progress
+    report and lease renewal) observes every epoch close.
 
     Only :class:`Exception` is converted into a failed-cell tuple;
     ``KeyboardInterrupt``/``SystemExit`` propagate so Ctrl-C cancels a
@@ -252,10 +248,6 @@ def execute_cell(
     This is the single execution path of the queue workers that back
     :func:`run_sweep` and the ``repro.service`` directories.
     """
-    hb = None
-    if heartbeat is not None:
-        hb = HeartbeatWriter(heartbeat, spec, resumed=spec.resume)
-        hb.start()
     try:
         obs = None
         if trace is not None:
@@ -265,27 +257,12 @@ def execute_cell(
                 level=trace.level, events=trace.categories,
                 capacity=trace.capacity,
             )
-        hook = epoch_hook
-        if hb is not None:
-            if hook is None:
-                hook = hb.on_epoch
-            else:
-                extra = hook
-
-                def hook(snapshot, _hb_hook=hb.on_epoch, _extra=extra):
-                    _hb_hook(snapshot)
-                    _extra(snapshot)
-        result = spec.execute(obs=obs, epoch_hook=hook)
+        result = spec.execute(obs=obs, epoch_hook=epoch_hook)
         if trace is not None:
             _export_cell_trace(trace, spec, obs, result)
-        if hb is not None:
-            hb.finish("done")
         return True, result, None
     except Exception:
-        error = traceback.format_exc()
-        if hb is not None:
-            hb.finish("failed", error=error)
-        return False, None, error
+        return False, None, traceback.format_exc()
 
 
 #: Idle-poll period of a sweep's worker processes, and how often the
@@ -300,7 +277,7 @@ def run_sweep(
     progress: Optional[ProgressFn] = None,
     retries: int = 1,
     trace: Optional[TraceConfig] = None,
-    heartbeat: Optional[HeartbeatConfig] = None,
+    directory: Optional[str] = None,
 ) -> Dict[RunSpec, CellOutcome]:
     """Execute every distinct spec; returns ``{spec: CellOutcome}``.
 
@@ -312,11 +289,10 @@ def run_sweep(
 
     Cells the cache cannot serve are enqueued in a job queue and drained
     by the same worker loop as ``repro service`` (see the module
-    docstring).  Without ``heartbeat`` the queue lives in a temporary
-    directory and no progress records are written; with it,
-    ``heartbeat.directory`` holds the queue and ``hb/`` progress
-    records, and ``repro top`` renders it live.  The sweep drops the
-    rows of an earlier, finished sweep there, but raises
+    docstring).  Without ``directory`` the queue lives in a temporary
+    directory; with it, ``directory`` holds the queue -- cell states
+    and live progress -- and ``repro top`` renders it.  The sweep
+    drops the rows of an earlier, finished sweep there, but raises
     :class:`~repro.service.queue.QueueBusy` rather than touch a queue
     still in use (a live service, another running sweep).  Workers
     commit results to a store private to the sweep; this process reads
@@ -351,29 +327,27 @@ def run_sweep(
                 _write_cached_stub(trace, spec)
             report.emit("cached", spec)
     pending = [spec for spec in ordered if spec not in outcomes]
-    if pending or heartbeat is not None:
+    if pending or directory is not None:
         outcomes.update(_drain(pending, list(outcomes), jobs, cache, retries,
-                               trace, heartbeat, report))
+                               trace, directory, report))
     return {spec: outcomes[spec] for spec in ordered}
 
 
 def _drain(pending: List[RunSpec], hits: List[RunSpec], jobs: int, cache,
            retries: int, trace: Optional[TraceConfig],
-           heartbeat: Optional[HeartbeatConfig], report: _Progress
+           directory: Optional[str], report: _Progress
            ) -> Dict[RunSpec, CellOutcome]:
     """Enqueue ``pending``, drain the queue with workers, read outcomes."""
-    from repro.service.queue import JobQueue, heartbeat_dir, queue_path
+    from repro.service.queue import JobQueue, queue_path
     from repro.service.worker import Worker, supervise
 
     scratch = tempfile.mkdtemp(prefix="repro-sweep-")
     try:
-        directory = heartbeat.directory if heartbeat is not None else scratch
+        directory = scratch if directory is None else directory
         # Workers commit to the sweep's own store; the caller's cache is
         # written here, in this process, as results are collected.
         store = result_cache.ResultCache(os.path.join(scratch, "results"))
-        records = None if heartbeat is None else HeartbeatConfig(
-            heartbeat_dir(directory), heartbeat.min_interval_s)
-        options = dict(cache=store, heartbeat=records, trace=trace)
+        options = dict(cache=store, trace=trace)
         by_key: Dict[str, List[RunSpec]] = defaultdict(list)
         for spec in pending:
             by_key[spec.cache_key()].append(spec)

@@ -1,38 +1,34 @@
-"""Progress records, the ``repro top`` dashboard, and OpenMetrics output.
+"""Sweep progress in queue rows, the ``repro top`` dashboard, and
+OpenMetrics output.
 
 The acceptance scenario: an 8-cell sweep whose directory ends up holding
 every dashboard state at once -- done, cached, failed, resumed
-(checkpoint-aware retry) and a still-running cell -- with the states
-taken from the sweep's queue and the progress from worker records,
-rendered correctly by ``repro top --snapshot``, and the OpenMetrics
-exposition validating line-by-line against the format grammar.
+(checkpoint-aware retry) and a still-running cell -- with the states and
+the progress both taken from the sweep's queue rows, rendered correctly
+by ``repro top --snapshot``, and the OpenMetrics exposition validating
+line-by-line against the format grammar.
 """
 
 import json
 import os
 import re
+import time
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.obs import heartbeat
-from repro.obs.heartbeat import (
-    HEARTBEAT_SUFFIX,
-    HeartbeatConfig,
-    HeartbeatWriter,
-    aggregate,
-    display_state,
-    mark_stalled,
-    read_heartbeats,
-    sweep_stalled,
-)
+from repro.fsutil import write_atomic
 from repro.obs.openmetrics import (
     escape_label,
     metric_name,
     service_exposition,
 )
 from repro.analysis.top import progress_bar, render_dashboard
-from repro.service import JobQueue, build_status, heartbeat_dir, queue_path
+from repro.service import JobQueue, build_status, queue_path
+from repro.service import worker as service_worker
+from repro.service.queue import LIVE_WORKER_S
+from repro.service.server import aggregate, display_state
+from repro.service.worker import _LeaseRenewer
 from repro.sim import sweep
 from repro.sim.runner import RunSpec
 from repro.sim.sweep import run_sweep, timing_summary
@@ -49,24 +45,32 @@ def _spec(**overrides):
     return RunSpec(**base)
 
 
-# -- writer / reader units -----------------------------------------------------
+def _claimed(directory, spec, worker_id="w1", lease_s=600.0):
+    """A queue in ``directory`` holding ``spec``, claimed by ``worker_id``."""
+    queue = JobQueue(queue_path(directory))
+    queue.enqueue([spec], cache=None)
+    return queue, queue.claim(worker_id, lease_s=lease_s)
+
+
+# -- progress in the queue row -------------------------------------------------
 
 
 class TestHeartbeatFiles:
-    def test_writer_status_fields(self, tmp_path):
-        config = HeartbeatConfig(str(tmp_path), min_interval_s=0.0)
+    """The progress a worker writes into its job's row (the heartbeat
+    that rides every lease renewal) and the dashboard state built on it."""
+
+    def test_writer_status_fields(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(service_worker, "PROGRESS_INTERVAL_S", 0.0)
+        directory = str(tmp_path / "sweep")
         spec = _spec()
-        writer = HeartbeatWriter(config, spec)
+        queue, job = _claimed(directory, spec)
+        renewer = _LeaseRenewer(queue, job.key, "w1", lease_s=600.0)
         sim = spec.build()
         sim.metrics.timeline_interval_ns = 1e6
-        sim.epoch_hook = writer.on_epoch
-        writer.start(sim)
+        sim.epoch_hook = renewer
         sim.run(max_accesses=spec.max_accesses)
-        with open(config.cell_path(spec)) as fh:
-            status = json.load(fh)
-        assert status["state"] == "running"
-        assert status["key"] == spec.cache_key()[:16]
-        assert status["label"] == spec.label()
+        status = queue.job(job.key).progress
+        assert status["pid"] == os.getpid()
         assert status["epoch"] >= 1
         # The engine drains whole batches, so accesses may overshoot the
         # budget by a batch; progress clamps at 1.0 regardless.
@@ -76,22 +80,33 @@ class TestHeartbeatFiles:
         assert status["accesses_per_sec"] > 0
         assert status["eta_s"] is not None and status["eta_s"] >= 0
         assert status["violations"] == 0 and status["resumed"] is False
-        writer.finish("done")
-        with open(config.cell_path(spec)) as fh:
-            assert json.load(fh)["state"] == "done"
+        assert queue.complete(job.key, "w1", progress=renewer.final())
+        cell = build_status(directory)["cells"][0]
+        assert cell["state"] == "done"
+        assert cell["key"] == spec.cache_key()[:16]
+        assert cell["label"] == spec.label()
+        assert cell["epoch"] == status["epoch"]
+        assert cell["accesses"] == status["accesses"]
 
-    def test_reader_skips_torn_files(self, tmp_path):
-        config = HeartbeatConfig(str(tmp_path))
-        writer = HeartbeatWriter(config, _spec())
-        writer.write(dict(writer._base(), state="done", progress=1.0))
-        with open(os.path.join(str(tmp_path), f"torn{HEARTBEAT_SUFFIX}"),
-                  "w") as fh:
-            fh.write('{"state": "runni')  # mid-write on a weird fs
-        cells = read_heartbeats(str(tmp_path))
-        assert len(cells) == 1 and cells[0]["state"] == "done"
-
-    def test_read_missing_directory(self, tmp_path):
-        assert read_heartbeats(str(tmp_path / "nope")) == []
+    def test_claim_starts_without_progress(self, tmp_path):
+        """A row nobody has run reads as a cell without progress, and a
+        reclaim drops the previous attempt's progress."""
+        directory = str(tmp_path / "sweep")
+        queue = JobQueue(queue_path(directory))
+        queue.enqueue([_spec()], cache=None)
+        cell = build_status(directory)["cells"][0]
+        assert cell["state"] == "queued" and cell["started_at"] is None
+        assert "accesses" not in cell and "pid" not in cell
+        job = queue.claim("w1", lease_s=600.0)
+        assert queue.renew(job.key, "w1", lease_s=600.0,
+                           progress={"epoch": 3, "accesses": 99})
+        queue.release("w1")  # the worker died: the row says how far it got
+        cell = build_status(directory)["cells"][0]
+        assert cell["state"] == "retrying" and cell["epoch"] == 3
+        queue.claim("w2", lease_s=600.0)
+        assert queue.job(job.key).progress is None
+        cell = build_status(directory)["cells"][0]
+        assert cell["state"] == "running" and "epoch" not in cell
 
     def test_display_state_precedence(self):
         assert display_state({"state": "failed", "resumed": True}) == "failed"
@@ -117,31 +132,33 @@ class TestZeroProgressGuards:
     hazard or an extrapolated-nonsense throughput."""
 
     def test_status_right_after_resume_reports_unknown_rate(self, tmp_path):
-        config = HeartbeatConfig(str(tmp_path), min_interval_s=0.0)
+        directory = str(tmp_path / "sweep")
         spec = _spec()
+        queue, job = _claimed(directory, spec)
         sim = spec.build()
         sim.metrics.timeline_interval_ns = 1e6
         sim.run(max_accesses=20_000)
         # Simulate the instant after a checkpoint restore: every access
         # so far predates the resume, and no wall time has passed.
         sim._resume_accesses = int(sim.metrics.total_accesses)
-        writer = HeartbeatWriter(config, spec, resumed=True)
-        status = writer.status(sim, "running", now=writer.started_at)
+        renewer = _LeaseRenewer(queue, job.key, "w1", lease_s=600.0,
+                                resumed=True)
+        status = renewer.status(sim, now=renewer.started_at)
         assert status["accesses_per_sec"] is None
         assert status["eta_s"] is None
         assert status["accesses"] > 0  # progress itself still reported
         assert 0.0 < status["progress"] <= 1.0
         assert status["resumed"] is True
-        writer.write(status)  # null rate must survive the JSON round-trip
-        cells = read_heartbeats(str(tmp_path))
+        # A null rate must survive the JSON round-trip through the row.
+        assert queue.renew(job.key, "w1", lease_s=600.0, progress=status)
+        cells = build_status(directory)["cells"]
         assert cells[0]["accesses_per_sec"] is None
 
-    def test_fresh_start_zero_elapsed_reports_unknown_rate(self, tmp_path):
-        config = HeartbeatConfig(str(tmp_path), min_interval_s=0.0)
+    def test_fresh_start_zero_elapsed_reports_unknown_rate(self):
         spec = _spec()
         sim = spec.build()  # brand new: zero accesses, zero elapsed
-        writer = HeartbeatWriter(config, spec)
-        status = writer.status(sim, "running", now=writer.started_at)
+        renewer = _LeaseRenewer(None, spec.cache_key(), "w1", lease_s=600.0)
+        status = renewer.status(sim, now=renewer.started_at)
         assert status["accesses_per_sec"] is None
         assert status["eta_s"] is None
         assert status["progress"] == 0.0
@@ -170,23 +187,22 @@ class TestZeroProgressGuards:
 
 
 class TestWriteRaces:
-    """Temp-file hygiene when the record write path itself fails."""
+    """Temp-file hygiene of the atomic writer behind the result cache
+    and the checkpoint store."""
 
-    def test_write_atomic_cleans_temp_and_counts_error(self, tmp_path):
-        hb_dir = str(tmp_path / "hb")
-        target = os.path.join(hb_dir, "cell.hb.json")
-        errors_before = heartbeat.STATS.errors
+    def test_write_atomic_cleans_temp_on_error(self, tmp_path):
+        directory = str(tmp_path / "out")
+        target = os.path.join(directory, "cell.json")
         with pytest.raises(TypeError):
-            heartbeat._write_atomic(target, {"bad": {1, 2, 3}})  # not JSON
-        assert heartbeat.STATS.errors == errors_before + 1
+            write_atomic(target, lambda fh: json.dump({"bad": {1, 2}}, fh))
         assert not os.path.exists(target)
-        assert os.listdir(hb_dir) == []  # no .tmp litter
+        assert os.listdir(directory) == []  # no .tmp litter
 
     def test_write_atomic_success_leaves_no_litter(self, tmp_path):
-        hb_dir = str(tmp_path / "hb")
-        heartbeat._write_atomic(os.path.join(hb_dir, "cell.hb.json"),
-                                {"ok": 1})
-        assert sorted(os.listdir(hb_dir)) == ["cell.hb.json"]
+        directory = str(tmp_path / "out")
+        write_atomic(os.path.join(directory, "cell.json"),
+                     lambda fh: json.dump({"ok": 1}, fh))
+        assert sorted(os.listdir(directory)) == ["cell.json"]
 
 
 class TestCacheCorruptEntryGuard:
@@ -247,45 +263,49 @@ class TestCacheCorruptEntryGuard:
 
 
 def _stalled_dir(tmp_path, *, finished=False):
-    """A sweep directory whose two cells all went quiet long ago.
+    """A sweep directory whose one worker died mid-run.
 
-    Both jobs were claimed at t=1 by a worker that then died (its
-    progress records stop at t=1); ``finished`` completes them instead.
+    Both jobs were enqueued long ago and claimed under a short lease by
+    a worker that wrote progress once and vanished, so the leases lapse
+    with nothing renewing them; ``finished`` completes the jobs instead.
     """
     directory = str(tmp_path / "sweep")
-    config = HeartbeatConfig(heartbeat_dir(directory), min_interval_s=0.0)
     specs = [_spec(seed=100 + i) for i in range(2)]
     with JobQueue(queue_path(directory)) as queue:
-        queue.enqueue(specs, cache=None, now=1.0)
+        queue.enqueue(specs, cache=None,
+                      now=time.time() - 2 * LIVE_WORKER_S)
         for spec in specs:
-            job = queue.claim("w-dead", lease_s=600.0, now=1.0)
-            writer = HeartbeatWriter(config, spec)
-            writer.started_at = 1.0  # backdated: json, not time travel
-            writer.write(dict(writer._base(), state="running", progress=0.4,
-                              epoch=7, accesses_per_sec=1e5, updated_at=1.0))
+            job = queue.claim("w-dead", lease_s=0.2)
+            assert queue.renew(job.key, "w-dead", lease_s=0.2, progress={
+                "progress": 0.4, "epoch": 7, "accesses_per_sec": 1e5})
             if finished:
-                queue.complete(job.key, "w-dead", now=2.0)
+                queue.complete(job.key, "w-dead")
+    time.sleep(0.3)  # the leases lapse
     return directory, specs
 
 
 class TestStallDetection:
-    def test_mark_stalled_flags_quiet_nonterminal_cells(self):
-        cells = [
-            {"state": "running", "updated_at": 10.0},
-            {"state": "retrying", "updated_at": 10.0},
-            {"state": "done", "updated_at": 10.0},      # terminal: never
-            {"state": "running", "updated_at": 95.0},   # recent: live
-        ]
-        assert mark_stalled(cells, stale_after=30.0, now=100.0) == 2
-        assert [c.get("stalled", False) for c in cells] == \
-            [True, True, False, False]
-        assert display_state(cells[0]) == "stalled"
-        assert display_state(cells[2]) == "done"
-
-    def test_mark_stalled_disabled(self):
-        cells = [{"state": "running", "updated_at": 1.0}]
-        assert mark_stalled(cells, stale_after=0.0, now=100.0) == 0
-        assert "stalled" not in cells[0]
+    def test_mark_stalled_flags_quiet_nonterminal_cells(self, tmp_path):
+        """A running row whose lease lapsed is stalled; a live lease, a
+        finished row and a retrying (re-queued) row are not."""
+        directory = str(tmp_path / "sweep")
+        queue = JobQueue(queue_path(directory))
+        specs = [_spec(seed=s) for s in (1, 2, 3, 4)]
+        queue.enqueue(specs, cache=None, now=100.0)
+        lapsed = queue.claim("w1", lease_s=10.0, now=100.0)
+        live = queue.claim("w1", lease_s=1e12, now=100.0)
+        done = queue.claim("w1", lease_s=10.0, now=100.0)
+        assert queue.complete(done.key, "w1", now=101.0)
+        retry = queue.claim("w1", lease_s=10.0, now=100.0)
+        assert queue.fail(retry.key, "w1", "boom", now=101.0)
+        cells = {c["key"]: c for c in build_status(directory)["cells"]}
+        flagged = {key: cell.get("stalled", False)
+                   for key, cell in cells.items()}
+        assert flagged == {lapsed.key[:16]: True, live.key[:16]: False,
+                           done.key[:16]: False, retry.key[:16]: False}
+        assert display_state(cells[lapsed.key[:16]]) == "stalled"
+        assert display_state(cells[done.key[:16]]) == "done"
+        assert display_state(cells[retry.key[:16]]) == "retrying"
 
     def test_stalled_cell_excluded_from_throughput(self):
         cells = [
@@ -296,27 +316,35 @@ class TestStallDetection:
         assert agg["running_accesses_per_sec"] == 10.0
         assert agg["states"] == {"running": 1, "stalled": 1}
 
-    def test_sweep_stalled_requires_everything_quiet(self):
-        # One live cell -> not stalled, however old the others are.
-        cells = [{"state": "running", "updated_at": 1.0, "stalled": True},
-                 {"state": "running", "updated_at": 99.0}]
-        assert not sweep_stalled(cells, 30.0, now=100.0)
+    def test_sweep_stalled_requires_everything_quiet(self, tmp_path):
+        queue = JobQueue(queue_path(str(tmp_path / "sweep")))
+        queue.enqueue([_spec(seed=s) for s in (1, 2)], cache=None, now=1.0)
+        queue.claim("w1", lease_s=50.0, now=1.0)
+        # One live lease -> not stalled, however old the rest is.
+        assert not queue.stalled(now=40.0)
         # All quiet with work left -> stalled.
-        cells = [{"state": "running", "updated_at": 1.0, "stalled": True},
-                 {"state": "done", "updated_at": 2.0}]
-        assert sweep_stalled(cells, 30.0, now=100.0)
+        assert queue.stalled(now=100.0)
+        # A live worker (idle ones beat every poll) is activity ...
+        queue.register_worker("w2", now=90.0)
+        assert not queue.stalled(now=100.0)
+        assert queue.stalled(now=91.0 + LIVE_WORKER_S)
+        # ... a stopped one is not.
+        queue.worker_beat("w2", "stopped", now=95.0)
+        assert queue.stalled(now=100.0)
         # A freshly enqueued cell is recent activity.
-        assert not sweep_stalled(
-            cells + [{"state": "queued", "enqueued_at": 95.0}], 30.0,
-            now=100.0)
+        queue.enqueue([_spec(seed=3)], cache=None, now=95.0)
+        assert not queue.stalled(now=100.0)
         # Drained queue -> never stalled.
-        assert not sweep_stalled(cells, 30.0, drained=True, now=100.0)
-        # Detector disabled -> never stalled.
-        assert not sweep_stalled(cells, 0.0, now=100.0)
+        while True:
+            job = queue.claim("w3", lease_s=10.0, now=200.0)
+            if job is None:
+                break
+            queue.complete(job.key, "w3", now=201.0)
+        assert queue.drained() and not queue.stalled(now=1000.0)
 
     def test_dashboard_renders_stalled(self, tmp_path):
         directory, _ = _stalled_dir(tmp_path)
-        status = build_status(directory, stale_after=1.0)
+        status = build_status(directory)
         assert status["stalled"]
         art = render_dashboard(status["cells"])
         assert "stalled" in art
@@ -328,8 +356,7 @@ class TestStallDetection:
         self, tmp_path, capsys
     ):
         directory, _ = _stalled_dir(tmp_path)
-        rc = cli_main(["top", directory, "--stale-after", "1",
-                       "--interval", "0.1"])
+        rc = cli_main(["top", directory, "--interval", "0.1"])
         assert rc == 3
         err = capsys.readouterr().err
         assert "stalled" in err
@@ -338,13 +365,11 @@ class TestStallDetection:
         self, tmp_path, capsys
     ):
         directory, _ = _stalled_dir(tmp_path, finished=True)
-        assert cli_main(["top", directory, "--stale-after", "1",
-                         "--interval", "0.1"]) == 0
+        assert cli_main(["top", directory, "--interval", "0.1"]) == 0
 
     def test_cli_top_snapshot_shows_stalled(self, tmp_path, capsys):
         directory, _ = _stalled_dir(tmp_path)
-        assert cli_main(["top", directory, "--snapshot",
-                         "--stale-after", "1"]) == 0
+        assert cli_main(["top", directory, "--snapshot"]) == 0
         assert "stalled" in capsys.readouterr().out
 
 
@@ -360,14 +385,13 @@ def test_progress_bar_shapes():
 
 @pytest.fixture
 def eight_cell_sweep(tmp_path, monkeypatch):
-    """Run an 8-cell heartbeat sweep covering every dashboard state.
+    """Run an 8-cell sweep covering every dashboard state.
 
     Returns ``(sweep_dir, outcomes, specs)`` where the sweep's 7 cells
     end as 4 done + 1 cached + 1 failed + 1 resumed, and an 8th cell,
     claimed by a live worker, is left mid-flight in ``running`` state.
     """
     directory = str(tmp_path / "sweep")
-    config = HeartbeatConfig(directory, min_interval_s=0.0)
 
     done_specs = [_spec(seed=s) for s in (11, 12, 13, 14)]
     cached_spec = _spec(seed=15)
@@ -386,22 +410,19 @@ def eight_cell_sweep(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sweep, "execute_cell", flaky)
     specs = done_specs + [cached_spec, failed_spec, flaky_spec]
-    outcomes = run_sweep(specs, jobs=1, heartbeat=config, retries=1)
+    outcomes = run_sweep(specs, jobs=1, directory=directory, retries=1)
 
-    # Cell 8: a run caught mid-flight -- claimed, real writer, never
-    # finished.
+    # Cell 8: a run caught mid-flight -- claimed, reporting progress
+    # through a real worker hook, never finished.
+    monkeypatch.setattr(service_worker, "PROGRESS_INTERVAL_S", 0.0)
     running_spec = _spec(seed=18)
     with JobQueue(queue_path(directory)) as queue:
         queue.enqueue([running_spec], cache=None)
-        queue.claim("w-live", lease_s=600.0)
-    writer = HeartbeatWriter(
-        HeartbeatConfig(heartbeat_dir(directory), min_interval_s=0.0),
-        running_spec)
-    sim = running_spec.build()
-    sim.metrics.timeline_interval_ns = 1e6
-    sim.epoch_hook = writer.on_epoch
-    writer.start(sim)
-    sim.run(max_accesses=20_000)  # partial budget: stays "running"
+        job = queue.claim("w-live", lease_s=600.0)
+        sim = running_spec.build()
+        sim.metrics.timeline_interval_ns = 1e6
+        sim.epoch_hook = _LeaseRenewer(queue, job.key, "w-live", 600.0)
+        sim.run(max_accesses=20_000)  # partial budget: stays "running"
     return directory, outcomes, specs
 
 
@@ -423,16 +444,18 @@ class TestEightCellSweep:
         assert "no_such_option" in art or "!!" in art
 
     def test_parent_writes_no_cell_files(self, eight_cell_sweep):
-        """Only executing workers write progress records: the cached
-        cell has none, yet the queue shows it cached."""
+        """Only executing workers write progress, and only into their
+        queue rows: the cached cell has none, yet the queue shows it
+        cached, and the directory holds nothing but the queue file."""
         directory, _, specs = eight_cell_sweep
         cached_key = specs[4].cache_key()[:16]
-        records = read_heartbeats(heartbeat_dir(directory))
-        assert len(records) == 7  # 6 executed cells + the running one
-        assert cached_key not in {r["key"] for r in records}
-        assert not [name for name in os.listdir(directory)
-                    if name.endswith(HEARTBEAT_SUFFIX)]
-        by_key = {c["key"]: c for c in build_status(directory)["cells"]}
+        cells = build_status(directory)["cells"]
+        reported = {c["key"] for c in cells if "pid" in c}
+        assert len(reported) == 7  # 6 executed cells + the running one
+        assert cached_key not in reported
+        assert {name for name in os.listdir(directory)} <= {
+            "queue.db", "queue.db-wal", "queue.db-shm"}
+        by_key = {c["key"]: c for c in cells}
         assert by_key[cached_key]["state"] == "cached"
 
     def test_outcomes_and_timing(self, eight_cell_sweep):

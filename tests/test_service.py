@@ -21,7 +21,6 @@ import urllib.request
 import pytest
 
 from repro.cli import main as cli_main
-from repro.obs.heartbeat import read_heartbeats
 from repro.service import (
     CACHED,
     DONE,
@@ -29,14 +28,18 @@ from repro.service import (
     QUEUED,
     RUNNING,
     JobQueue,
+    QueueFormatError,
     Worker,
     build_status,
-    heartbeat_dir,
     queue_path,
     start_server,
     supervise,
 )
-from repro.service.worker import _LeaseRenewer, LeaseLost
+from repro.service.worker import (
+    PROGRESS_INTERVAL_S,
+    LeaseLost,
+    _LeaseRenewer,
+)
 from repro.sim import cache as result_cache
 from repro.sim.runner import RunSpec
 
@@ -147,6 +150,22 @@ class TestJobQueue:
         assert not queue.complete(job.key, "w2", now=108.0)
         assert queue.job(job.key).state == DONE
 
+    def test_refuses_an_older_queue_file(self, tmp_path):
+        """A queue.db written before rows carried progress (format 0,
+        no ``progress`` column) is refused by name, and left as it was."""
+        old = str(tmp_path / "svc" / "queue.db")
+        os.makedirs(os.path.dirname(old))
+        fixture = os.path.join(os.path.dirname(__file__), "data",
+                               "queue_format0.db")
+        with open(fixture, "rb") as src, open(old, "wb") as dst:
+            dst.write(src.read())
+        with pytest.raises(QueueFormatError, match="format 0") as excinfo:
+            JobQueue(old)
+        assert old in str(excinfo.value)
+        with open(fixture, "rb") as src, open(old, "rb") as now:
+            assert now.read() == src.read()
+        assert cli_main(["service", "status", str(tmp_path / "svc")]) == 2
+
     def test_state_survives_reconnect(self, tmp_path):
         path = queue_path(str(tmp_path / "svc"))
         q1 = JobQueue(path)
@@ -212,13 +231,45 @@ class TestLeaseRenewer:
         queue = JobQueue(queue_path(str(tmp_path / "svc")))
         queue.enqueue([_spec(seed=40)], cache=None)
         job = queue.claim("w1", lease_s=0.05, now=time.time())
+        sim = _spec(seed=40).build()
         renewer = _LeaseRenewer(queue, job.key, "w1", lease_s=0.05)
+        renewer(sim)  # inside the throttle: nothing written
+        assert queue.job(job.key).progress is None
         renewer._last_renew = 0.0  # force the throttle open
-        renewer(sim=None)  # live lease: renews fine
+        renewer(sim)  # live lease: renews fine, with the progress
+        assert queue.job(job.key).progress["epoch"] == 0
         queue.claim("w2", lease_s=60.0, now=time.time() + 10.0)  # usurp
         renewer._last_renew = 0.0
         with pytest.raises(LeaseLost):
-            renewer(sim=None)
+            renewer(sim)
+
+    def test_usurped_progress_write_is_refused(self, tmp_path):
+        """Regression: a usurped worker kept publishing its progress as
+        the new owner's.  Its next throttled write is refused, raises
+        LeaseLost, and the row keeps the new owner's progress and pid."""
+        queue = JobQueue(queue_path(str(tmp_path / "svc")))
+        spec = _spec(seed=47)
+        queue.enqueue([spec], cache=None)
+        job = queue.claim("w1", lease_s=0.2)
+        sim = spec.build()
+        loser = _LeaseRenewer(queue, job.key, "w1", lease_s=0.2)
+        time.sleep(0.3)  # w1 stalls past its lease; w2 takes the job
+        assert queue.claim("w2", lease_s=60.0).lease_owner == "w2"
+        winner = {"pid": 4242, "epoch": 5, "accesses": 1234}
+        assert queue.renew(job.key, "w2", lease_s=60.0, progress=winner)
+        # w1 is past the throttle, so its next epoch writes -- refused.
+        assert time.time() - loser._last_renew >= PROGRESS_INTERVAL_S
+        with pytest.raises(LeaseLost):
+            loser(sim)
+        # Its failure verdict (with its final progress) is refused too.
+        assert not queue.fail(job.key, "w1", "LeaseLost",
+                              progress=loser.final())
+        row = queue.job(job.key)
+        assert row.state == RUNNING and row.lease_owner == "w2"
+        assert row.progress == winner
+        cell = build_status(str(tmp_path / "svc"))["cells"][0]
+        assert cell["pid"] == 4242 and cell["epoch"] == 5
+        assert "stalled" not in cell
 
 
 # -- worker loop ---------------------------------------------------------------
@@ -237,9 +288,13 @@ class TestWorker:
         cache = result_cache.resolve_cache(result_cache.DEFAULT)
         for spec in specs:
             assert _canon(cache.get(spec)) == _canon(spec.execute())
-        # Heartbeats streamed into the service's hb dir.
-        cells = read_heartbeats(heartbeat_dir(d))
-        assert sorted(c["state"] for c in cells) == ["done", "done"]
+        # Each row carries its worker's final progress; no other store.
+        cells = build_status(d)["cells"]
+        assert [c["state"] for c in cells] == ["done", "done"]
+        assert all(c["accesses"] > 0 and c["pid"] == os.getpid()
+                   for c in cells)
+        assert sorted(os.listdir(d)) == ["queue.db", "queue.db-shm",
+                                         "queue.db-wal"]
 
     def test_commit_point_recovery_completes_from_cache(self, tmp_path):
         """A previous owner died after cache.put but before complete():
@@ -279,8 +334,9 @@ class TestWorker:
         job = queue.jobs()[0]
         assert job.state == FAILED and job.attempts == 2
         assert "no_such_option" in (job.error or "")
-        cells = read_heartbeats(heartbeat_dir(d))
-        assert cells and cells[0]["state"] == "failed"
+        cells = build_status(d)["cells"]
+        assert cells[0]["state"] == "failed"
+        assert "no_such_option" in cells[0]["error"]
 
 
 # -- HTTP status API -----------------------------------------------------------
@@ -317,7 +373,7 @@ class TestServer:
         payload = json.loads(body)
         assert payload["jobs"]["done"] == 2 and payload["drained"]
         assert len(payload["cells"]) == 2
-        # Each cell is its queue row over its worker's progress record.
+        # Each cell is its queue row, with the progress its worker wrote.
         assert all(c["state"] == "done" and c["accesses"] > 0
                    for c in payload["cells"])
 
@@ -585,7 +641,6 @@ class TestServiceChaos:
         cell is affected -- its lease is released at once, a replacement
         worker resumes it from its checkpoint -- and every outcome is
         bit-identical to serial execution."""
-        from repro.obs.heartbeat import HeartbeatConfig
         from repro.sim.sweep import run_sweep
 
         d = str(tmp_path / "sweep")
@@ -605,8 +660,7 @@ class TestServiceChaos:
         killer = multiprocessing.Process(
             target=_kill_a_checkpointed_worker, args=(d, report))
         killer.start()
-        outcomes = run_sweep(specs, jobs=2,
-                             heartbeat=HeartbeatConfig(d, min_interval_s=0.0))
+        outcomes = run_sweep(specs, jobs=2, directory=d)
         killer.join(timeout=60)
         assert killer.exitcode == 0
         assert os.path.exists(report), "no worker ever held a checkpointed job"
@@ -668,12 +722,9 @@ def _kill_a_checkpointed_worker(directory: str, report: str) -> None:
         with JobQueue(queue_path(directory)) as q:
             pids = {w["worker_id"]: w["pid"] for w in q.workers()}
             running = q.jobs(RUNNING)
-        checkpointed = {
-            record["key"]
-            for record in read_heartbeats(heartbeat_dir(directory))
-            if record.get("last_checkpoint_epoch") is not None}
         for job in running:
-            if job.key[:16] in checkpointed and job.lease_owner in pids:
+            checkpointed = (job.progress or {}).get("last_checkpoint_epoch")
+            if checkpointed is not None and job.lease_owner in pids:
                 return job.key, pids[job.lease_owner]
         return None
 

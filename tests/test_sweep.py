@@ -7,7 +7,6 @@ import pickle
 import pytest
 
 from repro.experiments.common import SMOKE_SCALE, run_grid
-from repro.obs.heartbeat import HeartbeatConfig
 from repro.service import JobQueue, QueueBusy, queue_path
 from repro.sim import cache as result_cache
 from repro.sim import sweep
@@ -231,12 +230,19 @@ class TestSweep:
         assert all(o.from_cache for o in again.values())
 
     def test_no_heartbeat_writes_no_progress_records(self, monkeypatch):
-        def unwanted(*args, **kwargs):
-            raise AssertionError("progress record written")
+        """Without a directory, the queue -- progress and all -- lives in
+        a scratch directory the sweep removes."""
+        scratch = []
+        mkdtemp = sweep.tempfile.mkdtemp
 
-        monkeypatch.setattr(sweep, "HeartbeatWriter", unwanted)
+        def recording_mkdtemp(*args, **kwargs):
+            scratch.append(mkdtemp(*args, **kwargs))
+            return scratch[-1]
+
+        monkeypatch.setattr(sweep.tempfile, "mkdtemp", recording_mkdtemp)
         out = run_sweep([_spec()], jobs=1, cache=None)
         assert out[_spec()].ok
+        assert len(scratch) == 1 and not os.path.exists(scratch[0])
 
     def test_heartbeat_dir_in_use_is_refused(self, tmp_path):
         """A sweep never drops live rows from a queue it shares: not a
@@ -245,21 +251,18 @@ class TestSweep:
         with JobQueue(queue_path(d)) as queue:
             queue.enqueue([_spec(seed=7)], cache=None)
         with pytest.raises(QueueBusy, match="1 live job"):
-            run_sweep([_spec()], jobs=1, cache=None,
-                      heartbeat=HeartbeatConfig(d))
+            run_sweep([_spec()], jobs=1, cache=None, directory=d)
         with JobQueue(queue_path(d)) as queue:
             assert [job.spec() for job in queue.jobs()] == [_spec(seed=7)]
             queue.claim("w1", lease_s=600.0)
             queue.complete(queue.jobs()[0].key, "w1")
             queue.register_worker("w1")
         with pytest.raises(QueueBusy, match="1 live worker"):
-            run_sweep([_spec()], jobs=1, cache=None,
-                      heartbeat=HeartbeatConfig(d))
+            run_sweep([_spec()], jobs=1, cache=None, directory=d)
         with JobQueue(queue_path(d)) as queue:
             queue.worker_beat("w1", "stopped")
         # Nothing live is left: the sweep takes the file over.
-        out = run_sweep([_spec()], jobs=1, cache=None,
-                        heartbeat=HeartbeatConfig(d))
+        out = run_sweep([_spec()], jobs=1, cache=None, directory=d)
         assert out[_spec()].ok
         with JobQueue(queue_path(d)) as queue:
             assert [job.spec() for job in queue.jobs()] == [_spec()]
