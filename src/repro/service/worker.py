@@ -82,7 +82,8 @@ class Worker:
     def __init__(self, directory: str, worker_id: Optional[str] = None,
                  lease_s: float = DEFAULT_LEASE_S, poll_s: float = 1.0,
                  drain: bool = False, cache=result_cache.DEFAULT,
-                 trace: Optional["sweep.TraceConfig"] = None):
+                 trace: Optional["sweep.TraceConfig"] = None,
+                 streams: Optional["sweep.SharedStreams"] = None):
         self.directory = directory
         self.worker_id = worker_id or new_worker_id()
         self.lease_s = float(lease_s)
@@ -91,6 +92,7 @@ class Worker:
         self.cache = result_cache.resolve_cache(cache)
         self.stats = WorkerStats()
         self.trace = trace
+        self.streams = streams
         self.queue = JobQueue(queue_path(directory))
 
     # -- the loop ----------------------------------------------------------
@@ -145,7 +147,8 @@ class Worker:
         renewer = _LeaseRenewer(self.queue, job.key, self.worker_id,
                                 self.lease_s, resumed=run_spec.resume)
         ok, result, error = sweep.execute_cell(run_spec, self.trace,
-                                               epoch_hook=renewer)
+                                               epoch_hook=renewer,
+                                               streams=self.streams)
         if ok:
             if self.cache is not None:
                 self.cache.put(spec, result)  # commit point
@@ -263,7 +266,7 @@ def worker_main(directory: str, worker_id: Optional[str] = None,
 
     Builds every connection post-fork (SQLite handles must not cross a
     fork) and returns the number of cells this worker completed.
-    ``options`` (``cache``, ``trace``) go to :class:`Worker`.
+    ``options`` (``cache``, ``trace``, ``streams``) go to :class:`Worker`.
     """
     worker = Worker(directory, worker_id=worker_id, lease_s=lease_s,
                     poll_s=poll_s, drain=drain, **options)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -40,6 +41,7 @@ from repro.sim.machine import (
 )
 from repro.mem.tiers import CAPACITY_SPECS
 from repro.workloads.registry import make_workload
+from repro.workloads.trace import share_stream
 
 #: Bump when engine/policy changes alter simulation results: old cache
 #: entries become unreachable without deleting the cache directory.
@@ -227,7 +229,8 @@ class RunSpec:
 
     # -- execution ---------------------------------------------------------
 
-    def build(self, obs=None, faults=None) -> Simulation:
+    def build(self, obs=None, faults=None,
+              streams: Optional[str] = None) -> Simulation:
         """Construct the :class:`Simulation` this spec describes.
 
         ``obs`` optionally supplies a pre-configured
@@ -236,7 +239,11 @@ class RunSpec:
         Neither is part of the spec identity -- tracing and checking
         never change simulation results (fault injection does, which is
         why injected runs are never cached: they only flow through
-        ``build()``, not ``run()``).
+        ``build()``, not ``run()``).  ``streams`` is a directory of event
+        streams shared between the cells of one sweep: the run replays
+        ``streams/<stream_key()>`` if it was published, and else tees
+        its live stream there (:func:`repro.workloads.trace.share_stream`).
+        A replay is bit-identical to the live run.
         """
         workload = make_workload(self.workload, self.scale)
         if self.machine_preset is not None:
@@ -252,6 +259,9 @@ class RunSpec:
             machine = machine.collapse_to_slowest()
         elif self.machine_variant == "all-fast":
             machine = machine.collapse_to_fastest()
+        if streams is not None:
+            workload = share_stream(
+                workload, os.path.join(streams, self.stream_key()))
         policy = make_policy(self.policy, **self.policy_kwargs_dict)
         if self.timeseries_every > 0:
             from repro.obs import MetricsTimeSeries, Observability
@@ -269,7 +279,7 @@ class RunSpec:
 
     def execute(
         self, obs=None, faults=None, snapshots=snapshot_store.DEFAULT,
-        epoch_hook=None,
+        epoch_hook=None, streams: Optional[str] = None,
     ) -> SimResult:
         """Build and run this spec, honouring checkpoint/resume fields.
 
@@ -282,12 +292,13 @@ class RunSpec:
         :meth:`cache_key`.  ``snapshots`` follows
         :func:`repro.snapshot.resolve_store`.  ``epoch_hook`` is an
         optional observer ``hook(sim)`` fired after every epoch close
-        (the sweep worker's progress report).
+        (the sweep worker's progress report).  ``streams`` goes to
+        :meth:`build`.
         """
         store = None
         if self.snapshot_every > 0 or self.resume:
             store = snapshot_store.resolve_store(snapshots)
-        sim = self.build(obs=obs, faults=faults)
+        sim = self.build(obs=obs, faults=faults, streams=streams)
         if epoch_hook is not None:
             sim.epoch_hook = epoch_hook
         if store is not None and self.snapshot_every > 0:
@@ -381,6 +392,21 @@ class RunSpec:
             payload_dict, sort_keys=True, separators=(",", ":"),
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    def stream_key(self) -> str:
+        """Identity of this spec's workload event stream.
+
+        The stream depends on the workload, its scale and the seed (the
+        engine seeds the generator with ``seed + 2``) -- not on the
+        policy or machine, nor on ``max_accesses``, which only stops
+        the engine consuming it.
+        """
+        payload = json.dumps(
+            {"workload": self.workload,
+             "scale": dataclasses.asdict(self.scale), "seed": self.seed},
+            sort_keys=True, separators=(",", ":"),
+        )
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
 
     def label(self) -> str:
         """Short human-readable cell name for progress output."""

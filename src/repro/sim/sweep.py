@@ -15,6 +15,10 @@ baselines.  :func:`run_sweep` executes any collection of specs:
   as service workers do; ``jobs=1`` drains it in-process with
   bit-identical results (every simulation derives its randomness from
   the spec seed);
+* **generated once per stream** -- cells that share an event stream
+  (same workload, scale and seed) run it once: the first to run it
+  tees the live stream to disk, the others replay the recording
+  (:class:`SharedStreams`), bit-identically;
 * **fault-isolated** -- a cell that raises is retried ``retries`` times
   and then reported as a failed :class:`CellOutcome` while the rest of
   the sweep completes; a worker process that dies outright costs only
@@ -214,6 +218,35 @@ class _Progress:
                 self.emit(job.state, spec, job.error if failed else None)
 
 
+# -- shared streams -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SharedStreams:
+    """Which cells of a sweep share their event stream, and where.
+
+    ``keys`` are the :meth:`RunSpec.stream_key` values that two or more
+    of the sweep's pending cells have in common; each such stream lives
+    in ``directory/<key>`` once the first cell to run it has teed it
+    (:func:`repro.workloads.trace.share_stream`).  Picklable, so the
+    sweep hands it to its worker processes.
+    """
+
+    directory: str
+    keys: frozenset
+
+    def for_spec(self, spec: RunSpec) -> Optional[str]:
+        """The ``streams`` directory ``spec`` runs with (None: live)."""
+        return self.directory if spec.stream_key() in self.keys else None
+
+    def delete(self, key: str) -> None:
+        """Remove a stream and any copy a killed tee left behind."""
+        for name in os.listdir(self.directory):
+            if name == key or name.startswith(key + "."):
+                shutil.rmtree(os.path.join(self.directory, name),
+                              ignore_errors=True)
+
+
 # -- execution ----------------------------------------------------------------
 
 
@@ -232,6 +265,7 @@ def resume_variant(spec: RunSpec) -> RunSpec:
 def execute_cell(
     spec: RunSpec, trace: Optional[TraceConfig] = None,
     epoch_hook: Optional[Callable] = None,
+    streams: Optional[SharedStreams] = None,
 ) -> Tuple[bool, Optional[SimResult], Optional[str]]:
     """Execute one spec; never raises for ordinary cell errors.
 
@@ -239,7 +273,8 @@ def execute_cell(
     the result.  With ``trace``, the run is traced and the events
     exported to the trace directory before returning (tracing never
     changes simulation results).  ``epoch_hook`` (the worker's progress
-    report and lease renewal) observes every epoch close.
+    report and lease renewal) observes every epoch close.  With
+    ``streams``, a cell whose stream is shared tees or replays it.
 
     Only :class:`Exception` is converted into a failed-cell tuple;
     ``KeyboardInterrupt``/``SystemExit`` propagate so Ctrl-C cancels a
@@ -257,7 +292,10 @@ def execute_cell(
                 level=trace.level, events=trace.categories,
                 capacity=trace.capacity,
             )
-        result = spec.execute(obs=obs, epoch_hook=epoch_hook)
+        result = spec.execute(
+            obs=obs, epoch_hook=epoch_hook,
+            streams=None if streams is None else streams.for_spec(spec),
+        )
         if trace is not None:
             _export_cell_trace(trace, spec, obs, result)
         return True, result, None
@@ -347,10 +385,21 @@ def _drain(pending: List[RunSpec], hits: List[RunSpec], jobs: int, cache,
         # Workers commit to the sweep's own store; the caller's cache is
         # written here, in this process, as results are collected.
         store = result_cache.ResultCache(os.path.join(scratch, "results"))
-        options = dict(cache=store, trace=trace)
         by_key: Dict[str, List[RunSpec]] = defaultdict(list)
         for spec in pending:
             by_key[spec.cache_key()].append(spec)
+        # Cells that share an event stream: the first to run one tees it
+        # into streams/, the others replay it.  A stream is deleted once
+        # every cell sharing it has finished.
+        sharing: Dict[str, set] = defaultdict(set)
+        for key, specs in by_key.items():
+            sharing[specs[0].stream_key()].add(key)
+        sharing = {stream: keys for stream, keys in sharing.items()
+                   if len(keys) > 1}
+        streams = SharedStreams(os.path.join(scratch, "streams"),
+                                frozenset(sharing))
+        os.mkdir(streams.directory)
+        options = dict(cache=store, trace=trace, streams=streams)
         outcomes: Dict[RunSpec, CellOutcome] = {}
 
         def observe(job) -> None:
@@ -365,6 +414,11 @@ def _drain(pending: List[RunSpec], hits: List[RunSpec], jobs: int, cache,
                     cache.put(specs[0], result)
                 for spec in specs:
                     outcomes[spec] = _outcome(spec, job, result)
+                stream = specs[0].stream_key()
+                if stream in sharing:
+                    sharing[stream].discard(job.key)
+                    if not sharing[stream]:
+                        streams.delete(stream)
             report.observe(job, specs)
 
         with JobQueue(queue_path(directory)) as queue:

@@ -34,6 +34,11 @@ record and replay in bounded memory.  The replay cursor releases fully
 consumed pages back to the OS (``madvise(MADV_DONTNEED)``) so peak RSS
 stays bounded by the release window, not the trace size.
 
+:class:`TraceWriter` writes this layout one event at a time:
+:func:`record_trace` drives it from a generator, and
+:class:`TeeWorkload` from a live simulation, so a sweep's cells can
+share one generated stream (:func:`share_stream`).
+
 Format v1 (single ``.npz`` holding ``vpn``/``is_store`` inline, no
 ``format_version`` field) is still read transparently; it is no longer
 written.  Any other version is rejected.
@@ -41,7 +46,10 @@ written.  Any other version is rejected.
 
 from __future__ import annotations
 
+import itertools
 import mmap as _mmap
+import os
+import shutil
 import struct
 from typing import Iterator, Optional
 
@@ -104,10 +112,89 @@ class NpyStreamWriter:
         self.count += len(arr)
 
     def close(self) -> None:
+        if self._f.closed:
+            return
         self._f.flush()
         self._f.seek(0)
         self._f.write(_npy_header(self.dtype, self.count))
         self._f.close()
+
+
+class TraceWriter:
+    """Streams workload events into a v2 trace as they arrive.
+
+    :meth:`add` appends one event: its access arrays go straight to the
+    ``.npy`` sidecars, so memory is bounded by the event metadata, not
+    the access count.  :meth:`finish` writes the metadata ``.npz`` and
+    completes the trace; :meth:`close` only closes the sidecars (a
+    trace left unfinished has no ``.npz`` and cannot be replayed).
+    """
+
+    def __init__(self, path: str):
+        self.meta_path, vpn_path, st_path = _sidecar_paths(path)
+        self._kinds, self._args, self._keys, self._thps = [], [], [], []
+        self._seg_keys, self._seg_lens, self._seg_inter = [], [], []
+        self._vpn = NpyStreamWriter(vpn_path, np.int64)
+        self._st = NpyStreamWriter(st_path, bool)
+        self.accesses = 0
+        # Conservative per-region page counts (no 2 MiB round-up):
+        # offsets verified against these can never trip the engine's
+        # bounds guard, so replay may skip the per-segment scan
+        # (``bounds_valid``).
+        self._region_pages = {}
+        self._bounds_valid = True
+
+    def add(self, event) -> None:
+        """Append one workload event."""
+        if isinstance(event, AllocEvent):
+            self._event(KIND_ALLOC, event.nbytes, event.key, event.thp)
+            self._region_pages[event.key] = -(-event.nbytes // 4096)
+        elif isinstance(event, FreeEvent):
+            self._event(KIND_FREE, 0, event.key, False)
+            self._region_pages.pop(event.key, None)
+        elif isinstance(event, AccessEvent):
+            self._event(KIND_ACCESS, len(event.segments), "", False)
+            for key, batch in event.segments:
+                self._seg_keys.append(key)
+                self._seg_lens.append(len(batch))
+                self._seg_inter.append(event.interleave)
+                if len(batch):
+                    limit = self._region_pages.get(key)
+                    if limit is None or int(batch.vpn.max()) >= limit:
+                        self._bounds_valid = False
+                self._vpn.append(batch.vpn)
+                self._st.append(batch.is_store)
+                self.accesses += len(batch)
+
+    def _event(self, kind: int, arg: int, key: str, thp: bool) -> None:
+        self._kinds.append(kind)
+        self._args.append(arg)
+        self._keys.append(key)
+        self._thps.append(thp)
+
+    def close(self) -> None:
+        """Close the sidecars (idempotent)."""
+        self._vpn.close()
+        self._st.close()
+
+    def finish(self, total_bytes: int) -> dict:
+        """Write the metadata and return stats (events, accesses)."""
+        self.close()
+        np.savez_compressed(
+            self.meta_path,
+            format_version=np.int64(TRACE_FORMAT_VERSION),
+            event_kind=np.array(self._kinds, dtype=np.int8),
+            event_arg=np.array(self._args, dtype=np.int64),
+            event_key=np.array(self._keys, dtype=object),
+            event_thp=np.array(self._thps, dtype=bool),
+            seg_key=np.array(self._seg_keys, dtype=object),
+            seg_len=np.array(self._seg_lens, dtype=np.int64),
+            seg_interleave=np.array(self._seg_inter, dtype=bool),
+            total_bytes=np.int64(total_bytes),
+            total_accesses=np.int64(self.accesses),
+            bounds_valid=np.bool_(self._bounds_valid),
+        )
+        return {"events": len(self._kinds), "accesses": self.accesses}
 
 
 def record_trace(workload: Workload, path: str, seed: int = 42,
@@ -115,72 +202,18 @@ def record_trace(workload: Workload, path: str, seed: int = 42,
     """Run ``workload``'s generator and save its event stream (v2).
 
     Returns a small stats dict (events, accesses).  The access arrays
-    stream to the ``.npy`` sidecars as they are generated: recording
-    memory is bounded by the event metadata, not the access count.
+    stream to the ``.npy`` sidecars as they are generated
+    (:class:`TraceWriter`).
     """
-    meta_path, vpn_path, st_path = _sidecar_paths(path)
-    kinds, args, keys, thps = [], [], [], []
-    seg_keys, seg_lens, seg_inter = [], [], []
-    vpn_w = NpyStreamWriter(vpn_path, np.int64)
-    st_w = NpyStreamWriter(st_path, bool)
-    accesses = 0
-    # Conservative per-region page counts (no 2 MiB round-up): offsets
-    # verified against these can never trip the engine's bounds guard,
-    # so replay may skip the per-segment scan (``bounds_valid``).
-    region_pages = {}
-    bounds_valid = True
-
+    writer = TraceWriter(path)
     try:
         for event in workload.events(np.random.default_rng(seed)):
-            if isinstance(event, AllocEvent):
-                kinds.append(KIND_ALLOC)
-                args.append(event.nbytes)
-                keys.append(event.key)
-                thps.append(event.thp)
-                region_pages[event.key] = -(-event.nbytes // 4096)
-            elif isinstance(event, FreeEvent):
-                kinds.append(KIND_FREE)
-                args.append(0)
-                keys.append(event.key)
-                thps.append(False)
-                region_pages.pop(event.key, None)
-            elif isinstance(event, AccessEvent):
-                kinds.append(KIND_ACCESS)
-                args.append(len(event.segments))
-                keys.append("")
-                thps.append(False)
-                for key, batch in event.segments:
-                    seg_keys.append(key)
-                    seg_lens.append(len(batch))
-                    seg_inter.append(event.interleave)
-                    if len(batch):
-                        limit = region_pages.get(key)
-                        if limit is None or int(batch.vpn.max()) >= limit:
-                            bounds_valid = False
-                    vpn_w.append(batch.vpn)
-                    st_w.append(batch.is_store)
-                    accesses += len(batch)
-            if max_accesses is not None and accesses >= max_accesses:
+            writer.add(event)
+            if max_accesses is not None and writer.accesses >= max_accesses:
                 break
+        return writer.finish(workload.total_bytes)
     finally:
-        vpn_w.close()
-        st_w.close()
-
-    np.savez_compressed(
-        meta_path,
-        format_version=np.int64(TRACE_FORMAT_VERSION),
-        event_kind=np.array(kinds, dtype=np.int8),
-        event_arg=np.array(args, dtype=np.int64),
-        event_key=np.array(keys, dtype=object),
-        event_thp=np.array(thps, dtype=bool),
-        seg_key=np.array(seg_keys, dtype=object),
-        seg_len=np.array(seg_lens, dtype=np.int64),
-        seg_interleave=np.array(seg_inter, dtype=bool),
-        total_bytes=np.int64(workload.total_bytes),
-        total_accesses=np.int64(accesses),
-        bounds_valid=np.bool_(bounds_valid),
-    )
-    return {"events": len(kinds), "accesses": accesses}
+        writer.close()
 
 
 class TraceWorkload(Workload):
@@ -391,3 +424,74 @@ class TraceWorkload(Workload):
                     self._cursor += 1
                     yield AccessEvent(segments, interleave=interleave)
             self._maybe_release(a1)
+
+
+#: File name of a shared stream's trace inside its directory.
+_STREAM_FILE = "stream"
+
+
+def share_stream(live: Workload, directory: str) -> Workload:
+    """The workload a sweep cell runs when it shares its stream.
+
+    If the stream was published at ``directory``, the cell replays it
+    (reporting ``live``'s name and nominal ``total_accesses``, so its
+    result and progress are the live run's).  Otherwise it runs
+    ``live`` through a :class:`TeeWorkload` that publishes there.
+    """
+    if not os.path.isdir(directory):
+        return TeeWorkload(live, directory)
+    replay = TraceWorkload(os.path.join(directory, _STREAM_FILE))
+    replay.name = live.name
+    replay.total_accesses = live.total_accesses
+    return replay
+
+
+class TeeWorkload(Workload):
+    """Runs ``live`` and records its stream as the run consumes it.
+
+    Each event is written (:class:`TraceWriter`) before it is yielded,
+    into a private directory made next to ``directory``.  Only a
+    generator that runs to its end publishes: the private directory is
+    renamed to ``directory`` in one atomic step.  If another tee
+    published first, the rename fails and the copy is discarded; a run
+    that stops early (an access budget, an error) discards its copy
+    too.  A killed process leaves its private directory behind, never a
+    partial stream at ``directory``.
+    """
+
+    def __init__(self, live: Workload, directory: str):
+        super().__init__(live.total_bytes, live.total_accesses,
+                         live.batch_size)
+        self.live = live
+        self.name = live.name
+        self.needs_bounds_check = live.needs_bounds_check
+        self.directory = str(directory)
+        #: True once this tee's recording was published.
+        self.published = False
+
+    def _private_dir(self) -> str:
+        for n in itertools.count():
+            path = f"{self.directory}.{os.getpid()}.{n}"
+            try:
+                os.mkdir(path)
+                return path
+            except FileExistsError:
+                continue
+
+    def events(self, rng: np.random.Generator) -> Iterator[object]:
+        private = self._private_dir()
+        writer = TraceWriter(os.path.join(private, _STREAM_FILE))
+        try:
+            for event in self.live.events(rng):
+                writer.add(event)
+                yield event
+            writer.finish(self.total_bytes)
+            try:
+                os.rename(private, self.directory)
+                self.published = True
+            except OSError:
+                pass  # another tee published this stream first
+        finally:
+            writer.close()
+            # Discards the copy unless it was published.
+            shutil.rmtree(private, ignore_errors=True)

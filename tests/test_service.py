@@ -684,6 +684,63 @@ class TestServiceChaos:
             assert _canon(outcomes[spec].result) == _canon(spec.execute()), \
                 spec.label()
 
+    def test_sigkill_mid_tee_publishes_no_partial_stream(self, tmp_path,
+                                                         monkeypatch):
+        """run_sweep on 2 workers over two cells sharing one stream:
+        SIGKILL a worker while it tees.  Its copy is never published,
+        any stream that is published is complete, and the retried cell
+        equals an uninterrupted run."""
+        from repro.sim import sweep
+        from repro.sim.sweep import run_sweep
+        from repro.workloads.registry import make_workload
+        from repro.workloads.trace import TraceWorkload
+
+        d = str(tmp_path / "sweep")
+        report = str(tmp_path / "killed")
+        scratch = []
+        mkdtemp = sweep.tempfile.mkdtemp
+
+        def recording_mkdtemp(*args, **kwargs):
+            scratch.append(mkdtemp(*args, **kwargs))
+            return scratch[-1]
+
+        monkeypatch.setattr(sweep.tempfile, "mkdtemp", recording_mkdtemp)
+        specs = [_spec(policy=p, seed=85, max_accesses=None,
+                       scale=MEDIUM_SCALE) for p in ("memtis", "tiering-0.8")]
+        key = specs[0].stream_key()
+        full = make_workload("silo", MEDIUM_SCALE).total_accesses
+        seen = []
+
+        def progress(event):
+            streams = os.path.join(scratch[-1], "streams")
+            names = sorted(os.listdir(streams))
+            seen.append((event.status, names, [
+                TraceWorkload(os.path.join(streams, name, "stream"))
+                .total_accesses for name in names if name == key]))
+
+        killer = multiprocessing.Process(
+            target=_kill_a_checkpointed_worker, args=(d, report))
+        killer.start()
+        outcomes = run_sweep(specs, jobs=2, directory=d, progress=progress)
+        killer.join(timeout=60)
+        assert killer.exitcode == 0
+        assert os.path.exists(report), "no worker ever held a checkpointed job"
+        with open(report + ".pid") as fh:
+            pid = int(fh.read())
+
+        retried = [names for status, names, _ in seen if status == "retry"]
+        assert len(retried) == 1
+        assert any(name.startswith(f"{key}.{pid}.") for name in retried[0]), \
+            f"the killed worker was not teeing: {retried[0]}"
+        assert all(accesses == [full] or accesses == []
+                   for _, _, accesses in seen), seen
+        assert not os.path.exists(scratch[0])
+        for spec in specs:
+            assert outcomes[spec].ok, outcomes[spec].error
+            assert _canon(outcomes[spec].result) == _canon(spec.execute()), \
+                spec.label()
+        assert sum(o.resumed for o in outcomes.values()) == 1
+
 
 def _service_start(directory: str, *flags: str) -> subprocess.Popen:
     """``repro service start DIRECTORY FLAGS`` in a child process whose
@@ -714,7 +771,8 @@ def _read_line(proc: subprocess.Popen, prefix: str,
 
 def _kill_a_checkpointed_worker(directory: str, report: str) -> None:
     """SIGKILL the worker of the first running job that has taken a
-    checkpoint; write that job's key to ``report``."""
+    checkpoint; write that job's key to ``report`` and the worker's pid
+    to ``report + ".pid"``."""
 
     def victim():
         if not os.path.exists(queue_path(directory)):
@@ -731,5 +789,7 @@ def _kill_a_checkpointed_worker(directory: str, report: str) -> None:
     found = _await(victim, timeout_s=60.0)
     if found is not None:
         os.kill(found[1], signal.SIGKILL)
+        with open(report + ".pid", "w") as fh:
+            fh.write(str(found[1]))
         with open(report, "w") as fh:
             fh.write(found[0])

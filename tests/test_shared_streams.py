@@ -1,0 +1,291 @@
+"""Shared event streams inside ``run_sweep``.
+
+Cells of one sweep that share a stream key (workload, scale, seed) run
+one generated stream: the first to run it tees the live stream into the
+sweep's ``streams/`` directory, the others replay the recording.  The
+contracts tested here:
+
+* a shared-stream sweep equals live ``RunSpec.execute`` byte for byte
+  across the whole policy registry, both machine shapes and both
+  engine loops, at one and two workers -- and cache keys do not move;
+* a checkpoint resumes across the two: live onto replay and back;
+* a stream is published only when its generator ran to the end, at most
+  once per key, and never when the key is not shared;
+* the streams go with the sweep's scratch directory.
+"""
+
+import json
+import os
+
+import pytest
+
+from repro.policies.registry import POLICY_REGISTRY
+from repro.sim import runner, sweep
+from repro.sim.machine import ScaleSpec
+from repro.sim.runner import RunSpec
+from repro.sim.sweep import run_sweep
+from repro.workloads import trace
+from repro.workloads.registry import make_workload
+from repro.workloads.trace import TeeWorkload, TraceWorkload
+
+from conftest import TEST_SCALE
+
+MB = 1024 * 1024
+
+#: Tier-1-sized cells: ~0.1M accesses, a few tens of milliseconds each.
+SMALL = ScaleSpec(bytes_per_paper_gb=1 * MB, accesses_per_paper_gb=2_000,
+                  min_bytes=48 * MB, min_accesses_per_page=4)
+
+#: Virtual-time epoch length that gives a small run several epochs.
+EPOCH_NS = 1e6
+
+#: Result fields that measure the host, not the simulation.
+HOST_FIELDS = ("wall_seconds", "phase_ns", "from_cache")
+
+
+def _canon(result) -> str:
+    d = result.to_dict()
+    for field in HOST_FIELDS:
+        d.pop(field)
+    return json.dumps(d, sort_keys=True)
+
+
+def _scratch(monkeypatch) -> list:
+    """Record the scratch directory each sweep makes."""
+    made = []
+    mkdtemp = sweep.tempfile.mkdtemp
+
+    def recording_mkdtemp(*args, **kwargs):
+        made.append(mkdtemp(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(sweep.tempfile, "mkdtemp", recording_mkdtemp)
+    return made
+
+
+def _listings(made: list, into: list):
+    """A progress callback noting what ``streams/`` holds at each event."""
+    def progress(event):
+        into.append((event.status, event.spec,
+                     sorted(os.listdir(os.path.join(made[-1], "streams")))))
+    return progress
+
+
+# -- registry-wide differential ------------------------------------------------
+
+REGISTRY_GRID = [
+    RunSpec(workload, policy, scale=SMALL, seed=5, machine_preset=preset,
+            macro_batch=macro)
+    for workload in ("silo", "603.bwaves")
+    for policy in sorted(POLICY_REGISTRY)
+    for preset in (None, "dram-cxl-nvm")
+    for macro in (0, 65536)
+]
+
+
+@pytest.fixture(scope="module")
+def live_registry():
+    return {spec: _canon(spec.execute()) for spec in REGISTRY_GRID}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_shared_stream_sweep_equals_live_across_registry(jobs, live_registry,
+                                                         monkeypatch):
+    """Every registry policy x {1:8, dram-cxl-nvm} x macro {0, 65536}:
+    two streams, each shared by 72 cells, replay to the live results."""
+    made = _scratch(monkeypatch)
+    seen = []
+    out = run_sweep(REGISTRY_GRID, jobs=jobs, cache=None,
+                    progress=_listings(made, seen))
+    for spec in REGISTRY_GRID:
+        assert out[spec].ok, out[spec].error
+        assert _canon(out[spec].result) == live_registry[spec], spec.label()
+    published = {name for _, _, names in seen for name in names
+                 if "." not in name}
+    assert published == {spec.stream_key() for spec in REGISTRY_GRID}
+    assert not os.path.exists(made[0])
+
+
+#: ``cache_key()`` values computed before streams were shared: sharing
+#: is invisible to a spec's identity.
+PINNED_KEYS = [
+    (RunSpec("silo", "memtis"),
+     "3b4e718e2906bddb61df8cce3e418ca1ccef83b77d95f4a0a5744e04684b9337"),
+    (RunSpec("graph500", "tpp", ratio="1:2", seed=7),
+     "3896a0293539e472ca37dfc7d9f38fb5cad6104a050c9867a8948500b13391da"),
+    (RunSpec("silo", "memtis", machine_preset="dram-cxl-nvm",
+             macro_batch=65536),
+     "fe7b068091de901f54610cbca972b433463fe71099ba3206a751073bd50420d7"),
+    (RunSpec("btree", "hemem", scale=TEST_SCALE, max_accesses=50_000,
+             policy_kwargs={"promote_threshold": 2}),
+     "c3fbb0b56a5d8e1c7352ce064e7de7f6bc721ee11575c1c33e1941582b950259"),
+    (RunSpec("xsbench", "nomad", seed=3, timeseries_every=2).baseline_spec(),
+     "9a9715bddc03ef35b678347514b892e5f41590574a8519415b2529afd6f2b48d"),
+]
+
+
+@pytest.mark.parametrize("spec,key", PINNED_KEYS,
+                         ids=[s.label() for s, _ in PINNED_KEYS])
+def test_cache_keys_are_pinned(spec, key):
+    assert spec.cache_key() == key
+
+
+def test_stream_key_is_workload_scale_and_seed():
+    spec = RunSpec("silo", "memtis", scale=SMALL, seed=5)
+    same = [spec.replace(policy="tpp"), spec.replace(ratio="1:2"),
+            spec.replace(machine_preset="dram-cxl-nvm"),
+            spec.replace(macro_batch=65536), spec.replace(max_accesses=10),
+            spec.baseline_spec()]
+    other = [spec.replace(workload="btree"), spec.replace(seed=6),
+             spec.replace(scale=TEST_SCALE)]
+    assert {s.stream_key() for s in same} == {spec.stream_key()}
+    assert spec.stream_key() not in {s.stream_key() for s in other}
+
+
+# -- checkpoints cross between live and replayed streams ----------------------
+
+
+def _capture(sim, spec):
+    """Run ``sim`` checkpointing every epoch: (canon result, {epoch: state})."""
+    snaps = {}
+    sim.metrics.timeline_interval_ns = EPOCH_NS
+    sim.snapshot_every = 1
+    sim.snapshot_sink = lambda epoch, state: snaps.setdefault(epoch, state)
+    return _canon(sim.run(max_accesses=spec.max_accesses)), snaps
+
+
+def _resume(sim, spec, state):
+    sim.metrics.timeline_interval_ns = EPOCH_NS
+    sim.load_state(state)
+    return _canon(sim.run(max_accesses=spec.max_accesses))
+
+
+@pytest.mark.parametrize("workload", ["silo", "603.bwaves"])
+def test_checkpoints_resume_across_live_and_replay(workload, tmp_path):
+    spec = RunSpec(workload, "memtis", scale=SMALL, seed=5)
+    streams = str(tmp_path)
+    tee = spec.build(streams=streams)
+    assert isinstance(tee.workload, TeeWorkload)
+    live, live_snaps = _capture(tee, spec)
+    assert tee.workload.published
+
+    replay_sim = spec.build(streams=streams)
+    assert isinstance(replay_sim.workload, TraceWorkload)
+    replay, replay_snaps = _capture(replay_sim, spec)
+    assert replay == live
+    # Native granularity: one replayed event per generated event.
+    assert replay_snaps.keys() == live_snaps.keys()
+    assert len(live_snaps) >= 3, "scenario too small to be meaningful"
+    for epoch in live_snaps:
+        assert (replay_snaps[epoch]["events_consumed"]
+                == live_snaps[epoch]["events_consumed"])
+
+    epoch = sorted(live_snaps)[len(live_snaps) // 2]
+    onto_replay = spec.build(streams=streams)
+    assert _resume(onto_replay, spec, live_snaps[epoch]) == live
+    onto_live = spec.build()
+    assert _resume(onto_live, spec, replay_snaps[epoch]) == live
+
+
+# -- who publishes --------------------------------------------------------------
+
+
+def test_budget_stopped_cell_never_publishes_but_replays(monkeypatch):
+    """A cell stopped by ``max_accesses`` discards its tee; a later full
+    cell publishes; a budgeted cell after it replays the full stream."""
+    made = _scratch(monkeypatch)
+    seen = []
+    base = RunSpec("silo", "memtis", scale=SMALL, seed=5)
+    specs = [base.replace(max_accesses=30_000), base.replace(policy="tpp"),
+             base.replace(policy="hemem", max_accesses=30_000)]
+    kinds = []
+    share = runner.share_stream
+
+    def spy(live, directory):
+        workload = share(live, directory)
+        kinds.append(type(workload).__name__)
+        return workload
+
+    monkeypatch.setattr(runner, "share_stream", spy)
+    out = run_sweep(specs, jobs=1, cache=None, progress=_listings(made, seen))
+    key = base.stream_key()
+    assert [names for _, _, names in seen] == [[], [key], []]
+    assert kinds == ["TeeWorkload", "TeeWorkload", "TraceWorkload"]
+    for spec in specs:
+        assert _canon(out[spec].result) == _canon(spec.execute())
+
+
+def test_unique_stream_keys_tee_nothing(monkeypatch):
+    """Cells whose stream no other cell shares run live, untouched."""
+    made = _scratch(monkeypatch)
+    seen = []
+    calls = []
+    monkeypatch.setattr(runner, "share_stream",
+                        lambda *args: calls.append(args))
+    specs = [RunSpec("silo", "memtis", scale=SMALL, seed=1),
+             RunSpec("silo", "memtis", scale=SMALL, seed=2),
+             RunSpec("btree", "memtis", scale=SMALL, seed=1)]
+    out = run_sweep(specs, jobs=1, cache=None, progress=_listings(made, seen))
+    assert all(o.ok for o in out.values())
+    assert calls == []
+    assert [names for _, _, names in seen] == [[], [], []]
+
+
+def test_grid_at_two_workers_publishes_each_stream_once(tmp_path,
+                                                        monkeypatch):
+    """8 keys x 6 cells on 2 workers: exactly one tee per key publishes,
+    any other (a lost race) is discarded, and every cell equals live."""
+    log = str(tmp_path / "tees")
+    events = TeeWorkload.events
+
+    def logged(self, rng):
+        yield from events(self, rng)
+        streams, key = os.path.split(self.directory)
+        mine = f"{key}.{os.getpid()}."
+        left = sum(name.startswith(mine) for name in os.listdir(streams))
+        # One short O_APPEND write per tee: safe across worker processes.
+        with open(log, "a") as fh:
+            fh.write(f"{key} {int(self.published)} {left}\n")
+
+    # Forked workers inherit the patched class.
+    monkeypatch.setattr(TeeWorkload, "events", logged)
+    made = _scratch(monkeypatch)
+    seen = []
+    specs = [RunSpec(w, p, scale=SMALL, seed=s)
+             for w in ("silo", "btree", "xsbench", "graph500")
+             for p in ("memtis", "hemem", "tpp", "nomad", "hybridtier", "arms")
+             for s in (7, 8)]
+    out = run_sweep(specs, jobs=2, cache=None, progress=_listings(made, seen))
+    keys = {spec.stream_key() for spec in specs}
+    assert len(keys) == 8
+
+    with open(log) as fh:
+        tees = [line.split() for line in fh]
+    for key in keys:
+        outcomes = sorted(flag for name, flag, _ in tees if name == key)
+        assert outcomes in (["1"], ["0", "1"]), (key, outcomes)
+    # A tee leaves no private copy behind, won or lost.
+    assert {left for _, _, left in tees} == {"0"}
+    for _, _, names in seen:
+        assert {name for name in names if "." not in name} <= keys, names
+    assert not os.path.exists(made[0])
+    for spec in specs:
+        assert _canon(out[spec].result) == _canon(spec.execute()), \
+            spec.label()
+
+
+@pytest.mark.parametrize("workload", ["603.bwaves", "pagerank"])
+def test_replay_reports_the_live_name_and_nominal_accesses(workload,
+                                                           tmp_path):
+    """What a progress ETA reads: pagerank generates 12 fewer accesses
+    than its nominal count at this scale, and a replay reports the
+    nominal one, as the live run does."""
+    spec = RunSpec(workload, "memtis", scale=SMALL, seed=5)
+    spec.build(streams=str(tmp_path)).run()
+    live = make_workload(workload, SMALL)
+    replay = trace.share_stream(
+        live, os.path.join(str(tmp_path), spec.stream_key()))
+    assert isinstance(replay, TraceWorkload)
+    assert replay.name == workload
+    assert replay.total_accesses == live.total_accesses
+    assert replay.needs_bounds_check is False

@@ -244,6 +244,18 @@ class TestSweep:
         assert out[_spec()].ok
         assert len(scratch) == 1 and not os.path.exists(scratch[0])
 
+        # Cells sharing a stream: it lives in the scratch directory while
+        # a cell still needs it, and goes with it.
+        specs = [_spec(max_accesses=None), _spec(max_accesses=None,
+                                                 policy="memtis")]
+        streams = []
+        out = run_sweep(specs, jobs=1, cache=None, progress=lambda event:
+                        streams.append(os.listdir(
+                            os.path.join(scratch[-1], "streams"))))
+        assert all(o.ok for o in out.values())
+        assert streams == [[specs[0].stream_key()], []]
+        assert len(scratch) == 2 and not os.path.exists(scratch[1])
+
     def test_heartbeat_dir_in_use_is_refused(self, tmp_path):
         """A sweep never drops live rows from a queue it shares: not a
         service's submitted jobs, nor an idle live worker's."""
