@@ -13,21 +13,13 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.tables import format_table
-from repro.experiments.common import ExperimentResult
-from repro.policies.registry import make_policy
-from repro.policies.static import AllCapacityPolicy
-from repro.sim.engine import Simulation
-from repro.sim.machine import DEFAULT_SCALE, MachineSpec, ScaleSpec
-from repro.workloads.mix import MixWorkload
-from repro.workloads.registry import make_workload
+from repro.experiments.common import ExperimentResult, run_specs
+from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
+from repro.sim.runner import RunSpec, normalized_performance
 
 PAIRS = [("silo", "liblinear"), ("xsbench", "btree")]
 POLICIES = ["tpp", "hemem", "memtis"]
 RATIO = "1:8"
-
-
-def _mix(pair, scale):
-    return MixWorkload([make_workload(name, scale) for name in pair])
 
 
 def run(scale: Optional[ScaleSpec] = None, pairs=None, policies=None,
@@ -35,21 +27,25 @@ def run(scale: Optional[ScaleSpec] = None, pairs=None, policies=None,
     scale = scale or DEFAULT_SCALE
     pairs = pairs or PAIRS
     policies = policies or POLICIES
+    # ``a+b`` names the co-located MixWorkload of a and b.
+    labels = ["+".join(pair) for pair in pairs]
+    specs = {
+        (label, policy): RunSpec(label, policy, ratio=RATIO, scale=scale)
+        for label in labels
+        for policy in policies
+    }
+    results = run_specs([spec.baseline_spec() for spec in specs.values()]
+                        + list(specs.values()))
     rows = []
     data = {}
-    for pair in pairs:
-        label = "+".join(pair)
-        machine = MachineSpec.from_ratio(_mix(pair, scale).total_bytes,
-                                         ratio=RATIO)
-        baseline = Simulation(
-            _mix(pair, scale), AllCapacityPolicy(), machine.collapse_to_slowest()
-        ).run()
+    for label in labels:
         cell = {}
         for policy in policies:
-            result = Simulation(_mix(pair, scale), make_policy(policy),
-                                machine).run()
+            spec = specs[(label, policy)]
+            result = results[spec]
             cell[policy] = {
-                "normalized": baseline.runtime_ns / result.runtime_ns,
+                "normalized": normalized_performance(
+                    result, results[spec.baseline_spec()]),
                 "hit": result.fast_hit_ratio,
                 "splits": result.policy_stats.get("splits", 0.0),
             }

@@ -30,6 +30,18 @@ from repro.sim.machine import DEFAULT_SCALE, MachineSpec, ScaleSpec
 from repro.workloads.registry import make_workload
 
 
+class _CountingDamon(DamonMonitor):
+    """DAMON that also counts every access per page: the ground truth."""
+
+    def bind(self, ctx) -> None:
+        super().bind(ctx)
+        self.true_counts = np.zeros(ctx.space.num_vpns, dtype=np.int64)
+
+    def on_batch(self, obs) -> float:
+        np.add.at(self.true_counts, obs.batch.vpn, 1)
+        return super().on_batch(obs)
+
+
 def _accuracy(monitor: DamonMonitor, true_counts: np.ndarray) -> float:
     """Correlation between DAMON's region intensities and ground truth."""
     per_page = np.zeros_like(true_counts, dtype=np.float64)
@@ -62,20 +74,13 @@ def run(scale: Optional[ScaleSpec] = None, configs=None, **_kwargs) -> Experimen
         # and the fast configs sample every few hundred microseconds.
         workload = make_workload("654.roms", scale, batch_size=2048)
         machine = MachineSpec.from_ratio(workload.total_bytes, ratio="1:2")
-        monitor = DamonMonitor(config)
-        sim = Simulation(workload, monitor, machine)
-        # Ground truth: count every access per page.
-        true_counts = np.zeros(sim.space.num_vpns, dtype=np.int64)
-        original = sim._process_batch
-
-        def counted(batch, _orig=original, _tc=true_counts):
-            np.add.at(_tc, batch.vpn, 1)
-            _orig(batch)
-
-        sim._process_batch = counted
-        sim.run()
+        monitor = _CountingDamon(config)
+        # Built by hand, not as a RunSpec: the accuracy score reads the
+        # monitor's snapshots after the run, which a SimResult does not
+        # carry.
+        Simulation(workload, monitor, machine).run()
         overhead = monitor.cpu_overhead()
-        accuracy = _accuracy(monitor, true_counts)
+        accuracy = _accuracy(monitor, monitor.true_counts)
         rows.append([label, f"{overhead * 100:.2f}%", f"{accuracy:.3f}",
                      len(monitor.regions)])
         maps[label] = heatmap(monitor.heatmap(), title=f"Fig. 1 heat map [{label}]")

@@ -27,6 +27,23 @@ from repro.workloads.registry import make_workload
 WORKLOADS = ["liblinear", "silo"]
 
 
+class _SampledCounts(AllCapacityPolicy):
+    """All-capacity placement that also counts every ``period``-th
+    access per page."""
+
+    def __init__(self, period: int):
+        super().__init__()
+        self.period = period
+
+    def bind(self, ctx) -> None:
+        super().bind(ctx)
+        self.counts = np.zeros(ctx.space.num_vpns, dtype=np.int64)
+
+    def on_batch(self, obs) -> float:
+        np.add.at(self.counts, obs.batch.vpn[::self.period], 1)
+        return super().on_batch(obs)
+
+
 def _scatter_ascii(util: np.ndarray, hot: np.ndarray, title: str,
                    width: int = 64, height: int = 16) -> str:
     grid = [[" "] * width for _ in range(height)]
@@ -54,17 +71,14 @@ def measure_utilization(workload_name: str, scale: Optional[ScaleSpec] = None,
     scale = scale or DEFAULT_SCALE
     workload = make_workload(workload_name, scale)
     machine = MachineSpec.from_ratio(workload.total_bytes, ratio="1:2").collapse_to_slowest()
-    sim = Simulation(workload, AllCapacityPolicy(), machine)
-    counts = np.zeros(sim.space.num_vpns, dtype=np.int64)
-    original = sim._process_batch
-
-    def counted(batch, _orig=original, _counts=counts):
-        np.add.at(_counts, batch.vpn[::sample_period], 1)
-        _orig(batch)
-
-    sim._process_batch = counted
+    policy = _SampledCounts(sample_period)
+    # Built by hand, not as a RunSpec: the scatter reads the address
+    # space's huge-page map after the run, which a SimResult does not
+    # carry.
+    sim = Simulation(workload, policy, machine)
     sim.run()
     hpns = sim.space.mapped_huge_hpns()
+    counts = policy.counts
     per_hp = counts[: len(counts) // SUBPAGES_PER_HUGE * SUBPAGES_PER_HUGE]
     per_hp = per_hp.reshape(-1, SUBPAGES_PER_HUGE)
     hot = per_hp[hpns].sum(axis=1)

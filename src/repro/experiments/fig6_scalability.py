@@ -11,12 +11,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.tables import format_table
-from repro.experiments.common import ExperimentResult
-from repro.policies.registry import FIG5_POLICIES, make_policy
-from repro.policies.static import AllCapacityPolicy
-from repro.sim.engine import Simulation
-from repro.sim.machine import MachineSpec, ScaleSpec
-from repro.workloads.graph500 import Graph500Workload
+from repro.experiments.common import ExperimentResult, run_specs
+from repro.policies.registry import FIG5_POLICIES
+from repro.sim.machine import ScaleSpec
+from repro.sim.runner import RunSpec, normalized_performance
 
 PAPER_RSS_GB = [128, 192, 336, 690]
 FAST_GB = 64
@@ -40,33 +38,25 @@ def run(
     scale = scale or FIG6_SCALE
     rss_points = rss_points or PAPER_RSS_GB
     policies = policies or FIG5_POLICIES
-    fast_bytes = scale.bytes_for(FAST_GB)
+    # Graph500 sized at each RSS point (``graph500@GB``) against one
+    # fixed fast tier; the capacity tier is sized to the footprint.
+    specs = {
+        (rss_gb, policy): RunSpec(f"graph500@{rss_gb}", policy, scale=scale,
+                                  fast_bytes=scale.bytes_for(FAST_GB))
+        for rss_gb in rss_points
+        for policy in policies
+    }
+    results = run_specs([spec.baseline_spec() for spec in specs.values()]
+                        + list(specs.values()))
 
     rows = []
     data = {}
     for rss_gb in rss_points:
-        total_bytes = scale.bytes_for(rss_gb)
-        accesses = scale.accesses_for(rss_gb)
-        machine = MachineSpec(
-            fast_bytes=fast_bytes,
-            capacity_bytes=int(total_bytes * 1.3),
-            capacity_kind="nvm",
-        )
-        baseline_sim = Simulation(
-            Graph500Workload(total_bytes, accesses),
-            AllCapacityPolicy(),
-            machine.collapse_to_slowest(),
-        )
-        baseline = baseline_sim.run()
         cell = {}
         for policy_name in policies:
-            sim = Simulation(
-                Graph500Workload(total_bytes, accesses),
-                make_policy(policy_name),
-                machine,
-            )
-            result = sim.run()
-            cell[policy_name] = baseline.runtime_ns / result.runtime_ns
+            spec = specs[(rss_gb, policy_name)]
+            cell[policy_name] = normalized_performance(
+                results[spec], results[spec.baseline_spec()])
         best_other = max(v for p, v in cell.items() if p != "memtis")
         margin = (cell.get("memtis", 0.0) / best_other - 1) * 100
         rows.append([f"{rss_gb}GB"] + [cell[p] for p in policies]

@@ -6,6 +6,15 @@ leaving spare cores so HeMem's sampling thread causes no contention;
 i.e. it *additionally* consumes its over-allocation on top (we grow the
 machine's DRAM by the measured over-allocation for the HeMem+ run).
 
+The thread courtesy is modelled by HeMem's ``dedicated_core_cost=0.0``:
+with 16 threads on the machine's 20 cores the sampling thread gets a
+spare core, which is exactly a contention factor of 1.0 -- what a zero
+dedicated-core cost gives on any machine.  No other policy reads the
+thread count.  HeMem+ needs HeMem's measured over-allocation, so the
+experiment runs as two sweeps: baseline, HeMem and MEMTIS first, then
+HeMem+ with ``fast_bytes`` grown by that over-allocation.  All three
+columns normalise against the first sweep's baseline.
+
 Expected shape: MEMTIS still wins; HeMem+'s extra DRAM does not close
 the gap because static thresholds waste it on arbitrary cold pages.
 """
@@ -15,62 +24,50 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.tables import format_table
-from repro.experiments.common import ALL_WORKLOADS, ExperimentResult
-from repro.policies.registry import make_policy
-from repro.policies.static import AllCapacityPolicy
-from repro.sim.engine import Simulation
-from repro.sim.machine import DEFAULT_SCALE, MachineSpec, ScaleSpec
-from repro.workloads.registry import make_workload
+from repro.experiments.common import ALL_WORKLOADS, ExperimentResult, run_specs
+from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
+from repro.sim.runner import RunSpec, normalized_performance
 
 RATIO = "1:2"
 THREADS = 16
 
 
-def _machine(workload, extra_fast: int = 0) -> MachineSpec:
-    base = MachineSpec.from_ratio(workload.total_bytes, ratio=RATIO)
-    return MachineSpec(
-        fast_bytes=base.fast_bytes + extra_fast,
-        capacity_bytes=base.capacity_bytes,
-        capacity_kind=base.capacity_kind,
-        cores=base.cores,
-        app_threads=THREADS,
-    )
-
-
 def run(scale: Optional[ScaleSpec] = None, workloads=None, **_kwargs) -> ExperimentResult:
     scale = scale or DEFAULT_SCALE
     workloads = workloads or ALL_WORKLOADS
+    hemem = {
+        name: RunSpec(name, "hemem", ratio=RATIO, scale=scale,
+                      policy_kwargs={"dedicated_core_cost": 0.0})
+        for name in workloads
+    }
+    memtis = {name: RunSpec(name, "memtis", ratio=RATIO, scale=scale)
+              for name in workloads}
+    results = run_specs([spec.baseline_spec() for spec in hemem.values()]
+                        + list(hemem.values()) + list(memtis.values()))
+    overalloc = {
+        name: int(results[spec].policy_stats.get("overallocated_bytes", 0))
+        for name, spec in hemem.items()
+    }
+    hemem_plus = {
+        name: spec.replace(fast_bytes=results[spec].machine.fast_bytes
+                           + overalloc[name])
+        for name, spec in hemem.items()
+    }
+    results.update(run_specs(hemem_plus.values()))
+
     rows = []
     data = {}
     for name in workloads:
-        workload = make_workload(name, scale)
-        machine = _machine(workload)
-        baseline = Simulation(
-            make_workload(name, scale), AllCapacityPolicy(), machine.collapse_to_slowest()
-        ).run()
-
-        hemem_result = Simulation(
-            make_workload(name, scale), make_policy("hemem"), machine
-        ).run()
-        overalloc = int(hemem_result.policy_stats.get("overallocated_bytes", 0))
-
-        hemem_plus = Simulation(
-            make_workload(name, scale), make_policy("hemem"),
-            _machine(workload, extra_fast=overalloc),
-        ).run()
-        memtis_result = Simulation(
-            make_workload(name, scale), make_policy("memtis"), machine
-        ).run()
-
+        baseline = results[hemem[name].baseline_spec()]
         cell = {
-            "hemem": baseline.runtime_ns / hemem_result.runtime_ns,
-            "hemem+": baseline.runtime_ns / hemem_plus.runtime_ns,
-            "memtis": baseline.runtime_ns / memtis_result.runtime_ns,
+            column: normalized_performance(results[spec[name]], baseline)
+            for column, spec in (("hemem", hemem), ("hemem+", hemem_plus),
+                                 ("memtis", memtis))
         }
         gap = (cell["memtis"] / max(cell["hemem"], cell["hemem+"]) - 1) * 100
         rows.append([name, cell["hemem"], cell["hemem+"], cell["memtis"],
                      f"{gap:+.1f}%"])
-        data[name] = dict(cell, overalloc_bytes=overalloc)
+        data[name] = dict(cell, overalloc_bytes=overalloc[name])
     text = format_table(
         ["Benchmark", "HeMem", "HeMem+", "MEMTIS", "MEMTIS vs best HeMem"],
         rows,

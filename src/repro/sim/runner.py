@@ -104,6 +104,9 @@ class RunSpec:
         baseline = spec.baseline_spec().run()     # the paper's 1.0 line
     """
 
+    #: A registered workload name, ``a+b`` (its members co-located in
+    #: one MixWorkload) or ``name@GB`` (sized at GB paper gigabytes);
+    #: see :func:`repro.workloads.registry.make_workload`.
     workload: str
     policy: str
     ratio: str = "1:8"
@@ -152,6 +155,14 @@ class RunSpec:
     #: hashed) only when nonzero, so historical specs keep their exact
     #: ``to_dict()`` layout and ``cache_key()``.
     timeseries_every: int = 0
+    #: Size in bytes of the fastest tier, replacing the one ``ratio``
+    #: gives; the capacity tier keeps the ratio machine's size.  For
+    #: machines the ratio table cannot express (a fixed fast tier under
+    #: a growing footprint, a fast tier grown by a measured
+    #: over-allocation).  Serialized (and hashed) only when set, so
+    #: historical specs keep their exact ``to_dict()`` and
+    #: ``cache_key()``.
+    fast_bytes: Optional[int] = None
 
     def __post_init__(self):
         if self.check not in (None, "off", "end", "epoch", "strict"):
@@ -197,6 +208,16 @@ class RunSpec:
                 f"unknown machine preset {self.machine_preset!r}; "
                 f"expected one of {sorted(MACHINE_PRESETS)}"
             )
+        if self.fast_bytes is not None:
+            if self.fast_bytes <= 0:
+                raise ValueError(
+                    f"fast_bytes must be > 0, got {self.fast_bytes}"
+                )
+            if self.machine_preset is not None:
+                raise ValueError(
+                    "fast_bytes sizes the two-tier ratio machine; it "
+                    "cannot be combined with machine_preset"
+                )
 
     # -- derived specs -----------------------------------------------------
 
@@ -207,9 +228,10 @@ class RunSpec:
     def baseline_spec(self) -> "RunSpec":
         """The all-capacity-with-THP reference run for this spec.
 
-        Same workload, scale, seed, ratio and capacity kind; the machine
-        collapses to the all-capacity variant under the static
-        no-tiering policy -- the paper's 1.0 normalisation line.
+        Same workload, scale, seed, ratio, capacity kind and fast-tier
+        size (the collapse sums every tier); the machine collapses to
+        the all-capacity variant under the static no-tiering policy --
+        the paper's 1.0 normalisation line.
         """
         return self.replace(
             policy="all-capacity",
@@ -255,6 +277,12 @@ class RunSpec:
                 workload.total_bytes, ratio=self.ratio,
                 capacity_kind=self.capacity_kind,
             )
+            if self.fast_bytes is not None:
+                machine = MachineSpec(
+                    fast_bytes=self.fast_bytes,
+                    capacity_bytes=machine.capacity_bytes,
+                    capacity_kind=self.capacity_kind,
+                )
         if self.machine_variant == "all-capacity":
             machine = machine.collapse_to_slowest()
         elif self.machine_variant == "all-fast":
@@ -342,9 +370,9 @@ class RunSpec:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe dict capturing every result-relevant field.
 
-        ``machine_preset``, ``macro_batch`` and ``timeseries_every``
-        are emitted only when set: historical specs keep their exact
-        serialized layout (and cache keys).
+        ``machine_preset``, ``macro_batch``, ``timeseries_every`` and
+        ``fast_bytes`` are emitted only when set: historical specs keep
+        their exact serialized layout (and cache keys).
         """
         d = {
             "workload": self.workload,
@@ -367,6 +395,8 @@ class RunSpec:
             d["macro_batch"] = self.macro_batch
         if self.timeseries_every:
             d["timeseries_every"] = self.timeseries_every
+        if self.fast_bytes is not None:
+            d["fast_bytes"] = self.fast_bytes
         return d
 
     @classmethod
@@ -413,6 +443,8 @@ class RunSpec:
         parts = [self.workload, self.policy, self.ratio]
         if self.machine_preset is not None:
             parts.append(self.machine_preset)
+        if self.fast_bytes is not None:
+            parts.append(f"fast={self.fast_bytes}B")
         if self.machine_variant != "tiered":
             parts.append(self.machine_variant)
         return " ".join(parts)

@@ -11,6 +11,9 @@ a co-located scenario:
                        make_workload("liblinear", scale)])
     Simulation(mix, MemtisPolicy(), machine).run()
 
+The workload name ``silo+liblinear`` builds the same mix, so
+``RunSpec("silo+liblinear", "memtis")`` runs it as any other cell.
+
 Region keys are namespaced per member (``0:store``, ``1:features``) so
 members cannot collide.
 """

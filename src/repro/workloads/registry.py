@@ -9,6 +9,7 @@ from repro.workloads.base import Workload
 from repro.workloads.btree import BtreeWorkload
 from repro.workloads.graph500 import Graph500Workload
 from repro.workloads.liblinear import LiblinearWorkload
+from repro.workloads.mix import MixWorkload
 from repro.workloads.pagerank import PageRankWorkload
 from repro.workloads.phaseflip import PhaseFlipWorkload
 from repro.workloads.silo import SiloWorkload
@@ -52,11 +53,29 @@ def workload_names() -> List[str]:
 
 
 def make_workload(name: str, scale: ScaleSpec, **kwargs) -> Workload:
-    """Instantiate a registered workload at the given scale."""
+    """Instantiate a workload by name at the given scale.
+
+    Beyond a registered name, ``a+b`` co-locates its members in one
+    :class:`MixWorkload`, and ``name@GB`` sizes a workload at GB paper
+    gigabytes (a positive integer) instead of its own paper RSS.
+    """
+    if "+" in name:
+        return MixWorkload([make_workload(member, scale, **kwargs)
+                            for member in name.split("+")])
+    base, at, size = name.partition("@")
     try:
-        cls = WORKLOAD_REGISTRY[name]
+        cls = WORKLOAD_REGISTRY[base]
     except KeyError:
         raise KeyError(
-            f"unknown workload {name!r}; available: {sorted(WORKLOAD_REGISTRY)}"
+            f"unknown workload {base!r}; available: {sorted(WORKLOAD_REGISTRY)}"
         ) from None
-    return cls.from_scale(scale, **kwargs)
+    if not at:
+        return cls.from_scale(scale, **kwargs)
+    paper_gb = int(size) if size.isdigit() else 0
+    if paper_gb <= 0:
+        raise ValueError(
+            f"malformed workload size in {name!r}: expected name@GB with "
+            "GB a positive integer"
+        )
+    return cls(total_bytes=scale.bytes_for(paper_gb),
+               total_accesses=scale.accesses_for(paper_gb), **kwargs)

@@ -1,6 +1,8 @@
 """Experiment harness: every module runs at smoke scale and produces the
 paper-shaped structure.  Heavier shape checks are marked slow."""
 
+import hashlib
+
 import pytest
 
 from repro.experiments.common import (
@@ -10,6 +12,7 @@ from repro.experiments.common import (
     geomean,
     load_experiment,
 )
+from repro.sim import sweep
 
 
 class TestCommon:
@@ -112,3 +115,31 @@ class TestShapeClaims:
             scale=SMOKE_SCALE, workloads=["silo", "xsbench"]
         )
         assert result.data["average_usage"] < 0.05
+
+
+#: sha256 of ``result.text`` for reduced runs of the RunSpec-list
+#: experiments, computed with the hand-built Simulation loops they
+#: replaced: the sweep must print that text at one worker and at two.
+SWEPT_EXPERIMENTS = [
+    ("fig6", dict(rss_points=[128], policies=["hemem", "memtis"]),
+     "eaad08aef9ae8bf378838d70e48cb06f770b65f366fccd2e4902060e90523181"),
+    ("fig8", dict(workloads=["silo"]),
+     "3151a110db135cfe3f3355813eb01618223a8362d9af1305f428b2cf949cb92c"),
+    ("colocation", dict(pairs=[("silo", "liblinear")]),
+     "4d314ef4c3931ece5619d88af7cb324d63897f327e7ccbdf9c9566e7a91289a8"),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.no_result_cache
+@pytest.mark.parametrize("experiment_id,kwargs,digest", SWEPT_EXPERIMENTS,
+                         ids=[e for e, _, _ in SWEPT_EXPERIMENTS])
+def test_swept_experiment_text_is_pinned_at_one_and_two_workers(
+        experiment_id, kwargs, digest, monkeypatch):
+    texts = []
+    for jobs in (1, 2):
+        monkeypatch.setattr(sweep, "_default_jobs", jobs)
+        texts.append(load_experiment(experiment_id).run(
+            scale=SMOKE_SCALE, **kwargs).text)
+    assert texts[0] == texts[1]
+    assert hashlib.sha256(texts[0].encode()).hexdigest() == digest

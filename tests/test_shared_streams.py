@@ -73,10 +73,13 @@ def _listings(made: list, into: list):
 
 # -- registry-wide differential ------------------------------------------------
 
+#: ``silo+liblinear`` (a MixWorkload, whose region keys are namespaced
+#: ``0:store``) and ``graph500@64`` (an explicit size) check that tee and
+#: replay carry the composite workload names bit for bit.
 REGISTRY_GRID = [
     RunSpec(workload, policy, scale=SMALL, seed=5, machine_preset=preset,
             macro_batch=macro)
-    for workload in ("silo", "603.bwaves")
+    for workload in ("silo", "603.bwaves", "silo+liblinear", "graph500@64")
     for policy in sorted(POLICY_REGISTRY)
     for preset in (None, "dram-cxl-nvm")
     for macro in (0, 65536)
@@ -92,7 +95,7 @@ def live_registry():
 def test_shared_stream_sweep_equals_live_across_registry(jobs, live_registry,
                                                          monkeypatch):
     """Every registry policy x {1:8, dram-cxl-nvm} x macro {0, 65536}:
-    two streams, each shared by 72 cells, replay to the live results."""
+    four streams, each shared by 72 cells, replay to the live results."""
     made = _scratch(monkeypatch)
     seen = []
     out = run_sweep(REGISTRY_GRID, jobs=jobs, cache=None,

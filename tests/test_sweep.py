@@ -15,8 +15,10 @@ from repro.sim.engine import json_safe
 from repro.sim.machine import ScaleSpec
 from repro.sim.runner import RunSpec
 from repro.sim.sweep import SweepError, run_sweep, raise_failures
+from repro.workloads.mix import MixWorkload
+from repro.workloads.registry import make_workload
 
-from conftest import TEST_SCALE
+from conftest import MB, TEST_SCALE
 
 #: The smoke-scale Fig-5 subgrid used by the executor tests.
 GRID = dict(workloads=["silo", "btree"], policies=["tpp", "memtis"],
@@ -88,9 +90,79 @@ class TestCacheKey:
         {"max_accesses": 60_000},
         {"machine_variant": "all-capacity"},
         {"force_base_pages": True},
+        {"fast_bytes": 64 * MB},
+        {"workload": "silo@20"},
+        {"workload": "silo+btree"},
     ])
     def test_every_field_changes_the_key(self, change):
         assert _spec().cache_key() != _spec().replace(**change).cache_key()
+
+
+class TestFastBytesAndWorkloadNames:
+    """``fast_bytes`` and the ``a+b`` / ``name@GB`` workload names."""
+
+    def test_unset_fast_bytes_is_not_serialized(self):
+        assert "fast_bytes" not in _spec().to_dict()
+
+    def test_sized_names_are_distinct_cells_and_streams(self):
+        specs = [_spec(workload=name)
+                 for name in ("graph500", "graph500@128", "graph500@192")]
+        assert len({spec.cache_key() for spec in specs}) == 3
+        assert len({spec.stream_key() for spec in specs}) == 3
+
+    def test_names_build_the_sized_and_mixed_workloads(self):
+        sized = make_workload("graph500@128", TEST_SCALE)
+        assert (sized.total_bytes, sized.total_accesses) == (
+            TEST_SCALE.bytes_for(128), TEST_SCALE.accesses_for(128))
+        mix = make_workload("silo+liblinear", TEST_SCALE)
+        assert isinstance(mix, MixWorkload)
+        assert [m.name for m in mix.members] == ["silo", "liblinear"]
+
+    def test_fast_bytes_and_mix_round_trip(self, tmp_path):
+        spec = _spec(workload="silo+liblinear", fast_bytes=64 * MB)
+        data = json.loads(json.dumps(spec.to_dict()))
+        assert data["fast_bytes"] == 64 * MB
+        assert RunSpec.from_dict(data) == spec
+        assert "fast=" in spec.label()
+        with JobQueue(str(tmp_path / "queue.db")) as queue:
+            queue.enqueue([spec], cache=None)
+            [job] = queue.jobs()
+        assert job.key == spec.cache_key()
+        assert job.spec() == spec
+
+    def test_fast_bytes_sizes_only_the_fast_tier(self):
+        ratio = _spec().build().machine
+        spec = _spec(fast_bytes=64 * MB)
+        machine = spec.build().machine
+        assert machine.fast_bytes == 64 * MB
+        assert machine.capacity_bytes == ratio.capacity_bytes
+        # The baseline keeps it: the all-capacity collapse sums the tiers.
+        baseline = spec.baseline_spec()
+        assert baseline.fast_bytes == 64 * MB
+        assert (baseline.build().machine.capacity_bytes
+                == 64 * MB + ratio.capacity_bytes)
+
+    @pytest.mark.parametrize("change", [
+        {"fast_bytes": 0},
+        {"fast_bytes": -MB},
+        {"fast_bytes": 64 * MB, "machine_preset": "dram-cxl-nvm"},
+    ])
+    def test_bad_fast_bytes_is_refused(self, change):
+        with pytest.raises(ValueError):
+            _spec(**change)
+
+    @pytest.mark.parametrize("name,error", [
+        ("graph500@", ValueError),
+        ("graph500@0", ValueError),
+        ("graph500@1.5", ValueError),
+        ("graph500@big", ValueError),
+        ("nope@128", KeyError),
+        ("silo+", KeyError),
+        ("silo+nope", KeyError),
+    ])
+    def test_malformed_names_raise(self, name, error):
+        with pytest.raises(error):
+            _spec(workload=name).build()
 
 
 class TestResultCache:
