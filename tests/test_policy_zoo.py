@@ -1,16 +1,24 @@
 """Related-work policy zoo: registry wiring, strict runs, snapshot identity.
 
-Coverage contract for the four zoo additions (TierBPF, Nomad,
-HybridTier, ARMS):
+Coverage contract for the registry and the four zoo additions
+(TierBPF, Nomad, HybridTier, ARMS):
 
 * the figure policy lists stay consistent with the registry, so zoo
   growth cannot silently break figure experiments;
-* every zoo policy runs strict-sanitizer-clean in both kernel modes;
+* every registered policy reproduces its pinned result digest on a
+  grid of workloads and machines, strict-sanitizer-clean
+  (``tests/data/policy_digests.json``); the zoo policies do so in both
+  kernel modes;
 * every zoo policy passes the snapshot bit-identity matrix
   (``run(N) == run(k) -> save -> load -> run(N-k)``);
 * the characteristic mechanisms actually engage (admission rejections,
   transactional aborts + shadows, sketch bounds, drift resets).
 """
+
+import hashlib
+import itertools
+import json
+import os
 
 import numpy as np
 import pytest
@@ -60,6 +68,60 @@ def _canon(result):
     return d
 
 
+# -- per-policy digest grid ------------------------------------------------------
+
+DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "data",
+                            "policy_digests.json")
+DIGEST_WORKLOADS = ["silo", "btree", "603.bwaves", "phaseflip"]
+#: Machine label -> RunSpec fields: two two-tier ratios and the 3-tier
+#: preset, so the demotion cascade is pinned too.
+DIGEST_MACHINES = {
+    "1:2": {"ratio": "1:2"},
+    "1:8": {"ratio": "1:8"},
+    "1:8-dram-cxl-nvm": {"ratio": "1:8", "machine_preset": "dram-cxl-nvm"},
+}
+DIGEST_CELLS = list(itertools.product(
+    sorted(POLICY_REGISTRY), DIGEST_WORKLOADS, DIGEST_MACHINES))
+
+
+def _cell_id(policy, workload, machine):
+    return f"{policy}-{workload}-{machine}"
+
+
+def _digest_spec(policy, workload, machine):
+    return RunSpec(workload=workload, policy=policy, seed=11,
+                   scale=TEST_SCALE, check="strict",
+                   **DIGEST_MACHINES[machine])
+
+
+def policy_digest(result) -> str:
+    """sha256 of ``to_dict()`` minus the wall-clock fields.
+
+    ``observability`` stays in, so every policy and engine counter is
+    pinned along with the results.
+    """
+    blob = json.dumps(_canon(result), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _run_digest(policy, workload, machine):
+    spec = _digest_spec(policy, workload, machine)
+    return policy_digest(spec.build().run())
+
+
+def _load_digests():
+    with open(DIGESTS_PATH) as fh:
+        return json.load(fh)
+
+
+def write_digests(path=DIGESTS_PATH):
+    """Record the grid's digests (run once, before a refactor)."""
+    digests = {_cell_id(*cell): _run_digest(*cell) for cell in DIGEST_CELLS}
+    with open(path, "w") as fh:
+        json.dump(digests, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 # -- registry wiring (satellite: FIG5 comment/list consistency) ----------------
 
 
@@ -91,20 +153,35 @@ class TestRegistryWiring:
         assert workload_names() == PAPER_ORDER + ["phaseflip"]
 
 
+def test_digest_grid_covers_the_registry():
+    assert sorted(_load_digests()) == sorted(
+        _cell_id(*cell) for cell in DIGEST_CELLS)
+
+
+@pytest.mark.parametrize("policy,workload,machine", DIGEST_CELLS,
+                         ids=[_cell_id(*cell) for cell in DIGEST_CELLS])
+def test_policy_digest(policy, workload, machine):
+    """A full strict-checked run reproduces the pinned digest exactly.
+
+    The kernel mode is whatever the environment selects; scalar and
+    vectorized runs share one digest file.
+    """
+    pinned = _load_digests()[_cell_id(policy, workload, machine)]
+    assert _run_digest(policy, workload, machine) == pinned
+
+
 # -- strict sanitizer, both kernel modes ---------------------------------------
 
 
 @pytest.mark.parametrize("mode", [kernels.VECTORIZED, kernels.SCALAR])
 @pytest.mark.parametrize("policy", ZOO)
-def test_zoo_strict_clean_in_both_kernel_modes(policy, mode, monkeypatch):
-    """Strict checking raises InvariantViolation on any drift; a clean
-    pass through a full run is the assertion."""
-    monkeypatch.setenv("REPRO_CHECK", "strict")
+def test_zoo_strict_clean_in_both_kernel_modes(policy, mode):
+    """Strict checking raises InvariantViolation on any drift; each
+    forced kernel mode must also land on the grid's pinned digest."""
+    cell = (policy, "silo", "1:8")
     with kernels.forced(mode):
-        spec = _spec(policy, check="strict")
-        result = _build(spec).run(max_accesses=spec.max_accesses)
-    assert result.runtime_ns > 0
-    assert result.metrics.total_accesses >= spec.max_accesses
+        digest = _run_digest(*cell)
+    assert digest == _load_digests()[_cell_id(*cell)]
 
 
 # -- snapshot bit-identity matrix ----------------------------------------------
@@ -242,3 +319,9 @@ class TestPhaseFlipWorkload:
         first_mode = np.bincount(first).argmax()
         last_mode = np.bincount(last).argmax()
         assert first_mode != last_mode
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_policy_zoo.py  rewrites the pinned
+    # digest grid; do it only at a commit whose results are trusted.
+    write_digests()
