@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Write your own tiering policy against the simulator API.
 
-Implements a ~40-line "frequency-threshold" policy from scratch -- PEBS
+Implements a ~30-line "frequency-threshold" policy from scratch -- PEBS
 sampling, a fixed hot bar, background promotion -- and races it against
-MEMTIS and the no-tiering baseline.  Use this as the template for
-experimenting with your own placement ideas.
+MEMTIS and the no-tiering baseline.  The policy writes only its
+classifier and ranking; the moves go through the migration helpers every
+registered policy shares (``fast_heads``, ``demote_in_order``,
+``promote_with_room`` and ``AddressSpace.mapping_heads``).  Use this as
+the template for experimenting with your own placement ideas.
 
 Usage::
 
@@ -17,7 +20,6 @@ import numpy as np
 
 from repro import RunSpec, normalized_performance
 from repro.analysis.tables import format_table
-from repro.mem.pages import BASE_PAGE_SIZE, HUGE_PAGE_SIZE
 from repro.mem.tiers import FASTEST_TIER
 from repro.pebs.sampler import SamplerConfig
 from repro.policies.base import BatchObservation, TieringPolicy, Traits
@@ -37,7 +39,7 @@ class FrequencyThresholdPolicy(TieringPolicy):
     """Promote any page sampled ``hot_after`` times; demote the coldest.
 
     Tiers are plain indices: pages move between ``FASTEST_TIER`` and the
-    tier below it (``tiers.demote_target``).  Deliberately simple: a
+    tier below it (``demote_in_order`` targets it).  Deliberately simple: a
     static threshold, exactly the design the paper argues against --
     compare its hit ratio with MEMTIS's.
     """
@@ -73,8 +75,7 @@ class FrequencyThresholdPolicy(TieringPolicy):
         if obs.samples is None or not len(obs.samples):
             return 0.0
         space = self.ctx.space
-        vpns = obs.samples.vpn
-        heads = np.where(space.page_huge[vpns], (vpns >> 9) << 9, vpns)
+        heads = space.mapping_heads(obs.samples.vpn)
         np.add.at(self._count, heads, 1)
         hot = heads[self._count[heads] >= self.hot_after]
         for vpn in np.unique(hot).tolist():
@@ -86,33 +87,18 @@ class FrequencyThresholdPolicy(TieringPolicy):
         if now_ns < self._next_tick:
             return
         self._next_tick = now_ns + self.period_ns
-        space, tiers = self.ctx.space, self.ctx.tiers
         for vpn in sorted(self._pending):
-            if space.page_tier[vpn] <= FASTEST_TIER:
+            if self.ctx.space.page_tier[vpn] <= FASTEST_TIER:
                 continue
-            nbytes = HUGE_PAGE_SIZE if space.page_huge[vpn] else BASE_PAGE_SIZE
-            if not tiers.fast.can_alloc(nbytes):
-                self._demote_coldest(nbytes)
-            if not tiers.fast.can_alloc(nbytes):
+            if not self.promote_with_room(vpn, self._demote_coldest):
                 break
-            self.ctx.migrator.migrate_page(vpn, FASTEST_TIER, critical=False)
         self._pending.clear()
 
     def _demote_coldest(self, nbytes_needed: int) -> None:
-        space, tiers = self.ctx.space, self.ctx.tiers
-        target = tiers.demote_target(FASTEST_TIER)
-        fast = np.flatnonzero(space.page_tier == FASTEST_TIER)
-        if not len(fast):
-            return
-        heads = np.unique(np.where(space.page_huge[fast], (fast >> 9) << 9, fast))
+        heads = self.fast_heads()
         cold = heads[self._count[heads] < self.hot_after]
-        freed = 0
-        for vpn in cold[np.argsort(self._count[cold])].tolist():
-            if freed >= nbytes_needed:
-                break
-            nbytes = HUGE_PAGE_SIZE if space.page_huge[vpn] else BASE_PAGE_SIZE
-            self.ctx.migrator.migrate_page(vpn, target, critical=False)
-            freed += nbytes
+        order = np.argsort(self._count[cold], kind="stable")
+        self.demote_in_order(cold[order], nbytes_needed)
 
     def on_unmap(self, base_vpn, num_vpns):
         if self._count is not None:

@@ -136,7 +136,6 @@ class KMigrated:
             return
         space = self.ctx.space
         tiers = self.ctx.tiers
-        headroom = int(tiers.fast.capacity_bytes * self.config.free_space_fraction)
         reps = np.fromiter(queue, dtype=np.int64)
         # Sort ascending first: set iteration order depends on insertion
         # history, which differs between the scalar and vectorized
@@ -159,7 +158,7 @@ class KMigrated:
                 # Enqueued under a stale (lower) threshold; no longer hot.
                 queue.discard(rep)
                 continue
-            nbytes = HUGE_PAGE_SIZE if space.page_huge[rep] else BASE_PAGE_SIZE
+            nbytes = space.mapping_bytes(rep)
             if tiers.fast.avail_bytes < nbytes:
                 # Make room by demoting *strictly colder* pages only --
                 # "where there are no cold pages in the fast tier and
@@ -257,6 +256,8 @@ class KMigrated:
         if len(candidates) == 0:
             return
         space = self.ctx.space
+        # Own loop, not TieringPolicy.demote_in_order: the whole victim
+        # prefix moves in one batched migrate_many call.
         # Candidates are unique fast-tier reps; the sequential loop took
         # victims in order until `need` was covered, i.e. the shortest
         # prefix whose cumulative size reaches `need` (or everything).

@@ -268,6 +268,17 @@ class AddressSpace:
         base_is_huge = self.page_huge[:: SUBPAGES_PER_HUGE]
         return np.flatnonzero(base_is_huge)
 
+    def mapping_heads(self, vpns: np.ndarray) -> np.ndarray:
+        """Head vpn of the mapping covering each vpn: the 2 MiB-aligned
+        head under a huge mapping, the vpn itself under a base page."""
+        return np.where(
+            self.page_huge[vpns], (vpns >> HUGE_SHIFT) << HUGE_SHIFT, vpns
+        )
+
+    def mapping_bytes(self, vpn: int) -> int:
+        """Size of the mapping covering ``vpn`` (2 MiB or 4 KiB)."""
+        return HUGE_PAGE_SIZE if self.page_huge[vpn] else BASE_PAGE_SIZE
+
     def tier_of_vpn(self, vpn: int) -> int:
         raw = int(self.page_tier[vpn])
         if raw == TIER_UNMAPPED:

@@ -119,9 +119,7 @@ class ARMSPolicy(TieringPolicy):
         if len(mapped) == 0:
             self._hot_threshold = self.min_repeat
             return
-        heads = np.unique(
-            np.where(space.page_huge[mapped], (mapped >> 9) << 9, mapped)
-        )
+        heads = np.unique(space.mapping_heads(mapped))
         counts = self._count[heads]
         sizes = np.where(
             space.page_huge[heads], HUGE_PAGE_SIZE, BASE_PAGE_SIZE
@@ -145,7 +143,7 @@ class ARMSPolicy(TieringPolicy):
             return 0.0
         space = self.ctx.space
         vpns = samples.vpn
-        heads = np.where(space.page_huge[vpns], (vpns >> 9) << 9, vpns)
+        heads = space.mapping_heads(vpns)
         np.add.at(self._count, heads, 1)
         buckets = (
             vpns.astype(np.int64) * self.DRIFT_BUCKETS // space.num_vpns
@@ -171,45 +169,26 @@ class ARMSPolicy(TieringPolicy):
         self._next_migrate_ns = now_ns + self.migrate_period_ns
         self._refresh_threshold()
         space = self.ctx.space
-        tiers = self.ctx.tiers
-        migrator = self.ctx.migrator
 
         for vpn in sorted(self._candidates):
             if space.page_tier[vpn] <= FASTEST_TIER:
                 continue
             if self._count[vpn] < self._hot_threshold:
                 continue  # threshold moved since enqueue
-            nbytes = HUGE_PAGE_SIZE if space.page_huge[vpn] else BASE_PAGE_SIZE
-            if not tiers.fast.can_alloc(nbytes):
-                self._demote_cold(nbytes)
-            if not tiers.fast.can_alloc(nbytes):
+            if not self.promote_with_room(vpn, self._demote_cold):
                 break
-            migrator.migrate_page(vpn, FASTEST_TIER, critical=False)
             self.promotions += 1
         self._candidates.clear()
 
-        headroom = self.headroom_bytes(self.free_headroom)
-        if tiers.fast.free_bytes < headroom:
-            self._demote_cold(headroom - tiers.fast.free_bytes)
+        deficit = self.headroom_deficit(self.free_headroom)
+        if deficit:
+            self._demote_cold(deficit)
 
     def _demote_cold(self, nbytes_needed: int) -> None:
-        space = self.ctx.space
-        fast = np.flatnonzero(space.page_tier == FASTEST_TIER)
-        if len(fast) == 0:
-            return
-        heads = np.unique(np.where(space.page_huge[fast], (fast >> 9) << 9, fast))
+        heads = self.fast_heads()
         cold = heads[self._count[heads] < self._hot_threshold]
         order = np.argsort(self._count[cold], kind="stable")
-        freed = 0
-        for vpn in cold[order].tolist():
-            if freed >= nbytes_needed:
-                break
-            if space.page_tier[vpn] != FASTEST_TIER:
-                continue
-            nbytes = HUGE_PAGE_SIZE if space.page_huge[vpn] else BASE_PAGE_SIZE
-            self.ctx.migrator.migrate_page(vpn, self.demote_target(), critical=False)
-            self.demotions += 1
-            freed += nbytes
+        self.demotions += self.demote_in_order(cold[order], nbytes_needed)
 
     # -- bookkeeping -----------------------------------------------------------
 

@@ -20,7 +20,6 @@ from typing import Dict
 
 import numpy as np
 
-from repro.mem.pages import BASE_PAGE_SIZE, HUGE_PAGE_SIZE, SUBPAGES_PER_HUGE
 from repro.mem.tiers import FASTEST_TIER
 from repro.policies.base import PolicyContext, TieringPolicy, Traits
 
@@ -65,35 +64,20 @@ class AutoNUMAPolicy(TieringPolicy):
         if now_ns < self._next_scan_ns:
             return
         self._next_scan_ns = now_ns + self.scan_period_ns
-        space = self.ctx.space
-        mapped = space.page_tier >= 0
-        num_mapped = int(np.count_nonzero(mapped))
-        if num_mapped == 0:
-            return
-        window = max(SUBPAGES_PER_HUGE, int(num_mapped * self.scan_fraction))
-        mapped_vpns = np.flatnonzero(mapped)
-        start = self._scan_cursor % len(mapped_vpns)
-        take = mapped_vpns[start : start + window]
-        if len(take) < window:  # wrap around
-            take = np.concatenate([take, mapped_vpns[: window - len(take)]])
-        self._scan_cursor = (start + window) % max(1, len(mapped_vpns))
-        self.protection_mask[take] = True
+        self.protect_scan_window(
+            np.flatnonzero(self.ctx.space.page_tier >= 0), self.scan_fraction
+        )
 
     # -- fault handler ----------------------------------------------------------
 
     def on_hint_faults(self, vpns: np.ndarray) -> float:
         space = self.ctx.space
         critical_ns = 0.0
-        # Unprotect whole mappings (a huge page faults once for all 512).
         for vpn in vpns.tolist():
-            if space.page_huge[vpn]:
-                head = (vpn >> 9) << 9
-                self.protection_mask[head : head + SUBPAGES_PER_HUGE] = False
-            else:
-                self.protection_mask[vpn] = False
+            self.unprotect_mapping(vpn)
             if space.page_tier[vpn] <= FASTEST_TIER:
                 continue  # already on the fastest tier (or unmapped)
-            nbytes = HUGE_PAGE_SIZE if space.page_huge[vpn] else BASE_PAGE_SIZE
+            nbytes = space.mapping_bytes(vpn)
             if not self.ctx.tiers.fast.can_alloc(nbytes):
                 continue  # no demotion: once DRAM is full, promotion stops
             if not self._rate_allows(nbytes):

@@ -20,7 +20,6 @@ from typing import Dict
 
 import numpy as np
 
-from repro.mem.pages import BASE_PAGE_SIZE, HUGE_PAGE_SIZE, SUBPAGES_PER_HUGE
 from repro.mem.tiers import FASTEST_TIER
 from repro.policies.base import PolicyContext, TieringPolicy, Traits
 
@@ -88,35 +87,17 @@ class AutoTieringPolicy(TieringPolicy):
         # and refill the per-interval exchange budget.
         np.right_shift(self._history, 1, out=self._history)
         self._exchange_budget_left = self.exchange_budget_bytes
-        window = max(SUBPAGES_PER_HUGE, int(len(mapped_vpns) * self.scan_fraction))
-        start = self._scan_cursor % len(mapped_vpns)
-        take = mapped_vpns[start : start + window]
-        if len(take) < window:
-            take = np.concatenate([take, mapped_vpns[: window - len(take)]])
-        self._scan_cursor = (start + window) % len(mapped_vpns)
-        self.protection_mask[take] = True
+        self.protect_scan_window(mapped_vpns, self.scan_fraction)
         self._background_demote()
 
     def _background_demote(self) -> None:
         """Keep a promotion reserve free by demoting LFU-coldest pages."""
-        tiers = self.ctx.tiers
-        target_free = self.headroom_bytes(self.reserve_fraction)
-        if tiers.fast.free_bytes >= target_free:
+        need = self.headroom_deficit(self.reserve_fraction)
+        if not need:
             return
-        space = self.ctx.space
-        fast_vpns = np.flatnonzero(space.page_tier == FASTEST_TIER)
-        if len(fast_vpns) == 0:
-            return
+        fast_vpns = np.flatnonzero(self.ctx.space.page_tier == FASTEST_TIER)
         order = np.argsort(self._history[fast_vpns], kind="stable")
-        need = target_free - tiers.fast.free_bytes
-        for vpn in fast_vpns[order].tolist():
-            if need <= 0:
-                break
-            if space.page_tier[vpn] != FASTEST_TIER:
-                continue
-            nbytes = HUGE_PAGE_SIZE if space.page_huge[vpn] else BASE_PAGE_SIZE
-            self.ctx.migrator.migrate_page(vpn, self.demote_target(), critical=False)
-            need -= nbytes
+        self.demote_in_order(fast_vpns[order], need)
 
     # -- fault handler ---------------------------------------------------------
 
@@ -125,18 +106,11 @@ class AutoTieringPolicy(TieringPolicy):
         critical_ns = 0.0
         top_bit = np.uint8(1 << (self.HISTORY_BITS - 1))
         for vpn in vpns.tolist():
-            if space.page_huge[vpn]:
-                head = (vpn >> 9) << 9
-                self.protection_mask[head : head + SUBPAGES_PER_HUGE] = False
-                self._history[head] |= top_bit
-                rep = head
-            else:
-                self.protection_mask[vpn] = False
-                self._history[vpn] |= top_bit
-                rep = vpn
+            rep = self.unprotect_mapping(vpn)
+            self._history[rep] |= top_bit
             if space.page_tier[rep] <= FASTEST_TIER:
                 continue  # already fastest (or unmapped)
-            nbytes = HUGE_PAGE_SIZE if space.page_huge[rep] else BASE_PAGE_SIZE
+            nbytes = space.mapping_bytes(rep)
             if self.ctx.tiers.fast.can_alloc(nbytes):
                 critical_ns += self.ctx.migrator.migrate_page(
                     rep, FASTEST_TIER, critical=True
@@ -151,7 +125,9 @@ class AutoTieringPolicy(TieringPolicy):
 
         Exchanges happen on the fault path (critical); a per-interval
         byte budget keeps the induced latency bounded, as the original
-        system's migration throttling does.
+        system's migration throttling does.  Own step rather than the
+        shared helpers: both moves are critical-path, against a single
+        LFU victim that must be colder than the faulting page.
         """
         if self._exchange_budget_left < 2 * nbytes:
             return 0.0

@@ -23,12 +23,13 @@ from __future__ import annotations
 import abc
 import copy
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
 from repro.mem.address_space import AddressSpace
 from repro.mem.migration import MigrationEngine
+from repro.mem.pages import SUBPAGES_PER_HUGE
 from repro.mem.tiers import FASTEST_TIER, TieredMemory
 from repro.mem.tlb import TLB
 from repro.obs import NULL_TRACER, Observability
@@ -292,12 +293,91 @@ class TieringPolicy(abc.ABC):
         """Scale-floored free-space target (see :func:`scaled_headroom`)."""
         return scaled_headroom(self.ctx.tiers.fast.capacity_bytes, fraction)
 
-    def page_rep_vpn(self, vpn: int) -> int:
-        """Representative vpn of the mapping covering ``vpn``.
+    # -- migration mechanisms shared by the policy zoo ---------------------------
+    #
+    # The compared systems differ in how they classify pages and where
+    # they set thresholds; they move pages with the same primitives.
+    # A policy supplies the ranking and the admission rule and calls
+    # these for the moves.
 
-        For a huge mapping this is the 2 MiB-aligned head, so sets of
-        representative vpns deduplicate subpage events onto pages.
+    def fast_heads(self, mask: Optional[np.ndarray] = None) -> np.ndarray:
+        """Sorted unique heads of the fastest tier's mappings, limited to
+        vpns where ``mask`` (a per-vpn bool array) holds when given."""
+        space = self.ctx.space
+        fast = space.page_tier == FASTEST_TIER
+        if mask is not None:
+            fast &= mask
+        return np.unique(space.mapping_heads(np.flatnonzero(fast)))
+
+    def demote_in_order(self, vpns: np.ndarray, nbytes_needed: int) -> int:
+        """Demote mappings one tier down, in ``vpns`` order, until
+        ``nbytes_needed`` bytes are freed; returns the count moved.
+
+        Entries no longer on the fastest tier are skipped, so ``vpns``
+        may hold several subpages of one huge mapping: the first moves
+        the whole mapping and the rest are passed over.
         """
+        space = self.ctx.space
+        migrator = self.ctx.migrator
+        dst = self.demote_target()
+        freed = moved = 0
+        for vpn in vpns.tolist():
+            if freed >= nbytes_needed:
+                break
+            if space.page_tier[vpn] != FASTEST_TIER:
+                continue
+            freed += space.mapping_bytes(vpn)
+            migrator.migrate_page(vpn, dst, critical=False)
+            moved += 1
+        return moved
+
+    def promote_with_room(
+        self, vpn: int, make_room: Optional[Callable[[int], Any]] = None
+    ) -> bool:
+        """Promote the mapping headed by ``vpn`` off the critical path.
+
+        When it does not fit, ``make_room(nbytes)`` gets one chance to
+        free space; returns False, moving nothing, if it still does not
+        fit.
+        """
+        nbytes = self.ctx.space.mapping_bytes(vpn)
+        fast = self.ctx.tiers.fast
+        if not fast.can_alloc(nbytes) and make_room is not None:
+            make_room(nbytes)
+        if not fast.can_alloc(nbytes):
+            return False
+        self.ctx.migrator.migrate_page(vpn, FASTEST_TIER, critical=False)
+        return True
+
+    def headroom_deficit(self, fraction: float) -> int:
+        """Bytes the fastest tier lacks to reach its free-space target
+        (:meth:`headroom_bytes`); 0 when the target holds."""
+        return max(0, self.headroom_bytes(fraction) - self.ctx.tiers.fast.free_bytes)
+
+    def protect_scan_window(self, pool: np.ndarray, fraction: float) -> None:
+        """Arm hint faults on the next window of ``pool``.
+
+        The window covers ``fraction`` of the pool (at least a huge
+        page's worth of vpns), starts at the policy's ``_scan_cursor``
+        and wraps around the pool's end.  An empty pool arms nothing.
+        """
+        if len(pool) == 0:
+            return
+        window = max(SUBPAGES_PER_HUGE, int(len(pool) * fraction))
+        start = self._scan_cursor % len(pool)
+        take = pool[start : start + window]
+        if len(take) < window:
+            take = np.concatenate([take, pool[: window - len(take)]])
+        self._scan_cursor = (start + window) % len(pool)
+        self.protection_mask[take] = True
+
+    def unprotect_mapping(self, vpn: int) -> int:
+        """Disarm the hint fault on the whole mapping covering ``vpn``
+        (a huge page faults once for all 512 subpages); returns its
+        head."""
         if self.ctx.space.page_huge[vpn]:
-            return (vpn >> 9) << 9
+            head = (vpn >> 9) << 9
+            self.protection_mask[head : head + SUBPAGES_PER_HUGE] = False
+            return head
+        self.protection_mask[vpn] = False
         return vpn

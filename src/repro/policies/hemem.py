@@ -114,7 +114,7 @@ class HeMemPolicy(TieringPolicy):
             return 0.0
         space = self.ctx.space
         vpns = samples.vpn
-        heads = np.where(space.page_huge[vpns], (vpns >> 9) << 9, vpns)
+        heads = space.mapping_heads(vpns)
         np.add.at(self._count, heads, 1)
         # Static hot threshold: enqueue capacity pages crossing the bar.
         hot = heads[self._count[heads] >= self.hot_threshold]
@@ -134,54 +134,33 @@ class HeMemPolicy(TieringPolicy):
             return
         self._next_migrate_ns = now_ns + self.migrate_period_ns
         space = self.ctx.space
-        tiers = self.ctx.tiers
 
         # Anti-thrashing: stop migrating when the classified hot set
         # exceeds DRAM (§7 "HeMem halts both page promotion and demotion
         # when the hot set size exceeds the fast tier size").
-        if self._hot_bytes() > tiers.fast.capacity_bytes:
+        if self._hot_bytes() > self.ctx.tiers.fast.capacity_bytes:
             self.halted_ticks += 1
             self._promote.clear()
             return
 
-        migrator = self.ctx.migrator
         for vpn in sorted(self._promote):
             if space.page_tier[vpn] <= FASTEST_TIER:
                 continue
-            nbytes = HUGE_PAGE_SIZE if space.page_huge[vpn] else BASE_PAGE_SIZE
-            if not tiers.fast.can_alloc(nbytes):
-                self._demote_cold(nbytes)
-            if not tiers.fast.can_alloc(nbytes):
+            if not self.promote_with_room(vpn, self._demote_cold):
                 break
-            migrator.migrate_page(vpn, FASTEST_TIER, critical=False)
             self.promotions += 1
         self._promote.clear()
 
-        headroom = self.headroom_bytes(self.free_headroom)
-        if tiers.fast.free_bytes < headroom:
-            self._demote_cold(headroom - tiers.fast.free_bytes)
+        deficit = self.headroom_deficit(self.free_headroom)
+        if deficit:
+            self._demote_cold(deficit)
 
     def _demote_cold(self, nbytes_needed: int) -> None:
         """Demote the coldest unpinned fast-tier pages."""
-        space = self.ctx.space
-        fast = np.flatnonzero(
-            (space.page_tier == FASTEST_TIER) & ~self._pinned
-        )
-        if len(fast) == 0:
-            return
-        heads = np.unique(np.where(space.page_huge[fast], (fast >> 9) << 9, fast))
+        heads = self.fast_heads(~self._pinned)
         cold = heads[self._count[heads] < self.hot_threshold]
         order = np.argsort(self._count[cold], kind="stable")
-        freed = 0
-        for vpn in cold[order].tolist():
-            if freed >= nbytes_needed:
-                break
-            if space.page_tier[vpn] != FASTEST_TIER:
-                continue
-            nbytes = HUGE_PAGE_SIZE if space.page_huge[vpn] else BASE_PAGE_SIZE
-            self.ctx.migrator.migrate_page(vpn, self.demote_target(), critical=False)
-            self.demotions += 1
-            freed += nbytes
+        self.demotions += self.demote_in_order(cold[order], nbytes_needed)
 
     # -- reporting ------------------------------------------------------------------
 

@@ -30,10 +30,9 @@ from typing import Dict, Set
 
 import numpy as np
 
-from repro.mem.pages import BASE_PAGE_SIZE, HUGE_PAGE_SIZE
 from repro.mem.tiers import FASTEST_TIER
 from repro.pebs.sampler import SamplerConfig
-from repro.policies.base import BatchObservation, PolicyContext, TieringPolicy, Traits
+from repro.policies.base import BatchObservation, TieringPolicy, Traits
 
 #: Fixed odd multipliers for multiply-shift hashing, one per sketch row
 #: (split-mix style constants; any fixed odd value works, these just
@@ -118,8 +117,7 @@ class HybridTierPolicy(TieringPolicy):
         if samples is None or len(samples) == 0:
             return 0.0
         space = self.ctx.space
-        vpns = samples.vpn
-        heads = np.where(space.page_huge[vpns], (vpns >> 9) << 9, vpns)
+        heads = space.mapping_heads(samples.vpn)
         buckets = self._buckets(heads)
         for d in range(self.depth):
             np.add.at(self._sketch[d], buckets[d], 1)
@@ -140,24 +138,18 @@ class HybridTierPolicy(TieringPolicy):
             return
         self._next_migrate_ns = now_ns + self.migrate_period_ns
         space = self.ctx.space
-        tiers = self.ctx.tiers
-        migrator = self.ctx.migrator
 
         for vpn in sorted(self._candidates):
             if space.page_tier[vpn] <= FASTEST_TIER:
                 continue
-            nbytes = HUGE_PAGE_SIZE if space.page_huge[vpn] else BASE_PAGE_SIZE
-            if not tiers.fast.can_alloc(nbytes):
-                self._demote_cold(nbytes)
-            if not tiers.fast.can_alloc(nbytes):
+            if not self.promote_with_room(vpn, self._demote_cold):
                 break
-            migrator.migrate_page(vpn, FASTEST_TIER, critical=False)
             self.promotions += 1
         self._candidates.clear()
 
-        headroom = self.headroom_bytes(self.free_headroom)
-        if tiers.fast.free_bytes < headroom:
-            self._demote_cold(headroom - tiers.fast.free_bytes)
+        deficit = self.headroom_deficit(self.free_headroom)
+        if deficit:
+            self._demote_cold(deficit)
 
     def _demote_cold(self, nbytes_needed: int) -> None:
         """Demote fast pages with the lowest sketched estimates.
@@ -165,22 +157,9 @@ class HybridTierPolicy(TieringPolicy):
         Collisions bite here too: a cold page aliased with a hot one
         over-estimates and survives demotion rounds it should lose.
         """
-        space = self.ctx.space
-        fast = np.flatnonzero(space.page_tier == FASTEST_TIER)
-        if len(fast) == 0:
-            return
-        heads = np.unique(np.where(space.page_huge[fast], (fast >> 9) << 9, fast))
+        heads = self.fast_heads()
         order = np.argsort(self._estimate(heads), kind="stable")
-        freed = 0
-        for vpn in heads[order].tolist():
-            if freed >= nbytes_needed:
-                break
-            if space.page_tier[vpn] != FASTEST_TIER:
-                continue
-            nbytes = HUGE_PAGE_SIZE if space.page_huge[vpn] else BASE_PAGE_SIZE
-            self.ctx.migrator.migrate_page(vpn, self.demote_target(), critical=False)
-            self.demotions += 1
-            freed += nbytes
+        self.demotions += self.demote_in_order(heads[order], nbytes_needed)
 
     # -- bookkeeping -----------------------------------------------------------
 

@@ -16,7 +16,6 @@ from typing import Dict
 
 import numpy as np
 
-from repro.mem.pages import BASE_PAGE_SIZE, HUGE_PAGE_SIZE
 from repro.mem.tiers import FASTEST_TIER
 from repro.policies.base import PolicyContext, TieringPolicy, Traits
 
@@ -74,51 +73,19 @@ class MultiClockPolicy(TieringPolicy):
             (self._streak >= self.PROMOTION_STREAK)
             & (space.page_tier > FASTEST_TIER)
         )
-        hot = self._page_reps(hot)
-        migrator = self.ctx.migrator
-        for vpn in hot.tolist():
-            nbytes = HUGE_PAGE_SIZE if space.page_huge[vpn] else BASE_PAGE_SIZE
-            if not self.ctx.tiers.fast.can_alloc(nbytes):
-                self._demote_for_space(nbytes)
-            if not self.ctx.tiers.fast.can_alloc(nbytes):
+        for vpn in np.unique(space.mapping_heads(hot)).tolist():
+            if not self.promote_with_room(vpn, self._demote_for_space):
                 break
-            migrator.migrate_page(vpn, FASTEST_TIER, critical=False)
             self.promotions += 1
-        self._demote_watermark()
+        deficit = self.headroom_deficit(self.free_watermark)
+        if deficit:
+            self._demote_for_space(deficit)
         space.ref_bit[mapped] = False
 
-    def _page_reps(self, vpns: np.ndarray) -> np.ndarray:
-        space = self.ctx.space
-        if len(vpns) == 0:
-            return vpns
-        heads = np.where(space.page_huge[vpns], (vpns >> 9) << 9, vpns)
-        return np.unique(heads)
-
-    def _demotion_candidates(self) -> np.ndarray:
-        space = self.ctx.space
-        cold_fast = np.flatnonzero(
-            (space.page_tier == FASTEST_TIER) & (self._streak == 0)
-        )
-        return self._page_reps(cold_fast)
-
     def _demote_for_space(self, nbytes_needed: int) -> None:
-        space = self.ctx.space
-        freed = 0
-        for vpn in self._demotion_candidates().tolist():
-            if freed >= nbytes_needed:
-                break
-            if space.page_tier[vpn] != FASTEST_TIER:
-                continue
-            nbytes = HUGE_PAGE_SIZE if space.page_huge[vpn] else BASE_PAGE_SIZE
-            self.ctx.migrator.migrate_page(vpn, self.demote_target(), critical=False)
-            self.demotions += 1
-            freed += nbytes
-
-    def _demote_watermark(self) -> None:
-        tiers = self.ctx.tiers
-        target = self.headroom_bytes(self.free_watermark)
-        if tiers.fast.free_bytes < target:
-            self._demote_for_space(target - tiers.fast.free_bytes)
+        # Victims: fast pages whose CLOCK hand found them unreferenced.
+        cold = self.fast_heads(self._streak == 0)
+        self.demotions += self.demote_in_order(cold, nbytes_needed)
 
     def on_batch(self, obs) -> float:
         ns, self._scan_cpu_ns = self._scan_cpu_ns, 0.0

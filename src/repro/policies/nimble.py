@@ -20,9 +20,8 @@ from typing import Dict
 
 import numpy as np
 
-from repro.mem.pages import BASE_PAGE_SIZE, HUGE_PAGE_SIZE
 from repro.mem.tiers import FASTEST_TIER
-from repro.policies.base import PolicyContext, TieringPolicy, Traits
+from repro.policies.base import TieringPolicy, Traits
 
 
 class NimblePolicy(TieringPolicy):
@@ -54,9 +53,6 @@ class NimblePolicy(TieringPolicy):
         self.promotions = 0
         self.demotions = 0
 
-    def bind(self, ctx: PolicyContext) -> None:
-        super().bind(ctx)
-
     def on_tick(self, now_ns: float) -> None:
         if now_ns < self._next_scan_ns:
             return
@@ -67,26 +63,24 @@ class NimblePolicy(TieringPolicy):
         # Full page-table scan cost (kernel thread, grows with footprint).
         self._scan_cpu_ns += num_mapped * self.scan_ns_per_page
 
-        referenced = space.ref_bit & mapped
-        hot_cap = np.flatnonzero(referenced & (space.page_tier > FASTEST_TIER))
-        cold_fast = np.flatnonzero(
-            mapped & ~space.ref_bit & (space.page_tier == FASTEST_TIER)
-        )
-        # Deduplicate to page representatives (huge page heads).  The
-        # promotion order is arbitrary (LRU-list order in the original);
-        # shuffle so no address range is systematically favoured.
-        hot_cap = self.ctx.rng.permutation(self._page_reps(hot_cap))
-        cold_fast = self._page_reps(cold_fast)
+        hot_cap = np.flatnonzero(space.ref_bit & (space.page_tier > FASTEST_TIER))
+        # Deduplicate to page heads.  The promotion order is arbitrary
+        # (LRU-list order in the original); shuffle so no address range
+        # is systematically favoured.
+        hot_cap = self.ctx.rng.permutation(np.unique(space.mapping_heads(hot_cap)))
+        cold_fast = self.fast_heads(~space.ref_bit)
 
         # Exchange-based migration: promote hot capacity pages, demoting
         # cold fast pages to make room.  Budget caps one interval's churn.
         budget = int(
             self.ctx.tiers.fast.capacity_bytes * self.exchange_budget_fraction
         )
+        # Own victim loop: one iterator is drained across all promotions
+        # of the interval, not re-ranked per promotion.
         migrator = self.ctx.migrator
         cold_iter = iter(cold_fast.tolist())
         for vpn in hot_cap.tolist():
-            nbytes = HUGE_PAGE_SIZE if space.page_huge[vpn] else BASE_PAGE_SIZE
+            nbytes = space.mapping_bytes(vpn)
             if budget < nbytes:
                 break
             while not self.ctx.tiers.fast.can_alloc(nbytes):
@@ -105,13 +99,6 @@ class NimblePolicy(TieringPolicy):
 
         # Harvest: clear reference bits for the next interval.
         space.ref_bit[mapped] = False
-
-    def _page_reps(self, vpns: np.ndarray) -> np.ndarray:
-        space = self.ctx.space
-        if len(vpns) == 0:
-            return vpns
-        heads = np.where(space.page_huge[vpns], (vpns >> 9) << 9, vpns)
-        return np.unique(heads)
 
     def on_batch(self, obs) -> float:
         # The scanning thread competes for CPU on a saturated machine;

@@ -35,7 +35,6 @@ from typing import Dict, Set
 
 import numpy as np
 
-from repro.mem.pages import BASE_PAGE_SIZE, HUGE_PAGE_SIZE
 from repro.mem.tiers import FASTEST_TIER
 from repro.pebs.sampler import SamplerConfig
 from repro.policies.base import BatchObservation, PolicyContext, TieringPolicy, Traits
@@ -108,9 +107,6 @@ class NomadPolicy(TieringPolicy):
 
     # -- helpers ---------------------------------------------------------------
 
-    def _page_bytes(self, vpn: int) -> int:
-        return HUGE_PAGE_SIZE if self.ctx.space.page_huge[vpn] else BASE_PAGE_SIZE
-
     def _drop_shadow(self, vpn: int) -> None:
         self._shadow[vpn] = False
         self._shadow_bytes -= int(self._shadow_nbytes[vpn])
@@ -126,7 +122,7 @@ class NomadPolicy(TieringPolicy):
         for vpn in shadowed[order].tolist():
             if freed >= nbytes_needed:
                 break
-            nbytes = self._page_bytes(vpn)
+            nbytes = self.ctx.space.mapping_bytes(vpn)
             self._drop_shadow(vpn)
             self.shadow_reclaims += 1
             freed += nbytes
@@ -151,8 +147,7 @@ class NomadPolicy(TieringPolicy):
         if samples is None or len(samples) == 0:
             return 0.0
         space = self.ctx.space
-        vpns = samples.vpn
-        heads = np.where(space.page_huge[vpns], (vpns >> 9) << 9, vpns)
+        heads = space.mapping_heads(samples.vpn)
         np.add.at(self._count, heads, 1)
         # Sampled stores dirty the page: open transactions on it will
         # abort, and a clean shadow of it is stale.
@@ -184,26 +179,22 @@ class NomadPolicy(TieringPolicy):
         self._next_migrate_ns = now_ns + self.migrate_period_ns
         space = self.ctx.space
         tiers = self.ctx.tiers
-        migrator = self.ctx.migrator
         self._shadow_pressure()
 
         for vpn in sorted(self._pending):
             if space.page_tier[vpn] <= FASTEST_TIER:
                 continue
-            nbytes = self._page_bytes(vpn)
+            nbytes = space.mapping_bytes(vpn)
             if self._dirty[vpn]:
                 # Abort: the copy happened, a concurrent write won the
                 # race, the transaction rolls back.  Bus time is spent;
                 # nothing moves.
-                migrator.charge_side_copy(nbytes, critical=False)
+                self.ctx.migrator.charge_side_copy(nbytes, critical=False)
                 self.aborts += 1
                 self.aborted_copy_bytes += nbytes
                 continue
-            if not tiers.fast.can_alloc(nbytes):
-                self._demote_cold(nbytes)
-            if not tiers.fast.can_alloc(nbytes):
+            if not self.promote_with_room(vpn, self._demote_cold):
                 break
-            migrator.migrate_page(vpn, FASTEST_TIER, critical=False)
             self.commits += 1
             # Non-exclusive tiering: keep the slow frame as a clean
             # shadow if the slow tier still has the spare capacity.
@@ -219,9 +210,9 @@ class NomadPolicy(TieringPolicy):
                 self.shadow_reclaims += 1
         self._pending.clear()
 
-        headroom = self.headroom_bytes(self.free_headroom)
-        if tiers.fast.free_bytes < headroom:
-            self._demote_cold(headroom - tiers.fast.free_bytes)
+        deficit = self.headroom_deficit(self.free_headroom)
+        if deficit:
+            self._demote_cold(deficit)
         self._shadow_pressure()
 
     def _demote_cold(self, nbytes_needed: int) -> None:
@@ -233,19 +224,17 @@ class NomadPolicy(TieringPolicy):
         accounting shrinks by the same amount the tier allocation grows.
         """
         space = self.ctx.space
-        fast = np.flatnonzero(space.page_tier == FASTEST_TIER)
-        if len(fast) == 0:
-            return
-        heads = np.unique(np.where(space.page_huge[fast], (fast >> 9) << 9, fast))
+        heads = self.fast_heads()
         order = np.argsort(self._count[heads], kind="stable")
         dst = self.demote_target()
         freed = 0
+        # Own loop: each victim picks a copy-free remap or a copy.
         for vpn in heads[order].tolist():
             if freed >= nbytes_needed:
                 break
             if space.page_tier[vpn] != FASTEST_TIER:
                 continue
-            nbytes = self._page_bytes(vpn)
+            nbytes = space.mapping_bytes(vpn)
             if self._shadow[vpn] and not self._dirty[vpn]:
                 # The shadow frame becomes the real mapping again; free
                 # its fictive bytes first so the engine's allocation

@@ -140,6 +140,8 @@ class ThermostatPolicy(TieringPolicy):
         budget = int(len(measured) * self.cold_fraction_target)
         cold_list = idle[:budget].tolist()
         migrator = self.ctx.migrator
+        # Own loops: placement moves whole huge pages by hpn, never a
+        # base page, so the head/size-generic helpers do not apply.
         # Demote classified-cold pages out of DRAM first...
         for hpn in cold_list:
             if space.page_tier[hpn << 9] == FASTEST_TIER:

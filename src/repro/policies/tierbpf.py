@@ -34,7 +34,6 @@ from typing import Dict, Set
 
 import numpy as np
 
-from repro.mem.pages import BASE_PAGE_SIZE, HUGE_PAGE_SIZE
 from repro.mem.tiers import FASTEST_TIER
 from repro.pebs.sampler import SamplerConfig
 from repro.policies.base import BatchObservation, PolicyContext, TieringPolicy, Traits
@@ -121,8 +120,7 @@ class TierBPFPolicy(TieringPolicy):
         if samples is None or len(samples) == 0:
             return 0.0
         space = self.ctx.space
-        vpns = samples.vpn
-        heads = np.where(space.page_huge[vpns], (vpns >> 9) << 9, vpns)
+        heads = space.mapping_heads(samples.vpn)
         np.add.at(self._count, heads, 1)
         hot = heads[self._count[heads] >= self.hot_threshold]
         for vpn in np.unique(hot).tolist():
@@ -151,13 +149,11 @@ class TierBPFPolicy(TieringPolicy):
             return
         self._next_migrate_ns = now_ns + self.migrate_period_ns
         space = self.ctx.space
-        tiers = self.ctx.tiers
-        migrator = self.ctx.migrator
 
         for vpn in sorted(self._candidates):
             if space.page_tier[vpn] <= FASTEST_TIER:
                 continue
-            nbytes = HUGE_PAGE_SIZE if space.page_huge[vpn] else BASE_PAGE_SIZE
+            nbytes = space.mapping_bytes(vpn)
             benefit = self._predicted_benefit_ns(vpn)
             cost = self._migration_cost_ns(nbytes)
             if benefit < cost * self.benefit_margin:
@@ -166,38 +162,22 @@ class TierBPFPolicy(TieringPolicy):
             if self._tokens < nbytes:
                 self.rejected_budget += 1
                 continue
-            if not tiers.fast.can_alloc(nbytes):
-                self._demote_cold(nbytes)
-            if not tiers.fast.can_alloc(nbytes):
+            if not self.promote_with_room(vpn, self._demote_cold):
                 break
-            migrator.migrate_page(vpn, FASTEST_TIER, critical=False)
             self._tokens -= nbytes
             self.admitted += 1
         self._candidates.clear()
 
-        headroom = self.headroom_bytes(self.free_headroom)
-        if tiers.fast.free_bytes < headroom:
-            self._demote_cold(headroom - tiers.fast.free_bytes)
+        deficit = self.headroom_deficit(self.free_headroom)
+        if deficit:
+            self._demote_cold(deficit)
 
     def _demote_cold(self, nbytes_needed: int) -> None:
         """Demote the coldest fast-tier pages (demotions are not gated:
         the admission filter protects the *promotion* path only)."""
-        space = self.ctx.space
-        fast = np.flatnonzero(space.page_tier == FASTEST_TIER)
-        if len(fast) == 0:
-            return
-        heads = np.unique(np.where(space.page_huge[fast], (fast >> 9) << 9, fast))
+        heads = self.fast_heads()
         order = np.argsort(self._count[heads], kind="stable")
-        freed = 0
-        for vpn in heads[order].tolist():
-            if freed >= nbytes_needed:
-                break
-            if space.page_tier[vpn] != FASTEST_TIER:
-                continue
-            nbytes = HUGE_PAGE_SIZE if space.page_huge[vpn] else BASE_PAGE_SIZE
-            self.ctx.migrator.migrate_page(vpn, self.demote_target(), critical=False)
-            self.demotions += 1
-            freed += nbytes
+        self.demotions += self.demote_in_order(heads[order], nbytes_needed)
 
     # -- bookkeeping -----------------------------------------------------------
 

@@ -18,7 +18,6 @@ from typing import Dict
 
 import numpy as np
 
-from repro.mem.pages import BASE_PAGE_SIZE, HUGE_PAGE_SIZE, SUBPAGES_PER_HUGE
 from repro.mem.tiers import FASTEST_TIER
 from repro.policies.base import PolicyContext, TieringPolicy, Traits
 
@@ -72,42 +71,23 @@ class Tiering08Policy(TieringPolicy):
         if now_ns < self._next_scan_ns:
             return
         self._next_scan_ns = now_ns + self.scan_period_ns
-        space = self.ctx.space
-        mapped_vpns = np.flatnonzero(space.page_tier >= 0)
-        if len(mapped_vpns) == 0:
-            return
-        window = max(SUBPAGES_PER_HUGE, int(len(mapped_vpns) * self.scan_fraction))
-        start = self._scan_cursor % len(mapped_vpns)
-        take = mapped_vpns[start : start + window]
-        if len(take) < window:
-            take = np.concatenate([take, mapped_vpns[: window - len(take)]])
-        self._scan_cursor = (start + window) % len(mapped_vpns)
-        self.protection_mask[take] = True
+        self.protect_scan_window(
+            np.flatnonzero(self.ctx.space.page_tier >= 0), self.scan_fraction
+        )
         self._reclaim_demote()
 
     def _reclaim_demote(self) -> None:
         """kswapd: demote non-referenced fast pages below the watermark."""
-        tiers = self.ctx.tiers
-        target = self.headroom_bytes(self.free_watermark)
-        if tiers.fast.free_bytes >= target:
+        need = self.headroom_deficit(self.free_watermark)
+        if not need:
             return
         space = self.ctx.space
         fast_vpns = np.flatnonzero(space.page_tier == FASTEST_TIER)
-        if len(fast_vpns) == 0:
-            return
         # Reclaim only scans the inactive list: non-referenced pages,
         # oldest hint-fault time first.
         inactive = fast_vpns[~space.ref_bit[fast_vpns]]
         order = np.argsort(self._last_fault_ns[inactive], kind="stable")
-        need = target - tiers.fast.free_bytes
-        for vpn in inactive[order].tolist():
-            if need <= 0:
-                break
-            if space.page_tier[vpn] != FASTEST_TIER:
-                continue
-            nbytes = HUGE_PAGE_SIZE if space.page_huge[vpn] else BASE_PAGE_SIZE
-            self.ctx.migrator.migrate_page(vpn, self.demote_target(), critical=False)
-            need -= nbytes
+        self.demote_in_order(inactive[order], need)
         # Clear reference bits so the next window measures fresh recency.
         space.ref_bit[fast_vpns] = False
 
@@ -117,18 +97,14 @@ class Tiering08Policy(TieringPolicy):
         space = self.ctx.space
         critical_ns = 0.0
         for vpn in vpns.tolist():
-            rep = self.page_rep_vpn(vpn)
-            if space.page_huge[vpn]:
-                self.protection_mask[rep : rep + SUBPAGES_PER_HUGE] = False
-            else:
-                self.protection_mask[vpn] = False
+            rep = self.unprotect_mapping(vpn)
             last = self._last_fault_ns[rep]
             self._last_fault_ns[rep] = self._now_ns
             if space.page_tier[rep] <= FASTEST_TIER:
                 continue
             if self._now_ns - last > self.refault_window_ns:
                 continue  # re-fault too slow: not promotion material
-            nbytes = HUGE_PAGE_SIZE if space.page_huge[rep] else BASE_PAGE_SIZE
+            nbytes = space.mapping_bytes(rep)
             if not self._rate_allows(nbytes):
                 self.throttled += 1
                 continue

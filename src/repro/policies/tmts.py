@@ -21,7 +21,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.mem.pages import BASE_PAGE_SIZE, HUGE_PAGE_SIZE, SUBPAGES_PER_HUGE
+from repro.mem.pages import SUBPAGES_PER_HUGE
 from repro.mem.tiers import FASTEST_TIER
 from repro.pebs.sampler import SamplerConfig
 from repro.policies.base import BatchObservation, PolicyContext, TieringPolicy, Traits
@@ -76,8 +76,7 @@ class TMTSPolicy(TieringPolicy):
         if obs.samples is None or not len(obs.samples):
             return 0.0
         space = self.ctx.space
-        vpns = obs.samples.vpn
-        heads = np.where(space.page_huge[vpns], (vpns >> 9) << 9, vpns)
+        heads = space.mapping_heads(obs.samples.vpn)
         on_capacity = heads[space.page_tier[heads] > FASTEST_TIER]
         self._promote.update(int(v) for v in np.unique(on_capacity))
         return 0.0
@@ -129,41 +128,38 @@ class TMTSPolicy(TieringPolicy):
         migrator = self.ctx.migrator
 
         # Demote pages idle beyond the adaptive age (split huge first).
-        fast = np.flatnonzero(space.page_tier == FASTEST_TIER)
-        if len(fast):
-            heads = np.unique(np.where(space.page_huge[fast],
-                                       (fast >> 9) << 9, fast))
-            old = heads[self._idle_age[heads] >= self.demotion_age_threshold]
-            headroom = self.headroom_bytes(0.02)
-            for vpn in old.tolist():
-                if tiers.fast.free_bytes >= headroom:
-                    break
-                if space.page_tier[vpn] != FASTEST_TIER:
-                    continue
-                if space.page_huge[vpn]:
-                    # "All demoted huge pages ... undergo splitting upon
-                    # demotion" (§8) -- no skew consideration.
-                    hpn = vpn >> 9
-                    touched = space.touched[vpn : vpn + SUBPAGES_PER_HUGE]
-                    demote_to = self.demote_target()
-                    subpage_tiers = [
-                        demote_to if touched[j] else None
-                        for j in range(SUBPAGES_PER_HUGE)
-                    ]
-                    migrator.split_huge(hpn, subpage_tiers, critical=False)
-                    self.splits_on_demotion += 1
-                else:
-                    migrator.migrate_base(vpn, self.demote_target(), critical=False)
-                self.demotions += 1
+        # Own loop: a split frees only the touched subpages' bytes, so
+        # the stop test reads the tier's free bytes live.
+        heads = self.fast_heads()
+        old = heads[self._idle_age[heads] >= self.demotion_age_threshold]
+        headroom = self.headroom_bytes(0.02)
+        for vpn in old.tolist():
+            if tiers.fast.free_bytes >= headroom:
+                break
+            if space.page_tier[vpn] != FASTEST_TIER:
+                continue
+            if space.page_huge[vpn]:
+                # "All demoted huge pages ... undergo splitting upon
+                # demotion" (§8) -- no skew consideration.
+                hpn = vpn >> 9
+                touched = space.touched[vpn : vpn + SUBPAGES_PER_HUGE]
+                demote_to = self.demote_target()
+                subpage_tiers = [
+                    demote_to if touched[j] else None
+                    for j in range(SUBPAGES_PER_HUGE)
+                ]
+                migrator.split_huge(hpn, subpage_tiers, critical=False)
+                self.splits_on_demotion += 1
+            else:
+                migrator.migrate_base(vpn, self.demote_target(), critical=False)
+            self.demotions += 1
 
         # Promote sampled pages while room remains.
         for vpn in sorted(self._promote):
             if space.page_tier[vpn] <= FASTEST_TIER:
                 continue
-            nbytes = HUGE_PAGE_SIZE if space.page_huge[vpn] else BASE_PAGE_SIZE
-            if not tiers.fast.can_alloc(nbytes):
+            if not self.promote_with_room(vpn):
                 break
-            migrator.migrate_page(vpn, FASTEST_TIER, critical=False)
             self.promotions += 1
         self._promote.clear()
 

@@ -20,7 +20,6 @@ from typing import Dict
 
 import numpy as np
 
-from repro.mem.pages import BASE_PAGE_SIZE, HUGE_PAGE_SIZE, SUBPAGES_PER_HUGE
 from repro.mem.tiers import FASTEST_TIER
 from repro.policies.base import PolicyContext, TieringPolicy, Traits
 
@@ -80,42 +79,24 @@ class TPPPolicy(TieringPolicy):
         if now_ns < self._next_scan_ns:
             return
         self._next_scan_ns = now_ns + self.scan_period_ns
-        space = self.ctx.space
         # TPP tracks only capacity-tier (CXL/NVM) pages with hint faults.
-        cap_vpns = np.flatnonzero(space.page_tier > FASTEST_TIER)
-        if len(cap_vpns):
-            window = max(SUBPAGES_PER_HUGE, int(len(cap_vpns) * self.scan_fraction))
-            start = self._scan_cursor % len(cap_vpns)
-            take = cap_vpns[start : start + window]
-            if len(take) < window:
-                take = np.concatenate([take, cap_vpns[: window - len(take)]])
-            self._scan_cursor = (start + window) % len(cap_vpns)
-            self.protection_mask[take] = True
+        self.protect_scan_window(
+            np.flatnonzero(self.ctx.space.page_tier > FASTEST_TIER),
+            self.scan_fraction,
+        )
         self._demote_for_headroom()
 
     def _demote_for_headroom(self) -> None:
-        tiers = self.ctx.tiers
-        target = self.headroom_bytes(self.free_headroom)
-        if tiers.fast.free_bytes >= target:
+        need = self.headroom_deficit(self.free_headroom)
+        if not need:
             return
         space = self.ctx.space
         fast_vpns = np.flatnonzero(space.page_tier == FASTEST_TIER)
-        if len(fast_vpns) == 0:
-            return
         # LRU approximation: only *inactive* (non-referenced) pages are
         # demotion candidates; when the whole fast tier is active the
         # demotion daemon stalls, exactly like an empty inactive list.
         inactive = fast_vpns[~space.ref_bit[fast_vpns]]
-        need = target - tiers.fast.free_bytes
-        for vpn in inactive.tolist():
-            if need <= 0:
-                break
-            if space.page_tier[vpn] != FASTEST_TIER:
-                continue
-            nbytes = HUGE_PAGE_SIZE if space.page_huge[vpn] else BASE_PAGE_SIZE
-            self.ctx.migrator.migrate_page(vpn, self.demote_target(), critical=False)
-            self.demotions += 1
-            need -= nbytes
+        self.demotions += self.demote_in_order(inactive, need)
         space.ref_bit[fast_vpns] = False
 
     # -- fault handler ---------------------------------------------------------------
@@ -124,18 +105,13 @@ class TPPPolicy(TieringPolicy):
         space = self.ctx.space
         critical_ns = 0.0
         for vpn in vpns.tolist():
-            rep = self.page_rep_vpn(vpn)
-            if space.page_huge[vpn]:
-                self.protection_mask[rep : rep + SUBPAGES_PER_HUGE] = False
-            else:
-                self.protection_mask[vpn] = False
+            rep = self.unprotect_mapping(vpn)
             self._fault_count[rep] += 1
             if space.page_tier[rep] <= FASTEST_TIER:
                 continue
             if self._fault_count[rep] < self.PROMOTION_THRESHOLD:
                 continue
-            nbytes = HUGE_PAGE_SIZE if space.page_huge[rep] else BASE_PAGE_SIZE
-            if not self.ctx.tiers.fast.can_alloc(nbytes):
+            if not self.ctx.tiers.fast.can_alloc(space.mapping_bytes(rep)):
                 continue
             critical_ns += self.ctx.migrator.migrate_page(
                 rep, FASTEST_TIER, critical=True

@@ -473,10 +473,7 @@ class Simulation:
                 touched = batch.vpn[hit]
                 # One fault per *mapping*: a protected huge page faults
                 # once for all 512 subpage vpns.
-                heads = np.where(
-                    space.page_huge[touched], (touched >> 9) << 9, touched
-                )
-                faulted = np.unique(heads)
+                faulted = np.unique(space.mapping_heads(touched))
                 num_faults = len(faulted)
                 fault_ns += self.bound_cost.fault_ns(num_faults)
                 critical_ns += self.policy.on_hint_faults(faulted)
@@ -633,9 +630,6 @@ class Simulation:
         self._epoch_index = state["epoch_index"]
         self._epoch_start_ns = state["epoch_start_ns"]
         self._phase_ns = dict(state["phase_ns"])
-        # Checkpoints written before the macro-batch engine predate the
-        # generation phase counter.
-        self._phase_ns.setdefault("gen_ns", 0.0)
         self._events_consumed = state["events_consumed"]
         self.rng.bit_generator.state = state["rng"]
         self.ctx.rng.bit_generator.state = state["ctx_rng"]

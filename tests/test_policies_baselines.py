@@ -266,3 +266,85 @@ class TestHeMem:
         # Classified hot set (8 MB) exceeds DRAM (2 MB): halted.
         assert policy.halted_ticks == 1
         assert ctx.migrator.stats.promoted_bytes == 0
+
+
+class TestSharedMechanisms:
+    """Edge cases of the TieringPolicy migration helpers every zoo
+    policy moves pages through."""
+
+    KB4 = 4096
+
+    def _policy(self, **ctx_kwargs):
+        policy = TPPPolicy()
+        ctx = bind(policy, **ctx_kwargs)
+        return policy, ctx
+
+    def test_demote_in_order_skips_subpages_of_a_moved_huge_mapping(self):
+        policy, ctx = self._policy()
+        huge = ctx.space.alloc_region(2 * MB, tier_chooser=lambda n: 0)
+        base = ctx.space.alloc_region(2 * MB, thp=False,
+                                      tier_chooser=lambda n: 0)
+        # TPP and Tiering-0.8 pass subpage vpns, not heads.
+        vpns = np.concatenate([
+            np.arange(huge.base_vpn, huge.end_vpn),
+            np.arange(base.base_vpn, base.base_vpn + 3),
+        ])
+        moved = policy.demote_in_order(vpns, 64 * MB)
+        assert moved == 1 + 3
+        assert (ctx.space.page_tier[huge.base_vpn : huge.end_vpn] == 1).all()
+        assert ctx.migrator.stats.demoted_bytes == 2 * MB + 3 * self.KB4
+
+    @pytest.mark.parametrize("need,expected", [
+        (0, 0), (3 * KB4, 3), (3 * KB4 + 1, 4),
+    ])
+    def test_demote_in_order_stops_at_the_byte_target(self, need, expected):
+        policy, ctx = self._policy()
+        base = ctx.space.alloc_region(2 * MB, thp=False,
+                                      tier_chooser=lambda n: 0)
+        vpns = np.arange(base.base_vpn, base.end_vpn)
+        assert policy.demote_in_order(vpns, need) == expected
+        assert int(np.count_nonzero(ctx.space.page_tier[vpns] == 1)) == expected
+
+    def test_promote_with_room_gives_make_room_one_chance(self):
+        policy, ctx = self._policy(fast_mb=2)
+        ctx.space.alloc_region(2 * MB, tier_chooser=lambda n: 0)
+        cap = ctx.space.alloc_region(2 * MB, tier_chooser=lambda n: 1)
+        asked = []
+        assert not policy.promote_with_room(cap.base_vpn, asked.append)
+        assert asked == [2 * MB]
+        assert ctx.space.page_tier[cap.base_vpn] == 1
+
+        def make_room(nbytes):
+            policy.demote_in_order(policy.fast_heads(), nbytes)
+
+        assert policy.promote_with_room(cap.base_vpn, make_room)
+        assert ctx.space.page_tier[cap.base_vpn] == FASTEST_TIER
+
+    def test_protect_scan_window_wraps_around_its_pool(self):
+        policy, _ = self._policy()
+        pool = np.arange(100, 1100)
+        policy._scan_cursor = 700
+        policy.protect_scan_window(pool, 0.6)  # window = 600 of 1000
+        armed = np.flatnonzero(policy.protection_mask)
+        expected = np.concatenate([np.arange(100, 400), np.arange(800, 1100)])
+        assert np.array_equal(armed, expected)
+        assert policy._scan_cursor == 300
+
+    def test_protect_scan_window_on_an_empty_pool_is_a_no_op(self):
+        policy, _ = self._policy()
+        policy._scan_cursor = 5
+        policy.protect_scan_window(np.empty(0, dtype=np.int64), 0.5)
+        assert policy._scan_cursor == 5
+        assert not policy.protection_mask.any()
+
+    def test_unprotect_mapping_clears_a_whole_huge_mapping_one_base_page(self):
+        policy, ctx = self._policy()
+        huge = ctx.space.alloc_region(2 * MB, tier_chooser=lambda n: 1)
+        base = ctx.space.alloc_region(2 * MB, thp=False,
+                                      tier_chooser=lambda n: 1)
+        policy.protection_mask[:] = True
+        assert policy.unprotect_mapping(huge.base_vpn + 7) == huge.base_vpn
+        assert not policy.protection_mask[huge.base_vpn : huge.end_vpn].any()
+        assert policy.unprotect_mapping(base.base_vpn + 7) == base.base_vpn + 7
+        cleared = np.flatnonzero(~policy.protection_mask[base.base_vpn : base.end_vpn])
+        assert cleared.tolist() == [7]
