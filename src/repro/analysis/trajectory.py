@@ -13,8 +13,10 @@ The gates:
   geometric mean over the workloads of the same point, so the speed of
   the machine cancels and no single workload is an anchor; it may drop
   by at most ``TOLERANCE``;
-* coalescer: ``replay_macro`` over ``replay_small_batches`` must stay
-  at or above 3x;
+* coalescer: ``replay_small_batches`` must make at least
+  ``COALESCER_MIN`` times as many TLB substream calls as
+  ``replay_macro`` (the same trace without and with fusion); their
+  throughput ratio is printed as a trend line, not gated;
 * per-layer counts: every count-unit metric (``*.calls``,
   ``mem.migration.cascade_pages``) may grow by at most ``TOLERANCE``
   and may fall freely.  Counts are exact for a seed, so any growth
@@ -44,10 +46,19 @@ from repro.analysis.tables import format_table
 FORMAT = 2
 #: Allowed normalised-throughput drop and count growth (fraction).
 TOLERANCE = 0.20
-#: Coalescer gate: (fast workload, slow workload, minimum ratio) of
-#: ``accesses_per_sec`` -- the same trace with and without fusion.
-HEADLINE = ("replay_macro", "replay_small_batches", 3.0)
+#: The same trace replayed with and without ``macro_batch`` fusion.
+FUSED, UNFUSED = "replay_macro", "replay_small_batches"
 THROUGHPUT = "accesses_per_sec"
+#: Coalescer gate: ``UNFUSED`` over ``FUSED`` of this exact per-layer
+#: count must reach ``COALESCER_MIN``.  The engine calls the TLB once
+#: per batch, so the ratio is the number of 1k-access events fused into
+#: one batch: 262144 / 1024 = 256 at most, ~255 with the alloc/free
+#: barriers (9930 / 39 in ``BENCH_16``), and ~1 when fusion breaks.  The
+#: gate asks that fusion reach half its target.  It used to be a 3x
+#: throughput ratio, which also moved with how fast small batches run,
+#: so a faster unfused path could fail it with the coalescer intact.
+COALESCER_CALLS = "mem.tlb.access_substream.calls"
+COALESCER_MIN = 128.0
 #: Run settings two points must share to be comparable.
 CONFIG_KEYS = ("seed", "smoke")
 
@@ -154,22 +165,31 @@ def normalized(doc: Dict[str, Any]) -> Dict[str, float]:
 
 
 def headline_ratio(doc: Dict[str, Any]) -> float:
-    fast, slow, _ = HEADLINE
+    """``FUSED`` over ``UNFUSED`` throughput (a trend line, not gated)."""
     workloads = doc["workloads"]
-    return (float(workloads[fast][THROUGHPUT])
-            / float(workloads[slow][THROUGHPUT]))
+    return (float(workloads[FUSED][THROUGHPUT])
+            / float(workloads[UNFUSED][THROUGHPUT]))
+
+
+def coalescer_ratio(doc: Dict[str, Any]) -> float:
+    """``UNFUSED`` over ``FUSED`` TLB substream calls (the gate)."""
+    workloads = doc["workloads"]
+    fused = float(workloads[FUSED][COALESCER_CALLS])
+    unfused = float(workloads[UNFUSED][COALESCER_CALLS])
+    return unfused / fused if fused else 0.0
 
 
 def compare_docs(old: Dict[str, Any], new: Dict[str, Any],
                  tolerance: float = TOLERANCE) -> Dict[str, Any]:
     """Gate point ``new`` against the committed point ``old``.
 
-    Returns ``{rows, failures, ok, headline_ratio}``: ``rows`` holds one
-    throughput row per workload, ready for :func:`format_report`;
-    ``failures`` lists human-readable reasons.
+    Returns ``{rows, failures, ok, headline_ratio, coalescer_ratio}``:
+    ``rows`` holds one throughput row per workload, ready for
+    :func:`format_report`; ``failures`` lists human-readable reasons.
     """
     report: Dict[str, Any] = {"rows": [], "failures": [],
-                              "headline_ratio": None}
+                              "headline_ratio": None,
+                              "coalescer_ratio": None}
     failures = report["failures"]
     mismatched = [key for key in CONFIG_KEYS if old.get(key) != new.get(key)]
     if mismatched:
@@ -215,21 +235,24 @@ def compare_docs(old: Dict[str, Any], new: Dict[str, Any],
                 f"{workload}: normalised throughput "
                 f"{new_norm[workload]:.2f} below floor {floor:.2f}")
 
-    fast, slow, target = HEADLINE
-    if fast in new_norm and slow in new_norm:
-        ratio = report["headline_ratio"] = headline_ratio(new)
-        if ratio < target:
-            failures.append(f"coalescer {fast}/{slow} ratio {ratio:.2f}x "
-                            f"below {target}x")
+    if FUSED in new_norm and UNFUSED in new_norm:
+        report["headline_ratio"] = headline_ratio(new)
+    workloads = new["workloads"]
+    if all(COALESCER_CALLS in workloads.get(name, {})
+           for name in (FUSED, UNFUSED)):
+        ratio = report["coalescer_ratio"] = coalescer_ratio(new)
+        if ratio < COALESCER_MIN:
+            failures.append(f"coalescer {UNFUSED}/{FUSED} {COALESCER_CALLS} "
+                            f"ratio {ratio:.2f}x below {COALESCER_MIN:g}x")
     else:
-        failures.append(f"coalescer {fast}/{slow}: workload missing from "
-                        "the current point")
+        failures.append(f"coalescer {UNFUSED}/{FUSED}: {COALESCER_CALLS} "
+                        "missing from the current point")
     report["ok"] = not failures
     return report
 
 
 def format_report(report: Dict[str, Any]) -> str:
-    """Human-readable delta table + coalescer ratio + failure lines."""
+    """Human-readable delta table + coalescer ratios + failure lines."""
     lines = []
     if report["rows"]:
         lines.append(format_table(
@@ -244,9 +267,12 @@ def format_report(report: Dict[str, Any]) -> str:
             title="normalised throughput vs committed trajectory",
         ))
     if report["headline_ratio"] is not None:
-        fast, slow, target = HEADLINE
-        lines.append(f"coalescer {fast}/{slow}: "
-                     f"{report['headline_ratio']:.2f}x (target >= {target}x)")
+        lines.append(f"throughput {FUSED}/{UNFUSED}: "
+                     f"{report['headline_ratio']:.2f}x (trend, not gated)")
+    if report["coalescer_ratio"] is not None:
+        lines.append(f"coalescer {UNFUSED}/{FUSED} {COALESCER_CALLS}: "
+                     f"{report['coalescer_ratio']:.2f}x "
+                     f"(target >= {COALESCER_MIN:g}x)")
     for failure in report["failures"]:
         lines.append(f"FAIL: {failure}")
     if report["ok"]:
