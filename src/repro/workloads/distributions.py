@@ -60,9 +60,12 @@ class ZipfSampler:
       ranks own many buckets) is resolved by one table gather;
     * the rest descend the narrow ``[guide[j], guide[j+1]]`` range with
       a lockstep greedy binary search (a handful of gathers, not
-      ``log2(n)`` probes into a multi-MB CDF);
-    * draws hit by float truncation edge cases (``u * K`` rounding
-      across a bucket boundary) fall back to ``np.searchsorted``.
+      ``log2(n)`` probes into a multi-MB CDF).
+
+    ``K`` is a power of two, so ``u * K`` is exact for every float64
+    ``u`` in [0, 1): the bucket ``j = floor(u * K)`` is at most
+    ``K - 1`` and ``j / K <= u < (j + 1) / K`` always holds, which
+    keeps the answer inside ``[guide[j], guide[j+1]]``.
     """
 
     def __init__(self, n: int, alpha: float = 0.99):
@@ -84,25 +87,15 @@ class ZipfSampler:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` ranks (int64)."""
         u = rng.random(size)
-        # u < 1 always, but u*K can round up onto the next bucket (or
-        # even onto K itself for u within half an ulp of 1); the clip
-        # plus the ``stray`` guard below keep every path exact.
-        j = np.minimum((u * self._K).astype(np.int64), self._K - 1)
+        j = (u * self._K).astype(np.int64)
         lo = self._guide[j]
         hi = self._guide[j + 1]
         res = lo.copy()
-        # ``j / K`` computed arithmetically equals ``self._grid[j]``
-        # bit-for-bit (K is a power of two, so ``j * (1/K)`` is exact);
-        # two multiplies beat two gathers into the multi-KB grid table.
-        inv = 1.0 / self._K
-        stray = (u < j * inv) | (u >= (j + 1) * inv)
-        narrow = (lo != hi) & ~stray
+        narrow = lo != hi
         if narrow.any():
             res[narrow] = _bounded_lower_bound(
                 self._cdf, u[narrow], lo[narrow], hi[narrow]
             )
-        if stray.any():
-            res[stray] = np.searchsorted(self._cdf, u[stray], side="left")
         return res
 
     def popularity(self, rank: int) -> float:

@@ -165,7 +165,59 @@ class TestPageTableProperties:
         assert all(pt.lookup(v) is None for v in vpns)
 
 
+class _FixedUniforms:
+    """A stand-in generator whose ``random`` returns the given draws."""
+
+    def __init__(self, u):
+        self._u = np.asarray(u, dtype=np.float64)
+
+    def random(self, size):
+        assert size == len(self._u)
+        return self._u
+
+
+#: One sampler per guide-table size: K = 256, 4096 and 2**17.
+_ZIPF_SAMPLERS = [ZipfSampler(n, 0.99) for n in (3, 1_000, 40_000)]
+
+#: Uniforms at the edges of [0, 1): the largest float below one, the
+#: smallest subnormal and the smallest normal.
+_EDGE_UNIFORMS = [0.0, float(np.nextafter(1.0, 0.0)), 5e-324,
+                  float(np.finfo(np.float64).tiny)]
+
+
+def _check_zipf_buckets(sampler, u):
+    u = np.asarray(u, dtype=np.float64)
+    K = sampler._K
+    j = (u * K).astype(np.int64)
+    assert (j >= 0).all() and (j <= K - 1).all()
+    assert (j / K <= u).all() and (u < (j + 1) / K).all()
+    got = sampler.sample(_FixedUniforms(u), len(u))
+    np.testing.assert_array_equal(
+        got, np.searchsorted(sampler._cdf, u, side="left"))
+
+
 class TestZipfProperties:
+    @given(st.sampled_from(range(len(_ZIPF_SAMPLERS))),
+           st.lists(st.one_of(
+               st.floats(0.0, 1.0, exclude_max=True, allow_subnormal=True),
+               st.sampled_from(_EDGE_UNIFORMS)), min_size=1, max_size=64))
+    @settings(max_examples=200)
+    def test_bucket_bounds_hold_and_sample_is_searchsorted(self, which, u):
+        """The guide-table bucket of any float64 in [0, 1) brackets it,
+        so ``sample`` needs no fallback to equal ``searchsorted``."""
+        _check_zipf_buckets(_ZIPF_SAMPLERS[which], u)
+
+    @pytest.mark.parametrize("which", range(len(_ZIPF_SAMPLERS)))
+    def test_every_bucket_edge_and_its_neighbours(self, which):
+        sampler = _ZIPF_SAMPLERS[which]
+        edges = np.arange(sampler._K, dtype=np.float64) / sampler._K
+        _check_zipf_buckets(sampler, np.concatenate([
+            edges,
+            np.nextafter(edges, 0.0)[1:],
+            np.nextafter(edges, 1.0),
+            _EDGE_UNIFORMS,
+        ]))
+
     @given(st.integers(2, 5000), st.floats(0.0, 2.0))
     @settings(max_examples=30)
     def test_popularity_sums_to_one(self, n, alpha):
