@@ -30,21 +30,20 @@ def bin_of(hotness: int) -> int:
     return min(_TOP, int(hotness).bit_length() - 1)
 
 
+#: Lower edges of bins 1..15: bin ``n`` starts at ``2^n``.
+_EDGES = np.int64(1) << np.arange(1, NUM_BINS, dtype=np.int64)
+
+
 def bin_of_array(hotness: np.ndarray) -> np.ndarray:
     """Vectorised :func:`bin_of` for int64 hotness arrays.
 
-    Exact integer binning (``bit_length - 1``) via binary-search shifts.
-    The float path (``floor(log2(h))``) rounds ``2^k - 1`` up to ``k``
-    once ``k`` exceeds the 53-bit mantissa, disagreeing with the scalar
+    Exact integer binning: the number of bin edges ``2^1 .. 2^15`` at or
+    below each value, in one binary search.  The float path
+    (``floor(log2(h))``) rounds ``2^k - 1`` up to ``k`` once ``k``
+    exceeds the 53-bit mantissa, disagreeing with the scalar
     :func:`bin_of` at power-of-two boundaries.
     """
-    h = np.maximum(hotness, 1).astype(np.int64)
-    bins = np.zeros(h.shape, dtype=np.int64)
-    for shift in (32, 16, 8, 4, 2, 1):
-        big = h >= (np.int64(1) << shift)
-        bins[big] += shift
-        h[big] >>= shift
-    return np.minimum(bins, _TOP)
+    return np.searchsorted(_EDGES, hotness, side="right")
 
 
 class AccessHistogram:

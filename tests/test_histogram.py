@@ -37,6 +37,21 @@ class TestBinOf:
             expected = [bin_of(int(v)) for v in values]
             assert list(got) == expected, f"offset {offset}"
 
+    def test_random_int64_and_edge_values_match_scalar(self):
+        """Random values over the whole int64 range, negatives, 0, 1,
+        ``2^62`` and both int64 limits bin as the scalar path does."""
+        rng = np.random.default_rng(5)
+        info = np.iinfo(np.int64)
+        values = np.concatenate([
+            rng.integers(info.min, info.max, 50_000, dtype=np.int64),
+            rng.integers(-10, 1 << 17, 50_000, dtype=np.int64),
+            np.array([-(1 << 40), -2, -1, 0, 1, 1 << 62,
+                      info.min, info.max], dtype=np.int64),
+        ])
+        got = bin_of_array(values)
+        assert got.dtype == np.int64
+        assert got.tolist() == [bin_of(v) for v in values.tolist()]
+
     def test_input_array_not_mutated(self):
         values = np.array([5, 1 << 40, 0], dtype=np.int64)
         before = values.copy()
