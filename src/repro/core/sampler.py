@@ -21,21 +21,14 @@ usage (3% cap).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
-from repro import kernels
 from repro.obs.tracer import DEBUG as TRACE_DEBUG
 from repro.core.config import MemtisConfig
 from repro.core.histogram import AccessHistogram, bin_of, bin_of_array
-from repro.kernels.sample_fold import (
-    FoldParams,
-    FoldState,
-    fold_samples_scalar,
-    fold_samples_validate,
-    fold_samples_vectorized,
-)
+from repro.kernels.sample_fold import FoldParams, FoldState, fold_samples
 from repro.core.thresholds import (
     INITIAL_THRESHOLDS,
     Thresholds,
@@ -241,15 +234,8 @@ class KSampled:
 
     # -- the per-sample hot path ----------------------------------------------------
 
-    def process_samples(self, samples: SampleBatch) -> None:
-        """Fold one batch of PEBS records into all statistics.
-
-        Dispatches to the :mod:`repro.kernels.sample_fold` kernels:
-        the vectorized fold by default, the original per-sample loop
-        under ``REPRO_SCALAR_KERNELS=1``, or both with a state-equality
-        assertion in ``validate`` mode.  All paths produce bit-identical
-        counters, histograms and promotion-queue membership.
-        """
+    def fold_inputs(self) -> Tuple[FoldState, FoldParams]:
+        """The state a fold updates (views, not copies) and its inputs."""
         space = self.ctx.space
         params = FoldParams(
             page_tier=space.page_tier,
@@ -270,13 +256,20 @@ class KSampled:
             hist=self.hist,
             base_hist=self.base_hist,
         )
-        mode = kernels.active_mode()
-        if mode == kernels.SCALAR:
-            res = fold_samples_scalar(state, samples.vpn, params)
-        elif mode == kernels.VALIDATE:
-            res = fold_samples_validate(state, samples.vpn, params)
-        else:
-            res = fold_samples_vectorized(state, samples.vpn, params)
+        return state, params
+
+    def process_samples(self, samples: SampleBatch) -> None:
+        """Fold one batch of PEBS records into all statistics.
+
+        :func:`repro.kernels.sample_fold.fold_samples` picks the path:
+        by default the per-sample loop for small batches and the
+        vectorized fold for large ones, or whichever path
+        ``REPRO_SCALAR_KERNELS`` pins (both, asserting equal state, in
+        ``validate`` mode).  All paths produce bit-identical counters,
+        histograms and promotion-queue membership.
+        """
+        state, params = self.fold_inputs()
+        res = fold_samples(state, samples.vpn, params)
 
         self.total_samples += res.processed
         self._since_adaptation += res.processed

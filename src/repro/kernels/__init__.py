@@ -1,26 +1,40 @@
-"""Hot-path kernel dispatch: vectorized numpy kernels vs scalar reference.
+"""Hot-path kernel dispatch: vectorized numpy kernels vs scalar loops.
 
-The simulator's three hot loops (ksampled sample folding, TLB lookup
-simulation, batch mapping ops) each exist in two exact-equivalent
+The simulator's hot loops (ksampled sample folding, TLB lookup
+simulation, batch fusion) each exist in two exact-equivalent
 implementations:
 
-* **vectorized** (default): batched numpy kernels -- the fast path;
-* **scalar**: the original per-element Python loops, kept as the
+* **vectorized**: batched numpy kernels, fast on large inputs;
+* **scalar**: the original per-element Python loops, fast on small
+  inputs (numpy's fixed cost per call dominates there) and kept as the
   executable specification the kernels are checked against.
 
 Both produce bit-identical simulation state; the differential tests in
 ``tests/test_kernels_differential.py`` enforce this on randomized
-streams and on full end-to-end runs.
+streams and on full end-to-end runs.  So choosing between them per
+call cannot change a result, and by default each call picks by size.
 
 Mode selection (``REPRO_SCALAR_KERNELS``):
 
-* unset / ``0`` -- vectorized kernels (default);
-* ``1`` -- scalar reference path;
-* ``validate`` -- run *both* on every call and assert identical state
-  (slow; debugging aid for new kernels).
+==================  ================  =================================
+environment         ``active_mode``   path each call takes
+==================  ================  =================================
+unset / ``0``       ``auto``          by input size: scalar below the
+                                      kernel's crossover, vectorized at
+                                      or above it (default)
+``vectorized``      ``vectorized``    numpy at every size
+``1`` (any other)   ``scalar``        the per-element loop
+``validate``        ``validate``      both, asserting identical state
+                                      (slow; a debugging aid)
+==================  ================  =================================
 
-Tests can pin a mode for a code region regardless of the environment
-with the :func:`forced` context manager.
+Each kernel module owns its crossover (``FOLD_CROSSOVER`` in
+:mod:`~repro.kernels.sample_fold`, ``LRU_BATCH_CROSSOVER`` in
+:mod:`~repro.kernels.tlb_lru`), measured by
+``benchmarks/kernel_crossover.py``.  Tests can pin a mode for a code
+region regardless of the environment with the :func:`forced` context
+manager; the pinned ``vectorized`` and ``scalar`` modes keep the
+differential tests comparing both paths at every size.
 """
 
 from __future__ import annotations
@@ -29,12 +43,13 @@ import os
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-#: Mode names (the ``REPRO_SCALAR_KERNELS`` values they correspond to).
+#: Mode names (see the table above).
+AUTO = "auto"
 VECTORIZED = "vectorized"
 SCALAR = "scalar"
 VALIDATE = "validate"
 
-_MODES = (VECTORIZED, SCALAR, VALIDATE)
+_MODES = (AUTO, VECTORIZED, SCALAR, VALIDATE)
 
 _forced: Optional[str] = None
 
@@ -44,11 +59,23 @@ def active_mode() -> str:
     if _forced is not None:
         return _forced
     env = os.environ.get("REPRO_SCALAR_KERNELS", "").strip().lower()
-    if env in ("", "0", "false", "vectorized"):
-        return VECTORIZED
-    if env == "validate":
-        return VALIDATE
+    if env in ("", "0", "false"):
+        return AUTO
+    if env in (VECTORIZED, VALIDATE):
+        return env
     return SCALAR
+
+
+def path_for(size: int, crossover: int) -> str:
+    """The path one kernel call on ``size`` elements takes.
+
+    ``auto`` resolves to ``scalar`` below ``crossover`` and to
+    ``vectorized`` at or above it; the other modes are pinned.
+    """
+    mode = active_mode()
+    if mode != AUTO:
+        return mode
+    return SCALAR if size < crossover else VECTORIZED
 
 
 @contextmanager

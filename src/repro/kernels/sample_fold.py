@@ -4,7 +4,8 @@
 into the ksampled state bundle: page counters, main/base histogram bins,
 rHR/eHR estimation and the promotion queue.  The scalar variant is the
 original per-sample loop; the vectorized variant reproduces its final
-state bit-for-bit from per-vpn group arithmetic.
+state bit-for-bit from per-vpn group arithmetic.  :func:`fold_samples`
+picks one per call by batch size (:func:`repro.kernels.path_for`).
 
 Why exact equivalence is possible
 ---------------------------------
@@ -35,8 +36,16 @@ from typing import List
 
 import numpy as np
 
+from repro import kernels
 from repro.core.histogram import AccessHistogram, bin_of, bin_of_array
 from repro.mem.pages import SUBPAGES_PER_HUGE
+
+#: Batches of fewer samples fold faster through the per-sample loop
+#: than through numpy's fixed cost per call.  Measured by
+#: ``benchmarks/kernel_crossover.py`` on the silo replay's samples: at
+#: 4 samples the loop takes ~50 us and the vectorized fold ~300 us, and
+#: the two meet at 48-96 samples.
+FOLD_CROSSOVER = 64
 
 
 @dataclass
@@ -279,6 +288,20 @@ def fold_samples_vectorized(
         tie_credit=tie_credit,
         promoted=[int(r) for r in promo],
     )
+
+
+def fold_samples(
+    state: FoldState, vpns: np.ndarray, params: FoldParams
+) -> FoldResult:
+    """Fold ``vpns`` through the path the kernel mode picks for their
+    count: scalar below :data:`FOLD_CROSSOVER`, vectorized at or above
+    it, or both in ``validate`` mode."""
+    path = kernels.path_for(len(vpns), FOLD_CROSSOVER)
+    if path == kernels.SCALAR:
+        return fold_samples_scalar(state, vpns, params)
+    if path == kernels.VALIDATE:
+        return fold_samples_validate(state, vpns, params)
+    return fold_samples_vectorized(state, vpns, params)
 
 
 def fold_samples_validate(

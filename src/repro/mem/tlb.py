@@ -17,12 +17,14 @@ strided substream of the access trace and scales the resulting miss
 counts back up; the stride is part of :class:`TLBConfig` so experiments
 can trade accuracy for time.
 
-Two implementations exist behind :mod:`repro.kernels` dispatch: the
-default array-backed kernel (:mod:`repro.kernels.tlb_lru`) simulates
-whole substreams with batched numpy LRU transitions, while the scalar
-per-lookup list implementation is kept as the reference path
-(``REPRO_SCALAR_KERNELS=1``; ``validate`` runs both and asserts
-identical hits, misses and array state).
+Each array keeps one store, per-set MRU-first tag lists, and runs a
+substream through one of two bit-identical paths of
+:mod:`repro.kernels.tlb_lru`: the per-lookup loop (the reference, and
+the faster path for short substreams) or the batched path (set-grouped
+and run-collapsed in numpy, then replayed).  By default the
+substream's length per set picks; ``REPRO_SCALAR_KERNELS`` can pin
+either path, and ``validate`` runs both and asserts identical hits,
+misses and lists.
 """
 
 from __future__ import annotations
@@ -33,13 +35,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro import kernels
-from repro.kernels.tlb_lru import (
-    lru_batch,
-    lru_flush,
-    lru_invalidate,
-    lru_invalidate_range,
-)
+from repro.kernels.tlb_lru import lru_access
 from repro.mem.page_table import WALK_LEVELS_BASE, WALK_LEVELS_HUGE
 from repro.mem.pages import vpn_to_hpn
 
@@ -98,7 +94,11 @@ class TLBStats:
 
 
 class _SetAssocArray:
-    """Scalar reference: one set-associative LRU array of per-set lists."""
+    """One set-associative LRU array: per-set MRU-first tag lists.
+
+    The lists are the array's one store; :func:`lru_access` runs a
+    lookup stream through them on the path its length per set picks.
+    """
 
     __slots__ = ("num_sets", "ways", "sets")
 
@@ -108,34 +108,16 @@ class _SetAssocArray:
         # Each set is a most-recently-used-first list of tags.
         self.sets: List[List[int]] = [[] for _ in range(self.num_sets)]
 
-    def access(self, tag: int) -> bool:
-        """Touch ``tag``; returns True on hit.  Fills on miss (LRU evict)."""
-        entry_set = self.sets[tag % self.num_sets]
-        try:
-            entry_set.remove(tag)
-        except ValueError:
-            if len(entry_set) >= self.ways:
-                entry_set.pop()
-            entry_set.insert(0, tag)
-            return False
-        entry_set.insert(0, tag)
-        return True
-
     def access_batch(self, tag_stream: np.ndarray) -> Tuple[int, int]:
-        """Per-lookup loop over a stream; returns (hits, misses)."""
-        hits = 0
-        for tag in np.asarray(tag_stream).tolist():
-            if self.access(tag):
-                hits += 1
-        return hits, len(tag_stream) - hits
+        """Run a lookup stream through the array; returns (hits, misses)."""
+        return lru_access(self.sets, self.ways, tag_stream)
 
     def invalidate(self, tag: int) -> bool:
         entry_set = self.sets[tag % self.num_sets]
-        try:
+        if tag in entry_set:
             entry_set.remove(tag)
             return True
-        except ValueError:
-            return False
+        return False
 
     def invalidate_range(self, lo: int, hi: int) -> int:
         """Remove every tag in ``[lo, hi)``; returns the number removed."""
@@ -153,7 +135,7 @@ class _SetAssocArray:
         return count
 
     def state_rows(self) -> List[List[int]]:
-        """Per-set MRU-first tag lists (for cross-implementation checks)."""
+        """Per-set MRU-first tag lists (the checkpoint form)."""
         return [list(s) for s in self.sets]
 
     def load_rows(self, rows: List[List[int]]) -> None:
@@ -166,114 +148,14 @@ class _SetAssocArray:
             s[:] = [int(t) for t in row]
 
 
-class _ArraySetAssoc:
-    """Vectorized array: an (num_sets, ways) MRU-first tag matrix."""
-
-    __slots__ = ("num_sets", "ways", "tags")
-
-    def __init__(self, entries: int, ways: int):
-        self.num_sets = entries // ways
-        self.ways = ways
-        self.tags = np.full((self.num_sets, ways), -1, dtype=np.int64)
-
-    def access_batch(self, tag_stream: np.ndarray) -> Tuple[int, int]:
-        return lru_batch(self.tags, tag_stream)
-
-    def invalidate(self, tag: int) -> bool:
-        return lru_invalidate(self.tags, tag)
-
-    def invalidate_range(self, lo: int, hi: int) -> int:
-        return lru_invalidate_range(self.tags, lo, hi)
-
-    def flush(self) -> int:
-        return lru_flush(self.tags)
-
-    def state_rows(self) -> List[List[int]]:
-        return [[int(t) for t in row if t != -1] for row in self.tags]
-
-    def load_rows(self, rows: List[List[int]]) -> None:
-        if len(rows) != self.num_sets:
-            raise ValueError(
-                f"checkpoint has {len(rows)} sets, TLB has {self.num_sets}"
-            )
-        self.tags[:] = -1
-        for i, row in enumerate(rows):
-            if row:
-                self.tags[i, : len(row)] = row
-
-
-class _ValidatingSetAssoc:
-    """Runs scalar and array implementations side by side, asserting."""
-
-    __slots__ = ("scalar", "array")
-
-    def __init__(self, entries: int, ways: int):
-        self.scalar = _SetAssocArray(entries, ways)
-        self.array = _ArraySetAssoc(entries, ways)
-
-    def _check_state(self, op: str) -> None:
-        if self.scalar.state_rows() != self.array.state_rows():
-            raise AssertionError(f"TLB kernel state mismatch after {op}")
-
-    def access_batch(self, tag_stream: np.ndarray) -> Tuple[int, int]:
-        ref = self.scalar.access_batch(tag_stream)
-        got = self.array.access_batch(tag_stream)
-        if ref != got:
-            raise AssertionError(
-                f"TLB kernel mismatch: array {got} != scalar {ref}"
-            )
-        self._check_state("access_batch")
-        return got
-
-    def invalidate(self, tag: int) -> bool:
-        ref = self.scalar.invalidate(tag)
-        got = self.array.invalidate(tag)
-        if ref != got:
-            raise AssertionError("TLB kernel invalidate mismatch")
-        self._check_state("invalidate")
-        return got
-
-    def invalidate_range(self, lo: int, hi: int) -> int:
-        ref = self.scalar.invalidate_range(lo, hi)
-        got = self.array.invalidate_range(lo, hi)
-        if ref != got:
-            raise AssertionError("TLB kernel invalidate_range mismatch")
-        self._check_state("invalidate_range")
-        return got
-
-    def flush(self) -> int:
-        ref = self.scalar.flush()
-        got = self.array.flush()
-        if ref != got:
-            raise AssertionError("TLB kernel flush mismatch")
-        return got
-
-    def state_rows(self) -> List[List[int]]:
-        self._check_state("state_rows")
-        return self.array.state_rows()
-
-    def load_rows(self, rows: List[List[int]]) -> None:
-        self.scalar.load_rows(rows)
-        self.array.load_rows(rows)
-
-
-def _make_array(entries: int, ways: int, mode: str):
-    if mode == kernels.SCALAR:
-        return _SetAssocArray(entries, ways)
-    if mode == kernels.VALIDATE:
-        return _ValidatingSetAssoc(entries, ways)
-    return _ArraySetAssoc(entries, ways)
-
-
 class TLB:
     """Split 4K/2M TLB driven by the engine's strided substream."""
 
     def __init__(self, config: TLBConfig = TLBConfig()):
         self.config = config
         self.stats = TLBStats()
-        mode = kernels.active_mode()
-        self._tlb_4k = _make_array(config.entries_4k, config.ways, mode)
-        self._tlb_2m = _make_array(config.entries_2m, config.ways, mode)
+        self._tlb_4k = _SetAssocArray(config.entries_4k, config.ways)
+        self._tlb_2m = _SetAssocArray(config.entries_2m, config.ways)
 
     def access_substream(self, vpns: np.ndarray, is_huge: np.ndarray) -> int:
         """Run the (already strided) substream through the TLB.
@@ -283,9 +165,9 @@ class TLB:
         this substream (un-scaled; the caller applies the stride factor).
 
         The 4K and 2M arrays are independent, so the substream splits by
-        mapping size and each half runs through its array's batch kernel;
-        totals are order-independent even though the kernels reorder work
-        internally.
+        mapping size and each half runs through its array on the path
+        its length picks; totals are order-independent even though the
+        batched path regroups lookups by set.
         """
         stats = self.stats
         n = len(vpns)
@@ -350,9 +232,9 @@ class TLB:
         self.stats.invalidated_entries += self._tlb_2m.flush()
 
     # -- checkpoint support --------------------------------------------------
-    # ``state_rows()`` is the canonical MRU-first form shared by every
-    # kernel implementation, so a checkpoint written in one kernel mode
-    # loads bit-identically in another.
+    # ``state_rows()`` is the arrays' own store, and both paths leave it
+    # identical, so a checkpoint written in one kernel mode loads
+    # bit-identically in another.
 
     def state_dict(self) -> dict:
         return {

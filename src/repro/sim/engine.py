@@ -401,7 +401,9 @@ class Simulation:
 
     def _rebase_macro(self, event: AccessEvent) -> AccessBatch:
         """Fuse one engine batch under the active kernel mode: staged
-        when vectorized, the reference when scalar, both when validating."""
+        by default and when vectorized, the reference when scalar, both
+        when validating.  Fusion has no size crossover: a one-part batch
+        is rebased alone on either path."""
         regions, rels = self._resolve_parts(event)
         mode = kernels.active_mode()
         if mode == kernels.SCALAR:

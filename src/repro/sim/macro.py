@@ -18,8 +18,8 @@ Results therefore legitimately differ between cadences, and
 ``macro_batch`` is part of the ``RunSpec`` cache identity.
 
 Fusion follows the kernel mode (:func:`repro.kernels.active_mode`,
-``REPRO_SCALAR_KERNELS``): ``vectorized`` fuses a batch with one
-grouped rebase (single concatenate + ``np.repeat`` base vector);
+``REPRO_SCALAR_KERNELS``): the default and ``vectorized`` fuse a batch
+with one grouped rebase (single concatenate + ``np.repeat`` base vector);
 ``scalar`` runs the per-segment reference loop (``rebased()`` per part
 + ``AccessBatch.concat``), kept as the executable specification;
 ``validate`` runs both on every batch and asserts identical arrays.

@@ -15,6 +15,9 @@ import pytest
 from repro import kernels
 from repro.core.config import MemtisConfig
 from repro.core.sampler import KSampled
+from repro.kernels import sample_fold, tlb_lru
+from repro.kernels.sample_fold import FOLD_CROSSOVER
+from repro.kernels.tlb_lru import LRU_BATCH_CROSSOVER
 from repro.mem.pages import SUBPAGES_PER_HUGE
 from repro.mem.tiers import FASTEST_TIER
 from repro.mem.tlb import TLB, TLBConfig
@@ -158,6 +161,12 @@ class TestSampleFoldDifferential:
         # process_samples call; surviving a full driven history is the test.
         _drive_sampler(kernels.VALIDATE, seed=77, rounds=12)
 
+    def test_default_mode_mixes_paths_bit_identically(self):
+        """Batches of 0-400 samples straddle the crossover, so the
+        default mode folds some on each path."""
+        _assert_snapshots_equal(_drive_sampler(kernels.SCALAR, 5, 24),
+                                _drive_sampler(kernels.AUTO, 5, 24))
+
     def test_empty_batch_is_noop(self):
         for mode in (kernels.SCALAR, kernels.VECTORIZED):
             with kernels.forced(mode):
@@ -173,8 +182,8 @@ class TestSampleFoldDifferential:
 
 
 def _drive_tlb(mode: str, seed: int, entries_4k: int = 64) -> tuple:
-    # entries_4k=64 (16 sets) keeps lru_batch on its grouped-sequential
-    # fallback; entries_4k=4096 (1024 sets) drives the lockstep rounds.
+    # entries_4k=64 (16 sets) gives substreams of up to ~190 lookups per
+    # set; entries_4k=4096 (1024 sets) spreads them thin.
     with kernels.forced(mode):
         tlb = TLB(TLBConfig(entries_4k=entries_4k, entries_2m=16, ways=4,
                             sample_stride=1))
@@ -212,6 +221,125 @@ class TestTLBDifferential:
 
     def test_validate_mode_runs_both_impls(self):
         _drive_tlb(kernels.VALIDATE, seed=9)
+
+
+# -- size dispatch at each crossover -------------------------------------------
+
+#: Default mode plus both pinned paths: all three must agree.
+_DISPATCH_MODES = (kernels.AUTO, kernels.SCALAR, kernels.VECTORIZED)
+
+
+def _spy(monkeypatch, module, name):
+    """Record the arguments of every call to ``module.name`` (dispatch
+    looks the name up per call)."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def _fold_once(mode: str, n: int) -> dict:
+    """Warm a ksampled, demote part of it, then fold one n-sample batch
+    under ``mode``."""
+    with kernels.forced(mode):
+        ctx = make_context(fast_mb=8, cap_mb=64)
+        config = MemtisConfig().resolved(
+            ctx.tiers.fast.capacity_bytes,
+            ctx.tiers.fast.capacity_bytes + ctx.tiers.slowest.capacity_bytes,
+        )
+        ks = KSampled(config, ctx)
+        rng = np.random.default_rng(n)
+        regions = [ctx.space.alloc_region(2 * MB, thp=thp)
+                   for thp in (True, False)]
+        for region in regions:
+            ks.on_region_alloc(region)
+        lo, hi = regions[0].base_vpn, regions[-1].end_vpn
+        warm = rng.integers(lo, hi, 300).astype(np.int64)
+        ks.process_samples(SampleBatch(warm, np.zeros(300, dtype=bool)))
+        # Hot pages off the fast tier are what the fold promotes.
+        ctx.migrator.migrate_many(np.unique(warm[:150]), 1)
+        # A skewed batch: repeats climb bins, so promotions happen.
+        batch = rng.choice(warm[:40], n).astype(np.int64)
+        ks.process_samples(SampleBatch(batch, np.zeros(n, dtype=bool)))
+        return _snapshot(ks)
+
+
+class TestSizeDispatch:
+    @pytest.mark.parametrize("n", [FOLD_CROSSOVER - 1, FOLD_CROSSOVER,
+                                   FOLD_CROSSOVER + 1])
+    def test_fold_at_crossover(self, n, monkeypatch):
+        snaps = {mode: _fold_once(mode, n) for mode in _DISPATCH_MODES}
+        assert snaps[kernels.SCALAR]["queue"], "batch promoted nothing"
+        for mode in (kernels.AUTO, kernels.VECTORIZED):
+            _assert_snapshots_equal(snaps[kernels.SCALAR], snaps[mode])
+        # The default folds the last batch on the path its size picks.
+        scalar = _spy(monkeypatch, sample_fold, "fold_samples_scalar")
+        vector = _spy(monkeypatch, sample_fold, "fold_samples_vectorized")
+        _fold_once(kernels.AUTO, n)
+        sizes = ([len(args[1]) for args in scalar],
+                 [len(args[1]) for args in vector])
+        # The 300-sample warm-up folds vectorized; the batch by its size.
+        assert sizes == (([n], [300]) if n < FOLD_CROSSOVER
+                         else ([], [300, n]))
+
+    @pytest.mark.parametrize("huge", [False, True], ids=["64-set", "8-set"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_tlb_at_crossover(self, huge, offset, monkeypatch):
+        """The default geometry's 4K array (64 sets) and 2M array (8
+        sets), each fed one substream of crossover-1, crossover and
+        crossover+1 lookups after a warm-up."""
+        config = TLBConfig()
+        entries = config.entries_2m if huge else config.entries_4k
+        n = LRU_BATCH_CROSSOVER * (entries // config.ways) + offset
+        rng = np.random.default_rng(n)
+        # Bursty: runs of one page exercise the batch path's collapse.
+        vpns = np.repeat(rng.integers(0, 1 << 16, n), 3)[:n].astype(np.int64)
+        warm = rng.integers(0, 1 << 16, 64).astype(np.int64)
+        is_huge = np.full(n, huge)
+
+        def drive(mode):
+            with kernels.forced(mode):
+                tlb = TLB(config)
+                tlb.access_substream(warm, np.full(64, huge))
+                tlb.access_substream(vpns, is_huge)
+                return tlb.state_dict()
+
+        states = {mode: drive(mode) for mode in _DISPATCH_MODES}
+        assert states[kernels.SCALAR]["stats"]["hits_2m" if huge
+                                               else "hits_4k"] > 0
+        for mode in (kernels.AUTO, kernels.VECTORIZED):
+            assert states[mode] == states[kernels.SCALAR]
+        batch = _spy(monkeypatch, tlb_lru, "lru_batch")
+        drive(kernels.AUTO)
+        assert len(batch) == (0 if offset < 0 else 1)
+
+    def test_default_checkpoint_loads_under_each_forced_mode(self):
+        """A TLB checkpoint written in default mode restores the same
+        state under every pinned mode, and runs on identically."""
+        rng = np.random.default_rng(21)
+        streams = [(rng.integers(0, 5000, n).astype(np.int64),
+                    rng.random(n) < 0.4) for n in (30, 6000, 700, 9000)]
+        with kernels.forced(kernels.AUTO):
+            tlb = TLB(TLBConfig())
+            for vpns, huge in streams[:2]:
+                tlb.access_substream(vpns, huge)
+            saved = tlb.state_dict()
+        after = {}
+        for mode in (kernels.AUTO, kernels.SCALAR, kernels.VECTORIZED,
+                     kernels.VALIDATE):
+            with kernels.forced(mode):
+                fresh = TLB(TLBConfig())
+                fresh.load_state(saved)
+                assert fresh.state_dict() == saved
+                for vpns, huge in streams[2:]:
+                    fresh.access_substream(vpns, huge)
+                after[mode] = fresh.state_dict()
+        assert all(state == after[kernels.SCALAR] for state in after.values())
 
 
 # -- batch mapping ops ---------------------------------------------------------

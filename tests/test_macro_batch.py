@@ -138,6 +138,10 @@ class TestEventCoalescer:
     def test_mode_resolution(self, monkeypatch):
         """Fusion follows the one kernel-mode switch."""
         monkeypatch.delenv("REPRO_SCALAR_KERNELS", raising=False)
+        assert kernels.active_mode() == kernels.AUTO
+        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "0")
+        assert kernels.active_mode() == kernels.AUTO
+        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "vectorized")
         assert kernels.active_mode() == kernels.VECTORIZED
         monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
         assert kernels.active_mode() == kernels.SCALAR

@@ -42,8 +42,8 @@ from conftest import TEST_SCALE, make_context
 MB = 1024 * 1024
 
 pytestmark = pytest.mark.skipif(
-    kernels.active_mode() != kernels.VECTORIZED,
-    reason="REPRO_SCALAR_KERNELS overrides the vectorized default",
+    kernels.active_mode() in (kernels.SCALAR, kernels.VALIDATE),
+    reason="REPRO_SCALAR_KERNELS pins the scalar or validate path",
 )
 
 
