@@ -54,9 +54,9 @@ THROUGHPUT = "accesses_per_sec"
 #: per batch, so the ratio is the number of 1k-access events fused into
 #: one batch: 262144 / 1024 = 256 at most, ~255 with the alloc/free
 #: barriers (9930 / 39 in ``BENCH_16``), and ~1 when fusion breaks.  The
-#: gate asks that fusion reach half its target.  It used to be a 3x
-#: throughput ratio, which also moved with how fast small batches run,
-#: so a faster unfused path could fail it with the coalescer intact.
+#: gate asks that fusion reach half its target.  A throughput ratio
+#: would also move with how fast small batches run, so a faster unfused
+#: path could fail it with the coalescer intact.
 COALESCER_CALLS = "mem.tlb.access_substream.calls"
 COALESCER_MIN = 128.0
 #: Run settings two points must share to be comparable.

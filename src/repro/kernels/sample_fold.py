@@ -43,8 +43,8 @@ from repro.mem.pages import SUBPAGES_PER_HUGE
 #: Batches of fewer samples fold faster through the per-sample loop
 #: than through numpy's fixed cost per call.  Measured by
 #: ``benchmarks/kernel_crossover.py`` on the silo replay's samples: at
-#: 4 samples the loop takes ~50 us and the vectorized fold ~300 us, and
-#: the two meet at 48-96 samples.
+#: 4 samples the loop is ~5x faster (~30-50 us against ~150-300 us),
+#: and the two meet at 48-96 samples.
 FOLD_CROSSOVER = 64
 
 

@@ -38,10 +38,12 @@ from repro import kernels
 
 #: In lookups per set: a stream at least this long per set takes
 #: :func:`lru_batch`, a shorter one :func:`lru_loop`.  Measured by
-#: ``benchmarks/kernel_crossover.py``: the batch path wins from 16 per
-#: set on the silo trace's 4K substream (64 sets) and on the live zoo's
-#: bursty 2M substream (8 sets), and from 64 per set on the silo trace's
-#: 2M substream, so 64 is the smallest length at which it wins on all.
+#: ``benchmarks/kernel_crossover.py``: below ~8 per set the loop wins
+#: everywhere (2-4x at 1 per set); on the live zoo's bursty 2M substream
+#: the batch path wins from 16 per set and is ~2x faster at 64; on the
+#: silo trace's substreams the two stay within ~10% of each other from
+#: 16-64 per set on.  64 is where the batch path is at least even on
+#: every stream measured.
 LRU_BATCH_CROSSOVER = 64
 
 

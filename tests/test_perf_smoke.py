@@ -182,12 +182,11 @@ def test_macro_coalescer_fuses_events_into_fewer_batches():
     macro-batches: 262144 / 8192 = 32 events per batch at most, and the
     gate asks for half of that.  A broken coalescer reads ~1.
 
-    Counts are exact for a seed.  The gate used to be wall clock
-    (coalesced >= 1.5x faster), which also moved with how fast one
-    small batch runs: a cheaper per-event path could fail it with the
-    coalescer intact, and on a shared 2-vCPU VM it ranged ~1.2-1.9x.
-    The radar gates the same property on ``perfbench/``'s replays, as
-    the ratio of TLB substream calls.
+    Counts are exact for a seed.  A wall-clock ratio would also move
+    with how fast one small batch runs, so a cheaper per-event path
+    could fail it with the coalescer intact.  The radar gates the same
+    property on ``perfbench/``'s replays, as the ratio of TLB substream
+    calls.
     """
     from repro.sim.macro import DEFAULT_MACRO_BATCH
 
