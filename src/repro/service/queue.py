@@ -243,12 +243,18 @@ class JobQueue:
             raise
 
     def _check_version(self) -> bool:
-        """True for a file with no tables yet; raises for another layout."""
-        version = self._db.execute("PRAGMA user_version").fetchone()[0]
+        """True for a file with no tables yet; raises for another layout.
+
+        Version and tables are read in one statement, so one snapshot: a
+        creator committing the schema between two reads would otherwise
+        make its fresh file look like a format-0 file with tables.
+        """
+        version, tables = self._db.execute(
+            "SELECT (SELECT user_version FROM pragma_user_version),"
+            " (SELECT COUNT(*) FROM sqlite_master)").fetchone()
         if version == SCHEMA_VERSION:
             return False
-        if version == 0 and self._db.execute(
-                "SELECT COUNT(*) FROM sqlite_master").fetchone()[0] == 0:
+        if version == 0 and tables == 0:
             return True
         raise QueueFormatError(
             f"{self.path} is a queue file of format {version}, not "

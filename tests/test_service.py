@@ -13,8 +13,10 @@ import multiprocessing
 import os
 import select
 import signal
+import sqlite3
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 
@@ -165,6 +167,48 @@ class TestJobQueue:
         with open(fixture, "rb") as src, open(old, "rb") as now:
             assert now.read() == src.read()
         assert cli_main(["service", "status", str(tmp_path / "svc")]) == 2
+
+    def test_open_during_creation_never_reads_format_0(self, tmp_path):
+        """A client that opens queue.db while another connection creates
+        it sees the file either empty or complete, never as a format-0
+        file with tables: version and tables are read in one snapshot.
+        Reading them in two statements failed ~1 iteration in 8 here.
+        Lock contention on a fresh file is retried, as a client would."""
+        refused = []
+
+        def open_retrying(path):
+            while True:
+                try:
+                    JobQueue(path).close()
+                    return
+                except sqlite3.OperationalError:
+                    time.sleep(0.001)
+
+        def open_when_present(path, created):
+            while not os.path.exists(path):
+                if created.is_set():
+                    return
+            try:
+                open_retrying(path)
+            except QueueFormatError as exc:
+                refused.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for i in range(150):
+                path = str(tmp_path / f"q{i}.db")
+                created = threading.Event()
+                reader = threading.Thread(target=open_when_present,
+                                          args=(path, created))
+                reader.start()
+                open_retrying(path)
+                created.set()
+                reader.join(timeout=30)
+                assert not reader.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert not refused, refused[0]
 
     def test_state_survives_reconnect(self, tmp_path):
         path = queue_path(str(tmp_path / "svc"))
