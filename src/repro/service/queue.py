@@ -226,9 +226,8 @@ class JobQueue:
         try:
             # Checked before WAL is set, so a refused file stays as it was.
             empty = self._check_version()
-            # WAL survives kill -9 of any client and lets readers (the
-            # status server) proceed during writer transactions.
-            self._db.execute("PRAGMA journal_mode=WAL")
+            if empty:
+                self._set_wal(timeout_s)
             self._db.execute("PRAGMA synchronous=NORMAL")
             if empty:
                 with self._db:
@@ -241,6 +240,26 @@ class JobQueue:
         except BaseException:
             self._db.close()
             raise
+
+    def _set_wal(self, timeout_s: float) -> None:
+        """Switch a file with no schema yet to WAL, waiting for rivals.
+
+        WAL survives kill -9 of any client and lets readers (the status
+        server) proceed during writer transactions.  It persists in the
+        file, and the schema is created only after the switch.  The
+        switch writes an empty file's header; a client switching at the
+        same moment gets "database is locked" without the busy handler
+        running, so retry until ``timeout_s``.
+        """
+        deadline = time.monotonic() + timeout_s
+        while True:
+            try:
+                self._db.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() > deadline:
+                    raise
+                time.sleep(0.001)
 
     def _check_version(self) -> bool:
         """True for a file with no tables yet; raises for another layout.

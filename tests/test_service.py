@@ -173,25 +173,20 @@ class TestJobQueue:
         it sees the file either empty or complete, never as a format-0
         file with tables: version and tables are read in one snapshot.
         Reading them in two statements failed ~1 iteration in 8 here.
-        Lock contention on a fresh file is retried, as a client would."""
+        Neither open may fail on lock contention either: no retry."""
         refused = []
 
-        def open_retrying(path):
-            while True:
-                try:
-                    JobQueue(path).close()
-                    return
-                except sqlite3.OperationalError:
-                    time.sleep(0.001)
+        def open_queue(path):
+            try:
+                JobQueue(path).close()
+            except (QueueFormatError, sqlite3.OperationalError) as exc:
+                refused.append(exc)
 
         def open_when_present(path, created):
             while not os.path.exists(path):
                 if created.is_set():
                     return
-            try:
-                open_retrying(path)
-            except QueueFormatError as exc:
-                refused.append(exc)
+            open_queue(path)
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -202,13 +197,39 @@ class TestJobQueue:
                 reader = threading.Thread(target=open_when_present,
                                           args=(path, created))
                 reader.start()
-                open_retrying(path)
+                open_queue(path)
                 created.set()
                 reader.join(timeout=30)
                 assert not reader.is_alive()
         finally:
             sys.setswitchinterval(switch)
         assert not refused, refused[0]
+
+    def test_first_open_waits_for_a_rival_switching_to_wal(self, tmp_path):
+        """A rival client switching a fresh file to WAL writes its header
+        under the write lock of a rollback-journal transaction.  Its
+        commit needs our shared lock gone, so SQLite fails our own switch
+        with "database is locked" at once instead of running the busy
+        handler.  The open must wait for the rival, not fail.  Holding
+        the write lock from a plain connection stands in for the rival."""
+        path = str(tmp_path / "queue.db")
+        rival = sqlite3.connect(path, isolation_level=None,
+                                check_same_thread=False)
+        rival.execute("BEGIN IMMEDIATE")
+        release = threading.Timer(0.2, rival.execute, args=("COMMIT",))
+        release.start()
+        try:
+            JobQueue(path).close()
+        finally:
+            release.join()
+            rival.close()
+        with JobQueue(path) as queue:
+            assert queue.jobs() == []
+        db = sqlite3.connect(path)
+        try:
+            assert db.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+        finally:
+            db.close()
 
     def test_state_survives_reconnect(self, tmp_path):
         path = queue_path(str(tmp_path / "svc"))
