@@ -2,7 +2,8 @@
 
 These time the pieces that dominate simulation wall-clock: histogram
 updates, PEBS sample extraction, TLB simulation, the vectorised batch
-cost path, and `ksampled` sample processing.
+cost path, `ksampled` sample processing, and the Zipf and mixture
+draws every synthetic workload generator is built from.
 """
 
 import numpy as np
@@ -17,6 +18,8 @@ from repro.pebs.sampler import PEBSSampler, SamplerConfig, SampleBatch
 from repro.policies.static import AllFastPolicy
 from repro.sim.engine import Simulation
 from repro.sim.machine import MachineSpec
+from repro.workloads.distributions import ZipfSampler, mixture_pick
+from repro.workloads.phaseflip import PhaseFlipWorkload
 from repro.workloads.silo import SiloWorkload
 
 import sys
@@ -56,6 +59,26 @@ class TestSamplerOps:
         )
         samples = benchmark(sampler.sample, batch)
         assert len(samples) > 0
+
+
+class TestWorkloadGeneration:
+    """One 32k-access generator batch of draws, at perfbench's sizes:
+    phaseflip's hot window at DEFAULT_SCALE and the replayed silo
+    trace's store."""
+
+    @pytest.mark.parametrize("n,alpha", [
+        (8_192, PhaseFlipWorkload.ZIPF_ALPHA),
+        (14_461, SiloWorkload.ZIPF_ALPHA),
+    ], ids=["phaseflip", "silo"])
+    def test_zipf_sample_32k(self, benchmark, n, alpha):
+        sampler = ZipfSampler(n, alpha)
+        ranks = benchmark(sampler.sample, np.random.default_rng(0), 32_768)
+        assert len(ranks) == 32_768 and ranks.max() < n
+
+    def test_mixture_pick_32k(self, benchmark):
+        picks = benchmark(mixture_pick, np.random.default_rng(0), 32_768,
+                          [0.60, 0.30, 0.10])
+        assert len(picks) == 32_768 and picks.max() <= 2
 
 
 class TestTLBOps:

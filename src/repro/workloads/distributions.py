@@ -19,31 +19,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 
-def _bounded_lower_bound(
-    cdf: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """Vectorised exact lower bound of each ``u`` within ``[lo, hi]``.
-
-    Preconditions (per element): every CDF entry before ``lo`` is < u,
-    and ``cdf[hi-1] >= u`` or ``hi`` is the answer -- i.e. the lower
-    bound lies in ``[lo, hi]``.  Runs a lockstep greedy binary descent:
-    each step takes ``pos += step`` exactly when ``pos + step`` still
-    satisfies ``cdf[pos+step-1] < u``, so ``pos`` accumulates the binary
-    expansion of ``answer - lo``.
-    """
-    pos = lo.copy()
-    span = int((hi - lo).max())
-    step = 1 << (span.bit_length() - 1)
-    last = len(cdf) - 1
-    while step:
-        cand = pos + step
-        # The gather index is clipped for memory safety only: where the
-        # clip bites, ``cand > hi`` already excludes the element.
-        probe = cdf[np.minimum(cand - 1, last)]
-        ok = (cand <= hi) & (probe < u)
-        pos[ok] = cand[ok]
-        step >>= 1
-    return pos
+#: Largest guide table: 2**20 int32 buckets, 4 MiB.
+_MAX_BUCKETS = 1 << 20
 
 
 class ZipfSampler:
@@ -51,21 +28,28 @@ class ZipfSampler:
 
     Rank 0 is the most popular.  Sampling is a guide-table inversion
     that is *bit-identical* to ``np.searchsorted(cdf, u, side="left")``
-    (every comparison is against the same float64 CDF entries) while
-    avoiding a full-depth binary search per draw:
+    (every comparison is against the same float64 CDF entries) in one
+    table gather plus a fixed number of whole-array passes:
 
     * a uniform grid of ``K`` buckets over [0, 1) is inverted once at
-      construction (``guide[j] = lower_bound(cdf, j/K)``);
-    * a draw whose bucket maps to a single rank (the common case: hot
-      ranks own many buckets) is resolved by one table gather;
-    * the rest descend the narrow ``[guide[j], guide[j+1]]`` range with
-      a lockstep greedy binary search (a handful of gathers, not
-      ``log2(n)`` probes into a multi-MB CDF).
+      construction (``guide[j] = lower_bound(cdf, j/K)``, int32);
+    * a draw ``u`` starts at ``guide[floor(u*K)]`` and takes the same
+      greedy steps as every other draw: ``step`` runs over the powers of
+      two below ``span + 1``, and a draw advances by ``step`` exactly
+      when the CDF entry it would pass is still ``< u``.  ``span`` is
+      the widest bucket's rank count, so the steps cover every answer.
 
-    ``K`` is a power of two, so ``u * K`` is exact for every float64
-    ``u`` in [0, 1): the bucket ``j = floor(u * K)`` is at most
-    ``K - 1`` and ``j / K <= u < (j + 1) / K`` always holds, which
-    keeps the answer inside ``[guide[j], guide[j+1]]``.
+    ``K`` starts at ~4 buckets per rank and doubles until no bucket
+    holds two CDF entries -- one step then resolves every draw -- or
+    it reaches ``2**20`` (a 4 MiB table; more ranks per bucket, more
+    steps).  ``K`` is a power of two, so ``u * K`` is exact for every
+    float64 ``u`` in [0, 1): ``j = floor(u * K)`` is at most ``K - 1``
+    and ``j / K <= u < (j + 1) / K``.  The answer therefore lies in
+    ``[guide[j], guide[j+1]]`` whatever ``K`` is, so ``K`` sizes the
+    table and never changes a draw.  No upper bound is checked: the
+    CDF is monotone and ``cdf[guide[j+1]] >= (j+1)/K > u``, so a step
+    past ``guide[j+1]`` always fails, and the CDF is padded with 1.0
+    entries so that every probe index is in range.
     """
 
     def __init__(self, n: int, alpha: float = 0.99):
@@ -76,27 +60,37 @@ class ZipfSampler:
         self.n = int(n)
         self.alpha = float(alpha)
         weights = 1.0 / np.power(np.arange(1, self.n + 1, dtype=np.float64), alpha)
-        self._cdf = np.cumsum(weights)
-        self._cdf /= self._cdf[-1]
-        # Guide-table resolution: ~4 buckets per rank, capped so the
-        # table stays ~1 MB even for multi-million-page regions.
-        self._K = 1 << min(17, max(8, self.n.bit_length() + 2))
-        self._grid = np.arange(self._K + 1, dtype=np.float64) / self._K
-        self._guide = np.searchsorted(self._cdf, self._grid, side="left")
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        # Bucket j holds the entries c < 1 with floor(c*K) == j (c*K is
+        # exact), so lower_bound(cdf, j/K) counts the entries in buckets
+        # below j.
+        inner = cdf[cdf < 1.0]
+        K = 1 << min(17, max(8, self.n.bit_length() + 2))
+        while True:
+            bucket = (inner * K).astype(np.int64)
+            if K == _MAX_BUCKETS or not (bucket[1:] == bucket[:-1]).any():
+                break
+            K <<= 1
+        self._K = K
+        # Rank r is the guide of the buckets after bucket[r-1] up to
+        # bucket[r].  Built from per-rank arrays: a freed K-sized
+        # temporary would raise malloc's mmap threshold and so the RSS.
+        self._guide = np.repeat(np.arange(len(inner) + 1, dtype=np.int32),
+                                np.diff(bucket, prepend=-1, append=K - 1))
+        span = int(np.unique(bucket, return_counts=True)[1].max(initial=0))
+        self._steps = [1 << b for b in reversed(range(span.bit_length()))]
+        # _probe[r] == cdf[r - 1]: a step from r probes _probe[step:][r].
+        self._probe = np.concatenate(([0.0], cdf, np.ones(span)))
+        self._cdf = self._probe[1:self.n + 1]
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` ranks (int64)."""
         u = rng.random(size)
-        j = (u * self._K).astype(np.int64)
-        lo = self._guide[j]
-        hi = self._guide[j + 1]
-        res = lo.copy()
-        narrow = lo != hi
-        if narrow.any():
-            res[narrow] = _bounded_lower_bound(
-                self._cdf, u[narrow], lo[narrow], hi[narrow]
-            )
-        return res
+        rank = self._guide[(u * self._K).astype(np.int64)].astype(np.int64)
+        for step in self._steps:
+            np.add(rank, step, out=rank, where=self._probe[step:][rank] < u)
+        return rank
 
     def popularity(self, rank: int) -> float:
         """Probability mass of one rank (for analytical checks)."""
@@ -179,8 +173,14 @@ def mixture_pick(rng: np.random.Generator, size: int, fractions) -> np.ndarray:
     """Assign each of ``size`` draws to a mixture component.
 
     ``fractions`` are component weights summing to ~1; returns int8
-    component indices.
+    component indices, equal to ``searchsorted(cdf, u, side="left")``:
+    the count of CDF edges below ``u``, summed edge by edge.  An edge at
+    or above 1.0 is below no ``u`` in [0, 1), so it is skipped.
     """
     fractions = np.asarray(fractions, dtype=np.float64)
     cdf = np.cumsum(fractions / fractions.sum())
-    return np.searchsorted(cdf, rng.random(size), side="left").astype(np.int8)
+    u = rng.random(size)
+    pick = np.zeros(size, dtype=np.int8)
+    for edge in cdf[cdf < 1.0]:
+        pick += u > edge
+    return pick

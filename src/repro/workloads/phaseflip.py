@@ -73,7 +73,11 @@ class PhaseFlipWorkload(Workload):
                 else self.total_accesses - emitted
             )
             for n in chunked(budget, self.batch_size):
-                offsets = (base + zipf.sample(rng, n)) % region_pages
+                # base + rank < 2 * region_pages, so one subtraction
+                # wraps it; numpy's % cost as much as the Zipf draw.
+                offsets = base + zipf.sample(rng, n)
+                np.subtract(offsets, region_pages, out=offsets,
+                            where=offsets >= region_pages)
                 yield AccessEvent.single(
                     "heap",
                     AccessBatch(offsets, self._mix_stores(n, 0.05, rng)),

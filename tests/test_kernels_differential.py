@@ -468,13 +468,14 @@ class TestZipfGuidedLookup:
 
     def test_boundary_uniforms(self):
         sampler = ZipfSampler(1_000, 0.99)
+        edges = np.arange(1, 20, dtype=np.float64) / sampler._K
         u = np.concatenate([
             [0.0, np.nextafter(1.0, 0.0)],
             sampler._cdf[:5],                     # exact CDF values (ties)
             np.nextafter(sampler._cdf[:5], 0.0),  # just below them
-            sampler._grid[1:20],                  # exact bucket boundaries
-            np.nextafter(sampler._grid[1:20], 0.0),
-            np.nextafter(sampler._grid[1:20], 2.0),
+            edges,                                # exact bucket boundaries
+            np.nextafter(edges, 0.0),
+            np.nextafter(edges, 2.0),
         ])
         got = sampler.sample(_FixedRng(u), len(u))
         expected = np.searchsorted(sampler._cdf, u, side="left")

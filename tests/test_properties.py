@@ -12,7 +12,8 @@ from repro.mem.pages import SUBPAGES_PER_HUGE
 from repro.mem.tiers import FASTEST_TIER
 from repro.pebs.events import AccessBatch
 from repro.pebs.sampler import PEBSSampler, SamplerConfig
-from repro.workloads.distributions import ZipfSampler
+from repro.workloads.distributions import ZipfSampler, mixture_pick
+from repro.workloads.spec import BwavesWorkload, RomsWorkload
 
 hotness_values = st.integers(min_value=0, max_value=1 << 40)
 
@@ -176,8 +177,12 @@ class _FixedUniforms:
         return self._u
 
 
-#: One sampler per guide-table size: K = 256, 4096 and 2**17.
-_ZIPF_SAMPLERS = [ZipfSampler(n, 0.99) for n in (3, 1_000, 40_000)]
+#: Guide tables of every shape: one-step tables at K = 2**8, 2**13 and
+#: 2**19; the 2**20 cap with two steps (liblinear's sampler) and with
+#: four (a million ranks); and n = 1, whose draws take no step at all.
+_ZIPF_SAMPLERS = [ZipfSampler(n, alpha) for n, alpha in (
+    (3, 0.99), (1_000, 0.99), (40_000, 0.99), (1_000_000, 0.99),
+    (47_575, 1.25), (1, 0.99))]
 
 #: Uniforms at the edges of [0, 1): the largest float below one, the
 #: smallest subnormal and the smallest normal.
@@ -211,12 +216,25 @@ class TestZipfProperties:
     def test_every_bucket_edge_and_its_neighbours(self, which):
         sampler = _ZIPF_SAMPLERS[which]
         edges = np.arange(sampler._K, dtype=np.float64) / sampler._K
-        _check_zipf_buckets(sampler, np.concatenate([
+        cdf = sampler._cdf
+        np.testing.assert_array_equal(
+            sampler._guide, np.searchsorted(cdf, edges, side="left"))
+        u = np.concatenate([
             edges,
             np.nextafter(edges, 0.0)[1:],
             np.nextafter(edges, 1.0),
+            cdf,
+            np.nextafter(cdf, 0.0),
+            np.nextafter(cdf, 1.0),
             _EDGE_UNIFORMS,
-        ]))
+        ])
+        for chunk in np.array_split(u[u < 1.0], 8):
+            _check_zipf_buckets(sampler, chunk)
+
+    def test_samplers_cover_every_table_shape(self):
+        shapes = {(s._K, len(s._steps)) for s in _ZIPF_SAMPLERS}
+        assert shapes == {(1 << 8, 1), (1 << 13, 1), (1 << 19, 1),
+                          (1 << 20, 4), (1 << 20, 2), (1 << 8, 0)}
 
     @given(st.integers(2, 5000), st.floats(0.0, 2.0))
     @settings(max_examples=30)
@@ -231,3 +249,51 @@ class TestZipfProperties:
         sampler = ZipfSampler(n, alpha=1.0)
         pops = [sampler.popularity(r) for r in range(0, min(n, 20))]
         assert all(a >= b - 1e-12 for a, b in zip(pops, pops[1:]))
+
+
+def _mixture_cdf(fractions):
+    fractions = np.asarray(fractions, dtype=np.float64)
+    return np.cumsum(fractions / fractions.sum())
+
+
+#: Every fraction list the workload generators pass to ``mixture_pick``.
+_WORKLOAD_MIXTURES = [
+    [0.85, 0.15],                     # btree
+    [0.60, 0.30, 0.10],               # graph500
+    [0.25, 0.55, 0.20],               # liblinear
+    [0.45, 0.15, 0.25, 0.15],         # pagerank
+    [0.96, 0.04],                     # silo
+    [1 - BwavesWorkload.SCRATCH_ACCESS_SHARE - 0.25, 0.25,
+     BwavesWorkload.SCRATCH_ACCESS_SHARE],
+    [RomsWorkload.WINDOW_SHARE] + [a for _s, a in RomsWorkload.ARRAYS],
+    [0.45, 0.25, 0.30],               # xsbench, lookup phase
+    [0.88, 0.02, 0.10],               # xsbench, init phase
+]
+
+
+class TestMixturePick:
+    @pytest.mark.parametrize("fractions", _WORKLOAD_MIXTURES + [
+        [1.0],               # a single component
+        [0.5, 0.0, 0.5],     # a zero-weight component
+        [0.0, 1.0],          # a zero-weight first component
+        [0.32, 0.28, 0.87],  # a CDF whose last entry rounds below 1
+    ])
+    def test_equals_searchsorted(self, fractions):
+        cdf = _mixture_cdf(fractions)
+        u = np.concatenate([
+            np.random.default_rng(len(fractions)).random(50_000),
+            cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+            _EDGE_UNIFORMS,
+        ])
+        u = u[u < 1.0]
+        got = mixture_pick(_FixedUniforms(u), len(u), fractions)
+        assert got.dtype == np.int8
+        np.testing.assert_array_equal(
+            got, np.searchsorted(cdf, u, side="left").astype(np.int8))
+
+    def test_fixtures_round_both_ways(self):
+        """graph500's CDF ends above 1 and another below the largest
+        float under 1, so the skipped edge and a draw past the last edge
+        are both exercised."""
+        assert _mixture_cdf([0.60, 0.30, 0.10])[-1] > 1.0
+        assert _mixture_cdf([0.32, 0.28, 0.87])[-1] < np.nextafter(1.0, 0.0)
