@@ -7,16 +7,14 @@ asserts for the same reason; the TPP reference self-checks its
 watermarks).  The catalogue:
 
 ``tier-accounting``
-    Each tier's ``used_bytes`` equals the byte-sum implied by the
-    ``page_tier`` mirror, and stays within ``[0, capacity]``.
+    Each tier's ``used_bytes`` equals the byte-sum implied by
+    ``page_tier``, and stays within ``[0, capacity]``.
 ``mapping-shape``
     ``page_huge`` runs cover whole aligned 2 MiB slots with one uniform
-    mapped tier; unmapped vpns are never marked huge.
-``page-table-mirror``
-    The numpy mirrors agree with the radix page table and the page
-    table's byte-sum agrees with the tiers (full
-    :meth:`AddressSpace.check_consistency` walk -- costly, so it runs
-    at epoch/end sites only).
+    mapped tier; unmapped vpns are never marked huge.  With
+    ``tier-accounting`` this is :meth:`AddressSpace.check_consistency`:
+    ``page_tier``/``page_huge`` are the one record of every mapping, so
+    the address space checks them against themselves and the tiers.
 ``histogram-mass``
     Rebuilding both histograms from ``main_bin``/``main_weight`` and
     ``base_bin`` reproduces ``hist``/``base_hist`` exactly (mass is
@@ -185,7 +183,7 @@ class CheckContext:
 
 
 def check_tier_accounting(ctx: CheckContext) -> List[Finding]:
-    """Tier ``used_bytes`` equals the mirror's byte-sum, within capacity."""
+    """Tier ``used_bytes`` equals ``page_tier``'s byte-sum, within capacity."""
     findings = []
     pt = ctx.space.page_tier
     for tier in ctx.tiers:
@@ -193,9 +191,8 @@ def check_tier_accounting(ctx: CheckContext) -> List[Finding]:
         if tier.used_bytes != mapped:
             findings.append(Finding(
                 "tier-accounting",
-                f"{tier.spec.name}: used_bytes disagrees with the "
-                f"page_tier mirror",
-                {"used_bytes": tier.used_bytes, "mirror_bytes": mapped},
+                f"{tier.spec.name}: used_bytes disagrees with page_tier",
+                {"used_bytes": tier.used_bytes, "mapped_bytes": mapped},
             ))
         if not 0 <= tier.used_bytes <= tier.capacity_bytes:
             findings.append(Finding(
@@ -235,15 +232,6 @@ def check_mapping_shape(ctx: CheckContext) -> List[Finding]:
                 {"hpn": hpn, "subpage_tiers": subpage_tiers},
             ))
     return findings
-
-
-def check_page_table_mirror(ctx: CheckContext) -> List[Finding]:
-    """Full mirror-vs-radix-table walk (costly; epoch/end sites only)."""
-    try:
-        ctx.space.check_consistency()
-    except AssertionError as exc:
-        return [Finding("page-table-mirror", str(exc))]
-    return []
 
 
 def check_histogram_mass(ctx: CheckContext) -> List[Finding]:
@@ -441,9 +429,6 @@ def check_tlb_coherence(ctx: CheckContext) -> List[Finding]:
 class _Check:
     name: str
     fn: Callable[[CheckContext], List[Finding]]
-    #: Costly checks are skipped at the per-batch site even under
-    #: ``strict`` (they still run at every epoch and at run end).
-    costly: bool = False
 
 
 #: Registry, in execution order (cheap structural checks first).
@@ -454,7 +439,6 @@ CHECKS = (
     _Check("promotion-queue", check_promotion_queue),
     _Check("split-bookkeeping", check_split_bookkeeping),
     _Check("tlb-coherence", check_tlb_coherence),
-    _Check("page-table-mirror", check_page_table_mirror, costly=True),
 )
 
 
@@ -486,8 +470,6 @@ class Sanitizer:
         """Run every applicable check; raise on any finding."""
         findings: List[Finding] = []
         for check in self.checks:
-            if check.costly and site == "batch":
-                continue
             findings.extend(check.fn(self.ctx))
         if findings:
             if self._c_findings is not None:

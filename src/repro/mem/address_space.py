@@ -1,20 +1,23 @@
-"""Virtual address space: regions, THP mapping, tier mirror, RSS.
+"""Virtual address space: regions, THP mapping, per-page arrays, RSS.
 
 The address space owns:
 
 * a bump-with-recycling virtual page allocator handing out 2 MiB-aligned
   regions to workloads;
-* the :class:`repro.mem.page_table.PageTable` (slow-path truth);
-* vectorised numpy mirrors used by the engine's per-batch cost
-  accounting (``page_tier``, ``page_huge``, ``touched``, ``ref_bit``);
+* the per-vpn numpy arrays that are the one record of every mapping:
+  ``page_tier`` (backing tier, or unmapped) and ``page_huge`` (covered
+  by a 2 MiB mapping), plus the ``touched``/``ref_bit`` access bits.
+  A page walk's cost depends only on the mapping size, so the TLB takes
+  the walk depth from ``page_huge`` (see
+  :data:`repro.mem.pages.WALK_LEVELS_HUGE`);
 * resident-set-size accounting, including huge-page *bloat*: a huge page
   contributes its full 2 MiB to RSS even when only a few subpages were
   ever touched, which is exactly the Btree pathology of §6.2.5
   (RSS 38.3 GB mapped vs 15.2 GB touched).
 
 All mapping mutations (map, unmap, migrate, split, collapse) go through
-this class so the mirrors can never drift from the page table; the test
-suite cross-checks them.
+this class, which checks each call's shape against the arrays before it
+moves any bytes, so tier accounting can never drift from them.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.mem.page_table import PageTable
 from repro.mem.pages import (
     BASE_PAGE_SIZE,
     HUGE_PAGE_SIZE,
@@ -81,7 +83,6 @@ class AddressSpace:
         ) << HUGE_SHIFT
         self.num_hpns = self.num_vpns >> HUGE_SHIFT
 
-        self.page_table = PageTable()
         #: tier backing each 4 KiB vpn; TIER_UNMAPPED (-1) when unmapped.
         self.page_tier = np.full(self.num_vpns, TIER_UNMAPPED, dtype=np.int8)
         #: True when the vpn is covered by a 2 MiB mapping.
@@ -191,21 +192,14 @@ class AddressSpace:
         """Unmap a region and release its frames."""
         if not region.live:
             raise ValueError(f"region {region.region_id} already freed")
-        vpn = region.base_vpn
-        end = region.end_vpn
-        while vpn < end:
-            if self.page_tier[vpn] == TIER_UNMAPPED:
-                vpn += 1  # subpage freed earlier by a split
-                continue
-            mapping = self.page_table.lookup(vpn)
-            if mapping.is_huge:
-                self._unmap_huge(vpn_to_hpn(vpn))
-                vpn = hpn_to_vpn(vpn_to_hpn(vpn)) + SUBPAGES_PER_HUGE
-            else:
-                self._unmap_base(vpn)
-                vpn += 1
-        self.touched[region.base_vpn : end] = False
-        self.ref_bit[region.base_vpn : end] = False
+        span = slice(region.base_vpn, region.end_vpn)
+        # Regions are whole 2 MiB slots, so no huge mapping straddles the
+        # range; subpages freed earlier by a split are already unmapped.
+        self._transfer(freed=self._tier_bytes(self.page_tier[span]))
+        self.page_tier[span] = TIER_UNMAPPED
+        self.page_huge[span] = False
+        self.touched[span] = False
+        self.ref_bit[span] = False
         self._notify_unmap(region.base_vpn, region.num_vpns)
         region.live = False
         del self._regions[region.region_id]
@@ -216,28 +210,43 @@ class AddressSpace:
     def _map_huge(self, hpn: int, tier: int) -> None:
         base = hpn_to_vpn(hpn)
         self.tiers.tier(tier).alloc(HUGE_PAGE_SIZE)
-        self.page_table.map_huge(base, tier)
         self.page_tier[base : base + SUBPAGES_PER_HUGE] = int(tier)
         self.page_huge[base : base + SUBPAGES_PER_HUGE] = True
 
     def _map_base(self, vpn: int, tier: int) -> None:
         self.tiers.tier(tier).alloc(BASE_PAGE_SIZE)
-        self.page_table.map_base(vpn, tier)
         self.page_tier[vpn] = int(tier)
         self.page_huge[vpn] = False
 
-    def _unmap_huge(self, hpn: int) -> None:
-        base = hpn_to_vpn(hpn)
-        mapping = self.page_table.unmap(base)
-        self.tiers.tier(mapping.tier).free(HUGE_PAGE_SIZE)
-        self.page_tier[base : base + SUBPAGES_PER_HUGE] = TIER_UNMAPPED
-        self.page_huge[base : base + SUBPAGES_PER_HUGE] = False
+    def _tier_bytes(self, page_tiers: np.ndarray) -> np.ndarray:
+        """Bytes each tier backs among ``page_tiers`` entries (4 KiB each;
+        unmapped entries count for none)."""
+        mapped = page_tiers[page_tiers != TIER_UNMAPPED]
+        return np.bincount(mapped, minlength=len(self.tiers)) * BASE_PAGE_SIZE
 
-    def _unmap_base(self, vpn: int) -> None:
-        mapping = self.page_table.unmap(vpn)
-        self.tiers.tier(mapping.tier).free(BASE_PAGE_SIZE)
-        self.page_tier[vpn] = TIER_UNMAPPED
-        self.page_huge[vpn] = False
+    def _transfer(self, freed=None, taken=None) -> None:
+        """Release ``freed[t]`` and claim ``taken[t]`` bytes on each tier t.
+
+        Every claim is checked against the tier's free bytes plus its own
+        release first, so a claim that does not fit raises
+        :class:`OutOfMemoryError` before any tier changes.
+        """
+        freed = [0] * len(self.tiers) if freed is None else freed.tolist()
+        taken = [] if taken is None else taken.tolist()
+        for t, nbytes in enumerate(taken):
+            tier = self.tiers.tier(t)
+            room = tier.free_bytes + freed[t]
+            if nbytes > room:
+                raise OutOfMemoryError(
+                    f"{tier.spec.name}: need {nbytes} bytes, only {room} "
+                    f"free of {tier.capacity_bytes}"
+                )
+        for t, nbytes in enumerate(freed):
+            if nbytes:
+                self.tiers.tier(t).free(nbytes)
+        for t, nbytes in enumerate(taken):
+            if nbytes:
+                self.tiers.tier(t).alloc(nbytes)
 
     # -- queries ---------------------------------------------------------------
 
@@ -308,9 +317,8 @@ class AddressSpace:
         through the remaining tiers in fallback order (slower first,
         then faster), and the allocation raises
         :class:`OutOfMemoryError` before any page maps when the batch
-        does not fit.  Tier accounting and the numpy mirrors update in
-        bulk; the radix page table still maps per page (it is not the
-        hot cost).
+        does not fit.  A vpn that is mapped, or listed twice, raises
+        ``ValueError`` before any page maps.
         """
         vpns = np.asarray(vpns, dtype=np.int64)
         if len(vpns) == 0:
@@ -318,6 +326,10 @@ class AddressSpace:
         if np.any(self.page_tier[vpns] != TIER_UNMAPPED):
             bad = int(vpns[self.page_tier[vpns] != TIER_UNMAPPED][0])
             raise ValueError(f"vpn {bad} already mapped")
+        ordered = np.sort(vpns)
+        repeats = ordered[1:][ordered[1:] == ordered[:-1]]
+        if len(repeats):
+            raise ValueError(f"vpn {int(repeats[0])} already mapped")
         chunks = []
         rest = vpns
         for tier in self.tiers.fallback_order(preferred):
@@ -338,8 +350,6 @@ class AddressSpace:
             if not len(chunk):
                 continue
             self.tiers.tier(tier).alloc(len(chunk) * BASE_PAGE_SIZE)
-            for vpn in chunk.tolist():
-                self.page_table.map_base(int(vpn), tier)
             self.page_tier[chunk] = int(tier)
             self.page_huge[chunk] = False
 
@@ -348,38 +358,50 @@ class AddressSpace:
     def retarget(self, base_vpn: int, is_huge: bool, dst: int) -> int:
         """Move one mapping to ``dst``; returns bytes moved.
 
-        Caller is responsible for cost accounting (copy + shootdown).
+        ``base_vpn`` must head a mapping of shape ``is_huge`` (a huge
+        mapping's 2 MiB-aligned head), else ``KeyError``.  Caller is
+        responsible for cost accounting (copy + shootdown).
         """
-        nbytes = HUGE_PAGE_SIZE if is_huge else BASE_PAGE_SIZE
-        mapping = self.page_table.lookup(base_vpn)
-        if mapping is None or mapping.is_huge != is_huge:
-            raise KeyError(f"vpn {base_vpn} mapping shape mismatch")
-        src = mapping.tier
-        if int(src) == int(dst):
+        self._require_shape(np.array([base_vpn], dtype=np.int64), is_huge)
+        src = int(self.page_tier[base_vpn])
+        if src == int(dst):
             return 0
+        nbytes = HUGE_PAGE_SIZE if is_huge else BASE_PAGE_SIZE
         self.tiers.tier(dst).alloc(nbytes)
         self.tiers.tier(src).free(nbytes)
-        self.page_table.set_tier(base_vpn, dst)
         span = SUBPAGES_PER_HUGE if is_huge else 1
         self.page_tier[base_vpn : base_vpn + span] = int(dst)
         return nbytes
+
+    def _require_shape(self, base_vpns: np.ndarray, is_huge: bool) -> None:
+        """``KeyError`` unless every vpn heads a mapping of shape ``is_huge``."""
+        ok = (self.page_tier[base_vpns] != TIER_UNMAPPED) & (
+            self.page_huge[base_vpns] == is_huge
+        )
+        if is_huge:
+            ok &= (base_vpns & (SUBPAGES_PER_HUGE - 1)) == 0
+        if not ok.all():
+            bad = int(base_vpns[~ok][0])
+            raise KeyError(f"vpn {bad} mapping shape mismatch")
 
     def retarget_many(
         self, base_vpns: np.ndarray, is_huge: bool, dst: int
     ) -> int:
         """Move many same-shape mappings to ``dst``; returns pages moved.
 
-        Every vpn must currently be mapped with shape ``is_huge`` on a
-        tier other than ``dst`` (the caller filters same-tier no-ops);
-        sources may span several tiers.  Tier accounting moves in one
-        transfer per source tier, so a batch that does not fit ``dst``
-        raises :class:`OutOfMemoryError` before any page moves (the
-        sequential path would fail midway; neither completes).
+        Every vpn must currently head a mapping of shape ``is_huge``
+        (else ``KeyError``) on a tier other than ``dst`` (the caller
+        filters same-tier no-ops); sources may span several tiers.  Tier
+        accounting moves in one transfer per source tier, so a batch
+        that does not fit ``dst`` raises :class:`OutOfMemoryError` before
+        any page moves (the sequential path would fail midway; neither
+        completes).
         """
         base_vpns = np.asarray(base_vpns, dtype=np.int64)
         n = len(base_vpns)
         if n == 0:
             return 0
+        self._require_shape(base_vpns, is_huge)
         nbytes = HUGE_PAGE_SIZE if is_huge else BASE_PAGE_SIZE
         dst = int(dst)
         src_counts = np.bincount(
@@ -394,8 +416,6 @@ class AddressSpace:
         for src, count in enumerate(src_counts.tolist()):
             if count:
                 self.tiers.tier(src).free(count * nbytes)
-        for vpn in base_vpns.tolist():
-            self.page_table.set_tier(int(vpn), dst)
         if is_huge:
             span = (
                 base_vpns[:, None] + np.arange(SUBPAGES_PER_HUGE)[None, :]
@@ -411,32 +431,39 @@ class AddressSpace:
         ``subpage_tiers[j]`` is the destination tier index of subpage
         ``j``, or None to free it (never-touched, all-zero subpages are
         unmapped to reclaim bloat, §4.3.3).  Returns a small accounting
-        dict (bytes freed / migrated) for the caller to charge.
+        dict (bytes freed / migrated) for the caller to charge.  Subpages
+        that do not fit their tiers raise :class:`OutOfMemoryError`
+        before anything changes.
         """
         base = hpn_to_vpn(hpn)
-        mapping = self.page_table.lookup(base)
-        if mapping is None or not mapping.is_huge:
+        if not self.page_huge[base]:
             raise ValueError(f"hpn {hpn} is not huge-mapped")
-        src = mapping.tier
-
-        self._unmap_huge(hpn)
-        freed = 0
-        moved = 0
-        for sub in range(SUBPAGES_PER_HUGE):
-            dst = subpage_tiers[sub]
-            if dst is None:
-                freed += BASE_PAGE_SIZE
-                self.touched[base + sub] = False
-                continue
-            self._map_base(base + sub, dst)
-            if int(dst) != int(src):
-                moved += BASE_PAGE_SIZE
-        return {"bytes_freed": freed, "bytes_migrated": moved, "src_tier": src}
+        src = int(self.page_tier[base])
+        dst = np.array(
+            [TIER_UNMAPPED if t is None else int(t) for t in subpage_tiers],
+            dtype=np.int8,
+        )
+        freed = np.zeros(len(self.tiers), dtype=np.int64)
+        freed[src] = HUGE_PAGE_SIZE
+        self._transfer(freed=freed, taken=self._tier_bytes(dst))
+        span = slice(base, base + SUBPAGES_PER_HUGE)
+        self.page_tier[span] = dst
+        self.page_huge[span] = False
+        dropped = dst == TIER_UNMAPPED
+        self.touched[span][dropped] = False
+        moved = np.count_nonzero(~dropped & (dst != src))
+        return {
+            "bytes_freed": int(np.count_nonzero(dropped)) * BASE_PAGE_SIZE,
+            "bytes_migrated": int(moved) * BASE_PAGE_SIZE,
+            "src_tier": src,
+        }
 
     def collapse_huge(self, hpn: int, tier: int) -> int:
         """Coalesce 512 base subpages back into one huge page on ``tier``.
 
-        Returns bytes migrated (subpages that changed tier).
+        Returns bytes migrated (subpages that changed tier).  A huge page
+        that does not fit ``tier`` once the subpages are released raises
+        :class:`OutOfMemoryError` before anything changes.
         """
         base = hpn_to_vpn(hpn)
         span = self.page_tier[base : base + SUBPAGES_PER_HUGE]
@@ -445,9 +472,11 @@ class AddressSpace:
         ):
             raise ValueError(f"hpn {hpn} not fully base-mapped; cannot collapse")
         moved = int(np.count_nonzero(span != int(tier))) * BASE_PAGE_SIZE
-        for sub in range(SUBPAGES_PER_HUGE):
-            self._unmap_base(base + sub)
-        self._map_huge(hpn, tier)
+        taken = np.zeros(len(self.tiers), dtype=np.int64)
+        taken[int(tier)] = HUGE_PAGE_SIZE
+        self._transfer(freed=self._tier_bytes(span), taken=taken)
+        self.page_tier[base : base + SUBPAGES_PER_HUGE] = int(tier)
+        self.page_huge[base : base + SUBPAGES_PER_HUGE] = True
         return moved
 
     # -- checkpoint support ----------------------------------------------------
@@ -457,13 +486,7 @@ class AddressSpace:
         return self._regions[region_id]
 
     def state_dict(self) -> dict:
-        """Serialisable mapping state.
-
-        The radix page table is *not* serialised: the numpy mirrors are a
-        complete description of every mapping, and :meth:`load_state`
-        rebuilds the table from them (``check_consistency`` cross-checks
-        the two, so a checkpoint can never resurrect a drifted table).
-        """
+        """Serialisable mapping state (the arrays describe every mapping)."""
         return {
             "page_tier": self.page_tier.copy(),
             "page_huge": self.page_huge.copy(),
@@ -479,10 +502,10 @@ class AddressSpace:
         """Restore :meth:`state_dict` output.
 
         Tier byte accounting is restored separately by
-        ``TieredMemory.load_state`` (before this runs), so the page table
-        is rebuilt directly on the table object rather than through the
-        allocating ``_map_*`` helpers.  Unmap listeners are live callables
-        rewired at construction and are left untouched.
+        ``TieredMemory.load_state``, so the arrays are copied in directly
+        rather than through the allocating ``_map_*`` helpers.  Unmap
+        listeners are live callables rewired at construction and are left
+        untouched.
         """
         self.page_tier[:] = np.asarray(state["page_tier"], dtype=np.int8)
         self.page_huge[:] = np.asarray(state["page_huge"], dtype=bool)
@@ -496,33 +519,20 @@ class AddressSpace:
         self._recycle = {
             int(size): list(bases) for size, bases in state["recycle"].items()
         }
-        self.page_table = PageTable()
-        huge_heads = np.flatnonzero(self.page_huge[::SUBPAGES_PER_HUGE])
-        for hpn in huge_heads.tolist():
-            base = hpn_to_vpn(int(hpn))
-            self.page_table.map_huge(base, int(self.page_tier[base]))
-        base_vpns = np.flatnonzero((self.page_tier >= 0) & ~self.page_huge)
-        for vpn in base_vpns.tolist():
-            self.page_table.map_base(int(vpn), int(self.page_tier[vpn]))
 
     # -- consistency (used by tests) -------------------------------------------
 
     def check_consistency(self) -> None:
-        """Assert the numpy mirrors agree with the radix page table."""
-        seen = np.full(self.num_vpns, TIER_UNMAPPED, dtype=np.int8)
-        huge = np.zeros(self.num_vpns, dtype=bool)
-        for mapping in self.page_table.iter_mappings():
-            span = mapping.num_vpns
-            seen[mapping.vpn : mapping.vpn + span] = int(mapping.tier)
-            huge[mapping.vpn : mapping.vpn + span] = mapping.is_huge
-        if not np.array_equal(seen, self.page_tier):
-            raise AssertionError("page_tier mirror out of sync with page table")
-        if not np.array_equal(huge, self.page_huge):
-            raise AssertionError("page_huge mirror out of sync with page table")
-        for tier in self.tiers:
-            mapped = int(np.count_nonzero(seen == tier.index)) * BASE_PAGE_SIZE
-            if mapped != tier.used_bytes:
-                raise AssertionError(
-                    f"{tier_label(tier.index, self.tiers)} tier accounting "
-                    f"{tier.used_bytes} != mapped {mapped}"
-                )
+        """Raise ``AssertionError`` when the arrays break the sanitizer's
+        ``mapping-shape`` or ``tier-accounting`` check."""
+        # Imported here because repro.check itself imports repro.mem.
+        from repro.check.invariants import (
+            CheckContext,
+            check_mapping_shape,
+            check_tier_accounting,
+        )
+
+        ctx = CheckContext(space=self, tiers=self.tiers)
+        findings = check_mapping_shape(ctx) + check_tier_accounting(ctx)
+        if findings:
+            raise AssertionError("; ".join(str(f) for f in findings))

@@ -26,6 +26,13 @@ HUGE_PAGE_SIZE = 2 * 1024 * 1024
 SUBPAGES_PER_HUGE = HUGE_PAGE_SIZE // BASE_PAGE_SIZE  # 512
 HUGE_SHIFT = 9  # log2(SUBPAGES_PER_HUGE)
 
+#: Page-walk memory references by mapping size, as on x86-64 4-level
+#: paging: a 4 KiB translation walks PGD -> PUD -> PMD -> PTE, a 2 MiB
+#: one ends at its PMD leaf.  One fewer reference per TLB miss is the
+#: translation benefit huge pages buy in the paper (§2.3).
+WALK_LEVELS_BASE = 4
+WALK_LEVELS_HUGE = 3
+
 
 def vpn_to_hpn(vpn):
     """Huge-page slot index containing 4 KiB page ``vpn`` (array-friendly)."""

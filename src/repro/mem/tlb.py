@@ -36,8 +36,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.kernels.tlb_lru import lru_access
-from repro.mem.page_table import WALK_LEVELS_BASE, WALK_LEVELS_HUGE
-from repro.mem.pages import vpn_to_hpn
+from repro.mem.pages import WALK_LEVELS_BASE, WALK_LEVELS_HUGE, vpn_to_hpn
 
 
 @dataclass(frozen=True)

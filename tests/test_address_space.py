@@ -27,14 +27,14 @@ class TestAllocation:
         region = space.alloc_region(4 * MB, thp=True)
         assert region.num_vpns == 4 * MB // BASE_PAGE_SIZE
         assert space.page_huge[region.base_vpn]
-        assert space.page_table.mapped_huge_pages == 2
+        assert len(space.mapped_huge_hpns()) == 2
         space.check_consistency()
 
     def test_base_region_maps_base(self):
         space = make_space()
         region = space.alloc_region(2 * MB, thp=False)
         assert not space.page_huge[region.base_vpn]
-        assert space.page_table.mapped_huge_pages == 0
+        assert len(space.mapped_huge_hpns()) == 0
         space.check_consistency()
 
     def test_size_rounds_to_huge_multiple(self):
@@ -138,6 +138,32 @@ class TestMutations:
         region = space.alloc_region(2 * MB, tier_chooser=lambda n: FASTEST_TIER)
         assert space.retarget(region.base_vpn, True, FASTEST_TIER) == 0
 
+    def test_retarget_unaligned_huge_rejected(self):
+        # Only the 2 MiB head names a huge mapping: an interior vpn would
+        # retarget a 512-vpn span reaching into the next slot.
+        space = make_space()
+        region = space.alloc_region(4 * MB, tier_chooser=lambda n: FASTEST_TIER)
+        before = space.page_tier.copy()
+        with pytest.raises(KeyError):
+            space.retarget(region.base_vpn + 100, is_huge=True, dst=1)
+        np.testing.assert_array_equal(space.page_tier, before)
+        assert space.tiers.fast.used_bytes == 4 * MB
+        space.check_consistency()
+
+    def test_retarget_many_base_on_huge_head_rejected(self):
+        # A 4 KiB move of a huge page's head would move 4 KiB of
+        # accounting and one page_tier entry out of a 2 MiB mapping.
+        space = make_space()
+        region = space.alloc_region(2 * MB, tier_chooser=lambda n: FASTEST_TIER)
+        with pytest.raises(KeyError):
+            space.retarget_many(
+                np.array([region.base_vpn]), is_huge=False, dst=1)
+        span = space.page_tier[region.base_vpn : region.end_vpn]
+        assert (span == FASTEST_TIER).all()
+        assert space.tiers.fast.used_bytes == 2 * MB
+        assert space.tiers.slowest.used_bytes == 0
+        space.check_consistency()
+
     def test_split_frees_and_migrates(self):
         space = make_space()
         region = space.alloc_region(2 * MB, tier_chooser=lambda n: FASTEST_TIER)
@@ -180,6 +206,16 @@ class TestMutations:
         with pytest.raises(ValueError):
             space.demand_map(region.base_vpn, FASTEST_TIER)
         space.check_consistency()
+
+    def test_demand_map_many_rejects_a_repeated_vpn(self):
+        space = make_space()
+        region = space.alloc_region(2 * MB)
+        space.split_huge(region.base_vpn >> 9, [None] * SUBPAGES_PER_HUGE)
+        vpns = np.array([region.base_vpn, region.base_vpn + 1, region.base_vpn])
+        with pytest.raises(ValueError):
+            space.demand_map_many(vpns, FASTEST_TIER)
+        assert space.tiers.total_used() == 0
+        assert (space.page_tier[region.base_vpn : region.end_vpn] < 0).all()
 
     def test_record_touch_sets_ref_bits(self):
         space = make_space()

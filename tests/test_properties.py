@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.histogram import AccessHistogram, bin_of, bin_of_array
 from repro.core.split import skewness_factors, utilization_factors
 from repro.core.thresholds import adapt_thresholds
-from repro.mem.page_table import PageTable
-from repro.mem.pages import SUBPAGES_PER_HUGE
-from repro.mem.tiers import FASTEST_TIER
+from repro.mem.address_space import AddressSpace
+from repro.mem.pages import BASE_PAGE_SIZE, SUBPAGES_PER_HUGE
+from repro.mem.tiers import FASTEST_TIER, TieredMemory, dram_spec, nvm_spec
 from repro.pebs.events import AccessBatch
 from repro.pebs.sampler import PEBSSampler, SamplerConfig
 from repro.workloads.distributions import ZipfSampler, mixture_pick
@@ -151,19 +151,23 @@ class TestSkewnessProperties:
 
 
 class TestPageTableProperties:
-    @given(st.lists(st.integers(0, 1 << 27), min_size=1, max_size=60,
-                    unique=True))
+    @given(st.lists(st.integers(0, 4 * SUBPAGES_PER_HUGE - 1), min_size=1,
+                    max_size=60, unique=True))
     @settings(max_examples=30)
-    def test_map_unmap_roundtrip(self, vpns):
-        pt = PageTable()
-        for vpn in vpns:
-            pt.map_base(vpn, FASTEST_TIER)
-        assert pt.mapped_vpns == len(vpns)
-        for vpn in vpns:
-            assert pt.lookup(vpn) is not None
-            pt.unmap(vpn)
-        assert pt.mapped_vpns == 0
-        assert all(pt.lookup(v) is None for v in vpns)
+    def test_map_unmap_roundtrip(self, offsets):
+        tiers = TieredMemory.build(dram_spec(16 << 20), nvm_spec(64 << 20))
+        space = AddressSpace(tiers)
+        region = space.alloc_region(8 << 20, thp=True)
+        for hpn in range(region.base_vpn >> 9, region.end_vpn >> 9):
+            space.split_huge(hpn, [None] * SUBPAGES_PER_HUGE)
+        vpns = region.base_vpn + np.array(offsets, dtype=np.int64)
+        space.demand_map_many(vpns, FASTEST_TIER)
+        assert np.count_nonzero(space.page_tier >= 0) == len(vpns)
+        assert (space.page_tier[vpns] == FASTEST_TIER).all()
+        assert tiers.fast.used_bytes == len(vpns) * BASE_PAGE_SIZE
+        space.free_region(region)
+        assert not (space.page_tier >= 0).any()
+        assert tiers.total_used() == 0
 
 
 class _FixedUniforms:
