@@ -2,8 +2,10 @@
 
 These time the pieces that dominate simulation wall-clock: histogram
 updates, PEBS sample extraction, TLB simulation, the vectorised batch
-cost path, `ksampled` sample processing, and the Zipf and mixture
-draws every synthetic workload generator is built from.
+cost path, `ksampled` sample processing, the Zipf and mixture draws
+every synthetic workload generator is built from, and the stages that
+carry a replayed trace into the engine (trace slicing, batch fusion,
+the interleave shuffle and the tier counts).
 """
 
 import numpy as np
@@ -20,14 +22,20 @@ from repro.sim.engine import Simulation
 from repro.sim.machine import MachineSpec
 from repro.workloads.distributions import ZipfSampler, mixture_pick
 from repro.workloads.phaseflip import PhaseFlipWorkload
+from repro.workloads.base import AllocEvent
+from repro.workloads.registry import make_workload
 from repro.workloads.silo import SiloWorkload
+from repro.workloads.trace import TraceWorkload, record_trace
 
 import sys
 import os
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from conftest import run_once  # noqa: E402
+from record_bench import MACRO_BATCH, SEED, TRACE_EVENT_ACCESSES, TRACE_SCALE  # noqa: E402
 
 from repro import kernels  # noqa: E402
+from repro.policies.registry import make_policy  # noqa: E402
+from repro.sim.machine import ScaleSpec  # noqa: E402
 
 MB = 1024 * 1024
 
@@ -117,6 +125,78 @@ class TestKsampledHotPath:
         samples = SampleBatch(vpns, np.zeros(len(vpns), dtype=bool))
         run_once(benchmark, ks.process_samples, samples)
         assert ks.total_samples == 10_000
+
+
+@pytest.fixture(scope="module")
+def silo_trace(tmp_path_factory):
+    """The seed-7 silo trace ``perfbench/``'s replay workloads record."""
+    path = str(tmp_path_factory.mktemp("trace") / "trace.npz")
+    record_trace(make_workload("silo", ScaleSpec(**TRACE_SCALE)), path,
+                 seed=SEED)
+    return path
+
+
+@pytest.fixture(scope="module")
+def silo_batch(silo_trace):
+    """A 1:8 memtis simulation of the trace plus the parts of its first
+    256-event engine batch, as ``_resolve_parts`` hands them to fusion."""
+    workload = TraceWorkload(silo_trace, event_accesses=TRACE_EVENT_ACCESSES)
+    sim = Simulation(workload, make_policy("memtis"),
+                     MachineSpec.from_ratio(workload.total_bytes, "1:8"),
+                     seed=SEED, macro_batch=MACRO_BATCH)
+    regions, rels = [], []
+    for event in workload.events(np.random.default_rng(SEED)):
+        if isinstance(event, AllocEvent):
+            sim._handle_alloc(event)
+            continue
+        part_regions, part_rels = sim._resolve_parts(event)
+        regions += part_regions
+        rels += part_rels
+        if len(rels) >= 256:
+            break
+    return sim, regions[:256], rels[:256]
+
+
+class TestReplayStages:
+    """Each stage a replayed access passes on its way into the engine,
+    at ``perfbench/``'s ``replay_macro`` sizes."""
+
+    def test_trace_events_pass(self, benchmark, silo_trace):
+        """One pass of the replay loop over the whole trace (1k events)."""
+        workload = TraceWorkload(silo_trace,
+                                 event_accesses=TRACE_EVENT_ACCESSES)
+
+        def replay():
+            return sum(1 for _ in workload.events(None))
+
+        events = run_once(benchmark, replay)
+        assert events == workload.num_replay_events
+
+    def test_fuse_256_parts(self, benchmark, silo_batch):
+        _sim, regions, rels = silo_batch
+        batch = benchmark(Simulation._fuse_staged, regions, rels)
+        assert len(batch) == sum(len(rel) for rel in rels)
+
+    def test_interleave_262k(self, benchmark, silo_batch):
+        sim, regions, rels = silo_batch
+        fused = Simulation._fuse_staged(regions, rels)
+        vpn = np.resize(fused.vpn, MACRO_BATCH)
+        is_store = np.resize(fused.is_store, MACRO_BATCH)
+
+        def fresh():
+            # Fusion hands the interleave a buffer it may write.
+            return (AccessBatch(vpn.copy(), is_store), True, True), {}
+
+        batch = benchmark.pedantic(sim._interleave, setup=fresh, rounds=30)
+        assert np.array_equal(np.sort(batch.vpn), np.sort(vpn))
+
+    @pytest.mark.parametrize("n", [1_024, MACRO_BATCH])
+    def test_memory_ns(self, benchmark, silo_batch, n):
+        sim = silo_batch[0]
+        rng = np.random.default_rng(0)
+        tiers = (rng.random(n) < 0.3).astype(np.int8)
+        stores = rng.random(n) < 0.2
+        assert benchmark(sim.bound_cost.memory_ns, tiers, stores) > 0
 
 
 def _make_ksampled_fixture(region_mb=32):

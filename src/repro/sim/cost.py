@@ -65,9 +65,13 @@ class BoundCostModel:
         Every access falls in one of ``2N`` (tier, kind) categories, so
         the batch total is integer per-tier load/store counts times the
         baked latencies -- no per-access gather/where/sum temporaries.
-        The per-tier components are summed fastest-first, which for two
-        tiers reproduces the historical ``(fast + capacity)`` float
-        addition order exactly.
+        Each tier but the slowest costs one compare and two
+        ``count_nonzero`` passes over byte arrays; the slowest tier gets
+        what is left.  (A ``bincount`` would first widen its input to
+        8-byte indices: a fresh buffer per batch that cost more than all
+        the counting.)  The per-tier components are summed
+        fastest-first, which for two tiers reproduces the historical
+        ``(fast + capacity)`` float addition order exactly.
 
         With the opt-in bandwidth model, every non-fastest tier's
         component is inflated by ``1/(1-rho)`` where rho is that tier's
@@ -75,20 +79,24 @@ class BoundCostModel:
         Optane saturation effect that widens tiering gaps on real
         hardware.
         """
-        n = len(tier_per_access)
         num_tiers = len(self.tiers)
-        totals = np.bincount(tier_per_access, minlength=num_tiers)
-        store_totals = np.bincount(
-            tier_per_access[is_store], minlength=num_tiers
-        )
+        stores_left = int(np.count_nonzero(is_store))
+        loads_left = len(tier_per_access) - stores_left
+        counts = []  # (loads, stores) per tier
+        for i in range(num_tiers - 1):
+            in_tier = tier_per_access == i
+            n_i = int(np.count_nonzero(in_tier))
+            in_tier &= is_store
+            n_store_i = int(np.count_nonzero(in_tier))
+            counts.append((n_i - n_store_i, n_store_i))
+            loads_left -= n_i - n_store_i
+            stores_left -= n_store_i
+        counts.append((loads_left, stores_left))
         lt, st = self.load_table, self.store_table
-        components = []
-        for i in range(num_tiers):
-            n_store_i = int(store_totals[i])
-            n_load_i = int(totals[i]) - n_store_i
-            components.append(
-                n_load_i * float(lt[i]) + n_store_i * float(st[i])
-            )
+        components = [
+            n_load * float(lt[i]) + n_store * float(st[i])
+            for i, (n_load, n_store) in enumerate(counts)
+        ]
         total = components[0]
         for comp in components[1:]:
             total = total + comp
@@ -99,7 +107,7 @@ class BoundCostModel:
         # by the batch total would understate rho exactly when faster
         # tiers absorbed most of the batch time.
         for i in range(1, num_tiers):
-            n_i = int(totals[i])
+            n_i = sum(counts[i])
             comp_i = components[i]
             if n_i == 0 or comp_i <= 0:
                 continue

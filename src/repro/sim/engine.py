@@ -366,35 +366,52 @@ class Simulation:
 
     @staticmethod
     def _fuse_staged(regions, rels) -> AccessBatch:
-        """Grouped whole-array fusion: one concat + one base-vector add.
+        """Whole-array fusion: one concat, then an in-place add per part
+        whose region has a non-zero base.
 
-        Bit-identical to :meth:`_fuse_reference` (integer ops, same
-        order); enforced per batch in validate mode and end to end by
-        ``tests/test_macro_batch.py``.
+        Parts in a region based at vpn 0 (most of a trace replay) cost
+        nothing beyond the concat the reference also does.  Bit-identical
+        to :meth:`_fuse_reference` (integer ops); enforced per batch in
+        validate mode and by ``tests/test_macro_batch.py``.
         """
         if len(rels) == 1:
             return rels[0].rebased(regions[0].base_vpn)
         if not rels:
             return AccessBatch.concat([])
-        vpn = np.concatenate([rel.vpn for rel in rels])
-        bases = np.repeat(
-            np.array([region.base_vpn for region in regions], dtype=np.int64),
-            [len(rel) for rel in rels],
-        )
-        np.add(vpn, bases, out=vpn)  # fresh concat buffer: safe in place
+        parts = [rel.vpn for rel in rels]
+        vpn = np.concatenate(parts)
+        end = 0
+        for region, part in zip(regions, parts):
+            end += len(part)
+            if region.base_vpn:  # fresh concat buffer: safe in place
+                vpn[end - len(part):end] += region.base_vpn
         is_store = np.concatenate([rel.is_store for rel in rels])
         return AccessBatch(vpn, is_store)
 
-    def _interleave(self, batch: AccessBatch, interleave: bool) -> AccessBatch:
+    def _interleave(self, batch: AccessBatch, interleave: bool,
+                    owned: bool) -> AccessBatch:
+        """Shuffle one fused batch's accesses (vpn and store flag move
+        together).
+
+        ``owned`` says fusion allocated ``batch.vpn``: the shuffle then
+        packs and unpacks in that array.  Otherwise it is a workload's
+        array (a read-only trace view, a generator's or a tee's
+        recording) and is copied once first.  ``is_store`` is never
+        written: the unpacked flags go to a fresh array.
+        """
         if interleave and len(batch) > 1:
             # Shuffling the packed (vpn, is_store) words in place makes
             # the same swaps as ``rng.permutation(n)`` (a shuffle of
             # ``arange(n)``): same order, same RNG state, but one pass
             # instead of a permutation plus two random gathers.
-            packed = batch.vpn << 1
+            packed = np.left_shift(batch.vpn, 1,
+                                   out=batch.vpn if owned else None)
             packed |= batch.is_store
             self.rng.shuffle(packed)
-            is_store = (packed & 1).astype(bool)
+            # Unpack straight into bools: ``(packed & 1)`` would be a
+            # fresh 8-byte-per-access temporary.
+            is_store = np.empty(len(packed), dtype=bool)
+            np.bitwise_and(packed, 1, out=is_store, casting="unsafe")
             packed >>= 1
             batch = AccessBatch(packed, is_store)
         return batch
@@ -417,7 +434,10 @@ class Simulation:
                     raise AssertionError(
                         "staged fusion diverged from the reference fusion"
                     )
-        return self._interleave(batch, event.interleave)
+        # Both fusions return a part's own arrays only for a single part
+        # at base 0; every other batch is a buffer fusion allocated.
+        owned = len(rels) != 1 or batch.vpn is not rels[0].vpn
+        return self._interleave(batch, event.interleave, owned)
 
     def _process_batch(self, batch: AccessBatch) -> None:
         n = len(batch)

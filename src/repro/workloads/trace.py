@@ -46,6 +46,7 @@ written.  Any other version is rejected.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import mmap as _mmap
 import os
@@ -220,7 +221,10 @@ class TraceWorkload(Workload):
     """Replays a trace recorded with :func:`record_trace`.
 
     v2 traces replay through memory-mapped sidecars: each emitted
-    :class:`AccessBatch` is a zero-copy slice of the mapped file, and a
+    :class:`AccessBatch` is a zero-copy slice of a plain ``ndarray``
+    view over the mapping (slicing the ``np.memmap`` objects themselves
+    runs Python-level hooks on every slice; they are kept only so
+    :meth:`_maybe_release` can ``madvise`` the mapping), and a
     chunk cursor tracks the replay position in *replayed events* —
     checkpointable via :meth:`state_dict`/:meth:`load_state` and
     seekable in O(log E) via :meth:`seek_events` (the engine uses this
@@ -274,7 +278,7 @@ class TraceWorkload(Workload):
         self._args = meta["event_arg"]
         self._keys = meta["event_key"]
         self._thps = meta["event_thp"]
-        self._seg_key = meta["seg_key"]
+        self._seg_key = [str(key) for key in meta["seg_key"]]
         self._seg_len = meta["seg_len"]
         self._seg_inter = meta["seg_interleave"]
         if version == 1:
@@ -296,13 +300,16 @@ class TraceWorkload(Workload):
                         np.asarray(self._args, dtype=np.int64), 0)
         self._ev_seg_start = np.concatenate(
             [[0], np.cumsum(nseg)]).astype(np.int64)
-        self._seg_vpn_start = np.concatenate(
+        seg_vpn_start = np.concatenate(
             [[0], np.cumsum(np.asarray(self._seg_len, dtype=np.int64))]
         ).astype(np.int64)
         ev_accesses = (
-            self._seg_vpn_start[self._ev_seg_start[1:]]
-            - self._seg_vpn_start[self._ev_seg_start[:-1]]
+            seg_vpn_start[self._ev_seg_start[1:]]
+            - seg_vpn_start[self._ev_seg_start[:-1]]
         )
+        # Segment keys and offsets as Python objects: the replay loop
+        # would otherwise convert a numpy scalar per segment it slices.
+        self._seg_vpn_start = seg_vpn_start.tolist()
         if event_accesses is None:
             chunks = np.ones(len(kinds), dtype=np.int64)
         else:
@@ -371,7 +378,7 @@ class TraceWorkload(Workload):
         seg_key, seg_inter = self._seg_key, self._seg_inter
         ev_seg_start, svs = self._ev_seg_start, self._seg_vpn_start
         replay_start = self._replay_start
-        vpn, is_store = self._vpn, self._is_store
+        vpn, is_store = np.asarray(self._vpn), np.asarray(self._is_store)
         g = self.event_accesses
 
         first = int(np.searchsorted(replay_start, start, side="right")) - 1
@@ -392,13 +399,13 @@ class TraceWorkload(Workload):
                 yield FreeEvent(str(keys[i]))
                 continue
             s0, s1 = int(ev_seg_start[i]), int(ev_seg_start[i + 1])
-            a0, a1 = int(svs[s0]), int(svs[s1])
+            a0, a1 = svs[s0], svs[s1]
             interleave = bool(seg_inter[s1 - 1]) if s1 > s0 else False
             if g is None:
                 # Native granularity: reconstruct the recorded event
                 # exactly (zero-length segments included).
                 segments = [
-                    (str(seg_key[j]),
+                    (seg_key[j],
                      AccessBatch(vpn[svs[j]:svs[j + 1]],
                                  is_store[svs[j]:svs[j + 1]]))
                     for j in range(s0, s1)
@@ -410,14 +417,13 @@ class TraceWorkload(Workload):
                 for c in range(chunk0, int(self._ev_chunks[i])):
                     lo = a0 + c * g
                     hi = min(a1, lo + g)
-                    j = int(np.searchsorted(svs[s0:s1 + 1], lo,
-                                            side="right")) - 1 + s0
+                    j = bisect.bisect_right(svs, lo, s0, s1 + 1) - 1
                     segments = []
-                    while j < s1 and int(svs[j]) < hi:
-                        sa, sb = max(lo, int(svs[j])), min(hi, int(svs[j + 1]))
+                    while j < s1 and svs[j] < hi:
+                        sa, sb = max(lo, svs[j]), min(hi, svs[j + 1])
                         if sb > sa:
                             segments.append(
-                                (str(seg_key[j]),
+                                (seg_key[j],
                                  AccessBatch(vpn[sa:sb], is_store[sa:sb]))
                             )
                         j += 1

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.mem.tiers import TieredMemory, cxl_spec, dram_spec, nvm_spec
+from repro.mem.tiers import (
+    TieredMemory,
+    cxl_spec,
+    dram_spec,
+    nvm_spec,
+    remote_spec,
+)
 from repro.sim.cost import CostModel
 
 MB = 1024 * 1024
@@ -53,6 +59,65 @@ class TestMemoryCost:
         stores = np.zeros(2, dtype=bool)
         total = cost.memory_ns(tiers, stores)
         assert total == pytest.approx(80.0 + 300.0)
+
+
+#: 2-, 3- and 4-tier stacks, fastest first.
+STACKS = {
+    "dram-nvm": (dram_spec, nvm_spec),
+    "dram-cxl-nvm": (dram_spec, cxl_spec, nvm_spec),
+    "dram-cxl-nvm-remote": (dram_spec, cxl_spec, nvm_spec, remote_spec),
+}
+
+
+def _per_access_ns(cost, tiers, stores):
+    """``memory_ns`` restated access by access: each access's latency
+    from the load or store table, summed per tier, then the bandwidth
+    inflation of every non-fastest tier."""
+    per_access = np.where(stores, cost.store_table[tiers],
+                          cost.load_table[tiers])
+    total = 0.0
+    components = []
+    for i in range(len(cost.tiers)):
+        comp = float(per_access[tiers == i].sum())
+        components.append(comp)
+        total += comp
+    if cost.model.bandwidth_model:
+        for i in range(1, len(cost.tiers)):
+            n_i = int(np.count_nonzero(tiers == i))
+            if n_i == 0 or components[i] <= 0:
+                continue
+            rho = min(cost.model.max_utilization,
+                      n_i * cost.model.access_bytes / components[i]
+                      / cost.tiers[i].spec.bandwidth_gbps)
+            total += components[i] * (1.0 / (1.0 - rho) - 1.0)
+    return total
+
+
+class TestMemoryCostFormula:
+    """The per-tier counting equals the per-access sum it replaced."""
+
+    @pytest.mark.parametrize("bandwidth_model", [False, True],
+                             ids=["plain", "bandwidth"])
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    @pytest.mark.parametrize("case", ["empty", "one", "loads", "stores",
+                                      "mixed"])
+    def test_equals_per_access_sum(self, stack, bandwidth_model, case):
+        tiers_mem = TieredMemory.build(*[spec(64 * MB)
+                                         for spec in STACKS[stack]])
+        cost = CostModel(bandwidth_model=bandwidth_model).bind(tiers_mem)
+        rng = np.random.default_rng(len(tiers_mem))
+        n = {"empty": 0, "one": 1}.get(case, 5_000)
+        tiers = rng.integers(0, len(tiers_mem), n).astype(np.int8)
+        stores = {"loads": np.zeros(n, dtype=bool),
+                  "stores": np.ones(n, dtype=bool)}.get(
+                      case, rng.random(n) < 0.3)
+        got = cost.memory_ns(tiers, stores)
+        expected = _per_access_ns(cost, tiers, stores)
+        if bandwidth_model:
+            assert got == pytest.approx(expected, rel=1e-12)
+        else:
+            # Half-nanosecond latencies sum exactly in any order.
+            assert got == expected
 
 
 class TestBandwidthModel:

@@ -14,9 +14,11 @@ The contract of :mod:`repro.sim.macro` (see its module docstring):
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import kernels, snapshot
 from repro.check import FaultConfig, FaultInjector, SimulationKilled
@@ -183,6 +185,116 @@ class TestSpecIdentity:
         with pytest.raises(ValueError):
             Simulation(sim.workload, sim.policy, sim.machine,
                        macro_batch=-4)
+
+
+# -- fusion and interleave exactness -------------------------------------------
+
+
+def _frozen(batch):
+    """``batch`` with read-only arrays: any write into it raises."""
+    batch.vpn.flags.writeable = False
+    batch.is_store.flags.writeable = False
+    return batch
+
+
+#: Random engine batches: ``(region base, part length)`` per part.  Bases
+#: come from a small pool so zero bases, non-zero bases and the same
+#: region repeated all occur; lengths include empty parts.
+_PARTS = st.lists(
+    st.tuples(st.sampled_from([0, 0, 512, 4096, 1 << 20]),
+              st.integers(0, 40)),
+    min_size=0, max_size=12,
+)
+
+
+def _parts(spec, seed):
+    rng = np.random.default_rng(seed)
+    regions, rels = [], []
+    pool = {}
+    for base, n in spec:
+        # One region object per base: a repeated base is the same region.
+        regions.append(pool.setdefault(base, SimpleNamespace(base_vpn=base)))
+        rels.append(_frozen(AccessBatch(rng.integers(0, 1 << 16, n),
+                                        rng.random(n) < 0.3)))
+    return regions, rels
+
+
+def _shuffled_reference(batch, rng):
+    """The interleave's specification: one ``rng.permutation`` applied to
+    both arrays."""
+    order = rng.permutation(len(batch))
+    return batch.vpn[order], batch.is_store[order]
+
+
+class TestFusionExactness:
+    @settings(max_examples=200, deadline=None)
+    @given(spec=_PARTS, seed=st.integers(0, 2**32 - 1))
+    def test_staged_equals_reference(self, spec, seed):
+        """Zero and non-zero bases, empty parts, one part, a region
+        repeated: both fusions give the same arrays and neither writes a
+        part (the parts are read-only)."""
+        regions, rels = _parts(spec, seed)
+        staged = Simulation._fuse_staged(regions, rels)
+        ref = Simulation._fuse_reference(regions, rels)
+        assert staged.vpn.dtype == ref.vpn.dtype == np.int64
+        assert np.array_equal(staged.vpn, ref.vpn)
+        assert np.array_equal(staged.is_store, ref.is_store)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=_PARTS, seed=st.integers(0, 2**32 - 1))
+    def test_interleave_in_place_equals_copying(self, spec, seed):
+        """Shuffling in the fused buffer gives the arrays and RNG state
+        of shuffling a copy, and both equal one ``rng.permutation``."""
+        regions, rels = _parts(spec, seed)
+        sim = Simulation(ScriptedWorkload([]), AllFastPolicy(), machine(),
+                         seed=seed)
+        fused = Simulation._fuse_staged(regions, rels)
+        expect_vpn, expect_st = _shuffled_reference(
+            fused, np.random.default_rng(seed))
+        sim.rng = np.random.default_rng(seed)
+        copied = sim._interleave(_frozen(AccessBatch(fused.vpn.copy(),
+                                                     fused.is_store)),
+                                 True, owned=False)
+        copy_state = sim.rng.bit_generator.state
+        sim.rng = np.random.default_rng(seed)
+        owned = AccessBatch(fused.vpn.copy(), fused.is_store.copy())
+        owned.is_store.flags.writeable = False
+        in_place = sim._interleave(owned, True, owned=True)
+        assert sim.rng.bit_generator.state == copy_state
+        for got in (copied, in_place):
+            assert np.array_equal(got.vpn, expect_vpn)
+            assert np.array_equal(got.is_store, expect_st)
+
+    @pytest.mark.parametrize("macro_batch", [0, 1, 4096])
+    def test_read_only_parts_run_interleaved(self, macro_batch):
+        """A workload's arrays are never written: read-only parts (one
+        at base 0, one rebased, several fused) run to the result of the
+        same script with writable arrays."""
+        def script(freeze):
+            rng = np.random.default_rng(5)
+            wrap = _frozen if freeze else (lambda b: b)
+            events = [AllocEvent("a", 64 * 4096), AllocEvent("b", 64 * 4096)]
+            for i in range(12):
+                key = "ab"[i % 2] if i < 6 else "a"
+                n = 300 if i % 3 else 0
+                batch = wrap(AccessBatch(rng.integers(0, 64, n),
+                                         rng.random(n) < 0.4))
+                events.append(AccessEvent([(key, batch)], interleave=True))
+            return events
+
+        def run(freeze):
+            policy = _BatchRecorder()
+            sim = Simulation(ScriptedWorkload(script(freeze)), policy,
+                             machine(), seed=9, macro_batch=macro_batch)
+            sim.run()
+            return policy.seen, sim.rng.bit_generator.state
+
+        frozen_seen, frozen_state = run(True)
+        plain_seen, plain_state = run(False)
+        assert frozen_state == plain_state
+        assert len(frozen_seen) == len(plain_seen) > 0
+        for got, want in zip(frozen_seen, plain_seen):
+            assert np.array_equal(got, want)
 
 
 # -- differential bit-identity -------------------------------------------------

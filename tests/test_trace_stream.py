@@ -132,6 +132,32 @@ class TestReplayEquality:
         assert isinstance(wl_map._vpn, np.memmap)
         assert _canon(sim_map.run()) == mem
 
+    @pytest.mark.parametrize("event_accesses", [None, 1_000])
+    def test_replay_hands_out_read_only_plain_views(self, tmp_path,
+                                                    event_accesses):
+        """Every replayed batch holds plain, read-only ``ndarray`` views
+        of the mapping, and a
+        ``macro_batch=0`` replay of the interleaved silo trace -- where
+        each batch in the region at base 0 is one such view, handed to
+        the interleave as is -- runs to the in-memory result."""
+        path = str(tmp_path / "t.npz")
+        _record("silo", path)
+        replay = TraceWorkload(path, event_accesses=event_accesses)
+        batches = [batch for event in replay.events(None)
+                   if isinstance(event, AccessEvent)
+                   for _key, batch in event.segments]
+        assert batches
+        for batch in batches:
+            for arr in (batch.vpn, batch.is_store):
+                assert type(arr) is np.ndarray
+                assert not arr.flags.writeable
+        sim_map, wl_map = _replay(path, event_accesses=event_accesses)
+        sim_mem, _ = _replay(path, event_accesses=event_accesses, mmap=False)
+        result = _canon(sim_map.run())
+        assert bool(np.all(replay._seg_inter))
+        assert 0 in [r.base_vpn for r in sim_map._regions.values()]
+        assert result == _canon(sim_mem.run())
+
     def test_mmap_chunked_macro_equals_in_memory_macro(self, tmp_path):
         """At a fixed macro cadence, chunk size and mmap vs in-memory
         are invisible: the coalescer re-fuses to the same batches."""
