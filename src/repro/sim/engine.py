@@ -41,6 +41,7 @@ from repro.sim.machine import MachineSpec
 from repro.sim.macro import EventCoalescer
 from repro.sim.metrics import MetricsCollector
 from repro.workloads.base import AccessEvent, AllocEvent, FreeEvent, Workload
+from repro.workloads.prefetch import close_stream, open_stream
 
 
 @dataclass
@@ -60,7 +61,9 @@ class SimResult:
     sampler_stats: Dict[str, float]
     wall_seconds: float
     #: Wall-time breakdown of the run's hot phases (see `Simulation`):
-    #: ``gen_ns`` (workload event generation / trace replay),
+    #: ``gen_ns`` (time the engine waited for its next workload event:
+    #: generating it, reading it from a trace, or -- when the stream is
+    #: generated ahead on a helper thread -- waiting for the helper),
     #: ``sample_ns`` (PEBS extraction), ``tlb_ns`` (TLB simulation),
     #: ``policy_ns`` (policy observation + background daemons).
     phase_ns: Dict[str, float] = dataclasses.field(default_factory=dict)
@@ -726,6 +729,10 @@ class Simulation:
         already in the restored state -- are skipped without processing
         (consuming no engine RNG).  Either way the run continues
         bit-identically from the checkpointed epoch.
+
+        A generated stream runs ahead of the engine on a helper thread
+        (:func:`repro.workloads.prefetch.open_stream`); the thread is
+        joined before this returns or raises.
         """
         budget = max_accesses if max_accesses is not None else float("inf")
         self._access_budget = budget
@@ -738,8 +745,12 @@ class Simulation:
             if skip > 0 and hasattr(self.workload, "seek_events"):
                 self.workload.seek_events(skip)
                 skip = 0
-            events = self.workload.events(np.random.default_rng(self.seed + 2))
-            self._run_macro(events, skip, budget)
+            events = open_stream(self.workload,
+                                 np.random.default_rng(self.seed + 2))
+            try:
+                self._run_macro(events, skip, budget)
+            finally:
+                close_stream(events)
         # Close the tail window so timelines always cover the full run,
         # even when the last interval is shorter than the period.
         if self.metrics.finalize(

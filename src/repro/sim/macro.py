@@ -19,7 +19,8 @@ Results therefore legitimately differ between cadences, and
 
 Fusion follows the kernel mode (:func:`repro.kernels.active_mode`,
 ``REPRO_SCALAR_KERNELS``): the default and ``vectorized`` fuse a batch
-with one grouped rebase (single concatenate + ``np.repeat`` base vector);
+with one grouped rebase (one concatenate of the parts, then an in-place
+add of the base for each part whose region's base is not zero);
 ``scalar`` runs the per-segment reference loop (``rebased()`` per part
 + ``AccessBatch.concat``), kept as the executable specification;
 ``validate`` runs both on every batch and asserts identical arrays.
@@ -86,8 +87,11 @@ class EventCoalescer:
     items, so a resumed coalescer starting after the last consumed
     workload event reproduces the original boundaries.
 
-    Wall time spent pulling from the underlying generator is
-    accumulated into ``phase_ns["gen_ns"]`` when a phase dict is given.
+    Wall time spent waiting for the next event of the underlying
+    stream is accumulated into ``phase_ns["gen_ns"]`` when a phase dict
+    is given: the time to generate it, or, for a stream generated ahead
+    on a helper thread (:mod:`repro.workloads.prefetch`), only the time
+    the engine waited for the helper.
     """
 
     def __init__(self, events: Iterator[WorkloadEvent], target: int,

@@ -89,6 +89,13 @@ class Workload(abc.ABC):
     #: hot-path overhead then.  Recorded traces earn it at record time
     #: (``bounds_valid`` in the trace metadata).
     needs_bounds_check: bool = True
+    #: When True the engine may run :meth:`events` on a helper thread,
+    #: up to two events ahead of the event it simulates
+    #: (:mod:`repro.workloads.prefetch`).  A stream that is cheaper to
+    #: read than to hand between threads (a recorded trace) sets it
+    #: False, and so does one whose generator acts at its end in a way
+    #: a run stopped early must not see (a tee publishes there).
+    prefetch_events: bool = True
 
     def __init__(self, total_bytes: int, total_accesses: int,
                  batch_size: int = 32_768):

@@ -42,6 +42,12 @@ share one generated stream (:func:`share_stream`).
 Format v1 (single ``.npz`` holding ``vpn``/``is_store`` inline, no
 ``format_version`` field) is still read transparently; it is no longer
 written.  Any other version is rejected.
+
+The metadata is read with ``allow_pickle=False``: the key arrays are
+fixed-width ``str``.  Earlier writers stored them as object arrays (the
+v1 fixture, older v2 traces); those are unpickled by a reader that
+rebuilds an array of ``str`` and refuses any other global, so a trace
+from outside the program cannot run code when it is opened.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ import bisect
 import itertools
 import mmap as _mmap
 import os
+import pickle
 import shutil
 import struct
 from typing import Iterator, Optional
@@ -58,6 +65,7 @@ import numpy as np
 
 from repro.pebs.events import AccessBatch
 from repro.workloads.base import AccessEvent, AllocEvent, FreeEvent, Workload
+from repro.workloads.prefetch import close_stream, open_stream
 
 KIND_ALLOC, KIND_FREE, KIND_ACCESS = 0, 1, 2
 
@@ -186,9 +194,9 @@ class TraceWriter:
             format_version=np.int64(TRACE_FORMAT_VERSION),
             event_kind=np.array(self._kinds, dtype=np.int8),
             event_arg=np.array(self._args, dtype=np.int64),
-            event_key=np.array(self._keys, dtype=object),
+            event_key=np.array(self._keys, dtype=str),
             event_thp=np.array(self._thps, dtype=bool),
-            seg_key=np.array(self._seg_keys, dtype=object),
+            seg_key=np.array(self._seg_keys, dtype=str),
             seg_len=np.array(self._seg_lens, dtype=np.int64),
             seg_interleave=np.array(self._seg_inter, dtype=bool),
             total_bytes=np.int64(total_bytes),
@@ -196,6 +204,65 @@ class TraceWriter:
             bounds_valid=np.bool_(self._bounds_valid),
         )
         return {"events": len(self._kinds), "accesses": self.accesses}
+
+
+#: The only globals a legacy metadata pickle may name: what an object
+#: array of ``str`` pickles to (numpy 1.x and 2.x module paths).
+_META_PICKLE_GLOBALS = frozenset({
+    ("numpy.core.multiarray", "_reconstruct"),
+    ("numpy._core.multiarray", "_reconstruct"),
+    ("numpy", "ndarray"),
+    ("numpy", "dtype"),
+})
+
+
+class _MetaUnpickler(pickle.Unpickler):
+    """Rebuilds an ndarray and its dtype; refuses every other global."""
+
+    def find_class(self, module, name):
+        if (module, name) not in _META_PICKLE_GLOBALS:
+            raise pickle.UnpicklingError(
+                f"trace metadata may not load {module}.{name}")
+        return super().find_class(module, name)
+
+
+def _legacy_str_array(fp) -> np.ndarray:
+    """An object-dtype ``.npy`` member of ``str`` keys, unpickled by
+    :class:`_MetaUnpickler`."""
+    fmt = np.lib.format
+    version = fmt.read_magic(fp)
+    if version == (1, 0):
+        fmt.read_array_header_1_0(fp)
+    elif version == (2, 0):
+        fmt.read_array_header_2_0(fp)
+    else:
+        raise ValueError(f"unsupported .npy version {version}")
+    arr = _MetaUnpickler(fp).load()
+    if not (isinstance(arr, np.ndarray)
+            and all(isinstance(key, str) for key in arr.flat)):
+        raise ValueError("a trace key array must hold str keys")
+    return arr.astype(str)
+
+
+def _load_meta(meta_path: str) -> dict:
+    """Every array of a trace's metadata ``.npz``, loaded without pickle.
+
+    The key arrays are fixed-width ``str``.  Traces written before they
+    were hold them as object arrays, which go through
+    :class:`_MetaUnpickler`, so opening a trace never runs code it
+    carries.
+    """
+    out = {}
+    with np.load(meta_path, allow_pickle=False) as meta:
+        for name in meta.files:
+            try:
+                out[name] = meta[name]
+            except ValueError:  # an object array
+                if name not in ("event_key", "seg_key"):
+                    raise
+                with meta.zip.open(name + ".npy") as fp:
+                    out[name] = _legacy_str_array(fp)
+    return out
 
 
 def record_trace(workload: Workload, path: str, seed: int = 42,
@@ -246,15 +313,17 @@ class TraceWorkload(Workload):
 
     name = "trace"
     paper_rss_gb = 0.0
+    #: Each event is a view of the mapping (~4 us to build): handing it
+    #: over from a helper thread would cost more than it saves.
+    prefetch_events = False
 
     def __init__(self, path: str, event_accesses: Optional[int] = None,
                  mmap: bool = True, release_mb: int = 64):
         meta_path, vpn_path, st_path = _sidecar_paths(path)
-        meta = np.load(meta_path, allow_pickle=True)
+        meta = _load_meta(meta_path)
         version = (int(meta["format_version"])
-                   if "format_version" in meta.files else 1)
+                   if "format_version" in meta else 1)
         if version not in (1, TRACE_FORMAT_VERSION):
-            meta.close()
             raise ValueError(
                 f"{meta_path}: unknown trace format version {version} "
                 f"(this build reads 1 and {TRACE_FORMAT_VERSION})"
@@ -463,7 +532,17 @@ class TeeWorkload(Workload):
     that stops early (an access budget, an error) discards its copy
     too.  A killed process leaves its private directory behind, never a
     partial stream at ``directory``.
+
+    The engine therefore iterates a tee itself (``prefetch_events`` is
+    False): run ahead on a helper thread, its generator could reach its
+    end, and publish, while the engine was still simulating the event
+    at which an access budget stops the run.  The tee generates its
+    ``live`` stream ahead instead (:func:`open_stream`), so the
+    publishing step runs only when the engine asks for the event after
+    the last.
     """
+
+    prefetch_events = False
 
     def __init__(self, live: Workload, directory: str):
         super().__init__(live.total_bytes, live.total_accesses,
@@ -487,8 +566,9 @@ class TeeWorkload(Workload):
     def events(self, rng: np.random.Generator) -> Iterator[object]:
         private = self._private_dir()
         writer = TraceWriter(os.path.join(private, _STREAM_FILE))
+        live = open_stream(self.live, rng)
         try:
-            for event in self.live.events(rng):
+            for event in live:
                 writer.add(event)
                 yield event
             writer.finish(self.total_bytes)
@@ -498,6 +578,7 @@ class TeeWorkload(Workload):
             except OSError:
                 pass  # another tee published this stream first
         finally:
+            close_stream(live)
             writer.close()
             # Discards the copy unless it was published.
             shutil.rmtree(private, ignore_errors=True)

@@ -1,5 +1,7 @@
 """Shared fixtures: small machines, contexts, and policy harnesses."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.mem.tlb import TLB, TLBConfig
 from repro.pebs.sampler import PEBSSampler, SamplerConfig
 from repro.policies.base import PolicyContext
 from repro.sim.machine import MachineSpec, ScaleSpec
+from repro.workloads import prefetch
 
 MB = 1024 * 1024
 
@@ -106,3 +109,17 @@ def ctx_with_sampler():
 @pytest.fixture
 def test_scale():
     return TEST_SCALE
+
+
+@pytest.fixture(autouse=True)
+def _no_event_helper_outlives_the_test():
+    """Fail a test that leaves an event-prefetch helper thread alive.
+
+    ``Simulation.run`` joins its helper before it returns or raises;
+    one left running would be inherited by the sweep and service
+    supervisors' forks in an unknown state.
+    """
+    yield
+    alive = [thread for thread in threading.enumerate()
+             if thread.name == prefetch.THREAD_NAME]
+    assert not alive, f"{len(alive)} event-prefetch thread(s) outlived the test"

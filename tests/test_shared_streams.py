@@ -17,6 +17,7 @@ contracts tested here:
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.policies.registry import POLICY_REGISTRY
@@ -25,6 +26,7 @@ from repro.sim.machine import ScaleSpec
 from repro.sim.runner import RunSpec
 from repro.sim.sweep import run_sweep
 from repro.workloads import trace
+from repro.workloads.base import AccessEvent
 from repro.workloads.registry import make_workload
 from repro.workloads.trace import TeeWorkload, TraceWorkload
 
@@ -193,13 +195,28 @@ def test_checkpoints_resume_across_live_and_replay(workload, tmp_path):
 # -- who publishes --------------------------------------------------------------
 
 
+def _last_event_budget(spec) -> int:
+    """An access budget that the stream's last event crosses."""
+    events = list(make_workload(spec.workload, spec.scale).events(
+        np.random.default_rng(spec.seed + 2)))
+    assert isinstance(events[-1], AccessEvent)
+    total = sum(event.num_accesses for event in events
+                if isinstance(event, AccessEvent))
+    return total - events[-1].num_accesses // 2
+
+
 def test_budget_stopped_cell_never_publishes_but_replays(monkeypatch):
-    """A cell stopped by ``max_accesses`` discards its tee; a later full
-    cell publishes; a budgeted cell after it replays the full stream."""
+    """A cell stopped by ``max_accesses`` discards its tee, also when the
+    budget stops it inside the stream's last event (by then its live
+    stream may have been generated to the end); a later full cell
+    publishes; a budgeted cell after it replays the full stream."""
     made = _scratch(monkeypatch)
     seen = []
     base = RunSpec("silo", "memtis", scale=SMALL, seed=5)
-    specs = [base.replace(max_accesses=30_000), base.replace(policy="tpp"),
+    specs = [base.replace(max_accesses=30_000),
+             base.replace(policy="arms",
+                          max_accesses=_last_event_budget(base)),
+             base.replace(policy="tpp"),
              base.replace(policy="hemem", max_accesses=30_000)]
     kinds = []
     share = runner.share_stream
@@ -212,8 +229,8 @@ def test_budget_stopped_cell_never_publishes_but_replays(monkeypatch):
     monkeypatch.setattr(runner, "share_stream", spy)
     out = run_sweep(specs, jobs=1, cache=None, progress=_listings(made, seen))
     key = base.stream_key()
-    assert [names for _, _, names in seen] == [[], [key], []]
-    assert kinds == ["TeeWorkload", "TeeWorkload", "TraceWorkload"]
+    assert [names for _, _, names in seen] == [[], [], [key], []]
+    assert kinds == ["TeeWorkload"] * 3 + ["TraceWorkload"]
     for spec in specs:
         assert _canon(out[spec].result) == _canon(spec.execute())
 

@@ -8,6 +8,9 @@ Format v2 stores the access arrays in memory-mappable ``.npy`` sidecars
 * a v1 recording (a committed fixture: v1 is read, no longer written)
   replays identically to a v2 recording of the same stream, and any
   other format version is rejected;
+* metadata loads without pickle: key arrays are fixed-width ``str``,
+  legacy object-array keys still replay, and a key array whose pickle
+  calls anything is refused before the call runs;
 * re-chunking (``event_accesses``) preserves the flattened access
   stream and alloc/free ordering exactly, at any chunk size;
 * the chunk cursor checkpoints: ``seek_events(n)`` reproduces the tail
@@ -18,6 +21,7 @@ Format v2 stores the access arrays in memory-mappable ``.npy`` sidecars
 """
 
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -194,6 +198,42 @@ class TestReplayEquality:
         with pytest.raises(ValueError, match="format version 7"):
             TraceWorkload(path)
 
+    def test_keys_are_str_arrays_and_legacy_object_keys_replay(self,
+                                                              tmp_path):
+        path = str(tmp_path / "t.npz")
+        _record("603.bwaves", path, max_accesses=30_000)
+        with np.load(path, allow_pickle=False) as npz:
+            meta = dict(npz)
+        assert meta["event_key"].dtype.kind == "U"
+        assert meta["seg_key"].dtype.kind == "U"
+        fresh = _canon(_replay(path)[0].run())
+        # As earlier writers stored them: object arrays of str.
+        for name in ("event_key", "seg_key"):
+            meta[name] = meta[name].astype(object)
+        np.savez_compressed(path, **meta)
+        sim, workload = _replay(path)
+        assert workload._keys.dtype.kind == "U"
+        assert _canon(sim.run()) == fresh
+
+    def test_key_array_pickle_cannot_run_code(self, tmp_path):
+        """A key array that pickles ``open(victim, "w")`` is refused, and
+        the file never appears; loading it with pickle allowed would
+        have created it."""
+        path = str(tmp_path / "t.npz")
+        _record("silo", path, max_accesses=10_000)
+        with np.load(path, allow_pickle=False) as npz:
+            meta = dict(npz)
+        victim = tmp_path / "victim"
+        meta["event_key"] = np.array([_CreatesFile(str(victim))],
+                                     dtype=object)
+        np.savez_compressed(path, **meta)
+        with pytest.raises(pickle.UnpicklingError, match="may not load"):
+            TraceWorkload(path)
+        assert not victim.exists()
+        with np.load(path, allow_pickle=True) as npz:
+            npz["event_key"]
+        assert victim.exists()
+
     def test_v2_sidecars_exist_and_meta_is_small(self, tmp_path):
         path = str(tmp_path / "t.npz")
         stats = _record("silo", path)
@@ -226,6 +266,16 @@ class TestReplayEquality:
 
 
 # -- chunked iteration ----------------------------------------------------------
+
+
+class _CreatesFile:
+    """Pickles to a call that creates ``path``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
 
 
 class TestChunkedIteration:
