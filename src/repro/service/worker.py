@@ -50,6 +50,7 @@ from repro.service.queue import (
 )
 from repro.sim import cache as result_cache
 from repro.sim import sweep
+from repro.workloads import prefetch
 
 #: Default claim lease.  Far above any epoch duration at test scales, so
 #: live workers renew long before expiry; small enough that a killed
@@ -261,13 +262,16 @@ class _LeaseRenewer:
 
 def worker_main(directory: str, worker_id: Optional[str] = None,
                 lease_s: float = DEFAULT_LEASE_S, poll_s: float = 1.0,
-                drain: bool = True, **options) -> int:
+                drain: bool = True, workers: int = 1, **options) -> int:
     """Process entry point of the workers :func:`supervise` starts.
 
     Builds every connection post-fork (SQLite handles must not cross a
     fork) and returns the number of cells this worker completed.
-    ``options`` (``cache``, ``trace``, ``streams``) go to :class:`Worker`.
+    ``workers`` is how many the supervisor runs side by side; they share
+    the CPUs (:func:`repro.workloads.prefetch.share_cpus`).  ``options``
+    (``cache``, ``trace``, ``streams``) go to :class:`Worker`.
     """
+    prefetch.share_cpus(workers)
     worker = Worker(directory, worker_id=worker_id, lease_s=lease_s,
                     poll_s=poll_s, drain=drain, **options)
     stats = worker.run()
@@ -308,7 +312,7 @@ def supervise(directory: str, workers: int, drain: bool = True,
         procs[worker_id] = ctx.Process(
             target=worker_main, args=(directory,), daemon=True,
             kwargs=dict(worker_id=worker_id, lease_s=lease_s, poll_s=poll_s,
-                        drain=drain, **options),
+                        drain=drain, workers=workers, **options),
         )
         procs[worker_id].start()
 
