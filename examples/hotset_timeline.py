@@ -36,15 +36,15 @@ def main() -> None:
     print(f"running memtis on {args.workload} @ {args.ratio} ...\n")
     result = RunSpec(args.workload, "memtis", ratio=args.ratio,
                      scale=scale).run()
-    timeline = result.metrics.timeline
-    times = [p.now_ns / 1e9 for p in timeline]
+    series = result.metrics.series
+    times = [t / 1e9 for t in series.now_ns]
     fast_mb = result.machine.fast_bytes / 1e6
 
     print(timeline_chart(
         times,
         {
-            "hot (MB)": [p.policy_stats["hot_bytes"] / 1e6 for p in timeline],
-            "warm (MB)": [p.policy_stats["warm_bytes"] / 1e6 for p in timeline],
+            "hot (MB)": [b / 1e6 for b in series.policy["hot_bytes"]],
+            "warm (MB)": [b / 1e6 for b in series.policy["warm_bytes"]],
             "dram (MB)": [fast_mb] * len(times),
         },
         title=f"Identified hot/warm sets vs DRAM ({fast_mb:.1f} MB)",
@@ -53,14 +53,15 @@ def main() -> None:
     print()
     print(timeline_chart(
         times,
-        {"ratio": [p.hit_ratio for p in timeline]},
+        {"ratio": series.hit_ratio()},
         title="Fast-tier hit ratio over time",
         height=8,
     ))
+    counters = result.counters
     print(
-        f"\nfinal thresholds: T_hot={result.policy_stats['t_hot']:.0f} "
-        f"T_warm={result.policy_stats['t_warm']:.0f} "
-        f"T_cold={result.policy_stats['t_cold']:.0f}; "
+        f"\nfinal thresholds: T_hot={counters['ksampled/t_hot']:.0f} "
+        f"T_warm={counters['ksampled/t_warm']:.0f} "
+        f"T_cold={counters['ksampled/t_cold']:.0f}; "
         f"overall hit ratio {result.fast_hit_ratio * 100:.1f}%"
     )
 

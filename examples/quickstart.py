@@ -62,7 +62,7 @@ def main() -> None:
             normalized[policy],
             f"{result.fast_hit_ratio * 100:.1f}%",
             result.migration.traffic_bytes / 1e6,
-            result.policy_stats.get("splits", 0.0),
+            float(result.counters.get("kmigrated/splits", 0)),
         ])
 
     print()

@@ -59,9 +59,9 @@ def study(workload_name: str, scale) -> list:
 
     return [
         workload_name,
-        f"{result.policy_stats['ehr'] * 100:.1f}%",
-        f"{result.policy_stats['rhr'] * 100:.1f}%",
-        int(result.policy_stats["splits"]),
+        f"{result.counters['ksampled/ehr'] * 100:.1f}%",
+        f"{result.counters['ksampled/rhr'] * 100:.1f}%",
+        result.counters["kmigrated/splits"],
         f"{mean_util:.1f}/512",
         f"{skew.max():.2e}" if len(skew) else "-",
         f"{result.fast_hit_ratio * 100:.1f}%",

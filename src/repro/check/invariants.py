@@ -64,7 +64,7 @@ class CheckLevel(enum.IntEnum):
 
     OFF = 0
     END = 1     #: once, at the end of the run
-    EPOCH = 2   #: at every timeline-window close, plus at run end
+    EPOCH = 2   #: at every epoch close, plus at run end
     STRICT = 3  #: after every access batch, plus epoch and end sites
 
 

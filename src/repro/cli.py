@@ -120,8 +120,7 @@ def cmd_run(args) -> int:
                    machine_preset=args.machine_preset,
                    macro_batch=args.macro_batch,
                    check=args.check, snapshot_every=args.snapshot_every,
-                   resume=args.resume,
-                   timeseries_every=args.timeseries)
+                   resume=args.resume)
     trace = _trace_config(args) if args.trace is not None else None
     # The sweep executor runs the policy and its baseline in parallel
     # with --jobs 2, and serves both from the persistent cache on
@@ -508,10 +507,6 @@ def main(argv=None) -> int:
                        help="keep the sweep's queue (cell states and live "
                             "progress) in DIR (watch live with "
                             "`python -m repro top DIR`)")
-    p_run.add_argument("--timeseries", type=int, default=0, metavar="N",
-                       help="record a per-epoch metrics time series every "
-                            "N epochs into the result's observability "
-                            "block (0 = off; part of the result identity)")
     p_run.add_argument("--events", metavar="CATS",
                        help="comma-separated trace categories "
                             f"({','.join(CATEGORIES)})")

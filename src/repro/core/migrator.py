@@ -22,7 +22,7 @@ charged to the background budget, never to the application.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List, Set
 
 import numpy as np
 
@@ -125,6 +125,9 @@ class KMigrated:
         self._demote_if_needed()
         if self.config.enable_collapse:
             self._maybe_collapse()
+        self._set_split_queue_gauge()
+
+    def _set_split_queue_gauge(self) -> None:
         self._g_split_queue.set(float(len(self.split_queue)))
 
     # -- promotion --------------------------------------------------------------------
@@ -331,6 +334,7 @@ class KMigrated:
         )
         queued = [h for h in picked if h not in self.split_hpns]
         self.split_queue.extend(queued)
+        self._set_split_queue_gauge()
         self.split_hpns.update(queued)
         self.last_decision = SplitDecision(
             ehr=ehr, rhr=rhr, benefit=benefit, n_splits=n, candidates=picked
@@ -458,17 +462,11 @@ class KMigrated:
             self.split_queue = [
                 h for h in self.split_queue if not lo <= h < hi
             ]
+            self._set_split_queue_gauge()
         if self.split_hpns:
             self.split_hpns = {
                 h for h in self.split_hpns if not lo <= h < hi
             }
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "splits": float(self.splits_done),
-            "collapses": float(self.collapses_done),
-            "split_queue": float(len(self.split_queue)),
-        }
 
     # -- checkpoint support -------------------------------------------------
     # Registry-backed counters (`splits_done` etc.) are restored with the

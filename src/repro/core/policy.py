@@ -124,20 +124,12 @@ class MemtisPolicy(TieringPolicy):
     # -- reporting ------------------------------------------------------------------------
 
     def stats(self) -> Dict[str, float]:
+        """Set sizes, the base-page hot threshold and the sampling CPU
+        share.  Thresholds, hit ratios and the adaptation, cooling,
+        split and collapse counts are ``ksampled/*`` and ``kmigrated/*``
+        registry values."""
         out = dict(self.ksampled.set_sizes())
-        out.update(
-            {
-                "t_hot": float(self.ksampled.thresholds.hot),
-                "t_warm": float(self.ksampled.thresholds.warm),
-                "t_cold": float(self.ksampled.thresholds.cold),
-                "t_base_hot": float(self.ksampled.base_thresholds.hot),
-                "ehr": self.ksampled.last_ehr,
-                "rhr": self.ksampled.last_rhr,
-                "adaptations": float(self.ksampled.adaptations),
-                "coolings": float(self.ksampled.coolings_requested),
-            }
-        )
-        out.update(self.kmigrated.stats())
+        out["t_base_hot"] = float(self.ksampled.base_thresholds.hot)
         if self.ksampled.controller is not None:
             out["ksampled_cpu_mean"] = self.ksampled.controller.mean_usage
             out["ksampled_cpu_max"] = self.ksampled.controller.max_usage

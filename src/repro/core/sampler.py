@@ -61,7 +61,8 @@ class KSampled:
         # registry (serialised into SimResult.to_dict()["observability"])
         # instead of ad-hoc ints; the int-valued attributes
         # (`total_samples`, `adaptations`, `coolings_requested`) are
-        # properties over these instruments.
+        # properties over these instruments, and setting `thresholds`
+        # sets the threshold gauges.
         self.tracer = ctx.obs.tracer
         self.counters = ctx.obs.counters.scope("ksampled")
         self._c_samples = self.counters.counter("samples")
@@ -85,7 +86,7 @@ class KSampled:
         #: Current base-histogram bin of each mapped 4 KiB page.
         self.base_bin = np.full(num_vpns, -1, dtype=np.int16)
 
-        self.thresholds: Thresholds = INITIAL_THRESHOLDS
+        self.thresholds = INITIAL_THRESHOLDS
         self.base_thresholds: Thresholds = INITIAL_THRESHOLDS
         #: Exact hotness cut for eHR: the hotness of the page that would
         #: just fit the usable fast tier if only base pages existed.  The
@@ -126,6 +127,17 @@ class KSampled:
             )
 
     # -- registry-backed run counters (assignable for test harnesses) ------------
+
+    @property
+    def thresholds(self) -> Thresholds:
+        return self._thresholds
+
+    @thresholds.setter
+    def thresholds(self, value: Thresholds) -> None:
+        self._thresholds = value
+        self._g_t_hot.set(float(value.hot))
+        self._g_t_warm.set(float(value.warm))
+        self._g_t_cold.set(float(value.cold))
 
     @property
     def total_samples(self) -> int:
@@ -331,9 +343,6 @@ class KSampled:
         self._update_base_cut(usable)
         self._since_adaptation = 0
         self.adaptations += 1
-        self._g_t_hot.set(float(self.thresholds.hot))
-        self._g_t_warm.set(float(self.thresholds.warm))
-        self._g_t_cold.set(float(self.thresholds.cold))
         if self.tracer.enabled_for("threshold"):
             self.tracer.emit(
                 "threshold", "threshold_update",

@@ -47,7 +47,7 @@ def run(scale: Optional[ScaleSpec] = None, pairs=None, policies=None,
                 "normalized": normalized_performance(
                     result, results[spec.baseline_spec()]),
                 "hit": result.fast_hit_ratio,
-                "splits": result.policy_stats.get("splits", 0.0),
+                "splits": float(result.counters.get("kmigrated/splits", 0)),
             }
         rows.append(
             [label]

@@ -37,15 +37,15 @@ def run(scale: Optional[ScaleSpec] = None, workloads=None, **_kwargs) -> Experim
         rss = {}
         for policy in POLICIES:
             result = results[specs[(name, policy)]]
-            timeline = result.metrics.timeline
+            epochs = result.metrics.series
             series[policy] = (
-                [p.now_ns / 1e9 for p in timeline],
-                [p.throughput_mops for p in timeline],
+                [t / 1e9 for t in epochs.now_ns],
+                epochs.throughput_mops(),
             )
             rss[policy] = {
-                "start": timeline[0].rss_bytes if timeline else 0,
+                "start": epochs.rss_bytes[0] if len(epochs) else 0,
                 "end": result.final_rss_bytes,
-                "splits": result.policy_stats.get("splits", 0.0),
+                "splits": float(result.counters.get("kmigrated/splits", 0)),
                 "throughput": result.throughput_maps,
             }
         times = series["memtis"][0]

@@ -34,16 +34,17 @@ def run(scale: Optional[ScaleSpec] = None, workloads=None, **_kwargs) -> Experim
     for name in workloads:
         with_split = results[specs[(name, "memtis")]]
         no_split = results[specs[(name, "memtis-ns")]]
-        ehr = with_split.policy_stats.get("ehr", 0.0)
+        ehr = with_split.counters["ksampled/ehr"]
+        splits = float(with_split.counters["kmigrated/splits"])
         rhr = with_split.fast_hit_ratio
         rhr_ns = no_split.fast_hit_ratio
         rows.append(
             [name, f"{ehr * 100:.1f}%", f"{rhr * 100:.1f}%",
              f"{rhr_ns * 100:.1f}%", f"{(rhr - rhr_ns) * 100:+.1f}pp",
-             with_split.policy_stats.get("splits", 0.0)]
+             splits]
         )
         data[name] = {"ehr": ehr, "rhr": rhr, "rhr_ns": rhr_ns,
-                      "splits": with_split.policy_stats.get("splits", 0.0)}
+                      "splits": splits}
     text = format_table(
         ["Benchmark", "eHR", "rHR", "rHR-NS", "split gain", "splits"],
         rows,

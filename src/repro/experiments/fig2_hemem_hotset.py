@@ -5,7 +5,7 @@ no relation to the fast tier size -- on PageRank it stays far *below*
 the DRAM line (arbitrary cold pages fill the rest), while on XSBench it
 transiently *exceeds* DRAM (an arbitrary subset gets placed).
 
-We run HeMem on both workloads and plot its ``hot_bytes`` timeline
+We run HeMem on both workloads and plot its per-epoch ``hot_bytes``
 against the fast tier size.
 """
 
@@ -32,9 +32,9 @@ def run(scale: Optional[ScaleSpec] = None, workloads=None, ratio: str = "1:2",
     data = {}
     for name in workloads:
         result = results[specs[name]]
-        times = [p.now_ns / 1e9 for p in result.metrics.timeline]
-        hot_mb = [p.policy_stats.get("hot_bytes", 0.0) / 1e6
-                  for p in result.metrics.timeline]
+        series = result.metrics.series
+        times = [t / 1e9 for t in series.now_ns]
+        hot_mb = [b / 1e6 for b in series.policy.get("hot_bytes", [])]
         fast_mb = result.machine.fast_bytes / 1e6
         chart = timeline_chart(
             times,

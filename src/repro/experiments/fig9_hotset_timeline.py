@@ -34,10 +34,10 @@ def run(scale: Optional[ScaleSpec] = None, workloads=None, ratios=None,
     for ratio in ratios:
         for name in workloads:
             result = results[specs[(name, ratio)]]
-            timeline = result.metrics.timeline
-            times = [p.now_ns / 1e9 for p in timeline]
-            hot = [p.policy_stats.get("hot_bytes", 0) / 1e6 for p in timeline]
-            warm = [p.policy_stats.get("warm_bytes", 0) / 1e6 for p in timeline]
+            series = result.metrics.series
+            times = [t / 1e9 for t in series.now_ns]
+            hot = [b / 1e6 for b in series.policy.get("hot_bytes", [])]
+            warm = [b / 1e6 for b in series.policy.get("warm_bytes", [])]
             fast_mb = result.machine.fast_bytes / 1e6
             charts.append(
                 timeline_chart(

@@ -8,14 +8,18 @@ Three cooperating pieces travel with every simulation:
   near-free when disabled;
 * :class:`~repro.obs.counters.CounterRegistry` -- hierarchical
   counters/gauges/distributions that daemons and policies register
-  into, serialised into ``SimResult.to_dict()["observability"]``;
-* :class:`~repro.obs.timeseries.MetricsTimeSeries` (optional) -- a
-  columnar per-epoch snapshot of the registry (counter deltas + gauge
-  values), enabled via ``RunSpec.timeseries_every`` and serialised into
-  ``SimResult.to_dict()["observability"]["timeseries"]``.
+  into; its end-of-run values are serialised into
+  ``SimResult.to_dict()["observability"]["counters"]``;
+* :class:`~repro.obs.timeseries.MetricsTimeSeries` -- the run's one
+  per-epoch series: the engine's window, the policy's ``stats()`` and
+  the registry (counter deltas, gauge values) at every epoch close.  It
+  is recorded on every run by the
+  :class:`~repro.sim.metrics.MetricsCollector` and serialised as
+  ``SimResult.to_dict()["metrics"]["series"]``.
 
-:class:`Observability` bundles them; the engine creates one per run and
-hands it to every component through :class:`~repro.policies.base.PolicyContext`.
+:class:`Observability` bundles the tracer and the registry; the engine
+creates one per run and hands it to every component through
+:class:`~repro.policies.base.PolicyContext`.
 Exporters (JSONL, Chrome ``trace_event`` for Perfetto, ASCII) live in
 :mod:`repro.obs.export`; OpenMetrics text over a sweep's queue in
 :mod:`repro.obs.openmetrics`.  Live sweep progress has no store here:
@@ -57,23 +61,15 @@ __all__ = [
 
 
 class Observability:
-    """One run's tracer + counter registry (and their serialisation).
-
-    ``timeseries`` is the optional per-epoch recorder
-    (:class:`~repro.obs.timeseries.MetricsTimeSeries`); ``None`` keeps
-    the historical two-piece bundle and the historical ``snapshot()``
-    layout.
-    """
+    """One run's tracer + counter registry (and their serialisation)."""
 
     def __init__(
         self,
         tracer: Optional[Tracer] = None,
         counters: Optional[CounterRegistry] = None,
-        timeseries: Optional[MetricsTimeSeries] = None,
     ):
         self.tracer = tracer if tracer is not None else Tracer()
         self.counters = counters if counters is not None else CounterRegistry()
-        self.timeseries = timeseries
 
     @classmethod
     def traced(cls, level="info", events=None, capacity: int = 1 << 16
@@ -87,15 +83,9 @@ class Observability:
 
         Counters are the payload; the tracer contributes only its
         summary (events stay in the tracer for exporters), so results
-        remain small and cached runs stay comparable to live ones.  The
-        ``timeseries`` block appears only when a recorder is attached:
-        everything outside it is bit-identical between telemetry-enabled
-        and disabled runs.
+        remain small and cached runs stay comparable to live ones.
         """
-        data = {
+        return {
             "counters": self.counters.as_dict(),
             "tracer": self.tracer.stats(),
         }
-        if self.timeseries is not None:
-            data["timeseries"] = self.timeseries.to_dict()
-        return data

@@ -5,7 +5,7 @@ and update them on their own hot paths; the registry serialises the
 whole hierarchy into the ``observability`` section of
 ``SimResult.to_dict()``.  Names are ``/``-separated paths grouped by
 owner -- ``ksampled/adaptations``, ``kmigrated/splits``,
-``engine/epochs``, ``policy/<name>/...`` -- so exported runs from
+``check/passes``, ``policy/<name>/...`` -- so exported runs from
 different policies line up column-wise.
 
 Three instrument kinds:
@@ -152,22 +152,6 @@ class CounterRegistry:
             for name in self.names(prefix)
         }
 
-    def flat(self, prefix: str = "") -> Dict[str, float]:
-        """Scalar-only view (distributions contribute their mean).
-
-        Shaped for :meth:`repro.policies.base.TieringPolicy.stats`,
-        whose consumers (timeline points) expect ``{str: float}``.
-        """
-        out: Dict[str, float] = {}
-        for name in self.names(prefix):
-            inst = self._instruments[name]
-            short = name[len(prefix):].lstrip("/") if prefix else name
-            if isinstance(inst, Distribution):
-                out[short] = inst.mean
-            else:
-                out[short] = float(inst.value)
-        return out
-
     # -- checkpoint support -------------------------------------------------
 
     def state_dict(self) -> Dict[str, Dict[str, Any]]:
@@ -235,5 +219,3 @@ class ScopedRegistry:
     def as_dict(self) -> Dict[str, Any]:
         return self.registry.as_dict(self.prefix + "/" if self.prefix else "")
 
-    def flat(self) -> Dict[str, float]:
-        return self.registry.flat(self.prefix + "/" if self.prefix else "")

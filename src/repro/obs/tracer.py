@@ -31,7 +31,7 @@ cooling     cooling               histogram halving pass
 period      period_adjust         PEBS sampling-period reprogramming
 engine      demand_map,           engine-level faults and region events
             hint_fault
-epoch       epoch                 one span per metrics timeline window
+epoch       epoch                 one span per epoch (one series row)
 fault       sample_drop,          injected faults (``repro.check.faults``):
             sample_dup,           PEBS record loss/replay, fast-tier
             alloc_outage,         admission outages, delayed kmigrated

@@ -196,16 +196,14 @@ class TieringPolicy(abc.ABC):
         return 1.0
 
     def stats(self) -> Dict[str, float]:
-        """Policy-specific snapshot merged into timeline points.
+        """Policy values kept outside the counter registry, recorded in
+        every series row and as ``SimResult.policy_stats``.
 
-        Default: whatever the policy registered into its scoped counter
-        registry (``policy/<name>/...``) -- the structured replacement
-        for hand-rolled stat dicts.  Policies with derived or legacy
-        metrics still override.
+        Default: none.  What a policy registers into its scoped counter
+        registry (``policy/<name>/...``) is serialised with the registry
+        and must not be returned here as well.
         """
-        if self.counters is None:
-            return {}
-        return self.counters.flat()
+        return {}
 
     # -- checkpoint support ---------------------------------------------------
 

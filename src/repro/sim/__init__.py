@@ -14,7 +14,7 @@ results on disk.
 
 from repro.sim.machine import MachineSpec, ScaleSpec, TIERING_RATIOS
 from repro.sim.cost import CostModel
-from repro.sim.metrics import MetricsCollector, TimelinePoint
+from repro.sim.metrics import MetricsCollector
 from repro.sim.engine import Simulation, SimResult, json_safe
 from repro.sim.runner import RunSpec, normalized_performance
 from repro.sim.cache import ResultCache
@@ -26,7 +26,6 @@ __all__ = [
     "TIERING_RATIOS",
     "CostModel",
     "MetricsCollector",
-    "TimelinePoint",
     "Simulation",
     "SimResult",
     "json_safe",

@@ -51,13 +51,17 @@ class SimResult:
     workload_name: str
     policy_name: str
     machine: MachineSpec
+    #: Run totals and the per-epoch series (``metrics.series``).
     metrics: MetricsCollector
     migration: MigrationStats
     tlb: TLBStats
     final_rss_bytes: int
     final_touched_bytes: int
     huge_page_ratio: float
+    #: The policy's end-of-run ``stats()``: values it keeps outside the
+    #: counter registry.
     policy_stats: Dict[str, float]
+    #: PEBS sampler totals and final periods (empty without a sampler).
     sampler_stats: Dict[str, float]
     wall_seconds: float
     #: Wall-time breakdown of the run's hot phases (see `Simulation`):
@@ -71,9 +75,9 @@ class SimResult:
     #: cache; ``wall_seconds`` is 0.0 then (nothing was simulated).
     from_cache: bool = False
     #: Serialised :meth:`repro.obs.Observability.snapshot`: the counter
-    #: registry contents plus a tracer summary.  Simulation behaviour is
-    #: independent of tracing, so everything outside this section is
-    #: bit-identical between traced and untraced runs.
+    #: registry's end-of-run values plus a tracer summary.  Simulation
+    #: behaviour is independent of tracing, so everything outside the
+    #: tracer summary is bit-identical between traced and untraced runs.
     observability: Dict[str, Any] = dataclasses.field(default_factory=dict)
 
     @property
@@ -83,6 +87,11 @@ class SimResult:
     @property
     def fast_hit_ratio(self) -> float:
         return self.metrics.fast_hit_ratio
+
+    @property
+    def counters(self) -> Dict[str, Any]:
+        """End-of-run counter registry values, by instrument name."""
+        return self.observability.get("counters", {})
 
     @property
     def throughput_maps(self) -> float:
@@ -103,9 +112,9 @@ class SimResult:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe dict of the full result (numpy scalars converted).
 
-        Timeline points keep their per-window fields plus the derived
-        ratios the figures plot; cumulative stats come out as plain
-        dicts with their derived properties included.
+        The per-epoch series comes out columnar under
+        ``metrics.series``; cumulative stats come out as plain dicts
+        with their derived properties included.
         """
         metrics = self.metrics
         return json_safe({
@@ -125,14 +134,7 @@ class SimResult:
                 "critical_policy_ns": metrics.critical_policy_ns,
                 "contention_extra_ns": metrics.contention_extra_ns,
                 "num_hint_faults": metrics.num_hint_faults,
-                "timeline": [
-                    dict(
-                        dataclasses.asdict(point),
-                        throughput_mops=point.throughput_mops,
-                        hit_ratio=point.hit_ratio,
-                    )
-                    for point in metrics.timeline
-                ],
+                "series": metrics.series.to_dict(),
             },
             "migration": _migration_dict(self.migration),
             "tlb": dict(
@@ -198,7 +200,6 @@ class Simulation:
         machine: MachineSpec,
         cost_model: Optional[CostModel] = None,
         seed: int = 42,
-        timeline_interval_ns: float = 20e6,
         force_base_pages: bool = False,
         obs: Optional[Observability] = None,
         check=None,
@@ -265,7 +266,7 @@ class Simulation:
             tracer=self.obs.tracer,
         )
         self.bound_cost: BoundCostModel = self.cost_model.bind(self.tiers)
-        self.metrics = MetricsCollector(timeline_interval_ns=timeline_interval_ns)
+        self.metrics = MetricsCollector()
         self.now_ns = 0.0
         self.rng = np.random.default_rng(seed)
         self._regions: Dict[str, Region] = {}
@@ -553,11 +554,12 @@ class Simulation:
             rss_bytes=space.rss_bytes,
             fast_used_bytes=self.tiers.fast.used_bytes,
             policy_stats_fn=self.policy.stats,
+            registry=self.obs.counters,
         ):
             self._close_epoch()
 
     def _close_epoch(self) -> None:
-        """Emit the span for the timeline window that just closed."""
+        """Close the epoch whose series row was just recorded."""
         tracer = self.obs.tracer
         if tracer.enabled_for("epoch"):
             tracer.emit(
@@ -565,16 +567,6 @@ class Simulation:
                 index=self._epoch_index,
                 dur_ns=self.now_ns - self._epoch_start_ns,
             )
-        # Per-epoch telemetry row (before the index bumps, so the row
-        # carries the index of the epoch that just closed -- and before
-        # the checkpoint below, so a checkpoint at this epoch contains
-        # this epoch's row).  Publishing engine gauges here is safe for
-        # bit-identity: the end-of-run publish overwrites them with
-        # values identical in both telemetry modes.
-        ts = self.obs.timeseries
-        if ts is not None and ts.due(self._epoch_index):
-            self.metrics.publish(self.obs.counters)
-            ts.record(self._epoch_index, self.now_ns, self.obs.counters)
         self._epoch_index += 1
         self._epoch_start_ns = self.now_ns
         self.sanitizer.after_epoch(self.now_ns)
@@ -599,21 +591,22 @@ class Simulation:
         Everything needed for ``run(k) -> save -> load -> run(N-k)`` to
         be bit-identical to ``run(N)``: engine position and RNG streams,
         tier accounting, the address space, the TLB (in its
-        mode-portable canonical form), migration and run metrics, the
-        sampler, the policy (daemons included), the shared counter
-        registry and the fault injector.  Live wiring -- unmap
-        listeners, fault gates/hooks, the tracer -- is never serialised;
-        it is re-established by constructing a fresh ``Simulation`` from
-        the same spec before calling :meth:`load_state`.  Tracer event
-        buffers are not checkpointed (tracing is observational and does
-        not influence simulation behaviour).
+        mode-portable canonical form), migration and run metrics (the
+        series included), the sampler, the policy (daemons included),
+        the shared counter registry and the fault injector.  Live wiring
+        -- unmap listeners, fault gates/hooks, the tracer -- is never
+        serialised; it is re-established by constructing a fresh
+        ``Simulation`` from the same spec before calling
+        :meth:`load_state`.  Tracer event buffers are not checkpointed
+        (tracing is observational and does not influence simulation
+        behaviour), and neither is ``phase_ns``: a resumed run's phases
+        and its ``wall_seconds`` both cover the run that produced them.
         """
         return {
             "now_ns": self.now_ns,
             "batches_processed": self._batches_processed,
             "epoch_index": self._epoch_index,
             "epoch_start_ns": self._epoch_start_ns,
-            "phase_ns": dict(self._phase_ns),
             "events_consumed": self._events_consumed,
             "rng": self.rng.bit_generator.state,
             "ctx_rng": self.ctx.rng.bit_generator.state,
@@ -635,10 +628,6 @@ class Simulation:
                 or not hasattr(self.faults, "state_dict")
                 else self.faults.state_dict()
             ),
-            # Conditional: checkpoints keep their historical key set
-            # when no telemetry recorder is attached.
-            **({"timeseries": self.obs.timeseries.state_dict()}
-               if self.obs.timeseries is not None else {}),
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
@@ -654,7 +643,6 @@ class Simulation:
         self._batches_processed = state["batches_processed"]
         self._epoch_index = state["epoch_index"]
         self._epoch_start_ns = state["epoch_start_ns"]
-        self._phase_ns = dict(state["phase_ns"])
         self._events_consumed = state["events_consumed"]
         self.rng.bit_generator.state = state["rng"]
         self.ctx.rng.bit_generator.state = state["ctx_rng"]
@@ -674,9 +662,6 @@ class Simulation:
         if (self.faults is not None and state.get("faults") is not None
                 and hasattr(self.faults, "load_state")):
             self.faults.load_state(state["faults"])
-        if (self.obs.timeseries is not None
-                and state.get("timeseries") is not None):
-            self.obs.timeseries.load_state(state["timeseries"])
         self._resumed = True
         self._resume_accesses = self.metrics.total_accesses
         self._last_checkpoint_epoch = self._epoch_index
@@ -751,13 +736,14 @@ class Simulation:
                 self._run_macro(events, skip, budget)
             finally:
                 close_stream(events)
-        # Close the tail window so timelines always cover the full run,
-        # even when the last interval is shorter than the period.
+        # Close the tail window so the series always covers the full
+        # run, even when the last interval is shorter than the period.
         if self.metrics.finalize(
             self.now_ns,
             rss_bytes=self.space.rss_bytes,
             fast_used_bytes=self.tiers.fast.used_bytes,
             policy_stats_fn=self.policy.stats,
+            registry=self.obs.counters,
         ):
             self._close_epoch()
         self.sanitizer.at_end(self.now_ns)
@@ -772,10 +758,6 @@ class Simulation:
                 "load_period": float(self.sampler.load_period),
                 "store_period": float(self.sampler.store_period),
             }
-            pebs = self.obs.counters.scope("pebs")
-            for key, value in sampler_stats.items():
-                pebs.gauge(key).set(value)
-        self.metrics.publish(self.obs.counters)
 
         return SimResult(
             workload_name=self.workload.name,

@@ -56,9 +56,10 @@ class TestEngineMechanics:
     def test_timeline_snapshots_emitted(self):
         machine = MachineSpec(fast_bytes=8 * MB, capacity_bytes=64 * MB)
         sim = Simulation(OneRegionWorkload(batches=50), AllFastPolicy(),
-                         machine, timeline_interval_ns=1.0)
+                         machine)
+        sim.metrics.timeline_interval_ns = 1.0
         result = sim.run()
-        assert len(result.metrics.timeline) >= 49
+        assert len(result.metrics.series) >= 49
 
     def test_pebs_sampler_attached_only_when_requested(self):
         machine = MachineSpec(fast_bytes=8 * MB, capacity_bytes=64 * MB)

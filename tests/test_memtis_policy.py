@@ -53,7 +53,8 @@ class TestEndToEnd:
         """The paper's structural claim (§3): everything is background."""
         _sim, result = run_memtis()
         assert result.metrics.critical_policy_ns == 0.0
-        assert result.metrics.fault_ns == 0.0 or result.policy_stats["splits"] > 0
+        assert result.metrics.fault_ns == 0.0 \
+            or result.counters["kmigrated/splits"] > 0
         assert result.migration.critical_path_ns == 0.0
 
     def test_beats_no_tiering(self):
@@ -69,9 +70,9 @@ class TestEndToEnd:
         """Algorithm 1 sizes the hot set to DRAM: it must fit."""
         sim, result = run_memtis("xsbench", ratio="1:8", scale=MEDIUM_SCALE)
         fast = result.machine.fast_bytes
-        points = result.metrics.timeline[2:]
-        assert points, "expected timeline points"
-        ok = [p.policy_stats["hot_bytes"] <= fast * 1.05 for p in points]
+        hot = result.metrics.series.policy["hot_bytes"][2:]
+        assert hot, "expected series rows"
+        ok = [b <= fast * 1.05 for b in hot]
         # Transient overshoot is allowed (§6.3.1), but not persistence.
         assert sum(ok) >= 0.8 * len(ok)
 
@@ -83,8 +84,8 @@ class TestEndToEnd:
         _sim, with_split = run_memtis("silo", seed=5, scale=MEDIUM_SCALE)
         _sim, no_split = run_memtis("silo", seed=5, scale=MEDIUM_SCALE,
                                     enable_split=False)
-        assert with_split.policy_stats["splits"] > 0
-        assert no_split.policy_stats["splits"] == 0
+        assert with_split.counters["kmigrated/splits"] > 0
+        assert no_split.counters["kmigrated/splits"] == 0
         assert with_split.fast_hit_ratio > no_split.fast_hit_ratio
 
     def test_warm_set_reduces_traffic(self):
@@ -95,9 +96,15 @@ class TestEndToEnd:
 
     def test_stats_keys(self):
         _sim, result = run_memtis()
-        for key in ("hot_bytes", "warm_bytes", "cold_bytes", "t_hot",
-                    "ehr", "rhr", "splits", "adaptations", "coolings"):
+        for key in ("hot_bytes", "warm_bytes", "cold_bytes", "t_base_hot"):
             assert key in result.policy_stats
+        for name in ("ksampled/t_hot", "ksampled/ehr", "ksampled/rhr",
+                     "kmigrated/splits", "ksampled/adaptations",
+                     "ksampled/coolings"):
+            assert name in result.counters
+        # Each value is stored once: no stats key repeats a registry one.
+        short = {name.split("/")[-1] for name in result.counters}
+        assert not short & set(result.policy_stats)
 
     def test_mapping_consistency_after_run(self):
         sim, _result = run_memtis("btree")

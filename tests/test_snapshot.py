@@ -102,6 +102,18 @@ class TestResumeBitIdentity:
         sim.load_state(snaps[k])
         assert _canon(sim.run(max_accesses=spec.max_accesses)) == full
 
+    def test_resumed_phases_fit_in_the_resumed_wall(self):
+        """A result's phases and its wall both cover the run that
+        produced it: a resume does not carry the checkpointed run's
+        phase times (they once summed to 4x the resumed wall)."""
+        spec = _spec(workload="phaseflip", max_accesses=None)
+        _full, snaps = _capture_all(spec)
+        sim = _build(spec)
+        sim.load_state(snaps[sorted(snaps)[-1]])
+        resumed = sim.run()
+        assert sum(resumed.phase_ns.values()) \
+            <= resumed.wall_seconds * 1e9
+
     def test_state_dict_roundtrips_through_store(self, tmp_path):
         """execute() with snapshot_every persists; resume=True restores."""
         store = snapshot.SnapshotStore(tmp_path / "store")

@@ -406,7 +406,7 @@ class TestJsonSafe:
         assert data["runtime_ns"] == result.runtime_ns
         assert data["migration"]["traffic_bytes"] == result.migration.traffic_bytes
         assert data["tlb"]["miss_ratio"] == result.tlb.miss_ratio
-        assert "timeline" in data["metrics"]
+        assert "series" in data["metrics"]
         assert isinstance(json.loads(text), dict)
 
     def test_json_safe_handles_numpy_and_results(self):
