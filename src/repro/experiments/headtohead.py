@@ -117,8 +117,12 @@ def run(
     flip_rows = []
     for policy in policies:
         cell = flip_grid[("phaseflip", policy, PHASEFLIP_RATIO)]
-        stats = cell["result"].policy_stats
-        adapt = stats.get("phase_resets", stats.get("coolings", 0.0))
+        result = cell["result"]
+        stats = result.policy_stats
+        # MEMTIS keeps its cooling count in the registry, not in stats().
+        coolings = stats.get(
+            "coolings", float(result.counters.get("ksampled/coolings", 0)))
+        adapt = stats.get("phase_resets", coolings)
         flip_rows.append([policy, cell["normalized"], adapt])
         data["cells"][f"phaseflip|{policy}"] = cell["normalized"]
     flip_rows.sort(key=lambda r: -r[1])
