@@ -15,14 +15,18 @@ silo trace that ``perfbench/``'s replay workloads record
   preceding lookups left; and the same on the 2M substream of a live
   ``phaseflip`` memtis run on the 3-tier preset (``perfbench/``'s zoo
   workload), whose huge-page bursts the batch path collapses;
+* **interleave**: ``rng.permutation`` plus ``take`` vs the packed
+  in-place shuffle, inside the replay at fused batch sizes of 1k-64k
+  accesses (``macro_batch``) with each path pinned by
+  ``PERMUTE_CROSSOVER``, and alone on runs of the trace's accesses;
 * **fusion**: ``_fuse_reference`` vs ``_fuse_staged`` over k of the
   trace's 1k-access events.
 
 For each kernel it prints the median time per call of both paths at
 every rung, and the crossover: the smallest rung from which the
-vectorized path wins at every larger rung.  ``FOLD_CROSSOVER`` and
-``LRU_BATCH_CROSSOVER`` cite this sweep.  Timings are host wall
-clock, so run it on a quiet machine.
+vectorized path wins at every larger rung.  ``FOLD_CROSSOVER``,
+``LRU_BATCH_CROSSOVER`` and ``PERMUTE_CROSSOVER`` cite this sweep.
+Timings are host wall clock, so run it on a quiet machine.
 
 Usage::
 
@@ -45,6 +49,7 @@ import numpy as np
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from record_bench import SEED, TRACE_EVENT_ACCESSES, TRACE_SCALE  # noqa: E402
+from repro import kernels  # noqa: E402
 from repro.kernels.sample_fold import (  # noqa: E402
     FOLD_CROSSOVER,
     fold_samples_scalar,
@@ -58,7 +63,8 @@ from repro.kernels.tlb_lru import (  # noqa: E402
 from repro.mem.pages import vpn_to_hpn  # noqa: E402
 from repro.mem.tlb import TLBConfig  # noqa: E402
 from repro.policies.registry import make_policy  # noqa: E402
-from repro.sim.engine import Simulation  # noqa: E402
+from repro.pebs.events import AccessBatch  # noqa: E402
+from repro.sim.engine import PERMUTE_CROSSOVER, Simulation  # noqa: E402
 from repro.sim.machine import DEFAULT_SCALE, MachineSpec, ScaleSpec  # noqa: E402
 from repro.sim.runner import RunSpec  # noqa: E402
 from repro.workloads.registry import make_workload  # noqa: E402
@@ -73,6 +79,9 @@ SMOKE_SCALE = ScaleSpec(bytes_per_paper_gb=1 * MIB,
 FOLD_LADDER = (1, 2, 4, 8, 16, 24, 32, 48, 64, 96, 128, 256, 1024)
 TLB_LADDER_PER_SET = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 FUSION_LADDER = (1, 2, 3, 4, 8, 16, 64, 256)
+#: Fused batch sizes of the in-engine interleave sweep (0: 1k events).
+INTERLEAVE_MACRO_BATCHES = (0, 4096, 16384, 65536)
+INTERLEAVE_LADDER = (256, 1024, 4096, 8192, 16384, 32768, 65536, 262144)
 
 
 class Capture:
@@ -97,16 +106,21 @@ def _capture_tlb(sim: Simulation, cap: Capture) -> None:
     sim.tlb.access_substream = access_substream
 
 
-def capture_replay(scale: ScaleSpec, max_accesses: int, workdir: str):
-    """Replay the silo trace at ``macro_batch=0``, recording every fold
-    batch, TLB substream and (the first) event parts; returns the
-    capture and the replay's ksampled."""
-    path = os.path.join(workdir, "trace.npz")
-    record_trace(make_workload("silo", scale), path, seed=SEED)
+def _replay_sim(path: str, macro_batch: int = 0) -> Simulation:
     workload = TraceWorkload(path, event_accesses=TRACE_EVENT_ACCESSES)
     machine = MachineSpec.from_ratio(workload.total_bytes, ratio="1:8")
-    sim = Simulation(workload, make_policy("memtis"), machine, seed=SEED,
-                     macro_batch=0)
+    return Simulation(workload, make_policy("memtis"), machine, seed=SEED,
+                      macro_batch=macro_batch)
+
+
+def capture_replay(scale: ScaleSpec, max_accesses: int, workdir: str):
+    """Record the silo trace into ``workdir`` and replay it at
+    ``macro_batch=0``, recording every fold batch, TLB substream and
+    (the first) event parts; returns the capture and the replay's
+    ksampled."""
+    path = os.path.join(workdir, "trace.npz")
+    record_trace(make_workload("silo", scale), path, seed=SEED)
+    sim = _replay_sim(path)
     cap = Capture()
     ks = sim.policy.ksampled
     fold, resolve = ks.process_samples, sim._resolve_parts
@@ -189,6 +203,82 @@ def sweep_tlb(stream: np.ndarray, num_sets: int, ways: int,
     return rows
 
 
+def sweep_interleave_in_engine(path: str, macro_batches: Sequence[int],
+                               max_accesses: int, reps: int):
+    """Median time of one ``_interleave`` call inside the silo replay,
+    per fused batch size (``macro_batch``), with every call on the
+    permutation (scalar) or the packed shuffle (vector), pinned through
+    ``PERMUTE_CROSSOVER``; the two alternate ``reps`` times."""
+    from repro.sim import engine
+
+    rows = []
+    saved = engine.PERMUTE_CROSSOVER
+    try:
+        for macro_batch in macro_batches:
+            times: dict = {"scalar": [], "vector": []}
+            for _ in range(reps):
+                for variant, cross in (("scalar", 1 << 62), ("vector", 0)):
+                    engine.PERMUTE_CROSSOVER = cross
+                    sim = _replay_sim(path, macro_batch)
+                    interleave = sim._interleave
+
+                    def timed(*args, _times=times[variant],
+                              _call=interleave):
+                        start = time.perf_counter_ns()
+                        out = _call(*args)
+                        _times.append(time.perf_counter_ns() - start)
+                        return out
+
+                    sim._interleave = timed
+                    sim.run(max_accesses=max_accesses)
+            rows.append((macro_batch or TRACE_EVENT_ACCESSES,
+                         statistics.median(times["scalar"]) / 1e3,
+                         statistics.median(times["vector"]) / 1e3))
+    finally:
+        engine.PERMUTE_CROSSOVER = saved
+    return rows
+
+
+def sweep_interleave(cap: Capture, ladder: Sequence[int], reps: int):
+    """``rng.permutation`` + ``take`` (scalar) vs the packed in-place
+    shuffle (vectorized) on runs of the trace's accesses; both from the
+    same RNG state, checked equal."""
+    rels = [b for _, bs in cap.events for b in bs]
+    vpns = np.concatenate([b.vpn for b in rels])
+    stores = np.concatenate([b.is_store for b in rels])
+    rows = []
+    for n in ladder:
+        if n > len(vpns):
+            break
+        scalar, vector = [], []
+        for rep in range(reps):
+            lo = (rep * n) % (len(vpns) - n + 1)
+            outs = []
+            for mode, times in ((kernels.SCALAR, scalar),
+                                (kernels.VECTORIZED, vector)):
+                holder = _RngHolder(np.random.default_rng(rep))
+                batch = AccessBatch(vpns[lo:lo + n].copy(),
+                                    stores[lo:lo + n].copy())
+                with kernels.forced(mode):
+                    times.append(_timed(lambda: outs.append(
+                        Simulation._interleave(holder, batch, True, True))))
+                outs.append(holder.rng.bit_generator.state)
+            if not (np.array_equal(outs[0].vpn, outs[2].vpn)
+                    and outs[1] == outs[3]):
+                raise AssertionError("interleave paths diverged")
+        rows.append((n, statistics.median(scalar), statistics.median(vector)))
+    return rows
+
+
+class _RngHolder:
+    """What ``Simulation._interleave`` reads of its simulation."""
+
+    _permute = staticmethod(Simulation._permute)
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+
+
 def sweep_fusion(cap: Capture, ladder: Sequence[int], reps: int):
     regions = [r for regs, _ in cap.events for r in regs]
     rels = [b for _, bs in cap.events for b in bs]
@@ -257,13 +347,19 @@ def main(argv=None) -> int:
     scale, reps, accesses = ScaleSpec(**TRACE_SCALE), args.reps, args.accesses
     fold_ladder, tlb_ladder = FOLD_LADDER, TLB_LADDER_PER_SET
     fusion_ladder = FUSION_LADDER
+    interleave_ladder, engine_reps = INTERLEAVE_LADDER, 3
+    macro_batches = INTERLEAVE_MACRO_BATCHES
     if args.smoke:
         scale, reps, accesses = SMOKE_SCALE, 3, 200_000
         fold_ladder, tlb_ladder = (4, 64, 256), (2, 16, 64)
         fusion_ladder = (1, 4)
+        interleave_ladder, macro_batches, engine_reps = (1024, 4096), (0,), 1
 
     with tempfile.TemporaryDirectory() as tmp:
         cap, ks = capture_replay(scale, accesses, tmp)
+        interleave_in_engine = sweep_interleave_in_engine(
+            os.path.join(tmp, "trace.npz"), macro_batches,
+            min(accesses, 1_000_000), engine_reps)
     zoo = capture_zoo(SMOKE_SCALE if args.smoke else DEFAULT_SCALE)
     config = TLBConfig()
     print(f"captured from a {accesses:,}-access silo replay "
@@ -305,6 +401,18 @@ def main(argv=None) -> int:
         found = ("at no rung" if worst == float("inf")
                  else f"from {worst:g} lookups per set")
         print(f"\ntlb: the batch path wins on every stream {found}{const}")
+    const = f"; PERMUTE_CROSSOVER = {PERMUTE_CROSSOVER}"
+    print()
+    print(format_rows(
+        "interleave: permutation + take (scalar) vs packed shuffle "
+        "(vector), inside the silo replay by fused batch size, median "
+        f"call of {engine_reps} alternating runs per path", "accesses",
+        interleave_in_engine, constant=const))
+    print()
+    print(format_rows(
+        "interleave: permutation + take (scalar) vs packed shuffle "
+        "(vector), alone on runs of the trace's accesses", "accesses",
+        sweep_interleave(cap, interleave_ladder, reps), constant=const))
     print()
     print(format_rows("fusion (1k-access events per batch)", "events",
                       sweep_fusion(cap, fusion_ladder, reps)))

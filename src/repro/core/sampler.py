@@ -114,6 +114,24 @@ class KSampled:
 
         #: Base-page hotness compensation factor (ablation: 1 disables).
         self.comp = SUBPAGES_PER_HUGE if config.compensate_base_hotness else 1
+        #: The fold kernel's state and inputs, built once: every array
+        #: is updated in place, never rebound (see `fold_inputs`).
+        self._fold_state = FoldState(
+            sub_count=self.meta.sub_count,
+            huge_count=self.meta.huge_count,
+            main_bin=self.main_bin,
+            main_weight=self.main_weight,
+            base_bin=self.base_bin,
+            hist=self.hist,
+            base_hist=self.base_hist,
+        )
+        self._fold_params = FoldParams(
+            page_tier=ctx.space.page_tier,
+            page_huge=ctx.space.page_huge,
+            fast=FASTEST_TIER,
+            t_hot=0, comp=self.comp, base_cut=0,
+            base_cut_fraction=0.0, tie_credit=0.0,
+        )
 
         self.overhead = CpuOverheadModel()
         self.controller: Optional[SamplingPeriodController] = None
@@ -247,28 +265,14 @@ class KSampled:
     # -- the per-sample hot path ----------------------------------------------------
 
     def fold_inputs(self) -> Tuple[FoldState, FoldParams]:
-        """The state a fold updates (views, not copies) and its inputs."""
-        space = self.ctx.space
-        params = FoldParams(
-            page_tier=space.page_tier,
-            page_huge=space.page_huge,
-            fast=FASTEST_TIER,
-            t_hot=self.thresholds.hot,
-            comp=self.comp,
-            base_cut=self.base_cut_hotness,
-            base_cut_fraction=self.base_cut_fraction,
-            tie_credit=self._tie_credit,
-        )
-        state = FoldState(
-            sub_count=self.meta.sub_count,
-            huge_count=self.meta.huge_count,
-            main_bin=self.main_bin,
-            main_weight=self.main_weight,
-            base_bin=self.base_bin,
-            hist=self.hist,
-            base_hist=self.base_hist,
-        )
-        return state, params
+        """The state a fold updates (views, not copies) and its inputs,
+        with the inputs that move between folds brought up to date."""
+        params = self._fold_params
+        params.t_hot = self.thresholds.hot
+        params.base_cut = self.base_cut_hotness
+        params.base_cut_fraction = self.base_cut_fraction
+        params.tie_credit = self._tie_credit
+        return self._fold_state, params
 
     def process_samples(self, samples: SampleBatch) -> None:
         """Fold one batch of PEBS records into all statistics.

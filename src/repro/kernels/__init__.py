@@ -1,8 +1,8 @@
 """Hot-path kernel dispatch: vectorized numpy kernels vs scalar loops.
 
 The simulator's hot loops (ksampled sample folding, TLB lookup
-simulation, batch fusion) each exist in two exact-equivalent
-implementations:
+simulation, batch fusion, the interleave shuffle) each exist in two
+exact-equivalent implementations:
 
 * **vectorized**: batched numpy kernels, fast on large inputs;
 * **scalar**: the original per-element Python loops, fast on small
@@ -16,25 +16,42 @@ call cannot change a result, and by default each call picks by size.
 
 Mode selection (``REPRO_SCALAR_KERNELS``):
 
-==================  ================  =================================
-environment         ``active_mode``   path each call takes
-==================  ================  =================================
-unset / ``0``       ``auto``          by input size: scalar below the
-                                      kernel's crossover, vectorized at
-                                      or above it (default)
-``vectorized``      ``vectorized``    numpy at every size
-``1`` (any other)   ``scalar``        the per-element loop
-``validate``        ``validate``      both, asserting identical state
-                                      (slow; a debugging aid)
-==================  ================  =================================
+=====================  ================  ==============================
+environment            ``active_mode``   path each call takes
+=====================  ================  ==============================
+unset / ``0`` /        ``auto``          by input size: scalar below
+``auto``                                 the kernel's crossover,
+                                         vectorized at or above it
+                                         (default)
+``vectorized``         ``vectorized``    numpy at every size
+``1`` (any other)      ``scalar``        the per-element loop
+``validate``           ``validate``      both, asserting identical
+                                         state (slow; a debugging aid)
+=====================  ================  ==============================
 
-Each kernel module owns its crossover (``FOLD_CROSSOVER`` in
-:mod:`~repro.kernels.sample_fold`, ``LRU_BATCH_CROSSOVER`` in
-:mod:`~repro.kernels.tlb_lru`), measured by
-``benchmarks/kernel_crossover.py``.  Tests can pin a mode for a code
-region regardless of the environment with the :func:`forced` context
-manager; the pinned ``vectorized`` and ``scalar`` modes keep the
-differential tests comparing both paths at every size.
+Each kernel owns its crossover, measured by
+``benchmarks/kernel_crossover.py``:
+
+=============================  ==========================  ==========
+kernel                         crossover                   below it
+=============================  ==========================  ==========
+sample fold                    ``FOLD_CROSSOVER`` = 64     per-sample
+(:mod:`.sample_fold`)          samples                     loop
+TLB array                      ``LRU_BATCH_CROSSOVER`` =   per-lookup
+(:mod:`.tlb_lru`)              64 lookups per set          loop
+interleave                     ``PERMUTE_CROSSOVER`` =     permutation
+(:mod:`repro.sim.engine`)      4096 accesses               + ``take``
+batch fusion                   none: staged at every size  --
+(:mod:`repro.sim.engine`)
+=============================  ==========================  ==========
+
+``Simulation.run`` resolves the mode once and pins it for the run
+(``forced(active_mode())``), so a hot call never reads the environment.
+Tests can pin a mode for a code region regardless of the environment
+with the :func:`forced` context manager; a ``forced`` block around a
+run is the mode that run pins.  The pinned ``vectorized`` and
+``scalar`` modes keep the differential tests comparing both paths at
+every size.
 """
 
 from __future__ import annotations
@@ -55,11 +72,11 @@ _forced: Optional[str] = None
 
 
 def active_mode() -> str:
-    """Resolve the kernel mode for this call (forced > environment)."""
+    """Resolve the kernel mode (a forced block > the environment)."""
     if _forced is not None:
         return _forced
     env = os.environ.get("REPRO_SCALAR_KERNELS", "").strip().lower()
-    if env in ("", "0", "false"):
+    if env in ("", "0", "false", AUTO):
         return AUTO
     if env in (VECTORIZED, VALIDATE):
         return env
@@ -70,9 +87,11 @@ def path_for(size: int, crossover: int) -> str:
     """The path one kernel call on ``size`` elements takes.
 
     ``auto`` resolves to ``scalar`` below ``crossover`` and to
-    ``vectorized`` at or above it; the other modes are pinned.
+    ``vectorized`` at or above it; the other modes are pinned.  Inside
+    a forced block (every run is one) this reads the block's mode, not
+    the environment.
     """
-    mode = active_mode()
+    mode = _forced if _forced is not None else active_mode()
     if mode != AUTO:
         return mode
     return SCALAR if size < crossover else VECTORIZED

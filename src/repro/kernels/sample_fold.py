@@ -77,9 +77,14 @@ class FoldState:
         )
 
 
-@dataclass(frozen=True)
+@dataclass
 class FoldParams:
-    """Read-only inputs, constant for the duration of one fold call."""
+    """Read-only inputs, constant for the duration of one fold call.
+
+    The caller may keep one and update the fields that move between
+    calls (``t_hot``, ``base_cut``, ``base_cut_fraction``,
+    ``tie_credit``); a fold never writes it.
+    """
 
     page_tier: np.ndarray
     page_huge: np.ndarray
@@ -106,61 +111,72 @@ class FoldResult:
 def fold_samples_scalar(
     state: FoldState, vpns: np.ndarray, params: FoldParams
 ) -> FoldResult:
-    """Reference implementation: the original per-sample loop."""
-    page_tier = params.page_tier
-    page_huge = params.page_huge
+    """Reference implementation: the original per-sample loop.
+
+    Tier and mapping size are constant within a fold (module docstring),
+    so both are gathered for the whole batch up front.  The histogram
+    bins are updated in place, with :meth:`AccessHistogram.remove`'s
+    check that no bin goes negative.  Element reads use ``.item()``,
+    which returns a Python int without building a numpy scalar.
+    """
+    vpns = np.asarray(vpns)
+    tiers = params.page_tier[vpns].tolist()
+    huges = params.page_huge[vpns].tolist()
     sub_count = state.sub_count
     huge_count = state.huge_count
-    hist = state.hist
-    base_hist = state.base_hist
+    main_bin = state.main_bin
+    base_bin = state.base_bin
+    bins = state.hist.bins
+    base_bins = state.base_hist.bins
     fast = params.fast
     t_hot = params.t_hot
     comp = params.comp
     base_cut = params.base_cut
-    res = FoldResult(tie_credit=params.tie_credit)
+    res = FoldResult()
     tie_credit = params.tie_credit
 
-    for vpn in np.asarray(vpns).tolist():
-        if page_tier[vpn] < 0:
+    for vpn, tier, huge in zip(vpns.tolist(), tiers, huges):
+        if tier < 0:
             continue  # freed between access and drain
         res.processed += 1
 
-        sub_count[vpn] += 1
-        if page_huge[vpn]:
+        sub = sub_count.item(vpn) + 1
+        sub_count[vpn] = sub
+        base_hotness = sub * comp
+        if huge:
             hpn = vpn >> 9
-            huge_count[hpn] += 1
+            hotness = huge_count.item(hpn) + 1
+            huge_count[hpn] = hotness
             rep = hpn << 9
-            hotness = int(huge_count[hpn])
             weight = SUBPAGES_PER_HUGE
         else:
             rep = vpn
-            hotness = int(sub_count[vpn]) * comp
+            hotness = base_hotness
             weight = 1
 
         # Page access histogram update (possibly crossing a bin).
         new_bin = bin_of(hotness)
-        old_bin = int(state.main_bin[rep])
+        old_bin = main_bin.item(rep)
         if old_bin < 0:
-            hist.add(new_bin, weight)
+            bins[new_bin] = bins.item(new_bin) + weight
             state.main_weight[rep] = weight
-            state.main_bin[rep] = new_bin
+            main_bin[rep] = new_bin
         elif new_bin != old_bin:
-            hist.move(old_bin, new_bin, weight)
-            state.main_bin[rep] = new_bin
+            _move(bins, old_bin, new_bin, weight)
+            main_bin[rep] = new_bin
 
         # Emulated base page histogram (4 KiB granularity).
-        base_hotness = int(sub_count[vpn]) * comp
         new_base_bin = bin_of(base_hotness)
-        old_base_bin = int(state.base_bin[vpn])
+        old_base_bin = base_bin.item(vpn)
         if old_base_bin < 0:
-            base_hist.add(new_base_bin, 1)
-            state.base_bin[vpn] = new_base_bin
+            base_bins[new_base_bin] = base_bins.item(new_base_bin) + 1
+            base_bin[vpn] = new_base_bin
         elif new_base_bin != old_base_bin:
-            base_hist.move(old_base_bin, new_base_bin, 1)
-            state.base_bin[vpn] = new_base_bin
+            _move(base_bins, old_base_bin, new_base_bin, 1)
+            base_bin[vpn] = new_base_bin
 
         # rHR: did this access land in the fast tier?
-        if page_tier[vpn] == fast:
+        if tier == fast:
             res.rhr_hits += 1
         # eHR: would it hit if only the hottest base pages were fast?
         # Judged on the page's hotness *before* this sample; ties at the
@@ -175,11 +191,22 @@ def fold_samples_scalar(
                 res.ehr_hits += 1
 
         # Hot page off the fastest tier: promotion candidate (§4.2.3).
-        if new_bin >= t_hot and page_tier[vpn] != fast:
-            res.promoted.append(int(rep))
+        if new_bin >= t_hot and tier != fast:
+            res.promoted.append(rep)
 
     res.tie_credit = tie_credit
     return res
+
+
+def _move(bins: np.ndarray, old_bin: int, new_bin: int, weight: int) -> None:
+    """:meth:`AccessHistogram.move` on the bins array, same check."""
+    left = bins.item(old_bin) - weight
+    bins[old_bin] = left
+    if left < 0:
+        raise ValueError(
+            f"bin {old_bin} went negative removing weight {weight}"
+        )
+    bins[new_bin] = bins.item(new_bin) + weight
 
 
 def fold_samples_vectorized(

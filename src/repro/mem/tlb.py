@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -107,10 +107,6 @@ class _SetAssocArray:
         # Each set is a most-recently-used-first list of tags.
         self.sets: List[List[int]] = [[] for _ in range(self.num_sets)]
 
-    def access_batch(self, tag_stream: np.ndarray) -> Tuple[int, int]:
-        """Run a lookup stream through the array; returns (hits, misses)."""
-        return lru_access(self.sets, self.ways, tag_stream)
-
     def invalidate(self, tag: int) -> bool:
         entry_set = self.sets[tag % self.num_sets]
         if tag in entry_set:
@@ -163,10 +159,12 @@ class TLB:
         2 MiB mapping.  Returns the total page-walk levels incurred by
         this substream (un-scaled; the caller applies the stride factor).
 
-        The 4K and 2M arrays are independent, so the substream splits by
-        mapping size and each half runs through its array on the path
-        its length picks; totals are order-independent even though the
-        batched path regroups lookups by set.
+        The 4K and 2M arrays are independent, so only each array's own
+        order matters.  A substream of one mapping size (most of them)
+        goes to its array whole; a mixed one splits by mapping size.
+        Each half runs on the path its length picks; totals are
+        order-independent even though the batched path regroups lookups
+        by set.
         """
         stats = self.stats
         n = len(vpns)
@@ -174,10 +172,18 @@ class TLB:
         if n == 0:
             return 0
         huge_mask = np.asarray(is_huge, dtype=bool)
-        hits_4k, misses_4k = self._tlb_4k.access_batch(vpns[~huge_mask])
-        hits_2m, misses_2m = self._tlb_2m.access_batch(
-            vpn_to_hpn(vpns[huge_mask])
-        )
+        num_huge = int(np.count_nonzero(huge_mask))
+        hits_4k = misses_4k = hits_2m = misses_2m = 0
+        if num_huge < n:
+            hits_4k, misses_4k = lru_access(
+                self._tlb_4k.sets, self.config.ways,
+                vpns[~huge_mask] if num_huge else vpns,
+            )
+        if num_huge:
+            hits_2m, misses_2m = lru_access(
+                self._tlb_2m.sets, self.config.ways,
+                vpn_to_hpn(vpns[huge_mask] if num_huge < n else vpns),
+            )
         stats.hits_4k += hits_4k
         stats.misses_4k += misses_4k
         stats.hits_2m += hits_2m

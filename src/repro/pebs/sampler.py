@@ -93,37 +93,42 @@ class PEBSSampler:
         self._load_phase %= self.config.load_period
         self._store_phase %= self.config.store_period
 
-    def _select(self, count: int, phase: int, period: int) -> np.ndarray:
-        """Indices (0..count) of sampled events given the running phase."""
-        first = period - 1 - phase
-        if first >= count:
-            return np.empty(0, dtype=np.int64)
-        return np.arange(first, count, period, dtype=np.int64)
-
     def sample(self, batch: AccessBatch) -> SampleBatch:
-        """Extract PEBS records from ``batch`` (absolute vpns expected)."""
+        """Extract PEBS records from ``batch`` (absolute vpns expected).
+
+        Each counter samples every ``period``-th event of its kind: the
+        first at ``period - 1 - phase`` among that kind's positions, then
+        every ``period`` after it, a strided slice.  A kind whose first
+        sample lies past the batch costs only its count.
+        """
         n = len(batch)
         self.total_events += n
         if n == 0:
             return SampleBatch.empty()
 
+        config = self.config
+        load_period, store_period = config.load_period, config.store_period
         store_mask = batch.is_store
-        load_positions = np.flatnonzero(~store_mask)
-        store_positions = np.flatnonzero(store_mask)
+        n_store = int(np.count_nonzero(store_mask))
+        n_load = n - n_store
+        first_load = load_period - 1 - self._load_phase
+        first_store = store_period - 1 - self._store_phase
+        self._load_phase = (self._load_phase + n_load) % load_period
+        self._store_phase = (self._store_phase + n_store) % store_period
 
-        load_idx = self._select(
-            len(load_positions), self._load_phase, self.config.load_period
-        )
-        store_idx = self._select(
-            len(store_positions), self._store_phase, self.config.store_period
-        )
-        self._load_phase = (self._load_phase + len(load_positions)) % self.config.load_period
-        self._store_phase = (self._store_phase + len(store_positions)) % self.config.store_period
-
-        positions = np.concatenate(
-            [load_positions[load_idx], store_positions[store_idx]]
-        )
-        positions.sort()
+        # Each kind's picks are ascending; merge only when both sampled.
+        loads = first_load < n_load
+        if loads:
+            positions = np.flatnonzero(~store_mask)[first_load::load_period]
+        if first_store < n_store:
+            store_picks = np.flatnonzero(store_mask)[first_store::store_period]
+            if loads:
+                positions = np.concatenate([positions, store_picks])
+                positions.sort()
+            else:
+                positions = store_picks
+        elif not loads:
+            positions = np.empty(0, dtype=np.intp)
 
         if len(positions) > self.config.buffer_capacity:
             # PEBS buffer overflow: the oldest records beyond capacity drop.

@@ -58,6 +58,13 @@ class BoundCostModel:
         self.tiers = tiers
         self.load_table = tiers.load_latency_table() / model.mlp_factor
         self.store_table = tiers.store_latency_table() / model.mlp_factor
+        # The same latencies as Python floats: indexing the arrays per
+        # batch built a numpy scalar per tier and kind.
+        self._load_ns = self.load_table.tolist()
+        self._store_ns = self.store_table.tolist()
+        #: Accesses the last :meth:`memory_ns` call counted in the
+        #: fastest tier (the engine's fast hits for that batch).
+        self.fast_accesses = 0
 
     def memory_ns(self, tier_per_access: np.ndarray, is_store: np.ndarray) -> float:
         """Stall time of one batch given per-access tier indices.
@@ -71,7 +78,8 @@ class BoundCostModel:
         8-byte indices: a fresh buffer per batch that cost more than all
         the counting.)  The per-tier components are summed
         fastest-first, which for two tiers reproduces the historical
-        ``(fast + capacity)`` float addition order exactly.
+        ``(fast + capacity)`` float addition order exactly.  The
+        fastest tier's count is left in :attr:`fast_accesses`.
 
         With the opt-in bandwidth model, every non-fastest tier's
         component is inflated by ``1/(1-rho)`` where rho is that tier's
@@ -92,10 +100,11 @@ class BoundCostModel:
             loads_left -= n_i - n_store_i
             stores_left -= n_store_i
         counts.append((loads_left, stores_left))
-        lt, st = self.load_table, self.store_table
+        self.fast_accesses = sum(counts[0])
         components = [
-            n_load * float(lt[i]) + n_store * float(st[i])
-            for i, (n_load, n_store) in enumerate(counts)
+            n_load * load_ns + n_store * store_ns
+            for (n_load, n_store), load_ns, store_ns
+            in zip(counts, self._load_ns, self._store_ns)
         ]
         total = components[0]
         for comp in components[1:]:

@@ -19,6 +19,7 @@ what happens on its critical path and nothing else.*
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import time
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from repro import kernels
 from repro.check.invariants import Sanitizer, resolve_check_level
 from repro.mem.address_space import AddressSpace, Region
 from repro.mem.migration import MigrationEngine, MigrationStats
-from repro.mem.tiers import FASTEST_TIER, TieredMemory
+from repro.mem.tiers import TieredMemory
 from repro.mem.tlb import TLB, TLBStats
 from repro.obs import DEBUG, Observability
 from repro.pebs.events import AccessBatch
@@ -42,6 +43,15 @@ from repro.sim.macro import EventCoalescer
 from repro.sim.metrics import MetricsCollector
 from repro.workloads.base import AccessEvent, AllocEvent, FreeEvent, Workload
 from repro.workloads.prefetch import close_stream, open_stream
+
+#: In accesses: a shorter interleaved batch is gathered through
+#: ``rng.permutation``; a longer one is shuffled in place, packed.
+#: Measured by ``benchmarks/kernel_crossover.py`` on the silo replay:
+#: inside the engine the permutation is ~7% faster at 1k accesses, even
+#: at 4k, and 6-14% slower at 16k-64k (alone: even at 1k, 5-8% slower
+#: from 4k, 33% at 256k).  From 4k on the packed shuffle is never
+#: slower, and it needs no 8-byte-per-access permutation.
+PERMUTE_CROSSOVER = 4096
 
 
 @dataclass
@@ -392,46 +402,69 @@ class Simulation:
         is_store = np.concatenate([rel.is_store for rel in rels])
         return AccessBatch(vpn, is_store)
 
+    @staticmethod
+    def _permute(batch: AccessBatch, rng: np.random.Generator) -> AccessBatch:
+        """Interleave's scalar path: gather through ``rng.permutation``."""
+        order = rng.permutation(len(batch))
+        return AccessBatch(batch.vpn.take(order), batch.is_store.take(order))
+
     def _interleave(self, batch: AccessBatch, interleave: bool,
                     owned: bool) -> AccessBatch:
         """Shuffle one fused batch's accesses (vpn and store flag move
-        together).
+        together), on the path the kernel mode picks for its size.
 
-        ``owned`` says fusion allocated ``batch.vpn``: the shuffle then
-        packs and unpacks in that array.  Otherwise it is a workload's
-        array (a read-only trace view, a generator's or a tee's
-        recording) and is copied once first.  ``is_store`` is never
-        written: the unpacked flags go to a fresh array.
+        Below :data:`PERMUTE_CROSSOVER` accesses the batch is gathered
+        through ``rng.permutation(n)`` (:meth:`_permute`).  At or above
+        it the packed (vpn, is_store) words are shuffled in place, which
+        makes the same swaps (``permutation`` shuffles ``arange(n)``):
+        same order, same RNG state, and no 8-byte-per-access
+        permutation.  ``validate`` runs both and compares arrays and RNG
+        state.  ``owned`` says fusion allocated ``batch.vpn``: the
+        shuffle then packs and unpacks in that array.  Otherwise it is a
+        workload's array (a read-only trace view, a generator's or a
+        tee's recording) and is copied once first.  ``is_store`` is
+        never written: the unpacked flags go to a fresh array.
         """
-        if interleave and len(batch) > 1:
-            # Shuffling the packed (vpn, is_store) words in place makes
-            # the same swaps as ``rng.permutation(n)`` (a shuffle of
-            # ``arange(n)``): same order, same RNG state, but one pass
-            # instead of a permutation plus two random gathers.
-            packed = np.left_shift(batch.vpn, 1,
-                                   out=batch.vpn if owned else None)
-            packed |= batch.is_store
-            self.rng.shuffle(packed)
-            # Unpack straight into bools: ``(packed & 1)`` would be a
-            # fresh 8-byte-per-access temporary.
-            is_store = np.empty(len(packed), dtype=bool)
-            np.bitwise_and(packed, 1, out=is_store, casting="unsafe")
-            packed >>= 1
-            batch = AccessBatch(packed, is_store)
-        return batch
+        n = len(batch)
+        if not interleave or n < 2:
+            return batch
+        path = kernels.path_for(n, PERMUTE_CROSSOVER)
+        if path == kernels.SCALAR:
+            return self._permute(batch, self.rng)
+        if path == kernels.VALIDATE:
+            ref_rng = copy.deepcopy(self.rng)
+            ref = self._permute(batch, ref_rng)  # before the in-place pack
+        packed = np.left_shift(batch.vpn, 1, out=batch.vpn if owned else None)
+        packed |= batch.is_store
+        self.rng.shuffle(packed)
+        # Unpack straight into bools: ``(packed & 1)`` would be a fresh
+        # 8-byte-per-access temporary.
+        is_store = np.empty(n, dtype=bool)
+        np.bitwise_and(packed, 1, out=is_store, casting="unsafe")
+        packed >>= 1
+        if path == kernels.VALIDATE and not (
+                np.array_equal(packed, ref.vpn)
+                and np.array_equal(is_store, ref.is_store)
+                and ref_rng.bit_generator.state
+                == self.rng.bit_generator.state):
+            raise AssertionError(
+                "packed shuffle diverged from the permutation"
+            )
+        return AccessBatch(packed, is_store)
 
     def _rebase_macro(self, event: AccessEvent) -> AccessBatch:
         """Fuse one engine batch under the active kernel mode: staged
         by default and when vectorized, the reference when scalar, both
-        when validating.  Fusion has no size crossover: a one-part batch
-        is rebased alone on either path."""
+        when validating.  Fusion has no size crossover (a crossover of
+        0 sends ``auto`` to the staged path): a one-part batch is
+        rebased alone on either path."""
         regions, rels = self._resolve_parts(event)
-        mode = kernels.active_mode()
-        if mode == kernels.SCALAR:
+        path = kernels.path_for(len(rels), 0)
+        if path == kernels.SCALAR:
             batch = self._fuse_reference(regions, rels)
         else:
             batch = self._fuse_staged(regions, rels)
-            if mode == kernels.VALIDATE:
+            if path == kernels.VALIDATE:
                 ref = self._fuse_reference(regions, rels)
                 if not (np.array_equal(batch.vpn, ref.vpn)
                         and np.array_equal(batch.is_store, ref.is_store)):
@@ -462,8 +495,10 @@ class Simulation:
         # maps a fresh zero base page (minor-fault cost, charged below).
         tier_per_access = space.page_tier[batch.vpn]
         demand_fault_ns = 0.0
-        miss_pos = tier_per_access < 0
-        if np.any(miss_pos):
+        # One reduction, no mask: ``(tiers < 0).any()`` costs a compare
+        # plus numpy's Python-level ``any`` wrapper on every batch.
+        if tier_per_access.min() < 0:
+            miss_pos = tier_per_access < 0
             missing = np.unique(batch.vpn[miss_pos])
             preferred = self.policy.choose_alloc_tier(len(missing) * 4096)
             space.demand_map_many(missing, preferred)
@@ -476,9 +511,10 @@ class Simulation:
             if tracer.enabled_for("engine", DEBUG):
                 tracer.emit("engine", "demand_map", DEBUG,
                             pages=len(missing), fault_ns=demand_fault_ns)
-        mem_ns = self.bound_cost.memory_ns(tier_per_access, batch.is_store)
-        compute_ns = self.bound_cost.compute_ns(n)
-        fast_hits = int(np.count_nonzero(tier_per_access == FASTEST_TIER))
+        bound_cost = self.bound_cost
+        mem_ns = bound_cost.memory_ns(tier_per_access, batch.is_store)
+        compute_ns = bound_cost.compute_ns(n)
+        fast_hits = bound_cost.fast_accesses
 
         # Translation cost: exact TLB on the strided substream.
         stride = self.tlb.config.sample_stride
@@ -733,7 +769,11 @@ class Simulation:
             events = open_stream(self.workload,
                                  np.random.default_rng(self.seed + 2))
             try:
-                self._run_macro(events, skip, budget)
+                # One mode lookup per run, not one per kernel call: the
+                # kernels read this pin (an enclosing forced block wins,
+                # since it is what active_mode returns).
+                with kernels.forced(kernels.active_mode()):
+                    self._run_macro(events, skip, budget)
             finally:
                 close_stream(events)
         # Close the tail window so the series always covers the full

@@ -21,7 +21,9 @@ from repro.kernels.tlb_lru import LRU_BATCH_CROSSOVER
 from repro.mem.pages import SUBPAGES_PER_HUGE
 from repro.mem.tiers import FASTEST_TIER
 from repro.mem.tlb import TLB, TLBConfig
-from repro.pebs.sampler import SampleBatch
+from repro.pebs.events import AccessBatch
+from repro.pebs.sampler import PEBSSampler, SampleBatch, SamplerConfig
+from repro.sim.engine import PERMUTE_CROSSOVER
 from repro.workloads.distributions import ZipfSampler
 
 from conftest import TEST_SCALE, make_context
@@ -240,6 +242,19 @@ def _spy(monkeypatch, module, name):
         return real(*args)
 
     monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def _spy_static(monkeypatch, cls, name):
+    """:func:`_spy` for a static method (the spy must stay unbound)."""
+    calls = []
+    real = getattr(cls, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cls, name, staticmethod(spy))
     return calls
 
 
@@ -508,3 +523,339 @@ class TestEndToEndDifferential:
         scalar = _run_e2e(kernels.SCALAR)
         vector = _run_e2e(kernels.VECTORIZED)
         assert scalar == vector
+
+
+# -- TLB substream routing -----------------------------------------------------
+
+
+def _tlb_substreams(seed: int, sizes):
+    """Substreams of all-huge, all-base and mixed lookups, with repeats
+    so both arrays hit."""
+    rng = np.random.default_rng(seed)
+    for i, n in enumerate(sizes):
+        vpns = rng.integers(0, 6000, n).astype(np.int64)
+        vpns[1::3] = vpns[:-1:3]
+        share = (1.0, 0.0, 0.5)[i % 3]
+        yield vpns, rng.random(n) < share
+
+
+def _shoot(tlb_or_sets, rng):
+    """The same shootdowns on a TLB or on a (base, huge) pair of lists."""
+    vpns = rng.integers(0, 6000, 4).tolist()
+    hpns = rng.integers(0, 12, 2).tolist()
+    if isinstance(tlb_or_sets, TLB):
+        for vpn in vpns:
+            tlb_or_sets.shootdown_base(vpn)
+        for hpn in hpns:
+            tlb_or_sets.shootdown_huge(hpn)
+        return
+    for sets, tags in zip(tlb_or_sets, (vpns, hpns)):
+        for tag in tags:
+            row = sets[tag % len(sets)]
+            if tag in row:
+                row.remove(tag)
+
+
+class TestTLBSubstreamRouting:
+    """A one-size substream goes to its array whole, a mixed one is
+    split; both against the per-array reference loop, on each side of
+    both arrays' batch crossovers."""
+
+    SIZES = (1, 7, 64, 511, 512, 513, 4095, 4096, 4097, 9000)
+
+    @pytest.mark.parametrize("mode", _DISPATCH_MODES + (kernels.VALIDATE,))
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_equals_per_array_lru_loop(self, mode, seed):
+        config = TLBConfig()
+        base = [[] for _ in range(config.entries_4k // config.ways)]
+        huge = [[] for _ in range(config.entries_2m // config.ways)]
+        ref = {"hits_4k": 0, "misses_4k": 0, "hits_2m": 0, "misses_2m": 0}
+        rng_ref, rng_tlb = (np.random.default_rng(seed) for _ in range(2))
+        with kernels.forced(mode):
+            tlb = TLB(config)
+            for vpns, is_huge in _tlb_substreams(seed, self.SIZES * 3):
+                h, m = tlb_lru.lru_loop(base, config.ways, vpns[~is_huge])
+                ref["hits_4k"] += h
+                ref["misses_4k"] += m
+                h, m = tlb_lru.lru_loop(huge, config.ways,
+                                        vpns[is_huge] >> 9)
+                ref["hits_2m"] += h
+                ref["misses_2m"] += m
+                tlb.access_substream(vpns, is_huge)
+                _shoot((base, huge), rng_ref)
+                _shoot(tlb, rng_tlb)
+        stats = vars(tlb.stats)
+        assert ref["hits_4k"] > 0 and ref["hits_2m"] > 0
+        assert {key: stats[key] for key in ref} == ref
+        assert tlb.state_dict()["tlb_4k"] == base
+        assert tlb.state_dict()["tlb_2m"] == huge
+
+    @pytest.mark.parametrize("share,arrays", [(0.0, [64]), (1.0, [8]),
+                                              (0.5, [64, 8])])
+    def test_one_size_substream_makes_one_call(self, share, arrays,
+                                               monkeypatch):
+        from repro.mem import tlb as tlb_module
+
+        calls = _spy(monkeypatch, tlb_module, "lru_access")
+        rng = np.random.default_rng(2)
+        vpns = rng.integers(0, 6000, 64).astype(np.int64)
+        TLB(TLBConfig()).access_substream(vpns, rng.random(64) < share)
+        assert [len(args[0]) for args in calls] == arrays
+
+
+# -- PEBS every-Nth selection ------------------------------------------------
+
+
+class _ArangeSampler:
+    """The every-Nth selection restated with ``np.arange`` index lists
+    and a gather per kind, then concatenate and sort."""
+
+    def __init__(self, load_period, store_period, capacity):
+        self.periods = [load_period, store_period]
+        self.phases = [0, 0]
+        self.capacity = capacity
+        self.dropped = 0
+
+    def set_periods(self, load_period, store_period):
+        self.periods = [load_period, store_period]
+        self.phases = [p % q for p, q in zip(self.phases, self.periods)]
+
+    def sample(self, vpn, is_store):
+        picked = []
+        for kind, mask in enumerate((~is_store, is_store)):
+            positions = np.flatnonzero(mask)
+            first = self.periods[kind] - 1 - self.phases[kind]
+            picked.append(positions[np.arange(first, len(positions),
+                                              self.periods[kind])])
+            self.phases[kind] = ((self.phases[kind] + len(positions))
+                                 % self.periods[kind])
+        positions = np.sort(np.concatenate(picked))
+        if len(positions) > self.capacity:
+            self.dropped += len(positions) - self.capacity
+            positions = positions[-self.capacity:]
+        return vpn[positions], is_store[positions]
+
+
+class TestSamplerSlices:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_arange_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        load_period = int(rng.integers(1, 40))
+        store_period = int(rng.integers(1, 40))
+        capacity = int(rng.integers(1, 12))  # small: overflow happens
+        sampler = PEBSSampler(SamplerConfig(load_period, store_period,
+                                            capacity))
+        ref = _ArangeSampler(load_period, store_period, capacity)
+        seen = 0
+        for rnd in range(60):
+            n = int(rng.choice([0, 1, 5, 63, 200, 700]))
+            store_share = float(rng.choice([0.0, 0.1, 0.5, 1.0]))
+            vpn = rng.integers(0, 1 << 20, n).astype(np.int64)
+            is_store = rng.random(n) < store_share
+            got = sampler.sample(AccessBatch(vpn, is_store))
+            want_vpn, want_store = ref.sample(vpn, is_store)
+            np.testing.assert_array_equal(got.vpn, want_vpn)
+            np.testing.assert_array_equal(got.is_store, want_store)
+            seen += len(got)
+            if rnd == 30:
+                periods = (int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+                sampler.set_periods(*periods)
+                ref.set_periods(*periods)
+            state = sampler.state_dict()
+            assert [state["load_phase"], state["store_phase"]] == ref.phases
+        assert seen > 0
+        assert sampler.dropped_samples == ref.dropped > 0
+
+
+# -- fast-tier count from memory_ns -------------------------------------------
+
+
+class TestFastCountFromMemoryNs:
+    @pytest.mark.parametrize("bandwidth_model", [False, True],
+                             ids=["plain", "bandwidth"])
+    @pytest.mark.parametrize("num_tiers", [1, 2, 3])
+    def test_equals_count_nonzero(self, num_tiers, bandwidth_model):
+        from repro.mem.tiers import TieredMemory, cxl_spec, dram_spec, nvm_spec
+        from repro.sim.cost import CostModel
+
+        specs = (dram_spec, cxl_spec, nvm_spec)[:num_tiers]
+        tiers = TieredMemory.build(*[spec(64 * MB) for spec in specs])
+        cost = CostModel(bandwidth_model=bandwidth_model).bind(tiers)
+        rng = np.random.default_rng(num_tiers)
+        for n in (0, 1, 17, 1024, 5000):
+            tier = rng.integers(0, num_tiers, n).astype(np.int8)
+            stores = rng.random(n) < 0.3
+            cost.memory_ns(tier, stores)
+            assert cost.fast_accesses == np.count_nonzero(
+                tier == FASTEST_TIER)
+
+    def test_engine_fast_hits_equal_a_recount(self, monkeypatch):
+        """Every batch's recorded fast hits equal a recount of the tiers
+        ``memory_ns`` saw."""
+        from repro.sim.cost import BoundCostModel
+        from repro.sim.metrics import MetricsCollector
+        from repro.sim.runner import RunSpec
+
+        recounts, recorded, accesses = [], [], []
+        real_memory_ns = BoundCostModel.memory_ns
+        real_record = MetricsCollector.record_batch
+
+        def memory_ns(self, tier_per_access, is_store):
+            recounts.append(int(np.count_nonzero(
+                tier_per_access == FASTEST_TIER)))
+            accesses.append(len(tier_per_access))
+            return real_memory_ns(self, tier_per_access, is_store)
+
+        def record_batch(self, **kw):
+            recorded.append(kw["fast_hits"])
+            return real_record(self, **kw)
+
+        monkeypatch.setattr(BoundCostModel, "memory_ns", memory_ns)
+        monkeypatch.setattr(MetricsCollector, "record_batch", record_batch)
+        spec = RunSpec("phaseflip", "tpp", scale=TEST_SCALE, seed=4,
+                       machine_preset="dram-cxl-nvm", max_accesses=120_000)
+        spec.build().run(max_accesses=spec.max_accesses)
+        assert len(recorded) > 1 and recorded == recounts
+        assert 0 < sum(recorded) < sum(accesses)
+
+
+# -- interleave paths ----------------------------------------------------------
+
+
+def _interleave_sim():
+    from repro.policies.static import AllFastPolicy
+    from repro.sim.engine import Simulation
+    from repro.sim.machine import MachineSpec
+    from repro.workloads.base import Workload
+
+    class _Empty(Workload):
+        name = "empty"
+
+        def events(self, rng):
+            return iter(())
+
+    return Simulation(_Empty(MB, 1), AllFastPolicy(),
+                      MachineSpec(fast_bytes=8 * MB,
+                                  capacity_bytes=64 * MB), seed=9)
+
+
+class TestInterleavePaths:
+    """The permutation gather and the packed in-place shuffle make the
+    same swaps: equal arrays and equal RNG state, on both sides of
+    ``PERMUTE_CROSSOVER``."""
+
+    @pytest.mark.parametrize("n", [2, 3, 1024, PERMUTE_CROSSOVER - 1,
+                                   PERMUTE_CROSSOVER, PERMUTE_CROSSOVER + 1])
+    def test_paths_agree(self, n):
+        from repro.pebs.events import AccessBatch as Batch
+
+        rng = np.random.default_rng(n)
+        vpn = rng.integers(0, 1 << 30, n).astype(np.int64)
+        is_store = rng.random(n) < 0.3
+        out = {}
+        for mode in (kernels.SCALAR, kernels.VECTORIZED, kernels.AUTO,
+                     kernels.VALIDATE):
+            sim = _interleave_sim()
+            sim.rng.random(3)  # any state, the same for every path
+            with kernels.forced(mode):
+                batch = sim._interleave(Batch(vpn.copy(), is_store.copy()),
+                                        True, owned=True)
+            out[mode] = (batch.vpn, batch.is_store,
+                         sim.rng.bit_generator.state)
+        ref_vpn, ref_store, ref_state = out[kernels.SCALAR]
+        assert not np.array_equal(ref_vpn, vpn)
+        assert sorted(ref_vpn.tolist()) == sorted(vpn.tolist())
+        for got_vpn, got_store, got_state in out.values():
+            np.testing.assert_array_equal(got_vpn, ref_vpn)
+            np.testing.assert_array_equal(got_store, ref_store)
+            assert got_state == ref_state
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_default_permutes_below_the_crossover(self, offset, monkeypatch):
+        from repro.pebs.events import AccessBatch as Batch
+        from repro.sim.engine import Simulation
+
+        n = PERMUTE_CROSSOVER + offset
+        calls = _spy_static(monkeypatch, Simulation, "_permute")
+        with kernels.forced(kernels.AUTO):
+            _interleave_sim()._interleave(
+                Batch(np.arange(n), np.zeros(n, dtype=bool)), True,
+                owned=False)
+        assert len(calls) == (1 if offset < 0 else 0)
+
+
+# -- mode resolution per run ---------------------------------------------------
+
+
+def _batches_run(num_batches: int = 200):
+    """A memtis run of ``num_batches`` interleaved 1k-access batches on
+    a THP region (so both TLB arrays, the sampler and the fold work)."""
+    from repro.policies.registry import make_policy
+    from repro.sim.engine import Simulation
+    from repro.sim.machine import MachineSpec
+    from repro.workloads.base import AccessEvent, AllocEvent, Workload
+
+    class _Batches(Workload):
+        name = "batches"
+        needs_bounds_check = False
+
+        def events(self, rng):
+            yield AllocEvent("a", 16 * MB, thp=True)
+            yield AllocEvent("b", 4 * MB, thp=False)
+            for _ in range(num_batches):
+                parts = [(key, AccessBatch(
+                    rng.integers(0, size // 4096, 512).astype(np.int64),
+                    rng.random(512) < 0.2)) for key, size in
+                    (("a", 16 * MB), ("b", 4 * MB))]
+                yield AccessEvent(parts, interleave=True)
+
+    workload = _Batches(20 * MB, num_batches * 1024)
+    return Simulation(workload, make_policy("memtis"),
+                      MachineSpec(fast_bytes=4 * MB,
+                                  capacity_bytes=64 * MB), seed=3)
+
+
+class TestModeResolvedOncePerRun:
+    def test_one_lookup_per_run(self, monkeypatch):
+        lookups = []
+        real = kernels.active_mode
+
+        def counted():
+            lookups.append(1)
+            return real()
+
+        monkeypatch.setattr(kernels, "active_mode", counted)
+        sim = _batches_run()
+        sim.run()
+        assert sim._batches_processed == 200
+        assert sim.sampler.total_samples > 0
+        assert len(lookups) == 1
+
+    @pytest.mark.parametrize("mode", [kernels.SCALAR, kernels.VECTORIZED])
+    def test_forced_block_pins_every_call(self, mode, monkeypatch):
+        from repro.sim.engine import Simulation
+
+        monkeypatch.setenv("REPRO_SCALAR_KERNELS",
+                           "1" if mode == kernels.VECTORIZED else "vectorized")
+        spies = {
+            kernels.SCALAR: [
+                _spy(monkeypatch, sample_fold, "fold_samples_scalar"),
+                _spy_static(monkeypatch, Simulation, "_permute"),
+            ],
+            kernels.VECTORIZED: [
+                _spy(monkeypatch, sample_fold, "fold_samples_vectorized"),
+                _spy(monkeypatch, tlb_lru, "lru_batch"),
+            ],
+        }
+        with kernels.forced(mode):
+            _batches_run().run()
+        other = (kernels.VECTORIZED if mode == kernels.SCALAR
+                 else kernels.SCALAR)
+        assert all(calls for calls in spies[mode])
+        assert not any(calls for calls in spies[other])
+
+    def test_auto_env_value_selects_auto(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "auto")
+        assert kernels.active_mode() == kernels.AUTO
+        monkeypatch.setenv("REPRO_SCALAR_KERNELS", " AUTO ")
+        assert kernels.active_mode() == kernels.AUTO
