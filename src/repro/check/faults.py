@@ -91,6 +91,11 @@ class FaultConfig:
 class FaultInjector:
     """Draws and applies the fault schedule for one simulation run."""
 
+    #: Left out of checkpoints (``repro.snapshot``): the tracer is live
+    #: wiring, and the config belongs to the run that resumes -- a
+    #: resume may drop the kill that stopped the checkpointed run.
+    _CHECKPOINT_EXCLUDE = frozenset({"tracer", "config"})
+
     def __init__(self, config: FaultConfig):
         self.config = config
         self.rng = np.random.default_rng(config.seed)
@@ -209,21 +214,3 @@ class FaultInjector:
                 vpn = np.repeat(vpn, reps)
                 is_store = np.repeat(is_store, reps)
         return vpn, is_store
-
-    # -- checkpoint support --------------------------------------------------
-    # ``bind()`` wires live callables and is re-run at construction time;
-    # only the RNG position, frozen batch pulses and stats persist.
-
-    def state_dict(self) -> dict:
-        return {
-            "rng": self.rng.bit_generator.state,
-            "alloc_blocked": self._alloc_blocked,
-            "tick_suppressed": self._tick_suppressed,
-            "stats": dict(self.stats),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.rng.bit_generator.state = state["rng"]
-        self._alloc_blocked = bool(state["alloc_blocked"])
-        self._tick_suppressed = bool(state["tick_suppressed"])
-        self.stats.update(state["stats"])

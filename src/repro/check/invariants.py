@@ -400,7 +400,7 @@ def check_tlb_coherence(ctx: CheckContext) -> List[Finding]:
         return []
     findings = []
     space = ctx.space
-    for row in tlb._tlb_4k.state_rows():
+    for row in tlb._tlb_4k.sets:
         for vpn in row:
             if not 0 <= vpn < space.num_vpns or space.page_tier[vpn] < 0:
                 findings.append(Finding(
@@ -412,7 +412,7 @@ def check_tlb_coherence(ctx: CheckContext) -> List[Finding]:
                     "tlb-coherence", "4K TLB entry for a huge-mapped vpn",
                     {"vpn": vpn},
                 ))
-    for row in tlb._tlb_2m.state_rows():
+    for row in tlb._tlb_2m.sets:
         for hpn in row:
             head = hpn_to_vpn(hpn)
             if (not 0 <= hpn < space.num_hpns

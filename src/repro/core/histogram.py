@@ -109,11 +109,3 @@ class AccessHistogram:
 
     def snapshot(self) -> np.ndarray:
         return self.bins.copy()
-
-    # -- checkpoint support -------------------------------------------------
-
-    def state_dict(self) -> dict:
-        return {"bins": self.bins.copy()}
-
-    def load_state(self, state: dict) -> None:
-        self.bins[:] = np.asarray(state["bins"], dtype=np.int64)

@@ -49,6 +49,9 @@ from repro.policies.base import PolicyContext, scaled_headroom
 class KMigrated:
     """Background promotion/demotion/split/collapse."""
 
+    #: Live wiring the checkpoint walk leaves out (``repro.snapshot``).
+    _CHECKPOINT_EXCLUDE = frozenset({"ctx", "tracer", "counters"})
+
     MAX_SPLITS_PER_TICK = 64
     #: Oversized promotion candidates skipped per tick before giving up.
     #: Bounds the work wasted on huge pages that cannot fit (each skip
@@ -467,24 +470,3 @@ class KMigrated:
             self.split_hpns = {
                 h for h in self.split_hpns if not lo <= h < hi
             }
-
-    # -- checkpoint support -------------------------------------------------
-    # Registry-backed counters (`splits_done` etc.) are restored with the
-    # shared counter registry.  ``split_queue`` keeps its order (it is a
-    # FIFO); ``split_hpns`` is serialised sorted for stable bytes.
-
-    def state_dict(self) -> dict:
-        return {
-            "next_tick_ns": self._next_tick_ns,
-            "split_queue": list(self.split_queue),
-            "split_hpns": sorted(self.split_hpns),
-            "benefit_streak": self._benefit_streak,
-            "last_decision": self.last_decision.to_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._next_tick_ns = float(state["next_tick_ns"])
-        self.split_queue = [int(h) for h in state["split_queue"]]
-        self.split_hpns = set(int(h) for h in state["split_hpns"])
-        self._benefit_streak = int(state["benefit_streak"])
-        self.last_decision = SplitDecision(**state["last_decision"])

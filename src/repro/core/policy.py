@@ -108,19 +108,6 @@ class MemtisPolicy(TieringPolicy):
     def on_tick(self, now_ns: float) -> None:
         self.kmigrated.tick(now_ns)
 
-    # -- checkpoint support -----------------------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        state = super().state_dict()
-        state["ksampled"] = self.ksampled.state_dict()
-        state["kmigrated"] = self.kmigrated.state_dict()
-        return state
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        super().load_state(state)
-        self.ksampled.load_state(state["ksampled"])
-        self.kmigrated.load_state(state["kmigrated"])
-
     # -- reporting ------------------------------------------------------------------------
 
     def stats(self) -> Dict[str, float]:

@@ -52,6 +52,11 @@ from repro.policies.base import PolicyContext
 class KSampled:
     """Sample processing, histograms, thresholds, rHR/eHR, period control."""
 
+    #: Live wiring the checkpoint walk leaves out (``repro.snapshot``).
+    #: The registry-backed counters and gauges are checkpointed with the
+    #: run's registry, as the same instrument objects.
+    _CHECKPOINT_EXCLUDE = frozenset({"ctx", "tracer", "counters"})
+
     def __init__(self, config: MemtisConfig, ctx: PolicyContext):
         self.config = config
         self.ctx = ctx
@@ -529,64 +534,3 @@ class KSampled:
             "warm_bytes": float(warm_set_bytes(self.hist, self.thresholds)),
             "cold_bytes": float(cold_set_bytes(self.hist, self.thresholds)),
         }
-
-    # -- checkpoint support ---------------------------------------------------
-    # Registry-backed counters (`total_samples`, `adaptations`,
-    # `coolings_requested`) and the gauges are restored with the shared
-    # counter registry, not here; the promotion queue is serialised
-    # sorted so the checkpoint bytes are set-iteration-order free.
-
-    def state_dict(self) -> dict:
-        state = {
-            "meta": self.meta.state_dict(),
-            "hist": self.hist.state_dict(),
-            "base_hist": self.base_hist.state_dict(),
-            "main_bin": self.main_bin.copy(),
-            "main_weight": self.main_weight.copy(),
-            "base_bin": self.base_bin.copy(),
-            "thresholds": self.thresholds.to_dict(),
-            "base_thresholds": self.base_thresholds.to_dict(),
-            "base_cut_hotness": self.base_cut_hotness,
-            "base_cut_fraction": self.base_cut_fraction,
-            "tie_credit": self._tie_credit,
-            "promotion_queue": sorted(self.promotion_queue),
-            "since_adaptation": self._since_adaptation,
-            "since_cooling": self._since_cooling,
-            "since_estimation": self._since_estimation,
-            "window_samples": self._window_samples,
-            "rhr_hits": self._rhr_hits,
-            "ehr_hits": self._ehr_hits,
-            "last_ehr": self.last_ehr,
-            "last_rhr": self.last_rhr,
-            "overhead": self.overhead.state_dict(),
-            "controller": (
-                None if self.controller is None
-                else self.controller.state_dict()
-            ),
-        }
-        return state
-
-    def load_state(self, state: dict) -> None:
-        self.meta.load_state(state["meta"])
-        self.hist.load_state(state["hist"])
-        self.base_hist.load_state(state["base_hist"])
-        self.main_bin[:] = np.asarray(state["main_bin"], dtype=np.int16)
-        self.main_weight[:] = np.asarray(state["main_weight"], dtype=np.int16)
-        self.base_bin[:] = np.asarray(state["base_bin"], dtype=np.int16)
-        self.thresholds = Thresholds(**state["thresholds"])
-        self.base_thresholds = Thresholds(**state["base_thresholds"])
-        self.base_cut_hotness = int(state["base_cut_hotness"])
-        self.base_cut_fraction = float(state["base_cut_fraction"])
-        self._tie_credit = float(state["tie_credit"])
-        self.promotion_queue = set(int(v) for v in state["promotion_queue"])
-        self._since_adaptation = int(state["since_adaptation"])
-        self._since_cooling = int(state["since_cooling"])
-        self._since_estimation = int(state["since_estimation"])
-        self._window_samples = int(state["window_samples"])
-        self._rhr_hits = int(state["rhr_hits"])
-        self._ehr_hits = int(state["ehr_hits"])
-        self.last_ehr = float(state["last_ehr"])
-        self.last_rhr = float(state["last_rhr"])
-        self.overhead.load_state(state["overhead"])
-        if self.controller is not None and state["controller"] is not None:
-            self.controller.load_state(state["controller"])

@@ -22,7 +22,6 @@ moves any bytes, so tier accounting can never drift from them.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -70,6 +69,9 @@ TierChooser = Callable[[int], int]
 
 class AddressSpace:
     """Mapping state for one simulated process over an N-tier stack."""
+
+    #: Live wiring the checkpoint walk leaves out (``repro.snapshot``).
+    _CHECKPOINT_EXCLUDE = frozenset({"_unmap_listeners"})
 
     def __init__(self, tiers: TieredMemory, virtual_bytes: Optional[int] = None):
         self.tiers = tiers
@@ -478,47 +480,6 @@ class AddressSpace:
         self.page_tier[base : base + SUBPAGES_PER_HUGE] = int(tier)
         self.page_huge[base : base + SUBPAGES_PER_HUGE] = True
         return moved
-
-    # -- checkpoint support ----------------------------------------------------
-
-    def region_by_id(self, region_id: int) -> Region:
-        """Live region object with id ``region_id`` (checkpoint rewiring)."""
-        return self._regions[region_id]
-
-    def state_dict(self) -> dict:
-        """Serialisable mapping state (the arrays describe every mapping)."""
-        return {
-            "page_tier": self.page_tier.copy(),
-            "page_huge": self.page_huge.copy(),
-            "touched": self.touched.copy(),
-            "ref_bit": self.ref_bit.copy(),
-            "regions": [dataclasses.asdict(r) for r in self._regions.values()],
-            "next_region_id": self._next_region_id,
-            "bump_vpn": self._bump_vpn,
-            "recycle": {size: list(bases) for size, bases in self._recycle.items()},
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output.
-
-        Tier byte accounting is restored separately by
-        ``TieredMemory.load_state``, so the arrays are copied in directly
-        rather than through the allocating ``_map_*`` helpers.  Unmap
-        listeners are live callables rewired at construction and are left
-        untouched.
-        """
-        self.page_tier[:] = np.asarray(state["page_tier"], dtype=np.int8)
-        self.page_huge[:] = np.asarray(state["page_huge"], dtype=bool)
-        self.touched[:] = np.asarray(state["touched"], dtype=bool)
-        self.ref_bit[:] = np.asarray(state["ref_bit"], dtype=bool)
-        self._regions = {
-            d["region_id"]: Region(**d) for d in state["regions"]
-        }
-        self._next_region_id = int(state["next_region_id"])
-        self._bump_vpn = int(state["bump_vpn"])
-        self._recycle = {
-            int(size): list(bases) for size, bases in state["recycle"].items()
-        }
 
     # -- consistency (used by tests) -------------------------------------------
 

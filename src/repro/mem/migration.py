@@ -29,7 +29,6 @@ absorb them into daemon budget only.  This split is the paper's central
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -92,6 +91,9 @@ class MigrationStats:
 class MigrationEngine:
     """Executes tier changes over an address space with cost accounting."""
 
+    #: Live wiring the checkpoint walk leaves out (``repro.snapshot``).
+    _CHECKPOINT_EXCLUDE = frozenset({"tracer"})
+
     def __init__(
         self,
         space: AddressSpace,
@@ -106,17 +108,6 @@ class MigrationEngine:
         self.params = params
         self.stats = MigrationStats()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-
-    # -- checkpoint support ------------------------------------------------
-    # Cumulative stats are the engine's only mutable state; ``space``,
-    # ``tlb`` and ``params`` are wired references checkpointed elsewhere.
-
-    def state_dict(self) -> dict:
-        return {"stats": dataclasses.asdict(self.stats)}
-
-    def load_state(self, state: dict) -> None:
-        for key, value in state["stats"].items():
-            setattr(self.stats, key, value)
 
     # -- helpers ----------------------------------------------------------
 

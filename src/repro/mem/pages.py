@@ -92,16 +92,6 @@ class PageMetadataTable:
         end_hpn = (start_vpn + num + SUBPAGES_PER_HUGE - 1) >> HUGE_SHIFT
         self.huge_count[start_hpn:end_hpn] = 0
 
-    def state_dict(self) -> dict:
-        return {
-            "sub_count": self.sub_count.copy(),
-            "huge_count": self.huge_count.copy(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.sub_count[:] = np.asarray(state["sub_count"], dtype=np.int64)
-        self.huge_count[:] = np.asarray(state["huge_count"], dtype=np.int64)
-
     def huge_utilization(self, hpn: int, hot_threshold: int = 1) -> int:
         """Number of subpages of ``hpn`` with count >= ``hot_threshold``.
 

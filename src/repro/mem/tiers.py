@@ -126,6 +126,9 @@ class MemoryTier:
     fault_gate: Optional[Callable[[], bool]] = field(
         default=None, repr=False, compare=False)
 
+    #: Live wiring the checkpoint walk leaves out (``repro.snapshot``).
+    _CHECKPOINT_EXCLUDE = frozenset({"fault_gate"})
+
     def __post_init__(self):
         self.index = int(self.index)
 
@@ -177,15 +180,6 @@ class MemoryTier:
             )
         self.used_bytes -= nbytes
 
-    # -- checkpoint support --------------------------------------------------
-    # Only byte accounting is mutable run state; the spec is frozen and
-    # ``fault_gate`` is a live callable rewired at construction time.
-
-    def state_dict(self) -> dict:
-        return {"used_bytes": self.used_bytes}
-
-    def load_state(self, state: dict) -> None:
-        self.used_bytes = int(state["used_bytes"])
 
 
 class TieredMemory:
@@ -309,17 +303,3 @@ class TieredMemory:
         """Name for a tier index (``"unmapped"`` for the sentinel)."""
         return tier_label(index, self)
 
-    # -- checkpoint support --------------------------------------------------
-
-    def state_dict(self) -> dict:
-        return {"tiers": [t.state_dict() for t in self.tiers]}
-
-    def load_state(self, state: dict) -> None:
-        entries = state["tiers"]
-        if len(entries) != len(self.tiers):
-            raise ValueError(
-                f"checkpoint has {len(entries)} tiers, machine has "
-                f"{len(self.tiers)}"
-            )
-        for tier, entry in zip(self.tiers, entries):
-            tier.load_state(entry)

@@ -29,7 +29,6 @@ misses and lists.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import List
 
@@ -129,19 +128,6 @@ class _SetAssocArray:
             s.clear()
         return count
 
-    def state_rows(self) -> List[List[int]]:
-        """Per-set MRU-first tag lists (the checkpoint form)."""
-        return [list(s) for s in self.sets]
-
-    def load_rows(self, rows: List[List[int]]) -> None:
-        """Restore from :meth:`state_rows` output (checkpoint resume)."""
-        if len(rows) != self.num_sets:
-            raise ValueError(
-                f"checkpoint has {len(rows)} sets, TLB has {self.num_sets}"
-            )
-        for s, row in zip(self.sets, rows):
-            s[:] = [int(t) for t in row]
-
 
 class TLB:
     """Split 4K/2M TLB driven by the engine's strided substream."""
@@ -236,20 +222,3 @@ class TLB:
         self.stats.invalidated_entries += self._tlb_4k.flush()
         self.stats.invalidated_entries += self._tlb_2m.flush()
 
-    # -- checkpoint support --------------------------------------------------
-    # ``state_rows()`` is the arrays' own store, and both paths leave it
-    # identical, so a checkpoint written in one kernel mode loads
-    # bit-identically in another.
-
-    def state_dict(self) -> dict:
-        return {
-            "stats": dataclasses.asdict(self.stats),
-            "tlb_4k": self._tlb_4k.state_rows(),
-            "tlb_2m": self._tlb_2m.state_rows(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        for key, value in state["stats"].items():
-            setattr(self.stats, key, value)
-        self._tlb_4k.load_rows(state["tlb_4k"])
-        self._tlb_2m.load_rows(state["tlb_2m"])

@@ -152,47 +152,6 @@ class CounterRegistry:
             for name in self.names(prefix)
         }
 
-    # -- checkpoint support -------------------------------------------------
-
-    def state_dict(self) -> Dict[str, Dict[str, Any]]:
-        """Serialisable values of every instrument.
-
-        Components that expose registry-backed counters as properties
-        (e.g. the ksampled/kmigrated daemons) are restored for free when
-        the registry is, because :meth:`load_state` assigns in place on
-        the existing instrument objects.
-        """
-        out: Dict[str, Dict[str, Any]] = {}
-        for name, inst in self._instruments.items():
-            if isinstance(inst, Counter):
-                out[name] = {"kind": "counter", "value": inst.value}
-            elif isinstance(inst, Gauge):
-                out[name] = {"kind": "gauge", "value": inst.value}
-            else:
-                out[name] = {
-                    "kind": "distribution",
-                    "count": inst.count,
-                    "total": inst.total,
-                    "min": inst.min,
-                    "max": inst.max,
-                }
-        return out
-
-    def load_state(self, state: Dict[str, Dict[str, Any]]) -> None:
-        """Restore instrument values via get-or-create (identity preserved)."""
-        for name, data in state.items():
-            kind = data["kind"]
-            if kind == "counter":
-                self.counter(name).value = data["value"]
-            elif kind == "gauge":
-                self.gauge(name).value = data["value"]
-            else:
-                dist = self.distribution(name)
-                dist.count = data["count"]
-                dist.total = data["total"]
-                dist.min = data["min"]
-                dist.max = data["max"]
-
 
 class ScopedRegistry:
     """Prefix view over a :class:`CounterRegistry` (shared storage)."""

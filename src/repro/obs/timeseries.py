@@ -23,9 +23,9 @@ first appears mid-run is zero-backfilled, and a row that leaves a known
 column out records 0 there, so every column spans every row.
 
 The series is purely observational: recording reads the registry and
-the policy and writes no simulation state.  :meth:`state_dict` /
-:meth:`load_state` round-trip it with the per-counter values the deltas
-are taken against, so ``run(N)`` and ``run(k) -> save -> load ->
+the policy and writes no simulation state.  An epoch checkpoint
+(:mod:`repro.snapshot.walk`) saves it with the per-counter values the
+deltas are taken against, so ``run(N)`` and ``run(k) -> save -> load ->
 run(N-k)`` produce identical series.
 """
 
@@ -143,17 +143,3 @@ class MetricsTimeSeries:
         data["counters"] = {k: list(v) for k, v in self.counters.items()}
         data["kinds"] = dict(self.kinds)
         return data
-
-    # -- checkpoint support ------------------------------------------------
-
-    def state_dict(self) -> Dict[str, Any]:
-        """Everything :meth:`load_state` needs for a contiguous resume."""
-        return dict(self.to_dict(), last=dict(self._last))
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        for field in ROW_FIELDS:
-            setattr(self, field, list(state[field]))
-        self.policy = {k: list(v) for k, v in state["policy"].items()}
-        self.counters = {k: list(v) for k, v in state["counters"].items()}
-        self.kinds = dict(state["kinds"])
-        self._last = dict(state["last"])

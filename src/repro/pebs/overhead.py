@@ -35,12 +35,6 @@ class CpuOverheadModel:
         self.total_busy_ns += busy
         return busy / window_wall_ns
 
-    def state_dict(self) -> dict:
-        return {"total_busy_ns": self.total_busy_ns}
-
-    def load_state(self, state: dict) -> None:
-        self.total_busy_ns = float(state["total_busy_ns"])
-
 
 class SamplingPeriodController:
     """EMA + hysteresis controller for the PEBS periods (paper §4.1.1).
@@ -129,21 +123,3 @@ class SamplingPeriodController:
         if (new_load, new_store) != (load_period, store_period):
             self.adjustments += 1
         return new_load, new_store
-
-    # -- checkpoint support --------------------------------------------------
-
-    def state_dict(self) -> dict:
-        return {
-            "ema_usage": self.ema_usage,
-            "adjustments": self.adjustments,
-            "usage_samples": self._usage_samples,
-            "usage_sum": self._usage_sum,
-            "usage_max": self._usage_max,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.ema_usage = float(state["ema_usage"])
-        self.adjustments = int(state["adjustments"])
-        self._usage_samples = int(state["usage_samples"])
-        self._usage_sum = float(state["usage_sum"])
-        self._usage_max = float(state["usage_max"])

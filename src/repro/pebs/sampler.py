@@ -56,6 +56,9 @@ class SampleBatch:
 class PEBSSampler:
     """Every-Nth-event sampler with independent load/store counters."""
 
+    #: Live wiring the checkpoint walk leaves out (``repro.snapshot``).
+    _CHECKPOINT_EXCLUDE = frozenset({"tracer", "fault_hook"})
+
     def __init__(self, config: SamplerConfig = None, tracer: Tracer = None):
         self.config = config or SamplerConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -145,28 +148,3 @@ class PEBSSampler:
             vpn, is_store = self.fault_hook(vpn, is_store)
         self.total_samples += len(vpn)
         return SampleBatch(vpn, is_store)
-
-    # -- checkpoint support --------------------------------------------------
-    # Periods are restored directly on the config (``set_periods`` would
-    # emit a trace event); ``fault_hook``/``tracer`` are live objects
-    # rewired at construction time.
-
-    def state_dict(self) -> dict:
-        return {
-            "load_period": self.config.load_period,
-            "store_period": self.config.store_period,
-            "load_phase": self._load_phase,
-            "store_phase": self._store_phase,
-            "total_samples": self.total_samples,
-            "total_events": self.total_events,
-            "dropped_samples": self.dropped_samples,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.config.load_period = int(state["load_period"])
-        self.config.store_period = int(state["store_period"])
-        self._load_phase = int(state["load_phase"])
-        self._store_phase = int(state["store_phase"])
-        self.total_samples = int(state["total_samples"])
-        self.total_events = int(state["total_events"])
-        self.dropped_samples = int(state["dropped_samples"])

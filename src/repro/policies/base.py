@@ -21,7 +21,6 @@ accounted uniformly.
 from __future__ import annotations
 
 import abc
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
@@ -124,6 +123,9 @@ class TieringPolicy(abc.ABC):
     )
     #: When True the engine attaches PEBS samples to observations.
     uses_pebs: bool = False
+    #: Live wiring the checkpoint walk leaves out (``repro.snapshot``):
+    #: every other instance attribute of a policy is checkpointed.
+    _CHECKPOINT_EXCLUDE = frozenset({"ctx", "tracer", "counters"})
 
     def __init__(self):
         self.ctx: Optional[PolicyContext] = None
@@ -204,66 +206,6 @@ class TieringPolicy(abc.ABC):
         and must not be returned here as well.
         """
         return {}
-
-    # -- checkpoint support ---------------------------------------------------
-
-    #: Instance attributes never captured by the generic state walk:
-    #: live wiring (re-established by ``bind``) and the mask, which gets
-    #: explicit handling so its None-ness round-trips.
-    _STATE_EXCLUDED = frozenset({"ctx", "tracer", "counters", "protection_mask"})
-
-    @staticmethod
-    def _is_plain_state(value: Any) -> bool:
-        """True for plain-data values safe to checkpoint generically."""
-        if value is None or isinstance(
-            value, (bool, int, float, str, np.ndarray, np.generic)
-        ):
-            return True
-        if isinstance(value, (list, tuple, set, frozenset)):
-            return all(TieringPolicy._is_plain_state(v) for v in value)
-        if isinstance(value, dict):
-            return all(
-                TieringPolicy._is_plain_state(k) and TieringPolicy._is_plain_state(v)
-                for k, v in value.items()
-            )
-        return False
-
-    def state_dict(self) -> Dict[str, Any]:
-        """Serialisable mutable policy state (epoch checkpoints).
-
-        The base implementation captures the protection mask plus every
-        plain-data instance attribute -- ints, floats, strings, numpy
-        arrays and containers of those -- which covers scan-based
-        policies whose state is per-page arrays and scalar cursors.
-        Frozen configs and bound sub-objects are skipped; policies
-        composed of stateful daemons (MEMTIS) extend this.
-        """
-        attrs: Dict[str, Any] = {}
-        for key, value in vars(self).items():
-            if key in self._STATE_EXCLUDED:
-                continue
-            if isinstance(value, np.ndarray):
-                attrs[key] = value.copy()
-            elif self._is_plain_state(value):
-                attrs[key] = copy.deepcopy(value)
-        return {
-            "protection_mask": (
-                None if self.protection_mask is None
-                else self.protection_mask.copy()
-            ),
-            "attrs": attrs,
-        }
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        mask = state.get("protection_mask")
-        self.protection_mask = (
-            None if mask is None else np.array(mask, dtype=bool)
-        )
-        for key, value in state.get("attrs", {}).items():
-            if isinstance(value, np.ndarray):
-                setattr(self, key, value.copy())
-            else:
-                setattr(self, key, copy.deepcopy(value))
 
     # -- helpers shared by subclasses ----------------------------------------------
 

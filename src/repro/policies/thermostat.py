@@ -16,7 +16,7 @@ placement is all-or-nothing per 2 MiB page.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
@@ -58,7 +58,9 @@ class ThermostatPolicy(TieringPolicy):
         self._rate = None        # EMA of faults per poisoning window, per hpn
         self._measured = None    # hpn has at least one estimate
         self._faults_window = None
-        self._poisoned_hpns = np.empty(0, dtype=np.int64)
+        #: hpns poisoned this window (a list: its length changes with
+        #: every rotation, and a checkpoint restores arrays in place).
+        self._poisoned_hpns: List[int] = []
         self.poison_faults = 0
 
     def bind(self, ctx: PolicyContext) -> None:
@@ -88,9 +90,9 @@ class ThermostatPolicy(TieringPolicy):
     def _rotate_poison_set(self) -> None:
         """Fold the window's fault counts in; poison a fresh sample."""
         space = self.ctx.space
-        if len(self._poisoned_hpns):
-            heads = self._poisoned_hpns << 9
-            for hpn, head in zip(self._poisoned_hpns.tolist(), heads.tolist()):
+        if self._poisoned_hpns:
+            for hpn in self._poisoned_hpns:
+                head = hpn << 9
                 self.protection_mask[head : head + SUBPAGES_PER_HUGE] = False
                 self._rate[hpn] = (
                     self.rate_decay * self._faults_window[hpn]
@@ -101,11 +103,13 @@ class ThermostatPolicy(TieringPolicy):
 
         hpns = space.mapped_huge_hpns()
         if len(hpns) == 0:
-            self._poisoned_hpns = np.empty(0, dtype=np.int64)
+            self._poisoned_hpns = []
             return
         take = max(1, int(len(hpns) * self.sample_fraction))
-        self._poisoned_hpns = self.ctx.rng.choice(hpns, size=take, replace=False)
-        for head in (self._poisoned_hpns << 9).tolist():
+        self._poisoned_hpns = self.ctx.rng.choice(
+            hpns, size=take, replace=False).tolist()
+        for hpn in self._poisoned_hpns:
+            head = hpn << 9
             self.protection_mask[head : head + SUBPAGES_PER_HUGE] = True
 
     def on_hint_faults(self, vpns: np.ndarray) -> float:

@@ -1,11 +1,12 @@
 """Versioned, content-addressed epoch checkpoints of simulator state.
 
 A checkpoint is the complete :meth:`repro.sim.engine.Simulation.state_dict`
-captured at an epoch boundary: engine position and RNG streams, tier
-accounting, address space and page table, TLB, migration and run
-metrics, the PEBS sampler and period controller, the policy (both
-histograms, per-page counters, ksampled/kmigrated queues and split
-bookkeeping), the shared counter registry, and the fault injector.  The
+captured at an epoch boundary by the one checkpoint walk
+(:mod:`repro.snapshot.walk`): engine position and RNG streams, tier
+accounting, address space, TLB, migration and run metrics, the PEBS
+sampler and period controller, the policy (both histograms, per-page
+counters, ksampled/kmigrated queues and split bookkeeping), the shared
+counter registry, and the fault injector.  The
 guarantee -- enforced by ``tests/test_snapshot.py`` -- is that
 ``run(N)`` and ``run(k) -> save -> load -> run(N-k)`` produce
 bit-identical ``SimResult.to_dict()`` in every kernel mode.
@@ -51,10 +52,10 @@ from repro.fsutil import write_atomic
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.runner import RunSpec
 
-#: Bump when the on-disk entry/manifest layout changes.
-#: v2: tier accounting is saved only as the ``{"tiers": [...]}`` list;
-#: v1 entries may hold the two-tier ``{"fast", "capacity"}`` form.
-SNAPSHOT_FORMAT_VERSION = 2
+#: Bump when the on-disk entry/manifest layout changes.  v3: the state
+#: is the checkpoint walk's nodes (``repro.snapshot.walk``); v2 held one
+#: hand-written dict per component, v1 a two-tier form.
+SNAPSHOT_FORMAT_VERSION = 3
 
 _EPOCH_RE = re.compile(r"^epoch-(\d{8})\.pkl$")
 
@@ -118,8 +119,8 @@ class SnapshotStore:
             "spec_key": spec_key,
             "spec": spec.to_dict(),
             "epoch": int(epoch),
-            "events_consumed": int(state.get("events_consumed", 0)),
-            "now_ns": float(state.get("now_ns", 0.0)),
+            "events_consumed": int(state["events_consumed"]),
+            "now_ns": float(state["now_ns"]),
             "state_sha256": hashlib.sha256(payload).hexdigest(),
         }
         path = self._entry_path(spec_key, epoch)

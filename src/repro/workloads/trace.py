@@ -292,10 +292,9 @@ class TraceWorkload(Workload):
     view over the mapping (slicing the ``np.memmap`` objects themselves
     runs Python-level hooks on every slice; they are kept only so
     :meth:`_maybe_release` can ``madvise`` the mapping), and a
-    chunk cursor tracks the replay position in *replayed events* —
-    checkpointable via :meth:`state_dict`/:meth:`load_state` and
-    seekable in O(log E) via :meth:`seek_events` (the engine uses this
-    to fast-forward a resumed run without regenerating skipped events).
+    replay position counts *replayed events* and is seekable in
+    O(log E) via :meth:`seek_events` (the engine uses this to
+    fast-forward a resumed run without regenerating skipped events).
 
     ``event_accesses`` re-chunks replay granularity: access events are
     split into consecutive events of at most that many accesses
@@ -388,11 +387,9 @@ class TraceWorkload(Workload):
         self._ev_chunks = chunks
         self._replay_start = np.concatenate(
             [[0], np.cumsum(chunks)]).astype(np.int64)
-        #: Replayed-event cursor: ``_start`` is where the next
-        #: ``events()`` call begins (one-shot, then resets to 0);
-        #: ``_cursor`` tracks the live iteration for ``state_dict``.
+        #: Where the next ``events()`` call begins, in replayed events
+        #: (one-shot, then resets to 0).
         self._start = 0
-        self._cursor = 0
 
     @property
     def num_replay_events(self) -> int:
@@ -407,13 +404,6 @@ class TraceWorkload(Workload):
         if num_events < 0:
             raise ValueError(f"cannot seek to {num_events}")
         self._start = int(num_events)
-
-    def state_dict(self) -> dict:
-        """Checkpointable chunk cursor (position in replayed events)."""
-        return {"next_event": int(self._cursor)}
-
-    def load_state(self, state: dict) -> None:
-        self.seek_events(int(state["next_event"]))
 
     # -- replay ------------------------------------------------------------
 
@@ -439,7 +429,6 @@ class TraceWorkload(Workload):
     def events(self, rng: np.random.Generator) -> Iterator[object]:
         start = self._start
         self._start = 0
-        self._cursor = start
         if start >= self.num_replay_events and self.num_replay_events:
             return
         kinds, args = self._kinds, self._args
@@ -454,17 +443,11 @@ class TraceWorkload(Workload):
         first = max(0, first)
         for i in range(first, len(kinds)):
             kind = int(kinds[i])
-            # The cursor counts *delivered* events, so it is bumped
-            # before each yield: while the generator is suspended the
-            # consumer has already received (and may checkpoint after)
-            # that event.
             if kind == KIND_ALLOC:
-                self._cursor += 1
                 yield AllocEvent(str(keys[i]), int(args[i]),
                                  thp=bool(thps[i]))
                 continue
             if kind == KIND_FREE:
-                self._cursor += 1
                 yield FreeEvent(str(keys[i]))
                 continue
             s0, s1 = int(ev_seg_start[i]), int(ev_seg_start[i + 1])
@@ -479,7 +462,6 @@ class TraceWorkload(Workload):
                                  is_store[svs[j]:svs[j + 1]]))
                     for j in range(s0, s1)
                 ]
-                self._cursor += 1
                 yield AccessEvent(segments, interleave=interleave)
             else:
                 chunk0 = start - int(replay_start[i]) if i == first else 0
@@ -496,7 +478,6 @@ class TraceWorkload(Workload):
                                  AccessBatch(vpn[sa:sb], is_store[sa:sb]))
                             )
                         j += 1
-                    self._cursor += 1
                     yield AccessEvent(segments, interleave=interleave)
             self._maybe_release(a1)
 

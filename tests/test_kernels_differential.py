@@ -24,6 +24,7 @@ from repro.mem.tlb import TLB, TLBConfig
 from repro.pebs.events import AccessBatch
 from repro.pebs.sampler import PEBSSampler, SampleBatch, SamplerConfig
 from repro.sim.engine import PERMUTE_CROSSOVER
+from repro.snapshot.walk import capture, fields, restore
 from repro.workloads.distributions import ZipfSampler
 
 from conftest import TEST_SCALE, make_context
@@ -205,21 +206,17 @@ def _drive_tlb(mode: str, seed: int, entries_4k: int = 64) -> tuple:
                     tlb.shootdown_huge(int(hpn))
             if rnd == 7:
                 tlb.flush()
-        state_4k = tlb._tlb_4k.state_rows()
-        state_2m = tlb._tlb_2m.state_rows()
-        return vars(tlb.stats).copy(), state_4k, state_2m
+        return tlb.stats, capture({"tlb": tlb})
 
 
 class TestTLBDifferential:
     @pytest.mark.parametrize("entries_4k", [64, 4096])
     @pytest.mark.parametrize("seed", [3, 42, 31_337])
     def test_randomized_stream_bit_identical(self, seed, entries_4k):
-        s_stats, s_4k, s_2m = _drive_tlb(kernels.SCALAR, seed, entries_4k)
-        v_stats, v_4k, v_2m = _drive_tlb(kernels.VECTORIZED, seed, entries_4k)
-        assert s_stats["lookups"] > 0 and s_stats["misses_4k"] > 0
-        assert s_stats == v_stats
-        assert s_4k == v_4k
-        assert s_2m == v_2m
+        s_stats, s_state = _drive_tlb(kernels.SCALAR, seed, entries_4k)
+        _v_stats, v_state = _drive_tlb(kernels.VECTORIZED, seed, entries_4k)
+        assert s_stats.lookups > 0 and s_stats.misses_4k > 0
+        assert s_state == v_state
 
     def test_validate_mode_runs_both_impls(self):
         _drive_tlb(kernels.VALIDATE, seed=9)
@@ -322,11 +319,12 @@ class TestSizeDispatch:
                 tlb = TLB(config)
                 tlb.access_substream(warm, np.full(64, huge))
                 tlb.access_substream(vpns, is_huge)
-                return tlb.state_dict()
+                return tlb
 
-        states = {mode: drive(mode) for mode in _DISPATCH_MODES}
-        assert states[kernels.SCALAR]["stats"]["hits_2m" if huge
-                                               else "hits_4k"] > 0
+        tlbs = {mode: drive(mode) for mode in _DISPATCH_MODES}
+        stats = tlbs[kernels.SCALAR].stats
+        assert (stats.hits_2m if huge else stats.hits_4k) > 0
+        states = {mode: capture({"tlb": tlb}) for mode, tlb in tlbs.items()}
         for mode in (kernels.AUTO, kernels.VECTORIZED):
             assert states[mode] == states[kernels.SCALAR]
         batch = _spy(monkeypatch, tlb_lru, "lru_batch")
@@ -343,17 +341,17 @@ class TestSizeDispatch:
             tlb = TLB(TLBConfig())
             for vpns, huge in streams[:2]:
                 tlb.access_substream(vpns, huge)
-            saved = tlb.state_dict()
+            saved = capture({"tlb": tlb})
         after = {}
         for mode in (kernels.AUTO, kernels.SCALAR, kernels.VECTORIZED,
                      kernels.VALIDATE):
             with kernels.forced(mode):
                 fresh = TLB(TLBConfig())
-                fresh.load_state(saved)
-                assert fresh.state_dict() == saved
+                restore({"tlb": fresh}, saved)
+                assert capture({"tlb": fresh}) == saved
                 for vpns, huge in streams[2:]:
                     fresh.access_substream(vpns, huge)
-                after[mode] = fresh.state_dict()
+                after[mode] = capture({"tlb": fresh})
         assert all(state == after[kernels.SCALAR] for state in after.values())
 
 
@@ -587,8 +585,8 @@ class TestTLBSubstreamRouting:
         stats = vars(tlb.stats)
         assert ref["hits_4k"] > 0 and ref["hits_2m"] > 0
         assert {key: stats[key] for key in ref} == ref
-        assert tlb.state_dict()["tlb_4k"] == base
-        assert tlb.state_dict()["tlb_2m"] == huge
+        assert tlb._tlb_4k.sets == base
+        assert tlb._tlb_2m.sets == huge
 
     @pytest.mark.parametrize("share,arrays", [(0.0, [64]), (1.0, [8]),
                                               (0.5, [64, 8])])
@@ -661,8 +659,8 @@ class TestSamplerSlices:
                 periods = (int(rng.integers(1, 40)), int(rng.integers(1, 40)))
                 sampler.set_periods(*periods)
                 ref.set_periods(*periods)
-            state = sampler.state_dict()
-            assert [state["load_phase"], state["store_phase"]] == ref.phases
+            state = fields(sampler)
+            assert [state["_load_phase"], state["_store_phase"]] == ref.phases
         assert seen > 0
         assert sampler.dropped_samples == ref.dropped > 0
 

@@ -209,9 +209,10 @@ class TestSnapshotStore:
         assert store.load(spec) is None
 
     def test_format_1_entry_refused_and_kept(self, tmp_path):
-        """A checkpoint in the v1 entry format (two-tier ``fast``/
-        ``capacity`` tier state) is refused, left in place, and a
-        resume falls back to a fresh, bit-identical run."""
+        """Checkpoints in the older entry formats are refused, left in
+        place, and a resume falls back to a fresh, bit-identical run:
+        v1 (two-tier ``fast``/``capacity`` tier state) and v2 (one
+        hand-written dict per component, before the checkpoint walk)."""
         import hashlib
         import pickle
 
@@ -220,24 +221,29 @@ class TestSnapshotStore:
         spec.execute(snapshots=store)
         epoch = store.latest_epoch(spec)
         path = store._entry_path(spec.cache_key(), epoch)
-        with open(path, "rb") as fh:
-            entry = pickle.load(fh)
-        state = pickle.loads(entry["state"])
-        used = state["tiers"]["tiers"]
-        state["tiers"] = {"fast": used[0], "capacity": used[-1]}
-        payload = pickle.dumps(state)
-        entry["state"] = payload
-        entry["manifest"].update(
-            format=1, state_sha256=hashlib.sha256(payload).hexdigest())
-        with open(path, "wb") as fh:
-            pickle.dump(entry, fh)
-
-        assert store.load(spec) is None
-        assert epoch in store.epochs(spec)
-        resumed = spec.replace(resume=True).run(cache=None, snapshots=store)
         fresh = spec.replace(snapshot_every=0).run(cache=None, snapshots=None)
-        assert _canon(resumed) == _canon(fresh)
-        assert store.stats.loads == 0
+        used = [{"used_bytes": 0}, {"used_bytes": 0}]
+        layouts = {
+            1: {"fast": used[0], "capacity": used[-1]},
+            2: {"tiers": used},
+        }
+        for old_format, tiers in layouts.items():
+            with open(path, "rb") as fh:
+                entry = pickle.load(fh)
+            payload = pickle.dumps({"now_ns": 0.0, "tiers": tiers})
+            entry["state"] = payload
+            entry["manifest"].update(
+                format=old_format,
+                state_sha256=hashlib.sha256(payload).hexdigest())
+            with open(path, "wb") as fh:
+                pickle.dump(entry, fh)
+
+            assert store.load(spec) is None
+            assert epoch in store.epochs(spec)
+            resumed = spec.replace(resume=True).run(cache=None,
+                                                    snapshots=store)
+            assert _canon(resumed) == _canon(fresh)
+            assert store.stats.loads == 0
 
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
         store = snapshot.SnapshotStore(tmp_path / "store")

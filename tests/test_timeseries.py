@@ -21,6 +21,7 @@ import pytest
 from repro import kernels
 from repro.obs import CounterRegistry, MetricsTimeSeries
 from repro.sim.runner import RunSpec
+from repro.snapshot.walk import capture, restore
 
 from conftest import TEST_SCALE
 
@@ -128,7 +129,7 @@ class TestRecorder:
         counter.inc(2)
         _row(ts, 5.0, reg, x=1.0)
         restored = MetricsTimeSeries()
-        restored.load_state(ts.state_dict())
+        restore({"series": restored}, capture({"series": ts}))
         assert restored.to_dict() == ts.to_dict()
         # The delta baseline travels too: the next record sees a delta,
         # not the absolute value.
