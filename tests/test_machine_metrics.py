@@ -98,10 +98,9 @@ class TestMetricsCollector:
     def test_snapshot_interval(self):
         m = MetricsCollector(timeline_interval_ns=100.0)
         self.record(m)
-        m.maybe_snapshot(50.0, 0, 0, dict, NO_COUNTERS)
-        assert not len(m.series)
-        m.maybe_snapshot(150.0, 1234, 99, lambda: {"x": 1.0},
-                         NO_COUNTERS)
+        assert not m.maybe_snapshot(50.0)
+        assert m.maybe_snapshot(150.0)
+        m.record_row(150.0, 1234, 99, {"x": 1.0}, NO_COUNTERS)
         assert len(m.series) == 1
         assert m.series.rss_bytes == [1234]
         assert m.series.fast_used_bytes == [99]
@@ -111,14 +110,19 @@ class TestMetricsCollector:
     def test_window_resets_after_snapshot(self):
         m = MetricsCollector(timeline_interval_ns=100.0)
         self.record(m)
-        m.maybe_snapshot(150.0, 0, 0, dict, NO_COUNTERS)
+        assert m.maybe_snapshot(150.0)
+        m.record_row(150.0, 0, 0, {}, NO_COUNTERS)
         self.record(m, accesses=3, fast_hits=3)
-        m.maybe_snapshot(300.0, 0, 0, dict, NO_COUNTERS)
+        # The next window starts at the row just recorded.
+        assert not m.maybe_snapshot(200.0)
+        assert m.maybe_snapshot(300.0)
+        m.record_row(300.0, 0, 0, {}, NO_COUNTERS)
         assert m.series.window_accesses[1] == 3
         assert m.series.hit_ratio()[1] == 1.0
 
     def test_throughput(self):
         m = MetricsCollector(timeline_interval_ns=1.0)
         self.record(m, accesses=1000)
-        m.maybe_snapshot(1e6, 0, 0, dict, NO_COUNTERS)  # 1000 accesses in 1 ms
+        assert m.maybe_snapshot(1e6)
+        m.record_row(1e6, 0, 0, {}, NO_COUNTERS)  # 1000 accesses in 1 ms
         assert m.series.throughput_mops()[0] == pytest.approx(1.0)
