@@ -185,7 +185,8 @@ class TestReplayStages:
 
         def fresh():
             # Fusion hands the interleave a buffer it may write.
-            return (AccessBatch(vpn.copy(), is_store), True, True), {}
+            return (AccessBatch(vpn.copy(), is_store), True, True,
+                    sim.rng), {}
 
         batch = benchmark.pedantic(sim._interleave, setup=fresh, rounds=30)
         assert np.array_equal(np.sort(batch.vpn), np.sort(vpn))

@@ -419,37 +419,57 @@ class KMigrated:
     # -- coalescing (§4.3.3, conservative) ---------------------------------------------------
 
     def _maybe_collapse(self) -> None:
-        """Coalesce a split range back when *all* subpages are hot."""
+        """Coalesce a split range back when *all* subpages are hot.
+
+        The three skip tests (huge again, a freed subpage, a cold
+        subpage) run for every split range at once, on one ``(k, 512)``
+        gather; only the survivors loop, in ``split_hpns`` order, and
+        each checks the fast tier's room in turn.  Collapsing one range
+        changes no other range's tiers, huge flags or counters (the room
+        check keeps the migration engine from cascading), so this equals
+        checking and collapsing one range at a time
+        (``tests/test_memtis_migrator.py`` compares the two).
+        """
+        if not self.split_hpns:
+            return
         space = self.ctx.space
         threshold_hotness = max(1, self.ksampled.base_cut_hotness)
-        for hpn in list(self.split_hpns):
-            head = hpn_to_vpn(hpn)
-            sl = slice(head, head + SUBPAGES_PER_HUGE)
-            if space.page_huge[head]:
-                self.split_hpns.discard(hpn)  # already huge again
-                continue
-            if np.any(space.page_tier[sl] < 0):
-                continue  # freed subpages: cannot coalesce
-            hotness = self.ksampled.meta.sub_count[sl] * self.ksampled.comp
-            if not np.all(hotness >= threshold_hotness):
-                continue
-            # Collapse frees the subpages before re-mapping the 2 MiB
-            # range (unmap-then-map, like khugepaged), so bytes already
-            # resident on the fast tier come back mid-operation; only
-            # the *difference* needs to be free.  Demanding the full
-            # 2 MiB would wrongly block collapse near capacity -- the
-            # common case, since all-hot ranges live mostly in DRAM.
-            resident_fast = int(
-                np.count_nonzero(space.page_tier[sl] == FASTEST_TIER)
-            ) * BASE_PAGE_SIZE
-            if not self.ctx.tiers.fast.can_alloc(HUGE_PAGE_SIZE - resident_fast):
-                continue
-            self.ctx.migrator.collapse_huge(hpn, FASTEST_TIER, critical=False)
-            self.ksampled.on_collapse(hpn)
-            self.split_hpns.discard(hpn)
-            self.collapses_done += 1
-            if self.tracer.enabled_for("split"):
-                self.tracer.emit("split", "collapse", hpn=hpn)
+        hpns = np.fromiter(self.split_hpns, dtype=np.int64,
+                           count=len(self.split_hpns))
+        heads = hpn_to_vpn(hpns)
+        huge = space.page_huge[heads]
+        if huge.any():  # already huge again
+            self.split_hpns.difference_update(hpns[huge].tolist())
+            hpns, heads = hpns[~huge], heads[~huge]
+        index = heads[:, None] + np.arange(SUBPAGES_PER_HUGE)
+        tiers = space.page_tier[index]
+        hotness = self.ksampled.meta.sub_count[index] * self.ksampled.comp
+        # Freed subpages cannot coalesce; every subpage must be hot.
+        ok = ((tiers.min(axis=1) >= 0)
+              & (hotness.min(axis=1) >= threshold_hotness))
+        for hpn, row in zip(hpns[ok].tolist(), tiers[ok]):
+            self._collapse_if_room(hpn, row)
+
+    def _collapse_if_room(self, hpn: int, tiers: np.ndarray) -> None:
+        """Collapse split range ``hpn`` (its subpages on ``tiers``) when
+        the fast tier has room for it."""
+        # Collapse frees the subpages before re-mapping the 2 MiB range
+        # (unmap-then-map, like khugepaged), so bytes already resident
+        # on the fast tier come back mid-operation; only the
+        # *difference* needs to be free.  Demanding the full 2 MiB
+        # would wrongly block collapse near capacity -- the common case,
+        # since all-hot ranges live mostly in DRAM.
+        resident_fast = int(
+            np.count_nonzero(tiers == FASTEST_TIER)
+        ) * BASE_PAGE_SIZE
+        if not self.ctx.tiers.fast.can_alloc(HUGE_PAGE_SIZE - resident_fast):
+            return
+        self.ctx.migrator.collapse_huge(hpn, FASTEST_TIER, critical=False)
+        self.ksampled.on_collapse(hpn)
+        self.split_hpns.discard(hpn)
+        self.collapses_done += 1
+        if self.tracer.enabled_for("split"):
+            self.tracer.emit("split", "collapse", hpn=hpn)
 
     def on_unmap(self, base_vpn: int, num_vpns: int) -> None:
         """Drop split bookkeeping for a freed range.

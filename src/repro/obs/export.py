@@ -35,7 +35,7 @@ _TID_PHASES = 3
 #: Canonical order of the engine's wall-time phases in rendered output
 #: (generation first -- it feeds every later stage); unknown phase names
 #: sort after these in insertion order.
-PHASE_ORDER = ("gen_ns", "sample_ns", "tlb_ns", "policy_ns")
+PHASE_ORDER = ("gen_ns", "prep_ns", "sample_ns", "tlb_ns", "policy_ns")
 
 
 def ordered_phases(phase_ns: Dict[str, float]) -> List[Tuple[str, float]]:

@@ -31,6 +31,13 @@ Epoch/snapshot/sanitizer boundaries are batch aligned: a fused batch
 is processed by the very same ``_process_batch``, so ``_close_epoch``,
 checkpointing and fault-injection timing fire at batch boundaries --
 identically across kernel modes and through kill/resume.
+
+The coalescer runs on the engine's thread.  The fusion and interleave
+of a large interleaved batch may run on the batch helper while the
+engine simulates the batch before it
+(:meth:`repro.sim.engine.Simulation._prepared`); the engine then pulls
+one coalesced item further ahead, and the items and their boundaries
+are the same either way.
 """
 
 from __future__ import annotations

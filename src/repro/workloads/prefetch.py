@@ -1,24 +1,33 @@
-"""Generate a workload's next events on a second core.
+"""Work ahead of the engine, on a second core.
 
-A generated event stream costs its consumer the time to compute each
-event: Zipf draws, mixture passes, offset arithmetic.  The engine does
-not depend on that work until it asks for the event, so
-:func:`open_stream` runs the generator on one helper thread while the
-engine simulates the event before: one event waits in a one-slot queue
-and the helper generates the next, so the generator is never more than
-two events ahead of the engine.  numpy releases the interpreter lock in
-the bulk draws and sorts that dominate generation, which is what lets
-the two overlap.
+The engine waits for two kinds of work that depend on nothing it is
+simulating: a generated workload's next events (Zipf draws, mixture
+passes, offset arithmetic) and, in a macro-batch run, the fusion and
+exact shuffle of the next batch.  :class:`RunAhead` is the one primitive
+for both.  It iterates a source on one named helper thread while the
+consumer works on the item before: one item waits in a one-slot queue
+and the helper produces the next, so the helper is never more than two
+items ahead.  numpy releases the interpreter lock in the bulk draws,
+sorts, ufuncs and shuffles that dominate both kinds of work, which is
+what lets them overlap with the engine.
 
-The engine receives the very event objects the generator yielded, in
-the order it yielded them, so a prefetched run is bit-identical to a
-direct one: the stream's RNG is touched only by the generator, and no
-generator reuses an array across yields.  An exception the generator
-raises reaches the engine after every event yielded before it.
-:meth:`EventPrefetcher.close` waits for the pull in flight, closes the
-generator on the helper thread (a generator cannot be closed while it
+* :func:`open_stream` runs a generated event stream ahead (thread
+  ``repro-events``).  The engine receives the very event objects the
+  generator yielded, in the order it yielded them, so a prefetched run
+  is bit-identical to a direct one: the stream's RNG is touched only by
+  the generator, and no generator reuses an array across yields.
+* :class:`CallAhead` runs calls the consumer submits one at a time
+  (thread ``repro-batches``); the engine submits the next batch's
+  preparation before it simulates the current one
+  (:meth:`repro.sim.engine.Simulation._prepared`).
+
+An exception the source raises reaches the consumer after every item
+produced before it, and only when the consumer asks for the item it
+replaced.  :meth:`RunAhead.close` waits for the item in flight, closes
+the source on the helper thread (a generator cannot be closed while it
 runs on another) and joins the thread, so none outlives the run -- the
-sweep and service supervisors fork.
+sweep and service supervisors fork.  A helper starts only where this
+process has a second CPU to itself (:func:`spare_core`).
 """
 
 from __future__ import annotations
@@ -27,18 +36,20 @@ import os
 import queue
 import threading
 from types import GeneratorType
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
-#: Name of the helper thread (the test suite checks none outlives a test).
+#: Names of the event and the batch helper threads (the test suite
+#: checks none outlives a test).
 THREAD_NAME = "repro-events"
+BATCH_THREAD_NAME = "repro-batches"
 
 _END = object()
 
 
 class _Raised:
-    """The exception the generator raised, queued after its last event."""
+    """The exception the source raised, queued after its last item."""
 
     __slots__ = ("error",)
 
@@ -70,32 +81,39 @@ def share_cpus(processes: int) -> None:
     _sharers = max(1, processes)
 
 
-class EventPrefetcher:
-    """Iterates ``events`` on a helper thread, at most two events ahead."""
+def spare_core() -> bool:
+    """True when this process's share of the CPUs (:func:`share_cpus`)
+    is two or more: a helper thread then has a core of its own."""
+    return usable_cpus() // _sharers > 1
 
-    def __init__(self, events: Iterator):
+
+class RunAhead:
+    """Iterates ``source`` on a helper thread named ``name``, at most
+    two items ahead of the consumer."""
+
+    def __init__(self, source: Iterator, name: str = THREAD_NAME):
         self._queue: queue.Queue = queue.Queue(maxsize=1)
         self._closing = threading.Event()
         self._done = False
         self._thread = threading.Thread(
-            target=self._pull, args=(events,), name=THREAD_NAME, daemon=True
+            target=self._pull, args=(source,), name=name, daemon=True
         )
         self._thread.start()
 
-    def _pull(self, events: Iterator) -> None:
+    def _pull(self, source: Iterator) -> None:
         put = self._queue.put
         try:
-            for event in events:
-                put(event)
+            for item in source:
+                put(item)
                 if self._closing.is_set():
                     return
             put(_END)
         except BaseException as exc:
             put(_Raised(exc))
         finally:
-            close_stream(events)
+            close_stream(source)
 
-    def __iter__(self) -> "EventPrefetcher":
+    def __iter__(self) -> "RunAhead":
         return self
 
     def __next__(self):
@@ -129,6 +147,31 @@ class EventPrefetcher:
         self._done = True
 
 
+class CallAhead(RunAhead):
+    """Runs the calls its consumer submits on a helper thread, one at a
+    time and in order: :meth:`submit` a call, go on with other work,
+    then :meth:`take` its result (or the exception it raised)."""
+
+    def __init__(self, name: str = BATCH_THREAD_NAME):
+        self._calls: queue.SimpleQueue = queue.SimpleQueue()
+        super().__init__(self._results(), name)
+
+    def _results(self) -> Iterator:
+        for fn, args in iter(self._calls.get, None):
+            yield fn(*args)
+
+    def submit(self, fn: Callable, *args) -> None:
+        self._calls.put((fn, args))
+
+    def take(self):
+        return next(self)
+
+    def close(self) -> None:
+        """Let the call in flight finish, drop its result, and join."""
+        self._calls.put(None)  # wakes a helper waiting for a call
+        super().close()
+
+
 def open_stream(workload, rng: np.random.Generator) -> Iterator:
     """``workload.events(rng)``, generated ahead on a helper thread when
     the workload allows it (``prefetch_events``), the stream is a
@@ -144,15 +187,15 @@ def open_stream(workload, rng: np.random.Generator) -> Iterator:
     """
     events = workload.events(rng)
     if (workload.prefetch_events and isinstance(events, GeneratorType)
-            and usable_cpus() // _sharers > 1):
-        return EventPrefetcher(events)
+            and spare_core()):
+        return RunAhead(events)
     return events
 
 
 def close_stream(events: Iterator) -> None:
     """Close an event stream if it can be closed (generators and
-    prefetchers can; a plain iterator is left to the garbage
-    collector)."""
+    :class:`RunAhead` streams can; a plain iterator is left to the
+    garbage collector)."""
     close = getattr(events, "close", None)
     if close is not None:
         close()

@@ -757,7 +757,7 @@ class TestInterleavePaths:
             sim.rng.random(3)  # any state, the same for every path
             with kernels.forced(mode):
                 batch = sim._interleave(Batch(vpn.copy(), is_store.copy()),
-                                        True, owned=True)
+                                        True, True, sim.rng)
             out[mode] = (batch.vpn, batch.is_store,
                          sim.rng.bit_generator.state)
         ref_vpn, ref_store, ref_state = out[kernels.SCALAR]
@@ -776,9 +776,9 @@ class TestInterleavePaths:
         n = PERMUTE_CROSSOVER + offset
         calls = _spy_static(monkeypatch, Simulation, "_permute")
         with kernels.forced(kernels.AUTO):
-            _interleave_sim()._interleave(
-                Batch(np.arange(n), np.zeros(n, dtype=bool)), True,
-                owned=False)
+            Simulation._interleave(
+                Batch(np.arange(n), np.zeros(n, dtype=bool)), True, False,
+                np.random.default_rng(0))
         assert len(calls) == (1 if offset < 0 else 0)
 
 

@@ -254,12 +254,12 @@ class TestFusionExactness:
         sim.rng = np.random.default_rng(seed)
         copied = sim._interleave(_frozen(AccessBatch(fused.vpn.copy(),
                                                      fused.is_store)),
-                                 True, owned=False)
+                                 True, False, sim.rng)
         copy_state = sim.rng.bit_generator.state
         sim.rng = np.random.default_rng(seed)
         owned = AccessBatch(fused.vpn.copy(), fused.is_store.copy())
         owned.is_store.flags.writeable = False
-        in_place = sim._interleave(owned, True, owned=True)
+        in_place = sim._interleave(owned, True, True, sim.rng)
         assert sim.rng.bit_generator.state == copy_state
         for got in (copied, in_place):
             assert np.array_equal(got.vpn, expect_vpn)

@@ -215,6 +215,101 @@ class TestCollapse:
         assert km.collapses_done == 0
 
 
+def _collapse_one_range_at_a_time(km):
+    """The per-range collapse loop ``_maybe_collapse`` replaced: every
+    split range checked with its own ``np.any``/``np.all``."""
+    space = km.ctx.space
+    threshold_hotness = max(1, km.ksampled.base_cut_hotness)
+    for hpn in list(km.split_hpns):
+        head = hpn << 9
+        sl = slice(head, head + SUBPAGES_PER_HUGE)
+        if space.page_huge[head]:
+            km.split_hpns.discard(hpn)
+            continue
+        if np.any(space.page_tier[sl] < 0):
+            continue
+        hotness = km.ksampled.meta.sub_count[sl] * km.ksampled.comp
+        if not np.all(hotness >= threshold_hotness):
+            continue
+        resident_fast = int(
+            np.count_nonzero(space.page_tier[sl] == FASTEST_TIER)) * 4096
+        if not km.ctx.tiers.fast.can_alloc(2 * MB - resident_fast):
+            continue
+        km.ctx.migrator.collapse_huge(hpn, FASTEST_TIER, critical=False)
+        km.ksampled.on_collapse(hpn)
+        km.split_hpns.discard(hpn)
+        km.collapses_done += 1
+
+
+def _split_ranges(seed):
+    """Ten split ranges, each one of: all hot, one cold subpage, one
+    freed subpage, huge again -- on the fast tier, on capacity, or
+    spread over both -- with room on the fast tier for a few of the
+    capacity ranges' collapses."""
+    rng = np.random.default_rng(seed)
+    ctx = make_context(fast_mb=16, cap_mb=64)
+    ks, km = build(ctx, enable_collapse=True)
+    kinds = rng.choice(["hot", "hot", "cold", "freed", "huge"], size=10)
+    places = rng.choice(["fast", "capacity", "both"], size=10)
+    alloc(ctx, ks, 2 * int(rng.integers(1, 4)), FASTEST_TIER)  # filler
+    for kind, place in zip(kinds, places):
+        region = alloc(ctx, ks, 2, 1 if place == "capacity" else FASTEST_TIER)
+        head = region.base_vpn
+        hpn = head >> 9
+        tiers = [FASTEST_TIER if place == "fast" or (place == "both"
+                                                     and i % 2) else 1
+                 for i in range(SUBPAGES_PER_HUGE)]
+        kept = np.ones(SUBPAGES_PER_HUGE, dtype=bool)
+        if kind == "freed":
+            kept[int(rng.integers(SUBPAGES_PER_HUGE))] = False
+        ks.meta.sub_count[head:head + SUBPAGES_PER_HUGE] = 64
+        if kind == "cold":
+            ks.meta.sub_count[head + int(rng.integers(SUBPAGES_PER_HUGE))] = 0
+        ctx.migrator.split_huge(
+            hpn, [t if k else None for t, k in zip(tiers, kept)])
+        ks.on_split(hpn, kept)
+        # A freed subpage counts as hot: only its tier keeps the range.
+        ks.meta.sub_count[head + np.flatnonzero(~kept)] = 64
+        km.split_hpns.add(hpn)
+        if kind == "huge":
+            ctx.space.collapse_huge(hpn, tiers[0])
+    return ctx, ks, km
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_batched_collapse_check_equals_the_per_range_loop(seed):
+    batched, reference = _split_ranges(seed), _split_ranges(seed)
+    batched[2]._maybe_collapse()
+    _collapse_one_range_at_a_time(reference[2])
+    for (ctx, ks, km), (ref_ctx, ref_ks, ref_km) in [(batched, reference)]:
+        assert km.split_hpns == ref_km.split_hpns
+        assert list(km.split_hpns) == list(ref_km.split_hpns)
+        assert km.collapses_done == ref_km.collapses_done
+        assert np.array_equal(ctx.space.page_tier, ref_ctx.space.page_tier)
+        assert np.array_equal(ctx.space.page_huge, ref_ctx.space.page_huge)
+        assert np.array_equal(ks.main_bin, ref_ks.main_bin)
+        assert np.array_equal(ks.hist.bins, ref_ks.hist.bins)
+        assert np.array_equal(ks.meta.huge_count, ref_ks.meta.huge_count)
+        assert ctx.tiers.fast.used_bytes == ref_ctx.tiers.fast.used_bytes
+        ctx.space.check_consistency()
+
+
+def test_the_collapse_differential_covers_every_outcome():
+    """Over the seeds above some range collapses and some all-hot range
+    is refused for want of room on the fast tier."""
+    collapsed = refused = 0
+    for seed in range(12):
+        ctx, ks, km = _split_ranges(seed)
+        km._maybe_collapse()
+        collapsed += km.collapses_done
+        for hpn in km.split_hpns:
+            sl = slice(hpn << 9, (hpn << 9) + SUBPAGES_PER_HUGE)
+            refused += bool(np.all(ctx.space.page_tier[sl] >= 0)
+                            and np.all(ks.meta.sub_count[sl] > 0))
+    assert collapsed > 0
+    assert refused > 0
+
+
 class TestBookkeepingRegressions:
     """The kmigrated bookkeeping bugs the invariant sanitizer caught."""
 

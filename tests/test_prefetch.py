@@ -125,7 +125,7 @@ def test_prefetched_events_equal_direct(name, two_cpus, threads):
         np.random.default_rng(3)))
     stream = prefetch.open_stream(make_workload(name, SMALL),
                                   np.random.default_rng(3))
-    assert isinstance(stream, prefetch.EventPrefetcher)
+    assert isinstance(stream, prefetch.RunAhead)
     try:
         got = list(stream)
     finally:
@@ -142,7 +142,7 @@ def test_tee_stream_equals_direct_and_publishes(tmp_path, two_cpus,
     tee = TeeWorkload(make_workload("silo", SMALL), str(streams / "s"))
     stream = prefetch.open_stream(tee, np.random.default_rng(3))
     # The tee runs on the consumer's thread; its live stream runs ahead.
-    assert not isinstance(stream, prefetch.EventPrefetcher)
+    assert not isinstance(stream, prefetch.RunAhead)
     try:
         got = list(stream)
     finally:
@@ -179,7 +179,7 @@ def test_tee_does_not_publish_before_its_end_is_consumed(tmp_path,
 def test_single_cpu_iterates_directly(one_cpu):
     stream = prefetch.open_stream(make_workload("silo", SMALL),
                                   np.random.default_rng(0))
-    assert not isinstance(stream, prefetch.EventPrefetcher)
+    assert not isinstance(stream, prefetch.RunAhead)
     prefetch.close_stream(stream)
 
 
@@ -207,7 +207,7 @@ def test_wrapped_stream_is_iterated_by_the_caller(two_cpus, threads):
     sim.workload.events = Recorded
     assert not isinstance(prefetch.open_stream(sim.workload,
                                                np.random.default_rng(0)),
-                          prefetch.EventPrefetcher)
+                          prefetch.RunAhead)
     assert _canon(sim.run()) == _canon(plain)
     assert callers == {threading.current_thread().name}
 
@@ -224,18 +224,18 @@ def test_workers_sharing_the_cpus_iterate_directly(tmp_path, monkeypatch,
     assert prefetch._sharers == 2
     stream = prefetch.open_stream(make_workload("silo", SMALL),
                                   np.random.default_rng(0))
-    assert not isinstance(stream, prefetch.EventPrefetcher)
+    assert not isinstance(stream, prefetch.RunAhead)
     prefetch.close_stream(stream)
     monkeypatch.setattr(prefetch, "usable_cpus", lambda: 4)
     stream = prefetch.open_stream(make_workload("silo", SMALL),
                                   np.random.default_rng(0))
-    assert isinstance(stream, prefetch.EventPrefetcher)
+    assert isinstance(stream, prefetch.RunAhead)
     prefetch.close_stream(stream)
 
 
 def test_close_before_and_after_the_end_is_idempotent(two_cpus, threads):
     for take in (0, 1, 3, 100):
-        stream = prefetch.EventPrefetcher(iter(range(50)))
+        stream = prefetch.RunAhead(iter(range(50)))
         got = [x for _, x in zip(range(take), stream)]
         assert got == list(range(min(take, 50)))
         stream.close()
