@@ -520,10 +520,13 @@ class TeeWorkload(Workload):
     at which an access budget stops the run.  The tee generates its
     ``live`` stream ahead instead (:func:`open_stream`), so the
     publishing step runs only when the engine asks for the event after
-    the last.
+    the last.  For the same reasons the engine prepares no batch of a
+    tee ahead (``prepare_ahead`` is False): it would pull the stream one
+    batch early, beside the live stream's own helper.
     """
 
     prefetch_events = False
+    prepare_ahead = False
 
     def __init__(self, live: Workload, directory: str):
         super().__init__(live.total_bytes, live.total_accesses,
