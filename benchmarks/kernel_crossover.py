@@ -41,7 +41,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import statistics
 import sys
@@ -51,8 +50,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, HERE)
+# The tests' canonical result form (tests/ first: its conftest is the
+# one tests/conformance.py imports).
+sys.path.insert(0, os.path.join(HERE, os.pardir, "tests"))
 
+from conformance import digest  # noqa: E402
 from record_bench import SEED, TRACE_EVENT_ACCESSES, TRACE_SCALE  # noqa: E402
 from repro import kernels  # noqa: E402
 from repro.kernels.sample_fold import (  # noqa: E402
@@ -273,10 +277,7 @@ def sweep_ahead(path: str, macro_batches: Sequence[int],
                     start = time.perf_counter_ns()
                     result = sim.run(max_accesses=max_accesses)
                     times[variant].append(time.perf_counter_ns() - start)
-                    digests.add(json.dumps(
-                        {k: v for k, v in result.to_dict().items()
-                         if k not in ("wall_seconds", "phase_ns")},
-                        sort_keys=True))
+                    digests.add(digest(result))
             if len(digests) != 1:
                 raise AssertionError("inline and ahead replays diverged")
             rows.append((macro_batch,

@@ -26,7 +26,8 @@ from typing import Optional
 
 from repro.analysis.ascii import bar_chart
 from repro.analysis.tables import format_table
-from repro.experiments.common import ExperimentResult, geomean, run_grid
+from repro.experiments.common import (ExperimentResult, geomean, run_grid,
+                                      run_specs)
 from repro.policies.registry import policy_names
 from repro.sim.machine import DEFAULT_SCALE, ScaleSpec
 from repro.sim.runner import RunSpec
@@ -87,23 +88,19 @@ def run(
                 data["cells"][f"2tier|{w}|{p}|{r}"] = cell["normalized"]
 
     # -- 2: three-tier preset ----------------------------------------------
+    specs_3t = [RunSpec(workload, policy, ratio=THREE_TIER_RATIO,
+                        scale=scale, machine_preset=THREE_TIER_PRESET)
+                for workload in three_tier_workloads for policy in policies]
+    results_3t = run_specs([spec.baseline_spec() for spec in specs_3t]
+                           + specs_3t)
     rows_3t = []
-    for workload in three_tier_workloads:
-        baseline = RunSpec(
-            workload, "all-capacity", ratio=THREE_TIER_RATIO, scale=scale,
-            machine_preset=THREE_TIER_PRESET, machine_variant="all-capacity",
-        ).run()
-        for policy in policies:
-            if progress:
-                progress(f"{workload} {policy} [{THREE_TIER_PRESET}]")
-            result = RunSpec(
-                workload, policy, ratio=THREE_TIER_RATIO, scale=scale,
-                machine_preset=THREE_TIER_PRESET,
-            ).run()
-            normalized = baseline.runtime_ns / result.runtime_ns
-            rows_3t.append([policy, workload, normalized,
-                            result.migration.cascade_pages])
-            data["cells"][f"3tier|{workload}|{policy}"] = normalized
+    for spec in specs_3t:
+        result = results_3t[spec]
+        normalized = (results_3t[spec.baseline_spec()].runtime_ns
+                      / result.runtime_ns)
+        rows_3t.append([spec.policy, spec.workload, normalized,
+                        result.migration.cascade_pages])
+        data["cells"][f"3tier|{spec.workload}|{spec.policy}"] = normalized
     rows_3t.sort(key=lambda r: (r[1], -r[2]))
     sections.append(format_table(
         ["Policy", "Benchmark", "normalised", "cascade pages"], rows_3t,

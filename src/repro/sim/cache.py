@@ -217,6 +217,24 @@ def default_cache() -> Optional[ResultCache]:
     return ResultCache(default_cache_dir())
 
 
+def lookup(cache: Optional[ResultCache], spec: "RunSpec"
+           ) -> Optional["SimResult"]:
+    """The hit ``cache`` serves ``spec`` (``RunSpec.run``, ``run_sweep``).
+
+    ``None`` when caching is off, on a miss, and for a checked spec,
+    whose point is to run the sanitizer (it still publishes its result).
+    A hit did no simulation work: its ``wall_seconds`` is 0.0, and
+    ``from_cache`` is set.
+    """
+    if cache is None or spec.check_requested:
+        return None
+    hit = cache.get(spec)
+    if hit is not None:
+        hit.wall_seconds = 0.0
+        hit.from_cache = True
+    return hit
+
+
 def resolve_cache(
     cache: Union[None, str, ResultCache] = DEFAULT,
 ) -> Optional[ResultCache]:

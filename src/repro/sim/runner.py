@@ -331,18 +331,12 @@ class RunSpec:
         ``cache`` follows :func:`repro.sim.cache.resolve_cache`:
         ``"default"`` uses the process-wide cache, ``None`` disables
         caching, a :class:`~repro.sim.cache.ResultCache` is used as-is.
-        A spec with checks requested skips cache *lookup* (the point is
-        to run the sanitizer) but still publishes its result.
+        A hit comes from :func:`repro.sim.cache.lookup`.
         """
         cache = result_cache.resolve_cache(cache)
-        if cache is not None and not self.check_requested:
-            hit = cache.get(self)
-            if hit is not None:
-                # A cached result did no simulation work: replaying the
-                # original wall time would pollute benchmark comparisons.
-                hit.wall_seconds = 0.0
-                hit.from_cache = True
-                return hit
+        hit = result_cache.lookup(cache, self)
+        if hit is not None:
+            return hit
         result = self.execute(snapshots=snapshots)
         if cache is not None:
             cache.put(self, result)

@@ -347,19 +347,8 @@ def run_sweep(
     report = _Progress(progress, len(ordered))
     outcomes: Dict[RunSpec, CellOutcome] = {}
     for spec in ordered:
-        # Checked specs must execute: a cache hit would skip the
-        # sanitizer entirely (checks never change results, so executed
-        # cells still publish into the shared cache entry).
-        hit = (
-            cache.get(spec)
-            if cache is not None and not spec.check_requested
-            else None
-        )
+        hit = result_cache.lookup(cache, spec)
         if hit is not None:
-            # Mirror RunSpec.run(): a cached cell did no simulation
-            # work, so it must not replay the original wall time.
-            hit.wall_seconds = 0.0
-            hit.from_cache = True
             outcomes[spec] = CellOutcome(spec, result=hit, from_cache=True)
             if trace is not None:
                 _write_cached_stub(trace, spec)

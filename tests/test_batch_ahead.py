@@ -3,9 +3,10 @@ simulates the batch before.
 
 Contracts (``Simulation._prepared``, ``repro.workloads.prefetch``):
 
-* a run that prepares batches ahead equals the inline run in every
-  kernel mode and through a kill/resume, and leaves the same state when
-  an access budget stops it;
+* a run that prepares batches ahead equals the inline run under
+  validate mode and through a kill/resume, and leaves the same state
+  when an access budget stops it (every policy's replay at the default
+  mode is the conformance matrix's ``ahead`` axis);
 * the helper never touches the engine's RNG: the engine adopts the
   helper's copy when it takes a batch, so a checkpoint taken while the
   next batch is prepared holds the inline RNG;
@@ -18,7 +19,6 @@ Contracts (``Simulation._prepared``, ``repro.workloads.prefetch``):
   every test).
 """
 
-import json
 import pickle
 import threading
 import time
@@ -41,6 +41,7 @@ from repro.workloads.trace import (TeeWorkload, TraceWorkload,
                                    record_trace)
 
 from conftest import TEST_SCALE
+from conformance import checkpoint_and_resume, digest
 from test_engine import ScriptedWorkload, machine
 
 MB = 1024 * 1024
@@ -83,13 +84,6 @@ def _replay(path, macro_batch):
     return sim
 
 
-def _canon(result) -> str:
-    d = result.to_dict()
-    d.pop("wall_seconds")
-    d.pop("phase_ns")
-    return json.dumps(d, sort_keys=True)
-
-
 def _phases_within_wall(result):
     assert sum(result.phase_ns.values()) <= result.wall_seconds * 1e9
 
@@ -108,20 +102,20 @@ def _assert_inline(preparers):
 
 
 @pytest.mark.parametrize("macro_batch", MACRO_BATCHES)
-@pytest.mark.parametrize("mode", [kernels.AUTO, kernels.SCALAR,
-                                  kernels.VECTORIZED, kernels.VALIDATE])
+@pytest.mark.parametrize("mode", [kernels.VALIDATE])
 def test_ahead_run_equals_inline_run(silo_trace, macro_batch, mode,
                                      monkeypatch, preparers):
-    # Validate runs both paths of every kernel: a shorter replay.
-    budget = 600_000 if mode == kernels.VALIDATE else None
+    """Under validate mode, where every kernel runs both paths (a
+    shorter replay); the other modes are the conformance matrix's
+    ``ahead`` axis."""
     with kernels.forced(mode):
         _cpus(monkeypatch, 1)
-        inline = _replay(silo_trace, macro_batch).run(max_accesses=budget)
+        inline = _replay(silo_trace, macro_batch).run(max_accesses=600_000)
         _assert_inline(preparers)
         _cpus(monkeypatch, 2)
-        ahead = _replay(silo_trace, macro_batch).run(max_accesses=budget)
+        ahead = _replay(silo_trace, macro_batch).run(max_accesses=600_000)
         _assert_ahead(preparers)
-    assert _canon(ahead) == _canon(inline)
+    assert digest(ahead) == digest(inline)
     assert ahead.phase_ns["prep_ns"] > 0
     _phases_within_wall(inline)
     _phases_within_wall(ahead)
@@ -136,19 +130,14 @@ def test_resume_from_checkpoints_equals_the_whole_run(silo_trace,
     _cpus(monkeypatch, 1)
     inline = _replay(silo_trace, MACRO_BATCHES[0]).run()
     _cpus(monkeypatch, 2)
-    snaps = {}
-    sim = _replay(silo_trace, MACRO_BATCHES[0])
-    sim.snapshot_every = 1
-    sim.snapshot_sink = lambda epoch, state: snaps.setdefault(epoch, state)
-    full = sim.run()
+    full, resumed, checkpoints = checkpoint_and_resume(
+        lambda: _replay(silo_trace, MACRO_BATCHES[0]),
+        lambda sim: digest(sim.run()))
     _assert_ahead(preparers)
-    assert _canon(full) == _canon(inline)
-    epochs = sorted(snaps)
-    assert len(epochs) >= 3, "replay too short to be meaningful"
-    for k in {epochs[0], epochs[len(epochs) // 2], epochs[-1]}:
-        resumed = _replay(silo_trace, MACRO_BATCHES[0])
-        resumed.load_state(snaps[k])
-        assert _canon(resumed.run()) == _canon(full), f"epoch {k} diverged"
+    assert full == digest(inline)
+    assert checkpoints >= 3, "replay too short to be meaningful"
+    for k, result in resumed.items():
+        assert result == full, f"epoch {k} diverged"
 
 
 @pytest.mark.parametrize("budget", [AHEAD_MIN_ACCESSES * 3, 500_000])
@@ -305,7 +294,7 @@ def test_a_prefetched_stream_has_no_second_helper(monkeypatch, helpers,
     assert preparers and set(preparers) == {threading.main_thread().name}
     direct = spec.build()
     direct.workload.prefetch_events = False
-    assert _canon(direct.run(max_accesses=spec.max_accesses)) == _canon(
+    assert digest(direct.run(max_accesses=spec.max_accesses)) == digest(
         prefetched)
     assert len(helpers) == 1
     assert prefetch.BATCH_THREAD_NAME in preparers

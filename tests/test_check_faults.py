@@ -1,8 +1,6 @@
 """Fault injection: config validation, record perturbation, the tier
 admission gate, and chaos runs under the strict sanitizer."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -10,6 +8,7 @@ from repro import kernels
 from repro.check import FaultConfig, FaultInjector
 from repro.sim.runner import RunSpec
 
+from conformance import digest
 from conftest import TEST_SCALE, make_context
 
 MB = 1024 * 1024
@@ -141,13 +140,6 @@ def chaos_run(config, mode):
     return inj, result
 
 
-def result_fingerprint(result):
-    d = result.to_dict()
-    d.pop("wall_seconds", None)
-    d.pop("phase_ns", None)
-    return json.dumps(d, sort_keys=True)
-
-
 @pytest.mark.parametrize("mode", [kernels.VECTORIZED, kernels.SCALAR])
 @pytest.mark.parametrize("case", sorted(CHAOS_CASES))
 class TestChaos:
@@ -164,7 +156,7 @@ class TestChaos:
 
         inj2, result2 = chaos_run(config, mode)
         assert inj2.stats == inj.stats
-        assert result_fingerprint(result2) == result_fingerprint(result)
+        assert digest(result2) == digest(result)
 
 
 def test_all_injectors_together():

@@ -6,14 +6,11 @@ import pytest
 from repro.mem.tiers import FASTEST_TIER
 from repro.pebs.events import AccessBatch
 from repro.policies.base import TieringPolicy
-from repro.policies.registry import FIG5_POLICIES, make_policy
+from repro.policies.registry import make_policy
 from repro.policies.static import AllFastPolicy
 from repro.sim.engine import Simulation
 from repro.sim.machine import MachineSpec
 from repro.workloads.base import AccessEvent, AllocEvent, Workload
-from repro.workloads.registry import make_workload
-
-from conftest import TEST_SCALE
 
 MB = 1024 * 1024
 
@@ -83,32 +80,6 @@ class TestEngineMechanics:
         machine = MachineSpec(fast_bytes=8 * MB, capacity_bytes=64 * MB)
         result = Simulation(OneRegionWorkload(), AllFastPolicy(), machine).run()
         assert result.throughput_maps > 0
-
-
-@pytest.mark.parametrize("policy_name", FIG5_POLICIES + ["multi-clock", "tmts"])
-class TestEveryPolicyEndToEnd:
-    """Every registered tiering system completes a small run sanely."""
-
-    def test_runs_clean(self, policy_name):
-        workload = make_workload("silo", TEST_SCALE)
-        machine = MachineSpec.from_ratio(workload.total_bytes, ratio="1:8")
-        sim = Simulation(workload, make_policy(policy_name), machine)
-        result = sim.run(max_accesses=300_000)
-        assert result.metrics.total_accesses >= 300_000
-        assert 0.0 <= result.fast_hit_ratio <= 1.0
-        sim.space.check_consistency()
-        # Tier accounting never exceeds capacity.
-        assert sim.tiers.fast.used_bytes <= sim.tiers.fast.capacity_bytes
-        assert sim.tiers.slowest.used_bytes <= sim.tiers.slowest.capacity_bytes
-
-    def test_handles_region_churn(self, policy_name):
-        """bwaves-style alloc/free churn must not corrupt policy state."""
-        workload = make_workload("603.bwaves", TEST_SCALE)
-        machine = MachineSpec.from_ratio(workload.total_bytes, ratio="1:8")
-        sim = Simulation(workload, make_policy(policy_name), machine)
-        result = sim.run(max_accesses=400_000)
-        sim.space.check_consistency()
-        assert result.metrics.total_accesses >= 400_000
 
 
 class TestAllocPlacement:

@@ -5,8 +5,8 @@ mapping ops, guided Zipf lookup) must produce *bit-identical* state to
 the original per-element loop it replaced.  These tests drive seeded
 randomized event streams -- mixed huge/base samples with frees, splits,
 collapses and demand maps interleaved -- through both implementations
-and compare every piece of derived state, then repeat the check on a
-full end-to-end memtis run via ``SimResult.to_dict()``.
+and compare every piece of derived state.  Whole runs on each path are
+the conformance matrix's ``scalar`` and ``vectorized`` axes.
 """
 
 import numpy as np
@@ -493,34 +493,6 @@ class TestZipfGuidedLookup:
         got = sampler.sample(_FixedRng(u), len(u))
         expected = np.searchsorted(sampler._cdf, u, side="left")
         np.testing.assert_array_equal(got, expected)
-
-
-# -- end-to-end ----------------------------------------------------------------
-
-
-def _run_e2e(mode: str) -> dict:
-    from repro.sim.runner import RunSpec
-
-    # Build *inside* the forced block: the TLB picks its implementation
-    # at construction time.  spec.build().run() bypasses the result
-    # cache, which does not key on kernel mode.
-    with kernels.forced(mode):
-        spec = RunSpec("silo", "memtis", ratio="1:8", scale=TEST_SCALE,
-                       seed=11, max_accesses=60_000)
-        result = spec.build().run(max_accesses=spec.max_accesses)
-    d = result.to_dict()
-    # Host timing is the one legitimately nondeterministic output.
-    d.pop("wall_seconds", None)
-    d.pop("phase_ns", None)
-    return d
-
-
-class TestEndToEndDifferential:
-    @pytest.mark.slow
-    def test_full_memtis_run_bit_identical(self):
-        scalar = _run_e2e(kernels.SCALAR)
-        vector = _run_e2e(kernels.VECTORIZED)
-        assert scalar == vector
 
 
 # -- TLB substream routing -----------------------------------------------------

@@ -29,6 +29,7 @@ from repro.sim.engine import Simulation
 from repro.sim.runner import RunSpec
 from repro.workloads.base import AccessEvent, AllocEvent, FreeEvent
 
+from conformance import canonical, checkpoint_and_resume
 from conftest import TEST_SCALE
 from test_engine import ScriptedWorkload, machine
 
@@ -52,16 +53,9 @@ def _build(spec, faults=None):
     return sim
 
 
-def _canon(result):
-    d = result.to_dict()
-    d.pop("wall_seconds")
-    d.pop("phase_ns")
-    return d
-
-
 def _run(spec, mode):
     with kernels.forced(mode):
-        return _canon(_build(spec).run(max_accesses=spec.max_accesses))
+        return canonical(_build(spec).run(max_accesses=spec.max_accesses))
 
 
 class _BatchRecorder(AllFastPolicy):
@@ -405,18 +399,12 @@ class TestMacroResume:
         """Epoch checkpoints sliced out of a run resume to the exact
         uninterrupted result (first/mid/last epoch) at either cadence."""
         spec = _spec(macro_batch=macro_batch)
-        snaps = {}
-        sim = _build(spec)
-        sim.snapshot_every = 1
-        sim.snapshot_sink = lambda epoch, state: snaps.setdefault(epoch, state)
-        full = _canon(sim.run(max_accesses=spec.max_accesses))
-        epochs = sorted(snaps)
-        assert len(epochs) >= 3, "scenario too small to be meaningful"
-        for k in {epochs[0], epochs[len(epochs) // 2], epochs[-1]}:
-            resumed = _build(spec)
-            resumed.load_state(snaps[k])
-            assert _canon(resumed.run(max_accesses=spec.max_accesses)) \
-                == full, f"resume from epoch {k} diverged"
+        full, resumed, checkpoints = checkpoint_and_resume(
+            lambda: _build(spec),
+            lambda sim: canonical(sim.run(max_accesses=spec.max_accesses)))
+        assert checkpoints >= 3, "scenario too small to be meaningful"
+        for k, result in resumed.items():
+            assert result == full, f"resume from epoch {k} diverged"
 
     @pytest.mark.parametrize("mode", [kernels.VECTORIZED, kernels.SCALAR],
                              ids=["staged", "reference"])
@@ -424,13 +412,13 @@ class TestMacroResume:
         """Fault-injected kill mid-macro-run, resume from the store."""
         with kernels.forced(mode):
             spec = _spec(snapshot_every=1)
-            clean = _canon(spec.execute(snapshots=None))
+            clean = canonical(spec.execute(snapshots=None))
             store = snapshot.SnapshotStore(tmp_path / "store")
             injector = FaultInjector(FaultConfig(kill_at_epoch=1, seed=5))
             with pytest.raises(SimulationKilled):
                 spec.execute(faults=injector, snapshots=store)
             assert store.latest_epoch(spec) == 1
-            resumed = _canon(
+            resumed = canonical(
                 spec.replace(resume=True).execute(snapshots=store)
             )
             assert resumed == clean
@@ -440,13 +428,13 @@ class TestMacroResume:
         cfg = FaultConfig(drop_sample_prob=0.05, dup_sample_prob=0.05,
                           alloc_fail_prob=0.02, tick_delay_prob=0.10, seed=9)
         spec = _spec(snapshot_every=1)
-        clean = _canon(spec.execute(faults=FaultInjector(cfg),
+        clean = canonical(spec.execute(faults=FaultInjector(cfg),
                                     snapshots=None))
         store = snapshot.SnapshotStore(tmp_path / "store")
         killer = dataclasses.replace(cfg, kill_at_epoch=1)
         with pytest.raises(SimulationKilled):
             spec.execute(faults=FaultInjector(killer), snapshots=store)
-        resumed = _canon(spec.replace(resume=True).execute(
+        resumed = canonical(spec.replace(resume=True).execute(
             faults=FaultInjector(cfg), snapshots=store
         ))
         assert resumed == clean

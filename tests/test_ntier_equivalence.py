@@ -17,7 +17,6 @@ the guarantee three ways:
   which must complete strict-clean.
 """
 
-import hashlib
 import json
 import os
 
@@ -42,23 +41,17 @@ from repro.sim.machine import MACHINE_PRESETS, MachineSpec
 from repro.sim.runner import RunSpec
 from repro.workloads.registry import make_workload
 
+from conformance import digest
 from conftest import TEST_SCALE
 
 MB = 1024 * 1024
 
+#: Recorded before results carried ``observability``: compared with
+#: ``digest(result, observability=False)``.
 PINNED_PATH = os.path.join(os.path.dirname(__file__), "data",
                            "ntier_pinned_digests.json")
 with open(PINNED_PATH) as fh:
     PINNED = json.load(fh)
-
-
-def canonical_digest(result) -> str:
-    """sha256 of ``to_dict()`` minus the wall-clock-dependent fields."""
-    d = result.to_dict()
-    for key in ("wall_seconds", "phase_ns", "observability"):
-        d.pop(key, None)
-    blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 class TestPinnedDigests:
@@ -77,7 +70,8 @@ class TestPinnedDigests:
         assert spec.cache_key() == entry["cache_key"]
         with kernels.forced(mode):
             result = spec.build().run(max_accesses=spec.max_accesses)
-        assert canonical_digest(result) == entry["digests"][mode]
+        assert (digest(result, observability=False)
+                == entry["digests"][mode])
 
     def test_cache_keys_stable(self):
         keys = [RunSpec(**e["spec"]).cache_key() for e in PINNED["entries"]]
@@ -105,7 +99,8 @@ class TestConstructorEquivalence:
             with kernels.forced(mode):
                 sim = Simulation(workload, make_policy("memtis"), machine,
                                  check=CheckLevel.STRICT)
-                digests.append(canonical_digest(sim.run(max_accesses=80_000)))
+                digests.append(digest(sim.run(max_accesses=80_000),
+                                      observability=False))
         assert digests[0] == digests[1]
 
     def test_legacy_serialized_layout_preserved(self):

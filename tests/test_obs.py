@@ -7,17 +7,16 @@ Covers the three contracts the layer promises:
 * **lossless export** -- JSONL round-trips every event; the Chrome
   ``trace_event`` document is structurally valid (metadata records,
   instants, epoch/phase duration slices);
-* **zero interference** -- a traced memtis run produces a
-  ``SimResult.to_dict()`` bit-identical to the untraced run (minus the
-  ``observability`` section) in both kernel modes, and the sweep's
-  per-cell trace files annotate cache hits instead of re-running them.
+* **zero interference** -- the sweep's per-cell trace files annotate
+  cache hits instead of re-running them; that a traced run equals the
+  untraced one, but for the tracer summary, is the conformance matrix's
+  ``traced`` axis (``tests/conformance.py``).
 """
 
 import json
 
 import pytest
 
-from repro import kernels
 from repro.obs import (
     DEBUG,
     INFO,
@@ -273,34 +272,12 @@ class TestMetricsFinalize:
         assert len(m.series) == 0
 
 
-# -- end-to-end: tracing never changes results ---------------------------------
+# -- end-to-end: what a traced run reports -------------------------------------
 
 
 def _spec():
     return RunSpec("silo", "memtis", ratio="1:8", scale=TEST_SCALE,
                    seed=11, max_accesses=60_000)
-
-
-def _comparable(result) -> dict:
-    d = result.to_dict()
-    d.pop("observability")  # tracer stats legitimately differ
-    d.pop("wall_seconds", None)  # host timing is nondeterministic
-    d.pop("phase_ns", None)
-    return d
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("mode", [kernels.VECTORIZED, kernels.SCALAR])
-def test_traced_run_bit_identical_to_untraced(mode):
-    with kernels.forced(mode):
-        plain = _spec().build().run(max_accesses=60_000)
-        obs = Observability.traced(level="debug")
-        traced = _spec().build(obs=obs).run(max_accesses=60_000)
-    assert obs.tracer.emitted > 0
-    assert _comparable(plain) == _comparable(traced)
-    # Counters are part of the results contract: identical across modes
-    # and across traced/untraced runs.
-    assert plain.observability["counters"] == traced.observability["counters"]
 
 
 def test_memtis_run_emits_the_advertised_events():

@@ -1,30 +1,18 @@
-"""Related-work policy zoo: registry wiring, strict runs, snapshot identity.
-
-Coverage contract for the registry and the four zoo additions
-(TierBPF, Nomad, HybridTier, ARMS):
+"""Related-work policy zoo and the conformance matrix over the registry.
 
 * the figure policy lists stay consistent with the registry, so zoo
   growth cannot silently break figure experiments;
-* every registered policy reproduces its pinned result digest on a
-  grid of workloads and machines, strict-sanitizer-clean
-  (``tests/data/policy_digests.json``); the zoo policies do so in both
-  kernel modes;
-* every registered policy passes the resume bit-identity matrix
-  (``run(N) == run(k) -> save -> load -> run(N-k)``) on a 2-tier and
-  a 3-tier machine, in both kernel modes;
+* the conformance matrix (``tests/conformance.py``): every registered
+  policy reproduces its pinned digest on the whole digest grid,
+  strict-sanitizer-clean and within the conservation laws (``pinned``),
+  and passes every other axis on a 2-tier and a 3-tier cell;
 * the characteristic mechanisms actually engage (admission rejections,
   transactional aborts + shadows, sketch bounds, drift resets).
 """
 
-import hashlib
-import itertools
-import json
-import os
-
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.policies.arms import ARMSPolicy
 from repro.policies.hybridtier import HybridTierPolicy
 from repro.policies.nomad import NomadPolicy
@@ -38,9 +26,9 @@ from repro.workloads.registry import (
     workload_names,
 )
 
+import conformance
+from conformance import DIGEST_CELLS, TIER1_CELLS, cell_id
 from conftest import TEST_SCALE
-
-ZOO = ["tierbpf", "nomad", "hybridtier", "arms"]
 
 #: Virtual-time epoch length; small enough that the tiny access budget
 #: spans several checkpointable epochs (mirrors tests/test_snapshot.py).
@@ -60,67 +48,6 @@ def _build(spec):
     sim = spec.build()
     sim.metrics.timeline_interval_ns = EPOCH_NS
     return sim
-
-
-def _canon(result):
-    d = result.to_dict()
-    d.pop("wall_seconds")
-    d.pop("phase_ns")
-    return d
-
-
-# -- per-policy digest grid ------------------------------------------------------
-
-DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "data",
-                            "policy_digests.json")
-DIGEST_WORKLOADS = ["silo", "btree", "603.bwaves", "phaseflip"]
-#: Machine label -> RunSpec fields: two two-tier ratios and the 3-tier
-#: preset, so the demotion cascade is pinned too.
-DIGEST_MACHINES = {
-    "1:2": {"ratio": "1:2"},
-    "1:8": {"ratio": "1:8"},
-    "1:8-dram-cxl-nvm": {"ratio": "1:8", "machine_preset": "dram-cxl-nvm"},
-}
-DIGEST_CELLS = list(itertools.product(
-    sorted(POLICY_REGISTRY), DIGEST_WORKLOADS, DIGEST_MACHINES))
-
-
-def _cell_id(policy, workload, machine):
-    return f"{policy}-{workload}-{machine}"
-
-
-def _digest_spec(policy, workload, machine):
-    return RunSpec(workload=workload, policy=policy, seed=11,
-                   scale=TEST_SCALE, check="strict",
-                   **DIGEST_MACHINES[machine])
-
-
-def policy_digest(result) -> str:
-    """sha256 of ``to_dict()`` minus the wall-clock fields.
-
-    ``observability`` stays in, so every policy and daemon counter is
-    pinned along with the results.
-    """
-    blob = json.dumps(_canon(result), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _run_digest(policy, workload, machine):
-    spec = _digest_spec(policy, workload, machine)
-    return policy_digest(spec.build().run())
-
-
-def _load_digests():
-    with open(DIGESTS_PATH) as fh:
-        return json.load(fh)
-
-
-def write_digests(path=DIGESTS_PATH):
-    """Record the grid's digests (run once, before a refactor)."""
-    digests = {_cell_id(*cell): _run_digest(*cell) for cell in DIGEST_CELLS}
-    with open(path, "w") as fh:
-        json.dump(digests, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 # -- registry wiring (satellite: FIG5 comment/list consistency) ----------------
@@ -154,103 +81,41 @@ class TestRegistryWiring:
         assert workload_names() == PAPER_ORDER + ["phaseflip"]
 
 
+# -- the conformance matrix ----------------------------------------------------
+
+
 def test_digest_grid_covers_the_registry():
-    assert sorted(_load_digests()) == sorted(
-        _cell_id(*cell) for cell in DIGEST_CELLS)
+    assert sorted(conformance.load_digests()) == sorted(
+        cell_id(*cell) for cell in DIGEST_CELLS)
+
+
+@pytest.fixture(scope="module")
+def digests():
+    return conformance.load_digests()
 
 
 @pytest.mark.parametrize("policy,workload,machine", DIGEST_CELLS,
-                         ids=[_cell_id(*cell) for cell in DIGEST_CELLS])
-def test_policy_digest(policy, workload, machine):
-    """A full strict-checked run reproduces the pinned digest exactly,
-    and its counts obey the conservation laws.
-
-    The kernel mode is whatever the environment selects; scalar and
-    vectorized runs share one digest file.
-    """
-    pinned = _load_digests()[_cell_id(policy, workload, machine)]
-    sim = _digest_spec(policy, workload, machine).build()
-    result = sim.run()
-    assert policy_digest(result) == pinned
-    metrics, series = result.metrics, result.metrics.series
-    assert metrics.total_accesses == sim.workload.total_accesses
-    assert metrics.total_fast_hits <= metrics.total_accesses
-    assert sum(series.window_accesses) == metrics.total_accesses
-    assert sum(series.window_fast_hits) == metrics.total_fast_hits
-    assert sum(result.phase_ns.values()) <= result.wall_seconds * 1e9
+                         ids=[cell_id(*cell) for cell in DIGEST_CELLS])
+def test_policy_digest(policy, workload, machine, digests):
+    """The ``pinned`` axis: a strict-checked run reproduces the pinned
+    digest exactly, and its counts obey the conservation laws."""
+    conformance.check("pinned", (policy, workload, machine), digests)
 
 
-# -- strict sanitizer, both kernel modes ---------------------------------------
+TIER1_AXES = [
+    (axis, policy, workload, machine)
+    for policy in sorted(POLICY_REGISTRY)
+    for workload, machine in TIER1_CELLS
+    for axis in conformance.AXES
+    if axis != "pinned" and conformance.applies(axis, workload)
+]
 
 
-@pytest.mark.parametrize("mode", [kernels.VECTORIZED, kernels.SCALAR])
-@pytest.mark.parametrize("policy", ZOO)
-def test_zoo_strict_clean_in_both_kernel_modes(policy, mode):
-    """Strict checking raises InvariantViolation on any drift; each
-    forced kernel mode must also land on the grid's pinned digest."""
-    cell = (policy, "silo", "1:8")
-    with kernels.forced(mode):
-        digest = _run_digest(*cell)
-    assert digest == _load_digests()[_cell_id(*cell)]
-
-
-# -- resume == uninterrupted, over the whole registry --------------------------
-
-#: The conformance matrix's resume axis in tier-1: a 2-tier and a 3-tier
-#: cell per policy (CI's resume job runs the full digest grid through the
-#: same :func:`checkpoint_and_resume`, ``scripts/resume_grid.py``).
-RESUME_CELLS = {
-    "silo-1:8": {"workload": "silo"},
-    "phaseflip-1:8-dram-cxl-nvm": {"workload": "phaseflip",
-                                   "machine_preset": "dram-cxl-nvm"},
-}
-
-
-def checkpoint_and_resume(build, outcome):
-    """``run(N)`` against ``run(k) -> save -> load -> run(N-k)``.
-
-    Runs ``build()`` writing a checkpoint at every epoch, then resumes a
-    fresh ``build()`` from the first, middle and last checkpoint.
-    ``outcome(sim)`` runs a simulation and reduces its result.  Returns
-    the checkpointing run's outcome, ``{epoch: resumed outcome}`` and
-    the number of checkpoints written.
-    """
-    snaps = {}
-    sim = build()
-    sim.snapshot_every = 1
-    sim.snapshot_sink = lambda epoch, state: snaps.setdefault(epoch, state)
-    captured = outcome(sim)
-    epochs = sorted(snaps)
-    resumed = {}
-    for k in sorted({epochs[0], epochs[len(epochs) // 2], epochs[-1]}
-                    if epochs else ()):
-        sim = build()
-        sim.load_state(snaps[k])
-        resumed[k] = outcome(sim)
-    return captured, resumed, len(epochs)
-
-
-@pytest.mark.parametrize("mode", [kernels.VECTORIZED, kernels.SCALAR])
-@pytest.mark.parametrize("policy", sorted(POLICY_REGISTRY))
-def test_registry_resume_bit_identity(policy, mode):
-    """run(N) == run(k) -> save -> load -> run(N-k) for first/mid/last k,
-    for every registered policy on a 2-tier and a 3-tier machine."""
-    with kernels.forced(mode):
-        for cell, fields in RESUME_CELLS.items():
-            spec = _spec(policy, **fields)
-
-            def outcome(sim):
-                return _canon(sim.run(max_accesses=spec.max_accesses))
-
-            full = outcome(_build(spec))
-            captured, resumed, checkpoints = checkpoint_and_resume(
-                lambda: _build(spec), outcome)
-            assert captured == full, \
-                f"{cell}: snapshotting perturbed the trajectory"
-            assert checkpoints >= 3, "scenario too small to be meaningful"
-            for k, result in resumed.items():
-                assert result == full, \
-                    f"{policy} {cell}: resume from epoch {k} diverged"
+@pytest.mark.parametrize("axis,policy,workload,machine", TIER1_AXES,
+                         ids=[f"{axis}-{cell_id(*cell)}"
+                              for axis, *cell in TIER1_AXES])
+def test_conformance(axis, policy, workload, machine, digests):
+    conformance.check(axis, (policy, workload, machine), digests)
 
 
 # -- characteristic mechanisms engage ------------------------------------------
@@ -367,4 +232,4 @@ class TestPhaseFlipWorkload:
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_policy_zoo.py  rewrites the pinned
     # digest grid; do it only at a commit whose results are trusted.
-    write_digests()
+    conformance.write_digests()

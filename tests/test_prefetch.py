@@ -4,7 +4,9 @@ Contracts (``repro.workloads.prefetch``):
 
 * the prefetched stream hands out the same events, array for array and
   in the same order, as direct iteration -- for every registered
-  workload, a co-located mix and a tee -- so runs are bit-identical;
+  workload, a co-located mix and a tee -- so runs are bit-identical
+  (whole runs with and without the helper are compared by the
+  conformance matrix's ``direct`` axis, ``tests/conformance.py``);
 * an exception the generator raises reaches the engine after every
   event before it was processed;
 * every exit from a run (end, access budget, error) closes the
@@ -14,7 +16,6 @@ Contracts (``repro.workloads.prefetch``):
 * the engine's phases never add up to more than its wall clock.
 """
 
-import json
 import os
 import threading
 
@@ -30,8 +31,9 @@ from repro.workloads.base import AccessEvent, AllocEvent, Workload
 from repro.workloads.registry import make_workload, workload_names
 from repro.workloads.trace import TeeWorkload
 
+from conformance import checkpoint_and_resume, digest
 from test_engine import machine
-from test_shared_streams import EPOCH_NS, HOST_FIELDS, SMALL
+from test_shared_streams import EPOCH_NS, SMALL
 
 MB = 1024 * 1024
 
@@ -74,13 +76,6 @@ def _assert_same_stream(got, want):
     assert len(got) == len(want)
     for i, (a, b) in enumerate(zip(got, want)):
         assert _same_event(a, b), f"event {i} differs"
-
-
-def _canon(result) -> str:
-    d = result.to_dict()
-    for field in HOST_FIELDS:
-        d.pop(field)
-    return json.dumps(d, sort_keys=True)
 
 
 def _phases_within_wall(result):
@@ -208,7 +203,7 @@ def test_wrapped_stream_is_iterated_by_the_caller(two_cpus, threads):
     assert not isinstance(prefetch.open_stream(sim.workload,
                                                np.random.default_rng(0)),
                           prefetch.RunAhead)
-    assert _canon(sim.run()) == _canon(plain)
+    assert digest(sim.run()) == digest(plain)
     assert callers == {threading.current_thread().name}
 
 
@@ -244,22 +239,6 @@ def test_close_before_and_after_the_end_is_idempotent(two_cpus, threads):
 
 
 # -- the engine ------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("workload,macro_batch", [
-    ("phaseflip", 0), ("silo", 0), ("603.bwaves", 65_536),
-    ("silo+liblinear", 0)])
-def test_prefetched_run_equals_direct_run(workload, macro_batch,
-                                          monkeypatch, threads):
-    spec = RunSpec(workload, "memtis", scale=SMALL, seed=5,
-                   machine_preset="dram-cxl-nvm", macro_batch=macro_batch)
-    monkeypatch.setattr(prefetch, "usable_cpus", lambda: 1)
-    direct = spec.build().run()
-    monkeypatch.setattr(prefetch, "usable_cpus", lambda: 2)
-    ahead = spec.build().run()
-    assert _canon(ahead) == _canon(direct)
-    _phases_within_wall(direct)
-    _phases_within_wall(ahead)
 
 
 @pytest.mark.parametrize("k", [0, 1, 7])
@@ -309,17 +288,10 @@ def test_resume_through_the_skip_path_is_exact(workload, two_cpus,
         sim.metrics.timeline_interval_ns = EPOCH_NS
         return sim
 
-    snaps = {}
-    sim = build()
-    assert not hasattr(sim.workload, "seek_events")
-    sim.snapshot_every = 1
-    sim.snapshot_sink = lambda epoch, state: snaps.setdefault(epoch, state)
-    full = sim.run(max_accesses=spec.max_accesses)
+    assert not hasattr(build().workload, "seek_events")
+    full, resumed, checkpoints = checkpoint_and_resume(
+        build, lambda sim: sim.run())
     _phases_within_wall(full)
-    epochs = sorted(snaps)
-    assert len(epochs) >= 3, "scenario too small to be meaningful"
-    for k in {epochs[0], epochs[len(epochs) // 2], epochs[-1]}:
-        resumed = build()
-        resumed.load_state(snaps[k])
-        result = resumed.run(max_accesses=spec.max_accesses)
-        assert _canon(result) == _canon(full), f"epoch {k} diverged"
+    assert checkpoints >= 3, "scenario too small to be meaningful"
+    for k, result in resumed.items():
+        assert digest(result) == digest(full), f"epoch {k} diverged"

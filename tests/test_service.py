@@ -45,6 +45,7 @@ from repro.service.worker import (
 from repro.sim import cache as result_cache
 from repro.sim.runner import RunSpec
 
+from conformance import canonical
 from conftest import MEDIUM_SCALE, TEST_SCALE
 from test_heartbeat_top import _validate_openmetrics
 
@@ -56,14 +57,6 @@ def _spec(**overrides):
     )
     base.update(overrides)
     return RunSpec(**base)
-
-
-def _canon(result):
-    """Result dict minus host-timing fields (the only legit variance)."""
-    d = result.to_dict()
-    d.pop("wall_seconds")
-    d.pop("phase_ns")
-    return d
 
 
 # -- queue semantics -----------------------------------------------------------
@@ -352,7 +345,7 @@ class TestWorker:
         # Results landed in the shared cache, bit-identical to serial.
         cache = result_cache.resolve_cache(result_cache.DEFAULT)
         for spec in specs:
-            assert _canon(cache.get(spec)) == _canon(spec.execute())
+            assert canonical(cache.get(spec)) == canonical(spec.execute())
         # Each row carries its worker's final progress; no other store.
         cells = build_status(d)["cells"]
         assert [c["state"] for c in cells] == ["done", "done"]
@@ -618,7 +611,8 @@ class TestServiceChaos:
                 (71, 72, 73, 74, 75, 76),
             )
         ]
-        serial = {spec.cache_key(): _canon(spec.execute()) for spec in specs}
+        serial = {spec.cache_key(): canonical(spec.execute())
+                  for spec in specs}
         with JobQueue(queue_path(d)) as queue:
             assert queue.enqueue(specs).queued == len(specs)
 
@@ -651,7 +645,7 @@ class TestServiceChaos:
         for spec in specs:
             cached = cache.get(spec)
             assert cached is not None
-            assert _canon(cached) == serial[spec.cache_key()], spec.label()
+            assert canonical(cached) == serial[spec.cache_key()], spec.label()
 
         # The status CLI agrees and exits clean.
         assert cli_main(["service", "status", d]) == 0
@@ -746,8 +740,8 @@ class TestServiceChaos:
         assert outcomes[victim_spec].resumed
         assert outcomes[victim_spec].attempts == 2
         for spec in specs:
-            assert _canon(outcomes[spec].result) == _canon(spec.execute()), \
-                spec.label()
+            assert (canonical(outcomes[spec].result)
+                    == canonical(spec.execute())), spec.label()
 
     def test_sigkill_mid_tee_publishes_no_partial_stream(self, tmp_path,
                                                          monkeypatch):
@@ -802,8 +796,8 @@ class TestServiceChaos:
         assert not os.path.exists(scratch[0])
         for spec in specs:
             assert outcomes[spec].ok, outcomes[spec].error
-            assert _canon(outcomes[spec].result) == _canon(spec.execute()), \
-                spec.label()
+            assert (canonical(outcomes[spec].result)
+                    == canonical(spec.execute())), spec.label()
         assert sum(o.resumed for o in outcomes.values()) == 1
 
 

@@ -14,7 +14,6 @@ contracts tested here:
 * the streams go with the sweep's scratch directory.
 """
 
-import json
 import os
 
 import numpy as np
@@ -30,6 +29,7 @@ from repro.workloads.base import AccessEvent
 from repro.workloads.registry import make_workload
 from repro.workloads.trace import TeeWorkload, TraceWorkload
 
+from conformance import digest
 from conftest import TEST_SCALE
 
 MB = 1024 * 1024
@@ -40,17 +40,6 @@ SMALL = ScaleSpec(bytes_per_paper_gb=1 * MB, accesses_per_paper_gb=2_000,
 
 #: Virtual-time epoch length that gives a small run several epochs.
 EPOCH_NS = 1e6
-
-#: Result fields that measure the host, not the simulation.
-HOST_FIELDS = ("wall_seconds", "phase_ns", "from_cache")
-
-
-def _canon(result) -> str:
-    d = result.to_dict()
-    for field in HOST_FIELDS:
-        d.pop(field)
-    return json.dumps(d, sort_keys=True)
-
 
 def _scratch(monkeypatch) -> list:
     """Record the scratch directory each sweep makes."""
@@ -90,7 +79,7 @@ REGISTRY_GRID = [
 
 @pytest.fixture(scope="module")
 def live_registry():
-    return {spec: _canon(spec.execute()) for spec in REGISTRY_GRID}
+    return {spec: digest(spec.execute()) for spec in REGISTRY_GRID}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -104,7 +93,7 @@ def test_shared_stream_sweep_equals_live_across_registry(jobs, live_registry,
                     progress=_listings(made, seen))
     for spec in REGISTRY_GRID:
         assert out[spec].ok, out[spec].error
-        assert _canon(out[spec].result) == live_registry[spec], spec.label()
+        assert digest(out[spec].result) == live_registry[spec], spec.label()
     published = {name for _, _, names in seen for name in names
                  if "." not in name}
     assert published == {spec.stream_key() for spec in REGISTRY_GRID}
@@ -156,13 +145,13 @@ def _capture(sim, spec):
     sim.metrics.timeline_interval_ns = EPOCH_NS
     sim.snapshot_every = 1
     sim.snapshot_sink = lambda epoch, state: snaps.setdefault(epoch, state)
-    return _canon(sim.run(max_accesses=spec.max_accesses)), snaps
+    return digest(sim.run(max_accesses=spec.max_accesses)), snaps
 
 
 def _resume(sim, spec, state):
     sim.metrics.timeline_interval_ns = EPOCH_NS
     sim.load_state(state)
-    return _canon(sim.run(max_accesses=spec.max_accesses))
+    return digest(sim.run(max_accesses=spec.max_accesses))
 
 
 @pytest.mark.parametrize("workload", ["silo", "603.bwaves"])
@@ -232,7 +221,7 @@ def test_budget_stopped_cell_never_publishes_but_replays(monkeypatch):
     assert [names for _, _, names in seen] == [[], [], [key], []]
     assert kinds == ["TeeWorkload"] * 3 + ["TraceWorkload"]
     for spec in specs:
-        assert _canon(out[spec].result) == _canon(spec.execute())
+        assert digest(out[spec].result) == digest(spec.execute())
 
 
 def test_unique_stream_keys_tee_nothing(monkeypatch):
@@ -290,7 +279,7 @@ def test_grid_at_two_workers_publishes_each_stream_once(tmp_path,
         assert {name for name in names if "." not in name} <= keys, names
     assert not os.path.exists(made[0])
     for spec in specs:
-        assert _canon(out[spec].result) == _canon(spec.execute()), \
+        assert digest(out[spec].result) == digest(spec.execute()), \
             spec.label()
 
 

@@ -17,6 +17,7 @@ from repro.check import FaultConfig, FaultInjector, SimulationKilled
 from repro.sim.runner import RunSpec
 from repro.sim.sweep import run_sweep
 
+from conformance import canonical, checkpoint_and_resume
 from conftest import TEST_SCALE
 
 #: Virtual-time epoch length used to get several epochs out of a small
@@ -39,14 +40,6 @@ def _build(spec, faults=None):
     return sim
 
 
-def _canon(result):
-    """Result dict minus host-timing fields (the only legit variance)."""
-    d = result.to_dict()
-    d.pop("wall_seconds")
-    d.pop("phase_ns")
-    return d
-
-
 def _capture_all(spec):
     """Run ``spec`` snapshotting every epoch; (canon result, {epoch: state})."""
     snaps = {}
@@ -54,7 +47,7 @@ def _capture_all(spec):
     sim.snapshot_every = 1
     sim.snapshot_sink = lambda epoch, state: snaps.setdefault(epoch, state)
     result = sim.run(max_accesses=spec.max_accesses)
-    return _canon(result), snaps
+    return canonical(result), snaps
 
 
 # -- core guarantee ------------------------------------------------------------
@@ -64,19 +57,20 @@ class TestResumeBitIdentity:
     @pytest.mark.parametrize("mode", [kernels.VECTORIZED, kernels.SCALAR])
     def test_resume_matches_uninterrupted_run(self, mode):
         """save at k, load, run remainder == run(N) -- first/mid/last k."""
+        spec = _spec()
+
+        def outcome(sim):
+            return canonical(sim.run(max_accesses=spec.max_accesses))
+
         with kernels.forced(mode):
-            spec = _spec()
-            full = _canon(_build(spec).run(max_accesses=spec.max_accesses))
-            captured, snaps = _capture_all(spec)
-            # Snapshotting itself must not perturb the trajectory.
-            assert captured == full
-            epochs = sorted(snaps)
-            assert len(epochs) >= 3, "scenario too small to be meaningful"
-            for k in {epochs[0], epochs[len(epochs) // 2], epochs[-1]}:
-                sim = _build(spec)
-                sim.load_state(snaps[k])
-                resumed = _canon(sim.run(max_accesses=spec.max_accesses))
-                assert resumed == full, f"resume from epoch {k} diverged"
+            full = outcome(_build(spec))
+            captured, resumed, checkpoints = checkpoint_and_resume(
+                lambda: _build(spec), outcome)
+        # Snapshotting itself must not perturb the trajectory.
+        assert captured == full
+        assert checkpoints >= 3, "scenario too small to be meaningful"
+        for k, result in resumed.items():
+            assert result == full, f"resume from epoch {k} diverged"
 
     def test_checkpoint_is_kernel_mode_portable(self):
         """A checkpoint taken under vectorized kernels resumes under
@@ -89,7 +83,7 @@ class TestResumeBitIdentity:
         with kernels.forced(kernels.SCALAR):
             sim = _build(spec)
             sim.load_state(snaps[k])
-            resumed = _canon(sim.run(max_accesses=spec.max_accesses))
+            resumed = canonical(sim.run(max_accesses=spec.max_accesses))
         assert resumed == full
 
     def test_resume_under_strict_checking(self, monkeypatch):
@@ -100,7 +94,7 @@ class TestResumeBitIdentity:
         k = sorted(snaps)[-1]
         sim = _build(spec)
         sim.load_state(snaps[k])
-        assert _canon(sim.run(max_accesses=spec.max_accesses)) == full
+        assert canonical(sim.run(max_accesses=spec.max_accesses)) == full
 
     def test_resumed_phases_fit_in_the_resumed_wall(self):
         """A result's phases and its wall both cover the run that
@@ -118,9 +112,9 @@ class TestResumeBitIdentity:
         """execute() with snapshot_every persists; resume=True restores."""
         store = snapshot.SnapshotStore(tmp_path / "store")
         spec = _spec(snapshot_every=1)
-        full = _canon(spec.execute(snapshots=store))
+        full = canonical(spec.execute(snapshots=store))
         assert store.epochs(spec), "no checkpoints were written"
-        resumed = _canon(
+        resumed = canonical(
             spec.replace(resume=True).execute(snapshots=store)
         )
         assert resumed == full
@@ -133,7 +127,7 @@ class TestKillResume:
     def test_kill_then_resume_is_bit_identical(self, tmp_path):
         """Fault-injected kill at an epoch, then resume: same result."""
         spec = _spec(snapshot_every=1)
-        clean = _canon(spec.execute(snapshots=None))
+        clean = canonical(spec.execute(snapshots=None))
         store = snapshot.SnapshotStore(tmp_path / "store")
         injector = FaultInjector(FaultConfig(kill_at_epoch=1, seed=5))
         with pytest.raises(SimulationKilled):
@@ -141,7 +135,7 @@ class TestKillResume:
         # The kill hook fires *after* the checkpoint: the kill epoch is
         # always resumable.
         assert store.latest_epoch(spec) == 1
-        resumed = _canon(spec.replace(resume=True).execute(snapshots=store))
+        resumed = canonical(spec.replace(resume=True).execute(snapshots=store))
         assert resumed == clean
 
     @pytest.mark.parametrize("cfg", [
@@ -157,7 +151,7 @@ class TestKillResume:
         injector's RNG is checkpointed, so the fault schedule of the
         resumed run matches the uninterrupted one exactly."""
         spec = _spec(snapshot_every=1)
-        clean = _canon(spec.execute(
+        clean = canonical(spec.execute(
             faults=FaultInjector(cfg), snapshots=None
         ))
         store = snapshot.SnapshotStore(tmp_path / "store")
@@ -165,7 +159,7 @@ class TestKillResume:
         with pytest.raises(SimulationKilled):
             spec.execute(faults=FaultInjector(killer), snapshots=store)
         resume = spec.replace(resume=True)
-        resumed = _canon(resume.execute(
+        resumed = canonical(resume.execute(
             faults=FaultInjector(cfg), snapshots=store
         ))
         assert resumed == clean
@@ -177,8 +171,8 @@ class TestKillResume:
     def test_resume_with_no_checkpoint_falls_back_to_fresh_run(self, tmp_path):
         store = snapshot.SnapshotStore(tmp_path / "empty")
         spec = _spec(resume=True)
-        assert _canon(spec.execute(snapshots=store)) == \
-            _canon(spec.replace(resume=False).execute(snapshots=None))
+        assert canonical(spec.execute(snapshots=store)) == \
+            canonical(spec.replace(resume=False).execute(snapshots=None))
 
 
 # -- store behaviour -----------------------------------------------------------
@@ -242,7 +236,7 @@ class TestSnapshotStore:
             assert epoch in store.epochs(spec)
             resumed = spec.replace(resume=True).run(cache=None,
                                                     snapshots=store)
-            assert _canon(resumed) == _canon(fresh)
+            assert canonical(resumed) == canonical(fresh)
             assert store.stats.loads == 0
 
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
@@ -283,7 +277,7 @@ class TestSweepResume:
         """A cell killed mid-run is retried with resume=True and
         completes without recomputing finished epochs."""
         spec = _spec(snapshot_every=1)
-        clean = _canon(spec.execute(snapshots=None))
+        clean = canonical(spec.execute(snapshots=None))
 
         executed = []
         original_execute = RunSpec.execute
@@ -306,7 +300,7 @@ class TestSweepResume:
         )
         outcome = outcomes[spec]
         assert outcome.ok and outcome.attempts == 2
-        assert _canon(outcome.result) == clean
+        assert canonical(outcome.result) == clean
         assert events == ["retry", "done"]
         # The retry ran the resume variant of the same cell.
         assert [s.resume for s in executed] == [False, True]

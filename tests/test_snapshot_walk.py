@@ -20,6 +20,7 @@ from repro.mem.tiers import TieredMemory, cxl_spec, dram_spec, nvm_spec
 from repro.sim.runner import RunSpec
 from repro.snapshot.walk import capture, fields, restore
 
+from conformance import canonical
 from conftest import MB, TEST_SCALE
 
 
@@ -255,10 +256,7 @@ def test_profiled_simulation_checkpoints_and_resumes():
         return sim
 
     def outcome(sim):
-        out = sim.run(max_accesses=spec.max_accesses).to_dict()
-        out.pop("wall_seconds")
-        out.pop("phase_ns")
-        return out
+        return canonical(sim.run(max_accesses=spec.max_accesses))
 
     full = outcome(build(traced=False))
     snaps = {}

@@ -46,19 +46,13 @@ from repro.workloads.trace import (
     record_trace,
 )
 
+from conformance import canonical, checkpoint_and_resume
 from conftest import TEST_SCALE
 
 #: A v1 trace (single ``.npz``, arrays inline): ``603.bwaves`` at
 #: ``TEST_SCALE``, seed 9, ``max_accesses=30_000``.
 V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                           "trace_v1_603bwaves.npz")
-
-
-def _canon(result):
-    d = result.to_dict()
-    d.pop("wall_seconds")
-    d.pop("phase_ns")
-    return d
 
 
 def _record(workload_name, path, **kwargs):
@@ -131,10 +125,10 @@ class TestReplayEquality:
         _record("silo", path)
         sim_mem, wl_mem = _replay(path, mmap=False)
         assert not isinstance(wl_mem._vpn, np.memmap)
-        mem = _canon(sim_mem.run())
+        mem = canonical(sim_mem.run())
         sim_map, wl_map = _replay(path, mmap=True)
         assert isinstance(wl_map._vpn, np.memmap)
-        assert _canon(sim_map.run()) == mem
+        assert canonical(sim_map.run()) == mem
 
     @pytest.mark.parametrize("event_accesses", [None, 1_000])
     def test_replay_hands_out_read_only_plain_views(self, tmp_path,
@@ -157,10 +151,10 @@ class TestReplayEquality:
                 assert not arr.flags.writeable
         sim_map, wl_map = _replay(path, event_accesses=event_accesses)
         sim_mem, _ = _replay(path, event_accesses=event_accesses, mmap=False)
-        result = _canon(sim_map.run())
+        result = canonical(sim_map.run())
         assert bool(np.all(replay._seg_inter))
         assert 0 in [r.base_vpn for r in sim_map._regions.values()]
-        assert result == _canon(sim_mem.run())
+        assert result == canonical(sim_mem.run())
 
     def test_mmap_chunked_macro_equals_in_memory_macro(self, tmp_path):
         """At a fixed macro cadence, chunk size and mmap vs in-memory
@@ -170,7 +164,7 @@ class TestReplayEquality:
         sim_a, _ = _replay(path, macro_batch=50_000, mmap=False)
         sim_b, wl = _replay(path, macro_batch=50_000, mmap=True,
                             event_accesses=7_000)
-        a, b = _canon(sim_a.run()), _canon(sim_b.run())
+        a, b = canonical(sim_a.run()), canonical(sim_b.run())
         # Chunking at 7k then coalescing to 50k hits the same 50k
         # boundaries as native 32k events only if 7k divides them --
         # it does not, so allow the documented cadence difference in
@@ -186,7 +180,7 @@ class TestReplayEquality:
         assert wl1.format_version == 1 and wl2.format_version == 2
         assert s2 == {"events": len(wl1._kinds),
                       "accesses": wl1.total_accesses}
-        assert _canon(sim1.run()) == _canon(sim2.run())
+        assert canonical(sim1.run()) == canonical(sim2.run())
 
     def test_unknown_format_version_rejected(self, tmp_path):
         path = str(tmp_path / "t.npz")
@@ -206,14 +200,14 @@ class TestReplayEquality:
             meta = dict(npz)
         assert meta["event_key"].dtype.kind == "U"
         assert meta["seg_key"].dtype.kind == "U"
-        fresh = _canon(_replay(path)[0].run())
+        fresh = canonical(_replay(path)[0].run())
         # As earlier writers stored them: object arrays of str.
         for name in ("event_key", "seg_key"):
             meta[name] = meta[name].astype(object)
         np.savez_compressed(path, **meta)
         sim, workload = _replay(path)
         assert workload._keys.dtype.kind == "U"
-        assert _canon(sim.run()) == fresh
+        assert canonical(sim.run()) == fresh
 
     def test_key_array_pickle_cannot_run_code(self, tmp_path):
         """A key array that pickles ``open(victim, "w")`` is refused, and
@@ -373,24 +367,18 @@ class TestCursorResume:
         _record("silo", path)
 
         def build():
-            sim, wl = _replay(path, macro_batch=50_000,
-                              event_accesses=7_000)
+            sim, _ = _replay(path, macro_batch=50_000, event_accesses=7_000)
             sim.metrics.timeline_interval_ns = 1e6
-            return sim, wl
+            return sim
 
-        snaps = {}
-        sim, _ = build()
-        sim.snapshot_every = 1
-        sim.snapshot_sink = lambda epoch, state: snaps.setdefault(epoch, state)
-        full = _canon(sim.run())
-        epochs = sorted(snaps)
-        assert len(epochs) >= 3, "scenario too small to be meaningful"
-        for k in {epochs[0], epochs[len(epochs) // 2], epochs[-1]}:
-            resumed, wl = build()
-            resumed.load_state(snaps[k])
-            consumed = resumed._events_consumed
-            assert _canon(resumed.run()) == full, \
-                f"resume from epoch {k} diverged"
+        def outcome(sim):
+            return sim._events_consumed, canonical(sim.run())
+
+        (_, full), resumed, checkpoints = checkpoint_and_resume(build,
+                                                                outcome)
+        assert checkpoints >= 3, "scenario too small to be meaningful"
+        for k, (consumed, result) in resumed.items():
+            assert result == full, f"resume from epoch {k} diverged"
             # The fast-forward really skipped: the workload started its
             # iteration at the checkpointed event, not at zero.
             assert consumed > 0
