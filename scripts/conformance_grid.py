@@ -2,10 +2,13 @@
 """The conformance matrix over the full digest grid.
 
 Runs every axis of ``tests/conformance.py`` (pinned, resume, traced,
-scalar, vectorized, direct, cached, ahead) on every cell of
+scalar, vectorized, direct, cached, replayed, ahead) on every cell of
 ``tests/data/policy_digests.json``: every registered policy on {silo,
 btree, 603.bwaves, phaseflip} x {1:2, 1:8, 1:8 dram-cxl-nvm},
-strict-checked.  Tier-1 runs the same axes on two cells per policy.
+strict-checked.  Tier-1 runs the same axes on two cells per policy
+(``tests/test_policy_zoo.py::test_conformance``, with ``pinned`` also
+on every machine for phaseflip and 603.bwaves in ``test_policy_digest``);
+this script is the only place the other cells run.
 
 Usage (from the repository root; no options: the kernel modes are
 axes)::

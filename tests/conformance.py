@@ -5,14 +5,16 @@ grid (``tests/data/policy_digests.json``), :func:`checkpoint_and_resume`
 and :data:`AXES`.  An axis runs a digest cell one way, asserts that the
 result equals the pinned digest (``cached`` and ``ahead``: the run they
 are compared with), and that the path it names actually ran.
-``tests/test_policy_zoo.py`` runs ``pinned`` on the whole grid and the
-other axes on :data:`TIER1_CELLS`; ``scripts/conformance_grid.py`` runs
-every axis on the whole grid (DESIGN.md section 17).
+``tests/test_policy_zoo.py`` runs every axis on :data:`TIER1_CELLS`
+(``pinned`` on :data:`TIER1_PINNED_CELLS`);
+``scripts/conformance_grid.py`` runs every axis on the whole grid
+(DESIGN.md section 17).
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
 import hashlib
 import itertools
 import json
@@ -33,7 +35,7 @@ from repro.sim.engine import AHEAD_MIN_ACCESSES, Simulation
 from repro.sim.runner import RunSpec
 from repro.workloads import prefetch
 from repro.workloads.registry import make_workload
-from repro.workloads.trace import share_stream
+from repro.workloads.trace import TraceWorkload, share_stream
 
 from conftest import TEST_SCALE
 
@@ -103,6 +105,15 @@ DIGEST_CELLS = list(itertools.product(
 #: one 2-tier and one 3-tier.
 TIER1_CELLS = [("silo", "1:8"), ("phaseflip", "1:8-dram-cxl-nvm")]
 
+#: The cells tier-1 runs ``pinned`` on, per policy: :data:`TIER1_CELLS`
+#: and, since a plain run is the cheapest axis, every machine for the
+#: two cheapest digest workloads.
+TIER1_PINNED_CELLS = [(workload, machine)
+                      for workload in DIGEST_WORKLOADS
+                      for machine in DIGEST_MACHINES
+                      if workload in ("phaseflip", "603.bwaves")
+                      or (workload, machine) in TIER1_CELLS]
+
 
 def cell_id(policy, workload, machine) -> str:
     return f"{policy}-{workload}-{machine}"
@@ -131,14 +142,22 @@ def write_digests(path=DIGESTS_PATH):
 # -- resume --------------------------------------------------------------------
 
 
-def checkpoint_and_resume(build, outcome):
+def _first_middle_last(epochs):
+    return {epochs[0], epochs[len(epochs) // 2], epochs[-1]}
+
+
+def _middle(epochs):
+    return {epochs[len(epochs) // 2]}
+
+
+def checkpoint_and_resume(build, outcome, resume_from=_first_middle_last):
     """``run(N)`` against ``run(k) -> save -> load -> run(N-k)``.
 
     Runs ``build()`` writing a checkpoint at every epoch, then resumes a
-    fresh ``build()`` from the first, middle and last checkpoint.
-    ``outcome(sim)`` runs a simulation and reduces its result.  Returns
-    the checkpointing run's outcome, ``{epoch: resumed outcome}`` and
-    the number of checkpoints written.
+    fresh ``build()`` from each checkpoint ``resume_from(epochs)`` picks
+    (the first, middle and last).  ``outcome(sim)`` runs a simulation
+    and reduces its result.  Returns the checkpointing run's outcome,
+    ``{epoch: resumed outcome}`` and the number of checkpoints written.
     """
     snaps = {}
     sim = build()
@@ -147,8 +166,7 @@ def checkpoint_and_resume(build, outcome):
     captured = outcome(sim)
     epochs = sorted(snaps)
     resumed = {}
-    for k in sorted({epochs[0], epochs[len(epochs) // 2], epochs[-1]}
-                    if epochs else ()):
+    for k in sorted(resume_from(epochs) if epochs else ()):
         sim = build()
         sim.load_state(snaps[k])
         resumed[k] = outcome(sim)
@@ -172,6 +190,23 @@ def _spy(owner, name: str, seen: list):
         return real(*args, **kwargs)
 
     return mock.patch.object(owner, name, spy)
+
+
+@contextlib.contextmanager
+def forced_path(mode: str):
+    """``kernels.forced(mode)`` that asserts, on a clean exit, that
+    kernel calls ran inside it and every one took the ``mode`` path."""
+    paths = []
+    path_for = kernels.path_for
+
+    def spy(size, crossover):
+        paths.append(path_for(size, crossover))
+        return paths[-1]
+
+    with mock.patch.object(kernels, "path_for", spy), kernels.forced(mode):
+        yield
+    assert paths and set(paths) == {mode}, \
+        f"kernel calls took {sorted(set(paths))}"
 
 
 def _assert_page_sizes(nbytes: int, pages: int, what: str) -> None:
@@ -208,15 +243,19 @@ def pinned(spec, want):
     assert moves.cascade_bytes <= moves.demoted_bytes
 
 
-def resume(spec, want):
-    """Checkpointing at every epoch and resuming from the first, middle
-    and last checkpoint land on the pinned digest."""
+def _resumes_to(spec, want, resume_from=_first_middle_last):
     captured, resumed, checkpoints = checkpoint_and_resume(
-        spec.build, lambda sim: digest(sim.run()))
+        spec.build, lambda sim: digest(sim.run()), resume_from)
     assert checkpoints, "no checkpoint was written"
     assert captured == want, "the checkpointing run differs"
     for k, got in resumed.items():
         assert got == want, f"resume from epoch {k} of {checkpoints} differs"
+
+
+def resume(spec, want):
+    """Checkpointing at every epoch and resuming from the first, middle
+    and last checkpoint land on the pinned digest."""
+    _resumes_to(spec, want)
 
 
 def traced(spec, want):
@@ -231,21 +270,12 @@ def traced(spec, want):
 
 def _forced(mode):
     def axis(spec, want):
-        paths = []
-        path_for = kernels.path_for
+        with forced_path(mode):
+            _resumes_to(spec, want, _middle)
 
-        def spy(size, crossover):
-            paths.append(path_for(size, crossover))
-            return paths[-1]
-
-        with mock.patch.object(kernels, "path_for", spy), \
-                kernels.forced(mode):
-            result = spec.build().run()
-        assert paths and set(paths) == {mode}, \
-            f"kernel calls took {sorted(set(paths))}"
-        assert digest(result) == want, "differs from the pinned digest"
-
-    axis.__doc__ = f"Every kernel call on the {mode} path: the pinned digest."
+    axis.__doc__ = (f"Every kernel call on the {mode} path: the run that "
+                    f"checkpoints every epoch, and a resume from the "
+                    f"middle checkpoint, land on the pinned digest.")
     return axis
 
 
@@ -303,22 +333,36 @@ def _recorded(spec) -> str:
     return _streams[key]
 
 
+def _replay(spec) -> Simulation:
+    """``spec`` built to replay its recorded stream."""
+    sim = spec.build(streams=_recorded(spec))
+    assert isinstance(sim.workload, TraceWorkload), \
+        "the recorded stream was not replayed"
+    return sim
+
+
+def replayed(spec, want):
+    """The recorded stream replayed at the cell's own cadence lands on
+    the pinned digest."""
+    assert digest(_replay(spec).run()) == want, \
+        "differs from the pinned digest"
+
+
 def ahead(spec, want):
-    """The recorded stream replayed at ``macro_batch`` 65536: batches
-    prepared on the batch helper (two CPUs) equal inline ones (one)."""
+    """At ``macro_batch`` 65536, the recorded stream with batches
+    prepared on the batch helper (two CPUs) equals the live run on one
+    CPU, where no helper runs."""
     spec = spec.replace(macro_batch=AHEAD_MIN_ACCESSES)
-    streams = _recorded(spec)
-    runs = {}
-    for cpus in (1, 2):
-        preparers = []
-        with _cpus(cpus), _spy(Simulation, "_prepare_batch", preparers):
-            runs[cpus] = spec.build(streams=streams).run(), preparers
-    (inline, inline_preparers), (helped, preparers) = runs[1], runs[2]
-    assert prefetch.BATCH_THREAD_NAME not in inline_preparers
+    live_preparers, preparers = [], []
+    with _cpus(1), _spy(Simulation, "_prepare_batch", live_preparers):
+        live = spec.build().run()
+    with _cpus(2), _spy(Simulation, "_prepare_batch", preparers):
+        helped = _replay(spec).run()
+    assert prefetch.BATCH_THREAD_NAME not in live_preparers
     assert prefetch.BATCH_THREAD_NAME in preparers, \
         "no batch was prepared on the batch helper"
-    assert digest(helped) == digest(inline), \
-        "batches prepared ahead differ from inline ones"
+    assert digest(helped) == digest(live), \
+        "batches prepared ahead differ from the live run"
 
 
 #: Axis name -> ``check(spec, pinned digest)``; raises AssertionError.
@@ -330,6 +374,7 @@ AXES = {
     "vectorized": _forced(kernels.VECTORIZED),
     "direct": direct,
     "cached": cached,
+    "replayed": replayed,
     "ahead": ahead,
 }
 

@@ -7,11 +7,13 @@ the guarantee three ways:
 * **Pinned digests**: a small grid of historical ``RunSpec``s must keep
   their exact ``cache_key()`` and reproduce byte-identical
   ``SimResult.to_dict()`` digests recorded from the pre-redesign seed,
-  in both kernel modes, with the invariant sanitizer at ``strict``.
+  in both kernel modes (every kernel call checked to take the forced
+  path), with the invariant sanitizer at ``strict``.
 * **Constructor equivalence**: a machine built via the legacy
   ``MachineSpec(fast_bytes=..., capacity_bytes=...)`` form and the same
   machine built as ``MachineSpec.from_tiers([dram, nvm])`` produce
-  bit-identical results (including the serialized machine layout).
+  bit-identical results (including the serialized machine layout), in
+  both kernel modes.
 * **N-tier behaviour**: presets, neighbour addressing, tier labels and
   the cross-tier demotion cascade on a 3-tier DRAM/CXL/NVM machine,
   which must complete strict-clean.
@@ -41,7 +43,7 @@ from repro.sim.machine import MACHINE_PRESETS, MachineSpec
 from repro.sim.runner import RunSpec
 from repro.workloads.registry import make_workload
 
-from conformance import digest
+from conformance import digest, forced_path
 from conftest import TEST_SCALE
 
 MB = 1024 * 1024
@@ -68,7 +70,7 @@ class TestPinnedDigests:
         spec = RunSpec(**entry["spec"], check="strict")
         # check/snapshot/resume are excluded from the key by design.
         assert spec.cache_key() == entry["cache_key"]
-        with kernels.forced(mode):
+        with forced_path(mode):
             result = spec.build().run(max_accesses=spec.max_accesses)
         assert (digest(result, observability=False)
                 == entry["digests"][mode])
@@ -96,7 +98,7 @@ class TestConstructorEquivalence:
         workload = make_workload("silo", TEST_SCALE)
         digests = []
         for machine in (legacy, listed):
-            with kernels.forced(mode):
+            with forced_path(mode):
                 sim = Simulation(workload, make_policy("memtis"), machine,
                                  check=CheckLevel.STRICT)
                 digests.append(digest(sim.run(max_accesses=80_000),

@@ -3,9 +3,11 @@
 * the figure policy lists stay consistent with the registry, so zoo
   growth cannot silently break figure experiments;
 * the conformance matrix (``tests/conformance.py``): every registered
-  policy reproduces its pinned digest on the whole digest grid,
-  strict-sanitizer-clean and within the conservation laws (``pinned``),
-  and passes every other axis on a 2-tier and a 3-tier cell;
+  policy reproduces its pinned digest, strict-sanitizer-clean and
+  within the conservation laws (``pinned``), on a 2-tier and a 3-tier
+  cell and on every machine for the two cheapest digest workloads, and
+  passes every other axis on the 2-tier and the 3-tier cell
+  (``scripts/conformance_grid.py`` runs the whole grid);
 * the characteristic mechanisms actually engage (admission rejections,
   transactional aborts + shadows, sketch bounds, drift resets).
 """
@@ -27,7 +29,7 @@ from repro.workloads.registry import (
 )
 
 import conformance
-from conformance import DIGEST_CELLS, TIER1_CELLS, cell_id
+from conformance import DIGEST_CELLS, TIER1_CELLS, TIER1_PINNED_CELLS, cell_id
 from conftest import TEST_SCALE
 
 #: Virtual-time epoch length; small enough that the tiny access budget
@@ -94,8 +96,13 @@ def digests():
     return conformance.load_digests()
 
 
-@pytest.mark.parametrize("policy,workload,machine", DIGEST_CELLS,
-                         ids=[cell_id(*cell) for cell in DIGEST_CELLS])
+PINNED_CELLS = [(policy, workload, machine)
+                for policy in sorted(POLICY_REGISTRY)
+                for workload, machine in TIER1_PINNED_CELLS]
+
+
+@pytest.mark.parametrize("policy,workload,machine", PINNED_CELLS,
+                         ids=[cell_id(*cell) for cell in PINNED_CELLS])
 def test_policy_digest(policy, workload, machine, digests):
     """The ``pinned`` axis: a strict-checked run reproduces the pinned
     digest exactly, and its counts obey the conservation laws."""

@@ -2,10 +2,12 @@
 
 The contract of :mod:`repro.snapshot`: ``run(N)`` and
 ``run(k) -> save -> load -> run(N-k)`` produce bit-identical
-``SimResult.to_dict()`` -- in both kernel modes, under strict invariant
+``SimResult.to_dict()`` -- across kernel modes, under strict invariant
 checking, after a fault-injected kill, and through the sweep executor's
 checkpoint-aware retry path.  Only ``wall_seconds`` and ``phase_ns``
-(host wall-clock measurements) are exempt.
+(host wall-clock measurements) are exempt.  Resume within each kernel
+mode, for every registered policy, is the conformance matrix's
+``resume``, ``scalar`` and ``vectorized`` axes (``tests/conformance.py``).
 """
 
 import dataclasses
@@ -17,7 +19,7 @@ from repro.check import FaultConfig, FaultInjector, SimulationKilled
 from repro.sim.runner import RunSpec
 from repro.sim.sweep import run_sweep
 
-from conformance import canonical, checkpoint_and_resume
+from conformance import canonical
 from conftest import TEST_SCALE
 
 #: Virtual-time epoch length used to get several epochs out of a small
@@ -54,24 +56,6 @@ def _capture_all(spec):
 
 
 class TestResumeBitIdentity:
-    @pytest.mark.parametrize("mode", [kernels.VECTORIZED, kernels.SCALAR])
-    def test_resume_matches_uninterrupted_run(self, mode):
-        """save at k, load, run remainder == run(N) -- first/mid/last k."""
-        spec = _spec()
-
-        def outcome(sim):
-            return canonical(sim.run(max_accesses=spec.max_accesses))
-
-        with kernels.forced(mode):
-            full = outcome(_build(spec))
-            captured, resumed, checkpoints = checkpoint_and_resume(
-                lambda: _build(spec), outcome)
-        # Snapshotting itself must not perturb the trajectory.
-        assert captured == full
-        assert checkpoints >= 3, "scenario too small to be meaningful"
-        for k, result in resumed.items():
-            assert result == full, f"resume from epoch {k} diverged"
-
     def test_checkpoint_is_kernel_mode_portable(self):
         """A checkpoint taken under vectorized kernels resumes under
         scalar kernels to the scalar run's exact result (and the two
