@@ -81,7 +81,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.sim import cache as result_cache
-from repro.sim.runner import RunSpec
+from repro.sim.runner import RunSpec, cache_key_of
 
 QUEUE_DB = "queue.db"
 
@@ -323,7 +323,8 @@ class JobQueue:
             if fresh:
                 self._drop_idle_rows(now)
             for spec in dict.fromkeys(specs):
-                key = spec.cache_key()
+                spec_dict = spec.to_dict()
+                key = cache_key_of(spec_dict)
                 row = self._db.execute(
                     "SELECT state FROM jobs WHERE key = ?", (key,)
                 ).fetchone()
@@ -350,7 +351,7 @@ class JobQueue:
                     "INSERT INTO jobs (key, spec, label, state,"
                     " max_attempts, enqueued_at, finished_at)"
                     " VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    (key, json.dumps(spec.to_dict(), sort_keys=True),
+                    (key, json.dumps(spec_dict, sort_keys=True),
                      spec.label(), state, int(max_attempts), now,
                      now if hit else None),
                 )

@@ -778,7 +778,10 @@ class Simulation:
         events folded into *processed* items, so checkpoints taken
         inside ``_process_batch`` describe a position the coalescer can
         deterministically restart from (fusion boundaries depend only
-        on the stream from the restart point).
+        on the stream from the restart point).  The same count goes to
+        a workload's ``release_events`` (a trace replay) after each
+        processed batch: the events behind it are done with, so their
+        pages can go, while the items still in flight stay mapped.
 
         Batches are prepared ahead only where this process has a second
         core to itself (:func:`repro.workloads.prefetch.spare_core`), the
@@ -801,6 +804,7 @@ class Simulation:
         )
         ahead = (spare_core() and self.workload.prepare_ahead
                  and not isinstance(events, RunAhead))
+        release = getattr(self.workload, "release_events", None)
         with closing(self._prepared(iter(coalescer), ahead)) as items:
             for events_fused, event in items:
                 self._events_consumed += events_fused
@@ -810,6 +814,8 @@ class Simulation:
                     self._handle_free(event)
                 else:
                     self._process_batch(event)
+                    if release is not None:
+                        release(self._events_consumed)
                     if self.metrics.total_accesses >= budget:
                         break
 

@@ -56,6 +56,25 @@ from repro.workloads.trace import share_stream
 #: are unreachable.
 SPEC_SCHEMA_VERSION = 6
 
+def cache_key_of(spec_dict: Mapping[str, Any]) -> str:
+    """The :meth:`RunSpec.cache_key` of the spec whose
+    :meth:`RunSpec.to_dict` is ``spec_dict``, for a caller that already
+    holds that dict."""
+    payload_dict = {"schema": SPEC_SCHEMA_VERSION, **spec_dict}
+    # Sanitizer checks observe without changing results: a checked
+    # run produces (and may serve) the same cache entry as the
+    # unchecked spec.  Checkpointing and resuming likewise: a
+    # resumed run is bit-identical to an uninterrupted one, so both
+    # variants share one cache slot (and one checkpoint bucket).
+    payload_dict.pop("check")
+    payload_dict.pop("snapshot_every")
+    payload_dict.pop("resume")
+    payload = json.dumps(
+        payload_dict, sort_keys=True, separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 #: Machine variants a spec can request: the machine as built, or collapsed
 #: to its slowest (:meth:`MachineSpec.collapse_to_slowest`) or fastest
 #: (:meth:`MachineSpec.collapse_to_fastest`) tier.
@@ -356,7 +375,9 @@ class RunSpec:
             "policy": self.policy,
             "ratio": self.ratio,
             "capacity_kind": self.capacity_kind,
-            "scale": dataclasses.asdict(self.scale),
+            # Its fields are ints: ``dataclasses.asdict`` would deep-copy
+            # each one.
+            "scale": dict(vars(self.scale)),
             "seed": self.seed,
             "policy_kwargs": self.policy_kwargs_dict,
             "max_accesses": self.max_accesses,
@@ -384,19 +405,7 @@ class RunSpec:
 
     def cache_key(self) -> str:
         """Deterministic content hash for the persistent result cache."""
-        payload_dict = {"schema": SPEC_SCHEMA_VERSION, **self.to_dict()}
-        # Sanitizer checks observe without changing results: a checked
-        # run produces (and may serve) the same cache entry as the
-        # unchecked spec.  Checkpointing and resuming likewise: a
-        # resumed run is bit-identical to an uninterrupted one, so both
-        # variants share one cache slot (and one checkpoint bucket).
-        payload_dict.pop("check")
-        payload_dict.pop("snapshot_every")
-        payload_dict.pop("resume")
-        payload = json.dumps(
-            payload_dict, sort_keys=True, separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return cache_key_of(self.to_dict())
 
     def stream_key(self) -> str:
         """Identity of this spec's workload event stream.
@@ -408,7 +417,9 @@ class RunSpec:
         """
         payload = json.dumps(
             {"workload": self.workload,
-             "scale": dataclasses.asdict(self.scale), "seed": self.seed},
+             # Its fields are ints: ``dataclasses.asdict`` would deep-copy
+            # each one.
+            "scale": dict(vars(self.scale)), "seed": self.seed},
             sort_keys=True, separators=(",", ":"),
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]

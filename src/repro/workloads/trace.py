@@ -29,10 +29,12 @@ count, not access count):
 ``<name>.vpn.npy`` (int64[N]) and ``<name>.st.npy`` (bool[N]) hold the
 concatenated region-relative offsets and store flags.  They are written
 *streaming* — the recorder never materialises the access stream — and
-replayed through ``np.load(mmap_mode="r")``, so traces larger than RAM
-record and replay in bounded memory.  The replay cursor releases fully
-consumed pages back to the OS (``madvise(MADV_DONTNEED)``) so peak RSS
-stays bounded by the release window, not the trace size.
+replayed through a read-only ``mmap`` of each sidecar, so traces larger
+than RAM record and replay in bounded memory.  As the engine finishes
+with replayed events (:meth:`TraceWorkload.release_events`), the pages
+wholly behind them are released back to the OS
+(``madvise(MADV_DONTNEED)``) in :data:`RELEASE_STEP` steps, so peak RSS
+is bounded by the batches the engine holds, not by the trace's length.
 
 :class:`TraceWriter` writes this layout one event at a time:
 :func:`record_trace` drives it from a generator, and
@@ -77,6 +79,11 @@ TRACE_FORMAT_VERSION = 2
 #: the writer patch the true element count into the header on close
 #: without rewriting the data.
 _NPY_HEADER_LEN = 128
+
+#: A replay releases a sidecar's consumed pages once this many bytes of
+#: it lie behind the engine, so the ``madvise`` calls stay few while at
+#: most one step of consumed trace stays resident per sidecar.
+RELEASE_STEP = 1 << 20
 
 
 def _sidecar_paths(path: str):
@@ -226,17 +233,22 @@ class _MetaUnpickler(pickle.Unpickler):
         return super().find_class(module, name)
 
 
-def _legacy_str_array(fp) -> np.ndarray:
-    """An object-dtype ``.npy`` member of ``str`` keys, unpickled by
-    :class:`_MetaUnpickler`."""
+def _read_npy_header(fp):
+    """``(shape, fortran_order, dtype)`` of the ``.npy`` at ``fp``,
+    which is left at the start of the data."""
     fmt = np.lib.format
     version = fmt.read_magic(fp)
     if version == (1, 0):
-        fmt.read_array_header_1_0(fp)
-    elif version == (2, 0):
-        fmt.read_array_header_2_0(fp)
-    else:
-        raise ValueError(f"unsupported .npy version {version}")
+        return fmt.read_array_header_1_0(fp)
+    if version == (2, 0):
+        return fmt.read_array_header_2_0(fp)
+    raise ValueError(f"unsupported .npy version {version}")
+
+
+def _legacy_str_array(fp) -> np.ndarray:
+    """An object-dtype ``.npy`` member of ``str`` keys, unpickled by
+    :class:`_MetaUnpickler`."""
+    _read_npy_header(fp)
     arr = _MetaUnpickler(fp).load()
     if not (isinstance(arr, np.ndarray)
             and all(isinstance(key, str) for key in arr.flat)):
@@ -284,17 +296,56 @@ def record_trace(workload: Workload, path: str, seed: int = 42,
         writer.close()
 
 
+class _Sidecar:
+    """One ``.npy`` sidecar mapped read-only, with its release cursor.
+
+    ``array`` is a plain read-only ``ndarray`` over the mapping, at the
+    data offset the header gives, so slicing it runs no per-slice hooks.
+    ``released`` is the file offset below which :meth:`release` has
+    dropped the pages (a page multiple); each call releases only the
+    span past it.
+    """
+
+    def __init__(self, path: str):
+        with open(path, "rb") as fh:
+            (count,), _fortran, dtype = _read_npy_header(fh)
+            self._offset = fh.tell()
+            self._map = _mmap.mmap(fh.fileno(), 0, access=_mmap.ACCESS_READ)
+        self.array = np.frombuffer(self._map, dtype=dtype, count=count,
+                                   offset=self._offset)
+        self.released = 0
+
+    def _page_end(self, accesses: int) -> int:
+        """File offset of the last page boundary at or before access
+        ``accesses``: the pages before it hold only earlier accesses."""
+        end = self._offset + accesses * self.array.itemsize
+        return end - end % _mmap.PAGESIZE
+
+    def rewind(self, accesses: int) -> None:
+        """Start the release cursor at access ``accesses``."""
+        self.released = self._page_end(accesses)
+
+    def release(self, accesses: int) -> None:
+        """Drop the pages wholly before access ``accesses`` once they
+        reach :data:`RELEASE_STEP` bytes past the cursor."""
+        end = self._page_end(accesses)
+        if end - self.released >= RELEASE_STEP:
+            self._map.madvise(_mmap.MADV_DONTNEED, self.released,
+                              end - self.released)
+            self.released = end
+
+
 class TraceWorkload(Workload):
     """Replays a trace recorded with :func:`record_trace`.
 
     v2 traces replay through memory-mapped sidecars: each emitted
-    :class:`AccessBatch` is a zero-copy slice of a plain ``ndarray``
-    view over the mapping (slicing the ``np.memmap`` objects themselves
-    runs Python-level hooks on every slice; they are kept only so
-    :meth:`_maybe_release` can ``madvise`` the mapping), and a
-    replay position counts *replayed events* and is seekable in
-    O(log E) via :meth:`seek_events` (the engine uses this to
-    fast-forward a resumed run without regenerating skipped events).
+    :class:`AccessBatch` is a zero-copy slice of a plain read-only
+    ``ndarray`` view over the mapping, and a replay position counts
+    *replayed events* and is seekable in O(log E) via
+    :meth:`seek_events` (the engine uses this to fast-forward a resumed
+    run without regenerating skipped events).  ``mmap=False`` loads the
+    sidecars into memory instead (the reference replay tests compare
+    against); v1 traces always load in memory.
 
     ``event_accesses`` re-chunks replay granularity: access events are
     split into consecutive events of at most that many accesses
@@ -303,11 +354,13 @@ class TraceWorkload(Workload):
     collector used; this knob decouples replay cadence from it, and the
     benchmark harness uses it to model fine-grained traces.
 
-    ``release_mb`` (v2 + mmap only): after roughly that many megabytes
-    of trace have been consumed, fully-read pages are released with
-    ``madvise(MADV_DONTNEED)`` so peak RSS stays bounded for traces
-    larger than RAM (0 disables).  Released pages re-fault from the
-    file on re-access, so correctness never depends on it.
+    The engine reports the replayed events it has finished with
+    (:meth:`release_events`), and the mapped pages wholly behind them
+    are released with ``madvise(MADV_DONTNEED)``, so a replay's resident
+    trace is the batches the engine holds plus at most
+    :data:`RELEASE_STEP` bytes per sidecar, whatever the trace's length.
+    Released pages re-fault from the file if read again, so no result
+    depends on the release.
     """
 
     name = "trace"
@@ -317,7 +370,7 @@ class TraceWorkload(Workload):
     prefetch_events = False
 
     def __init__(self, path: str, event_accesses: Optional[int] = None,
-                 mmap: bool = True, release_mb: int = 64):
+                 mmap: bool = True):
         meta_path, vpn_path, st_path = _sidecar_paths(path)
         meta = _load_meta(meta_path)
         version = (int(meta["format_version"])
@@ -338,9 +391,6 @@ class TraceWorkload(Workload):
         self.path = path
         self.format_version = version
         self.event_accesses = event_accesses
-        self._mmap = bool(mmap) and version >= 2
-        self._release_bytes = int(release_mb) * 1024 * 1024
-        self._released_accesses = 0
 
         self._kinds = meta["event_kind"]
         self._args = meta["event_arg"]
@@ -349,13 +399,19 @@ class TraceWorkload(Workload):
         self._seg_key = [str(key) for key in meta["seg_key"]]
         self._seg_len = meta["seg_len"]
         self._seg_inter = meta["seg_interleave"]
+        #: The mapped sidecars (v2 with ``mmap`` only), vpn then flags.
+        self._sidecars = ()
         if version == 1:
             self._vpn = meta["vpn"]
             self._is_store = meta["is_store"]
         else:
-            mode = "r" if self._mmap else None
-            self._vpn = np.load(vpn_path, mmap_mode=mode)
-            self._is_store = np.load(st_path, mmap_mode=mode)
+            if mmap:
+                self._sidecars = (_Sidecar(vpn_path), _Sidecar(st_path))
+                self._vpn, self._is_store = (
+                    sidecar.array for sidecar in self._sidecars)
+            else:
+                self._vpn = np.load(vpn_path)
+                self._is_store = np.load(st_path)
             if bool(meta.get("bounds_valid", False)):
                 # Offsets were verified against their regions at record
                 # time; the engine's per-segment scan is redundant.
@@ -378,6 +434,8 @@ class TraceWorkload(Workload):
         # Segment keys and offsets as Python objects: the replay loop
         # would otherwise convert a numpy scalar per segment it slices.
         self._seg_vpn_start = seg_vpn_start.tolist()
+        #: Accesses before each event (one more entry: the total).
+        self._ev_access_start = seg_vpn_start[self._ev_seg_start].tolist()
         if event_accesses is None:
             chunks = np.ones(len(kinds), dtype=np.int64)
         else:
@@ -386,7 +444,7 @@ class TraceWorkload(Workload):
             chunks[kinds != KIND_ACCESS] = 1
         self._ev_chunks = chunks
         self._replay_start = np.concatenate(
-            [[0], np.cumsum(chunks)]).astype(np.int64)
+            [[0], np.cumsum(chunks)]).astype(np.int64).tolist()
         #: Where the next ``events()`` call begins, in replayed events
         #: (one-shot, then resets to 0).
         self._start = 0
@@ -394,7 +452,7 @@ class TraceWorkload(Workload):
     @property
     def num_replay_events(self) -> int:
         """Total events :meth:`events` yields at this granularity."""
-        return int(self._replay_start[-1])
+        return self._replay_start[-1]
 
     # -- cursor ------------------------------------------------------------
 
@@ -405,30 +463,33 @@ class TraceWorkload(Workload):
             raise ValueError(f"cannot seek to {num_events}")
         self._start = int(num_events)
 
-    # -- replay ------------------------------------------------------------
+    def _access_position(self, num_events: int) -> int:
+        """Accesses in the first ``num_events`` replayed events."""
+        if num_events >= self.num_replay_events:
+            return self._ev_access_start[-1]
+        rs = self._replay_start
+        i = bisect.bisect_right(rs, num_events) - 1
+        return (self._ev_access_start[i]
+                + (num_events - rs[i]) * (self.event_accesses or 0))
 
-    def _maybe_release(self, consumed_accesses: int) -> None:
-        """Drop fully consumed mmap pages from RSS (v2 + mmap only)."""
-        if not self._mmap or self._release_bytes <= 0:
-            return
-        if ((consumed_accesses - self._released_accesses) * 9
-                < self._release_bytes):
-            return
-        self._released_accesses = consumed_accesses
-        for arr in (self._vpn, self._is_store):
-            mm = getattr(arr, "_mmap", None)
-            if mm is None or not hasattr(mm, "madvise") \
-                    or not hasattr(_mmap, "MADV_DONTNEED"):
-                return
-            data_off = int(getattr(arr, "offset", 0)) % _mmap.ALLOCATIONGRANULARITY
-            end = data_off + consumed_accesses * arr.itemsize
-            end -= end % _mmap.PAGESIZE
-            if end > 0:
-                mm.madvise(_mmap.MADV_DONTNEED, 0, end)
+    def release_events(self, num_events: int) -> None:
+        """The caller is done with the first ``num_events`` replayed
+        events: release the mapped pages wholly behind them, in
+        :data:`RELEASE_STEP` steps (a no-op for an in-memory trace)."""
+        if self._sidecars:
+            accesses = self._access_position(num_events)
+            for sidecar in self._sidecars:
+                sidecar.release(accesses)
+
+    # -- replay ------------------------------------------------------------
 
     def events(self, rng: np.random.Generator) -> Iterator[object]:
         start = self._start
         self._start = 0
+        if self._sidecars:
+            accesses = self._access_position(start)
+            for sidecar in self._sidecars:
+                sidecar.rewind(accesses)
         if start >= self.num_replay_events and self.num_replay_events:
             return
         kinds, args = self._kinds, self._args
@@ -436,11 +497,10 @@ class TraceWorkload(Workload):
         seg_key, seg_inter = self._seg_key, self._seg_inter
         ev_seg_start, svs = self._ev_seg_start, self._seg_vpn_start
         replay_start = self._replay_start
-        vpn, is_store = np.asarray(self._vpn), np.asarray(self._is_store)
+        vpn, is_store = self._vpn, self._is_store
         g = self.event_accesses
 
-        first = int(np.searchsorted(replay_start, start, side="right")) - 1
-        first = max(0, first)
+        first = max(0, bisect.bisect_right(replay_start, start) - 1)
         for i in range(first, len(kinds)):
             kind = int(kinds[i])
             if kind == KIND_ALLOC:
@@ -464,7 +524,7 @@ class TraceWorkload(Workload):
                 ]
                 yield AccessEvent(segments, interleave=interleave)
             else:
-                chunk0 = start - int(replay_start[i]) if i == first else 0
+                chunk0 = start - replay_start[i] if i == first else 0
                 for c in range(chunk0, int(self._ev_chunks[i])):
                     lo = a0 + c * g
                     hi = min(a1, lo + g)
@@ -479,7 +539,6 @@ class TraceWorkload(Workload):
                             )
                         j += 1
                     yield AccessEvent(segments, interleave=interleave)
-            self._maybe_release(a1)
 
 
 #: File name of a shared stream's trace inside its directory.

@@ -16,10 +16,14 @@ Format v2 stores the access arrays in memory-mappable ``.npy`` sidecars
 * the chunk cursor checkpoints: ``seek_events(n)`` reproduces the tail
   of a fresh iteration, including mid-access-event positions, and the
   engine's resume path fast-forwards through it;
+* the pages behind the events a replay's consumer is done with are
+  released in page-aligned steps that track its cursor (from the seek
+  point after ``seek_events``) and really leave the process's RSS;
 * a trace at least twice as large as the test's RSS cap replays end to
   end inside the cap (the whole point of streaming).
 """
 
+import mmap
 import os
 import pickle
 import subprocess
@@ -41,6 +45,7 @@ from repro.workloads.base import (
 )
 from repro.workloads.registry import make_workload
 from repro.workloads.trace import (
+    RELEASE_STEP,
     NpyStreamWriter,
     TraceWorkload,
     record_trace,
@@ -124,10 +129,10 @@ class TestReplayEquality:
         path = str(tmp_path / "t.npz")
         _record("silo", path)
         sim_mem, wl_mem = _replay(path, mmap=False)
-        assert not isinstance(wl_mem._vpn, np.memmap)
+        assert wl_mem._vpn.flags.writeable  # loaded, not mapped
         mem = canonical(sim_mem.run())
         sim_map, wl_map = _replay(path, mmap=True)
-        assert isinstance(wl_map._vpn, np.memmap)
+        assert isinstance(wl_map._vpn.base.obj, mmap.mmap)
         assert canonical(sim_map.run()) == mem
 
     @pytest.mark.parametrize("event_accesses", [None, 1_000])
@@ -384,13 +389,92 @@ class TestCursorResume:
             assert consumed > 0
 
 
+# -- page release ---------------------------------------------------------------
+
+
+def _mapped_rss_kb(path):
+    """Resident kB of this process's mappings of ``path`` (smaps)."""
+    total, inside = 0, False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            head = line.split()
+            if "-" in head[0] and len(head) >= 5:  # a mapping's first line
+                inside = len(head) >= 6 and head[5] == path
+            elif inside and head[0] == "Rss:":
+                total += int(head[1])
+    return total
+
+
+class TestRelease:
+    ACCESSES = 1_500_000  # ~12 MB of offsets, ~1.5 MB of store flags
+    EVENT = 40_000
+
+    @pytest.fixture
+    def trace(self, tmp_path):
+        path = str(tmp_path / "t.npz")
+        record_trace(_BigStream(self.ACCESSES, region_bytes=8 << 20), path)
+        return path
+
+    def _replay_checking(self, workload, first):
+        """Replay ``workload`` from replayed event ``first``, reading each
+        event and then reporting it done; after each report every
+        sidecar's released span ends on a page boundary, never behind
+        the seek point, and less than a step plus a page behind the
+        cursor."""
+        floors = None
+        for n, event in enumerate(workload.events(None), first + 1):
+            if floors is None:  # the cursor starts at the seek point
+                floors = [sc.released for sc in workload._sidecars]
+            for _key, batch in getattr(event, "segments", ()):
+                batch.vpn.sum(), batch.is_store.sum()  # fault the pages in
+            workload.release_events(n)
+            accesses = workload._access_position(n)
+            for sidecar, floor in zip(workload._sidecars, floors):
+                cursor = sidecar._offset + accesses * sidecar.array.itemsize
+                assert sidecar.released % mmap.PAGESIZE == 0
+                assert floor <= sidecar.released <= cursor
+                assert cursor - sidecar.released < RELEASE_STEP + mmap.PAGESIZE
+        return floors
+
+    def test_release_tracks_the_cursor_and_leaves_rss(self, trace):
+        workload = TraceWorkload(trace, event_accesses=self.EVENT)
+        assert self._replay_checking(workload, 0) == [0, 0]
+        # Every page was read, and all but the last step is gone again:
+        # a release that did nothing would leave the whole file resident.
+        vpn_path = trace[:-len(".npz")] + ".vpn.npy"
+        assert os.path.getsize(vpn_path) > 8 * RELEASE_STEP
+        assert _mapped_rss_kb(vpn_path) * 1024 \
+            <= RELEASE_STEP + 2 * mmap.PAGESIZE
+        assert all(sc.released > 0 for sc in workload._sidecars)
+
+    def test_release_starts_at_the_seek_point(self, trace):
+        workload = TraceWorkload(trace, event_accesses=self.EVENT)
+        seek = workload.num_replay_events // 2
+        workload.seek_events(seek)
+        floors = self._replay_checking(workload, seek)
+        accesses = workload._access_position(seek)
+        for sidecar, floor in zip(workload._sidecars, floors):
+            offset = sidecar._offset + accesses * sidecar.array.itemsize
+            assert floor == offset - offset % mmap.PAGESIZE
+
+    def test_the_engine_releases_what_it_processed(self, trace):
+        sim, workload = _replay(trace, macro_batch=262_144,
+                                event_accesses=self.EVENT)
+        sim.run()
+        end = [sc._offset + self.ACCESSES * sc.array.itemsize
+               for sc in workload._sidecars]
+        for sidecar, cursor in zip(workload._sidecars, end):
+            assert cursor - sidecar.released < RELEASE_STEP + mmap.PAGESIZE
+
+
 # -- bounded memory -------------------------------------------------------------
 
-#: Peak-RSS ceiling for the child replay process.  Baseline interpreter
-#: + numpy + engine state measured ~60 MB; macro-batch temporaries add
-#: ~15 MB.  The trace is sized to at least 2x this cap, so an
-#: implementation that materialises the access arrays cannot pass.
-RSS_CAP_MB = 128
+#: Peak-RSS ceiling for the child replay process.  Interpreter + numpy
+#: + engine state measured ~37 MB, and the replay peaked at ~49 MB: its
+#: resident trace is the batches in flight.  The trace is sized to at
+#: least 2x this cap, so an implementation that materialises the access
+#: arrays, or keeps much of them mapped, cannot pass.
+RSS_CAP_MB = 64
 
 _CHILD = r"""
 import sys
@@ -400,7 +484,7 @@ from repro.sim.engine import Simulation
 from repro.sim.machine import MachineSpec
 from repro.workloads.trace import TraceWorkload
 
-workload = TraceWorkload({path!r}, event_accesses=65_536, release_mb=32)
+workload = TraceWorkload({path!r}, event_accesses=65_536)
 machine = MachineSpec.from_ratio(workload.total_bytes, ratio="1:8")
 sim = Simulation(workload, make_policy("memtis"), machine, seed=3,
                  macro_batch=262_144)
