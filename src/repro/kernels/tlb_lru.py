@@ -8,7 +8,7 @@ A lookup stream runs through it one of two bit-identical ways:
   set);
 * :func:`lru_batch` -- the batched path:
 
-  1. **group by set** -- a stable argsort on ``tag % num_sets``
+  1. **group by set** -- a stable (radix) argsort on ``tag % num_sets``
      partitions the stream into per-set subsequences whose internal
      order is preserved; sets are independent, so replaying them set by
      set is state- and count-identical to the original order;
@@ -39,11 +39,12 @@ from repro import kernels
 #: In lookups per set: a stream at least this long per set takes
 #: :func:`lru_batch`, a shorter one :func:`lru_loop`.  Measured by
 #: ``benchmarks/kernel_crossover.py``: below ~8 per set the loop wins
-#: everywhere (2-4x at 1 per set); on the live zoo's bursty 2M substream
-#: the batch path wins from 16 per set and is ~2x faster at 64; on the
-#: silo trace's substreams the two stay within ~10% of each other from
-#: 16-64 per set on.  64 is where the batch path is at least even on
-#: every stream measured.
+#: everywhere (1.7-5x at 1 per set); on the live zoo's bursty 2M
+#: substream the batch path wins from 16 per set and is ~2.4x faster at
+#: 64; on the silo trace it wins from 8 per set on the 4K substream but
+#: only from 64 on the 2M one (1.05x the loop's time at 32, 0.87x at
+#: 64).  64 is where the batch path is at least even on every stream
+#: measured.
 LRU_BATCH_CROSSOVER = 64
 
 
@@ -75,7 +76,12 @@ def lru_batch(sets: List[List[int]], ways: int,
     if n == 0:
         return 0, 0
     tag_stream = np.asarray(tag_stream, dtype=np.int64)
-    grouped = tag_stream[np.argsort(tag_stream % len(sets), kind="stable")]
+    # Set indices in the narrowest unsigned type that holds them: numpy
+    # stable-sorts 1- and 2-byte keys by radix, several times faster
+    # than its merge sort on int64, and a stable sort's permutation does
+    # not depend on the key's type.
+    set_of = (tag_stream % len(sets)).astype(np.min_scalar_type(len(sets) - 1))
+    grouped = tag_stream[np.argsort(set_of, kind="stable")]
     # Keep the first lookup of each same-tag run (a tag fixes its set);
     # the rest are hits with no state change.
     keep = np.ones(n, dtype=bool)

@@ -33,9 +33,9 @@ from repro.mem.pages import (
     HUGE_SHIFT,
     SUBPAGES_PER_HUGE,
     hpn_to_vpn,
-    vpn_to_hpn,
 )
 from repro.mem.tiers import (
+    FASTEST_TIER,
     OutOfMemoryError,
     TIER_UNMAPPED,
     TieredMemory,
@@ -61,10 +61,6 @@ class Region:
     @property
     def end_vpn(self) -> int:
         return self.base_vpn + self.num_vpns
-
-
-#: Picks the preferred tier index for an allocation of the given size.
-TierChooser = Callable[[int], int]
 
 
 class AddressSpace:
@@ -134,23 +130,25 @@ class AddressSpace:
         nbytes: int,
         name: str = "",
         thp: bool = True,
-        tier_chooser: Optional[TierChooser] = None,
+        preferred: int = FASTEST_TIER,
     ) -> Region:
         """Allocate and map a region.
 
-        With ``thp`` True, every full 2 MiB-aligned chunk is mapped as a
-        huge page (transparent huge pages on a fresh anonymous mapping);
-        the tail is mapped with base pages.  ``tier_chooser(chunk_bytes)``
-        picks the preferred tier index per chunk; if that tier is full
-        the remaining tiers are tried in fallback order (slower first,
-        then faster), and if every tier is full the allocation raises
-        :class:`OutOfMemoryError`.
+        The size rounds up to whole 2 MiB slots.  With ``thp`` True every
+        slot is mapped as a huge page (transparent huge pages on a fresh
+        anonymous mapping), else as 512 base pages.  Pages fill the
+        ``preferred`` tier first and spill through the remaining tiers in
+        fallback order (slower first, then faster); a region that does
+        not fit raises :class:`OutOfMemoryError` before anything is
+        reserved, charged or mapped.
         """
         if nbytes <= 0:
             raise ValueError("region size must be positive")
         num_vpns = -(-nbytes // BASE_PAGE_SIZE)
         # Regions are 2 MiB aligned so THP can always engage.
         num_vpns = ((num_vpns + SUBPAGES_PER_HUGE - 1) >> HUGE_SHIFT) << HUGE_SHIFT
+        span = SUBPAGES_PER_HUGE if thp else 1
+        fill = self._plan_fill(num_vpns // span, span * BASE_PAGE_SIZE, preferred)
         base_vpn = self._reserve_vpns(num_vpns)
         region = Region(
             region_id=self._next_region_id,
@@ -160,28 +158,35 @@ class AddressSpace:
             thp=thp,
         )
         self._next_region_id += 1
-
-        chooser = tier_chooser or (lambda _nbytes: 0)
-        if thp:
-            for hpn in range(vpn_to_hpn(base_vpn), vpn_to_hpn(base_vpn + num_vpns)):
-                self._map_huge(hpn, self._pick_tier(chooser, HUGE_PAGE_SIZE))
-        else:
-            for vpn in range(base_vpn, base_vpn + num_vpns):
-                self._map_base(vpn, self._pick_tier(chooser, BASE_PAGE_SIZE))
-
+        for tier, lo, hi in fill:
+            self._map(slice(base_vpn + lo * span, base_vpn + hi * span),
+                      tier, (hi - lo) * span, thp)
         self._regions[region.region_id] = region
         return region
 
-    def _pick_tier(self, chooser: TierChooser, nbytes: int) -> int:
-        preferred = chooser(nbytes)
-        if self.tiers.tier(preferred).can_alloc(nbytes):
-            return preferred
-        for fallback in self.tiers.fallback_order(preferred)[1:]:
-            if self.tiers.tier(fallback).can_alloc(nbytes):
-                return fallback
-        raise OutOfMemoryError(
-            f"no tier can hold {nbytes} bytes ({self._free_summary()})"
-        )
+    def _plan_fill(self, num_pages: int, page_bytes: int, preferred: int):
+        """Where ``num_pages`` new pages of ``page_bytes`` go: the
+        preferred tier takes as many as its available bytes hold, then
+        each tier in fallback order does the same.  Returns the runs as
+        ``(tier, lo, hi)`` page-index spans, in order; raises
+        :class:`OutOfMemoryError` when the pages do not fit, before any
+        state changes.  A tier's available bytes only fall while a fill
+        maps (and a fault gate holds still within a batch), so this is
+        exactly where placing page after page would put them."""
+        runs = []
+        lo = 0
+        for tier in self.tiers.fallback_order(preferred):
+            hi = min(num_pages,
+                     lo + self.tiers.tier(tier).avail_bytes // page_bytes)
+            if hi > lo:
+                runs.append((tier, lo, hi))
+                lo = hi
+        if lo < num_pages:
+            raise OutOfMemoryError(
+                f"no tier can hold {(num_pages - lo) * page_bytes} bytes "
+                f"({self._free_summary()})"
+            )
+        return runs
 
     def _free_summary(self) -> str:
         """Per-tier free bytes for OOM diagnostics."""
@@ -209,16 +214,12 @@ class AddressSpace:
 
     # -- low-level map/unmap -------------------------------------------------
 
-    def _map_huge(self, hpn: int, tier: int) -> None:
-        base = hpn_to_vpn(hpn)
-        self.tiers.tier(tier).alloc(HUGE_PAGE_SIZE)
-        self.page_tier[base : base + SUBPAGES_PER_HUGE] = int(tier)
-        self.page_huge[base : base + SUBPAGES_PER_HUGE] = True
-
-    def _map_base(self, vpn: int, tier: int) -> None:
-        self.tiers.tier(tier).alloc(BASE_PAGE_SIZE)
-        self.page_tier[vpn] = int(tier)
-        self.page_huge[vpn] = False
+    def _map(self, vpns, tier: int, num_vpns: int, huge: bool) -> None:
+        """Map ``num_vpns`` unmapped vpns (a slice or an index array) on
+        ``tier``."""
+        self.tiers.tier(tier).alloc(num_vpns * BASE_PAGE_SIZE)
+        self.page_tier[vpns] = int(tier)
+        self.page_huge[vpns] = huge
 
     def _tier_bytes(self, page_tiers: np.ndarray) -> np.ndarray:
         """Bytes each tier backs among ``page_tiers`` entries (4 KiB each;
@@ -304,12 +305,19 @@ class AddressSpace:
     def demand_map(self, vpn: int, preferred: int) -> int:
         """Map one base page on first touch (e.g. a subpage freed by a
         huge-page split being written again).  Returns the tier used.
+
+        The page-at-a-time reference that :meth:`demand_map_many` is
+        tested against: the first tier in fallback order with room.
         """
         if self.page_tier[vpn] != TIER_UNMAPPED:
             raise ValueError(f"vpn {vpn} already mapped")
-        tier = self._pick_tier(lambda _n: preferred, BASE_PAGE_SIZE)
-        self._map_base(vpn, tier)
-        return tier
+        for tier in self.tiers.fallback_order(preferred):
+            if self.tiers.tier(tier).can_alloc(BASE_PAGE_SIZE):
+                self._map(vpn, tier, 1, False)
+                return tier
+        raise OutOfMemoryError(
+            f"no tier can hold {BASE_PAGE_SIZE} bytes ({self._free_summary()})"
+        )
 
     def demand_map_many(self, vpns: np.ndarray, preferred: int) -> None:
         """Demand-map a batch of unmapped base pages (vectorized).
@@ -332,28 +340,9 @@ class AddressSpace:
         repeats = ordered[1:][ordered[1:] == ordered[:-1]]
         if len(repeats):
             raise ValueError(f"vpn {int(repeats[0])} already mapped")
-        chunks = []
-        rest = vpns
-        for tier in self.tiers.fallback_order(preferred):
-            if not len(rest):
-                break
-            n_here = min(
-                len(rest),
-                self.tiers.tier(tier).avail_bytes // BASE_PAGE_SIZE,
-            )
-            chunks.append((tier, rest[:n_here]))
-            rest = rest[n_here:]
-        if len(rest):
-            raise OutOfMemoryError(
-                f"no tier can hold {len(rest) * BASE_PAGE_SIZE} bytes "
-                f"({self._free_summary()})"
-            )
-        for tier, chunk in chunks:
-            if not len(chunk):
-                continue
-            self.tiers.tier(tier).alloc(len(chunk) * BASE_PAGE_SIZE)
-            self.page_tier[chunk] = int(tier)
-            self.page_huge[chunk] = False
+        for tier, lo, hi in self._plan_fill(len(vpns), BASE_PAGE_SIZE,
+                                            preferred):
+            self._map(vpns[lo:hi], tier, hi - lo, False)
 
     # -- mapping mutations used by the migration engine ------------------------
 

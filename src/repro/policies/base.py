@@ -156,8 +156,8 @@ class TieringPolicy(abc.ABC):
         default).
 
         The preference is stated once per region; the address space
-        still applies *per-chunk* fallback through the slower tiers, so
-        a large region fills the remaining fast-tier space first and
+        still falls back through the slower tiers when this one fills,
+        so a large region fills the remaining fast-tier space first and
         spills downward -- the Linux local-node-first allocation
         behaviour.
         """

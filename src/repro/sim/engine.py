@@ -362,13 +362,12 @@ class Simulation:
         if event.key in self._regions:
             raise ValueError(f"region key {event.key!r} already allocated")
         # The policy states its preference once per region; the address
-        # space still applies per-chunk node fallback when a tier fills.
-        preferred = self.policy.choose_alloc_tier(event.nbytes)
+        # space falls back node by node when that tier fills.
         region = self.space.alloc_region(
             event.nbytes,
             name=event.key,
             thp=event.thp and not self.force_base_pages,
-            tier_chooser=lambda _chunk_bytes: preferred,
+            preferred=self.policy.choose_alloc_tier(event.nbytes),
         )
         self._regions[event.key] = region
         self.policy.on_region_alloc(region)

@@ -325,6 +325,11 @@ class _Sidecar:
         """Start the release cursor at access ``accesses``."""
         self.released = self._page_end(accesses)
 
+    def due(self) -> int:
+        """Fewest accesses at which :meth:`release` next drops pages."""
+        return -(-(self.released + RELEASE_STEP - self._offset)
+                 // self.array.itemsize)
+
     def release(self, accesses: int) -> None:
         """Drop the pages wholly before access ``accesses`` once they
         reach :data:`RELEASE_STEP` bytes past the cursor."""
@@ -448,6 +453,7 @@ class TraceWorkload(Workload):
         #: Where the next ``events()`` call begins, in replayed events
         #: (one-shot, then resets to 0).
         self._start = 0
+        self._schedule_release()
 
     @property
     def num_replay_events(self) -> int:
@@ -472,14 +478,36 @@ class TraceWorkload(Workload):
         return (self._ev_access_start[i]
                 + (num_events - rs[i]) * (self.event_accesses or 0))
 
+    def _events_reaching(self, accesses: int):
+        """Fewest replayed events holding ``accesses`` (> 0) accesses
+        (infinite past the trace's end)."""
+        eas, rs = self._ev_access_start, self._replay_start
+        i = bisect.bisect_left(eas, accesses)
+        if i == len(eas):
+            return float("inf")
+        if self.event_accesses is None:
+            return rs[i]
+        # Every replayed chunk of event i - 1 but its last is full.
+        chunks = -(-(accesses - eas[i - 1]) // self.event_accesses)
+        return min(rs[i - 1] + chunks, rs[i])
+
+    def _schedule_release(self) -> None:
+        """Note the replayed event count at which a sidecar's next
+        release falls due, so that reports before it cost one compare."""
+        self._release_due = (
+            self._events_reaching(min(s.due() for s in self._sidecars))
+            if self._sidecars else float("inf"))
+
     def release_events(self, num_events: int) -> None:
         """The caller is done with the first ``num_events`` replayed
         events: release the mapped pages wholly behind them, in
         :data:`RELEASE_STEP` steps (a no-op for an in-memory trace)."""
-        if self._sidecars:
-            accesses = self._access_position(num_events)
-            for sidecar in self._sidecars:
-                sidecar.release(accesses)
+        if num_events < self._release_due:
+            return
+        accesses = self._access_position(num_events)
+        for sidecar in self._sidecars:
+            sidecar.release(accesses)
+        self._schedule_release()
 
     # -- replay ------------------------------------------------------------
 
@@ -490,6 +518,7 @@ class TraceWorkload(Workload):
             accesses = self._access_position(start)
             for sidecar in self._sidecars:
                 sidecar.rewind(accesses)
+            self._schedule_release()
         if start >= self.num_replay_events and self.num_replay_events:
             return
         kinds, args = self._kinds, self._args

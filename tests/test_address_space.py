@@ -9,6 +9,7 @@ from repro.mem.tiers import (
     FASTEST_TIER,
     OutOfMemoryError,
     TieredMemory,
+    cxl_spec,
     dram_spec,
     nvm_spec,
 )
@@ -49,7 +50,7 @@ class TestAllocation:
 
     def test_fast_first_with_fallback(self):
         space = make_space(fast_mb=4, cap_mb=64)
-        region = space.alloc_region(8 * MB, tier_chooser=lambda n: FASTEST_TIER)
+        region = space.alloc_region(8 * MB, preferred=FASTEST_TIER)
         tiers_used = set(space.page_tier[region.base_vpn : region.end_vpn].tolist())
         assert tiers_used == {FASTEST_TIER, 1}
         assert space.tiers.fast.free_bytes == 0
@@ -60,6 +61,31 @@ class TestAllocation:
         space.alloc_region(4 * MB)
         with pytest.raises(OutOfMemoryError):
             space.alloc_region(2 * MB)
+
+    def test_oom_leaves_the_space_unchanged(self):
+        """A region that does not fit raises before anything is
+        reserved, charged or mapped."""
+        space = make_space(fast_mb=4, cap_mb=2)
+        # A recycled 4 MB range the failed region must not take.
+        space.free_region(space.alloc_region(4 * MB, thp=False))
+        space.alloc_region(2 * MB, thp=False)
+        space.alloc_region(2 * MB, thp=False)  # 2 MB left free
+        used = [t.used_bytes for t in space.tiers]
+        page_tier, page_huge = space.page_tier.copy(), space.page_huge.copy()
+        regions, bump = space.regions, space._bump_vpn
+        recycle = {k: list(v) for k, v in space._recycle.items()}
+        with pytest.raises(OutOfMemoryError):
+            space.alloc_region(3 * MB, thp=False)
+        assert [t.used_bytes for t in space.tiers] == used
+        np.testing.assert_array_equal(space.page_tier, page_tier)
+        np.testing.assert_array_equal(space.page_huge, page_huge)
+        assert space.regions == regions
+        assert space._bump_vpn == bump
+        assert space._recycle == recycle
+        space.check_consistency()
+        # The 2 MB still free holds a region that fits.
+        space.alloc_region(2 * MB, thp=False)
+        space.check_consistency()
 
     def test_rss_accounts_mapped_not_touched(self):
         """Huge-page bloat: RSS counts whole mappings (§6.2.5 Btree)."""
@@ -75,6 +101,75 @@ class TestAllocation:
         space.alloc_region(6 * MB, thp=True)
         space.alloc_region(2 * MB, thp=False)
         assert space.huge_page_ratio() == pytest.approx(0.75)
+
+
+def per_page_fill(space, num_vpns, thp, preferred):
+    """Reference fill: each page, in order, on the first tier in
+    fallback order with room for it; returns each vpn's tier and charges
+    the tiers, or raises OutOfMemoryError after charging what fit."""
+    span = SUBPAGES_PER_HUGE if thp else 1
+    placed = []
+    for _ in range(num_vpns // span):
+        fits = [t for t in space.tiers.fallback_order(preferred)
+                if space.tiers.tier(t).can_alloc(span * BASE_PAGE_SIZE)]
+        if not fits:
+            raise OutOfMemoryError("reference: no tier has room")
+        space.tiers.tier(fits[0]).alloc(span * BASE_PAGE_SIZE)
+        placed.append(fits[0])
+    return np.repeat(np.array(placed, dtype=np.int8), span)
+
+
+#: Capacities in MB, fastest first; odd sizes leave room for base pages
+#: that no huge page fits.
+MACHINES = {
+    "2-tier": [(dram_spec, 5), (nvm_spec, 16)],
+    "3-tier": [(dram_spec, 5), (cxl_spec, 7), (nvm_spec, 16)],
+}
+
+
+class TestFillPlanner:
+    """``alloc_region`` maps each tier's pages in one run; it places
+    every page where the page-at-a-time fill would."""
+
+    @staticmethod
+    def _space(machine, gated, prefill_tier):
+        tiers = TieredMemory.build(
+            *(spec(mb * MB) for spec, mb in MACHINES[machine]))
+        space = AddressSpace(tiers)
+        if prefill_tier is not None:  # leave the preferred tier partly full
+            space.alloc_region(2 * MB, thp=False, preferred=prefill_tier)
+        if gated:  # an allocation outage on the fast tier
+            tiers.fast.fault_gate = lambda: True
+        return space
+
+    @pytest.mark.parametrize("gated", [False, True], ids=["open", "gated"])
+    @pytest.mark.parametrize("thp", [True, False], ids=["thp", "base"])
+    @pytest.mark.parametrize("machine", sorted(MACHINES))
+    def test_matches_the_per_page_fill(self, machine, thp, gated):
+        num_tiers = len(MACHINES[machine])
+        for preferred in range(num_tiers):
+            for prefill in (None, preferred):
+                for mb in (2, 8, 14, 40):
+                    got = self._space(machine, gated, prefill)
+                    ref = self._space(machine, gated, prefill)
+                    num_vpns = mb * MB // BASE_PAGE_SIZE
+                    try:
+                        want = per_page_fill(ref, num_vpns, thp, preferred)
+                    except OutOfMemoryError:
+                        used = [t.used_bytes for t in got.tiers]
+                        with pytest.raises(OutOfMemoryError):
+                            got.alloc_region(mb * MB, thp=thp,
+                                             preferred=preferred)
+                        assert [t.used_bytes for t in got.tiers] == used
+                        continue
+                    region = got.alloc_region(mb * MB, thp=thp,
+                                              preferred=preferred)
+                    span = slice(region.base_vpn, region.end_vpn)
+                    np.testing.assert_array_equal(got.page_tier[span], want)
+                    assert (got.page_huge[span] == thp).all()
+                    assert ([t.used_bytes for t in got.tiers]
+                            == [t.used_bytes for t in ref.tiers])
+                    got.check_consistency()
 
 
 class TestFreeAndRecycle:
@@ -126,7 +221,7 @@ class TestFreeAndRecycle:
 class TestMutations:
     def test_retarget_moves_bytes(self):
         space = make_space()
-        region = space.alloc_region(2 * MB, tier_chooser=lambda n: FASTEST_TIER)
+        region = space.alloc_region(2 * MB, preferred=FASTEST_TIER)
         moved = space.retarget(region.base_vpn, is_huge=True, dst=1)
         assert moved == HUGE_PAGE_SIZE
         assert space.tiers.fast.used_bytes == 0
@@ -135,14 +230,14 @@ class TestMutations:
 
     def test_retarget_same_tier_is_noop(self):
         space = make_space()
-        region = space.alloc_region(2 * MB, tier_chooser=lambda n: FASTEST_TIER)
+        region = space.alloc_region(2 * MB, preferred=FASTEST_TIER)
         assert space.retarget(region.base_vpn, True, FASTEST_TIER) == 0
 
     def test_retarget_unaligned_huge_rejected(self):
         # Only the 2 MiB head names a huge mapping: an interior vpn would
         # retarget a 512-vpn span reaching into the next slot.
         space = make_space()
-        region = space.alloc_region(4 * MB, tier_chooser=lambda n: FASTEST_TIER)
+        region = space.alloc_region(4 * MB, preferred=FASTEST_TIER)
         before = space.page_tier.copy()
         with pytest.raises(KeyError):
             space.retarget(region.base_vpn + 100, is_huge=True, dst=1)
@@ -154,7 +249,7 @@ class TestMutations:
         # A 4 KiB move of a huge page's head would move 4 KiB of
         # accounting and one page_tier entry out of a 2 MiB mapping.
         space = make_space()
-        region = space.alloc_region(2 * MB, tier_chooser=lambda n: FASTEST_TIER)
+        region = space.alloc_region(2 * MB, preferred=FASTEST_TIER)
         with pytest.raises(KeyError):
             space.retarget_many(
                 np.array([region.base_vpn]), is_huge=False, dst=1)
@@ -166,7 +261,7 @@ class TestMutations:
 
     def test_split_frees_and_migrates(self):
         space = make_space()
-        region = space.alloc_region(2 * MB, tier_chooser=lambda n: FASTEST_TIER)
+        region = space.alloc_region(2 * MB, preferred=FASTEST_TIER)
         hpn = region.base_vpn >> 9
         tiers = [FASTEST_TIER] * 10 + [None] * 10 + \
                 [1] * (SUBPAGES_PER_HUGE - 20)
@@ -178,7 +273,7 @@ class TestMutations:
 
     def test_collapse_roundtrip(self):
         space = make_space()
-        region = space.alloc_region(2 * MB, tier_chooser=lambda n: FASTEST_TIER)
+        region = space.alloc_region(2 * MB, preferred=FASTEST_TIER)
         hpn = region.base_vpn >> 9
         space.split_huge(hpn, [1] * SUBPAGES_PER_HUGE)
         moved = space.collapse_huge(hpn, FASTEST_TIER)

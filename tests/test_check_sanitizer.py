@@ -43,7 +43,7 @@ def make_sanitizer(ctx, ks=None, km=None, level="strict"):
 
 def alloc(ctx, ks, mb, tier, thp=True):
     region = ctx.space.alloc_region(
-        mb * MB, thp=thp, tier_chooser=lambda n: tier)
+        mb * MB, thp=thp, preferred=tier)
     if ks is not None:
         ks.on_region_alloc(region)
     return region

@@ -32,7 +32,7 @@ def samples_of(vpns):
 
 def alloc(ctx, ks, mb, tier, thp=True):
     region = ctx.space.alloc_region(
-        mb * MB, thp=thp, tier_chooser=lambda n: tier)
+        mb * MB, thp=thp, preferred=tier)
     ks.on_region_alloc(region)
     return region
 

@@ -95,9 +95,9 @@ class TestSampleProcessing:
     def test_promotion_queue_only_capacity_pages(self, ctx):
         ks = make_ksampled(ctx)
         fast_region = ctx.space.alloc_region(
-            2 * MB, thp=True, tier_chooser=lambda n: FASTEST_TIER)
+            2 * MB, thp=True, preferred=FASTEST_TIER)
         cap_region = ctx.space.alloc_region(
-            2 * MB, thp=True, tier_chooser=lambda n: 1)
+            2 * MB, thp=True, preferred=1)
         for region in (fast_region, cap_region):
             ks.on_region_alloc(region)
         ks.process_samples(samples_of(
@@ -108,9 +108,9 @@ class TestSampleProcessing:
     def test_rhr_counts_fast_tier_samples(self, ctx):
         ks = make_ksampled(ctx)
         fast_region = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: FASTEST_TIER)
+            2 * MB, preferred=FASTEST_TIER)
         cap_region = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: 1)
+            2 * MB, preferred=1)
         ks.on_region_alloc(fast_region)
         ks.on_region_alloc(cap_region)
         ks.process_samples(samples_of(
@@ -159,7 +159,7 @@ class TestSplitAccounting:
     def test_on_split_reweights_histogram(self, ctx):
         ks = make_ksampled(ctx)
         region = ctx.space.alloc_region(
-            2 * MB, thp=True, tier_chooser=lambda n: FASTEST_TIER)
+            2 * MB, thp=True, preferred=FASTEST_TIER)
         ks.on_region_alloc(region)
         head = region.base_vpn
         ks.process_samples(samples_of([head + j for j in range(8)] * 3))
@@ -180,7 +180,7 @@ class TestSplitAccounting:
     def test_on_collapse_restores_huge_entry(self, ctx):
         ks = make_ksampled(ctx)
         region = ctx.space.alloc_region(
-            2 * MB, thp=True, tier_chooser=lambda n: FASTEST_TIER)
+            2 * MB, thp=True, preferred=FASTEST_TIER)
         ks.on_region_alloc(region)
         head = region.base_vpn
         kept = np.ones(SUBPAGES_PER_HUGE, dtype=bool)

@@ -46,7 +46,7 @@ class TestSinglePageMoves:
     def test_base_migration_accounts_traffic_and_cost(self):
         space, _tlb, engine = setup()
         region = space.alloc_region(2 * MB, thp=False,
-                                    tier_chooser=lambda n: 1)
+                                    preferred=1)
         ns = engine.migrate_base(region.base_vpn, FASTEST_TIER)
         assert ns > 0
         assert engine.stats.promoted_bytes == BASE_PAGE_SIZE
@@ -57,9 +57,9 @@ class TestSinglePageMoves:
     def test_huge_costs_more_than_base(self):
         space, _tlb, engine = setup()
         huge_region = space.alloc_region(
-            2 * MB, thp=True, tier_chooser=lambda n: 1)
+            2 * MB, thp=True, preferred=1)
         base_region = space.alloc_region(
-            2 * MB, thp=False, tier_chooser=lambda n: 1)
+            2 * MB, thp=False, preferred=1)
         ns_huge = engine.migrate_huge(huge_region.base_vpn >> 9, FASTEST_TIER)
         ns_base = engine.migrate_base(base_region.base_vpn, FASTEST_TIER)
         # The 2 MiB copy dominates: much costlier than one 4 KiB move,
@@ -69,27 +69,27 @@ class TestSinglePageMoves:
     def test_critical_flag_routes_cost(self):
         space, _tlb, engine = setup()
         region = space.alloc_region(2 * MB, thp=False,
-                                    tier_chooser=lambda n: 1)
+                                    preferred=1)
         ns = engine.migrate_base(region.base_vpn, FASTEST_TIER, critical=True)
         assert engine.stats.critical_path_ns == ns
         assert engine.stats.background_ns == 0
 
     def test_noop_when_already_there(self):
         space, _tlb, engine = setup()
-        region = space.alloc_region(2 * MB, tier_chooser=lambda n: FASTEST_TIER)
+        region = space.alloc_region(2 * MB, preferred=FASTEST_TIER)
         assert engine.migrate_huge(region.base_vpn >> 9, FASTEST_TIER) == 0.0
         assert engine.stats.traffic_bytes == 0
 
     def test_migrate_page_dispatches_on_shape(self):
         space, _tlb, engine = setup()
         region = space.alloc_region(2 * MB, thp=True,
-                                    tier_chooser=lambda n: 1)
+                                    preferred=1)
         engine.migrate_page(region.base_vpn + 17, FASTEST_TIER)
         assert engine.stats.promoted_bytes == HUGE_PAGE_SIZE
 
     def test_shootdown_on_migration(self):
         space, tlb, engine = setup()
-        region = space.alloc_region(2 * MB, tier_chooser=lambda n: FASTEST_TIER)
+        region = space.alloc_region(2 * MB, preferred=FASTEST_TIER)
         engine.migrate_huge(region.base_vpn >> 9, 1)
         assert tlb.stats.shootdowns == 1
 
@@ -97,7 +97,7 @@ class TestSinglePageMoves:
 class TestSplitCollapse:
     def test_split_accounting(self):
         space, tlb, engine = setup()
-        region = space.alloc_region(2 * MB, tier_chooser=lambda n: FASTEST_TIER)
+        region = space.alloc_region(2 * MB, preferred=FASTEST_TIER)
         hpn = region.base_vpn >> 9
         tiers = ([FASTEST_TIER] * 100 + [None] * 12
                  + [1] * (SUBPAGES_PER_HUGE - 112))
@@ -112,7 +112,7 @@ class TestSplitCollapse:
 
     def test_collapse_accounting(self):
         space, _tlb, engine = setup()
-        region = space.alloc_region(2 * MB, tier_chooser=lambda n: FASTEST_TIER)
+        region = space.alloc_region(2 * MB, preferred=FASTEST_TIER)
         hpn = region.base_vpn >> 9
         engine.split_huge(hpn, [1] * SUBPAGES_PER_HUGE)
         ns = engine.collapse_huge(hpn, FASTEST_TIER)
@@ -122,7 +122,7 @@ class TestSplitCollapse:
     def test_migrate_many(self):
         space, _tlb, engine = setup()
         region = space.alloc_region(2 * MB, thp=False,
-                                    tier_chooser=lambda n: 1)
+                                    preferred=1)
         vpns = np.arange(region.base_vpn, region.base_vpn + 10)
         total = engine.migrate_many(vpns, FASTEST_TIER)
         assert total > 0
@@ -140,7 +140,7 @@ class TestCopyFreeAndSideCopy:
     def test_copy_free_remap_charges_no_copy_or_traffic(self):
         space, _tlb, engine = setup()
         region = space.alloc_region(2 * MB, thp=False,
-                                    tier_chooser=lambda n: FASTEST_TIER)
+                                    preferred=FASTEST_TIER)
         full_ns = (engine.params.per_page_fixed_ns
                    + engine.params.copy_ns(BASE_PAGE_SIZE)
                    + engine.params.shootdown_ns)
@@ -168,9 +168,9 @@ class TestDemotionCascade:
 
     def test_cascade_spills_through_middle_tier(self):
         space, engine = setup_ntier(4, 4, 4)
-        space.alloc_region(4 * MB, thp=True, tier_chooser=lambda n: 1)
-        space.alloc_region(2 * MB, thp=True, tier_chooser=lambda n: 2)
-        mover = space.alloc_region(2 * MB, thp=True, tier_chooser=lambda n: 0)
+        space.alloc_region(4 * MB, thp=True, preferred=1)
+        space.alloc_region(2 * MB, thp=True, preferred=2)
+        mover = space.alloc_region(2 * MB, thp=True, preferred=0)
         engine.migrate_huge(mover.base_vpn >> 9, 1)
         assert int(space.page_tier[mover.base_vpn]) == 1
         assert engine.stats.cascade_pages == 1
@@ -179,9 +179,9 @@ class TestDemotionCascade:
 
     def test_cascade_recurses_through_two_full_tiers(self):
         space, engine = setup_ntier(4, 4, 4, 8)
-        space.alloc_region(4 * MB, thp=True, tier_chooser=lambda n: 1)
-        space.alloc_region(4 * MB, thp=True, tier_chooser=lambda n: 2)
-        mover = space.alloc_region(2 * MB, thp=True, tier_chooser=lambda n: 0)
+        space.alloc_region(4 * MB, thp=True, preferred=1)
+        space.alloc_region(4 * MB, thp=True, preferred=2)
+        mover = space.alloc_region(2 * MB, thp=True, preferred=0)
         engine.migrate_huge(mover.base_vpn >> 9, 1)
         assert int(space.page_tier[mover.base_vpn]) == 1
         # One victim moved at each level: tier1 -> tier2 and tier2 -> tier3.
@@ -192,8 +192,8 @@ class TestDemotionCascade:
     def test_full_hierarchy_terminates_with_caller_oom(self):
         space, engine = setup_ntier(4, 4, 4, 4)
         for idx in (1, 2, 3):
-            space.alloc_region(4 * MB, thp=True, tier_chooser=lambda n: idx)
-        mover = space.alloc_region(2 * MB, thp=True, tier_chooser=lambda n: 0)
+            space.alloc_region(4 * MB, thp=True, preferred=idx)
+        mover = space.alloc_region(2 * MB, thp=True, preferred=0)
         with pytest.raises(OutOfMemoryError):
             engine.migrate_huge(mover.base_vpn >> 9, 1)
         # The cascade moved nothing and accounting is intact.
@@ -208,16 +208,16 @@ class TestDemotionCascade:
         # Tier 1: a base-page region (lowest vpns, so first in victim
         # order) plus a huge page -- completely full.
         t1_bases = space.alloc_region(2 * MB, thp=False,
-                                      tier_chooser=lambda n: 1)
-        space.alloc_region(2 * MB, thp=True, tier_chooser=lambda n: 1)
+                                      preferred=1)
+        space.alloc_region(2 * MB, thp=True, preferred=1)
         # Tier 2: full, then promote two of its base pages out so it has
         # exactly 8 KiB of room for cascade spill.
         t2_bases = space.alloc_region(2 * MB, thp=False,
-                                      tier_chooser=lambda n: 2)
-        space.alloc_region(2 * MB, thp=True, tier_chooser=lambda n: 2)
+                                      preferred=2)
+        space.alloc_region(2 * MB, thp=True, preferred=2)
         engine.migrate_many(
             np.arange(t2_bases.base_vpn, t2_bases.base_vpn + 2), 0)
-        mover = space.alloc_region(2 * MB, thp=True, tier_chooser=lambda n: 0)
+        mover = space.alloc_region(2 * MB, thp=True, preferred=0)
         engine.stats = MigrationStats()
 
         with pytest.raises(OutOfMemoryError):
@@ -236,9 +236,9 @@ class TestDemotionCascade:
     def test_two_tier_machines_keep_strict_oom(self):
         space, _tlb, engine = setup(fast_mb=4, cap_mb=4)
         space.alloc_region(4 * MB, thp=True,
-                           tier_chooser=lambda n: 1)
+                           preferred=1)
         mover = space.alloc_region(2 * MB, thp=True,
-                                   tier_chooser=lambda n: FASTEST_TIER)
+                                   preferred=FASTEST_TIER)
         with pytest.raises(OutOfMemoryError):
             engine.migrate_huge(mover.base_vpn >> 9, 1)
         assert engine.stats.cascade_pages == 0

@@ -119,7 +119,7 @@ class TestBaseMappings:
 class TestHugeMappings:
     def test_huge_covers_512_vpns(self):
         space = make_space()
-        region = space.alloc_region(2 * MB, tier_chooser=lambda n: 1)
+        region = space.alloc_region(2 * MB, preferred=1)
         head = region.base_vpn
         for vpn in (head, head + SUBPAGES_PER_HUGE - 1):
             assert space.page_huge[vpn]
@@ -211,7 +211,7 @@ class TestSplitCollapse:
 
     def test_collapse_roundtrip(self):
         space = make_space()
-        region = space.alloc_region(2 * MB, thp=False, tier_chooser=lambda n: 1)
+        region = space.alloc_region(2 * MB, thp=False, preferred=1)
         moved = space.collapse_huge(region.base_vpn >> 9, FASTEST_TIER)
         assert moved == HUGE_PAGE_SIZE
         assert space.page_huge[region.base_vpn + 88]
@@ -351,11 +351,14 @@ class MappingModel(RuleBasedStateMachine):
         for _ in range(slots if thp else slots * SUBPAGES_PER_HUGE):
             fits = [t for t in fallback(preferred) if CAPACITY[t] - used[t] >= size]
             if not fits:
-                return  # alloc_region maps chunk by chunk until it runs out
+                with pytest.raises(OutOfMemoryError):  # all or nothing
+                    self.space.alloc_region(
+                        slots * HUGE_PAGE_SIZE, thp=thp, preferred=preferred)
+                return
             used[fits[0]] += size
             placement.append(fits[0])
         region = self.space.alloc_region(
-            slots * HUGE_PAGE_SIZE, thp=thp, tier_chooser=lambda n: preferred)
+            slots * HUGE_PAGE_SIZE, thp=thp, preferred=preferred)
         assert not any(v in self.model for v in range(region.base_vpn, region.end_vpn))
         step = SUBPAGES_PER_HUGE if thp else 1
         for i, tier in enumerate(placement):

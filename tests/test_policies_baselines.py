@@ -59,7 +59,7 @@ class TestAutoNUMA:
         policy = AutoNUMAPolicy(scan_period_ns=1e6, scan_fraction=1.0)
         ctx = bind(policy)
         region = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: 1)
+            2 * MB, preferred=1)
         policy.on_tick(now_ns=2e6)
         assert policy.protection_mask[region.base_vpn]
         ns = policy.on_hint_faults(np.array([region.base_vpn]))
@@ -71,9 +71,9 @@ class TestAutoNUMA:
     def test_no_promotion_when_fast_full(self):
         policy = AutoNUMAPolicy(scan_period_ns=1e6, scan_fraction=1.0)
         ctx = bind(policy, fast_mb=2)
-        ctx.space.alloc_region(2 * MB, tier_chooser=lambda n: FASTEST_TIER)
+        ctx.space.alloc_region(2 * MB, preferred=FASTEST_TIER)
         region = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: 1)
+            2 * MB, preferred=1)
         policy.on_tick(2e6)
         ns = policy.on_hint_faults(np.array([region.base_vpn]))
         # AutoNUMA has no demotion: the page stays put.
@@ -82,7 +82,7 @@ class TestAutoNUMA:
     def test_never_demotes(self):
         policy = AutoNUMAPolicy()
         ctx = bind(policy)
-        ctx.space.alloc_region(8 * MB, tier_chooser=lambda n: FASTEST_TIER)
+        ctx.space.alloc_region(8 * MB, preferred=FASTEST_TIER)
         for t in range(10):
             policy.on_tick(t * 1e8)
         assert ctx.migrator.stats.demoted_bytes == 0
@@ -93,7 +93,7 @@ class TestTPP:
         policy = TPPPolicy(scan_period_ns=1e6, scan_fraction=1.0)
         ctx = bind(policy)
         region = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: 1)
+            2 * MB, preferred=1)
         head = region.base_vpn
         policy.on_tick(2e6)
         policy.on_hint_faults(np.array([head]))
@@ -107,7 +107,7 @@ class TestTPP:
                            free_headroom=0.5)
         ctx = bind(policy, fast_mb=4)
         region = ctx.space.alloc_region(
-            4 * MB, tier_chooser=lambda n: FASTEST_TIER)
+            4 * MB, preferred=FASTEST_TIER)
         # Everything referenced: the demotion daemon must stall.
         ctx.space.ref_bit[region.base_vpn : region.end_vpn] = True
         policy.on_tick(2e6)
@@ -123,7 +123,7 @@ class TestTiering08:
                                  refault_window_ns=5e6)
         ctx = bind(policy)
         region = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: 1)
+            2 * MB, preferred=1)
         head = region.base_vpn
         policy.on_tick(1e6)
         policy.on_hint_faults(np.array([head]))
@@ -142,7 +142,7 @@ class TestTiering08:
                                  promotion_rate_bytes_per_s=1.0)
         ctx = bind(policy)
         region = ctx.space.alloc_region(
-            4 * MB, tier_chooser=lambda n: 1)
+            4 * MB, preferred=1)
         heads = [region.base_vpn, region.base_vpn + SUBPAGES_PER_HUGE]
         for t in (1e6, 2e6):
             policy.on_tick(t)
@@ -156,7 +156,7 @@ class TestNimble:
         policy = NimblePolicy(scan_period_ns=1e6)
         ctx = bind(policy)
         region = ctx.space.alloc_region(
-            4 * MB, tier_chooser=lambda n: 1)
+            4 * MB, preferred=1)
         ctx.space.record_touch(
             np.arange(region.base_vpn, region.base_vpn + 2 * SUBPAGES_PER_HUGE)
         )
@@ -173,9 +173,9 @@ class TestNimble:
     def test_exchanges_with_unreferenced_fast_pages(self):
         policy = NimblePolicy(scan_period_ns=1e6)
         ctx = bind(policy, fast_mb=4)
-        cold = ctx.space.alloc_region(4 * MB, tier_chooser=lambda n: FASTEST_TIER)
+        cold = ctx.space.alloc_region(4 * MB, preferred=FASTEST_TIER)
         hot = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: 1)
+            2 * MB, preferred=1)
         ctx.space.record_touch(np.array([hot.base_vpn]))
         policy.on_tick(2e6)
         assert ctx.space.page_tier[hot.base_vpn] == FASTEST_TIER
@@ -187,7 +187,7 @@ class TestMultiClock:
         policy = MultiClockPolicy(scan_period_ns=1e6)
         ctx = bind(policy)
         region = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: 1)
+            2 * MB, preferred=1)
         head = region.base_vpn
         ctx.space.record_touch(np.array([head]))
         policy.on_tick(1e6)
@@ -200,7 +200,7 @@ class TestMultiClock:
         policy = MultiClockPolicy(scan_period_ns=1e6)
         ctx = bind(policy)
         region = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: 1)
+            2 * MB, preferred=1)
         head = region.base_vpn
         ctx.space.record_touch(np.array([head]))
         policy.on_tick(1e6)
@@ -219,7 +219,7 @@ class TestHeMem:
         policy = HeMemPolicy(hot_threshold=4, migrate_period_ns=1e6)
         ctx = bind(policy)
         region = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: 1)
+            2 * MB, preferred=1)
         head = region.base_vpn
         policy.on_batch(obs_for([head], samples=self._sampled([head] * 4)))
         policy.on_tick(2e6)
@@ -246,7 +246,7 @@ class TestHeMem:
         policy = HeMemPolicy(small_alloc_fraction=0.05)
         ctx = bind(policy, fast_mb=16, cap_mb=96)
         small = ctx.space.alloc_region(
-            2 * MB, tier_chooser=policy.choose_alloc_tier)
+            2 * MB, preferred=policy.choose_alloc_tier(2 * MB))
         policy.on_region_alloc(small)
         assert policy.overallocated_bytes == 2 * MB
         assert policy._pinned[small.base_vpn]
@@ -259,7 +259,7 @@ class TestHeMem:
         policy = HeMemPolicy(hot_threshold=1, migrate_period_ns=1e6)
         ctx = bind(policy, fast_mb=2, cap_mb=96)
         region = ctx.space.alloc_region(
-            8 * MB, tier_chooser=lambda n: 1)
+            8 * MB, preferred=1)
         heads = [region.base_vpn + i * SUBPAGES_PER_HUGE for i in range(4)]
         policy.on_batch(obs_for(heads, samples=self._sampled(heads * 2)))
         policy.on_tick(2e6)
@@ -281,9 +281,9 @@ class TestSharedMechanisms:
 
     def test_demote_in_order_skips_subpages_of_a_moved_huge_mapping(self):
         policy, ctx = self._policy()
-        huge = ctx.space.alloc_region(2 * MB, tier_chooser=lambda n: 0)
+        huge = ctx.space.alloc_region(2 * MB, preferred=0)
         base = ctx.space.alloc_region(2 * MB, thp=False,
-                                      tier_chooser=lambda n: 0)
+                                      preferred=0)
         # TPP and Tiering-0.8 pass subpage vpns, not heads.
         vpns = np.concatenate([
             np.arange(huge.base_vpn, huge.end_vpn),
@@ -300,15 +300,15 @@ class TestSharedMechanisms:
     def test_demote_in_order_stops_at_the_byte_target(self, need, expected):
         policy, ctx = self._policy()
         base = ctx.space.alloc_region(2 * MB, thp=False,
-                                      tier_chooser=lambda n: 0)
+                                      preferred=0)
         vpns = np.arange(base.base_vpn, base.end_vpn)
         assert policy.demote_in_order(vpns, need) == expected
         assert int(np.count_nonzero(ctx.space.page_tier[vpns] == 1)) == expected
 
     def test_promote_with_room_gives_make_room_one_chance(self):
         policy, ctx = self._policy(fast_mb=2)
-        ctx.space.alloc_region(2 * MB, tier_chooser=lambda n: 0)
-        cap = ctx.space.alloc_region(2 * MB, tier_chooser=lambda n: 1)
+        ctx.space.alloc_region(2 * MB, preferred=0)
+        cap = ctx.space.alloc_region(2 * MB, preferred=1)
         asked = []
         assert not policy.promote_with_room(cap.base_vpn, asked.append)
         assert asked == [2 * MB]
@@ -339,9 +339,9 @@ class TestSharedMechanisms:
 
     def test_unprotect_mapping_clears_a_whole_huge_mapping_one_base_page(self):
         policy, ctx = self._policy()
-        huge = ctx.space.alloc_region(2 * MB, tier_chooser=lambda n: 1)
+        huge = ctx.space.alloc_region(2 * MB, preferred=1)
         base = ctx.space.alloc_region(2 * MB, thp=False,
-                                      tier_chooser=lambda n: 1)
+                                      preferred=1)
         policy.protection_mask[:] = True
         assert policy.unprotect_mapping(huge.base_vpn + 7) == huge.base_vpn
         assert not policy.protection_mask[huge.base_vpn : huge.end_vpn].any()

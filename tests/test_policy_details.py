@@ -36,7 +36,7 @@ class TestAutoNUMARateLimit:
         ctx = make_context()
         policy.bind(ctx)
         region = ctx.space.alloc_region(
-            4 * MB, tier_chooser=lambda n: 1)
+            4 * MB, preferred=1)
         policy.on_tick(2e6)
         heads = np.array([region.base_vpn,
                           region.base_vpn + SUBPAGES_PER_HUGE])
@@ -52,7 +52,7 @@ class TestTiering08Reclaim:
         ctx = make_context(fast_mb=4)
         policy.bind(ctx)
         region = ctx.space.alloc_region(
-            4 * MB, tier_chooser=lambda n: FASTEST_TIER)
+            4 * MB, preferred=FASTEST_TIER)
         ctx.space.ref_bit[region.base_vpn : region.end_vpn] = True
         policy.on_tick(2e6)
         # Everything on the active list: reclaim stalls entirely.
@@ -66,7 +66,7 @@ class TestNimbleBudget:
         ctx = make_context(fast_mb=8)
         policy.bind(ctx)
         region = ctx.space.alloc_region(
-            16 * MB, tier_chooser=lambda n: 1)
+            16 * MB, preferred=1)
         ctx.space.record_touch(
             np.arange(region.base_vpn, region.end_vpn)
         )

@@ -165,7 +165,7 @@ class TestMechanisms:
         policy.bind(ctx)
         space, migrator = ctx.space, ctx.migrator
         region = space.alloc_region(2 * 1024 * 1024, thp=False,
-                                    tier_chooser=lambda n: 1)
+                                    preferred=1)
         vpn = int(region.base_vpn)
         policy._pending.add(vpn)
         policy._dirty[vpn] = True  # concurrent write raced the copy

@@ -53,7 +53,7 @@ class TestThermostat:
         ctx = make_context(fast_mb=4)
         policy.bind(ctx)
         region = ctx.space.alloc_region(
-            4 * MB, tier_chooser=lambda n: FASTEST_TIER)
+            4 * MB, preferred=FASTEST_TIER)
         hot_head = region.base_vpn
         policy.on_tick(1e6)
         policy.on_hint_faults(np.array([hot_head] * 10))

@@ -37,7 +37,7 @@ class TestPromotion:
         policy = TMTSPolicy(migrate_period_ns=1e6, scan_period_ns=1e6)
         ctx = bind(policy)
         region = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: 1)
+            2 * MB, preferred=1)
         policy.on_batch(obs_with_samples([region.base_vpn + 5]))
         policy.on_tick(2e6)
         assert ctx.space.page_tier[region.base_vpn] == FASTEST_TIER
@@ -47,7 +47,7 @@ class TestPromotion:
         policy = TMTSPolicy(migrate_period_ns=1e6)
         ctx = bind(policy)
         region = ctx.space.alloc_region(
-            2 * MB, tier_chooser=lambda n: 1)
+            2 * MB, preferred=1)
         assert policy.on_batch(obs_with_samples([region.base_vpn])) == 0.0
         policy.on_tick(2e6)
         assert ctx.migrator.stats.critical_path_ns == 0.0
@@ -58,7 +58,7 @@ class TestDemotion:
         policy = TMTSPolicy(scan_period_ns=1e6, migrate_period_ns=1e6)
         ctx = bind(policy, fast_mb=4)
         region = ctx.space.alloc_region(
-            4 * MB, tier_chooser=lambda n: FASTEST_TIER)
+            4 * MB, preferred=FASTEST_TIER)
         ctx.space.record_touch(
             np.arange(region.base_vpn, region.base_vpn + 20)
         )

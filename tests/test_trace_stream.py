@@ -457,6 +457,29 @@ class TestRelease:
             offset = sidecar._offset + accesses * sidecar.array.itemsize
             assert floor == offset - offset % mmap.PAGESIZE
 
+    @pytest.mark.parametrize("event_accesses", [None, 1_000, EVENT])
+    @pytest.mark.parametrize("seek", [0, 7])
+    def test_reports_between_releases_are_skipped_exactly(
+            self, trace, event_accesses, seek):
+        """``release_events`` skips the reports before the next release
+        falls due; every sidecar's released span still equals releasing
+        on each report, from the first report on which one is due."""
+        skipping = TraceWorkload(trace, event_accesses=event_accesses)
+        every = TraceWorkload(trace, event_accesses=event_accesses)
+        skipping.seek_events(seek)
+        next(skipping.events(None))
+        start = every._access_position(seek)
+        for sidecar in every._sidecars:
+            sidecar.rewind(start)
+        for n in range(seek + 1, skipping.num_replay_events + 1):
+            skipping.release_events(n)
+            accesses = every._access_position(n)
+            for sidecar in every._sidecars:
+                sidecar.release(accesses)
+            assert ([sc.released for sc in skipping._sidecars]
+                    == [sc.released for sc in every._sidecars]), n
+        assert all(sc.released > 0 for sc in skipping._sidecars)
+
     def test_the_engine_releases_what_it_processed(self, trace):
         sim, workload = _replay(trace, macro_batch=262_144,
                                 event_accesses=self.EVENT)
