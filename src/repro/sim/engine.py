@@ -73,6 +73,14 @@ PERMUTE_CROSSOVER = 4096
 AHEAD_MIN_ACCESSES = 65536
 
 
+def stream_rng(seed: int) -> np.random.Generator:
+    """The generator a simulation seeded ``seed`` draws its workload's
+    event stream from (the engine itself draws from ``seed``, its
+    policy from ``seed + 1``).  Whoever records a stream for that
+    simulation to replay draws it from here too."""
+    return np.random.default_rng(seed + 2)
+
+
 #: What a checkpoint holds: each component's name in the checkpoint and
 #: its attribute path on the engine.  The engine names the components;
 #: the snapshot walk (``repro.snapshot.walk``) decides how each is saved.
@@ -460,7 +468,7 @@ class Simulation:
         copy of ``rng``, and compares arrays and RNG state.  ``owned``
         says fusion allocated ``batch.vpn``: the shuffle then packs and
         unpacks in that array.  Otherwise it is a workload's array (a
-        read-only trace view, a generator's or a tee's recording) and is
+        read-only trace view or a generator's array) and is
         copied once first.  ``is_store`` is never written: the unpacked
         flags go to a fresh array.
         """
@@ -783,10 +791,8 @@ class Simulation:
         pages can go, while the items still in flight stay mapped.
 
         Batches are prepared ahead only where this process has a second
-        core to itself (:func:`repro.workloads.prefetch.spare_core`), the
-        stream is read directly, and the workload runs no helper of its
-        own (``Workload.prepare_ahead``; a tee does): a run never has
-        two helpers.
+        core to itself (:func:`repro.workloads.prefetch.spare_core`) and
+        the stream is read directly: a run never has two helpers.
         """
         phase = self._phase_ns
         while skip > 0:
@@ -801,8 +807,7 @@ class Simulation:
         coalescer = EventCoalescer(
             events, target=self.macro_batch or 1, phase_ns=phase
         )
-        ahead = (spare_core() and self.workload.prepare_ahead
-                 and not isinstance(events, RunAhead))
+        ahead = spare_core() and not isinstance(events, RunAhead)
         release = getattr(self.workload, "release_events", None)
         with closing(self._prepared(iter(coalescer), ahead)) as items:
             for events_fused, event in items:
@@ -845,8 +850,7 @@ class Simulation:
             if skip > 0 and hasattr(self.workload, "seek_events"):
                 self.workload.seek_events(skip)
                 skip = 0
-            events = open_stream(self.workload,
-                                 np.random.default_rng(self.seed + 2))
+            events = open_stream(self.workload, stream_rng(self.seed))
             try:
                 # One mode lookup per run, not one per kernel call: the
                 # kernels read this pin (an enclosing forced block wins,

@@ -31,7 +31,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 from repro.policies.registry import make_policy
 from repro import snapshot as snapshot_store
 from repro.sim import cache as result_cache
-from repro.sim.engine import Simulation, SimResult
+from repro.sim.engine import Simulation, SimResult, stream_rng
 from repro.sim.machine import (
     DEFAULT_SCALE,
     MACHINE_PRESETS,
@@ -272,8 +272,8 @@ class RunSpec:
         why injected runs are never cached: they only flow through
         ``build()``, not ``run()``).  ``streams`` is a directory of event
         streams shared between the cells of one sweep: the run replays
-        ``streams/<stream_key()>`` if it was published, and else tees
-        its live stream there (:func:`repro.workloads.trace.share_stream`).
+        ``streams/<stream_key()>``, recorded and published there first
+        if no cell has yet (:func:`repro.workloads.trace.share_stream`).
         A replay is bit-identical to the live run.
         """
         workload = make_workload(self.workload, self.scale)
@@ -298,7 +298,8 @@ class RunSpec:
             machine = machine.collapse_to_fastest()
         if streams is not None:
             workload = share_stream(
-                workload, os.path.join(streams, self.stream_key()))
+                workload, os.path.join(streams, self.stream_key()),
+                stream_rng(self.seed))
         policy = make_policy(self.policy, **self.policy_kwargs_dict)
         return Simulation(
             workload, policy, machine, seed=self.seed,
@@ -411,9 +412,9 @@ class RunSpec:
         """Identity of this spec's workload event stream.
 
         The stream depends on the workload, its scale and the seed (the
-        engine seeds the generator with ``seed + 2``) -- not on the
-        policy or machine, nor on ``max_accesses``, which only stops
-        the engine consuming it.
+        engine draws it from :func:`~repro.sim.engine.stream_rng`) --
+        not on the policy or machine, nor on ``max_accesses``, which
+        only stops the engine consuming it.
         """
         payload = json.dumps(
             {"workload": self.workload,

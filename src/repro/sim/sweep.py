@@ -16,8 +16,8 @@ baselines.  :func:`run_sweep` executes any collection of specs:
   bit-identical results (every simulation derives its randomness from
   the spec seed);
 * **generated once per stream** -- cells that share an event stream
-  (same workload, scale and seed) run it once: the first to run it
-  tees the live stream to disk, the others replay the recording
+  (same workload, scale and seed) generate it once: the first to run
+  records it to disk, and every one of them replays the recording
   (:class:`SharedStreams`), bit-identically;
 * **fault-isolated** -- a cell that raises is retried ``retries`` times
   and then reported as a failed :class:`CellOutcome` while the rest of
@@ -227,7 +227,7 @@ class SharedStreams:
 
     ``keys`` are the :meth:`RunSpec.stream_key` values that two or more
     of the sweep's pending cells have in common; each such stream lives
-    in ``directory/<key>`` once the first cell to run it has teed it
+    in ``directory/<key>`` once the first cell to run it has recorded it
     (:func:`repro.workloads.trace.share_stream`).  Picklable, so the
     sweep hands it to its worker processes.
     """
@@ -240,7 +240,7 @@ class SharedStreams:
         return self.directory if spec.stream_key() in self.keys else None
 
     def delete(self, key: str) -> None:
-        """Remove a stream and any copy a killed tee left behind."""
+        """Remove a stream and any copy a killed recorder left behind."""
         for name in os.listdir(self.directory):
             if name == key or name.startswith(key + "."):
                 shutil.rmtree(os.path.join(self.directory, name),
@@ -274,7 +274,8 @@ def execute_cell(
     exported to the trace directory before returning (tracing never
     changes simulation results).  ``epoch_hook`` (the worker's progress
     report and lease renewal) observes every epoch close.  With
-    ``streams``, a cell whose stream is shared tees or replays it.
+    ``streams``, a cell whose stream is shared replays it, recording it
+    first if no cell has.
 
     Only :class:`Exception` is converted into a failed-cell tuple;
     ``KeyboardInterrupt``/``SystemExit`` propagate so Ctrl-C cancels a
@@ -377,9 +378,9 @@ def _drain(pending: List[RunSpec], hits: List[RunSpec], jobs: int, cache,
         by_key: Dict[str, List[RunSpec]] = defaultdict(list)
         for spec in pending:
             by_key[spec.cache_key()].append(spec)
-        # Cells that share an event stream: the first to run one tees it
-        # into streams/, the others replay it.  A stream is deleted once
-        # every cell sharing it has finished.
+        # Cells that share an event stream: the first to run one records
+        # it into streams/, and all of them replay it.  A stream is
+        # deleted once every cell sharing it has finished.
         sharing: Dict[str, set] = defaultdict(set)
         for key, specs in by_key.items():
             sharing[specs[0].stream_key()].add(key)

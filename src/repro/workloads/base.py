@@ -93,16 +93,8 @@ class Workload(abc.ABC):
     #: up to two events ahead of the event it simulates
     #: (:mod:`repro.workloads.prefetch`).  A stream that is cheaper to
     #: read than to hand between threads (a recorded trace) sets it
-    #: False, and so does one whose generator acts at its end in a way
-    #: a run stopped early must not see (a tee publishes there).
+    #: False.
     prefetch_events: bool = True
-    #: When True the engine may pull this stream one coalesced batch
-    #: ahead and fuse and shuffle that batch on a helper thread
-    #: (:meth:`repro.sim.engine.Simulation._prepared`).  A workload
-    #: whose own stream may run on a helper sets it False, since a run
-    #: never has two, and so does one whose generator acts at its end
-    #: (a tee runs its live stream ahead, and publishes there).
-    prepare_ahead: bool = True
 
     def __init__(self, total_bytes: int, total_accesses: int,
                  batch_size: int = 32_768):

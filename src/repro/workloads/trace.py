@@ -36,10 +36,10 @@ wholly behind them are released back to the OS
 (``madvise(MADV_DONTNEED)``) in :data:`RELEASE_STEP` steps, so peak RSS
 is bounded by the batches the engine holds, not by the trace's length.
 
-:class:`TraceWriter` writes this layout one event at a time:
-:func:`record_trace` drives it from a generator, and
-:class:`TeeWorkload` from a live simulation, so a sweep's cells can
-share one generated stream (:func:`share_stream`).
+:class:`TraceWriter` writes this layout one event at a time, and
+:func:`record_trace` drives it from a generator.  A sweep's cells share
+one generated stream by recording it once and replaying it
+(:func:`share_stream`).
 
 Format v1 (single ``.npz`` holding ``vpn``/``is_store`` inline, no
 ``format_version`` field) is still read transparently; it is no longer
@@ -61,13 +61,12 @@ import os
 import pickle
 import shutil
 import struct
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
 from repro.pebs.events import AccessBatch
 from repro.workloads.base import AccessEvent, AllocEvent, FreeEvent, Workload
-from repro.workloads.prefetch import close_stream, open_stream
 
 KIND_ALLOC, KIND_FREE, KIND_ACCESS = 0, 1, 2
 
@@ -277,13 +276,16 @@ def _load_meta(meta_path: str) -> dict:
     return out
 
 
-def record_trace(workload: Workload, path: str, seed: int = 42,
+def record_trace(workload: Workload, path: str,
+                 seed: Union[int, np.random.Generator] = 42,
                  max_accesses: Optional[int] = None) -> dict:
     """Run ``workload``'s generator and save its event stream (v2).
 
-    Returns a small stats dict (events, accesses).  The access arrays
-    stream to the ``.npy`` sidecars as they are generated
-    (:class:`TraceWriter`).
+    ``seed`` is what :func:`numpy.random.default_rng` takes: an int, or
+    the generator itself (:func:`repro.sim.engine.stream_rng` gives the
+    one a simulation would draw the stream from).  Returns a small
+    stats dict (events, accesses).  The access arrays stream to the
+    ``.npy`` sidecars as they are generated (:class:`TraceWriter`).
     """
     writer = TraceWriter(path)
     try:
@@ -574,83 +576,46 @@ class TraceWorkload(Workload):
 _STREAM_FILE = "stream"
 
 
-def share_stream(live: Workload, directory: str) -> Workload:
+def share_stream(live: Workload, directory: str,
+                 rng: np.random.Generator) -> TraceWorkload:
     """The workload a sweep cell runs when it shares its stream.
 
-    If the stream was published at ``directory``, the cell replays it
-    (reporting ``live``'s name and nominal ``total_accesses``, so its
-    result and progress are the live run's).  Otherwise it runs
-    ``live`` through a :class:`TeeWorkload` that publishes there.
+    If no stream is published at ``directory`` yet, ``live`` is first
+    recorded from ``rng`` (:func:`record_trace`, to its end) into a
+    private directory made next to ``directory``, which is then renamed
+    to ``directory`` in one atomic step.  If another cell published
+    first, the rename fails and the copy is discarded; so is the copy
+    of a recording that raises.  A killed process leaves its private
+    directory behind, never a partial stream at ``directory``.
+
+    Every cell, the recording one included, then replays the published
+    stream, reporting ``live``'s name and nominal ``total_accesses``,
+    so its result and progress are the live run's.
     """
     if not os.path.isdir(directory):
-        return TeeWorkload(live, directory)
+        private = _private_dir(directory)
+        try:
+            record_trace(live, os.path.join(private, _STREAM_FILE), seed=rng)
+            try:
+                os.rename(private, directory)
+            except OSError:
+                if not os.path.isdir(directory):
+                    raise
+                # Another cell published this stream first.
+        finally:
+            shutil.rmtree(private, ignore_errors=True)
     replay = TraceWorkload(os.path.join(directory, _STREAM_FILE))
     replay.name = live.name
     replay.total_accesses = live.total_accesses
     return replay
 
 
-class TeeWorkload(Workload):
-    """Runs ``live`` and records its stream as the run consumes it.
-
-    Each event is written (:class:`TraceWriter`) before it is yielded,
-    into a private directory made next to ``directory``.  Only a
-    generator that runs to its end publishes: the private directory is
-    renamed to ``directory`` in one atomic step.  If another tee
-    published first, the rename fails and the copy is discarded; a run
-    that stops early (an access budget, an error) discards its copy
-    too.  A killed process leaves its private directory behind, never a
-    partial stream at ``directory``.
-
-    The engine therefore iterates a tee itself (``prefetch_events`` is
-    False): run ahead on a helper thread, its generator could reach its
-    end, and publish, while the engine was still simulating the event
-    at which an access budget stops the run.  The tee generates its
-    ``live`` stream ahead instead (:func:`open_stream`), so the
-    publishing step runs only when the engine asks for the event after
-    the last.  For the same reasons the engine prepares no batch of a
-    tee ahead (``prepare_ahead`` is False): it would pull the stream one
-    batch early, beside the live stream's own helper.
-    """
-
-    prefetch_events = False
-    prepare_ahead = False
-
-    def __init__(self, live: Workload, directory: str):
-        super().__init__(live.total_bytes, live.total_accesses,
-                         live.batch_size)
-        self.live = live
-        self.name = live.name
-        self.needs_bounds_check = live.needs_bounds_check
-        self.directory = str(directory)
-        #: True once this tee's recording was published.
-        self.published = False
-
-    def _private_dir(self) -> str:
-        for n in itertools.count():
-            path = f"{self.directory}.{os.getpid()}.{n}"
-            try:
-                os.mkdir(path)
-                return path
-            except FileExistsError:
-                continue
-
-    def events(self, rng: np.random.Generator) -> Iterator[object]:
-        private = self._private_dir()
-        writer = TraceWriter(os.path.join(private, _STREAM_FILE))
-        live = open_stream(self.live, rng)
+def _private_dir(directory: str) -> str:
+    """Make and return a fresh ``<directory>.<pid>.<n>``."""
+    for n in itertools.count():
+        path = f"{directory}.{os.getpid()}.{n}"
         try:
-            for event in live:
-                writer.add(event)
-                yield event
-            writer.finish(self.total_bytes)
-            try:
-                os.rename(private, self.directory)
-                self.published = True
-            except OSError:
-                pass  # another tee published this stream first
-        finally:
-            close_stream(live)
-            writer.close()
-            # Discards the copy unless it was published.
-            shutil.rmtree(private, ignore_errors=True)
+            os.mkdir(path)
+            return path
+        except FileExistsError:
+            continue

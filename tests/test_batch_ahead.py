@@ -13,8 +13,8 @@ Contracts (``Simulation._prepared``, ``repro.workloads.prefetch``):
 * an error raised while batch k+1 is prepared reaches the engine after
   batch k is recorded, and never when the run stops at k;
 * no helper starts for small or non-interleaved batches, without a
-  second core of this process's own, or beside the event helper (of a
-  generated stream, or of a tee's live stream);
+  second core of this process's own, or beside a generated stream's
+  event helper;
 * every exit joins the helper (``tests/conftest.py`` checks this after
   every test).
 """
@@ -37,8 +37,7 @@ from repro.sim.runner import RunSpec
 from repro.workloads import prefetch
 from repro.workloads.base import AccessEvent, AllocEvent
 from repro.workloads.registry import make_workload
-from repro.workloads.trace import (TeeWorkload, TraceWorkload,
-                                   record_trace)
+from repro.workloads.trace import TraceWorkload, record_trace
 
 from conftest import TEST_SCALE
 from conformance import checkpoint_and_resume, digest
@@ -298,47 +297,6 @@ def test_a_prefetched_stream_has_no_second_helper(monkeypatch, helpers,
         prefetched)
     assert len(helpers) == 1
     assert prefetch.BATCH_THREAD_NAME in preparers
-
-
-def test_a_tee_has_one_helper_and_publishes_only_at_its_end(
-        tmp_path, monkeypatch, helpers):
-    """A shared-stream sweep cell reads a tee directly, but the tee runs
-    its live stream on the event helper: no batch helper joins it, and
-    a budget stop a batch before the end pulls nothing further, so the
-    tee does not publish."""
-    _cpus(monkeypatch, 2)
-    started = []
-    start = threading.Thread.start
-
-    def record(thread):
-        started.append(thread.name)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", record)
-    totals = []  # accesses simulated after each batch
-    process = Simulation._process_batch
-
-    def spy(self, batch):
-        process(self, batch)
-        totals.append(self.metrics.total_accesses)
-
-    monkeypatch.setattr(Simulation, "_process_batch", spy)
-    spec = RunSpec("silo", "memtis", scale=TEST_SCALE, seed=3,
-                   macro_batch=MACRO_BATCHES[0])
-
-    def tee_run(name, budget=None):
-        sim = spec.build()
-        sim.workload = TeeWorkload(sim.workload, str(tmp_path / name))
-        return sim.workload, sim.run(max_accesses=budget)
-
-    tee, _ = tee_run("full")
-    assert tee.published and started == [prefetch.THREAD_NAME]
-    assert len(totals) > 4, "replay too short to be meaningful"
-    # Stop after the last batch but one: pulled ahead, the last batch
-    # would run the tee to its end.
-    tee, _ = tee_run("stopped", budget=totals[-2])
-    assert not tee.published and not (tmp_path / "stopped").exists()
-    assert helpers == []
 
 
 def test_the_zoo_path_starts_no_batch_helper(monkeypatch, helpers):

@@ -4,7 +4,7 @@ Contracts (``repro.workloads.prefetch``):
 
 * the prefetched stream hands out the same events, array for array and
   in the same order, as direct iteration -- for every registered
-  workload, a co-located mix and a tee -- so runs are bit-identical
+  workload and a co-located mix -- so runs are bit-identical
   (whole runs with and without the helper are compared by the
   conformance matrix's ``direct`` axis, ``tests/conformance.py``);
 * an exception the generator raises reaches the engine after every
@@ -16,7 +16,6 @@ Contracts (``repro.workloads.prefetch``):
 * the engine's phases never add up to more than its wall clock.
 """
 
-import os
 import threading
 
 import numpy as np
@@ -29,7 +28,6 @@ from repro.sim.runner import RunSpec
 from repro.workloads import prefetch
 from repro.workloads.base import AccessEvent, AllocEvent, Workload
 from repro.workloads.registry import make_workload, workload_names
-from repro.workloads.trace import TeeWorkload
 
 from conformance import checkpoint_and_resume, digest
 from test_engine import machine
@@ -126,49 +124,6 @@ def test_prefetched_events_equal_direct(name, two_cpus, threads):
     finally:
         prefetch.close_stream(stream)
     _assert_same_stream(got, direct)
-
-
-def test_tee_stream_equals_direct_and_publishes(tmp_path, two_cpus,
-                                                threads):
-    direct = list(make_workload("silo", SMALL).events(
-        np.random.default_rng(3)))
-    streams = tmp_path / "streams"
-    streams.mkdir()
-    tee = TeeWorkload(make_workload("silo", SMALL), str(streams / "s"))
-    stream = prefetch.open_stream(tee, np.random.default_rng(3))
-    # The tee runs on the consumer's thread; its live stream runs ahead.
-    assert not isinstance(stream, prefetch.RunAhead)
-    try:
-        got = list(stream)
-    finally:
-        prefetch.close_stream(stream)
-    _assert_same_stream(got, direct)
-    assert tee.published
-    assert os.listdir(streams) == ["s"]
-
-
-def test_tee_does_not_publish_before_its_end_is_consumed(tmp_path,
-                                                        two_cpus, threads):
-    """The helper has exhausted the live stream, but the consumer stops
-    after the last event: the copy is discarded, never published."""
-    ended = threading.Event()
-
-    class Flagged(_Script):
-        def events(self, rng):
-            yield from super().events(rng)
-            ended.set()
-
-    script = _script(5)
-    streams = tmp_path / "streams"
-    streams.mkdir()
-    tee = TeeWorkload(Flagged(script), str(streams / "s"))
-    stream = tee.events(np.random.default_rng(0))
-    for _ in script:
-        next(stream)
-    assert ended.wait(10)
-    stream.close()
-    assert not tee.published
-    assert os.listdir(streams) == []
 
 
 def test_single_cpu_iterates_directly(one_cpu):

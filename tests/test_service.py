@@ -743,27 +743,40 @@ class TestServiceChaos:
             assert (canonical(outcomes[spec].result)
                     == canonical(spec.execute())), spec.label()
 
-    def test_sigkill_mid_tee_publishes_no_partial_stream(self, tmp_path,
-                                                         monkeypatch):
+    def test_sigkill_mid_recording_publishes_no_partial_stream(
+            self, tmp_path, monkeypatch):
         """run_sweep on 2 workers over two cells sharing one stream:
-        SIGKILL a worker while it tees.  Its copy is never published,
-        any stream that is published is complete, and the retried cell
-        equals an uninterrupted run."""
+        SIGKILL a worker while it records the stream.  Its copy is never
+        published, any stream that is published is complete, and the
+        retried cell equals an uninterrupted run."""
         from repro.sim import sweep
         from repro.sim.sweep import run_sweep
+        from repro.workloads import trace
         from repro.workloads.registry import make_workload
-        from repro.workloads.trace import TraceWorkload
 
         d = str(tmp_path / "sweep")
         report = str(tmp_path / "killed")
+        note = str(tmp_path / "scratch")
         scratch = []
         mkdtemp = sweep.tempfile.mkdtemp
 
         def recording_mkdtemp(*args, **kwargs):
             scratch.append(mkdtemp(*args, **kwargs))
+            with open(note + ".tmp", "w") as fh:
+                fh.write(scratch[-1])
+            os.replace(note + ".tmp", note)
             return scratch[-1]
 
         monkeypatch.setattr(sweep.tempfile, "mkdtemp", recording_mkdtemp)
+        # ~4 s per recording (180 events), so the kill lands inside one;
+        # forked workers inherit the patch.
+        add = trace.TraceWriter.add
+
+        def slow_add(self, event):
+            time.sleep(0.02)
+            add(self, event)
+
+        monkeypatch.setattr(trace.TraceWriter, "add", slow_add)
         specs = [_spec(policy=p, seed=85, max_accesses=None,
                        scale=MEDIUM_SCALE) for p in ("memtis", "tiering-0.8")]
         key = specs[0].stream_key()
@@ -774,23 +787,23 @@ class TestServiceChaos:
             streams = os.path.join(scratch[-1], "streams")
             names = sorted(os.listdir(streams))
             seen.append((event.status, names, [
-                TraceWorkload(os.path.join(streams, name, "stream"))
+                trace.TraceWorkload(os.path.join(streams, name, "stream"))
                 .total_accesses for name in names if name == key]))
 
         killer = multiprocessing.Process(
-            target=_kill_a_checkpointed_worker, args=(d, report))
+            target=_kill_a_recorder, args=(note, key, report))
         killer.start()
         outcomes = run_sweep(specs, jobs=2, directory=d, progress=progress)
         killer.join(timeout=60)
         assert killer.exitcode == 0
-        assert os.path.exists(report), "no worker ever held a checkpointed job"
-        with open(report + ".pid") as fh:
+        assert os.path.exists(report), "no worker was ever seen recording"
+        with open(report) as fh:
             pid = int(fh.read())
 
         retried = [names for status, names, _ in seen if status == "retry"]
         assert len(retried) == 1
         assert any(name.startswith(f"{key}.{pid}.") for name in retried[0]), \
-            f"the killed worker was not teeing: {retried[0]}"
+            f"the killed worker left no private copy: {retried[0]}"
         assert all(accesses == [full] or accesses == []
                    for _, _, accesses in seen), seen
         assert not os.path.exists(scratch[0])
@@ -798,6 +811,7 @@ class TestServiceChaos:
             assert outcomes[spec].ok, outcomes[spec].error
             assert (canonical(outcomes[spec].result)
                     == canonical(spec.execute())), spec.label()
+        assert sorted(o.attempts for o in outcomes.values()) == [1, 2]
         assert sum(o.resumed for o in outcomes.values()) == 1
 
 
@@ -826,6 +840,31 @@ def _read_line(proc: subprocess.Popen, prefix: str,
         if not line or line.startswith(prefix):
             return line or None
     return None
+
+
+def _kill_a_recorder(note: str, key: str, report: str) -> None:
+    """SIGKILL the first worker seen recording stream ``key``: the owner
+    of a private ``<key>.<pid>.<n>`` copy in the ``streams/`` directory
+    of the sweep scratch directory named in the file ``note``.  Write
+    the worker's pid to ``report``."""
+
+    def recorder():
+        if not os.path.exists(note):
+            return None
+        with open(note) as fh:
+            streams = os.path.join(fh.read(), "streams")
+        if not os.path.isdir(streams):
+            return None
+        for name in os.listdir(streams):
+            if name.startswith(key + "."):
+                return int(name.split(".")[1])
+        return None
+
+    pid = _await(recorder, timeout_s=60.0, poll_s=0.005)
+    if pid is not None:
+        os.kill(pid, signal.SIGKILL)
+        with open(report, "w") as fh:
+            fh.write(str(pid))
 
 
 def _kill_a_checkpointed_worker(directory: str, report: str) -> None:

@@ -1,34 +1,35 @@
 """Shared event streams inside ``run_sweep``.
 
 Cells of one sweep that share a stream key (workload, scale, seed) run
-one generated stream: the first to run it tees the live stream into the
-sweep's ``streams/`` directory, the others replay the recording.  The
-contracts tested here:
+one generated stream: the first to run it records the live stream into
+the sweep's ``streams/`` directory, and every one of them replays the
+recording.  The contracts tested here:
 
 * a shared-stream sweep equals live ``RunSpec.execute`` byte for byte
   on composite workload names, both machine shapes and the macro
   cadence, at one and two workers -- and cache keys do not move (the
   conformance matrix's ``replayed`` and ``ahead`` axes check replay ==
   live for every registered policy);
-* a checkpoint resumes across the two: live onto replay and back;
-* a stream is published only when its generator ran to the end, at most
-  once per key, and never when the key is not shared;
+* a checkpoint resumes across the two: live onto replay and back, and a
+  resumed replay seeks rather than regenerating;
+* a stream is published complete, whatever budget its recording cell
+  runs to, at most once per key, and never when the key is not shared;
 * the streams go with the sweep's scratch directory.
 """
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.sim import runner, sweep
+from repro.sim.engine import stream_rng
 from repro.sim.machine import ScaleSpec
 from repro.sim.runner import RunSpec
 from repro.sim.sweep import run_sweep
 from repro.workloads import trace
 from repro.workloads.base import AccessEvent
 from repro.workloads.registry import make_workload
-from repro.workloads.trace import TeeWorkload, TraceWorkload
+from repro.workloads.trace import TraceWorkload
 
 from conformance import digest
 from conftest import TEST_SCALE
@@ -66,9 +67,10 @@ def _listings(made: list, into: list):
 # -- sweep differential -------------------------------------------------------
 
 #: ``silo+liblinear`` (a MixWorkload, whose region keys are namespaced
-#: ``0:store``) and ``graph500@64`` (an explicit size) check that tee and
-#: replay carry the composite workload names bit for bit; 603.bwaves
-#: has alloc/free barriers.  Each stream is shared by its two machines.
+#: ``0:store``) and ``graph500@64`` (an explicit size) check that the
+#: recording and its replay carry the composite workload names bit for
+#: bit; 603.bwaves has alloc/free barriers.  Each stream is shared by its
+#: two machines.
 SWEEP_GRID = [
     RunSpec(workload, "memtis", scale=SMALL, seed=5, machine_preset=preset,
             macro_batch=65536)
@@ -85,7 +87,7 @@ def live_grid():
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_shared_stream_sweep_equals_live(jobs, live_grid, monkeypatch):
     """Three streams, each shared by a 1:8 and a dram-cxl-nvm cell, at
-    the macro cadence: every cell replays or tees to the live result."""
+    the macro cadence: every cell replays to the live result."""
     made = _scratch(monkeypatch)
     seen = []
     out = run_sweep(SWEEP_GRID, jobs=jobs, cache=None,
@@ -153,14 +155,19 @@ def _resume(sim, spec, state):
     return digest(sim.run(max_accesses=spec.max_accesses))
 
 
+def _stream_accesses(spec) -> int:
+    """Accesses in ``spec``'s whole generated stream."""
+    return sum(event.num_accesses
+               for event in make_workload(spec.workload, spec.scale).events(
+                   stream_rng(spec.seed))
+               if isinstance(event, AccessEvent))
+
+
 @pytest.mark.parametrize("workload", ["silo", "603.bwaves"])
 def test_checkpoints_resume_across_live_and_replay(workload, tmp_path):
     spec = RunSpec(workload, "memtis", scale=SMALL, seed=5)
     streams = str(tmp_path)
-    tee = spec.build(streams=streams)
-    assert isinstance(tee.workload, TeeWorkload)
-    live, live_snaps = _capture(tee, spec)
-    assert tee.workload.published
+    live, live_snaps = _capture(spec.build(), spec)
 
     replay_sim = spec.build(streams=streams)
     assert isinstance(replay_sim.workload, TraceWorkload)
@@ -180,45 +187,57 @@ def test_checkpoints_resume_across_live_and_replay(workload, tmp_path):
     assert _resume(onto_live, spec, replay_snaps[epoch]) == live
 
 
+def test_a_resumed_shared_cell_seeks_and_never_generates(tmp_path,
+                                                         monkeypatch):
+    """A shared cell's first attempt records its stream and stops
+    halfway (as a killed worker would); resumed from a checkpoint of
+    that attempt, the cell fast-forwards the replay to the checkpoint's
+    event count, never runs its live generator, and ends on the live
+    result."""
+    spec = RunSpec("silo", "memtis", scale=SMALL, seed=5)
+    streams = str(tmp_path)
+    live, _ = _capture(spec.build(), spec)
+    stopped = spec.replace(max_accesses=_stream_accesses(spec) // 2)
+    _, snaps = _capture(stopped.build(streams=streams), stopped)
+    state = snaps[sorted(snaps)[len(snaps) // 2]]
+
+    def generate(self, rng):
+        raise AssertionError("the resumed cell ran its live generator")
+
+    monkeypatch.setattr(type(make_workload(spec.workload, spec.scale)),
+                        "events", generate)
+    seeks = []
+    seek = TraceWorkload.seek_events
+    monkeypatch.setattr(TraceWorkload, "seek_events",
+                        lambda self, n: (seeks.append(n), seek(self, n)))
+    assert _resume(spec.build(streams=streams), spec, state) == live
+    assert seeks == [state["events_consumed"]] and seeks[0] > 0
+
+
 # -- who publishes --------------------------------------------------------------
 
 
-def _last_event_budget(spec) -> int:
-    """An access budget that the stream's last event crosses."""
-    events = list(make_workload(spec.workload, spec.scale).events(
-        np.random.default_rng(spec.seed + 2)))
-    assert isinstance(events[-1], AccessEvent)
-    total = sum(event.num_accesses for event in events
-                if isinstance(event, AccessEvent))
-    return total - events[-1].num_accesses // 2
-
-
-def test_budget_stopped_cell_never_publishes_but_replays(monkeypatch):
-    """A cell stopped by ``max_accesses`` discards its tee, also when the
-    budget stops it inside the stream's last event (by then its live
-    stream may have been generated to the end); a later full cell
-    publishes; a budgeted cell after it replays the full stream."""
+def test_budget_stopped_cell_publishes_a_complete_stream(monkeypatch):
+    """Recording does not depend on the budget: the first cell, stopped
+    by ``max_accesses``, records and publishes the whole stream, and a
+    later unbudgeted cell replays it to the live result."""
     made = _scratch(monkeypatch)
     seen = []
     base = RunSpec("silo", "memtis", scale=SMALL, seed=5)
-    specs = [base.replace(max_accesses=30_000),
-             base.replace(policy="arms",
-                          max_accesses=_last_event_budget(base)),
-             base.replace(policy="tpp"),
-             base.replace(policy="hemem", max_accesses=30_000)]
-    kinds = []
-    share = runner.share_stream
+    specs = [base.replace(max_accesses=30_000), base.replace(policy="tpp")]
+    recorded = []
+    record = trace.record_trace
 
-    def spy(live, directory):
-        workload = share(live, directory)
-        kinds.append(type(workload).__name__)
-        return workload
+    def spy(*args, **kwargs):
+        stats = record(*args, **kwargs)
+        recorded.append(stats["accesses"])
+        return stats
 
-    monkeypatch.setattr(runner, "share_stream", spy)
+    monkeypatch.setattr(trace, "record_trace", spy)
     out = run_sweep(specs, jobs=1, cache=None, progress=_listings(made, seen))
-    key = base.stream_key()
-    assert [names for _, _, names in seen] == [[], [], [key], []]
-    assert kinds == ["TeeWorkload"] * 3 + ["TraceWorkload"]
+    assert [names for _, _, names in seen] == [[base.stream_key()], []]
+    assert recorded == [_stream_accesses(base)]
+    assert out[specs[0]].result.metrics.total_accesses < recorded[0]
     for spec in specs:
         assert digest(out[spec].result) == digest(spec.execute())
 
@@ -241,22 +260,39 @@ def test_unique_stream_keys_tee_nothing(monkeypatch):
 
 def test_grid_at_two_workers_publishes_each_stream_once(tmp_path,
                                                         monkeypatch):
-    """8 keys x 6 cells on 2 workers: exactly one tee per key publishes,
-    any other (a lost race) is discarded, and every cell equals live."""
-    log = str(tmp_path / "tees")
-    events = TeeWorkload.events
+    """8 keys x 6 cells on 2 workers: exactly one recorder per key
+    publishes, any other (a lost race) is discarded, and every cell
+    equals live."""
+    log = str(tmp_path / "recorders")
+    record, share = trace.record_trace, runner.share_stream
+    mine = []  # the private directory this process records into
 
-    def logged(self, rng):
-        yield from events(self, rng)
-        streams, key = os.path.split(self.directory)
-        mine = f"{key}.{os.getpid()}."
-        left = sum(name.startswith(mine) for name in os.listdir(streams))
-        # One short O_APPEND write per tee: safe across worker processes.
-        with open(log, "a") as fh:
-            fh.write(f"{key} {int(self.published)} {left}\n")
+    def recording(workload, path, **kwargs):
+        mine.append(os.path.dirname(path))
+        # Travels with the copy, so the published stream names its
+        # recorder.
+        with open(os.path.join(mine[-1], "recorder"), "w") as fh:
+            fh.write(mine[-1])
+        return record(workload, path, **kwargs)
 
-    # Forked workers inherit the patched class.
-    monkeypatch.setattr(TeeWorkload, "events", logged)
+    def logged(live, directory, rng):
+        del mine[:]
+        replay = share(live, directory, rng)
+        if mine:
+            with open(os.path.join(directory, "recorder")) as fh:
+                won = fh.read() == mine[0]
+            streams, key = os.path.split(directory)
+            left = sum(name.startswith(f"{key}.{os.getpid()}.")
+                       for name in os.listdir(streams))
+            # One short O_APPEND write per recorder: safe across worker
+            # processes.
+            with open(log, "a") as fh:
+                fh.write(f"{key} {int(won)} {left}\n")
+        return replay
+
+    # Forked workers inherit the patched modules.
+    monkeypatch.setattr(trace, "record_trace", recording)
+    monkeypatch.setattr(runner, "share_stream", logged)
     made = _scratch(monkeypatch)
     seen = []
     specs = [RunSpec(w, p, scale=SMALL, seed=s)
@@ -268,12 +304,12 @@ def test_grid_at_two_workers_publishes_each_stream_once(tmp_path,
     assert len(keys) == 8
 
     with open(log) as fh:
-        tees = [line.split() for line in fh]
+        recorders = [line.split() for line in fh]
     for key in keys:
-        outcomes = sorted(flag for name, flag, _ in tees if name == key)
+        outcomes = sorted(flag for name, flag, _ in recorders if name == key)
         assert outcomes in (["1"], ["0", "1"]), (key, outcomes)
-    # A tee leaves no private copy behind, won or lost.
-    assert {left for _, _, left in tees} == {"0"}
+    # A recorder leaves no private copy behind, won or lost.
+    assert {left for _, _, left in recorders} == {"0"}
     for _, _, names in seen:
         assert {name for name in names if "." not in name} <= keys, names
     assert not os.path.exists(made[0])
@@ -292,7 +328,8 @@ def test_replay_reports_the_live_name_and_nominal_accesses(workload,
     spec.build(streams=str(tmp_path)).run()
     live = make_workload(workload, SMALL)
     replay = trace.share_stream(
-        live, os.path.join(str(tmp_path), spec.stream_key()))
+        live, os.path.join(str(tmp_path), spec.stream_key()),
+        stream_rng(spec.seed))
     assert isinstance(replay, TraceWorkload)
     assert replay.name == workload
     assert replay.total_accesses == live.total_accesses
