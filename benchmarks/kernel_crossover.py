@@ -20,16 +20,12 @@ silo trace that ``perfbench/``'s replay workloads record
   accesses (``macro_batch``) with each path pinned by
   ``PERMUTE_CROSSOVER``, and alone on runs of the trace's accesses;
 * **fusion**: ``_fuse_reference`` vs ``_fuse_staged`` over k of the
-  trace's 1k-access events;
-* **ahead**: the whole silo replay at fused batch sizes of 4k-256k
-  accesses, every interleaved batch prepared inline or on the batch
-  helper (pinned through ``AHEAD_MIN_ACCESSES``), alternating runs.
+  trace's 1k-access events.
 
 For each kernel it prints the median time per call of both paths at
 every rung, and the crossover: the smallest rung from which the
 vectorized path wins at every larger rung.  ``FOLD_CROSSOVER``,
-``LRU_BATCH_CROSSOVER``, ``PERMUTE_CROSSOVER`` and
-``AHEAD_MIN_ACCESSES`` cite this sweep.
+``LRU_BATCH_CROSSOVER`` and ``PERMUTE_CROSSOVER`` cite this sweep.
 Timings are host wall clock, so run it on a quiet machine.
 
 Usage::
@@ -52,11 +48,7 @@ import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
-# The tests' canonical result form (tests/ first: its conftest is the
-# one tests/conformance.py imports).
-sys.path.insert(0, os.path.join(HERE, os.pardir, "tests"))
 
-from conformance import digest  # noqa: E402
 from record_bench import SEED, TRACE_EVENT_ACCESSES, TRACE_SCALE  # noqa: E402
 from repro import kernels  # noqa: E402
 from repro.kernels.sample_fold import (  # noqa: E402
@@ -73,11 +65,7 @@ from repro.mem.pages import vpn_to_hpn  # noqa: E402
 from repro.mem.tlb import TLBConfig  # noqa: E402
 from repro.policies.registry import make_policy  # noqa: E402
 from repro.pebs.events import AccessBatch  # noqa: E402
-from repro.sim.engine import (  # noqa: E402
-    AHEAD_MIN_ACCESSES,
-    PERMUTE_CROSSOVER,
-    Simulation,
-)
+from repro.sim.engine import PERMUTE_CROSSOVER, Simulation  # noqa: E402
 from repro.sim.machine import DEFAULT_SCALE, MachineSpec, ScaleSpec  # noqa: E402
 from repro.sim.runner import RunSpec  # noqa: E402
 from repro.workloads.registry import make_workload  # noqa: E402
@@ -95,8 +83,6 @@ FUSION_LADDER = (1, 2, 3, 4, 8, 16, 64, 256)
 #: Fused batch sizes of the in-engine interleave sweep (0: 1k events).
 INTERLEAVE_MACRO_BATCHES = (0, 4096, 16384, 65536)
 INTERLEAVE_LADDER = (256, 1024, 4096, 8192, 16384, 32768, 65536, 262144)
-#: Fused batch sizes of the inline-vs-ahead sweep.
-AHEAD_MACRO_BATCHES = (4096, 16384, 32768, 65536, 262144)
 
 
 class Capture:
@@ -227,8 +213,7 @@ def sweep_interleave_in_engine(path: str, macro_batches: Sequence[int],
     from repro.sim import engine
 
     rows = []
-    saved = engine.PERMUTE_CROSSOVER, engine.AHEAD_MIN_ACCESSES
-    engine.AHEAD_MIN_ACCESSES = 1 << 62  # every batch inline
+    saved = engine.PERMUTE_CROSSOVER
     try:
         for macro_batch in macro_batches:
             times: dict = {"scalar": [], "vector": []}
@@ -251,40 +236,7 @@ def sweep_interleave_in_engine(path: str, macro_batches: Sequence[int],
                          statistics.median(times["scalar"]) / 1e3,
                          statistics.median(times["vector"]) / 1e3))
     finally:
-        engine.PERMUTE_CROSSOVER, engine.AHEAD_MIN_ACCESSES = saved
-    return rows
-
-
-def sweep_ahead(path: str, macro_batches: Sequence[int],
-                max_accesses: Optional[int], reps: int):
-    """Wall time of the silo replay per fused batch size, every
-    interleaved batch prepared inline (the "scalar" column) or on the
-    batch helper (the "vector" column), pinned through
-    ``AHEAD_MIN_ACCESSES``; the two alternate ``reps`` times and the
-    median run is kept.  Both runs' results are checked equal."""
-    from repro.sim import engine
-
-    rows = []
-    saved = engine.AHEAD_MIN_ACCESSES
-    try:
-        for macro_batch in macro_batches:
-            times: dict = {"inline": [], "ahead": []}
-            digests = set()
-            for _ in range(reps):
-                for variant, least in (("inline", 1 << 62), ("ahead", 1)):
-                    engine.AHEAD_MIN_ACCESSES = least
-                    sim = _replay_sim(path, macro_batch)
-                    start = time.perf_counter_ns()
-                    result = sim.run(max_accesses=max_accesses)
-                    times[variant].append(time.perf_counter_ns() - start)
-                    digests.add(digest(result))
-            if len(digests) != 1:
-                raise AssertionError("inline and ahead replays diverged")
-            rows.append((macro_batch,
-                         statistics.median(times["inline"]) / 1e3,
-                         statistics.median(times["ahead"]) / 1e3))
-    finally:
-        engine.AHEAD_MIN_ACCESSES = saved
+        engine.PERMUTE_CROSSOVER = saved
     return rows
 
 
@@ -389,21 +341,17 @@ def main(argv=None) -> int:
     fusion_ladder = FUSION_LADDER
     interleave_ladder, engine_reps = INTERLEAVE_LADDER, 3
     macro_batches = INTERLEAVE_MACRO_BATCHES
-    ahead_batches = AHEAD_MACRO_BATCHES
     if args.smoke:
         scale, reps, accesses = SMOKE_SCALE, 3, 200_000
         fold_ladder, tlb_ladder = (4, 64, 256), (2, 16, 64)
         fusion_ladder = (1, 4)
         interleave_ladder, macro_batches, engine_reps = (1024, 4096), (0,), 1
-        ahead_batches = (4096,)
 
     with tempfile.TemporaryDirectory() as tmp:
         cap, ks = capture_replay(scale, accesses, tmp)
         interleave_in_engine = sweep_interleave_in_engine(
             os.path.join(tmp, "trace.npz"), macro_batches,
             min(accesses, 1_000_000), engine_reps)
-        ahead = sweep_ahead(os.path.join(tmp, "trace.npz"), ahead_batches,
-                            None, engine_reps)
     zoo = capture_zoo(SMOKE_SCALE if args.smoke else DEFAULT_SCALE)
     config = TLBConfig()
     print(f"captured from a {accesses:,}-access silo replay "
@@ -460,12 +408,6 @@ def main(argv=None) -> int:
     print()
     print(format_rows("fusion (1k-access events per batch)", "events",
                       sweep_fusion(cap, fusion_ladder, reps)))
-    print()
-    print(format_rows(
-        "ahead: the silo replay with every interleaved batch prepared "
-        "inline (scalar) or on the batch helper (vector), by fused batch "
-        f"size, median of {engine_reps} alternating runs", "accesses",
-        ahead, constant=f"; AHEAD_MIN_ACCESSES = {AHEAD_MIN_ACCESSES}"))
     return 0
 
 

@@ -38,13 +38,6 @@ class CostModel:
     walk_level_ns: float = 25.0
     hint_fault_ns: float = 1_800.0
     migration: MigrationCostParams = field(default_factory=MigrationCostParams)
-    #: Opt-in capacity-tier bandwidth contention: Optane-class memory
-    #: saturates at a fraction of DRAM bandwidth, inflating its latency
-    #: under load (M/M/1-style 1/(1-rho), rho capped).  Off by default
-    #: so the headline reproduction stays a pure two-latency model.
-    bandwidth_model: bool = False
-    access_bytes: int = 64
-    max_utilization: float = 0.90
 
     def bind(self, tiers: TieredMemory) -> "BoundCostModel":
         return BoundCostModel(self, tiers)
@@ -80,12 +73,6 @@ class BoundCostModel:
         fastest-first, which for two tiers reproduces the historical
         ``(fast + capacity)`` float addition order exactly.  The
         fastest tier's count is left in :attr:`fast_accesses`.
-
-        With the opt-in bandwidth model, every non-fastest tier's
-        component is inflated by ``1/(1-rho)`` where rho is that tier's
-        bandwidth utilisation estimated from this batch's demand -- the
-        Optane saturation effect that widens tiering gaps on real
-        hardware.
         """
         num_tiers = len(self.tiers)
         stores_left = int(np.count_nonzero(is_store))
@@ -109,24 +96,6 @@ class BoundCostModel:
         total = components[0]
         for comp in components[1:]:
             total = total + comp
-        if not self.model.bandwidth_model:
-            return total
-        # Demand is served within each tier's *own* stall window: other
-        # tiers' time does not occupy this tier's channels, so dividing
-        # by the batch total would understate rho exactly when faster
-        # tiers absorbed most of the batch time.
-        for i in range(1, num_tiers):
-            n_i = sum(counts[i])
-            comp_i = components[i]
-            if n_i == 0 or comp_i <= 0:
-                continue
-            demand_gbps = n_i * self.model.access_bytes / comp_i  # bytes/ns == GB/s
-            rho = min(
-                self.model.max_utilization,
-                demand_gbps / self.tiers[i].spec.bandwidth_gbps,
-            )
-            inflation = 1.0 / (1.0 - rho)
-            total = total + comp_i * (inflation - 1.0)
         return total
 
     def compute_ns(self, num_accesses: int) -> float:

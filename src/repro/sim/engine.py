@@ -23,7 +23,6 @@ import copy
 import dataclasses
 import operator
 import time
-from contextlib import closing
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -45,13 +44,7 @@ from repro.sim.macro import EventCoalescer
 from repro.sim.metrics import MetricsCollector
 from repro.snapshot.walk import capture, restore
 from repro.workloads.base import AccessEvent, AllocEvent, FreeEvent, Workload
-from repro.workloads.prefetch import (
-    CallAhead,
-    RunAhead,
-    close_stream,
-    open_stream,
-    spare_core,
-)
+from repro.workloads.prefetch import close_stream, open_stream
 
 #: In accesses: a shorter interleaved batch is gathered through
 #: ``rng.permutation``; a longer one is shuffled in place, packed.
@@ -61,16 +54,6 @@ from repro.workloads.prefetch import (
 #: from 4k, 33% at 256k).  From 4k on the packed shuffle is never
 #: slower, and it needs no 8-byte-per-access permutation.
 PERMUTE_CROSSOVER = 4096
-
-#: In accesses: an interleaved batch at least this long is fused and
-#: shuffled on a helper thread while the engine simulates the batch
-#: before it (:meth:`Simulation._prepared`).  Measured by
-#: ``benchmarks/kernel_crossover.py``'s inline-vs-ahead sweep over the
-#: whole silo replay on 2 vCPUs: ahead took 1.74x the inline wall at 4k
-#: accesses, 1.48x at 16k and 1.01x at 32k (the two threads contend for
-#: the interpreter lock more than they overlap), then 0.87x at 64k and
-#: 0.75x at 256k.
-AHEAD_MIN_ACCESSES = 65536
 
 
 def stream_rng(seed: int) -> np.random.Generator:
@@ -121,8 +104,7 @@ class SimResult:
     #: ``gen_ns`` (time the engine waited for its next workload event:
     #: generating it, reading it from a trace, or -- when the stream is
     #: generated ahead on a helper thread -- waiting for the helper),
-    #: ``prep_ns`` (fusing and interleaving the next batch, or, when the
-    #: batch helper prepared it, handing it over and waiting for it),
+    #: ``prep_ns`` (fusing and interleaving each batch),
     #: ``sample_ns`` (PEBS extraction), ``tlb_ns`` (TLB simulation),
     #: ``policy_ns`` (policy observation + background daemons).
     phase_ns: Dict[str, float] = dataclasses.field(default_factory=dict)
@@ -498,15 +480,13 @@ class Simulation:
             )
         return AccessBatch(packed, is_store)
 
-    def _prepare_batch(self, event: AccessEvent,
-                       rng: np.random.Generator) -> AccessBatch:
+    def _prepare_batch(self, event: AccessEvent) -> AccessBatch:
         """Fuse one engine batch under the active kernel mode, then
-        interleave it with ``rng``.  Fusion is staged by default and
-        when vectorized, the reference when scalar, both when
+        interleave it with the engine RNG.  Fusion is staged by default
+        and when vectorized, the reference when scalar, both when
         validating.  It has no size crossover (a crossover of 0 sends
         ``auto`` to the staged path): a one-part batch is rebased alone
-        on either path.  Reads only the event, the regions and ``rng``,
-        so it may run on the batch helper (:meth:`_prepared`)."""
+        on either path."""
         regions, rels = self._resolve_parts(event)
         path = kernels.path_for(len(rels), 0)
         if path == kernels.SCALAR:
@@ -523,7 +503,7 @@ class Simulation:
         # Both fusions return a part's own arrays only for a single part
         # at base 0; every other batch is a buffer fusion allocated.
         owned = len(rels) != 1 or batch.vpn is not rels[0].vpn
-        return self._interleave(batch, event.interleave, owned, rng)
+        return self._interleave(batch, event.interleave, owned, self.rng)
 
     def _process_batch(self, batch: AccessBatch) -> None:
         n = len(batch)
@@ -710,78 +690,14 @@ class Simulation:
 
     # -- driver ------------------------------------------------------------------
 
-    def _prepared(self, items, ahead: bool):
-        """The coalesced ``items`` as the engine consumes them: ``(events
-        fused, event)`` pairs, with each access event replaced by its
-        fused and interleaved batch.
-
-        With ``ahead`` the batch after an interleaved one of at least
-        :data:`AHEAD_MIN_ACCESSES` accesses is prepared on the batch
-        helper (:class:`repro.workloads.prefetch.CallAhead`) while the
-        engine simulates that one, when it is itself such a batch; an
-        alloc or free item is a barrier, since it changes the regions a
-        batch resolves against.  The items are still pulled here, on the
-        engine's thread.  The helper never touches ``self.rng``: it
-        shuffles a copy of it, and the engine adopts the copy's state
-        when it takes the batch, where the inline path would have
-        shuffled -- so a checkpoint taken while batch k is simulated
-        holds the inline RNG, and every result is bit-identical.  An
-        error raised while the next item is pulled or prepared reaches
-        the engine only when it asks for that item; a run that stops
-        before (an access budget) drops it.  Closing this generator joins
-        the helper, its batch in flight finished and dropped.
-        """
-        phase = self._phase_ns
-        helper = on_helper = helper_rng = None
-        try:
-            item = next(items, None)
-            while item is not None:
-                event = item.event
-                if isinstance(event, AccessEvent):
-                    t0 = time.perf_counter_ns()
-                    if item is on_helper:
-                        event = helper.take()
-                        self.rng.bit_generator.state = \
-                            helper_rng.bit_generator.state
-                    else:
-                        event = self._prepare_batch(event, self.rng)
-                    phase["prep_ns"] += time.perf_counter_ns() - t0
-                pull_ahead = ahead and self._runs_ahead(item.event)
-                nxt = failed = None
-                if pull_ahead:
-                    try:
-                        nxt = next(items, None)
-                    except Exception as exc:  # raised when the engine asks
-                        failed = exc
-                    if nxt is not None and self._runs_ahead(nxt.event):
-                        t0 = time.perf_counter_ns()
-                        if helper is None:
-                            helper = CallAhead()
-                        helper_rng = copy.deepcopy(self.rng)
-                        helper.submit(self._prepare_batch, nxt.event,
-                                      helper_rng)
-                        on_helper = nxt
-                        phase["prep_ns"] += time.perf_counter_ns() - t0
-                yield item.events_fused, event
-                if failed is not None:
-                    raise failed
-                item = nxt if pull_ahead else next(items, None)
-        finally:
-            if helper is not None:
-                helper.close()
-
-    @staticmethod
-    def _runs_ahead(event) -> bool:
-        return (isinstance(event, AccessEvent) and event.interleave
-                and event.num_accesses >= AHEAD_MIN_ACCESSES)
-
     def _run_macro(self, events, skip: int, budget: float) -> None:
         """The engine loop: whole-array stages once per coalesced batch.
 
         ``macro_batch = 0`` coalesces at target 1 -- one workload event
-        per batch.  The coalescer pulls ahead of processing by at most
-        the pending group, and :meth:`_prepared` by one more item when
-        it prepares a batch ahead; ``_events_consumed`` counts only
+        per batch.  Each access item is fused and interleaved here, on
+        the engine's thread (``prep_ns``), once the batch before it is
+        simulated and dropped.  The coalescer pulls ahead of processing
+        by at most the pending group; ``_events_consumed`` counts only
         events folded into *processed* items, so checkpoints taken
         inside ``_process_batch`` describe a position the coalescer can
         deterministically restart from (fusion boundaries depend only
@@ -789,10 +705,6 @@ class Simulation:
         a workload's ``release_events`` (a trace replay) after each
         processed batch: the events behind it are done with, so their
         pages can go, while the items still in flight stay mapped.
-
-        Batches are prepared ahead only where this process has a second
-        core to itself (:func:`repro.workloads.prefetch.spare_core`) and
-        the stream is read directly: a run never has two helpers.
         """
         phase = self._phase_ns
         while skip > 0:
@@ -807,21 +719,27 @@ class Simulation:
         coalescer = EventCoalescer(
             events, target=self.macro_batch or 1, phase_ns=phase
         )
-        ahead = spare_core() and not isinstance(events, RunAhead)
         release = getattr(self.workload, "release_events", None)
-        with closing(self._prepared(iter(coalescer), ahead)) as items:
-            for events_fused, event in items:
-                self._events_consumed += events_fused
-                if isinstance(event, AllocEvent):
-                    self._handle_alloc(event)
-                elif isinstance(event, FreeEvent):
-                    self._handle_free(event)
-                else:
-                    self._process_batch(event)
-                    if release is not None:
-                        release(self._events_consumed)
-                    if self.metrics.total_accesses >= budget:
-                        break
+        for item in coalescer:
+            event = item.event
+            if isinstance(event, AccessEvent):
+                t0 = time.perf_counter_ns()
+                event = self._prepare_batch(event)
+                phase["prep_ns"] += time.perf_counter_ns() - t0
+            self._events_consumed += item.events_fused
+            if isinstance(event, AllocEvent):
+                self._handle_alloc(event)
+            elif isinstance(event, FreeEvent):
+                self._handle_free(event)
+            else:
+                self._process_batch(event)
+                # Unbound before the next batch is fused, so two batches
+                # are never alive at once.
+                del event
+                if release is not None:
+                    release(self._events_consumed)
+                if self.metrics.total_accesses >= budget:
+                    break
 
     def run(self, max_accesses: Optional[int] = None) -> SimResult:
         """Drive the workload to completion (or an access budget).
@@ -835,8 +753,7 @@ class Simulation:
         bit-identically from the checkpointed epoch.
 
         A generated stream runs ahead of the engine on a helper thread
-        (:func:`repro.workloads.prefetch.open_stream`), and so do large
-        interleaved batches (:meth:`_prepared`); a helper is joined
+        (:func:`repro.workloads.prefetch.open_stream`), which is joined
         before this returns or raises.
         """
         budget = max_accesses if max_accesses is not None else float("inf")

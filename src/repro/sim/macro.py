@@ -32,12 +32,9 @@ is processed by the very same ``_process_batch``, so ``_close_epoch``,
 checkpointing and fault-injection timing fire at batch boundaries --
 identically across kernel modes and through kill/resume.
 
-The coalescer runs on the engine's thread.  The fusion and interleave
-of a large interleaved batch may run on the batch helper while the
-engine simulates the batch before it
-(:meth:`repro.sim.engine.Simulation._prepared`); the engine then pulls
-one coalesced item further ahead, and the items and their boundaries
-are the same either way.
+The coalescer runs on the engine's thread, and so do the fusion and
+interleave of each batch (:meth:`repro.sim.engine.Simulation._run_macro`),
+once the batch before it has been simulated.
 """
 
 from __future__ import annotations

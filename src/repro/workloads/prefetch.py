@@ -1,25 +1,17 @@
-"""Work ahead of the engine, on a second core.
+"""Generate a workload's events ahead of the engine, on a second core.
 
-The engine waits for two kinds of work that depend on nothing it is
-simulating: a generated workload's next events (Zipf draws, mixture
-passes, offset arithmetic) and, in a macro-batch run, the fusion and
-exact shuffle of the next batch.  :class:`RunAhead` is the one primitive
-for both.  It iterates a source on one named helper thread while the
-consumer works on the item before: one item waits in a one-slot queue
-and the helper produces the next, so the helper is never more than two
-items ahead.  numpy releases the interpreter lock in the bulk draws,
-sorts, ufuncs and shuffles that dominate both kinds of work, which is
-what lets them overlap with the engine.
-
-* :func:`open_stream` runs a generated event stream ahead (thread
-  ``repro-events``).  The engine receives the very event objects the
-  generator yielded, in the order it yielded them, so a prefetched run
-  is bit-identical to a direct one: the stream's RNG is touched only by
-  the generator, and no generator reuses an array across yields.
-* :class:`CallAhead` runs calls the consumer submits one at a time
-  (thread ``repro-batches``); the engine submits the next batch's
-  preparation before it simulates the current one
-  (:meth:`repro.sim.engine.Simulation._prepared`).
+A generated workload's next events (Zipf draws, mixture passes, offset
+arithmetic) depend on nothing the engine is simulating.
+:func:`open_stream` runs such a stream on one helper thread named
+``repro-events`` (:class:`RunAhead`) while the engine works on the
+event before: one event waits in a one-slot queue and the helper
+produces the next, so the helper is never more than two events ahead.
+numpy releases the interpreter lock in the bulk draws, sorts and
+ufuncs that dominate generation, which is what lets it overlap with
+the engine.  The engine receives the very event objects the generator
+yielded, in the order it yielded them, so a prefetched run is
+bit-identical to a direct one: the stream's RNG is touched only by the
+generator, and no generator reuses an array across yields.
 
 An exception the source raises reaches the consumer after every item
 produced before it, and only when the consumer asks for the item it
@@ -36,14 +28,13 @@ import os
 import queue
 import threading
 from types import GeneratorType
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-#: Names of the event and the batch helper threads (the test suite
-#: checks none outlives a test).
+#: Name of the event helper thread (the test suite checks none
+#: outlives a test).
 THREAD_NAME = "repro-events"
-BATCH_THREAD_NAME = "repro-batches"
 
 _END = object()
 
@@ -145,31 +136,6 @@ class RunAhead:
         self._thread.join()
         self._thread = None
         self._done = True
-
-
-class CallAhead(RunAhead):
-    """Runs the calls its consumer submits on a helper thread, one at a
-    time and in order: :meth:`submit` a call, go on with other work,
-    then :meth:`take` its result (or the exception it raised)."""
-
-    def __init__(self, name: str = BATCH_THREAD_NAME):
-        self._calls: queue.SimpleQueue = queue.SimpleQueue()
-        super().__init__(self._results(), name)
-
-    def _results(self) -> Iterator:
-        for fn, args in iter(self._calls.get, None):
-            yield fn(*args)
-
-    def submit(self, fn: Callable, *args) -> None:
-        self._calls.put((fn, args))
-
-    def take(self):
-        return next(self)
-
-    def close(self) -> None:
-        """Let the call in flight finish, drop its result, and join."""
-        self._calls.put(None)  # wakes a helper waiting for a call
-        super().close()
 
 
 def open_stream(workload, rng: np.random.Generator) -> Iterator:

@@ -3,7 +3,7 @@
 One home for the canonical result form (:func:`canonical`), the digest
 grid (``tests/data/policy_digests.json``), :func:`checkpoint_and_resume`
 and :data:`AXES`.  An axis runs a digest cell one way, asserts that the
-result equals the pinned digest (``cached`` and ``ahead``: the run they
+result equals the pinned digest (``cached`` and ``macro``: the run they
 are compared with), and that the path it names actually ran.
 ``tests/test_policy_zoo.py`` runs every axis on :data:`TIER1_CELLS`
 (``pinned`` on :data:`TIER1_PINNED_CELLS`);
@@ -29,7 +29,8 @@ from repro.mem.pages import BASE_PAGE_SIZE, HUGE_PAGE_SIZE
 from repro.obs import Observability, Tracer
 from repro.policies.registry import POLICY_REGISTRY
 from repro.sim.cache import ResultCache
-from repro.sim.engine import AHEAD_MIN_ACCESSES, Simulation, stream_rng
+from repro.sim.engine import Simulation, stream_rng
+from repro.sim.macro import EventCoalescer
 from repro.sim.runner import RunSpec
 from repro.workloads import prefetch
 from repro.workloads.registry import make_workload
@@ -305,12 +306,6 @@ def cached(spec, want):
         "the cache hit differs from the run that filled it"
 
 
-#: Digest workloads whose replays fuse into interleaved batches of
-#: 65536 accesses, the only ones the batch helper prepares: phaseflip's
-#: are not interleaved, and 603.bwaves's alloc/free barriers cut its
-#: batches to 61440 accesses.
-AHEAD_WORKLOADS = ("silo", "btree")
-
 #: Stream key -> a directory holding that stream, recorded once.
 _streams = {}
 
@@ -343,21 +338,28 @@ def replayed(spec, want):
         "differs from the pinned digest"
 
 
-def ahead(spec, want):
-    """At ``macro_batch`` 65536, the recorded stream with batches
-    prepared on the batch helper (two CPUs) equals the live run on one
-    CPU, where no helper runs."""
-    spec = spec.replace(macro_batch=AHEAD_MIN_ACCESSES)
-    live_preparers, preparers = [], []
-    with _cpus(1), _spy(Simulation, "_prepare_batch", live_preparers):
-        live = spec.build().run()
-    with _cpus(2), _spy(Simulation, "_prepare_batch", preparers):
-        helped = _replay(spec).run()
-    assert prefetch.BATCH_THREAD_NAME not in live_preparers
-    assert prefetch.BATCH_THREAD_NAME in preparers, \
-        "no batch was prepared on the batch helper"
-    assert digest(helped) == digest(live), \
-        "batches prepared ahead differ from the live run"
+#: The cadence :func:`macro` checks a replay at: every digest workload
+#: fuses two or more events into some of its batches there.
+MACRO_BATCH = 65_536
+
+
+def macro(spec, want):
+    """At ``macro_batch`` 65536, the recorded stream replayed equals the
+    live run at the same cadence."""
+    spec = spec.replace(macro_batch=MACRO_BATCH)
+    live = spec.build().run()
+    fused = []
+    fuse = EventCoalescer._fuse
+
+    def spy(pending):
+        fused.append(len(pending))
+        return fuse(pending)
+
+    with mock.patch.object(EventCoalescer, "_fuse", staticmethod(spy)):
+        replay = _replay(spec).run()
+    assert max(fused, default=0) >= 2, "no batch fused two or more events"
+    assert digest(replay) == digest(live), \
+        "the replay differs from the live run"
 
 
 #: Axis name -> ``check(spec, pinned digest)``; raises AssertionError.
@@ -370,12 +372,8 @@ AXES = {
     "direct": direct,
     "cached": cached,
     "replayed": replayed,
-    "ahead": ahead,
+    "macro": macro,
 }
-
-
-def applies(axis, workload) -> bool:
-    return axis != "ahead" or workload in AHEAD_WORKLOADS
 
 
 def check(axis, cell, digests):

@@ -113,14 +113,13 @@ def test_scale():
 
 @pytest.fixture(autouse=True)
 def _no_helper_outlives_the_test():
-    """Fail a test that leaves an event or batch helper thread alive.
+    """Fail a test that leaves an event helper thread alive.
 
-    ``Simulation.run`` joins its helpers before it returns or raises;
+    ``Simulation.run`` joins its helper before it returns or raises;
     one left running would be inherited by the sweep and service
     supervisors' forks in an unknown state.
     """
     yield
-    names = (prefetch.THREAD_NAME, prefetch.BATCH_THREAD_NAME)
     alive = [thread.name for thread in threading.enumerate()
-             if thread.name in names]
+             if thread.name == prefetch.THREAD_NAME]
     assert not alive, f"helper thread(s) outlived the test: {alive}"

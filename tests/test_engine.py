@@ -94,7 +94,7 @@ class TestEvents:
         script = [AllocEvent("a", 2 * MB), AllocEvent("b", 2 * MB)]
         sim = Simulation(ScriptedWorkload(script), AllFastPolicy(), machine())
         sim.run()  # performs the allocations
-        batch = sim._prepare_batch(event, sim.rng)
+        batch = sim._prepare_batch(event)
         assert len(batch) == 128
         # Shuffled: not all of region a's accesses first.
         region_a_end = sim._regions["a"].end_vpn

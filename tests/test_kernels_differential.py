@@ -641,16 +641,14 @@ class TestSamplerSlices:
 
 
 class TestFastCountFromMemoryNs:
-    @pytest.mark.parametrize("bandwidth_model", [False, True],
-                             ids=["plain", "bandwidth"])
     @pytest.mark.parametrize("num_tiers", [1, 2, 3])
-    def test_equals_count_nonzero(self, num_tiers, bandwidth_model):
+    def test_equals_count_nonzero(self, num_tiers):
         from repro.mem.tiers import TieredMemory, cxl_spec, dram_spec, nvm_spec
         from repro.sim.cost import CostModel
 
         specs = (dram_spec, cxl_spec, nvm_spec)[:num_tiers]
         tiers = TieredMemory.build(*[spec(64 * MB) for spec in specs])
-        cost = CostModel(bandwidth_model=bandwidth_model).bind(tiers)
+        cost = CostModel().bind(tiers)
         rng = np.random.default_rng(num_tiers)
         for n in (0, 1, 17, 1024, 5000):
             tier = rng.integers(0, num_tiers, n).astype(np.int8)

@@ -114,7 +114,7 @@ TIER1_AXES = [
     for policy in sorted(POLICY_REGISTRY)
     for workload, machine in TIER1_CELLS
     for axis in conformance.AXES
-    if axis != "pinned" and conformance.applies(axis, workload)
+    if axis != "pinned"
 ]
 
 

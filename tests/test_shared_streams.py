@@ -8,7 +8,7 @@ recording.  The contracts tested here:
 * a shared-stream sweep equals live ``RunSpec.execute`` byte for byte
   on composite workload names, both machine shapes and the macro
   cadence, at one and two workers -- and cache keys do not move (the
-  conformance matrix's ``replayed`` and ``ahead`` axes check replay ==
+  conformance matrix's ``replayed`` and ``macro`` axes check replay ==
   live for every registered policy);
 * a checkpoint resumes across the two: live onto replay and back, and a
   resumed replay seeks rather than regenerating;

@@ -1,14 +1,11 @@
-"""Thermostat baseline and the opt-in bandwidth-contention model."""
+"""Thermostat baseline."""
 
 import numpy as np
-import pytest
 
 from repro.mem.pages import SUBPAGES_PER_HUGE
 from repro.mem.tiers import FASTEST_TIER
 from repro.policies.registry import make_policy
 from repro.policies.thermostat import ThermostatPolicy
-from repro.sim.cost import CostModel
-from repro.sim.machine import MachineSpec
 from repro.sim.runner import RunSpec
 
 from conftest import TEST_SCALE, make_context
@@ -71,55 +68,3 @@ class TestThermostat:
         assert result.metrics.fault_ns > 0  # poisoning is never free
         sim.space.check_consistency()
 
-
-class TestBandwidthModel:
-    def _bound(self, enabled):
-        model = CostModel(bandwidth_model=enabled, mlp_factor=1.0)
-        machine = MachineSpec(fast_bytes=8 * MB, capacity_bytes=64 * MB)
-        return model.bind(machine.build_tiers())
-
-    def test_disabled_by_default(self):
-        assert CostModel().bandwidth_model is False
-
-    def test_inflates_capacity_heavy_batches(self):
-        tiers = np.ones(1000, dtype=np.int8)
-        stores = np.zeros(1000, dtype=bool)
-        plain = self._bound(False).memory_ns(tiers, stores)
-        contended = self._bound(True).memory_ns(tiers, stores)
-        assert contended > plain
-
-    def test_fast_only_batches_unaffected(self):
-        tiers = np.zeros(1000, dtype=np.int8)
-        stores = np.zeros(1000, dtype=bool)
-        assert self._bound(True).memory_ns(tiers, stores) == pytest.approx(
-            self._bound(False).memory_ns(tiers, stores)
-        )
-
-    def test_utilization_capped(self):
-        """Even infinite demand cannot push rho past the cap."""
-        bound = self._bound(True)
-        tiers = np.ones(100, dtype=np.int8)
-        stores = np.zeros(100, dtype=bool)
-        base = self._bound(False).memory_ns(tiers, stores)
-        contended = bound.memory_ns(tiers, stores)
-        max_inflation = 1.0 / (1.0 - bound.model.max_utilization)
-        assert contended <= base * max_inflation + 1e-6
-
-    def test_widens_tiering_gap_end_to_end(self):
-        """With contention on, good placement pays even more."""
-        from repro.policies.static import AllCapacityPolicy, AllFastPolicy
-        from repro.sim.engine import Simulation
-        from repro.workloads.registry import make_workload
-
-        def run(policy, enabled):
-            workload = make_workload("silo", TEST_SCALE)
-            machine = MachineSpec.from_ratio(workload.total_bytes, ratio="1:2")
-            sim = Simulation(workload, policy, machine.collapse_to_fastest()
-                             if isinstance(policy, AllFastPolicy)
-                             else machine.collapse_to_slowest(),
-                             cost_model=CostModel(bandwidth_model=enabled))
-            return sim.run(max_accesses=150_000).runtime_ns
-
-        gap_plain = run(AllCapacityPolicy(), False) / run(AllFastPolicy(), False)
-        gap_contended = run(AllCapacityPolicy(), True) / run(AllFastPolicy(), True)
-        assert gap_contended > gap_plain
